@@ -665,20 +665,10 @@ func (c *ServerClient) FetchForecast() (ForecastAck, error) {
 	return ack, err
 }
 
-// ReplanInterval mirrors one frozen span of a rolling-horizon
-// schedule.
-type ReplanInterval struct {
-	StartS      float64      `json:"start_s"`
-	EndS        float64      `json:"end_s"`
-	Slices      []grid.Slice `json:"slices,omitempty"`
-	IdleS       float64      `json:"idle_s"`
-	Iterations  float64      `json:"iterations"`
-	EnergyJ     float64      `json:"energy_j"`
-	CarbonG     float64      `json:"carbon_g"`
-	CostUSD     float64      `json:"cost_usd"`
-	PredCarbonG float64      `json:"pred_carbon_g"`
-	PredCostUSD float64      `json:"pred_cost_usd"`
-}
+// ReplanInterval is one frozen span of a rolling-horizon schedule:
+// the controller's own executed-interval record, so the wire shape
+// cannot drift from what the server's stepper writes.
+type ReplanInterval = forecast.ExecutedInterval
 
 // Replan mirrors the server's rolling-horizon schedule state: the
 // frozen executed prefix plus the freshly re-planned remainder.

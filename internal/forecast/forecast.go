@@ -207,11 +207,11 @@ func ExtendCyclic(sig *grid.Signal, upTo float64) *grid.Signal {
 	return out
 }
 
-// Window returns the sub-signal covering [from, to) shifted to start at
+// window returns the sub-signal covering [from, to) shifted to start at
 // time 0 — the remaining planning problem a rolling-horizon controller
 // hands to grid.Optimize at decision time `from`. The straddling first
 // and last intervals are cut at the window edges.
-func Window(sig *grid.Signal, from, to float64) *grid.Signal {
+func window(sig *grid.Signal, from, to float64) *grid.Signal {
 	out := &grid.Signal{Name: sig.Name}
 	for _, iv := range sig.Intervals {
 		if iv.EndS <= from || iv.StartS >= to {

@@ -40,7 +40,7 @@ func TestExtendCyclic(t *testing.T) {
 
 func TestWindow(t *testing.T) {
 	sig := grid.Diurnal24h()
-	w := Window(sig, 2*3600+1800, 5*3600)
+	w := window(sig, 2*3600+1800, 5*3600)
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -122,10 +122,152 @@ func Oracle(lt *frontier.LookupTable, truth *grid.Signal, opts Options) (*Outcom
 	return out, nil
 }
 
-// run is the shared executor. Forecast intervals must align with the
-// truth's cyclic interval grid (all bundled providers guarantee this);
-// execution clips slices at decision boundaries regardless, so a
-// misaligned provider degrades accounting resolution, not correctness.
+// Stepper is one job's rolling-horizon state: what it plans (table,
+// target, deadline, objective, scale, quantile), the truth it executes
+// against, the plan in force, and everything executed so far. The
+// offline controllers (PlanOnce, Replan, Oracle) loop over it and the
+// server holds one per rolling schedule, so both freeze, warm-check,
+// solve, and account through the same two methods. Fields other than
+// Table and Scale (which a re-characterization may refresh between
+// steps) are read-only outside the stepper.
+type Stepper struct {
+	Table     *frontier.LookupTable
+	Truth     *grid.Signal
+	Target    float64
+	DeadlineS float64
+	Objective grid.Objective
+	Scale     float64
+	Quantile  float64 // planning quantile; 0 plans on the point forecast
+
+	// At is the signal time executed up to.
+	At float64
+
+	// Plan is the plan in force (nil when none: target complete, deadline
+	// passed, or the last solve failed), with interval times relative
+	// to PlanAt. Remaining is the work still to cover, kept by
+	// successive subtraction of each executed interval's iterations.
+	Plan      *grid.Plan
+	PlanAt    float64
+	Remaining float64
+
+	// Intervals are the executed intervals in time order; Iterations
+	// and the embedded totals are their running sums. Plans counts
+	// solves, WarmStarts the re-plans that kept the plan in force.
+	Intervals  []ExecutedInterval
+	Iterations float64
+	plan.Account
+	plan.Predicted
+	Plans      int
+	WarmStarts int
+
+	view  *grid.Signal // quantile view Plan was solved on (absolute time)
+	point *grid.Signal // latest point forecast, what executed slices were predicted at
+}
+
+// NewStepper starts a rolling schedule at signal time startS. The
+// request's deadline must already be resolved (positive).
+func NewStepper(lt *frontier.LookupTable, truth *grid.Signal, req Options, startS float64) *Stepper {
+	return &Stepper{
+		Table: lt, Truth: truth, Target: req.Target, DeadlineS: req.DeadlineS,
+		Objective: req.Objective, Scale: req.Scale(), Quantile: req.Quantile,
+		At: startS, PlanAt: startS, Remaining: req.Target,
+	}
+}
+
+func (s *Stepper) done() bool { return s.Remaining <= 1e-9*(1+s.Target) }
+
+// Open reports whether there is anything left to plan: work remains
+// and the deadline is still ahead.
+func (s *Stepper) Open() bool { return !s.done() && s.At < s.DeadlineS-1e-9 }
+
+// Stalled reports an open schedule with no plan in force — the last
+// solve failed — so the caller should Replan again even though neither
+// time nor forecast moved.
+func (s *Stepper) Stalled() bool { return s.Plan == nil && s.Open() }
+
+// Feasible reports whether the target is complete or the plan in force
+// still completes it by the deadline.
+func (s *Stepper) Feasible() bool { return s.done() || (s.Plan != nil && s.Plan.Feasible) }
+
+// ExecuteTo runs the plan in force over [At, t) against the truth and
+// advances At to t. Plan intervals are clipped at both ends: one that
+// straddles At (a kept plan whose earlier part already ran and was
+// recorded, idle tail included) resumes from At, one that straddles t
+// stops there.
+func (s *Stepper) ExecuteTo(t float64) {
+	if s.Plan != nil {
+		for _, ip := range s.Plan.Intervals {
+			absStart, absEnd := s.PlanAt+ip.StartS, s.PlanAt+ip.EndS
+			if absEnd <= s.At+1e-9 {
+				continue // executed by an earlier step
+			}
+			slices := ip.Slices
+			if absStart < s.At {
+				slices, _ = clipPaused(slices, absStart, s.At)
+				absStart = s.At
+			}
+			if absStart >= t-1e-9 {
+				break
+			}
+			if absEnd > t {
+				absEnd = t
+			}
+			ei := executeSlices(s.Table, s.Truth, s.point, s.Scale, absStart, absEnd, slices)
+			ei.Replanned = len(s.Intervals) == 0 || s.Intervals[len(s.Intervals)-1].EndS <= s.PlanAt
+			s.Remaining -= ei.Iterations
+			s.Iterations += ei.Iterations
+			s.Account.Accumulate(ei.Account)
+			s.Predicted.Accumulate(ei.Predicted)
+			s.Intervals = append(s.Intervals, ei)
+		}
+	}
+	if t > s.At {
+		s.At = t
+	}
+}
+
+// Replan decides the plan for [At, DeadlineS) under forecast fc and
+// reports whether it is a fresh one. The single warm rule: when fc's
+// quantile view agrees exactly with the one the plan in force was
+// solved on over the whole remaining window — the revision touched
+// only executed or beyond-deadline intervals — the plan's suffix is
+// still the optimum for the remaining work and is kept. Otherwise the
+// remaining window is solved for the remaining work (solve == nil
+// means grid.Optimize); a failed solve leaves no plan in force. A
+// schedule that is not Open drops its plan and ignores fc.
+func (s *Stepper) Replan(fc *Forecast, solve func(window *grid.Signal, target float64) (*grid.Plan, error)) (bool, error) {
+	if !s.Open() {
+		s.Plan, s.PlanAt = nil, s.At
+		return false, nil
+	}
+	s.point = fc.Signal
+	view := fc.At(s.Quantile)
+	if s.Plan != nil && SignalEqualWithin(s.view, view, s.At, s.DeadlineS) {
+		s.WarmStarts++
+		return false, nil
+	}
+	s.Plan, s.PlanAt = nil, s.At
+	if solve == nil {
+		solve = func(window *grid.Signal, target float64) (*grid.Plan, error) {
+			return grid.Optimize(s.Table, window, grid.Options{
+				Target: target, Objective: s.Objective, PowerScale: s.Scale,
+			})
+		}
+	}
+	p, err := solve(window(view, s.At, s.DeadlineS), s.Remaining)
+	if err != nil {
+		return false, err
+	}
+	s.Plan, s.view = p, view
+	s.Plans++
+	return true, nil
+}
+
+// run drives one Stepper over the decision grid. Forecast intervals
+// must align with the truth's cyclic interval grid (all bundled
+// providers guarantee this); execution clips slices at decision
+// boundaries regardless, so a misaligned provider degrades accounting
+// resolution, not correctness.
 func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Options, replanEvery bool) (*Outcome, error) {
 	if prov == nil {
 		return nil, fmt.Errorf("forecast: controller needs a provider")
@@ -139,8 +281,6 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	scale := opts.Scale()
-	q := opts.PlanQuantile()
 
 	fc, err := prov.At(0)
 	if err != nil {
@@ -149,44 +289,35 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 	if err := fc.Validate(); err != nil {
 		return nil, err
 	}
-	deadline, err := opts.ResolveDeadline(fc.Signal.Horizon())
+	opts.DeadlineS, err = opts.ResolveDeadline(fc.Signal.Horizon())
 	if err != nil {
 		return nil, err
 	}
-	if deadline <= 0 {
+	if opts.DeadlineS <= 0 {
 		return nil, fmt.Errorf("forecast: deadline must be positive, got %v", opts.DeadlineS)
 	}
 
 	// Decision times: t = 0, then (under re-planning) every forecast-
-	// grid interval boundary before the deadline.
+	// grid interval boundary before the deadline; the last plan runs to
+	// the deadline.
 	decisions := []float64{0}
+	mode := "plan-once"
 	if replanEvery {
 		for _, iv := range fc.Signal.Intervals {
-			if iv.EndS < deadline {
+			if iv.EndS < opts.DeadlineS {
 				decisions = append(decisions, iv.EndS)
 			}
 		}
-	}
-
-	mode := "plan-once"
-	if replanEvery {
 		mode = "mpc"
-		if q > 0.5 {
+		if q := opts.PlanQuantile(); q > 0.5 {
 			mode = fmt.Sprintf("mpc@q%.2f", q)
 		}
 	}
-	out := &Outcome{
-		Strategy:  prov.Name() + "/" + mode,
-		Target:    opts.Target,
-		DeadlineS: deadline,
-		FinishS:   -1,
-	}
-	remaining := opts.Target
-	var plan *grid.Plan
-	var planView *grid.Signal // the q-view the current plan was built on (absolute time)
-	planAt := 0.0
-	for di, d := range decisions {
-		if remaining <= 1e-9*(1+opts.Target) {
+	decisions = append(decisions, opts.DeadlineS)
+
+	st := NewStepper(lt, truth, opts, 0)
+	for di, d := range decisions[:len(decisions)-1] {
+		if !st.Open() {
 			break
 		}
 		if di > 0 {
@@ -197,84 +328,50 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 				return nil, err
 			}
 		}
-		view := fc.At(q)
-		if plan != nil && SignalEqualWithin(planView, view, d, deadline) {
-			// Warm start: the revision left every interval in the
-			// remaining window untouched (only already-executed or
-			// beyond-deadline intervals changed), so the running plan's
-			// suffix is still the optimum for the remaining target —
-			// keep executing it instead of re-solving.
-			out.WarmStarts++
-		} else {
-			suffix := Window(view, d, deadline)
-			plan, err = grid.Optimize(lt, suffix, grid.Options{
-				Target:     remaining,
-				Objective:  opts.Objective,
-				PowerScale: scale,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.Plans++
-			planAt = d
-			planView = view
+		if _, err := st.Replan(fc, nil); err != nil {
+			return nil, err
 		}
+		st.ExecuteTo(decisions[di+1])
+	}
+	return &Outcome{
+		Strategy:   prov.Name() + "/" + mode,
+		Target:     opts.Target,
+		DeadlineS:  opts.DeadlineS,
+		Plans:      st.Plans,
+		WarmStarts: st.WarmStarts,
+		Feasible:   st.Iterations >= opts.Target-1e-6*(1+opts.Target),
+		FinishS:    finishTime(lt, st.Intervals, opts.Target),
+		Iterations: st.Iterations,
+		Account:    st.Account,
+		Predicted:  st.Predicted,
+		Intervals:  st.Intervals,
+	}, nil
+}
 
-		// Execute the plan up to the next decision time (or, for the
-		// final plan, to the deadline).
-		end := deadline
-		if di+1 < len(decisions) {
-			end = decisions[di+1]
+// finishTime locates the instant the executed intervals' cumulative
+// iterations reached the target (-1 when they never did).
+func finishTime(lt *frontier.LookupTable, intervals []ExecutedInterval, target float64) float64 {
+	var done float64
+	for _, ei := range intervals {
+		if done+ei.Iterations < target-1e-9 {
+			done += ei.Iterations
+			continue
 		}
-		for _, ip := range plan.Intervals {
-			absStart, absEnd := planAt+ip.StartS, planAt+ip.EndS
-			if absEnd <= d+1e-9 {
-				continue // already executed in an earlier span (warm start keeps the old plan)
-			}
-			slices := ip.Slices
-			if absStart < d {
-				// A warm-started plan interval straddling the decision
-				// time: the part before d already ran (and was recorded
-				// by the previous span, idle tail included) — resume the
-				// remainder from d.
-				slices, _ = clipPaused(slices, absStart, d)
-				absStart = d
-			}
-			if absStart >= end-1e-9 {
+		need := target - done
+		at := ei.StartS
+		for _, sl := range ei.Slices {
+			rate := 1 / lt.PointTime(sl.Point)
+			if got := sl.Seconds * rate; got < need {
+				need -= got
+				at += sl.Seconds
+			} else {
+				at += need / rate
 				break
 			}
-			if absEnd > end {
-				absEnd = end
-			}
-			ei := ExecuteSlices(lt, truth, fc.Signal, scale, absStart, absEnd, slices)
-			ei.Replanned = len(out.Intervals) == 0 || out.Intervals[len(out.Intervals)-1].EndS <= planAt
-			if out.FinishS < 0 && out.Iterations+ei.Iterations >= opts.Target-1e-9 {
-				need := opts.Target - out.Iterations
-				at := ei.StartS
-				for _, sl := range ei.Slices {
-					rate := 1 / lt.PointTime(sl.Point)
-					if got := sl.Seconds * rate; got < need {
-						need -= got
-						at += sl.Seconds
-					} else {
-						at += need / rate
-						break
-					}
-				}
-				out.FinishS = at
-			}
-			remaining -= ei.Iterations
-			out.Iterations += ei.Iterations
-			out.EnergyJ += ei.EnergyJ
-			out.CarbonG += ei.CarbonG
-			out.CostUSD += ei.CostUSD
-			out.PredCarbonG += ei.PredCarbonG
-			out.PredCostUSD += ei.PredCostUSD
-			out.Intervals = append(out.Intervals, ei)
 		}
+		return at
 	}
-	out.Feasible = out.Iterations >= opts.Target-1e-6*(1+opts.Target)
-	return out, nil
+	return -1
 }
 
 // Planner adapts the forecast-driven controllers to the shared
@@ -338,12 +435,12 @@ func SignalEqualWithin(a, b *grid.Signal, from, to float64) bool {
 	}
 }
 
-// ExecuteSlices runs a planned interval's slices (back-to-back from
+// executeSlices runs a planned interval's slices (back-to-back from
 // the interval start, clipped at the interval end) against the truth,
 // accounting realized emissions at the truth's rates and predicted
 // ones at the planning forecast's. It is the accounting primitive the
-// MPC controllers and the server's re-planning endpoint share.
-func ExecuteSlices(lt *frontier.LookupTable, truth, predicted *grid.Signal, scale, startS, endS float64, slices []grid.Slice) ExecutedInterval {
+// stepper and the region controller share.
+func executeSlices(lt *frontier.LookupTable, truth, predicted *grid.Signal, scale, startS, endS float64, slices []grid.Slice) ExecutedInterval {
 	ei := ExecutedInterval{StartS: startS, EndS: endS}
 	at := startS
 	for _, sl := range slices {

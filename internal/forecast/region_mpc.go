@@ -243,7 +243,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 			warm = warm && SignalEqualWithin(prevViews[i], views[i], d, deadline)
 			fregions[i] = region.Region{
 				Name: regs[i].Region.Name, GPUs: regs[i].Region.GPUs,
-				CapW: regs[i].Region.CapW, Signal: Window(views[i], d, deadline),
+				CapW: regs[i].Region.CapW, Signal: window(views[i], d, deadline),
 			}
 		}
 		var rjobs []region.Job
@@ -368,7 +368,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 						slices, absStart = clipPaused(slices, absStart, until)
 					}
 				}
-				ei := ExecuteSlices(job.Table, truths[rIdx], fsignals[rIdx], scale,
+				ei := executeSlices(job.Table, truths[rIdx], fsignals[rIdx], scale,
 					absStart, d+math.Min(ip.EndS, span), slices)
 				st.remaining -= ei.Iterations
 				st.out.Iterations += ei.Iterations

@@ -17,11 +17,6 @@ type Options struct {
 	// regions; the zero value makes moves free.
 	Migration MigrationCost
 
-	// Rounds is the number of Gauss-Seidel improvement rounds after the
-	// first sequential pass: each round re-plans every job against the
-	// others' committed placements. 0 means 2.
-	Rounds int
-
 	// Workers bounds the planner's evaluation parallelism: independent
 	// candidate placements are solved across a worker pool and reduced
 	// in a fixed deterministic order, so the plan is identical for any
@@ -49,12 +44,10 @@ type SeedSpan struct {
 	Region string  `json:"region"`
 }
 
-func (o Options) rounds() int {
-	if o.Rounds <= 0 {
-		return 2
-	}
-	return o.Rounds
-}
+// gaussSeidelRounds is the number of improvement rounds after the first
+// sequential pass: each round re-plans every job against the others'
+// committed placements.
+const gaussSeidelRounds = 2
 
 func (o Options) workers() int {
 	if o.Workers <= 0 {
@@ -158,7 +151,6 @@ type Planner struct {
 	Regions   []Region
 	Jobs      []Job
 	Migration MigrationCost
-	Rounds    int
 }
 
 // Name implements plan.Planner.
@@ -181,7 +173,6 @@ func (p *Planner) Plan(req pln.Request) (pln.Result, error) {
 	return Optimize(p.Regions, jobs, Options{
 		Objective: req.Objective,
 		Migration: p.Migration,
-		Rounds:    p.Rounds,
 	})
 }
 
@@ -707,7 +698,7 @@ func (p *planner) planJob(j *Job) (*eval, error) {
 // caps (shared across the jobs placed there).
 //
 // Jobs are planned sequentially in input order against the committed
-// usage of earlier jobs, then refined with opts.Rounds Gauss-Seidel
+// usage of earlier jobs, then refined with gaussSeidelRounds Gauss-Seidel
 // rounds (each job re-planned against all others). Per job the search
 // is steepest descent over contiguous segment moves from the best of
 // the single-region and rate-envelope starts (plus any warm-start
@@ -859,7 +850,7 @@ func (p *planner) solveAll(jobs []Job, candidates func(*planner, *Job) ([][]int,
 			}
 			return improved, nil
 		}
-		for round := 0; round < p.opts.rounds(); round++ {
+		for round := 0; round < gaussSeidelRounds; round++ {
 			gs, err := gaussSeidel()
 			if err != nil {
 				return nil, err

@@ -12,15 +12,10 @@ import (
 	"time"
 )
 
-// managedJob records the planning request a job was managed with (the
-// schedule itself pins the effective parameters; these are kept for
-// re-managing and status) plus the job's last tick error.
+// managedJob marks a job as controller-managed (its rolling schedule
+// pins the planning parameters) and holds its last tick error.
 type managedJob struct {
-	target    float64
-	deadline  float64
-	objective string
-	quantile  float64
-	lastErr   string
+	lastErr string
 }
 
 // controller is the background MPC runtime: a long-lived loop that
@@ -147,7 +142,7 @@ func (s *Server) manageJob(ctx context.Context, id string, target, deadline floa
 	if _, ok := c.managed[id]; !ok {
 		c.order = append(c.order, id)
 	}
-	c.managed[id] = managedJob{target: target, deadline: deadline, objective: objective, quantile: quantile}
+	c.managed[id] = managedJob{}
 	c.mu.Unlock()
 	return resp, nil
 }

@@ -130,27 +130,16 @@ type ReplanResponse struct {
 	RemainingOffsetS float64    `json:"remaining_offset_s"`
 }
 
-// replanState is a job's rolling-horizon state between roll-forwards
-// (client GET /grid/replan calls and controller ticks share it).
-// Guarded by Server.replanMu.
+// replanState is a job's rolling schedule between roll-forwards (client
+// GET /grid/replan calls and controller ticks share it): the request
+// that identifies it plus the forecast.Stepper that carries it forward
+// — the same stepper forecast.Replan loops over offline. Guarded by
+// Server.replanMu.
 type replanState struct {
-	target      float64
+	*forecast.Stepper
 	reqDeadline float64 // the raw request parameter (0 = default)
-	deadlineS   float64 // the effective deadline, pinned at creation
-	objective   grid.Objective
 	reqQuantile float64 // the raw request parameter (0 = installed default)
-	quantile    float64 // the effective quantile, pinned at creation
-
-	offsetS   float64 // signal time of remaining's t = 0
-	doneIters float64
-	frozen    []ReplanInterval
-	remaining *grid.Plan
-	predSig   *grid.Signal // point forecast the remaining plan was built on
-	planView  *grid.Signal // quantile view the remaining plan was solved against
-	plans     int
-	frevSeen  int  // forecast revision the remaining plan was built on
-	feasible  bool // latest feasibility verdict
-	needPlan  bool // last re-plan failed; retry on the next roll-forward
+	frevSeen    int     // forecast revision of the last roll-forward
 
 	// lastPlanAt is the wall-clock time of the last successful re-plan
 	// (zero before the first), surfaced per job in GET /controller.
@@ -312,25 +301,11 @@ func (s *Server) handleGridReplan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	parse := func(key string) (float64, error) {
-		v := q.Get(key)
-		if v == "" {
-			return 0, nil
-		}
-		return strconv.ParseFloat(v, 64)
+	f, ok := queryFloats(w, q, "iterations", "deadline", "quantile")
+	if !ok {
+		return
 	}
-	var target, deadline, quant float64
-	var err error
-	for _, f := range []struct {
-		key string
-		dst *float64
-	}{{"iterations", &target}, {"deadline", &deadline}, {"quantile", &quant}} {
-		if *f.dst, err = parse(f.key); err != nil {
-			http.Error(w, fmt.Sprintf("bad %s: %v", f.key, err), http.StatusBadRequest)
-			return
-		}
-	}
-	resp, err := s.replan(r.Context(), id, target, deadline, q.Get("objective"), quant)
+	resp, err := s.replan(r.Context(), id, f[0], f[1], q.Get("objective"), f[2])
 	if err != nil {
 		status := http.StatusBadRequest
 		if _, ok := s.st.job(id); !ok {
@@ -366,82 +341,45 @@ func (s *Server) Replan(id string, target, deadline float64, objective string, q
 // replan.freeze, replan.forecast, replan.solve, replan.bump) as
 // children of the active span.
 func (s *Server) replan(ctx context.Context, id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
-	j, ok := s.st.job(id)
-	if !ok {
-		return nil, fmt.Errorf("server: unknown job %s", id)
-	}
-	j.mu.Lock()
-	table := j.table
-	pipes := j.req.DataParallel
-	j.mu.Unlock()
-	if table == nil {
-		return nil, fmt.Errorf("server: job %s not characterized yet", id)
-	}
-	if pipes <= 0 {
-		pipes = 1
-	}
-	if !(target > 0) || math.IsInf(target, 0) {
-		return nil, fmt.Errorf("server: replan target iterations must be positive and finite, got %v", target)
-	}
-	if math.IsNaN(deadline) || math.IsInf(deadline, 0) || deadline < 0 {
-		return nil, fmt.Errorf("server: replan deadline must be finite and non-negative, got %v", deadline)
-	}
-
 	_, insp := obs.Child(ctx, spanReplanInputs)
 	insp.SetAttr("job", id)
 	s.replanMu.Lock()
 	defer s.replanMu.Unlock()
-	// The signal/forecast snapshot AND the clock are read inside the
-	// roll-forward lock. The clock: two racing callers (a controller
-	// tick and a client replan) otherwise freeze at different instants
-	// and the loser would rewind the schedule offset, double-counting
-	// spans the winner already froze. The snapshot: POST /grid/signal
-	// clears the rolling schedules under this same lock, so a replan
-	// that snapshotted the old signal outside it could re-insert a
-	// schedule of the replaced trace (anchored to the old clock) into
-	// the freshly cleared map.
+	in, err := s.rollInputsLocked(id)
 	// The raw quantile parameter identifies the schedule (like the raw
 	// deadline): 0 resolves to the issuer's default once, at creation,
 	// so a forecast re-install with a different default is a revision
 	// of the forecast — never a silent restart of a rolling schedule
 	// that asked for "the default".
 	reqQuantile := quantile
-	sig, start, spec, obj, frev, err := s.planInputsLocked()
+	if err == nil && quantile == 0 {
+		quantile = in.spec.quantile
+	}
+	switch {
+	case err != nil:
+	case !(target > 0) || math.IsInf(target, 0):
+		err = fmt.Errorf("server: replan target iterations must be positive and finite, got %v", target)
+	case math.IsNaN(deadline) || math.IsInf(deadline, 0) || deadline < 0:
+		err = fmt.Errorf("server: replan deadline must be finite and non-negative, got %v", deadline)
+	case math.IsNaN(quantile) || quantile < 0 || quantile >= 1:
+		err = fmt.Errorf("server: replan quantile must be in [0, 1), got %v", quantile)
+	case objective != "":
+		in.obj, err = grid.ParseObjective(objective)
+	}
+	insp.Fail(err)
+	insp.End()
 	if err != nil {
-		insp.Fail(err)
-		insp.End()
 		return nil, err
 	}
-	if quantile == 0 {
-		quantile = spec.quantile
-	}
-	if objective != "" {
-		if obj, err = grid.ParseObjective(objective); err != nil {
-			insp.Fail(err)
-			insp.End()
-			return nil, err
-		}
-	}
-	if math.IsNaN(quantile) || quantile < 0 || quantile >= 1 {
-		insp.End()
-		return nil, fmt.Errorf("server: replan quantile must be in [0, 1), got %v", quantile)
-	}
 
-	t := s.st.now().Sub(start).Seconds()
-	if t < 0 {
-		t = 0
-	}
-	insp.End()
-
-	st := s.replans[id]
 	// The restart check compares the *requested* deadline: with the 0
 	// default the effective deadline is pinned once at state creation
 	// (the forecast horizon then), so the horizon growing with time on
 	// later calls is not mistaken for a parameter change.
-	if st == nil || st.target != target || st.reqDeadline != deadline ||
-		st.objective != obj || st.reqQuantile != reqQuantile {
+	if rs := in.rs; rs == nil || rs.Target != target || rs.reqDeadline != deadline ||
+		rs.Objective != in.obj || rs.reqQuantile != reqQuantile {
 		_, fsp := obs.Child(ctx, spanReplanFcast)
-		fc, err := issueForecast(sig, spec, t, deadline)
+		fc, err := issueForecast(in.sig, in.spec, in.t, deadline)
 		fsp.Fail(err)
 		fsp.End()
 		if err != nil {
@@ -451,60 +389,97 @@ func (s *Server) replan(ctx context.Context, id string, target, deadline float64
 		if eff == 0 {
 			eff = fc.Signal.Horizon()
 		}
-		if eff <= t {
-			return nil, fmt.Errorf("server: replan deadline %v not after now (%v s into the signal)", eff, t)
+		if eff <= in.t {
+			return nil, fmt.Errorf("server: replan deadline %v not after now (%v s into the signal)", eff, in.t)
 		}
 		if eff > fc.Signal.Horizon()+1e-9 {
 			return nil, fmt.Errorf("server: replan deadline %v beyond forecast horizon %v", eff, fc.Signal.Horizon())
 		}
-		st = &replanState{
-			target: target, reqDeadline: deadline, deadlineS: eff,
-			objective: obj, reqQuantile: reqQuantile, quantile: quantile,
-			offsetS: t, frevSeen: frev,
+		in.rs = &replanState{
+			Stepper: forecast.NewStepper(in.table, in.sig, pln.Request{
+				Target: target, DeadlineS: eff, Objective: in.obj, Quantile: quantile,
+			}, in.t),
+			reqDeadline: deadline, reqQuantile: reqQuantile,
 		}
-		s.replans[id] = st
-		if err := s.rollForwardLocked(ctx, st, j, table, pipes, sig, spec, t, frev, fc); err != nil {
+		s.replans[id] = in.rs
+		if err := s.rollForwardLocked(ctx, in, fc); err != nil {
 			delete(s.replans, id)
 			return nil, err
 		}
-		return replanView(id, st), nil
-	}
-
-	// A roll-forward is warranted when time advanced past the last plan
-	// offset or the forecast was revised; otherwise the current state
-	// is already the answer. Time never rewinds: a racing caller that
-	// read the clock before a faster one froze later spans clamps to
-	// the schedule's own offset.
-	if t < st.offsetS {
-		t = st.offsetS
-	}
-	if t > st.offsetS+1e-9 || st.frevSeen != frev || st.needPlan {
-		if err := s.rollForwardLocked(ctx, st, j, table, pipes, sig, spec, t, frev, nil); err != nil {
+	} else if in.due {
+		if err := s.rollForwardLocked(ctx, in, nil); err != nil {
 			return nil, err
 		}
 	}
-	return replanView(id, st), nil
+	return replanView(id, in.rs), nil
 }
 
-// planInputsLocked snapshots the planning inputs a roll-forward needs
-// — installed signal, its anchor, the forecast issuer, the default
-// objective, and the forecast revision. Callers hold replanMu, so the
-// snapshot cannot interleave with POST /grid/signal's state reset.
-func (s *Server) planInputsLocked() (*grid.Signal, time.Time, *forecastSpec, grid.Objective, int, error) {
+// rollInputs is what one roll-forward works from: the job's current
+// table and pipeline count, the installed signal, forecast issuer,
+// default objective and forecast revision, the job's rolling schedule
+// (nil when it has none), and the signal time now.
+type rollInputs struct {
+	j     *job
+	table *frontier.LookupTable
+	pipes int
+	sig   *grid.Signal
+	spec  *forecastSpec
+	obj   grid.Objective
+	frev  int
+	rs    *replanState
+
+	// t never rewinds: a caller whose clock reads earlier than what the
+	// schedule already executed clamps to the schedule's own time.
+	t float64
+
+	// due reports that rs warrants a roll-forward: time advanced, the
+	// forecast was revised, or the last solve failed. Otherwise the
+	// current state is already the answer.
+	due bool
+}
+
+// rollInputsLocked is the shared prelude of client replans and
+// controller ticks. Callers hold replanMu, and everything is read
+// inside it. The clock: two racing callers (a controller tick and a
+// client replan) otherwise freeze at different instants and the loser
+// would rewind the schedule, double-counting spans the winner already
+// froze. The signal and forecast: POST /grid/signal clears the rolling
+// schedules under this same lock, so a replan that snapshotted the old
+// signal outside it could re-insert a schedule of the replaced trace
+// (anchored to the old clock) into the freshly cleared map.
+func (s *Server) rollInputsLocked(id string) (rollInputs, error) {
+	j, ok := s.st.job(id)
+	if !ok {
+		return rollInputs{}, fmt.Errorf("server: unknown job %s", id)
+	}
+	j.mu.Lock()
+	in := rollInputs{j: j, table: j.table, pipes: j.req.DataParallel}
+	j.mu.Unlock()
+	if in.table == nil {
+		return rollInputs{}, fmt.Errorf("server: job %s not characterized yet", id)
+	}
+	if in.pipes <= 0 {
+		in.pipes = 1
+	}
 	s.st.mu.Lock()
-	sig := s.st.signal
+	in.sig = s.st.signal
 	start := s.st.sigStart
-	spec := s.st.fspec
-	obj := s.st.objective
-	frev := s.st.frev
+	in.spec = s.st.fspec
+	in.obj = s.st.objective
+	in.frev = s.st.frev
 	s.st.mu.Unlock()
-	if sig == nil {
-		return nil, time.Time{}, nil, "", 0, fmt.Errorf("server: no grid signal installed")
+	if in.sig == nil {
+		return rollInputs{}, fmt.Errorf("server: no grid signal installed")
 	}
-	if spec == nil {
-		return nil, time.Time{}, nil, "", 0, fmt.Errorf("server: no forecast installed; POST /grid/forecast first")
+	if in.spec == nil {
+		return rollInputs{}, fmt.Errorf("server: no forecast installed; POST /grid/forecast first")
 	}
-	return sig, start, spec, obj, frev, nil
+	in.t = math.Max(0, s.st.now().Sub(start).Seconds())
+	if in.rs = s.replans[id]; in.rs != nil {
+		in.t = math.Max(in.t, in.rs.At)
+		in.due = in.t > in.rs.At+1e-9 || in.rs.frevSeen != in.frev || in.rs.Stalled()
+	}
+	return in, nil
 }
 
 // advanceManaged rolls an EXISTING rolling schedule forward — the
@@ -514,211 +489,131 @@ func (s *Server) planInputsLocked() (*grid.Signal, time.Time, *forecastSpec, gri
 // re-managed explicitly. Under the tick's trace, the roll-forward's
 // stage spans land as children of the controller.tick root.
 func (s *Server) advanceManaged(ctx context.Context, id string) error {
-	j, ok := s.st.job(id)
-	if !ok {
-		return fmt.Errorf("server: unknown job %s", id)
-	}
-	j.mu.Lock()
-	table := j.table
-	pipes := j.req.DataParallel
-	j.mu.Unlock()
-	if table == nil {
-		return fmt.Errorf("server: job %s not characterized yet", id)
-	}
-	if pipes <= 0 {
-		pipes = 1
-	}
 	_, insp := obs.Child(ctx, spanReplanInputs)
 	insp.SetAttr("job", id)
 	s.replanMu.Lock()
 	defer s.replanMu.Unlock()
-	st := s.replans[id]
-	if st == nil {
-		err := fmt.Errorf("server: job %s has no rolling schedule (a signal change drops them; re-manage the job)", id)
-		insp.Fail(err)
-		insp.End()
-		return err
+	in, err := s.rollInputsLocked(id)
+	if err == nil && in.rs == nil {
+		err = fmt.Errorf("server: job %s has no rolling schedule (a signal change drops them; re-manage the job)", id)
 	}
-	sig, start, spec, _, frev, err := s.planInputsLocked()
-	if err != nil {
-		insp.Fail(err)
-		insp.End()
-		return err
-	}
-	t := s.st.now().Sub(start).Seconds()
-	if t < st.offsetS {
-		t = st.offsetS
-	}
+	insp.Fail(err)
 	insp.End()
-	if t > st.offsetS+1e-9 || st.frevSeen != frev || st.needPlan {
-		return s.rollForwardLocked(ctx, st, j, table, pipes, sig, spec, t, frev, nil)
+	if err != nil || !in.due {
+		return err
 	}
-	return nil
+	return s.rollForwardLocked(ctx, in, nil)
 }
 
-// rollForwardLocked freezes the span executed since the last plan and
-// re-plans the remainder against a freshly issued forecast (or the
-// pre-issued one the creation path already holds for this t). Callers
-// hold replanMu. On any re-plan the job's schedule version bumps, so
-// long-polling clients observe the change. Each stage records a child
-// span of ctx's active span (replan.freeze, replan.forecast,
-// replan.solve, replan.bump) — under a controller tick these are the
-// tick root's per-stage children.
-func (s *Server) rollForwardLocked(ctx context.Context, st *replanState, j *job, table *frontier.LookupTable, pipes int, sig *grid.Signal, spec *forecastSpec, t float64, frev int, issued *forecast.Forecast) error {
-	// Freeze the span executed since the last plan: walk the previous
-	// remaining plan's intervals up to now.
+// rollForwardLocked steps in.rs to in.t: the stepper freezes the
+// span executed since the last roll-forward, then keeps or re-solves
+// the plan against a freshly issued forecast (or the pre-issued one
+// the creation path already holds for this t). Callers hold replanMu.
+// Only a fresh plan bumps the job's schedule version and wakes its
+// long-pollers; a kept plan changes nothing they deployed. Each stage
+// records a child span of ctx's active span (replan.freeze,
+// replan.forecast, replan.solve, replan.bump) — under a controller
+// tick these are the tick root's per-stage children.
+func (s *Server) rollForwardLocked(ctx context.Context, in rollInputs, fc *forecast.Forecast) error {
+	id, rs := in.j.id, in.rs
+	// A re-characterization since the last roll-forward applies from here.
+	rs.Table, rs.Scale = in.table, float64(in.pipes)
+
 	_, fz := obs.Child(ctx, spanReplanFreeze)
-	fz.SetAttr("job", j.id)
-	if st.remaining != nil {
-		for _, ip := range st.remaining.Intervals {
-			absStart, absEnd := st.offsetS+ip.StartS, st.offsetS+ip.EndS
-			if absStart >= t-1e-9 {
-				break
-			}
-			if absEnd > t {
-				absEnd = t
-			}
-			ei := forecast.ExecuteSlices(table, sig, st.predSig, float64(pipes), absStart, absEnd, ip.Slices)
-			st.frozen = append(st.frozen, ei)
-			st.doneIters += ei.Iterations
-		}
-	}
-	fz.SetAttr("frozen", strconv.Itoa(len(st.frozen)))
+	fz.SetAttr("job", id)
+	rs.ExecuteTo(in.t)
+	fz.SetAttr("frozen", strconv.Itoa(len(rs.Intervals)))
 	fz.End()
 
-	// Re-plan the remainder against the fresh forecast. The freeze
-	// commit above is valid on its own (those spans did execute);
-	// feasibility and the retry flag are settled per branch below so a
-	// failed re-plan never leaves the state claiming a schedule it
-	// does not have — and is retried on the next roll-forward even at
-	// the same time and forecast revision.
-	remaining := st.target - st.doneIters
-	oldPlan, oldOffset, oldView := st.remaining, st.offsetS, st.planView
-	st.remaining = nil
-	st.planView = nil
-	st.offsetS = t
-	st.frevSeen = frev
-	switch {
-	case remaining <= 1e-9*(1+st.target):
-		// Target complete.
-		st.feasible = true
-		st.needPlan = false
-	case t >= st.deadlineS-1e-9:
-		// The deadline has passed with work left: nothing to plan.
-		st.feasible = false
-		st.needPlan = false
-	default:
-		st.feasible = false
-		st.needPlan = true
-		fc := issued
-		if fc == nil {
-			_, fsp := obs.Child(ctx, spanReplanFcast)
-			fsp.SetAttr("job", j.id)
-			var err error
-			if fc, err = issueForecast(sig, spec, t, st.reqDeadline); err != nil {
-				fsp.Fail(err)
-				fsp.End()
-				s.obs.replanFails.Inc()
-				return err
-			}
-			fsp.End()
-		}
-		q := st.quantile
-		if q == 0 {
-			q = 0.5
-		}
-		view := fc.At(q)
-		// Warm start: if nothing has executed since the last plan
-		// (same offset) and the revised forecast's quantile view is
-		// identical over the remaining window, the old plan is still
-		// optimal — keep it and skip the solve. The schedule did not
-		// change, so long-pollers are not woken and plans does not bump.
-		if oldPlan != nil && oldView != nil && t == oldOffset &&
-			forecast.SignalEqualWithin(oldView, view, t, st.deadlineS) {
-			st.remaining = oldPlan
-			st.planView = oldView
-			st.feasible = oldPlan.Feasible
-			st.needPlan = false
-			s.obs.warmStarts.Inc()
-			s.obs.ring.Emit(s.st.now(), "controller.replan.warm", 0, traceKV(ctx,
-				"job", j.id, "plan", strconv.Itoa(st.plans))...)
-			return nil
-		}
-		// The re-plan runs through the instrumented grid planner over
-		// the forecast window — the MPC counterpart of forecast.Planner,
-		// reported as its own planning layer.
-		suffix := forecast.Window(view, t, st.deadlineS)
-		sctx, sv := obs.Child(ctx, spanReplanSolve)
-		sv.SetAttr("job", j.id)
-		p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: table, Signal: suffix}),
-			"forecast-mpc", s.obs.planLatency, s.obs.planErrors)
-		res, err := p.Plan(pln.Request{
-			Target:     remaining,
-			Objective:  st.objective,
-			PowerScale: float64(pipes),
-		})
+	// The freeze above is valid on its own (those spans did execute). A
+	// failed solve leaves the stepper with no plan in force — never
+	// claiming a schedule it does not have — and Stalled, so it is
+	// retried on the next roll-forward even at the same time and
+	// forecast revision.
+	if fc == nil && rs.Open() {
+		_, fsp := obs.Child(ctx, spanReplanFcast)
+		fsp.SetAttr("job", id)
+		var err error
+		fc, err = issueForecast(in.sig, in.spec, in.t, rs.reqDeadline)
+		fsp.Fail(err)
+		fsp.End()
 		if err != nil {
-			sv.Fail(err)
-			sv.End()
 			s.obs.replanFails.Inc()
 			return err
 		}
-		sv.End()
-		plan := res.(*grid.Plan)
-		now := s.st.now()
-		st.remaining = plan
-		st.predSig = fc.Signal
-		st.planView = view
-		st.plans++
-		st.feasible = plan.Feasible
-		st.needPlan = false
-		st.lastPlanAt = now
+	}
+	rs.frevSeen = in.frev
+	fresh, err := rs.Replan(fc, func(window *grid.Signal, target float64) (*grid.Plan, error) {
+		// The solve runs through the instrumented grid planner over the
+		// forecast window — the MPC counterpart of forecast.Planner,
+		// reported as its own planning layer.
+		sctx, sv := obs.Child(ctx, spanReplanSolve)
+		defer sv.End()
+		sv.SetAttr("job", id)
+		p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: rs.Table, Signal: window}),
+			"forecast-mpc", s.obs.planLatency, s.obs.planErrors)
+		res, err := p.Plan(pln.Request{Target: target, Objective: rs.Objective, PowerScale: rs.Scale})
+		if err != nil {
+			sv.Fail(err)
+			return nil, err
+		}
+		return res.(*grid.Plan), nil
+	})
+	now := s.st.now()
+	switch {
+	case err != nil:
+		s.obs.replanFails.Inc()
+		return err
+	case fresh:
+		rs.lastPlanAt = now
 		s.obs.replans.Inc()
 		s.obs.ring.Emit(now, "controller.replan", 0, traceKV(ctx,
-			"job", j.id, "plan", strconv.Itoa(st.plans),
-			"feasible", strconv.FormatBool(plan.Feasible))...)
+			"job", id, "plan", strconv.Itoa(rs.Plans),
+			"feasible", strconv.FormatBool(rs.Plan.Feasible))...)
 		// The rolling schedule changed: bump the job's version so
 		// long-polling trainers fetch the new deployment.
 		_, bsp := obs.Child(ctx, spanReplanBump)
-		bsp.SetAttr("job", j.id)
-		j.mu.Lock()
-		j.bumpLocked()
-		bsp.SetAttr("version", strconv.Itoa(j.version))
-		j.mu.Unlock()
+		bsp.SetAttr("job", id)
+		in.j.mu.Lock()
+		in.j.bumpLocked()
+		bsp.SetAttr("version", strconv.Itoa(in.j.version))
+		in.j.mu.Unlock()
 		bsp.End()
+	case rs.Plan != nil:
+		// Kept under the warm rule: nothing trainers deployed changed.
+		s.obs.warmStarts.Inc()
+		s.obs.ring.Emit(now, "controller.replan.warm", 0, traceKV(ctx,
+			"job", id, "plan", strconv.Itoa(rs.Plans))...)
 	}
 	return nil
 }
 
 // replanView renders the current rolling-horizon state. Callers hold
 // replanMu.
-func replanView(id string, st *replanState) *ReplanResponse {
-	remaining := st.target - st.doneIters
-	if remaining < 1e-9*(1+st.target) {
+func replanView(id string, rs *replanState) *ReplanResponse {
+	remaining := rs.Remaining
+	if remaining < 1e-9*(1+rs.Target) {
 		remaining = 0
 	}
-	resp := &ReplanResponse{
+	return &ReplanResponse{
 		JobID:               id,
-		Target:              st.target,
-		DeadlineS:           st.deadlineS,
-		Objective:           string(st.objective),
-		Quantile:            st.quantile,
-		Plans:               st.plans,
-		DoneIterations:      st.doneIters,
+		Target:              rs.Target,
+		DeadlineS:           rs.DeadlineS,
+		Objective:           string(rs.Objective),
+		Quantile:            rs.Quantile,
+		Plans:               rs.Plans,
+		DoneIterations:      rs.Iterations,
 		RemainingIterations: remaining,
-		Feasible:            st.feasible,
-		Frozen:              st.frozen,
-		Remaining:           st.remaining,
-		RemainingOffsetS:    st.offsetS,
+		Feasible:            rs.Feasible(),
+		Frozen:              rs.Intervals,
+		EnergyJ:             rs.EnergyJ,
+		CarbonG:             rs.CarbonG,
+		CostUSD:             rs.CostUSD,
+		PredCarbonG:         rs.PredCarbonG,
+		PredCostUSD:         rs.PredCostUSD,
+		Remaining:           rs.Plan,
+		RemainingOffsetS:    rs.PlanAt,
 	}
-	for _, fi := range st.frozen {
-		resp.EnergyJ += fi.EnergyJ
-		resp.CarbonG += fi.CarbonG
-		resp.CostUSD += fi.CostUSD
-		resp.PredCarbonG += fi.PredCarbonG
-		resp.PredCostUSD += fi.PredCostUSD
-	}
-	return resp
 }
 
 // RolloutResponse is the read-only view of a job's rolling-horizon

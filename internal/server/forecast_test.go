@@ -185,6 +185,11 @@ func TestReplanRollsForward(t *testing.T) {
 			t.Fatalf("frozen[%d] %+v does not match the first plan's interval %+v", i, fi, ip)
 		}
 	}
+	// The wire carries the stepper's replanned mark: hour 0 is the first
+	// span executed under plan #1, hour 1 continued the same plan.
+	if !second.Frozen[0].Replanned || second.Frozen[1].Replanned {
+		t.Fatalf("replanned marks %v/%v, want true/false", second.Frozen[0].Replanned, second.Frozen[1].Replanned)
+	}
 	if math.Abs(second.DoneIterations-(second.Frozen[0].Iterations+second.Frozen[1].Iterations)) > 1e-6 {
 		t.Fatalf("done iterations %v do not add up", second.DoneIterations)
 	}
@@ -219,6 +224,9 @@ func TestReplanRollsForward(t *testing.T) {
 	}
 	if len(third.Frozen) != 3 {
 		t.Fatalf("frozen %d intervals, want 3", len(third.Frozen))
+	}
+	if !third.Frozen[2].Replanned {
+		t.Fatal("hour 2 is the first span executed under plan #2 but is not marked replanned")
 	}
 	for i := range second.Frozen {
 		a, b := third.Frozen[i], second.Frozen[i]

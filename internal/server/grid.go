@@ -153,23 +153,11 @@ func (s *Server) handleGridPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	parse := func(key string) (float64, error) {
-		v := q.Get(key)
-		if v == "" {
-			return 0, nil
-		}
-		return strconv.ParseFloat(v, 64)
-	}
-	target, err := parse("iterations")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad iterations: %v", err), http.StatusBadRequest)
+	f, ok := queryFloats(w, q, "iterations", "deadline")
+	if !ok {
 		return
 	}
-	deadline, err := parse("deadline")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad deadline: %v", err), http.StatusBadRequest)
-		return
-	}
+	target, deadline := f[0], f[1]
 	objective := q.Get("objective")
 	wait, ok := parseWait(w, r)
 	if !ok {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -319,6 +320,25 @@ func parseWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 		wait = maxScheduleWait
 	}
 	return wait, true
+}
+
+// queryFloats reads optional float query parameters (absent = 0) in
+// key order. ok is false (after writing a 400 naming the key) on a
+// malformed value.
+func queryFloats(w http.ResponseWriter, q url.Values, keys ...string) (vals []float64, ok bool) {
+	vals = make([]float64, len(keys))
+	for i, key := range keys {
+		v := q.Get(key)
+		if v == "" {
+			continue
+		}
+		var err error
+		if vals[i], err = strconv.ParseFloat(v, 64); err != nil {
+			http.Error(w, fmt.Sprintf("bad %s: %v", key, err), http.StatusBadRequest)
+			return nil, false
+		}
+	}
+	return vals, true
 }
 
 // handleSchedule serves the deployed schedule with version

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 
 	"perseus/internal/grid"
 	"perseus/internal/obs"
@@ -211,29 +210,12 @@ func (s *Server) handleRegionsPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	parse := func(key string) (float64, error) {
-		v := q.Get(key)
-		if v == "" {
-			return 0, nil
-		}
-		return strconv.ParseFloat(v, 64)
+	f, ok := queryFloats(w, q, "iterations", "deadline", "downtime", "migration_j")
+	if !ok {
+		return
 	}
-	var target, deadline, downtime, migEnergy float64
-	var err error
-	for _, f := range []struct {
-		key string
-		dst *float64
-	}{
-		{"iterations", &target}, {"deadline", &deadline},
-		{"downtime", &downtime}, {"migration_j", &migEnergy},
-	} {
-		if *f.dst, err = parse(f.key); err != nil {
-			http.Error(w, fmt.Sprintf("bad %s: %v", f.key, err), http.StatusBadRequest)
-			return
-		}
-	}
-	plan, err := s.regionsPlan(r.Context(), target, deadline, q.Get("objective"), region.MigrationCost{
-		DowntimeS: downtime, EnergyJ: migEnergy,
+	plan, err := s.regionsPlan(r.Context(), f[0], f[1], q.Get("objective"), region.MigrationCost{
+		DowntimeS: f[2], EnergyJ: f[3],
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

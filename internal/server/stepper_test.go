@@ -1,0 +1,170 @@
+package server
+
+import (
+	"math"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"perseus/internal/client"
+	"perseus/internal/forecast"
+	"perseus/internal/grid"
+)
+
+// TestControllerMatchesOfflineMPC is the differential check that keeps
+// the server's roll-forward and forecast.Replan on one implementation:
+// a managed job ticked hourly across the bundled 24 h trace under a
+// seeded revisions feed must freeze exactly the spans the offline MPC
+// controller executes — every field of every span, and the totals,
+// bit for bit.
+func TestControllerMatchesOfflineMPC(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	srv := New()
+	srv.SetClock(clock.Now)
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	tbl, err := srv.Table(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := grid.Diurnal24h()
+	horizon := truth.Horizon()
+	target := math.Floor(0.55 * horizon / tbl.TStar())
+	const sigma = 0.12
+
+	for seed := int64(1); seed <= 6; seed++ {
+		// Re-installing the signal drops the previous seed's schedule
+		// and re-anchors signal time 0 at the clock's now.
+		if _, err := srv.SetGridSignal(*truth, ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: seed, Sigma: sigma}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.ManageJob(id, target, horizon, "", 0); err != nil {
+			t.Fatal(err)
+		}
+		for tick := 0; tick < 24; tick++ {
+			clock.Advance(time.Hour)
+			if st := srv.TickController(); st.LastTickError != "" {
+				t.Fatalf("seed %d tick %d: %s", seed, tick, st.LastTickError)
+			}
+		}
+		got, err := srv.Rollout(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := forecast.Replan(tbl, &forecast.Revisions{Truth: truth, Seed: seed, Sigma: sigma},
+			truth, forecast.Options{Target: target, DeadlineS: horizon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Frozen) != len(want.Intervals) || len(want.Intervals) == 0 {
+			t.Fatalf("seed %d: server froze %d spans, offline executed %d", seed, len(got.Frozen), len(want.Intervals))
+		}
+		for i := range want.Intervals {
+			if !reflect.DeepEqual(got.Frozen[i], want.Intervals[i]) {
+				t.Fatalf("seed %d span %d:\nserver  %+v\noffline %+v", seed, i, got.Frozen[i], want.Intervals[i])
+			}
+		}
+		if got.EnergyJ != want.EnergyJ || got.CarbonG != want.CarbonG ||
+			got.PredCarbonG != want.PredCarbonG || got.Plans != want.Plans {
+			t.Fatalf("seed %d totals: server %v J %v g pred %v g in %d plans, offline %v J %v g pred %v g in %d plans",
+				seed, got.EnergyJ, got.CarbonG, got.PredCarbonG, got.Plans,
+				want.EnergyJ, want.CarbonG, want.PredCarbonG, want.Plans)
+		}
+	}
+}
+
+// TestTickKeepsPlanOnUnchangedView pins the single warm rule on the
+// controller path: when the forecast re-issued after the clock advanced
+// shows the same quantile view over the remaining window, the tick
+// freezes the executed span and keeps the plan — no solve, no version
+// bump, no poller woken — and the kept plan is reported at its own
+// origin. The seasonal model over the exactly periodic test signal is
+// such a feed once a full period is revealed.
+func TestTickKeepsPlanOnUnchangedView(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	srv := New()
+	srv.SetClock(clock.Now)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := client.NewServerClient(ts.URL)
+
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	tbl, err := srv.Table(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := forecastTestSignal()
+	if _, err := cl.UploadGridSignal(sig, ""); err != nil {
+		t.Fatal(err)
+	}
+	// One full cycle in, the schedule covers the second cycle.
+	const startS, nextS, deadline = 14400.0, 18000.0, 28800.0
+	clock.Advance(4 * time.Hour)
+	if _, err := cl.InstallForecast("seasonal", 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	before, err := issueForecast(&sig, srv.st.fspec, startS, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := issueForecast(&sig, srv.st.fspec, nextS, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !forecast.SignalEqualWithin(before.At(0), after.At(0), nextS, deadline) {
+		t.Fatal("precondition: the seasonal view over the remaining window changed between issues")
+	}
+
+	target := math.Floor(0.6 * (deadline - startS) / tbl.Tmin())
+	first, err := cl.ManageJob(id, target, deadline, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Plans != 1 || first.RemainingOffsetS != startS || first.Remaining == nil {
+		t.Fatalf("initial schedule %+v", first)
+	}
+	sched, err := cl.FetchSchedule(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := srv.hub.watch(topicSchedule(id))
+
+	clock.Advance(time.Hour)
+	if st, err := cl.TickController(); err != nil || st.LastTickError != "" {
+		t.Fatalf("tick: %v %q", err, st.LastTickError)
+	}
+	roll, err := cl.FetchRollout(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(roll.Frozen) != 1 || roll.Frozen[0].StartS != startS || roll.Frozen[0].EndS != nextS {
+		t.Fatalf("tick froze %+v, want the one executed hour", roll.Frozen)
+	}
+	if roll.Plans != 1 || roll.Version != sched.Version {
+		t.Fatalf("kept plan re-solved or re-deployed: plans %d, version %d -> %d", roll.Plans, sched.Version, roll.Version)
+	}
+	if roll.RemainingOffsetS != startS || !reflect.DeepEqual(roll.Remaining, first.Remaining) {
+		t.Fatalf("rollout reports %+v at %v, want the kept plan at its own origin %v",
+			roll.Remaining, roll.RemainingOffsetS, startS)
+	}
+	select {
+	case <-parked:
+		t.Fatal("a tick that kept the plan woke the job's pollers")
+	default:
+	}
+	text, err := cl.FetchMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "perseus_planner_warm_starts_total 1") {
+		t.Fatal("metrics missing the warm start")
+	}
+}
