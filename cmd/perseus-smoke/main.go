@@ -170,6 +170,8 @@ func main() {
 		"perseus_controller_ticks_total 1",
 		"perseus_jobs_registered_total 1",
 		`perseus_characterizations_total{outcome="ok"} 1`,
+		"perseus_characterize_seconds_count 1",
+		"perseus_characterize_points_count 1",
 		`perseus_planner_plan_duration_seconds_count{planner="grid",objective="carbon"} 1`,
 		`perseus_trace_spans_total{span="cache.lookup"} 2`,
 		`perseus_slo_status{slo="plan-latency-p99"} 0`,

@@ -128,7 +128,15 @@ func (g *Graph) Topo() []int32 { return g.topo }
 // soon as its dependencies complete. This equals the execution timeline of
 // the schedule, because same-GPU serialization is encoded as edges.
 func (g *Graph) EarliestStarts() []int64 {
-	est := make([]int64, len(g.Dur))
+	return g.EarliestStartsInto(nil)
+}
+
+// EarliestStartsInto is EarliestStarts writing into est, which is grown
+// only if it is shorter than the node count, and returned. The optimizer
+// calls it twice per frontier point.
+func (g *Graph) EarliestStartsInto(est []int64) []int64 {
+	est = sized(est, len(g.Dur))
+	clear(est)
 	for _, v := range g.topo {
 		for _, w := range g.Succ[v] {
 			if t := est[v] + g.Dur[v]; t > est[w] {
@@ -149,16 +157,15 @@ func (g *Graph) Makespan() int64 {
 // LatestStarts returns each node's latest start time that keeps the given
 // makespan, computed by a reverse pass.
 func (g *Graph) LatestStarts(makespan int64) []int64 {
-	lst := make([]int64, len(g.Dur))
-	for i := range lst {
-		lst[i] = makespan
-	}
+	return g.LatestStartsInto(nil, makespan)
+}
+
+// LatestStartsInto is LatestStarts writing into lst, as
+// EarliestStartsInto does.
+func (g *Graph) LatestStartsInto(lst []int64, makespan int64) []int64 {
+	lst = sized(lst, len(g.Dur))
 	for i := len(g.topo) - 1; i >= 0; i-- {
 		v := g.topo[i]
-		if len(g.Succ[v]) == 0 {
-			lst[v] = makespan - g.Dur[v]
-			continue
-		}
 		min := makespan
 		for _, w := range g.Succ[v] {
 			if lst[w] < min {
@@ -168,6 +175,14 @@ func (g *Graph) LatestStarts(makespan int64) []int64 {
 		lst[v] = min - g.Dur[v]
 	}
 	return lst
+}
+
+// sized returns buf with length n, reallocating only when it is too short.
+func sized(buf []int64, n int) []int64 {
+	if cap(buf) < n {
+		return make([]int64, n)
+	}
+	return buf[:n]
 }
 
 // Critical returns, for each node, whether it lies on a critical path:
@@ -193,16 +208,6 @@ func (g *Graph) Slack() []int64 {
 		sl[v] = lst[v] - est[v]
 	}
 	return sl
-}
-
-// CriticalSubgraph returns the node set of the Critical DAG: every node
-// with zero slack (paper Algorithm 2 step 3 / Figure 6 step 3). The
-// virtual Source and Sink always belong to it.
-func (g *Graph) CriticalSubgraph() []bool {
-	critical, _ := g.Critical()
-	critical[g.Source] = true
-	critical[g.Sink] = true
-	return critical
 }
 
 // NumReal returns the number of real (non-virtual) computations.

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"perseus/internal/sched"
@@ -277,14 +278,34 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestCriticalSubgraphIncludesBoundary(t *testing.T) {
-	s, err := sched.OneFOneB(4, 4)
+// TestIntoFormsMatchAndReuse checks the buffer-taking passes return what
+// the allocating ones do, in the buffer they were handed.
+func TestIntoFormsMatchAndReuse(t *testing.T) {
+	s, err := sched.OneFOneB(4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := build(t, s, unitDur)
-	sub := g.CriticalSubgraph()
-	if !sub[g.Source] || !sub[g.Sink] {
-		t.Fatal("critical subgraph must include source and sink")
+	g := build(t, s, func(op sched.Op) int64 { return int64(3 + op.Stage) })
+	est := make([]int64, len(g.Dur))
+	lst := make([]int64, len(g.Dur))
+	for i := range est {
+		est[i], lst[i] = -7, -7 // stale contents must not leak through
+	}
+	gotEst := g.EarliestStartsInto(est)
+	gotLst := g.LatestStartsInto(lst, gotEst[g.Sink])
+	if &gotEst[0] != &est[0] || &gotLst[0] != &lst[0] {
+		t.Fatal("a buffer of the right length was not reused")
+	}
+	if !slices.Equal(gotEst, g.EarliestStarts()) {
+		t.Errorf("EarliestStartsInto = %v, want %v", gotEst, g.EarliestStarts())
+	}
+	if want := g.LatestStarts(gotEst[g.Sink]); !slices.Equal(gotLst, want) {
+		t.Errorf("LatestStartsInto = %v, want %v", gotLst, want)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		est = g.EarliestStartsInto(est)
+		lst = g.LatestStartsInto(lst, est[g.Sink])
+	}); n != 0 {
+		t.Errorf("the Into passes allocate %v times per call", n)
 	}
 }

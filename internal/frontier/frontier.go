@@ -50,9 +50,11 @@ type Options struct {
 	// (ablation, DESIGN.md §5).
 	PiecewiseFit bool
 
-	// Solver selects the max-flow algorithm inside the min-cut
-	// subroutine. Default maxflow.EdmondsKarp, the paper's choice;
-	// maxflow.Dinic computes identical cuts faster.
+	// Solver selects the max-flow algorithm inside MinCutStepper's
+	// min-cut subroutine, whether that stepper is the default or set
+	// explicitly; GreedyStepper solves no flow and ignores it. Default
+	// maxflow.EdmondsKarp, the paper's choice; maxflow.Dinic computes
+	// identical cuts at the same speed (see maxflow.MaxFlowDinic).
 	Solver maxflow.Solver
 
 	// keyframeEvery controls duration-snapshot spacing for plan
@@ -68,7 +70,7 @@ func (o Options) withDefaults() Options {
 		o.MaxSteps = 500000
 	}
 	if o.Stepper == nil {
-		o.Stepper = MinCutStepper{Solver: o.Solver}
+		o.Stepper = MinCutStepper{}
 	}
 	if o.keyframeEvery <= 0 {
 		o.keyframeEvery = 256
@@ -81,7 +83,9 @@ func (o Options) withDefaults() Options {
 type Stepper interface {
 	// Step mutates st.durs to reduce the makespan by (at least) one
 	// unit with minimal energy increase, returning false when no
-	// further reduction is possible.
+	// further reduction is possible. It leaves in st.moved, in
+	// ascending order, every computation whose duration it changed (and
+	// possibly some it changed back).
 	Step(st *state) (bool, error)
 }
 
@@ -94,13 +98,29 @@ type compInfo struct {
 	fixed      bool // single-choice duration (constant op or τ too coarse)
 }
 
-// state is the optimizer's working state.
+// state is the optimizer's working state for one Characterize call.
 type state struct {
-	g     *dag.Graph
-	unit  float64
-	info  []compInfo
-	durs  []int64 // alias of g.Dur[:NumReal()]
-	nReal int
+	g      *dag.Graph
+	unit   float64
+	info   []compInfo
+	durs   []int64 // alias of g.Dur[:NumReal()]
+	nReal  int
+	solver maxflow.Solver
+
+	moved []int32 // computations the last Step touched, ascending
+	est   []int64 // earliest starts as of the last makespan call
+
+	// cut is MinCutStepper's flow network and buffers, built by its first
+	// Step and reused by every later one.
+	cut       *cutNet
+	fallbacks int // steps that fell back to the speed-up-only cut
+}
+
+// makespan returns the iteration time under the current durations, leaving
+// the earliest starts it came from in st.est.
+func (st *state) makespan() int64 {
+	st.est = st.g.EarliestStartsInto(st.est)
+	return st.est[st.g.Sink]
 }
 
 // phi returns the relaxed adjusted energy of computation i at duration d.
@@ -209,7 +229,18 @@ type Frontier struct {
 	nReal  int
 
 	tminUnits, tstarUnits int64
+	stats                 Stats
 }
+
+// Stats counts the work one characterization did.
+type Stats struct {
+	Steps           int // stepper calls, the last of which may have found no cut
+	AugmentingPaths int // paths pushed by every min-cut solve together
+	Fallbacks       int // steps that fell back to the speed-up-only cut
+}
+
+// Stats returns the work counts of the characterization that built f.
+func (f *Frontier) Stats() Stats { return f.stats }
 
 type durDelta struct {
 	comp  int32
@@ -270,7 +301,7 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 	if nReal == 0 {
 		return nil, fmt.Errorf("frontier: empty DAG")
 	}
-	st := &state{g: g, unit: opts.Unit, nReal: nReal}
+	st := &state{g: g, unit: opts.Unit, nReal: nReal, solver: opts.Solver}
 	st.info = make([]compInfo, nReal)
 	for i, op := range g.Ops {
 		tp, err := p.For(op)
@@ -350,12 +381,12 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 	prevDurs := append([]int64(nil), st.durs...)
 	record := func(mk int64) {
 		idx := len(f.points)
-		var deltas []durDelta
-		for i := 0; i < nReal; i++ {
+		deltas := make([]durDelta, 0, len(st.moved))
+		for _, i := range st.moved {
 			if d := st.durs[i] - prevDurs[i]; d != 0 {
-				deltas = append(deltas, durDelta{comp: int32(i), delta: int8(d)})
+				deltas = append(deltas, durDelta{comp: i, delta: int8(d)})
 				// Update energy sums incrementally.
-				relaxed += st.phi(i, st.durs[i]) - st.phi(i, prevDurs[i])
+				relaxed += st.phi(int(i), st.durs[i]) - st.phi(int(i), prevDurs[i])
 				newPt, newRaw := realize(&st.info[i], st.durs[i], opts.Unit)
 				oldPt, oldRaw := realize(&st.info[i], prevDurs[i], opts.Unit)
 				adj += newPt.Energy - oldPt.Energy
@@ -378,10 +409,11 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 		})
 	}
 
-	mk := g.Makespan()
+	mk := st.makespan()
 	f.tstarUnits = mk
 	record(mk)
-	for steps := 0; mk > tminUnits && steps < opts.MaxSteps; steps++ {
+	for mk > tminUnits && f.stats.Steps < opts.MaxSteps {
+		f.stats.Steps++
 		ok, err := opts.Stepper.Step(st)
 		if err != nil {
 			return nil, err
@@ -389,12 +421,16 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 		if !ok {
 			break
 		}
-		newMk := g.Makespan()
+		newMk := st.makespan()
 		if newMk >= mk {
 			return nil, fmt.Errorf("frontier: step did not reduce makespan (%d -> %d)", mk, newMk)
 		}
 		mk = newMk
 		record(mk)
+	}
+	f.stats.Fallbacks = st.fallbacks
+	if st.cut != nil {
+		f.stats.AugmentingPaths = st.cut.nw.AugmentingPaths()
 	}
 
 	// Reverse to time-ascending order and fix indices.
@@ -425,74 +461,115 @@ func unitsFloor(sec, unit float64) int64 {
 // maximum flow with lower bounds. S→T cut computations speed up by one
 // unit; T→S cut computations slow down by one unit, reclaiming energy
 // (Appendix E.1).
-type MinCutStepper struct {
-	// Solver selects the max-flow algorithm (default Edmonds-Karp).
-	Solver maxflow.Solver
+//
+// The value is stateless. What a step reuses lives in the state of the
+// Characterize call it serves: one flow network over the whole DAG, built
+// by the first step. A later step removes a computation or dependency from
+// the Critical DAG by setting its edge's capacity to zero, and the network
+// starts its solve from the previous step's flow — one step moves bounds
+// only on and around the previous cut, so little of that flow has to be
+// rerouted (maxflow.Network).
+type MinCutStepper struct{}
+
+// cutNet is MinCutStepper's working set. Computation v is flow node 2v
+// (in) and 2v+1 (out); edge nodeEdge[v] joins them and carries v's
+// bounds, and the edges after it, one per g.Succ[v] in order, are v's
+// dependencies.
+type cutNet struct {
+	nw       *maxflow.Network
+	nodeEdge []int32
+	lst      []int64
+	critical []bool
+	slowed   []int32
+
+	// lo[v], up[v] are computation v's bounds at duration boundDur[v]
+	// (zero: never computed); most computations keep their duration from
+	// one step to the next, and the bounds cost three curve evaluations.
+	lo, up   []float64
+	boundDur []int64
+}
+
+func newCutNet(g *dag.Graph) (*cutNet, error) {
+	n := len(g.Dur)
+	c := &cutNet{
+		nodeEdge: make([]int32, n), critical: make([]bool, n),
+		lo: make([]float64, n), up: make([]float64, n), boundDur: make([]int64, n),
+	}
+	var edges []maxflow.BoundedEdge
+	for v := range g.Dur {
+		c.nodeEdge[v] = int32(len(edges))
+		edges = append(edges, maxflow.BoundedEdge{From: 2 * v, To: 2*v + 1})
+		for _, w := range g.Succ[v] {
+			edges = append(edges, maxflow.BoundedEdge{From: 2*v + 1, To: 2 * int(w)})
+		}
+	}
+	var err error
+	c.nw, err = maxflow.NewNetwork(2*n, edges, 2*g.Source, 2*g.Sink+1)
+	return c, err
 }
 
 // Step implements Stepper.
-func (m MinCutStepper) Step(st *state) (bool, error) {
+func (MinCutStepper) Step(st *state) (bool, error) {
 	g := st.g
-	est := g.EarliestStarts()
-	mk := est[g.Sink]
-	lst := g.LatestStarts(mk)
-	critical := make([]bool, len(g.Dur))
+	if st.cut == nil {
+		c, err := newCutNet(g)
+		if err != nil {
+			return false, fmt.Errorf("frontier: min cut: %w", err)
+		}
+		st.cut = c
+	}
+	c := st.cut
+	mk := st.makespan()
+	est := st.est
+	c.lst = g.LatestStartsInto(c.lst, mk)
+	critical := c.critical
 	for v := range critical {
-		critical[v] = est[v] == lst[v]
+		critical[v] = est[v] == c.lst[v]
 	}
 	critical[g.Source] = true
 	critical[g.Sink] = true
 
-	// Split each critical node into in/out; assign flow-network ids.
-	nodeID := make([]int32, len(g.Dur))
-	for i := range nodeID {
-		nodeID[i] = -1
-	}
-	next := 0
-	for v := range critical {
-		if critical[v] {
-			nodeID[v] = int32(next)
-			next += 2 // in = id, out = id+1
-		}
-	}
 	inf := math.Inf(1)
-	var edges []maxflow.BoundedEdge
 	for v := range critical {
+		e := int(c.nodeEdge[v])
 		if !critical[v] {
+			for i := 0; i <= len(g.Succ[v]); i++ {
+				c.nw.SetBounds(e+i, 0, 0)
+			}
 			continue
 		}
-		in, out := int(nodeID[v]), int(nodeID[v])+1
 		lo, up := 0.0, inf
 		if v < st.nReal && !st.info[v].fixed {
-			ePlus, eMinus := st.marginals(v)
-			d := st.durs[v]
-			ci := &st.info[v]
-			switch {
-			case d == ci.maxU: // slowest: can only speed up
-				lo, up = 0, ePlus
-			case d == ci.minU: // fastest: can only slow down
-				lo, up = eMinus, inf
-			default:
-				lo, up = eMinus, ePlus
+			if d := st.durs[v]; c.boundDur[v] != d {
+				ePlus, eMinus := st.marginals(v)
+				ci := &st.info[v]
+				switch {
+				case d == ci.maxU: // slowest: can only speed up
+					c.lo[v], c.up[v] = 0, ePlus
+				case d == ci.minU: // fastest: can only slow down
+					c.lo[v], c.up[v] = eMinus, inf
+				default:
+					c.lo[v], c.up[v] = eMinus, ePlus
+				}
+				c.boundDur[v] = d
 			}
+			lo, up = c.lo[v], c.up[v]
 		}
-		edges = append(edges, maxflow.BoundedEdge{From: in, To: out, Lower: lo, Upper: up})
-		for _, w := range g.Succ[v] {
+		c.nw.SetBounds(e, lo, up)
+		for i, w := range g.Succ[v] {
 			// Only tight edges belong to the Critical DAG: both
 			// endpoints critical and the dependency binding
 			// (est[w] == est[v] + dur[v]). A slack dependency between
 			// two critical nodes lies on no critical path and must not
 			// constrain the cut.
+			up := 0.0
 			if critical[w] && est[w] == est[v]+g.Dur[v] {
-				edges = append(edges, maxflow.BoundedEdge{
-					From: out, To: int(nodeID[w]), Lower: 0, Upper: inf,
-				})
+				up = inf
 			}
+			c.nw.SetBounds(e+1+i, 0, up)
 		}
 	}
-	s := int(nodeID[g.Source])
-	t := int(nodeID[g.Sink]) + 1
-	res, err := maxflow.MinCutWithBoundsUsing(m.Solver, next, edges, s, t)
+	value, err := c.nw.Solve(st.solver)
 	if errors.Is(err, maxflow.ErrInfeasible) {
 		// No circulation satisfies every slow-down credit (Hoffman
 		// violation): some set of computations could be slowed for more
@@ -502,43 +579,47 @@ func (m MinCutStepper) Step(st *state) (bool, error) {
 		// recovery; we fall back to the speed-up-only cut (all lower
 		// bounds zero), which is always feasible and still reduces the
 		// makespan by exactly one unit, at a slightly higher energy for
-		// this step.
-		zeroed := make([]maxflow.BoundedEdge, len(edges))
-		for i, e := range edges {
-			e.Lower = 0
-			zeroed[i] = e
+		// this step. The failed attempt left the network's carried flow
+		// alone, so the retry starts where the attempt did.
+		st.fallbacks++
+		for _, e := range c.nodeEdge {
+			_, up := c.nw.Bounds(int(e))
+			c.nw.SetBounds(int(e), 0, up)
 		}
-		res, err = maxflow.MinCutWithBoundsUsing(m.Solver, next, zeroed, s, t)
+		value, err = c.nw.Solve(st.solver)
 	}
 	if err != nil {
 		return false, fmt.Errorf("frontier: min cut: %w", err)
 	}
-	if math.IsInf(res.Value, 1) {
+	if math.IsInf(value, 1) {
 		return false, nil
 	}
 
-	var spedUp, slowed []int
+	side := c.nw.SSide()
+	st.moved, c.slowed = st.moved[:0], c.slowed[:0]
+	spedUp := 0
 	for v := 0; v < st.nReal; v++ {
-		if nodeID[v] < 0 || st.info[v].fixed {
+		if !critical[v] || st.info[v].fixed {
 			continue
 		}
-		inS := res.SSide[nodeID[v]]
-		outS := res.SSide[nodeID[v]+1]
+		inS, outS := side[2*v], side[2*v+1]
 		switch {
 		case inS && !outS: // S→T cut edge: speed up
 			if st.durs[v] <= st.info[v].minU {
 				return false, fmt.Errorf("frontier: cut crosses computation %d already at its fastest", v)
 			}
 			st.durs[v]--
-			spedUp = append(spedUp, v)
+			st.moved = append(st.moved, int32(v))
+			spedUp++
 		case !inS && outS: // T→S cut edge: slow down
 			if st.durs[v] < st.info[v].maxU {
 				st.durs[v]++
-				slowed = append(slowed, v)
+				st.moved = append(st.moved, int32(v))
+				c.slowed = append(c.slowed, int32(v))
 			}
 		}
 	}
-	if len(spedUp) == 0 {
+	if spedUp == 0 {
 		return false, fmt.Errorf("frontier: finite cut with no computations to speed up")
 	}
 
@@ -547,8 +628,8 @@ func (m MinCutStepper) Step(st *state) (bool, error) {
 	// non-critical nodes. If the makespan did not drop by exactly one
 	// unit, revert the slowdowns — speedups alone always reduce every
 	// critical path and never lengthen any path.
-	if len(slowed) > 0 && st.g.Makespan() != mk-1 {
-		for _, v := range slowed {
+	if len(c.slowed) > 0 && st.makespan() != mk-1 {
+		for _, v := range c.slowed {
 			st.durs[v]--
 		}
 	}
@@ -585,5 +666,6 @@ func (GreedyStepper) Step(st *state) (bool, error) {
 		st.durs[best]++
 		return false, nil
 	}
+	st.moved = append(st.moved[:0], int32(best))
 	return true, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"perseus/internal/dag"
 	"perseus/internal/gpu"
-	"perseus/internal/maxflow"
 	"perseus/internal/model"
 	"perseus/internal/partition"
 	"perseus/internal/profile"
@@ -538,31 +537,6 @@ func TestEmptyDAGRejected(t *testing.T) {
 	}
 	if _, err := Characterize(g, &profile.Profile{}, Options{}); err == nil {
 		t.Error("empty DAG should error")
-	}
-}
-
-// TestSolverEquivalence checks the Dinic-backed optimizer produces the
-// exact same frontier as the paper's Edmonds-Karp.
-func TestSolverEquivalence(t *testing.T) {
-	g1, p, opts := buildCase(t, "bloom-3b", gpu.A100PCIe, 4, 6, 4, "1f1b")
-	f1 := characterize(t, g1, p, opts)
-	g2, _, _ := buildCase(t, "bloom-3b", gpu.A100PCIe, 4, 6, 4, "1f1b")
-	dopts := opts
-	dopts.Solver = maxflow.Dinic
-	f2 := characterize(t, g2, p, dopts)
-	a, b := f1.Points(), f2.Points()
-	if len(a) != len(b) {
-		t.Fatalf("frontiers differ in size: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].TimeUnits != b[i].TimeUnits {
-			t.Fatalf("point %d: times differ", i)
-		}
-		// Min cuts may tie; energies must agree to high precision anyway
-		// because tied cuts have equal cost.
-		if diff := a[i].EnergyRelaxed - b[i].EnergyRelaxed; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("point %d: relaxed energies differ by %v", i, diff)
-		}
 	}
 }
 

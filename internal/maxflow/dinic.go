@@ -3,75 +3,79 @@ package maxflow
 import "math"
 
 // MaxFlowDinic pushes the maximum flow from s to t using Dinic's
-// algorithm: BFS level graphs with blocking flows found by DFS. On the
-// Capacity DAGs the Perseus optimizer builds (thousands of nodes, unit-ish
-// path structure) it is substantially faster than Edmonds-Karp while
-// computing the same flow value; the paper uses Edmonds-Karp (§4.3), so
-// that remains the default solver.
+// algorithm: BFS level graphs with blocking flows found by DFS. It
+// computes the same flow value and the same minimum cut as Edmonds-Karp,
+// and on the Capacity DAGs the Perseus optimizer builds it is no faster.
+// Measured on BenchmarkAblationMaxFlowSolver (one whole characterization,
+// -count 5 medians, 2 vCPU Xeon 2.1 GHz): 17.5 ms against Edmonds-Karp's
+// 16.9 ms when every step solved from zero flow, 2.9 ms against 2.7 ms now
+// that steps are warm-started and push less than one path each; one cold
+// min cut of a 256-op critical network takes 0.20 ms against 0.22 ms. The
+// paper uses Edmonds-Karp (§4.3), so that is the default solver; Dinic is
+// the independent reference the benchmark's table check compares it with.
 func (g *Graph) MaxFlowDinic(s, t int) float64 {
-	level := make([]int32, g.n)
-	iter := make([]int32, g.n)
-	queue := make([]int32, 0, g.n)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, id := range g.head[u] {
-				v := g.to[id]
-				if level[v] < 0 && g.residual(id) > eps {
-					level[v] = level[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(u int32, limit float64) float64
-	dfs = func(u int32, limit float64) float64 {
-		if int(u) == t {
-			return limit
-		}
-		for ; iter[u] < int32(len(g.head[u])); iter[u]++ {
-			id := g.head[u][iter[u]]
-			v := g.to[id]
-			if level[v] != level[u]+1 {
-				continue
-			}
-			r := g.residual(id)
-			if r <= eps {
-				continue
-			}
-			pushed := dfs(v, math.Min(limit, r))
-			if pushed > 0 {
-				g.flow[id] += pushed
-				g.flow[id^1] -= pushed
-				return pushed
-			}
-		}
-		return 0
-	}
-
+	g.build()
 	var total float64
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+	for g.levels(s, t) {
+		copy(g.iter, g.start)
 		for {
-			pushed := dfs(int32(s), math.Inf(1))
+			pushed := g.blocking(int32(s), int32(t), math.Inf(1))
 			if pushed <= 0 {
 				break
 			}
 			total += pushed
+			g.paths++
 		}
 	}
 	return total
+}
+
+// levels labels every node with its BFS distance from s in the residual
+// graph and reports whether t was reached.
+func (g *Graph) levels(s, t int) bool {
+	level := g.level
+	for i := range level {
+		level[i] = -1
+	}
+	level[s] = 0
+	queue := append(g.queue[:0], int32(s))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, id := range g.arcs(u) {
+			v := g.to[id]
+			if level[v] < 0 && g.residual(id) > eps {
+				level[v] = level[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return level[t] >= 0
+}
+
+// blocking pushes up to limit along one path of the level graph from u to
+// t, resuming each node's arc scan at iter.
+func (g *Graph) blocking(u, t int32, limit float64) float64 {
+	if u == t {
+		return limit
+	}
+	for ; g.iter[u] < g.start[u+1]; g.iter[u]++ {
+		id := g.adj[g.iter[u]]
+		v := g.to[id]
+		if g.level[v] != g.level[u]+1 {
+			continue
+		}
+		r := g.residual(id)
+		if r <= eps {
+			continue
+		}
+		pushed := g.blocking(v, t, min(limit, r))
+		if pushed > 0 {
+			g.flow[id] += pushed
+			g.flow[id^1] -= pushed
+			return pushed
+		}
+	}
+	return 0
 }
 
 // Solver selects the maximum-flow algorithm used by MinCutWithBounds.
@@ -80,7 +84,8 @@ type Solver int
 const (
 	// EdmondsKarp is the paper's solver (§4.3): BFS augmenting paths.
 	EdmondsKarp Solver = iota
-	// Dinic is the faster level-graph solver; identical cuts.
+	// Dinic is the level-graph solver; identical cuts, no measured speed
+	// difference on these networks (see MaxFlowDinic).
 	Dinic
 )
 

@@ -3,6 +3,12 @@
 // to find minimum cuts on the Capacity DAG (paper §4.3, Appendix E.2,
 // Algorithm 3). Capacities are float64 energy values (joules); edges whose
 // computation cannot change speed carry effectively infinite capacity.
+//
+// Graph is the plain flow network and the arena every solve runs in: its
+// adjacency is one compressed array and it owns the BFS, level and side
+// buffers, so solving again on the same topology allocates nothing.
+// Network (network.go) puts lower and upper bounds on a Graph's edges and
+// carries each solve's flow into the next as a warm start.
 package maxflow
 
 import (
@@ -16,18 +22,29 @@ var ErrInfeasible = errors.New("maxflow: no feasible flow satisfies the lower bo
 
 const eps = 1e-9
 
-// Graph is a flow network over nodes 0..n-1.
+// Graph is a flow network over nodes 0..n-1. Edge id's reverse arc is
+// id^1.
 type Graph struct {
 	n    int
 	to   []int32
 	cap  []float64
-	head [][]int32 // per-node incident edge ids (both directions)
 	flow []float64
+
+	// Node u's incident arc ids (both directions, in insertion order) are
+	// adj[start[u]:start[u+1]]. Built by the first solve after an AddEdge;
+	// a start of the wrong length marks it stale.
+	start, adj []int32
+
+	// Solver scratch, sized with the adjacency.
+	prev, level, iter, queue []int32
+	side                     []bool
+
+	paths int // augmenting paths pushed so far, by either solver
 }
 
 // New returns an empty flow network with n nodes.
 func New(n int) *Graph {
-	return &Graph{n: n, head: make([][]int32, n)}
+	return &Graph{n: n}
 }
 
 // N returns the number of nodes.
@@ -46,10 +63,40 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 	g.to = append(g.to, int32(v), int32(u))
 	g.cap = append(g.cap, capacity, 0)
 	g.flow = append(g.flow, 0, 0)
-	g.head[u] = append(g.head[u], int32(id))
-	g.head[v] = append(g.head[v], int32(id+1))
+	g.start = g.start[:0]
 	return id
 }
+
+// build lays the adjacency out and sizes the scratch buffers. The tail of
+// arc id is the head of its reverse, to[id^1].
+func (g *Graph) build() {
+	if len(g.start) == g.n+1 {
+		return
+	}
+	g.start = make([]int32, g.n+1)
+	for id := range g.to {
+		g.start[g.to[id^1]+1]++
+	}
+	for u := 0; u < g.n; u++ {
+		g.start[u+1] += g.start[u]
+	}
+	g.adj = make([]int32, len(g.to))
+	g.prev = make([]int32, g.n)
+	g.level = make([]int32, g.n)
+	g.iter = make([]int32, g.n)
+	g.queue = make([]int32, 0, g.n)
+	g.side = make([]bool, g.n)
+	next := g.iter
+	copy(next, g.start)
+	for id := range g.to {
+		u := g.to[id^1]
+		g.adj[next[u]] = int32(id)
+		next[u]++
+	}
+}
+
+// arcs returns the ids of the arcs leaving u.
+func (g *Graph) arcs(u int32) []int32 { return g.adj[g.start[u]:g.start[u+1]] }
 
 // residual returns the residual capacity of edge id.
 func (g *Graph) residual(id int32) float64 { return g.cap[id] - g.flow[id] }
@@ -58,24 +105,25 @@ func (g *Graph) residual(id int32) float64 { return g.cap[id] - g.flow[id] }
 func (g *Graph) Flow(id int) float64 { return g.flow[id] }
 
 // MaxFlow pushes the maximum flow from s to t using Edmonds-Karp (BFS
-// augmenting paths, Edmonds & Karp 1972) and returns the flow value.
-// It may be called once per graph.
+// augmenting paths, Edmonds & Karp 1972) and returns the flow value it
+// added. It augments whatever flow the graph already carries, so it may be
+// called again after capacities change or with another source and sink;
+// MinCutWithBounds does both.
 func (g *Graph) MaxFlow(s, t int) float64 {
+	g.build()
 	var total float64
-	prev := make([]int32, g.n)
-	queue := make([]int32, 0, g.n)
+	prev := g.prev
 	for {
 		for i := range prev {
 			prev[i] = -1
 		}
 		prev[s] = -2
-		queue = append(queue[:0], int32(s))
+		queue := append(g.queue[:0], int32(s))
 		found := false
 	bfs:
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, id := range g.head[u] {
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, id := range g.arcs(u) {
 				v := g.to[id]
 				if prev[v] == -1 && g.residual(id) > eps {
 					prev[v] = id
@@ -106,19 +154,23 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 			v = g.to[id^1]
 		}
 		total += bottleneck
+		g.paths++
 	}
 }
 
 // MinCutSide returns, after MaxFlow, the set of nodes reachable from s in
-// the residual graph: the S side of a minimum s-t cut.
+// the residual graph: the S side of a minimum s-t cut. Every maximum flow
+// leaves the same set, the smallest S side among minimum cuts. The slice
+// is the graph's own and is overwritten by the next call.
 func (g *Graph) MinCutSide(s int) []bool {
-	side := make([]bool, g.n)
+	g.build()
+	side := g.side
+	clear(side)
 	side[s] = true
-	queue := []int32{int32(s)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, id := range g.head[u] {
+	queue := append(g.queue[:0], int32(s))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, id := range g.arcs(u) {
 			v := g.to[id]
 			if !side[v] && g.residual(id) > eps {
 				side[v] = true
@@ -128,141 +180,3 @@ func (g *Graph) MinCutSide(s int) []bool {
 	}
 	return side
 }
-
-// BoundedEdge is a directed edge with a flow lower and upper bound.
-// Upper may be math.Inf(1) for edges that must never be cut.
-type BoundedEdge struct {
-	From, To     int
-	Lower, Upper float64
-}
-
-// CutResult describes a minimum s-t cut of a network with lower bounds.
-type CutResult struct {
-	// SSide[v] reports whether node v is on the source side of the cut.
-	SSide []bool
-
-	// Value is the cut capacity Σ_{S→T} upper − Σ_{T→S} lower. Infinite
-	// when every cut crosses an uncuttable edge.
-	Value float64
-
-	// Flow holds the feasible maximum flow per input edge.
-	Flow []float64
-}
-
-// MinCutWithBounds computes a minimum s-t cut of a DAG whose edges carry
-// flow lower bounds, following paper Algorithm 3: a super source/sink
-// construction reduces the problem to two plain max-flow runs, after which
-// the residual reachability from s yields the cut. The Max-Flow Min-Cut
-// theorem holds with non-zero lower bounds (Ford & Fulkerson, ch. 1 §9).
-// It uses the paper's Edmonds-Karp solver.
-func MinCutWithBounds(n int, edges []BoundedEdge, s, t int) (*CutResult, error) {
-	return MinCutWithBoundsUsing(EdmondsKarp, n, edges, s, t)
-}
-
-// MinCutWithBoundsUsing is MinCutWithBounds with an explicit max-flow
-// solver.
-func MinCutWithBoundsUsing(solver Solver, n int, edges []BoundedEdge, s, t int) (*CutResult, error) {
-	if s == t {
-		return nil, fmt.Errorf("maxflow: source equals sink (%d)", s)
-	}
-	// Effectively-infinite capacity: beyond the sum of all finite
-	// capacities, so it is never part of a finite cut. Computed per call
-	// to preserve float64 precision.
-	var sumFinite float64
-	for _, e := range edges {
-		if e.Lower < -eps {
-			return nil, fmt.Errorf("maxflow: negative lower bound on %d->%d", e.From, e.To)
-		}
-		if !math.IsInf(e.Upper, 1) {
-			if e.Upper < e.Lower-eps {
-				return nil, fmt.Errorf("maxflow: upper %v < lower %v on %d->%d", e.Upper, e.Lower, e.From, e.To)
-			}
-			sumFinite += e.Upper
-		}
-		sumFinite += e.Lower
-	}
-	big := 2*sumFinite + 1e6
-
-	upper := func(e BoundedEdge) float64 {
-		if math.IsInf(e.Upper, 1) {
-			return big
-		}
-		return e.Upper
-	}
-
-	// Step 1: G' with super source/sink. Nodes: 0..n-1, s'=n, t'=n+1.
-	sp, tp := n, n+1
-	gp := New(n + 2)
-	ids := make([]int, len(edges))
-	inLower := make([]float64, n)
-	outLower := make([]float64, n)
-	for i, e := range edges {
-		ids[i] = gp.AddEdge(e.From, e.To, upper(e)-e.Lower)
-		inLower[e.To] += e.Lower
-		outLower[e.From] += e.Lower
-	}
-	var demand float64
-	for v := 0; v < n; v++ {
-		if inLower[v] > 0 {
-			gp.AddEdge(sp, v, inLower[v])
-			demand += inLower[v]
-		}
-		if outLower[v] > 0 {
-			gp.AddEdge(v, tp, outLower[v])
-		}
-	}
-	tsID := gp.AddEdge(t, s, big)
-
-	// Step 2: saturate the super edges; otherwise no feasible flow.
-	got := gp.maxFlow(solver, sp, tp)
-	if got < demand-1e-6*(1+demand) {
-		return nil, fmt.Errorf("%w: satisfied %v of %v", ErrInfeasible, got, demand)
-	}
-
-	// Steps 3-4: recover f on G, then continue augmenting s→t on the
-	// residual. Rather than rebuilding, reuse gp: neutralize the super
-	// edges and the t→s back edge, then run max flow from s to t. The
-	// flows already on real edges stay; residual capacities of real
-	// edges are already u−l−f' forward and f' backward, and the backward
-	// residual correctly allows reducing flow down to the lower bound.
-	gp.cap[tsID] = gp.flow[tsID] // freeze circulation edge
-	// Freeze every super edge (both s' and t' incident) at its saturated
-	// flow so no augmenting path can route through them.
-	for _, id := range gp.head[sp] {
-		e := id &^ 1
-		gp.cap[e] = gp.flow[e]
-	}
-	for _, id := range gp.head[tp] {
-		e := id &^ 1
-		gp.cap[e] = gp.flow[e]
-	}
-	gp.maxFlow(solver, s, t)
-
-	side := gp.MinCutSide(s)
-	res := &CutResult{SSide: side[:n], Flow: make([]float64, len(edges))}
-	for i := range edges {
-		res.Flow[i] = gp.flow[ids[i]] + edges[i].Lower
-	}
-	// Cut value from the definition, detecting "infinite" cuts.
-	var val float64
-	infinite := false
-	for _, e := range edges {
-		switch {
-		case res.SSide[e.From] && !sideAt(res.SSide, e.To):
-			if math.IsInf(e.Upper, 1) {
-				infinite = true
-			}
-			val += upper(e)
-		case !res.SSide[e.From] && sideAt(res.SSide, e.To):
-			val -= e.Lower
-		}
-	}
-	if infinite || val >= big/2 {
-		res.Value = math.Inf(1)
-	} else {
-		res.Value = val
-	}
-	return res, nil
-}
-
-func sideAt(side []bool, v int) bool { return side[v] }

@@ -322,3 +322,96 @@ func TestBoundedCutSolverEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// warmTestNetwork is the fixed topology the warm-start tests perturb: a
+// random layered DAG over n nodes with a backbone path, every bound a
+// multiple of 1/4 so that flow arithmetic is exact and cuts never tie
+// within rounding.
+func warmTestNetwork() (n int, edges []BoundedEdge) {
+	rng := rand.New(rand.NewSource(41))
+	n = 10
+	for u := 0; u < n-1; u++ {
+		for v := u + 1; v < n; v++ {
+			if v == u+1 || rng.Float64() < 0.4 {
+				edges = append(edges, BoundedEdge{From: u, To: v, Upper: float64(4+rng.Intn(40)) / 4})
+			}
+		}
+	}
+	return n, edges
+}
+
+// FuzzWarmMinCut applies a fuzzed sequence of up to 64 bound changes to one
+// Network and requires, after each, what a fresh MinCutWithBounds of the
+// same bounds gives: the same feasibility verdict, the same S side, the
+// same value — whatever flow the earlier solves (failed ones included)
+// left behind.
+func FuzzWarmMinCut(f *testing.F) {
+	f.Add([]byte{0, 0, 9, 3, 2, 20, 7, 5, 1})
+	f.Add([]byte{1, 7, 0, 1, 7, 250, 4, 0, 240, 4, 1, 3, 2, 6, 2})
+	f.Add([]byte{12, 3, 255, 5, 3, 255, 0, 0, 255, 9, 0, 255, 12, 0, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		n, edges := warmTestNetwork()
+		nw, err := NewNetwork(n, edges, 0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 64 && len(ops) >= 3; step, ops = step+1, ops[3:] {
+			i := int(ops[0]) % len(edges)
+			e := &edges[i]
+			e.Lower = float64(ops[1]%8) / 4
+			e.Upper = e.Lower + float64(ops[2]%32)/4
+			if ops[2] >= 224 {
+				e.Upper = math.Inf(1)
+			}
+			nw.SetBounds(i, e.Lower, e.Upper)
+			solver := Solver(ops[1] >> 7)
+
+			want, wantErr := MinCutWithBoundsUsing(solver, n, edges, 0, n-1)
+			got, gotErr := nw.Solve(solver)
+			if errors.Is(wantErr, ErrInfeasible) != errors.Is(gotErr, ErrInfeasible) || (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("step %d: warm verdict %v, fresh verdict %v", step, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if got != want.Value {
+				t.Fatalf("step %d: warm value %v, fresh value %v", step, got, want.Value)
+			}
+			for v, inS := range want.SSide {
+				if nw.SSide()[v] != inS {
+					t.Fatalf("step %d: node %d on S side: warm %v, fresh %v", step, v, nw.SSide()[v], inS)
+				}
+			}
+			for i, e := range edges {
+				if f := nw.Flow(i); f < e.Lower || f > e.Upper {
+					t.Fatalf("step %d: warm flow %v on edge %d outside [%v, %v]", step, f, i, e.Lower, e.Upper)
+				}
+			}
+		}
+	})
+}
+
+// TestMinCutSteadyStateAllocs checks the arena claim: once a Network is
+// built, moving bounds and solving again allocates nothing, with either
+// solver.
+func TestMinCutSteadyStateAllocs(t *testing.T) {
+	n, edges := warmTestNetwork()
+	nw, err := NewNetwork(n, edges, 0, n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []Solver{EdmondsKarp, Dinic} {
+		step := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			step++
+			i := step % len(edges)
+			nw.SetBounds(i, float64(step%3)/4, 2+float64(step%7))
+			if _, err := nw.Solve(solver); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("solver %d: a warm Solve allocates %v times", solver, allocs)
+		}
+	}
+}

@@ -473,11 +473,21 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 			outcome = "error"
 		}
 		s.obs.characterized.With(outcome).Inc()
+		took := time.Since(charStart)
+		s.obs.charDur.Observe(took.Seconds())
+		var work frontier.Stats
+		points := 0
+		if front != nil {
+			work, points = front.Stats(), len(front.Points())
+			s.obs.charPoints.Observe(float64(points))
+		}
 		// ctx outlives the HTTP request here only as a label source:
 		// context values stay readable after cancellation, so the
 		// characterize event still carries the registering trace's ID.
-		s.obs.ring.Emit(now, "job.characterize", time.Since(charStart), traceKV(ctx,
-			"job", j.id, "outcome", outcome)...)
+		s.obs.ring.Emit(now, "job.characterize", took, traceKV(ctx,
+			"job", j.id, "outcome", outcome,
+			"points", strconv.Itoa(points), "steps", strconv.Itoa(work.Steps),
+			"augmenting_paths", strconv.Itoa(work.AugmentingPaths), "fallbacks", strconv.Itoa(work.Fallbacks))...)
 		close(done)
 		// The fleet gained a characterized member: under a cap, power
 		// must be re-divided.

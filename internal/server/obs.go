@@ -52,6 +52,8 @@ type serverObs struct {
 	// Job registry and deployment (jobs.go, store.go).
 	jobsRegistered *obs.Counter
 	characterized  *obs.CounterVec // outcome
+	charDur        *obs.Histogram
+	charPoints     *obs.Histogram
 	versionBumps   *obs.Counter
 
 	// Long-poll fan-out (hub.go, jobs.go, grid.go).
@@ -193,6 +195,11 @@ func newServerObs() *serverObs {
 			"Training jobs registered."),
 		characterized: r.CounterVec("perseus_characterizations_total",
 			"Frontier characterizations finished, by outcome.", "outcome"),
+		charDur: r.Histogram("perseus_characterize_seconds",
+			"Wall-clock duration of one frontier characterization (DAG build plus the min-cut walk), successful or not.", nil),
+		charPoints: r.Histogram("perseus_characterize_points",
+			"Frontier points per successful characterization.",
+			[]float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}),
 		versionBumps: r.Counter("perseus_schedule_version_bumps_total",
 			"Deployed-schedule version bumps across all jobs (each wakes that job's long-pollers)."),
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 		"perseus_plan_cache_misses_total 1",
 		"perseus_jobs_registered_total 1",
 		`perseus_characterizations_total{outcome="ok"} 1`,
+		"perseus_characterize_seconds_count 1",
+		"perseus_characterize_points_count 1",
 		`perseus_planner_plan_duration_seconds_count{planner="grid",objective="carbon"} 1`,
 		"# TYPE perseus_http_request_duration_seconds histogram",
 		"perseus_controller_ticks_total 0",
@@ -83,6 +86,24 @@ func TestObservabilityEndpoints(t *testing.T) {
 		byName[e.Name]++
 		if i > 0 && e.Seq <= events[i-1].Seq {
 			t.Fatalf("event seq not increasing: %d after %d", e.Seq, events[i-1].Seq)
+		}
+		if e.Name != "job.characterize" {
+			continue
+		}
+		// The characterize event carries the optimizer's work counts:
+		// one step per point after the first, plus at most the closing
+		// call that finds no cut. (Paths can be fewer than steps: a
+		// warm-started solve often has nothing left to push.)
+		count := func(key string) int {
+			n, err := strconv.Atoi(e.Labels[key])
+			if err != nil {
+				t.Fatalf("job.characterize label %q = %q: %v", key, e.Labels[key], err)
+			}
+			return n
+		}
+		points, steps := count("points"), count("steps")
+		if points < 10 || steps < points-1 || steps > points || count("augmenting_paths") < 1 || count("fallbacks") != 0 {
+			t.Fatalf("job.characterize work counts %v", e.Labels)
 		}
 	}
 	if byName["job.register"] != 1 || byName["job.characterize"] != 1 || byName["signal.install"] != 1 {
