@@ -10,6 +10,7 @@ import (
 	"io"
 	"strconv"
 	"testing"
+	"time"
 
 	"perseus/internal/experiments"
 	"perseus/internal/fleet"
@@ -449,17 +450,9 @@ func BenchmarkRegionPlanWarm(b *testing.B) {
 	}
 }
 
-// benchServer builds a server with one characterized job and a
-// 288-interval signal installed — the /grid/plan hot path's inputs.
-func benchServer(b *testing.B) (*server.Server, string, float64) {
+// benchUpload synthesizes the profile a 2-stage GPT-3 1.3B job reports.
+func benchUpload(b *testing.B) server.ProfileUpload {
 	b.Helper()
-	srv := server.New()
-	id, err := srv.Register(server.JobRequest{
-		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
 	g := gpu.A100PCIe
 	m, err := model.GPT3("1.3b")
 	if err != nil {
@@ -487,12 +480,33 @@ func benchServer(b *testing.B) (*server.Server, string, float64) {
 					Time: g.Time(2*ref, f, g.MemBoundBwd), Energy: g.Energy(2*ref, f, g.MemBoundBwd)})
 		}
 	}
+	return up
+}
+
+// benchJob registers one job on the server and waits for its frontier.
+func benchJob(b *testing.B, srv *server.Server, up server.ProfileUpload) string {
+	b.Helper()
+	id, err := srv.Register(server.JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	if err := srv.UploadProfile(id, up); err != nil {
 		b.Fatal(err)
 	}
 	if err := srv.WaitCharacterized(id); err != nil {
 		b.Fatal(err)
 	}
+	return id
+}
+
+// benchServer builds a server with one characterized job and a
+// 288-interval signal installed — the /grid/plan hot path's inputs.
+func benchServer(b *testing.B) (*server.Server, string, float64) {
+	b.Helper()
+	srv := server.New()
+	id := benchJob(b, srv, benchUpload(b))
 	sig := grid.Generate(grid.GenOptions{Intervals: 288, IntervalS: 300, Jitter: 0.1, Seed: 3})
 	if _, err := srv.SetGridSignal(*sig, ""); err != nil {
 		b.Fatal(err)
@@ -503,6 +517,75 @@ func benchServer(b *testing.B) (*server.Server, string, float64) {
 	}
 	target := 0.5 * sig.Horizon() / lt.TStar()
 	return srv, id, target
+}
+
+// BenchmarkControllerTick times one controller tick against the number
+// of managed jobs: under a fake clock, every iteration advances one
+// 15-minute interval of a 96-interval day and ticks, and the revisions
+// feed (σ 0.2) moves the whole remaining window every time, so each
+// tick settles every job, issues its forecast and re-plans every job
+// cold. An episode is 48 ticks — half the day, so no job finishes —
+// and starting the next one (signal, forecast and ManageJob per job) is
+// off the clock. forecasts/tick reports the forecasts issued per tick:
+// 1 however many jobs share it.
+func BenchmarkControllerTick(b *testing.B) {
+	const interval, episode = 15 * time.Minute, 48
+	sig := grid.Generate(grid.GenOptions{Intervals: 96, IntervalS: interval.Seconds(), Jitter: 0.1, Seed: 3})
+	up := benchUpload(b)
+	for _, jobs := range []int{1, 64, 1024} {
+		b.Run(fmt.Sprintf("jobs-%d", jobs), func(b *testing.B) {
+			now := time.Unix(1_700_000_000, 0)
+			srv := server.New()
+			srv.SetClock(func() time.Time { return now })
+			ids := make([]string, jobs)
+			for k := range ids {
+				ids[k] = benchJob(b, srv, up)
+			}
+			// Every characterization ends in a fleet recompute on its own
+			// goroutine; recomputes are serialized, so this one returns
+			// after the last job's instead of letting it run into the
+			// first ticks.
+			srv.FleetStatus()
+			lt, err := srv.Table(ids[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			issued := func() float64 {
+				v, _ := srv.Metrics().CounterValue("perseus_controller_forecasts_issued_total")
+				return v
+			}
+			var forecasts float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%episode == 0 {
+					b.StopTimer()
+					if _, err := srv.SetGridSignal(*sig, ""); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := srv.SetForecast(server.ForecastRequest{Model: "revisions", Seed: int64(i/episode) + 1, Sigma: 0.2}); err != nil {
+						b.Fatal(err)
+					}
+					for k, id := range ids {
+						target := (0.5 + 0.25*float64(k%8)/8) * sig.Horizon() / lt.TStar()
+						if _, err := srv.ManageJob(id, target, sig.Horizon(), "", 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					forecasts -= issued()
+					b.StartTimer()
+				}
+				now = now.Add(interval)
+				if st := srv.TickController(); st.LastTickError != "" {
+					b.Fatal(st.LastTickError)
+				}
+				if (i+1)%episode == 0 || i+1 == b.N {
+					forecasts += issued()
+				}
+			}
+			b.ReportMetric(forecasts/float64(b.N), "forecasts/tick")
+		})
+	}
 }
 
 // BenchmarkServerPlanCold measures /grid/plan's solve path with every

@@ -168,6 +168,7 @@ func main() {
 		"perseus_plan_cache_hits_total 1",
 		"perseus_plan_cache_misses_total 1",
 		"perseus_controller_ticks_total 1",
+		"perseus_controller_forecasts_issued_total 0", // no job is managed: the tick has no one to forecast for
 		"perseus_jobs_registered_total 1",
 		`perseus_characterizations_total{outcome="ok"} 1`,
 		"perseus_characterize_seconds_count 1",

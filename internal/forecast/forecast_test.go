@@ -2,6 +2,8 @@ package forecast
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"perseus/internal/frontier"
@@ -573,5 +575,70 @@ func TestMPCWarmStartTailOnlyRevision(t *testing.T) {
 	}
 	if cold.Plans < 2 {
 		t.Fatalf("in-window revision planned %d times, want a re-plan per tick", cold.Plans)
+	}
+}
+
+// TestStepperReplanOnlyReadsForecast pins what lets the server hand one
+// issued forecast to every schedule of a controller tick: steppers with
+// different quantiles, objectives and targets plan and execute from the
+// same *Forecast concurrently (-race flags any write to it), the
+// forecast equals its deep copy afterwards, and each stepper's result
+// equals the one it gets from a forecast of its own.
+func TestStepperReplanOnlyReadsForecast(t *testing.T) {
+	truth := grid.Diurnal24h()
+	lt := convexTable(0.01, 60, 75, 3000, 200)
+	prov := &Revisions{Truth: truth, Seed: 5, Sigma: 0.2}
+	steppers := func() []*Stepper {
+		var out []*Stepper
+		for k, q := range []float64{0, 0.9, 0, 0.8} {
+			obj := grid.ObjectiveCarbon
+			if k%2 == 1 {
+				obj = grid.ObjectiveCost
+			}
+			out = append(out, NewStepper(lt, truth, Options{
+				Target:    (0.3 + 0.1*float64(k)) * truth.Horizon() / lt.TStar(),
+				DeadlineS: truth.Horizon(), Objective: obj, Quantile: q,
+			}, 0))
+		}
+		return out
+	}
+	shared, own := steppers(), steppers()
+	for _, at := range []float64{0, 3600, 7200} {
+		fc, err := prov.At(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine, err := prov.At(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, st := range shared {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st.ExecuteTo(at)
+				if _, err := st.Replan(fc, nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(fc, pristine) {
+			t.Fatalf("issue at %v: the shared forecast changed under its steppers", at)
+		}
+		for k, st := range own {
+			mine, err := prov.At(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.ExecuteTo(at)
+			if _, err := st.Replan(mine, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st.Plan, shared[k].Plan) || !reflect.DeepEqual(st.Intervals, shared[k].Intervals) {
+				t.Fatalf("issue at %v: stepper %d planned differently from a shared forecast", at, k)
+			}
+		}
 	}
 }

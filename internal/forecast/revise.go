@@ -39,7 +39,13 @@ type Revisions struct {
 // Name implements Provider.
 func (r *Revisions) Name() string { return "revisions" }
 
-// At implements Provider.
+// At implements Provider. An interval L steps ahead sums its L
+// remaining innovations afresh, so one issue costs time quadratic in the
+// number of covered future intervals (two 96-interval cycles ahead:
+// ~36k hashes, as much as tens of grid solves). The summation order
+// fixes the forecast's last bits and every table derived from it, so a
+// caller with many consumers at one decision time issues once and
+// shares the result — the forecast is read-only to the controllers.
 func (r *Revisions) At(t float64) (*Forecast, error) {
 	if err := checkIssueTime(r.Truth, t); err != nil {
 		return nil, err

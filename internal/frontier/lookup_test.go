@@ -1,7 +1,9 @@
 package frontier
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"perseus/internal/gpu"
@@ -153,4 +155,75 @@ func TestMergeDescent(t *testing.T) {
 			t.Fatalf("empty table advanced: %+v", st)
 		}
 	}
+}
+
+// mergeScan is the merge as first written — every step rescans every
+// job for the steepest next step, first index winning ties — kept as
+// the oracle for the heap in Merge.
+func mergeScan(inputs []MergeInput) (startPower float64, steps []MergeStep) {
+	cur := make([]int, len(inputs))
+	scaleOf := func(in MergeInput) float64 {
+		if in.PowerScale <= 0 {
+			return 1
+		}
+		return in.PowerScale
+	}
+	weightOf := func(in MergeInput) float64 {
+		if in.LossWeight <= 0 {
+			return 1
+		}
+		return in.LossWeight
+	}
+	for i, in := range inputs {
+		cur[i] = max(in.Start, 0)
+		if n := len(in.Table.Points); n == 0 {
+			cur[i] = 0
+		} else {
+			cur[i] = min(cur[i], n-1)
+			startPower += scaleOf(in) * in.Table.AvgPower(cur[i])
+		}
+	}
+	power := startPower
+	for {
+		best, bestSlope := -1, 0.0
+		var bestDP, bestLoss float64
+		for i, in := range inputs {
+			if cur[i]+1 >= len(in.Table.Points) {
+				continue
+			}
+			dp := scaleOf(in) * (in.Table.AvgPower(cur[i]) - in.Table.AvgPower(cur[i]+1))
+			loss := weightOf(in) * (in.Table.PointTime(cur[i]+1) - in.Table.PointTime(cur[i]))
+			if slope := dp / loss; best < 0 || slope > bestSlope {
+				best, bestSlope, bestDP, bestLoss = i, slope, dp, loss
+			}
+		}
+		if best < 0 {
+			return startPower, steps
+		}
+		cur[best]++
+		power -= bestDP
+		steps = append(steps, MergeStep{Table: best, Point: cur[best], Power: power, Loss: bestLoss, Slope: bestSlope})
+	}
+}
+
+// TestMergeMatchesScan pins the heap against the rescan bit for bit,
+// on random convex fleets and on fleets of identical tables, where
+// every comparison is a tie and only the index rule orders the steps.
+func TestMergeMatchesScan(t *testing.T) {
+	check := func(name string, inputs []MergeInput) {
+		t.Helper()
+		wantStart, want := mergeScan(inputs)
+		gotStart, got := Merge(inputs)
+		if gotStart != wantStart || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: heap merge differs from the rescan:\nheap %v %+v\nscan %v %+v", name, gotStart, got, wantStart, want)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		inputs := fuzzMergeInputs(seed)
+		check(fmt.Sprint("seed ", seed), inputs)
+		// The same fleet three times over: every job has two twins.
+		check(fmt.Sprint("tripled seed ", seed), append(append(append([]MergeInput(nil), inputs...), inputs...), inputs...))
+	}
+	check("empty", nil)
+	check("empty table", []MergeInput{{Table: &LookupTable{Unit: 1e-3}}, {Table: edgeTable(), Start: 9}})
 }

@@ -156,6 +156,13 @@ type Planner struct {
 
 	// NoIdle forbids pausing (Options.NoIdle).
 	NoIdle bool
+
+	// Solver, when set, is the solver whose working buffers the solve
+	// reuses (a caller that plans repeatedly keeps one, or takes one
+	// from a pool); nil solves on a fresh one. The returned plan never
+	// aliases it. A Solver is not safe for concurrent use, so neither
+	// is a Planner that holds one.
+	Solver *Solver
 }
 
 // Name implements plan.Planner.
@@ -163,7 +170,11 @@ func (p *Planner) Name() string { return "grid" }
 
 // Plan implements plan.Planner.
 func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
-	return Optimize(p.Table, p.Signal, Options{
+	s := p.Solver
+	if s == nil {
+		s = new(Solver)
+	}
+	return s.Optimize(p.Table, p.Signal, Options{
 		Target:     req.Target,
 		DeadlineS:  req.DeadlineS,
 		Objective:  req.Objective,

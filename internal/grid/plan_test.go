@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"perseus/internal/frontier"
+	"perseus/internal/plan"
 )
 
 // convexTable hand-builds a lookup table whose energy curve is
@@ -544,5 +546,73 @@ func TestFixedBaseline(t *testing.T) {
 	// Its accounting covers only what fits before the deadline.
 	if tight.Iterations >= 150 {
 		t.Fatalf("infeasible baseline claims %v iterations, target 150 cannot fit", tight.Iterations)
+	}
+}
+
+// deepCopyPlan copies a plan through JSON, which reaches every field a
+// plan has (all are exported and finite).
+func deepCopyPlan(t *testing.T, p *Plan) *Plan {
+	t.Helper()
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Plan
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// TestSolverReuseDoesNotAlias pins what the server's pooled solvers rely
+// on. A Plan a Solver returned is untouched by whatever that Solver
+// solves next (a different table over a different window); and over a
+// sequence of shrinking windows with a shrinking target — the access
+// pattern of a controller tick rolling one schedule forward — a reused
+// Solver and a fresh one per solve return bit-identical plans, for all
+// three objectives, through Planner.Solver as the server calls it.
+func TestSolverReuseDoesNotAlias(t *testing.T) {
+	full := Generate(GenOptions{Intervals: 48, IntervalS: 900, Jitter: 0.2, Seed: 7})
+	full.Intervals[5].CapW = 1 // a forced-idle interval in the early windows
+	lt := convexTable(0.01, 60, 75, 3000, 200)
+	other := convexTable(0.02, 30, 34, 1500, 90)
+	otherSig := Generate(GenOptions{Intervals: 7, IntervalS: 600, Jitter: 0.3, Seed: 8})
+
+	for _, obj := range []Objective{ObjectiveCarbon, ObjectiveCost, ObjectiveEnergy} {
+		var reused Solver
+		for from := 0; from < len(full.Intervals)-1; from += 5 {
+			// The remaining window [from, end), re-based at 0 like
+			// forecast's window().
+			win := &Signal{Name: full.Name}
+			base := full.Intervals[from].StartS
+			for _, iv := range full.Intervals[from:] {
+				iv.StartS -= base
+				iv.EndS -= base
+				win.Intervals = append(win.Intervals, iv)
+			}
+			req := plan.Request{Target: 0.6 * win.Horizon() / lt.PointTime(0), Objective: obj, PowerScale: 2}
+
+			got, err := (&Planner{Table: lt, Signal: win, Solver: &reused}).Plan(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&Planner{Table: lt, Signal: win}).Plan(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s window from %d: reused solver's plan differs from a fresh solver's\nreused %+v\nfresh  %+v", obj, from, got, want)
+			}
+
+			// Solve something else on the same solver; the plan it
+			// returned before must not move.
+			kept := deepCopyPlan(t, got.(*Plan))
+			if _, err := reused.Optimize(other, otherSig, Options{Target: 0.5 * otherSig.Horizon() / other.PointTime(0), Objective: obj}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.(*Plan), kept) {
+				t.Fatalf("%s window from %d: a later solve on the same Solver changed a returned plan", obj, from)
+			}
+		}
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,9 +25,11 @@ type managedJob struct {
 // job's rolling-horizon schedule forward — executed prefix frozen,
 // remainder re-planned on a freshly issued forecast — and bumps each
 // job's schedule version so long-polling clients observe the change
-// without ever calling /grid/replan themselves. Ticks and client
-// replan calls share one serialized roll-forward (Server.replanMu), so
-// the two can never disagree about the frozen prefix.
+// without ever calling /grid/replan themselves. A tick plans the fleet
+// from one view (tickView) and rolls the managed jobs forward in
+// parallel; a tick and a client replan of the same job meet on that
+// schedule's own lock, so the two can never disagree about the frozen
+// prefix.
 type controller struct {
 	s *Server
 
@@ -129,30 +133,31 @@ func (c *controller) forget(id string) {
 // parameter change on GET /grid/replan; a signal re-install drops both
 // the schedule and the management, and the job must be re-managed.
 func (s *Server) ManageJob(id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
-	return s.manageJob(context.Background(), id, target, deadline, objective, quantile)
+	return s.manageJob(context.Background(), ControllerJobRequest{
+		JobID: id, Target: target, DeadlineS: deadline, Objective: objective, Quantile: quantile})
 }
 
-func (s *Server) manageJob(ctx context.Context, id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
-	resp, err := s.replan(ctx, id, target, deadline, objective, quantile)
+func (s *Server) manageJob(ctx context.Context, req ControllerJobRequest) (*ReplanResponse, error) {
+	resp, err := s.replan(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	c := &s.ctrl
 	c.mu.Lock()
-	if _, ok := c.managed[id]; !ok {
-		c.order = append(c.order, id)
+	if _, ok := c.managed[req.JobID]; !ok {
+		c.order = append(c.order, req.JobID)
 	}
-	c.managed[id] = managedJob{}
+	c.managed[req.JobID] = managedJob{}
 	c.mu.Unlock()
 	return resp, nil
 }
 
 // TickController runs one controller tick synchronously: every managed
-// job's existing schedule rolls forward to now (a tick never creates
-// state — only ManageJob and client replans do, so a tick racing a
-// signal re-install cannot resurrect a dropped schedule). Per-job
-// errors are recorded in the status rather than aborting the tick —
-// one broken job must not stall the fleet's control loop.
+// job's existing schedule rolls forward to the tick's instant (a tick
+// never creates state — only ManageJob and client replans do, so a tick
+// racing a signal re-install cannot resurrect a dropped schedule).
+// Per-job errors are recorded in the status rather than aborting the
+// tick — one broken job must not stall the fleet's control loop.
 func (s *Server) TickController() ControllerStatus {
 	return s.tickController(context.Background())
 }
@@ -160,10 +165,15 @@ func (s *Server) TickController() ControllerStatus {
 // tickController runs the tick under a controller.tick trace span: a
 // child of ctx's active span when the tick came through a traced POST
 // /controller/tick, the root of a fresh trace when the background loop
-// fired it. Every managed job's roll-forward stages record child spans
-// below it, and the tick ends with one SLO evaluation, so burn-rate
-// status (and breach events) advance at control-loop cadence even when
-// nobody polls /debug/slo.
+// fired it. The tick reads one view — clock, signal, issuer, forecast
+// revision — and fans the managed jobs out over min(GOMAXPROCS, jobs)
+// workers that roll each schedule forward under its own lock, sharing
+// the view's one forecast per requested horizon; results land in
+// management-order slots, so the published errors do not depend on
+// which worker ran what. Every roll-forward's stage spans record as
+// children of the root, and the tick ends with one SLO evaluation, so
+// burn-rate status (and breach events) advance at control-loop cadence
+// even when nobody polls /debug/slo.
 func (s *Server) tickController(ctx context.Context) ControllerStatus {
 	c := &s.ctrl
 	c.mu.Lock()
@@ -172,56 +182,76 @@ func (s *Server) tickController(ctx context.Context) ControllerStatus {
 
 	ctx, root := s.obs.tracer.StartSpan(ctx, spanControllerTick)
 	tickStart := time.Now()
+	v := s.newTickView()
 	// Settle every job's emissions and bloat ledger at the tick
 	// boundary, so the ledger and its exported series advance at
 	// control-loop cadence even when nobody reads /jobs/{id}/emissions.
-	s.st.settleAll(s.st.gridState())
-	errs := map[string]string{}
+	s.st.settleAll(s.st.gridStateAt(v.now))
+	v.sharers = map[float64]int{}
+	s.replanMu.RLock()
 	for _, id := range ids {
-		if !c.manages(id) {
-			continue // un-managed since the snapshot (signal change)
-		}
-		if err := s.advanceManaged(ctx, id); err != nil {
-			errs[id] = err.Error()
+		if rs := s.replans[id]; rs != nil {
+			v.sharers[rs.reqDeadline]++
 		}
 	}
+	s.replanMu.RUnlock()
 
-	now := s.st.now()
+	errs := make([]error, len(ids))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(ids)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(ids) {
+					return
+				}
+				errs[i] = s.advanceManaged(ctx, v, ids[i])
+			}
+		}()
+	}
+	wg.Wait()
+
 	dur := time.Since(tickStart)
+	failed := 0
 	c.mu.Lock()
 	c.ticks++
-	c.lastTick = now
+	c.lastTick = v.now
 	c.lastTickErr = ""
-	for _, id := range ids {
-		if msg, bad := errs[id]; bad {
+	for i, id := range ids {
+		// A job un-managed since the snapshot (a signal install, a
+		// DELETE: neither drops a schedule before its job is un-managed)
+		// has no error to report — whatever its turn ran into, it is
+		// gone.
+		mj, ok := c.managed[id]
+		if !ok {
+			continue
+		}
+		mj.lastErr = ""
+		if errs[i] != nil {
+			failed++
+			mj.lastErr = errs[i].Error()
 			if c.lastTickErr == "" {
-				c.lastTickErr = id + ": " + msg
-			}
-			if mj, ok := c.managed[id]; ok {
-				mj.lastErr = msg
-				c.managed[id] = mj
+				c.lastTickErr = id + ": " + mj.lastErr
 			}
 		}
-	}
-	// Clear errors for jobs that recovered.
-	for id, mj := range c.managed {
-		if _, bad := errs[id]; !bad && mj.lastErr != "" {
-			mj.lastErr = ""
-			c.managed[id] = mj
-		}
+		c.managed[id] = mj
 	}
 	c.mu.Unlock()
+	attrs := []string{"jobs", strconv.Itoa(len(ids)), "errors", strconv.Itoa(failed), "forecasts", strconv.Itoa(v.forecasts())}
 	s.obs.ticks.Inc()
 	s.obs.tickDur.Observe(dur.Seconds())
-	s.obs.ring.Emit(now, "controller.tick", dur, traceKV(ctx,
-		"jobs", strconv.Itoa(len(ids)), "errors", strconv.Itoa(len(errs)))...)
-	root.SetAttr("jobs", strconv.Itoa(len(ids)))
-	root.SetAttr("errors", strconv.Itoa(len(errs)))
-	if len(errs) > 0 {
-		root.Fail(fmt.Errorf("%d job(s) failed to roll forward", len(errs)))
+	s.obs.ring.Emit(v.now, "controller.tick", dur, traceKV(ctx, attrs...)...)
+	for i := 0; i < len(attrs); i += 2 {
+		root.SetAttr(attrs[i], attrs[i+1])
+	}
+	if failed > 0 {
+		root.Fail(fmt.Errorf("%d job(s) failed to roll forward", failed))
 	}
 	root.End()
-	s.evalSLOs(now)
+	s.evalSLOs(v.now)
 	return s.ControllerStatus()
 }
 
@@ -265,8 +295,8 @@ func (c *controller) run(stop, done chan struct{}) {
 	defer close(done)
 	for {
 		// Without a signal there are no boundaries: re-check shortly,
-		// but do not tick — a tick would inflate the counter and take
-		// the roll-forward lock for nothing. With one, sleep to the
+		// but do not tick — a tick would inflate the counter and settle
+		// every job for nothing. With one, sleep to the
 		// next boundary (signal seconds map 1:1 to wall seconds),
 		// nudged slightly past the edge so the tick lands inside the
 		// new interval.
@@ -334,18 +364,15 @@ func (s *Server) ControllerStatus() ControllerStatus {
 	}
 	for _, id := range ids {
 		js := ControllerJobStatus{JobID: id, LastError: errs[id]}
-		s.replanMu.Lock()
-		if rs, ok := s.replans[id]; ok {
-			view := replanView(id, rs)
+		if view, lastPlanAt := s.scheduleView(id); view != nil {
 			js.Plans = view.Plans
 			js.DoneIterations = view.DoneIterations
 			js.RemainingIterations = view.RemainingIterations
 			js.Feasible = view.Feasible
-			if !rs.lastPlanAt.IsZero() {
-				js.LastReplanUnixS = float64(rs.lastPlanAt.UnixNano()) / 1e9
+			if !lastPlanAt.IsZero() {
+				js.LastReplanUnixS = float64(lastPlanAt.UnixNano()) / 1e9
 			}
 		}
-		s.replanMu.Unlock()
 		if j, ok := s.st.job(id); ok {
 			j.mu.Lock()
 			js.Version = j.version
@@ -378,7 +405,7 @@ func (s *Server) handleControllerAction(w http.ResponseWriter, r *http.Request) 
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp, err := s.manageJob(r.Context(), req.JobID, req.Target, req.DeadlineS, req.Objective, req.Quantile)
+		resp, err := s.manageJob(r.Context(), req)
 		if err != nil {
 			status := http.StatusBadRequest
 			if _, ok := s.st.job(req.JobID); !ok {

@@ -134,8 +134,9 @@ func TestControllerClosesMPCLoop(t *testing.T) {
 
 // TestControllerTickClientReplanRace drives controller ticks and
 // client replan calls concurrently with a moving clock (run under
-// -race): the two share one serialized roll-forward, so the frozen
-// prefix must never rewind, overlap, or diverge between observers.
+// -race): the two roll the schedule forward under its own lock, so the
+// frozen prefix must never rewind, overlap, or diverge between
+// observers.
 func TestControllerTickClientReplanRace(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
 	srv := New()

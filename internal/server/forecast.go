@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"perseus/internal/forecast"
@@ -133,17 +135,107 @@ type ReplanResponse struct {
 // replanState is a job's rolling schedule between roll-forwards (client
 // GET /grid/replan calls and controller ticks share it): the request
 // that identifies it plus the forecast.Stepper that carries it forward
-// — the same stepper forecast.Replan loops over offline. Guarded by
-// Server.replanMu.
+// — the same stepper forecast.Replan loops over offline. A restart
+// installs a new replanState, so the request parameters never change.
 type replanState struct {
-	*forecast.Stepper
 	reqDeadline float64 // the raw request parameter (0 = default)
 	reqQuantile float64 // the raw request parameter (0 = installed default)
-	frevSeen    int     // forecast revision of the last roll-forward
+
+	// mu guards the stepper and the fields below it: whoever rolls the
+	// schedule forward or renders it holds mu, so a tick and a client
+	// replan of one job can never disagree about the frozen prefix
+	// while other jobs' schedules move in parallel.
+	mu sync.Mutex
+	*forecast.Stepper
+	frevSeen int // forecast revision of the last roll-forward
 
 	// lastPlanAt is the wall-clock time of the last successful re-plan
 	// (zero before the first), surfaced per job in GET /controller.
 	lastPlanAt time.Time
+}
+
+// tickView is the one reading of the world a controller tick — or one
+// client replan — plans from: the clock, the installed signal (with the
+// clock as its signal time t), the forecast issuer, the default
+// objective and the forecast revision, each read once. Every schedule
+// the view rolls forward freezes at the same instant and plans from the
+// same forecasts: the view issues one per requested horizon, lazily and
+// exactly once, and hands it read-only to every schedule that asks
+// (forecast.Stepper.Replan only reads its forecast) — issuing costs as
+// much as tens of solves, and 64 jobs of one tick used to pay it 64
+// times for bit-identical results.
+type tickView struct {
+	now  time.Time
+	sig  *grid.Signal
+	spec *forecastSpec
+	obj  grid.Objective
+	frev int
+	t    float64 // now in signal seconds, never negative
+
+	// sharers counts, per requested horizon, the managed schedules a
+	// tick offers its forecast to (nil for a client replan: one). Filled
+	// before the fan-out, read-only after.
+	sharers map[float64]int
+
+	mu     sync.Mutex
+	issued map[issueKey]*issuedForecast
+}
+
+// issueKey names one forecast of a view: the requested horizon and the
+// issue time — the view's t, except for a schedule a racing client
+// already rolled past it, which plans from its own time as it always
+// did.
+type issueKey struct{ t, horizonS float64 }
+
+type issuedForecast struct {
+	once sync.Once
+	fc   *forecast.Forecast
+	err  error
+}
+
+// newTickView reads the view. st.mu is held for the field reads only.
+func (s *Server) newTickView() *tickView {
+	st := s.st
+	v := &tickView{now: st.now()}
+	st.mu.Lock()
+	v.sig, v.spec, v.obj, v.frev = st.signal, st.fspec, st.objective, st.frev
+	start := st.sigStart
+	st.mu.Unlock()
+	v.t = math.Max(0, v.now.Sub(start).Seconds())
+	return v
+}
+
+// forecast returns the view's forecast issued at t for the requested
+// horizon, issuing it under a replan.forecast child of ctx's active span
+// on first use; concurrent askers wait for the one issue.
+func (s *Server) forecast(ctx context.Context, v *tickView, t, horizonS float64) (*forecast.Forecast, error) {
+	key := issueKey{t, horizonS}
+	v.mu.Lock()
+	is := v.issued[key]
+	if is == nil {
+		if v.issued == nil {
+			v.issued = map[issueKey]*issuedForecast{}
+		}
+		is = &issuedForecast{}
+		v.issued[key] = is
+	}
+	v.mu.Unlock()
+	is.once.Do(func() {
+		_, sp := obs.Child(ctx, spanReplanFcast)
+		sp.SetAttr("shared_by", strconv.Itoa(max(1, v.sharers[horizonS])))
+		is.fc, is.err = issueForecast(v.sig, v.spec, t, horizonS)
+		s.obs.forecastsIssued.Inc()
+		sp.Fail(is.err)
+		sp.End()
+	})
+	return is.fc, is.err
+}
+
+// forecasts reports how many forecasts the view has issued.
+func (v *tickView) forecasts() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.issued)
 }
 
 func (s *Server) handleGridForecast(w http.ResponseWriter, r *http.Request) {
@@ -253,7 +345,7 @@ func (s *Server) setForecast(ctx context.Context, req ForecastRequest) (Forecast
 // forecast may materialize: issuing extends coverage to the requested
 // horizon interval by interval, so an unbounded request (a deadline of
 // years against a seconds-scale trace) would otherwise let one HTTP
-// call allocate without limit while holding the roll-forward lock.
+// call allocate without limit while holding its schedule's lock.
 const maxForecastCycles = 1000
 
 // issueForecast runs the issuer over the signal's revealed history at
@@ -305,7 +397,8 @@ func (s *Server) handleGridReplan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := s.replan(r.Context(), id, f[0], f[1], q.Get("objective"), f[2])
+	resp, err := s.replan(r.Context(), ControllerJobRequest{
+		JobID: id, Target: f[0], DeadlineS: f[1], Objective: q.Get("objective"), Quantile: f[2]})
 	if err != nil {
 		status := http.StatusBadRequest
 		if _, ok := s.st.job(id); !ok {
@@ -328,32 +421,65 @@ func (s *Server) handleGridReplan(w http.ResponseWriter, r *http.Request) {
 // installed default; values above 0.5 plan against the pessimistic
 // band (robust mode).
 //
-// Client calls and controller ticks share one serialized roll-forward,
-// so the frozen prefix is identical no matter who observes it — and a
-// call that finds time and forecast unchanged returns the current
-// state without re-planning.
+// Client calls and controller ticks roll one job's schedule forward
+// under that schedule's lock, so the frozen prefix is identical no
+// matter who observes it — and a call that finds time and forecast
+// unchanged returns the current state without re-planning.
 func (s *Server) Replan(id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
-	return s.replan(context.Background(), id, target, deadline, objective, quantile)
+	return s.replan(context.Background(), ControllerJobRequest{
+		JobID: id, Target: target, DeadlineS: deadline, Objective: objective, Quantile: quantile})
 }
 
-// replan is Replan with context: under a traced request or controller
-// tick, the roll-forward records its stage spans (replan.inputs,
-// replan.freeze, replan.forecast, replan.solve, replan.bump) as
-// children of the active span.
-func (s *Server) replan(ctx context.Context, id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
+// errRestart is replanLocked's answer under the read side of replanMu
+// when the request needs a schedule created or restarted.
+var errRestart = errors.New("server: replan needs the write side of replanMu")
+
+// replan is Replan with context: under a traced request, the
+// roll-forward records its stage spans (replan.inputs, replan.freeze,
+// replan.forecast, replan.solve, replan.bump) as children of the active
+// span. A schedule that exists with these parameters rolls forward
+// under the read side of replanMu, beside the tick's workers and other
+// jobs' replans; creating or restarting one writes the map, so that
+// attempt is repeated with the write side held.
+func (s *Server) replan(ctx context.Context, req ControllerJobRequest) (*ReplanResponse, error) {
+	s.replanMu.RLock()
+	resp, err := s.replanLocked(ctx, req, false)
+	s.replanMu.RUnlock()
+	if errors.Is(err, errRestart) {
+		s.replanMu.Lock()
+		resp, err = s.replanLocked(ctx, req, true)
+		s.replanMu.Unlock()
+	}
+	return resp, err
+}
+
+// replanLocked is one attempt at replan with replanMu held — its write
+// side when exclusive. The view is read inside the lock: POST
+// /grid/signal installs the signal before it takes the write side to
+// clear the schedules, so an attempt that read the old signal outside
+// the lock could re-insert a schedule of the replaced trace (anchored
+// to the old clock) into the freshly cleared map.
+func (s *Server) replanLocked(ctx context.Context, req ControllerJobRequest, exclusive bool) (*ReplanResponse, error) {
 	_, insp := obs.Child(ctx, spanReplanInputs)
-	insp.SetAttr("job", id)
-	s.replanMu.Lock()
-	defer s.replanMu.Unlock()
-	in, err := s.rollInputsLocked(id)
+	insp.SetAttr("job", req.JobID)
+	v := s.newTickView()
+	rs := s.replans[req.JobID]
+	if rs != nil && rs.Truth != v.sig {
+		rs = nil // of the replaced trace; its install has not cleared the map yet
+	}
+	if rs != nil {
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+	}
+	in, err := s.inputsFor(v, req.JobID, rs)
 	// The raw quantile parameter identifies the schedule (like the raw
 	// deadline): 0 resolves to the issuer's default once, at creation,
 	// so a forecast re-install with a different default is a revision
 	// of the forecast — never a silent restart of a rolling schedule
 	// that asked for "the default".
-	reqQuantile := quantile
+	target, deadline, quantile := req.Target, req.DeadlineS, req.Quantile
 	if err == nil && quantile == 0 {
-		quantile = in.spec.quantile
+		quantile = v.spec.quantile
 	}
 	switch {
 	case err != nil:
@@ -363,8 +489,8 @@ func (s *Server) replan(ctx context.Context, id string, target, deadline float64
 		err = fmt.Errorf("server: replan deadline must be finite and non-negative, got %v", deadline)
 	case math.IsNaN(quantile) || quantile < 0 || quantile >= 1:
 		err = fmt.Errorf("server: replan quantile must be in [0, 1), got %v", quantile)
-	case objective != "":
-		in.obj, err = grid.ParseObjective(objective)
+	case req.Objective != "":
+		in.obj, err = grid.ParseObjective(req.Objective)
 	}
 	insp.Fail(err)
 	insp.End()
@@ -376,84 +502,81 @@ func (s *Server) replan(ctx context.Context, id string, target, deadline float64
 	// default the effective deadline is pinned once at state creation
 	// (the forecast horizon then), so the horizon growing with time on
 	// later calls is not mistaken for a parameter change.
-	if rs := in.rs; rs == nil || rs.Target != target || rs.reqDeadline != deadline ||
-		rs.Objective != in.obj || rs.reqQuantile != reqQuantile {
-		_, fsp := obs.Child(ctx, spanReplanFcast)
-		fc, err := issueForecast(in.sig, in.spec, in.t, deadline)
-		fsp.Fail(err)
-		fsp.End()
-		if err != nil {
-			return nil, err
+	if rs != nil && rs.Target == target && rs.reqDeadline == deadline &&
+		rs.Objective == in.obj && rs.reqQuantile == req.Quantile {
+		if in.due {
+			if err := s.rollForward(ctx, v, in, nil); err != nil {
+				return nil, err
+			}
 		}
-		eff := deadline
-		if eff == 0 {
-			eff = fc.Signal.Horizon()
-		}
-		if eff <= in.t {
-			return nil, fmt.Errorf("server: replan deadline %v not after now (%v s into the signal)", eff, in.t)
-		}
-		if eff > fc.Signal.Horizon()+1e-9 {
-			return nil, fmt.Errorf("server: replan deadline %v beyond forecast horizon %v", eff, fc.Signal.Horizon())
-		}
-		in.rs = &replanState{
-			Stepper: forecast.NewStepper(in.table, in.sig, pln.Request{
-				Target: target, DeadlineS: eff, Objective: in.obj, Quantile: quantile,
-			}, in.t),
-			reqDeadline: deadline, reqQuantile: reqQuantile,
-		}
-		s.replans[id] = in.rs
-		if err := s.rollForwardLocked(ctx, in, fc); err != nil {
-			delete(s.replans, id)
-			return nil, err
-		}
-	} else if in.due {
-		if err := s.rollForwardLocked(ctx, in, nil); err != nil {
-			return nil, err
-		}
+		return replanView(req.JobID, rs), nil
 	}
-	return replanView(id, in.rs), nil
+	if !exclusive {
+		return nil, errRestart
+	}
+	fc, err := s.forecast(ctx, v, in.t, deadline)
+	if err != nil {
+		return nil, err
+	}
+	eff := deadline
+	if eff == 0 {
+		eff = fc.Signal.Horizon()
+	}
+	if eff <= in.t {
+		return nil, fmt.Errorf("server: replan deadline %v not after now (%v s into the signal)", eff, in.t)
+	}
+	if eff > fc.Signal.Horizon()+1e-9 {
+		return nil, fmt.Errorf("server: replan deadline %v beyond forecast horizon %v", eff, fc.Signal.Horizon())
+	}
+	// The write side makes the new schedule unreachable until the first
+	// plan is in force (or the schedule is withdrawn), so it needs no mu.
+	in.rs = &replanState{
+		Stepper: forecast.NewStepper(in.table, v.sig, pln.Request{
+			Target: target, DeadlineS: eff, Objective: in.obj, Quantile: quantile,
+		}, in.t),
+		reqDeadline: deadline, reqQuantile: req.Quantile,
+	}
+	s.replans[req.JobID] = in.rs
+	if err := s.rollForward(ctx, v, in, fc); err != nil {
+		delete(s.replans, req.JobID)
+		return nil, err
+	}
+	return replanView(req.JobID, in.rs), nil
 }
 
-// rollInputs is what one roll-forward works from: the job's current
-// table and pipeline count, the installed signal, forecast issuer,
-// default objective and forecast revision, the job's rolling schedule
-// (nil when it has none), and the signal time now.
+// rollInputs is what one roll-forward adds to its view: the job's
+// current table and pipeline count, the objective (the view's default
+// unless the request names one), the job's rolling schedule (nil when
+// it has none), and the signal time to roll to.
 type rollInputs struct {
 	j     *job
 	table *frontier.LookupTable
 	pipes int
-	sig   *grid.Signal
-	spec  *forecastSpec
 	obj   grid.Objective
-	frev  int
 	rs    *replanState
 
-	// t never rewinds: a caller whose clock reads earlier than what the
-	// schedule already executed clamps to the schedule's own time.
+	// t never rewinds: a view whose clock reads earlier than what the
+	// schedule already executed (a racing caller froze a later instant;
+	// rolling back would double-count the spans it froze) clamps to the
+	// schedule's own time.
 	t float64
 
 	// due reports that rs warrants a roll-forward: time advanced, the
-	// forecast was revised, or the last solve failed. Otherwise the
-	// current state is already the answer.
+	// forecast was revised since the schedule last saw it, or the last
+	// solve failed. Otherwise the current state is already the answer.
 	due bool
 }
 
-// rollInputsLocked is the shared prelude of client replans and
-// controller ticks. Callers hold replanMu, and everything is read
-// inside it. The clock: two racing callers (a controller tick and a
-// client replan) otherwise freeze at different instants and the loser
-// would rewind the schedule, double-counting spans the winner already
-// froze. The signal and forecast: POST /grid/signal clears the rolling
-// schedules under this same lock, so a replan that snapshotted the old
-// signal outside it could re-insert a schedule of the replaced trace
-// (anchored to the old clock) into the freshly cleared map.
-func (s *Server) rollInputsLocked(id string) (rollInputs, error) {
+// inputsFor is the shared prelude of client replans and controller
+// ticks: it binds one job to the view. Callers hold rs.mu when rs is
+// not nil.
+func (s *Server) inputsFor(v *tickView, id string, rs *replanState) (rollInputs, error) {
 	j, ok := s.st.job(id)
 	if !ok {
 		return rollInputs{}, fmt.Errorf("server: unknown job %s", id)
 	}
 	j.mu.Lock()
-	in := rollInputs{j: j, table: j.table, pipes: j.req.DataParallel}
+	in := rollInputs{j: j, table: j.table, pipes: j.req.DataParallel, obj: v.obj, rs: rs, t: v.t}
 	j.mu.Unlock()
 	if in.table == nil {
 		return rollInputs{}, fmt.Errorf("server: job %s not characterized yet", id)
@@ -461,40 +584,50 @@ func (s *Server) rollInputsLocked(id string) (rollInputs, error) {
 	if in.pipes <= 0 {
 		in.pipes = 1
 	}
-	s.st.mu.Lock()
-	in.sig = s.st.signal
-	start := s.st.sigStart
-	in.spec = s.st.fspec
-	in.obj = s.st.objective
-	in.frev = s.st.frev
-	s.st.mu.Unlock()
-	if in.sig == nil {
+	if v.sig == nil {
 		return rollInputs{}, fmt.Errorf("server: no grid signal installed")
 	}
-	if in.spec == nil {
+	if v.spec == nil {
 		return rollInputs{}, fmt.Errorf("server: no forecast installed; POST /grid/forecast first")
 	}
-	in.t = math.Max(0, s.st.now().Sub(start).Seconds())
-	if in.rs = s.replans[id]; in.rs != nil {
-		in.t = math.Max(in.t, in.rs.At)
-		in.due = in.t > in.rs.At+1e-9 || in.rs.frevSeen != in.frev || in.rs.Stalled()
+	if rs != nil {
+		in.t = math.Max(in.t, rs.At)
+		// Revisions only count up, and a tick's view may be older than a
+		// schedule a client just rolled: "<" keeps such a view from
+		// dragging the schedule back onto the issuer it replaced.
+		in.due = in.t > rs.At+1e-9 || rs.frevSeen < v.frev || rs.Stalled()
 	}
 	return in, nil
 }
 
-// advanceManaged rolls an EXISTING rolling schedule forward — the
-// controller tick's path. Unlike Replan it never creates state: after
-// POST /grid/signal drops every schedule, a straggler tick iteration
-// must not resurrect one with stale parameters; the job has to be
-// re-managed explicitly. Under the tick's trace, the roll-forward's
-// stage spans land as children of the controller.tick root.
-func (s *Server) advanceManaged(ctx context.Context, id string) error {
+// advanceManaged rolls an EXISTING rolling schedule forward to the
+// tick's view — the controller tick's path. Unlike Replan it never
+// creates state: after POST /grid/signal drops every schedule, a
+// straggler tick worker must not resurrect one with stale parameters;
+// the job has to be re-managed explicitly. The read side of replanMu is
+// held to the end, so the signal install's clear waits for the
+// roll-forward and none starts after it. Under the tick's trace, the
+// roll-forward's stage spans land as children of the controller.tick
+// root.
+func (s *Server) advanceManaged(ctx context.Context, v *tickView, id string) error {
 	_, insp := obs.Child(ctx, spanReplanInputs)
 	insp.SetAttr("job", id)
-	s.replanMu.Lock()
-	defer s.replanMu.Unlock()
-	in, err := s.rollInputsLocked(id)
-	if err == nil && in.rs == nil {
+	s.replanMu.RLock()
+	defer s.replanMu.RUnlock()
+	rs := s.replans[id]
+	if rs != nil && rs.Truth != v.sig {
+		// Created on a signal installed after the tick read its view,
+		// which knows neither its trace nor its clock: the next tick
+		// rolls it.
+		insp.End()
+		return nil
+	}
+	if rs != nil {
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+	}
+	in, err := s.inputsFor(v, id, rs)
+	if err == nil && rs == nil {
 		err = fmt.Errorf("server: job %s has no rolling schedule (a signal change drops them; re-manage the job)", id)
 	}
 	insp.Fail(err)
@@ -502,19 +635,23 @@ func (s *Server) advanceManaged(ctx context.Context, id string) error {
 	if err != nil || !in.due {
 		return err
 	}
-	return s.rollForwardLocked(ctx, in, nil)
+	return s.rollForward(ctx, v, in, nil)
 }
 
-// rollForwardLocked steps in.rs to in.t: the stepper freezes the
-// span executed since the last roll-forward, then keeps or re-solves
-// the plan against a freshly issued forecast (or the pre-issued one
-// the creation path already holds for this t). Callers hold replanMu.
+// solvers recycles grid.Solver working buffers (the greedy's interval
+// states, stacks and heap) across roll-forward solves, jobs and ticks.
+var solvers = sync.Pool{New: func() any { return new(grid.Solver) }}
+
+// rollForward steps in.rs to in.t: the stepper freezes the span
+// executed since the last roll-forward, then keeps or re-solves the plan
+// against the view's forecast for the schedule's horizon (or the one
+// the creation path already holds). Callers hold replanMu and in.rs.mu.
 // Only a fresh plan bumps the job's schedule version and wakes its
 // long-pollers; a kept plan changes nothing they deployed. Each stage
 // records a child span of ctx's active span (replan.freeze,
-// replan.forecast, replan.solve, replan.bump) — under a controller
-// tick these are the tick root's per-stage children.
-func (s *Server) rollForwardLocked(ctx context.Context, in rollInputs, fc *forecast.Forecast) error {
+// replan.solve, replan.bump; replan.forecast where the view issues) —
+// under a controller tick these are the tick root's children.
+func (s *Server) rollForward(ctx context.Context, v *tickView, in rollInputs, fc *forecast.Forecast) error {
 	id, rs := in.j.id, in.rs
 	// A re-characterization since the last roll-forward applies from here.
 	rs.Table, rs.Scale = in.table, float64(in.pipes)
@@ -531,18 +668,13 @@ func (s *Server) rollForwardLocked(ctx context.Context, in rollInputs, fc *forec
 	// retried on the next roll-forward even at the same time and
 	// forecast revision.
 	if fc == nil && rs.Open() {
-		_, fsp := obs.Child(ctx, spanReplanFcast)
-		fsp.SetAttr("job", id)
 		var err error
-		fc, err = issueForecast(in.sig, in.spec, in.t, rs.reqDeadline)
-		fsp.Fail(err)
-		fsp.End()
-		if err != nil {
+		if fc, err = s.forecast(ctx, v, in.t, rs.reqDeadline); err != nil {
 			s.obs.replanFails.Inc()
 			return err
 		}
 	}
-	rs.frevSeen = in.frev
+	rs.frevSeen = v.frev
 	fresh, err := rs.Replan(fc, func(window *grid.Signal, target float64) (*grid.Plan, error) {
 		// The solve runs through the instrumented grid planner over the
 		// forecast window — the MPC counterpart of forecast.Planner,
@@ -550,7 +682,9 @@ func (s *Server) rollForwardLocked(ctx context.Context, in rollInputs, fc *forec
 		sctx, sv := obs.Child(ctx, spanReplanSolve)
 		defer sv.End()
 		sv.SetAttr("job", id)
-		p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: rs.Table, Signal: window}),
+		solver := solvers.Get().(*grid.Solver)
+		defer solvers.Put(solver)
+		p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: rs.Table, Signal: window, Solver: solver}),
 			"forecast-mpc", s.obs.planLatency, s.obs.planErrors)
 		res, err := p.Plan(pln.Request{Target: target, Objective: rs.Objective, PowerScale: rs.Scale})
 		if err != nil {
@@ -559,15 +693,14 @@ func (s *Server) rollForwardLocked(ctx context.Context, in rollInputs, fc *forec
 		}
 		return res.(*grid.Plan), nil
 	})
-	now := s.st.now()
 	switch {
 	case err != nil:
 		s.obs.replanFails.Inc()
 		return err
 	case fresh:
-		rs.lastPlanAt = now
+		rs.lastPlanAt = v.now
 		s.obs.replans.Inc()
-		s.obs.ring.Emit(now, "controller.replan", 0, traceKV(ctx,
+		s.obs.ring.Emit(v.now, "controller.replan", 0, traceKV(ctx,
 			"job", id, "plan", strconv.Itoa(rs.Plans),
 			"feasible", strconv.FormatBool(rs.Plan.Feasible))...)
 		// The rolling schedule changed: bump the job's version so
@@ -582,14 +715,14 @@ func (s *Server) rollForwardLocked(ctx context.Context, in rollInputs, fc *forec
 	case rs.Plan != nil:
 		// Kept under the warm rule: nothing trainers deployed changed.
 		s.obs.warmStarts.Inc()
-		s.obs.ring.Emit(now, "controller.replan.warm", 0, traceKV(ctx,
+		s.obs.ring.Emit(v.now, "controller.replan.warm", 0, traceKV(ctx,
 			"job", id, "plan", strconv.Itoa(rs.Plans))...)
 	}
 	return nil
 }
 
 // replanView renders the current rolling-horizon state. Callers hold
-// replanMu.
+// rs.mu.
 func replanView(id string, rs *replanState) *ReplanResponse {
 	remaining := rs.Remaining
 	if remaining < 1e-9*(1+rs.Target) {
@@ -625,6 +758,21 @@ type RolloutResponse struct {
 	Managed bool `json:"managed"`
 }
 
+// scheduleView renders a job's rolling schedule as it stands, without
+// rolling it forward (nil when the job has none), and the wall-clock
+// time of its last re-plan.
+func (s *Server) scheduleView(id string) (*ReplanResponse, time.Time) {
+	s.replanMu.RLock()
+	defer s.replanMu.RUnlock()
+	rs := s.replans[id]
+	if rs == nil {
+		return nil, time.Time{}
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return replanView(id, rs), rs.lastPlanAt
+}
+
 // Rollout returns a job's rolling-horizon schedule state WITHOUT
 // rolling it forward — the observation endpoint clients use alongside
 // long-poll schedule fetching, so observing never triggers planning.
@@ -633,13 +781,7 @@ func (s *Server) Rollout(id string) (*RolloutResponse, error) {
 	if !ok {
 		return nil, fmt.Errorf("server: unknown job %s", id)
 	}
-	s.replanMu.Lock()
-	st, ok := s.replans[id]
-	var view *ReplanResponse
-	if ok {
-		view = replanView(id, st)
-	}
-	s.replanMu.Unlock()
+	view, _ := s.scheduleView(id)
 	if view == nil {
 		return nil, fmt.Errorf("server: job %s has no rolling schedule (POST /controller/jobs or GET /grid/replan first)", id)
 	}

@@ -127,10 +127,14 @@ func (s *Server) setGridSignal(ctx context.Context, sig grid.Signal, objective s
 	st.mu.Unlock()
 	s.cache.clear()
 	s.hub.bump(topicPlanEpoch)
+	// The write side waits for every roll-forward in flight, so none of
+	// the replaced trace bumps a version after this returns; un-managing
+	// inside it means a tick worker that finds a schedule gone also
+	// finds the job un-managed, not in error.
 	s.replanMu.Lock()
 	s.replans = map[string]*replanState{}
-	s.replanMu.Unlock()
 	s.ctrl.reset()
+	s.replanMu.Unlock()
 	s.obs.ring.Emit(gs.now, "signal.install", 0, traceKV(ctx,
 		"name", sig.Name, "intervals", strconv.Itoa(len(sig.Intervals)),
 		"objective", string(obj))...)

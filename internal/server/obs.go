@@ -49,6 +49,10 @@ type serverObs struct {
 	warmStarts  *obs.Counter
 	planWorkers *obs.Gauge
 
+	// forecastsIssued counts forecasts issued for rolling schedules: one
+	// per requested horizon per tick, however many jobs share it.
+	forecastsIssued *obs.Counter
+
 	// Job registry and deployment (jobs.go, store.go).
 	jobsRegistered *obs.Counter
 	characterized  *obs.CounterVec // outcome
@@ -188,6 +192,8 @@ func newServerObs() *serverObs {
 			"Rolling-horizon roll-forwards that failed (forecast issue or solve error)."),
 		warmStarts: r.Counter("perseus_planner_warm_starts_total",
 			"Roll-forwards that reused the running plan because the forecast revision left the remaining window unchanged."),
+		forecastsIssued: r.Counter("perseus_controller_forecasts_issued_total",
+			"Forecasts issued for rolling schedules: one per requested horizon per tick or client replan, shared by every job that plans from it."),
 		planWorkers: r.Gauge("perseus_planner_workers",
 			"Worker-pool size the region planner fans candidate evaluations across (GOMAXPROCS)."),
 

@@ -34,7 +34,10 @@
 // recompute and the controller's incremental roll-forward use the same
 // layers through their native entry points (fleet.Allocate and
 // grid.Optimize over forecast windows — the controller is the
-// deployable, prefix-freezing counterpart of forecast.Planner).
+// deployable, prefix-freezing counterpart of forecast.Planner). A
+// controller tick plans the whole fleet from one tickView (forecast.go):
+// one clock read, one forecast per requested horizon, the managed jobs
+// rolled forward in parallel under per-schedule locks.
 package server
 
 import (
@@ -61,10 +64,16 @@ type Server struct {
 	// interleave their write-backs and deploy floors for a stale cap.
 	fleetMu sync.Mutex
 
-	// replanMu serializes rolling-horizon re-planning (read state →
-	// freeze → plan → write back) across client calls and controller
-	// ticks; replans holds per-job rolling-horizon state.
-	replanMu sync.Mutex
+	// replans holds the rolling schedules by job; replanMu guards the
+	// map, not the schedules — each replanState has its own lock, so
+	// different jobs roll forward in parallel. A roll-forward holds the
+	// read side from its lookup to its version bump; creating or
+	// restarting a schedule, DELETE /jobs/{id} and a signal install's
+	// clear take the write side, which therefore is a barrier: once it
+	// returns, no roll-forward of a dropped schedule is in flight and
+	// none can find one. Lock order: replanMu → replanState.mu →
+	// job.mu; st.mu is never held across a solve.
+	replanMu sync.RWMutex
 	replans  map[string]*replanState
 
 	// ctrl is the background MPC controller runtime.

@@ -10,33 +10,27 @@ import (
 
 	"perseus/internal/client"
 	"perseus/internal/forecast"
+	"perseus/internal/frontier"
 	"perseus/internal/grid"
 )
 
 // TestControllerMatchesOfflineMPC is the differential check that keeps
 // the server's roll-forward and forecast.Replan on one implementation:
-// a managed job ticked hourly across the bundled 24 h trace under a
+// managed jobs ticked hourly across the bundled 24 h trace under a
 // seeded revisions feed must freeze exactly the spans the offline MPC
 // controller executes — every field of every span, and the totals,
-// bit for bit.
+// bit for bit. The jobs differ in table, target and planning quantile
+// and every tick hands all of them the one forecast it issued, where
+// the offline controller issues each job its own.
 func TestControllerMatchesOfflineMPC(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
-	srv := New()
-	srv.SetClock(clock.Now)
-	id := registerCharacterized(t, srv, JobRequest{
-		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
-	}, 4)
-	tbl, err := srv.Table(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, clock, ids := fleetServer(t, 3, nil)
 	truth := grid.Diurnal24h()
 	horizon := truth.Horizon()
-	target := math.Floor(0.55 * horizon / tbl.TStar())
 	const sigma = 0.12
+	fracs, quantiles := []float64{0.55, 0.4, 0.7}, []float64{0, 0.9, 0}
 
 	for seed := int64(1); seed <= 6; seed++ {
-		// Re-installing the signal drops the previous seed's schedule
+		// Re-installing the signal drops the previous seed's schedules
 		// and re-anchors signal time 0 at the clock's now.
 		if _, err := srv.SetGridSignal(*truth, ""); err != nil {
 			t.Fatal(err)
@@ -44,37 +38,55 @@ func TestControllerMatchesOfflineMPC(t *testing.T) {
 		if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: seed, Sigma: sigma}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.ManageJob(id, target, horizon, "", 0); err != nil {
-			t.Fatal(err)
+		opts := make([]forecast.Options, len(ids))
+		tbls := make([]*frontier.LookupTable, len(ids))
+		for k, id := range ids {
+			var err error
+			if tbls[k], err = srv.Table(id); err != nil {
+				t.Fatal(err)
+			}
+			opts[k] = forecast.Options{Target: math.Floor(fracs[k] * horizon / tbls[k].TStar()), DeadlineS: horizon, Quantile: quantiles[k]}
+			if _, err := srv.ManageJob(id, opts[k].Target, horizon, "", quantiles[k]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		issued := forecastsIssued(srv)
 		for tick := 0; tick < 24; tick++ {
 			clock.Advance(time.Hour)
 			if st := srv.TickController(); st.LastTickError != "" {
 				t.Fatalf("seed %d tick %d: %s", seed, tick, st.LastTickError)
 			}
 		}
-		got, err := srv.Rollout(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := forecast.Replan(tbl, &forecast.Revisions{Truth: truth, Seed: seed, Sigma: sigma},
-			truth, forecast.Options{Target: target, DeadlineS: horizon})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Frozen) != len(want.Intervals) || len(want.Intervals) == 0 {
-			t.Fatalf("seed %d: server froze %d spans, offline executed %d", seed, len(got.Frozen), len(want.Intervals))
-		}
-		for i := range want.Intervals {
-			if !reflect.DeepEqual(got.Frozen[i], want.Intervals[i]) {
-				t.Fatalf("seed %d span %d:\nserver  %+v\noffline %+v", seed, i, got.Frozen[i], want.Intervals[i])
+		// At most one forecast per tick — issued while any schedule is
+		// still open — where one per job would be up to three.
+		ticked, mostPlans := forecastsIssued(srv)-issued, 0
+		for k, id := range ids {
+			got, err := srv.Rollout(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := forecast.Replan(tbls[k], &forecast.Revisions{Truth: truth, Seed: seed, Sigma: sigma}, truth, opts[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Frozen) != len(want.Intervals) || len(want.Intervals) == 0 {
+				t.Fatalf("seed %d %s: server froze %d spans, offline executed %d", seed, id, len(got.Frozen), len(want.Intervals))
+			}
+			for i := range want.Intervals {
+				if !reflect.DeepEqual(got.Frozen[i], want.Intervals[i]) {
+					t.Fatalf("seed %d %s span %d:\nserver  %+v\noffline %+v", seed, id, i, got.Frozen[i], want.Intervals[i])
+				}
+			}
+			mostPlans = max(mostPlans, got.Plans)
+			if got.EnergyJ != want.EnergyJ || got.CarbonG != want.CarbonG ||
+				got.PredCarbonG != want.PredCarbonG || got.Plans != want.Plans {
+				t.Fatalf("seed %d %s totals: server %v J %v g pred %v g in %d plans, offline %v J %v g pred %v g in %d plans",
+					seed, id, got.EnergyJ, got.CarbonG, got.PredCarbonG, got.Plans,
+					want.EnergyJ, want.CarbonG, want.PredCarbonG, want.Plans)
 			}
 		}
-		if got.EnergyJ != want.EnergyJ || got.CarbonG != want.CarbonG ||
-			got.PredCarbonG != want.PredCarbonG || got.Plans != want.Plans {
-			t.Fatalf("seed %d totals: server %v J %v g pred %v g in %d plans, offline %v J %v g pred %v g in %d plans",
-				seed, got.EnergyJ, got.CarbonG, got.PredCarbonG, got.Plans,
-				want.EnergyJ, want.CarbonG, want.PredCarbonG, want.Plans)
+		if ticked < mostPlans-1 || ticked > 23 {
+			t.Fatalf("seed %d: 24 ticks over %d jobs issued %d forecasts; the busiest job re-planned %d times", seed, len(ids), ticked, mostPlans-1)
 		}
 	}
 }

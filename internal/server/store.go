@@ -211,8 +211,11 @@ type gridState struct {
 	regions map[string]*serverRegion
 }
 
-func (st *store) gridState() gridState {
-	now := st.now()
+func (st *store) gridState() gridState { return st.gridStateAt(st.now()) }
+
+// gridStateAt is gridState at an instant the caller already read (a
+// controller tick settles and plans at one).
+func (st *store) gridStateAt(now time.Time) gridState {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// Copy the map: the snapshot outlives st.mu, and concurrent region

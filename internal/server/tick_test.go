@@ -1,0 +1,428 @@
+package server
+
+import (
+	"math"
+	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"perseus/internal/grid"
+	pln "perseus/internal/plan"
+)
+
+// fleetServer returns a fake-clock server with n characterized jobs of
+// two pipeline shapes, in registration order. wrap (nil for none) is
+// installed as the planner seam before anything plans.
+func fleetServer(t *testing.T, n int, wrap func(pln.Planner) pln.Planner) (*Server, *fakeClock, []string) {
+	t.Helper()
+	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	srv := New()
+	srv.SetClock(clock.Now)
+	srv.planWrap = wrap
+	ids := make([]string, n)
+	for k := range ids {
+		ids[k] = registerCharacterized(t, srv, JobRequest{
+			Schedule: "1f1b", Stages: 2, Microbatches: 4 + 2*(k%2), GPU: "A100-PCIe", Unit: 5e-3,
+		}, 4)
+	}
+	return srv, clock, ids
+}
+
+// mixedFleetRun manages 16 jobs with mixed targets, quantiles,
+// objectives and two distinct deadline parameters under a seeded
+// revisions feed, ticks hourly across the bundled day at the given
+// GOMAXPROCS, and returns every job's rollout after every tick plus the
+// final ledger.
+func mixedFleetRun(t *testing.T, procs int, seed int64) ([][]*RolloutResponse, LedgerResponse) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	srv, clock, ids := fleetServer(t, 16, nil)
+	truth := grid.Diurnal24h()
+	horizon := truth.Horizon()
+	if _, err := srv.SetGridSignal(*truth, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: seed, Sigma: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	for k, id := range ids {
+		tbl, err := srv.Table(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := []float64{0, 20 * 3600}[k%2] // 0: the forecast horizon, one day
+		window := horizon
+		if deadline > 0 {
+			window = deadline
+		}
+		target := math.Floor((0.3 + 0.03*float64(k)) * window / tbl.Tmin())
+		if _, err := srv.ManageJob(id, target, deadline, []string{"", "cost", "energy"}[k%3], []float64{0, 0.9}[k/2%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ticks [][]*RolloutResponse
+	for tick := 0; tick < 24; tick++ {
+		clock.Advance(time.Hour)
+		if st := srv.TickController(); st.LastTickError != "" {
+			t.Fatalf("GOMAXPROCS %d seed %d tick %d: %s", procs, seed, tick, st.LastTickError)
+		}
+		rolls := make([]*RolloutResponse, len(ids))
+		for k, id := range ids {
+			var err error
+			if rolls[k], err = srv.Rollout(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ticks = append(ticks, rolls)
+	}
+	led, err := srv.Ledger("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ticks, led
+}
+
+// TestParallelTickMatchesSerial pins that a tick's outcome does not
+// depend on how its workers were scheduled: one worker (GOMAXPROCS 1)
+// and four produce, tick by tick and job by job, the same rollout —
+// frozen spans, totals, plan in force, version — and the same ledger.
+func TestParallelTickMatchesSerial(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		serial, serialLed := mixedFleetRun(t, 1, seed)
+		parallel, parallelLed := mixedFleetRun(t, 4, seed)
+		for tick := range serial {
+			for k := range serial[tick] {
+				if s, p := serial[tick][k], parallel[tick][k]; !reflect.DeepEqual(s, p) {
+					t.Fatalf("seed %d tick %d %s:\n1 worker  %+v\n4 workers %+v", seed, tick, s.JobID, s, p)
+				}
+			}
+		}
+		if !reflect.DeepEqual(serialLed, parallelLed) {
+			t.Fatalf("seed %d: ledgers differ:\n1 worker  %+v\n4 workers %+v", seed, serialLed.Fleet, parallelLed.Fleet)
+		}
+		last := serial[len(serial)-1]
+		for _, r := range last {
+			if r.RemainingIterations != 0 || r.Plans < 2 || r.Version < r.Plans {
+				t.Fatalf("seed %d: %s ended with %v iterations to go after %d plans at v%d", seed, r.JobID, r.RemainingIterations, r.Plans, r.Version)
+			}
+		}
+	}
+}
+
+// forecastsIssued reads the issued-forecast counter.
+func forecastsIssued(srv *Server) int { return int(srv.obs.forecastsIssued.Value()) }
+
+// TestTickIssuesOneForecastPerHorizon pins the tick view's memo: 64
+// managed jobs that requested one horizon cost a tick one forecast, not
+// 64; with two requested horizons among them, two — counted by the
+// metric, reported on the tick's root span and event, and attributed on
+// each replan.forecast span to the schedules that share it.
+func TestTickIssuesOneForecastPerHorizon(t *testing.T) {
+	srv, clock, ids := fleetServer(t, 64, nil)
+	truth := grid.Diurnal24h()
+	horizon := truth.Horizon()
+	if _, err := srv.SetGridSignal(*truth, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: 4, Sigma: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	manage := func(ids []string, deadline float64) {
+		t.Helper()
+		for _, id := range ids {
+			tbl, err := srv.Table(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.ManageJob(id, math.Floor(0.5*deadline/tbl.Tmin()), deadline, "", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// tick advances an hour, ticks, and returns how many forecasts the
+	// tick issued along with its root span's and event's attributes.
+	tick := func() (issued int, sharedBy []int) {
+		t.Helper()
+		before := forecastsIssued(srv)
+		clock.Advance(time.Hour)
+		if st := srv.TickController(); st.LastTickError != "" {
+			t.Fatal(st.LastTickError)
+		}
+		issued = forecastsIssued(srv) - before
+		tr := srv.Traces(1, 0, spanControllerTick)[0]
+		for _, sp := range tr.Spans {
+			switch sp.Name {
+			case spanControllerTick:
+				if sp.Attrs["forecasts"] != strconv.Itoa(issued) || sp.Attrs["jobs"] != "64" {
+					t.Fatalf("tick root attrs %v after issuing %d forecasts", sp.Attrs, issued)
+				}
+			case spanReplanFcast:
+				n, err := strconv.Atoi(sp.Attrs["shared_by"])
+				if err != nil {
+					t.Fatalf("replan.forecast span attrs %v", sp.Attrs)
+				}
+				sharedBy = append(sharedBy, n)
+			}
+		}
+		events := srv.Events(1).Events
+		if len(events) != 1 || events[0].Name != "controller.tick" || events[0].Labels["forecasts"] != strconv.Itoa(issued) {
+			t.Fatalf("newest event %+v after issuing %d forecasts", events, issued)
+		}
+		return issued, sharedBy
+	}
+
+	manage(ids, horizon)
+	if got := forecastsIssued(srv); got != len(ids) {
+		t.Fatalf("%d forecasts issued creating %d schedules, want one each", got, len(ids))
+	}
+	if issued, sharedBy := tick(); issued != 1 || !reflect.DeepEqual(sharedBy, []int{64}) {
+		t.Fatalf("one horizon: tick issued %d forecasts shared by %v, want 1 shared by 64", issued, sharedBy)
+	}
+	// Restart a quarter of the fleet on a second horizon.
+	manage(ids[:16], 20*3600)
+	issued, sharedBy := tick()
+	if issued != 2 || len(sharedBy) != 2 || sharedBy[0]+sharedBy[1] != 64 || sharedBy[0]*sharedBy[1] != 16*48 {
+		t.Fatalf("two horizons: tick issued %d forecasts shared by %v, want 2 shared by 16 and 48", issued, sharedBy)
+	}
+	// A tick with nothing to roll (same instant, same revision) issues none.
+	before := forecastsIssued(srv)
+	if st := srv.TickController(); st.LastTickError != "" || forecastsIssued(srv) != before {
+		t.Fatalf("idle tick: error %q, %d forecasts issued", st.LastTickError, forecastsIssued(srv)-before)
+	}
+}
+
+// TestTickSkipsJobUnmanagedMidTick holds job 1's solve (the gatedPlanner
+// seam) while the signal is re-installed under a one-worker tick. The
+// install un-manages every job and drops every schedule, so whatever job
+// 2's turn runs into afterwards is not an error of the tick; and the
+// install returns only once job 1's roll-forward is over, so no version
+// moves after it.
+func TestTickSkipsJobUnmanagedMidTick(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Armed once the schedules exist; sized to every solve the tick can
+	// make, so only the gate blocks.
+	var armed atomic.Bool
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	srv, clock, ids := fleetServer(t, 2, func(p pln.Planner) pln.Planner {
+		if !armed.Load() {
+			return p
+		}
+		return &gatedPlanner{inner: p, entered: entered, release: release}
+	})
+	sig := forecastTestSignal()
+	if _, err := srv.SetGridSignal(sig, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: 2, Sigma: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		tbl, err := srv.Table(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.ManageJob(id, math.Floor(0.7*14400/tbl.Tmin()), 14400, "", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	versions := func() (out []int) {
+		for _, id := range ids {
+			s, err := srv.Schedule(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s.Version)
+		}
+		return out
+	}
+
+	clock.Advance(time.Hour)
+	ticked := make(chan ControllerStatus, 1)
+	go func() { ticked <- srv.TickController() }()
+	<-entered // job 1 is inside its solve, its schedule locked
+
+	replaced := sig
+	replaced.Name = "replacement"
+	installed := make(chan error, 1)
+	go func() {
+		_, err := srv.SetGridSignal(replaced, "")
+		installed <- err
+	}()
+	// The install publishes the signal, then waits for the roll-forward
+	// in flight before it clears the schedules.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		srv.st.mu.Lock()
+		name := srv.st.signal.Name
+		srv.st.mu.Unlock()
+		if name == replaced.Name {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("signal install never published the new signal")
+		}
+		runtime.Gosched()
+	}
+	select {
+	case err := <-installed:
+		t.Fatalf("signal install returned (%v) while a roll-forward of the replaced trace was in flight", err)
+	default:
+	}
+	close(release)
+	if err := <-installed; err != nil {
+		t.Fatal(err)
+	}
+	afterInstall := versions()
+	st := <-ticked
+	if st.LastTickError != "" {
+		t.Fatalf("tick published an error for a job the install un-managed: %q", st.LastTickError)
+	}
+	if got := versions(); !reflect.DeepEqual(got, afterInstall) {
+		t.Fatalf("versions moved %v -> %v after the signal install returned", afterInstall, got)
+	}
+	if st := srv.ControllerStatus(); len(st.Jobs) != 0 || st.LastTickError != "" {
+		t.Fatalf("controller after the install: %+v", st)
+	}
+	for _, id := range ids {
+		if _, err := srv.Rollout(id); err == nil {
+			t.Fatalf("%s kept a rolling schedule of the replaced trace", id)
+		}
+	}
+}
+
+// TestControllerConcurrentStress runs everything that touches rolling
+// schedules at once, under -race, against a moving clock: ticks, client
+// replans, ManageJob, signal and forecast re-installs, a job removal,
+// and the two observers. Invariants: no schedule (and no management)
+// survives a signal install; no schedule belongs to a trace other than
+// the installed one once the install returned; no job's version goes
+// backwards; no stepper's clock rewinds.
+func TestControllerConcurrentStress(t *testing.T) {
+	srv, clock, ids := fleetServer(t, 6, nil)
+	truth := forecastTestSignal()
+	install := func(seed int64) {
+		// Between the two calls nothing can create a schedule (no forecast
+		// is installed), so what the install must have dropped is
+		// observable.
+		if _, err := srv.SetGridSignal(truth, ""); err != nil {
+			t.Error(err)
+			return
+		}
+		srv.replanMu.RLock()
+		left := len(srv.replans)
+		srv.replanMu.RUnlock()
+		if st := srv.ControllerStatus(); left != 0 || len(st.Jobs) != 0 {
+			t.Errorf("after a signal install: %d schedules, %d managed jobs", left, len(st.Jobs))
+		}
+		if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: seed, Sigma: 0.2}); err != nil {
+			t.Error(err)
+		}
+	}
+	install(1)
+	target := map[string]float64{}
+	for _, id := range ids {
+		tbl, err := srv.Table(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target[id] = math.Floor(0.6 * 14400 / tbl.Tmin())
+	}
+
+	// Every round runs one call of each kind at once.
+	const rounds = 60
+	var kinds []func(i int)
+	spawn := func(fn func(i int)) { kinds = append(kinds, fn) }
+	// Errors from the planning calls are expected while a re-install has
+	// the forecast (or a removal the job) gone; the invariants are checked
+	// by the observers.
+	spawn(func(int) { srv.TickController() })
+	spawn(func(i int) {
+		clock.Advance(90 * time.Second)
+		id := ids[i%len(ids)]
+		_, _ = srv.ManageJob(id, target[id], 14400, "", 0)
+	})
+	spawn(func(i int) {
+		id := ids[(i+3)%len(ids)]
+		_, _ = srv.Replan(id, target[id], 14400, "", []float64{0, 0.9}[i/len(ids)%2])
+	})
+	spawn(func(i int) {
+		switch {
+		case i == rounds/2:
+			if err := srv.RemoveJob(ids[len(ids)-1]); err != nil {
+				t.Error(err)
+			}
+		case i%12 == 6:
+			install(int64(i))
+		case i%4 == 1:
+			if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: int64(i), Sigma: 0.2}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	lastVersion := map[string]int{}
+	spawn(func(int) {
+		for _, js := range srv.ControllerStatus().Jobs {
+			if js.JobID == ids[len(ids)-1] {
+				continue // removed mid-run: a job that is gone reads version 0
+			}
+			if js.Version < lastVersion[js.JobID] {
+				t.Errorf("%s version went %d -> %d", js.JobID, lastVersion[js.JobID], js.Version)
+			}
+			lastVersion[js.JobID] = js.Version
+		}
+	})
+	lastAt := map[*replanState]float64{}
+	spawn(func(i int) {
+		srv.replanMu.RLock()
+		for id, rs := range srv.replans {
+			rs.mu.Lock()
+			if rs.At < lastAt[rs] {
+				t.Errorf("%s stepper clock rewound %v -> %v", id, lastAt[rs], rs.At)
+			}
+			lastAt[rs] = rs.At
+			rs.mu.Unlock()
+		}
+		srv.replanMu.RUnlock()
+		if r, err := srv.Rollout(ids[i%len(ids)]); err == nil {
+			for k := 1; k < len(r.Frozen); k++ {
+				if r.Frozen[k].StartS < r.Frozen[k-1].EndS-1e-9 {
+					t.Errorf("%s frozen spans overlap: %+v then %+v", r.JobID, r.Frozen[k-1], r.Frozen[k])
+				}
+			}
+		}
+	})
+	for i := 0; i < rounds; i++ {
+		var wg sync.WaitGroup
+		for _, fn := range kinds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(i)
+			}()
+		}
+		wg.Wait()
+	}
+
+	srv.st.mu.Lock()
+	installed := srv.st.signal
+	srv.st.mu.Unlock()
+	for id, rs := range srv.replans {
+		if rs.Truth != installed {
+			t.Errorf("%s kept a schedule of a replaced trace", id)
+		}
+	}
+	if _, ok := srv.replans[ids[len(ids)-1]]; ok {
+		t.Errorf("removed job %s kept its schedule", ids[len(ids)-1])
+	}
+	if st := srv.ControllerStatus(); st.Ticks != rounds {
+		t.Errorf("%d ticks counted, want %d", st.Ticks, rounds)
+	}
+	// The run was not all refusals: schedules were planned and rolled.
+	if plans, bumps := srv.obs.replans.Value(), srv.obs.versionBumps.Value(); plans < rounds/2 || bumps < plans {
+		t.Errorf("only %v re-plans and %v version bumps in %d rounds", plans, bumps, rounds)
+	}
+}

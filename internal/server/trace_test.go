@@ -240,9 +240,12 @@ func TestTickTraceStageSpans(t *testing.T) {
 		byID[sp.SpanID] = sp.Name
 		if sp.ParentID == "" {
 			rootID = sp.SpanID
-			if sp.Attrs["jobs"] != "1" || sp.Attrs["errors"] != "0" {
+			if sp.Attrs["jobs"] != "1" || sp.Attrs["errors"] != "0" || sp.Attrs["forecasts"] != "1" {
 				t.Fatalf("tick root attrs %v", sp.Attrs)
 			}
+		}
+		if sp.Name == spanReplanFcast && sp.Attrs["shared_by"] != "1" {
+			t.Fatalf("forecast span attrs %v, want shared by the one job", sp.Attrs)
 		}
 	}
 	// Exactly one direct child per stage, in the stage taxonomy.
