@@ -6,12 +6,17 @@
 package perseus
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"strconv"
 	"testing"
 	"time"
 
+	"perseus/internal/client"
 	"perseus/internal/experiments"
 	"perseus/internal/fleet"
 	"perseus/internal/frontier"
@@ -622,6 +627,97 @@ func BenchmarkServerPlanCached(b *testing.B) {
 		if !plan.Feasible {
 			b.Fatal("benchmark target unexpectedly infeasible")
 		}
+	}
+}
+
+// BenchmarkDecodePlan decodes one 288-interval /grid/plan body — what a
+// trainer pays per plan it fetches — beside the decode grid.DecodePlan
+// replaced in internal/client: encoding/json's streaming Decoder over
+// the response body.
+func BenchmarkDecodePlan(b *testing.B) {
+	srv, id, target := benchServer(b)
+	p, err := srv.GridPlan(id, target, 0, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("wire", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := grid.DecodePlan(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var p grid.Plan
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSocketFetch times the trainer client's four reads over a real
+// loopback listener, one keep-alive connection, closed loop: a schedule
+// and a cached 288-interval plan, each as a 304 (validator still
+// current) and as a 200 carrying the body. These are the trajectory's
+// TCP-crossing series; everything else in it is in-process.
+func BenchmarkSocketFetch(b *testing.B) {
+	srv, id, target := benchServer(b)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
+	go func() { _ = hs.Serve(ln) }() // returns when Close closes ln
+	defer hs.Close()
+	cl := client.NewServerClient("http://" + ln.Addr().String())
+	cl.HTTP = &http.Client{Transport: &http.Transport{}}
+
+	sched, err := cl.FetchSchedule(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, tag, _, err := cl.FetchGridPlanIfChanged(id, target, 0, "", "", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		fetch func() (changed bool, err error)
+		want  bool
+	}{
+		{"schedule-304", func() (bool, error) {
+			_, changed, err := cl.FetchScheduleIfChanged(id, sched.Version, 0)
+			return changed, err
+		}, false},
+		{"schedule-200", func() (bool, error) {
+			s, err := cl.FetchSchedule(id)
+			return s.Ready, err
+		}, true},
+		{"plan-304", func() (bool, error) {
+			_, _, changed, err := cl.FetchGridPlanIfChanged(id, target, 0, "", tag, 0)
+			return changed, err
+		}, false},
+		{"plan-200", func() (bool, error) {
+			p, err := cl.FetchGridPlan(id, target, 0, "")
+			return p.Feasible, err
+		}, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got, err := c.fetch(); err != nil || got != c.want {
+					b.Fatalf("fetch: body=%v, want %v, err %v", got, c.want, err)
+				}
+			}
+		})
 	}
 }
 

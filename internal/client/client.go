@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"perseus/internal/forecast"
@@ -206,6 +207,15 @@ func (c *ServerClient) newRequest(method, path string, body *bytes.Reader) (*htt
 	return req, nil
 }
 
+// statusError turns a non-2xx response into an error carrying the
+// server's message. It reads the body (the first 4 kB of it), which is
+// also what lets net/http keep the connection: a response closed with
+// its body unread takes the connection down with it.
+func statusError(resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	return fmt.Errorf("client: %s %s: %s: %s", resp.Request.Method, resp.Request.URL.RequestURI(), resp.Status, bytes.TrimSpace(msg))
+}
+
 func (c *ServerClient) post(path string, body, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -222,9 +232,7 @@ func (c *ServerClient) post(path string, body, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		var msg bytes.Buffer
-		_, _ = msg.ReadFrom(resp.Body)
-		return fmt.Errorf("client: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg.Bytes()))
+		return statusError(resp)
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)
@@ -243,7 +251,7 @@ func (c *ServerClient) get(path string, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return fmt.Errorf("client: GET %s: %s", path, resp.Status)
+		return statusError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -259,9 +267,7 @@ func (c *ServerClient) del(path string) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		var msg bytes.Buffer
-		_, _ = msg.ReadFrom(resp.Body)
-		return fmt.Errorf("client: DELETE %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg.Bytes()))
+		return statusError(resp)
 	}
 	return nil
 }
@@ -434,17 +440,8 @@ func (c *ServerClient) FetchGridSignal() (grid.Signal, error) {
 // signal: complete iterations by the deadline (seconds in signal time,
 // 0 = signal horizon) minimizing the objective ("" = server default).
 func (c *ServerClient) FetchGridPlan(jobID string, iterations, deadline float64, objective string) (grid.Plan, error) {
-	q := url.Values{}
-	// Query-encode the floats: fmt's %v renders 1e12 as "1e+12", whose
-	// bare '+' would decode server-side as a space.
-	q.Set("iterations", strconv.FormatFloat(iterations, 'g', -1, 64))
-	q.Set("deadline", strconv.FormatFloat(deadline, 'g', -1, 64))
-	if objective != "" {
-		q.Set("objective", objective)
-	}
-	var plan grid.Plan
-	err := c.get("/grid/plan/"+jobID+"?"+q.Encode(), &plan)
-	return plan, err
+	p, _, _, err := c.FetchGridPlanIfChanged(jobID, iterations, deadline, objective, "", 0)
+	return p, err
 }
 
 // FetchGridPlanIfChanged fetches the job's temporal schedule only if
@@ -458,6 +455,8 @@ func (c *ServerClient) FetchGridPlan(jobID string, iterations, deadline float64,
 // for an unconditional first fetch.
 func (c *ServerClient) FetchGridPlanIfChanged(jobID string, iterations, deadline float64, objective, haveETag string, wait time.Duration) (p grid.Plan, etag string, changed bool, err error) {
 	q := url.Values{}
+	// Query-encode the floats: fmt's %v renders 1e12 as "1e+12", whose
+	// bare '+' would decode server-side as a space.
 	q.Set("iterations", strconv.FormatFloat(iterations, 'g', -1, 64))
 	q.Set("deadline", strconv.FormatFloat(deadline, 'g', -1, 64))
 	if objective != "" {
@@ -466,8 +465,7 @@ func (c *ServerClient) FetchGridPlanIfChanged(jobID string, iterations, deadline
 	if wait > 0 {
 		q.Set("wait", strconv.FormatFloat(wait.Seconds(), 'g', -1, 64))
 	}
-	path := "/grid/plan/" + jobID + "?" + q.Encode()
-	req, err := c.newRequest(http.MethodGet, path, nil)
+	req, err := c.newRequest(http.MethodGet, "/grid/plan/"+jobID+"?"+q.Encode(), nil)
 	if err != nil {
 		return grid.Plan{}, "", false, err
 	}
@@ -484,11 +482,22 @@ func (c *ServerClient) FetchGridPlanIfChanged(jobID string, iterations, deadline
 		return grid.Plan{}, etag, false, nil
 	}
 	if resp.StatusCode >= 300 {
-		return grid.Plan{}, "", false, fmt.Errorf("client: GET %s%s: %s", c.BaseURL, path, resp.Status)
+		return grid.Plan{}, "", false, statusError(resp)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&p)
+	// A day-long plan is a ~69 kB body and DecodePlan keeps none of it,
+	// so the read buffer is reused from fetch to fetch.
+	body := planBodies.Get().(*bytes.Buffer)
+	defer planBodies.Put(body)
+	body.Reset()
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		return grid.Plan{}, "", false, err
+	}
+	p, err = grid.DecodePlan(body.Bytes())
 	return p, etag, err == nil, err
 }
+
+// planBodies holds FetchGridPlanIfChanged's read buffers.
+var planBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // RegionInfo mirrors the server's registered-region summary.
 type RegionInfo struct {
@@ -724,7 +733,6 @@ func (c *ServerClient) FetchScheduleIfChanged(jobID string, haveVersion int, wai
 	if wait > 0 {
 		path += "?wait=" + strconv.FormatFloat(wait.Seconds(), 'g', -1, 64)
 	}
-	u := c.BaseURL + path
 	req, err := c.newRequest(http.MethodGet, path, nil)
 	if err != nil {
 		return Schedule{}, false, err
@@ -739,7 +747,7 @@ func (c *ServerClient) FetchScheduleIfChanged(jobID string, haveVersion int, wai
 		return Schedule{}, false, nil
 	}
 	if resp.StatusCode >= 300 {
-		return Schedule{}, false, fmt.Errorf("client: GET %s: %s", u, resp.Status)
+		return Schedule{}, false, statusError(resp)
 	}
 	err = json.NewDecoder(resp.Body).Decode(&s)
 	return s, err == nil, err
@@ -891,7 +899,7 @@ func (c *ServerClient) FetchMetrics() (string, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return "", fmt.Errorf("client: GET /metrics: %s", resp.Status)
+		return "", statusError(resp)
 	}
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
@@ -1095,7 +1103,7 @@ func (c *ServerClient) FetchLedgerCSV(jobID string, n int) (string, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return "", fmt.Errorf("client: GET %s: %s", path, resp.Status)
+		return "", statusError(resp)
 	}
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {

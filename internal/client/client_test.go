@@ -2,11 +2,15 @@ package client
 
 import (
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"strings"
 	"testing"
 	"time"
 
 	"perseus/internal/gpu"
+	"perseus/internal/grid"
 	"perseus/internal/model"
 	"perseus/internal/partition"
 	"perseus/internal/profile"
@@ -272,5 +276,65 @@ func TestTrainerValidation(t *testing.T) {
 	}
 	if err := tr.Deploy(nil); err != nil {
 		t.Errorf("nil deploy should clear plan: %v", err)
+	}
+}
+
+// reuseRT records, per request, whether the transport handed it a
+// connection an earlier request had used.
+type reuseRT struct {
+	next   http.RoundTripper
+	reused []bool
+}
+
+func (rt *reuseRT) RoundTrip(r *http.Request) (*http.Response, error) {
+	ctx := httptrace.WithClientTrace(r.Context(), &httptrace.ClientTrace{
+		GotConn: func(i httptrace.GotConnInfo) { rt.reused = append(rt.reused, i.Reused) },
+	})
+	return rt.next.RoundTrip(r.WithContext(ctx))
+}
+
+// TestErrorCarriesMessageAndKeepsConnection: every request helper
+// reports the server's own words on a non-2xx answer, and reads them
+// off the wire, so the keep-alive connection survives the error.
+func TestErrorCarriesMessageAndKeepsConnection(t *testing.T) {
+	srv := server.New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id, err := srv.Register(server.JobRequest{Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &reuseRT{next: &http.Transport{}}
+	cl := NewServerClient(ts.URL)
+	cl.HTTP = &http.Client{Transport: rt}
+
+	calls := []struct {
+		name string
+		do   func() error
+		want string
+	}{
+		{"FetchGridPlan", func() error { _, err := cl.FetchGridPlan(id, 10, 0, ""); return err }, "no grid signal installed"},
+		{"FetchGridPlanIfChanged", func() error {
+			_, _, _, err := cl.FetchGridPlanIfChanged("nobody", 10, 0, "", `"p0"`, 0)
+			return err
+		}, "unknown job nobody"},
+		{"get", func() error { _, err := cl.FetchGridSignal(); return err }, "no grid signal installed"},
+		{"FetchScheduleIfChanged", func() error { _, _, err := cl.FetchScheduleIfChanged("nobody", 1, 0); return err }, "404 page not found"},
+		{"post", func() error { _, err := cl.UploadGridSignal(grid.Signal{}, "tidal"); return err }, `unknown objective "tidal"`},
+		{"del", func() error { return cl.RemoveJob("nobody") }, "404 page not found"},
+	}
+	for _, c := range calls {
+		err := c.do()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %v, want the server's %q in it", c.name, err, c.want)
+		}
+	}
+	if len(rt.reused) != len(calls) {
+		t.Fatalf("%d connections handed out for %d requests", len(rt.reused), len(calls))
+	}
+	for i, reused := range rt.reused[1:] {
+		if !reused {
+			t.Fatalf("%s dialled a new connection: the error before it dropped the old one", calls[i+1].name)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync"
@@ -17,7 +19,7 @@ import (
 // field is value-typed, so keys compare and hash as map keys, and the
 // whole key is location-independent: two server replicas that agree on
 // the epoch and hold the same frontier solve the same problem, which
-// is what makes a shared PlanCacheBackend sound.
+// is what would make a store shared between replicas sound.
 type PlanKey struct {
 	Epoch     int
 	Table     uint64
@@ -27,10 +29,10 @@ type PlanKey struct {
 	Scale     int
 }
 
-// Canonical renders the key as a stable string — the form a
-// cross-replica backend keys its store by and the input the plan ETag
-// is hashed from. Not used on the replica-local hot path, which keys
-// maps by the struct directly.
+// Canonical renders the key as a stable string — the input the plan
+// ETag is hashed from (and the form a cross-replica store would key
+// by). Not used on the cache's hot path, which keys its map by the
+// struct directly.
 func (k PlanKey) Canonical() string {
 	return fmt.Sprintf("e%d.t%016x.i%s.d%s.o%s.s%d",
 		k.Epoch, k.Table,
@@ -39,89 +41,47 @@ func (k PlanKey) Canonical() string {
 		k.Objective, k.Scale)
 }
 
-// PlanCacheBackend stores solved plans by PlanKey. The server's
-// single-flight de-duplication, hit/miss accounting, and size-cap
-// flushing all live in front of the backend, so an implementation is
-// just a concurrency-safe store: Get/Put/Clear/Len. The in-memory
-// backend below is the default; a cross-replica deployment swaps in a
-// shared store via Server.SetPlanCacheBackend (keys serialize via
-// PlanKey.Canonical, values via the grid.Plan JSON encoding). Plans
-// are treated as immutable once Put — backends may return the same
-// pointer to every caller.
-type PlanCacheBackend interface {
-	Get(key PlanKey) (*grid.Plan, bool)
-	Put(key PlanKey, p *grid.Plan)
-	Clear()
-	Len() int
+// planEntry is one cached planning problem: the solved plan and, once
+// an HTTP response has needed it, the plan's wire body. done closes
+// when the solve finishes; requests that arrive before then wait on it
+// instead of solving — single-flight de-duplication. plan and err are
+// immutable once done is closed, and body once encode has run, so
+// readers share them without copying.
+type planEntry struct {
+	done   chan struct{}
+	solved bool // guarded by planCache.mu: the solve finished without error
+	plan   *grid.Plan
+	err    error
+
+	encode  sync.Once
+	body    []byte
+	bodyErr error
 }
 
-// memoryPlanCache is the default replica-local backend: one map under
-// one mutex.
-type memoryPlanCache struct {
-	mu sync.Mutex
-	m  map[PlanKey]*grid.Plan
-}
-
-// NewMemoryPlanCache returns the default in-memory PlanCacheBackend.
-func NewMemoryPlanCache() PlanCacheBackend {
-	return &memoryPlanCache{m: map[PlanKey]*grid.Plan{}}
-}
-
-func (b *memoryPlanCache) Get(key PlanKey) (*grid.Plan, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p, ok := b.m[key]
-	return p, ok
-}
-
-func (b *memoryPlanCache) Put(key PlanKey, p *grid.Plan) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m[key] = p
-}
-
-func (b *memoryPlanCache) Clear() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m = map[PlanKey]*grid.Plan{}
-}
-
-func (b *memoryPlanCache) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.m)
-}
-
-// cacheEntry is one in-flight solve. done closes when the plan (or
-// error) is ready; followers wait on it instead of solving —
-// single-flight de-duplication.
-type cacheEntry struct {
-	done chan struct{}
-	plan *grid.Plan
-	err  error
-}
-
-// maxPlanCacheEntries bounds the backend between epochs: a client
+// maxPlanCacheEntries bounds the cache between epochs: a client
 // sweeping distinct parameters would otherwise grow it without limit
-// until the next signal or forecast install. At the cap the whole
-// store is flushed (epoch-style) rather than tracking per-entry
-// recency — the hot pattern the cache exists for is many identical
-// requests, and a rare flush only costs those one re-solve each.
+// until the next signal or forecast install. At the cap the whole map
+// is flushed (epoch-style) rather than tracking per-entry recency — the
+// hot pattern the cache exists for is many identical requests, and a
+// rare flush only costs those one re-solve each.
 const maxPlanCacheEntries = 1024
 
-// planCache memoizes plan solves: a replica-local single-flight layer
-// (the inflight map) in front of a PlanCacheBackend holding completed
-// plans. Entries never expire by time: a key embeds the epoch and
-// frontier hash, so every input change makes a fresh key, clear()
-// drops the dead generation wholesale, and the size cap flushes
-// parameter sweeps.
+// planCache memoizes plan solves and their encodings: one map of
+// entries, in flight or solved, under one mutex. Entries never expire
+// by time: a key embeds the epoch and frontier hash, so every input
+// change makes a fresh key, clear() drops the dead generation
+// wholesale, and the size cap flushes parameter sweeps. A flight whose
+// entry was dropped meanwhile still answers its followers but is not
+// put back, so the map only ever holds plans of the live generation.
+//
+// Memory: an entry is its plan plus, if it was ever served over HTTP,
+// the encoded body — at 288 intervals ~32 kB and ~69 kB, so a full map
+// of served day-long plans is 1,024 × ~100 kB ≈ 100 MB before the cap
+// flushes it. perseus_plan_cache_bytes reports the body share.
 type planCache struct {
-	mu       sync.Mutex
-	inflight map[PlanKey]*cacheEntry
-	backend  PlanCacheBackend
-	// gen counts clear() calls; a flight that started before a clear
-	// must not Put its (now stale-generation) plan into the backend.
-	gen       int64
+	mu        sync.Mutex
+	entries   map[PlanKey]*planEntry
+	bodyBytes int // encoded bodies held by resident entries
 	hits      int64
 	misses    int64
 	coalesced int64 // hits that waited on an in-flight solve
@@ -129,58 +89,62 @@ type planCache struct {
 	obs       *serverObs
 }
 
-// newPlanCache returns an empty cache over the in-memory backend,
-// mirroring its counters into o (nil skips the mirroring — direct
-// unit tests construct bare caches).
+// newPlanCache returns an empty cache mirroring its counters into o
+// (nil skips the mirroring — direct unit tests construct bare caches).
 func newPlanCache(o *serverObs) *planCache {
-	return &planCache{
-		inflight: map[PlanKey]*cacheEntry{},
-		backend:  NewMemoryPlanCache(),
-		obs:      o,
-	}
+	return &planCache{entries: map[PlanKey]*planEntry{}, obs: o}
 }
 
-// setBackend swaps the storage backend (Server.SetPlanCacheBackend).
-func (c *planCache) setBackend(b PlanCacheBackend) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.backend = b
-	c.syncObsLocked()
-}
-
-// entriesLocked counts resident entries: completed plans in the
-// backend plus in-flight solves. Callers hold c.mu.
-func (c *planCache) entriesLocked() int {
-	return c.backend.Len() + len(c.inflight)
-}
-
-// syncObsLocked pushes the counter state into the metric registry.
+// syncObsLocked pushes the size gauges into the metric registry.
 // Callers hold c.mu.
 func (c *planCache) syncObsLocked() {
 	if c.obs == nil {
 		return
 	}
-	c.obs.cacheEntries.Set(float64(c.entriesLocked()))
+	c.obs.cacheEntries.Set(float64(len(c.entries)))
+	c.obs.cacheBytes.Set(float64(c.bodyBytes))
 }
 
-// do returns the cached plan for key, or runs solve exactly once per
+// flushLocked drops every entry, counting the drop as eviction.
+// In-flight solves are orphaned: they resolve their followers but are
+// no longer in the map when they finish. Callers hold c.mu.
+func (c *planCache) flushLocked() {
+	n := len(c.entries)
+	c.evictions += int64(n)
+	if c.obs != nil {
+		c.obs.cacheEvictions.Add(float64(n))
+	}
+	c.entries = map[PlanKey]*planEntry{}
+	c.bodyBytes = 0
+}
+
+// do returns the cache entry for key, running solve exactly once per
 // key no matter how many callers arrive concurrently. Errors are not
 // cached: the failed flight leaves no entry, so a later identical
 // request retries. When ctx carries an active trace span, the lookup
 // records a "cache.lookup" child span with hit/coalesced attrs; a
 // miss's solve runs under that span's context, so the planner's own
 // span nests below the lookup. Untraced callers pay a nil check.
-func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Context) (*grid.Plan, error)) (*grid.Plan, error) {
+func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Context) (*grid.Plan, error)) (*planEntry, error) {
 	ctx, sp := obs.Child(ctx, spanCacheLookup)
+	defer sp.End()
 	c.mu.Lock()
-	if e, ok := c.inflight[key]; ok {
+	if e, ok := c.entries[key]; ok {
+		c.hits++
+		if c.obs != nil {
+			c.obs.cacheHits.Inc()
+		}
+		if e.solved {
+			c.mu.Unlock()
+			sp.SetAttr("hit", "true")
+			sp.SetAttr("coalesced", "false")
+			return e, nil
+		}
 		// A coalesced follower: it parks on done instead of solving —
 		// the single-flight half of the cache's value, counted
 		// separately from plain hits.
-		c.hits++
 		c.coalesced++
 		if c.obs != nil {
-			c.obs.cacheHits.Inc()
 			c.obs.cacheCoalesced.Inc()
 		}
 		c.mu.Unlock()
@@ -188,30 +152,13 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 		sp.SetAttr("coalesced", "true")
 		<-e.done
 		sp.Fail(e.err)
-		sp.End()
-		return e.plan, e.err
+		return e, e.err
 	}
-	if p, ok := c.backend.Get(key); ok {
-		c.hits++
-		if c.obs != nil {
-			c.obs.cacheHits.Inc()
-		}
-		c.mu.Unlock()
-		sp.SetAttr("hit", "true")
-		sp.SetAttr("coalesced", "false")
-		sp.End()
-		return p, nil
+	if len(c.entries) >= maxPlanCacheEntries {
+		c.flushLocked()
 	}
-	if n := c.backend.Len(); n >= maxPlanCacheEntries {
-		c.evictions += int64(n)
-		if c.obs != nil {
-			c.obs.cacheEvictions.Add(float64(n))
-		}
-		c.backend.Clear()
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	c.inflight[key] = e
-	gen := c.gen
+	e := &planEntry{done: make(chan struct{})}
+	c.entries[key] = e
 	c.misses++
 	if c.obs != nil {
 		c.obs.cacheMisses.Inc()
@@ -220,51 +167,67 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 	c.mu.Unlock()
 	sp.SetAttr("hit", "false")
 	sp.SetAttr("coalesced", "false")
-	defer sp.End()
 
 	e.plan, e.err = solve(ctx)
 	sp.Fail(e.err)
 	c.mu.Lock()
-	// Only this flight owns the key (clear() may have dropped the
-	// whole inflight map already — leave a fresh flight's entry alone).
-	if c.inflight[key] == e {
-		delete(c.inflight, key)
+	// Only this flight owns the key: a flush may have dropped it and a
+	// fresh flight taken its place — leave that one alone.
+	if c.entries[key] == e {
+		if e.err == nil {
+			e.solved = true
+		} else {
+			delete(c.entries, key)
+			c.syncObsLocked()
+		}
 	}
-	// A plan solved against inputs that were cleared mid-flight stays
-	// out of the backend: its followers still get it, but the store
-	// only ever holds plans of a live generation.
-	if e.err == nil && gen == c.gen {
-		c.backend.Put(key, e.plan)
-	}
-	c.syncObsLocked()
 	c.mu.Unlock()
 	close(e.done)
-	return e.plan, e.err
+	return e, e.err
 }
 
-// clear drops every entry (the plan inputs changed). The drop counts
-// as eviction: an epoch bump invalidates the whole resident
-// generation. In-flight solves are orphaned — they resolve their
-// followers but never reach the backend.
+// wireBody returns the plan's HTTP body — json.Encoder's encoding,
+// trailing newline included — building it on the first call and
+// handing every later one the same slice; callers must not write to
+// it. The encode is deliberately not part of the solve: in-process
+// callers and plans nobody fetches over HTTP never pay for it. The
+// first call records a "plan.encode" child span under a traced ctx.
+func (c *planCache) wireBody(ctx context.Context, key PlanKey, e *planEntry) ([]byte, error) {
+	e.encode.Do(func() {
+		_, sp := obs.Child(ctx, spanPlanEncode)
+		defer sp.End()
+		buf := jsonBufs.Get().(*bytes.Buffer)
+		defer jsonBufs.Put(buf)
+		buf.Reset()
+		if e.bodyErr = json.NewEncoder(buf).Encode(e.plan); e.bodyErr != nil {
+			sp.Fail(e.bodyErr)
+			return
+		}
+		e.body = bytes.Clone(buf.Bytes())
+		sp.SetAttr("bytes", strconv.Itoa(len(e.body)))
+		c.mu.Lock()
+		if c.entries[key] == e {
+			c.bodyBytes += len(e.body)
+			c.syncObsLocked()
+		}
+		c.mu.Unlock()
+	})
+	return e.body, e.bodyErr
+}
+
+// clear drops every entry (the plan inputs changed).
 func (c *planCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped := c.entriesLocked()
-	c.evictions += int64(dropped)
-	if c.obs != nil {
-		c.obs.cacheEvictions.Add(float64(dropped))
-	}
-	c.backend.Clear()
-	c.inflight = map[PlanKey]*cacheEntry{}
-	c.gen++
+	c.flushLocked()
 	c.syncObsLocked()
 }
 
 // CacheStats reports the plan cache's cumulative counters and current
 // size. Coalesced counts the subset of hits that waited on an
 // in-flight solve; evictions counts entries dropped by epoch
-// invalidation and size-cap flushes; entries counts backend-resident
-// plans plus in-flight solves.
+// invalidation and size-cap flushes; entries counts resident plans,
+// solved or in flight.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -282,6 +245,6 @@ func (s *Server) CacheStats() CacheStats {
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses,
 		Coalesced: c.coalesced, Evictions: c.evictions,
-		Entries: c.entriesLocked(),
+		Entries: len(c.entries),
 	}
 }

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,9 +160,9 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 	if _, err := c.do(ctx, key, solve); err == nil {
 		t.Fatal("first solve should fail")
 	}
-	p, err := c.do(ctx, key, solve)
-	if err != nil || p == nil || p.Target != 10 {
-		t.Fatalf("retry after error: %v, %v", p, err)
+	e, err := c.do(ctx, key, solve)
+	if err != nil || e.plan == nil || e.plan.Target != 10 {
+		t.Fatalf("retry after error: %+v, %v", e, err)
 	}
 	if calls != 2 {
 		t.Fatalf("solver ran %d times, want 2", calls)
@@ -167,5 +172,268 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("success was not cached: %d calls", calls)
+	}
+}
+
+// rawGet fetches path with no client-side decoding.
+func rawGet(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// TestGridPlanServesEncodedBody pins what /grid/plan puts on the wire:
+// encoding/json's bytes for the cached plan, their length declared, the
+// same bytes and validator on every hit — and that the body is built by
+// the first HTTP serve, not by the solve.
+func TestGridPlanServesEncodedBody(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	if _, err := srv.SetGridSignal(testSignal(), ""); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := srv.GridPlan(id, 50, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.CacheStats(); st.Entries != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v after one solve, want 1 entry / 1 miss", st)
+	}
+	if v, _ := srv.Metrics().GaugeValue("perseus_plan_cache_bytes"); v != 0 {
+		t.Fatalf("an in-process solve encoded %v body bytes", v)
+	}
+	want, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+
+	url := ts.URL + "/grid/plan/" + id + "?iterations=50"
+	var tag string
+	for i := 0; i < 3; i++ {
+		resp, body := rawGet(t, url)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("fetch %d: status %d, body differs from json.Marshal(plan)+\"\\n\":\n%s", i, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("fetch %d: Content-Length %d (want %d), Transfer-Encoding %v", i, resp.ContentLength, len(want), resp.TransferEncoding)
+		}
+		if i > 0 && resp.Header.Get("ETag") != tag {
+			t.Fatalf("fetch %d: ETag moved from %s to %s", i, tag, resp.Header.Get("ETag"))
+		}
+		tag = resp.Header.Get("ETag")
+	}
+	resp, other := rawGet(t, ts.URL+"/grid/plan/"+id+"?iterations=60")
+	if resp.Header.Get("ETag") == tag {
+		t.Fatalf("a different target shares the validator %s", tag)
+	}
+	if st := srv.CacheStats(); st.Misses != 2 || st.Hits != 3 {
+		t.Fatalf("stats %+v, want 2 misses / 3 hits", st)
+	}
+	if n := srv.obs.traceSpans.With(spanPlanEncode).Value(); n != 2 {
+		t.Fatalf("%v plan.encode spans for two entries", n)
+	}
+	// The gauge follows the resident bodies: two now, none after a flush.
+	if v, _ := srv.Metrics().GaugeValue("perseus_plan_cache_bytes"); v != float64(len(want)+len(other)) {
+		t.Fatalf("perseus_plan_cache_bytes = %v with bodies of %d and %d bytes resident", v, len(want), len(other))
+	}
+	if _, err := srv.SetGridSignal(testSignal(), ""); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := srv.Metrics().GaugeValue("perseus_plan_cache_bytes"); v != 0 {
+		t.Fatalf("perseus_plan_cache_bytes = %v after the epoch flush", v)
+	}
+}
+
+// TestGridPlanColdRaceEncodesOnce races many fetches on one cold key
+// (run under -race): one solve, one encode, one body.
+func TestGridPlanColdRaceEncodesOnce(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	if _, err := srv.SetGridSignal(*grid.Generate(grid.GenOptions{Intervals: 288, IntervalS: 300, Jitter: 0.1, Seed: 3}), ""); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 16
+	bodies := make([][]byte, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Get(ts.URL + "/grid/plan/" + id + "?iterations=2000")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if bodies[w], err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("worker %d: status %d, err %v", w, resp.StatusCode, err)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if st := srv.CacheStats(); st.Misses != 1 || st.Hits != workers-1 {
+		t.Fatalf("stats %+v, want 1 miss / %d hits", st, workers-1)
+	}
+	if n := srv.obs.traceSpans.With(spanPlanEncode).Value(); n != 1 {
+		t.Fatalf("%v encodes of one entry", n)
+	}
+	for w := 1; w < workers; w++ {
+		if !bytes.Equal(bodies[w], bodies[0]) {
+			t.Fatalf("worker %d read a different body", w)
+		}
+	}
+	if len(bodies[0]) < 288*100 {
+		t.Fatalf("a %d-byte body for a 288-interval plan", len(bodies[0]))
+	}
+}
+
+// countingRW is a ResponseWriter that keeps nothing, so what
+// AllocsPerRun sees through it is the handler's own doing.
+type countingRW struct {
+	hdr  http.Header
+	code int
+	n    int
+}
+
+func (w *countingRW) Header() http.Header         { return w.hdr }
+func (w *countingRW) WriteHeader(code int)        { w.code = code }
+func (w *countingRW) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// TestGridPlanHitAllocs bounds the cached path: in-process it allocates
+// nothing, and through the HTTP handler a small fixed number of objects
+// (query parsing, the validator, the trace span) whatever the size of
+// the plan — serving a hit neither encodes nor copies the body.
+func TestGridPlanHitAllocs(t *testing.T) {
+	perHit := map[int]float64{}
+	for _, intervals := range []int{24, 288} {
+		srv := New()
+		id := registerCharacterized(t, srv, JobRequest{
+			Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+		}, 4)
+		sig := grid.Generate(grid.GenOptions{Intervals: intervals, IntervalS: 86400 / float64(intervals), Jitter: 0.1, Seed: 3})
+		if _, err := srv.SetGridSignal(*sig, ""); err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		req := httptest.NewRequest(http.MethodGet, "/grid/plan/"+id+"?iterations=2000", nil)
+		w := &countingRW{hdr: http.Header{}}
+		serve := func() {
+			clear(w.hdr)
+			w.code, w.n = http.StatusOK, 0
+			h.ServeHTTP(w, req)
+		}
+		serve() // the miss: solve and encode
+		if w.code != http.StatusOK || w.n < intervals*100 {
+			t.Fatalf("%d intervals: status %d, %d body bytes", intervals, w.code, w.n)
+		}
+		perHit[intervals] = testing.AllocsPerRun(200, serve)
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := srv.GridPlan(id, 2000, 0, ""); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("%d intervals: an in-process hit allocates %v objects", intervals, n)
+		}
+	}
+	if perHit[24] != perHit[288] || perHit[288] > 100 {
+		t.Fatalf("a handler hit allocates %v objects at 24 intervals and %v at 288; want equal and at most 100", perHit[24], perHit[288])
+	}
+}
+
+// TestWriteJSONUnencodable: a value encoding/json refuses (±Inf, NaN)
+// must answer 500 with no part of a 200 body, and count as a 500.
+func TestWriteJSONUnencodable(t *testing.T) {
+	srv := New()
+	h := srv.obs.middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, struct {
+			Name string  `json:"name"`
+			X    float64 `json:"x"`
+		}{"encoded before the float is reached", math.Inf(1)})
+	}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/fleet/status", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d for an unencodable value, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); strings.Contains(body, "{") || strings.Contains(body, "encoded before") {
+		t.Fatalf("a partial JSON body leaked into the error response: %q", body)
+	}
+	if n := srv.obs.httpRequests.With("/fleet/status", http.MethodGet, "500").Value(); n != 1 {
+		t.Fatalf("perseus_http_requests_total{code=\"500\"} = %v, want 1", n)
+	}
+
+	// The encodable case declares its length and is a single JSON value.
+	rec = httptest.NewRecorder()
+	writeJSON(rec, map[string]int{"a": 1})
+	if rec.Code != http.StatusOK || rec.Body.String() != "{\"a\":1}\n" || rec.Header().Get("Content-Length") != "8" {
+		t.Fatalf("status %d, body %q, Content-Length %q", rec.Code, rec.Body.String(), rec.Header().Get("Content-Length"))
+	}
+}
+
+// TestPlanCacheFlushes pins the two ways entries leave the one map: the
+// size cap drops everything when a miss finds it full, and a clear()
+// that lands mid-solve orphans the flight — its caller and followers
+// still get the plan, the map does not.
+func TestPlanCacheFlushes(t *testing.T) {
+	c := newPlanCache(nil)
+	ctx := context.Background()
+	solve := func(context.Context) (*grid.Plan, error) { return &grid.Plan{}, nil }
+	for i := 0; i < maxPlanCacheEntries; i++ {
+		if _, err := c.do(ctx, PlanKey{Epoch: 1, Target: float64(i)}, solve); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.entries) != maxPlanCacheEntries || c.evictions != 0 {
+		t.Fatalf("%d entries, %d evictions at the cap", len(c.entries), c.evictions)
+	}
+	if _, err := c.do(ctx, PlanKey{Epoch: 1, Target: -1}, solve); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.entries) != 1 || c.evictions != maxPlanCacheEntries {
+		t.Fatalf("%d entries, %d evictions after the miss past the cap", len(c.entries), c.evictions)
+	}
+
+	key := PlanKey{Epoch: 2}
+	started, release := make(chan struct{}), make(chan struct{})
+	got := make(chan *planEntry, 1)
+	go func() {
+		e, _ := c.do(ctx, key, func(context.Context) (*grid.Plan, error) {
+			close(started)
+			<-release
+			return &grid.Plan{Target: 7}, nil
+		})
+		got <- e
+	}()
+	<-started
+	c.clear()
+	close(release)
+	if e := <-got; e.plan == nil || e.plan.Target != 7 {
+		t.Fatalf("the orphaned flight lost its plan: %+v", e)
+	}
+	if len(c.entries) != 0 {
+		t.Fatalf("a plan solved across clear() went back into the map (%d entries)", len(c.entries))
+	}
+	if _, err := c.do(ctx, key, solve); err != nil || c.misses != maxPlanCacheEntries+3 {
+		t.Fatalf("the key did not re-solve after the clear: err %v, %d misses", err, c.misses)
 	}
 }

@@ -216,13 +216,18 @@ func (s *Server) handleGridPlan(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	plan, err := s.solvePlan(r.Context(), pb)
+	e, err := s.solvePlan(r.Context(), pb)
 	if err != nil {
 		fail(err)
 		return
 	}
+	body, err := s.cache.wireBody(r.Context(), pb.key, e)
+	if err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("ETag", planETag(pb.key))
-	writeJSON(w, plan)
+	writeJSONBody(w, body)
 }
 
 // planETag renders a plan cache key as an HTTP entity tag: a 64-bit
@@ -243,8 +248,9 @@ func planETag(key PlanKey) string {
 //
 // Results are cached by (plan epoch, frontier hash, request params)
 // with single-flight de-duplication: identical concurrent requests
-// solve once and share the plan; any signal re-install, forecast
-// revision, or frontier re-characterization changes the key.
+// solve once and share the plan, which callers must therefore treat as
+// read-only; any signal re-install, forecast revision, or frontier
+// re-characterization changes the key.
 func (s *Server) GridPlan(id string, target, deadline float64, objective string) (*grid.Plan, error) {
 	return s.gridPlan(context.Background(), id, target, deadline, objective)
 }
@@ -259,7 +265,11 @@ func (s *Server) gridPlan(ctx context.Context, id string, target, deadline float
 	if err != nil {
 		return nil, err
 	}
-	return s.solvePlan(ctx, pb)
+	e, err := s.solvePlan(ctx, pb)
+	if err != nil {
+		return nil, err
+	}
+	return e.plan, nil
 }
 
 // planProblem is one snapshotted planning problem: the cache key it
@@ -324,7 +334,7 @@ func (s *Server) planProblem(ctx context.Context, id string, target, deadline fl
 
 // solvePlan resolves a snapshotted problem through the plan cache,
 // solving at most once per key however many callers arrive.
-func (s *Server) solvePlan(ctx context.Context, pb planProblem) (*grid.Plan, error) {
+func (s *Server) solvePlan(ctx context.Context, pb planProblem) (*planEntry, error) {
 	return s.cache.do(ctx, pb.key, func(ctx context.Context) (*grid.Plan, error) {
 		p := obs.InstrumentPlanner(ctx, s.wrapPlanner(&grid.Planner{Table: pb.table, Signal: pb.sig}),
 			"grid", s.obs.planLatency, s.obs.planErrors)

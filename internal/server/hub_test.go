@@ -426,97 +426,3 @@ func TestGridPlanConditional(t *testing.T) {
 	}
 	waitGaugeEquals(t, srv, "perseus_longpoll_waiters", 0)
 }
-
-// countingBackend wraps the in-memory backend with call counters — the
-// injection seam test's probe.
-type countingBackend struct {
-	inner     PlanCacheBackend
-	mu        sync.Mutex
-	gets, hit int
-	puts      int
-}
-
-func (b *countingBackend) Get(key PlanKey) (*grid.Plan, bool) {
-	p, ok := b.inner.Get(key)
-	b.mu.Lock()
-	b.gets++
-	if ok {
-		b.hit++
-	}
-	b.mu.Unlock()
-	return p, ok
-}
-
-func (b *countingBackend) Put(key PlanKey, p *grid.Plan) {
-	b.mu.Lock()
-	b.puts++
-	b.mu.Unlock()
-	b.inner.Put(key, p)
-}
-
-func (b *countingBackend) Clear()   { b.inner.Clear() }
-func (b *countingBackend) Len() int { return b.inner.Len() }
-
-// TestPlanCacheBackendInjection pins the PlanCacheBackend seam: a
-// swapped-in backend sees the canonical Get-miss → Put → Get-hit
-// sequence, the stats stay coherent, and the served plans are
-// identical either way.
-func TestPlanCacheBackendInjection(t *testing.T) {
-	srv := New()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cl := client.NewServerClient(ts.URL)
-	backend := &countingBackend{inner: NewMemoryPlanCache()}
-	srv.SetPlanCacheBackend(backend)
-
-	id := registerCharacterized(t, srv, JobRequest{
-		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
-	}, 4)
-	if _, err := cl.UploadGridSignal(testSignal(), ""); err != nil {
-		t.Fatal(err)
-	}
-	p1, err := cl.FetchGridPlan(id, 50, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := cl.FetchGridPlan(id, 50, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.CarbonG != p2.CarbonG {
-		t.Fatalf("backend-cached plan differs: %v vs %v", p1.CarbonG, p2.CarbonG)
-	}
-	backend.mu.Lock()
-	gets, hits, puts := backend.gets, backend.hit, backend.puts
-	backend.mu.Unlock()
-	if puts != 1 {
-		t.Fatalf("backend saw %d puts, want 1", puts)
-	}
-	if gets < 2 || hits != 1 {
-		t.Fatalf("backend saw %d gets / %d hits, want >=2 / 1", gets, hits)
-	}
-	st := srv.CacheStats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 entry", st)
-	}
-
-	// Epoch invalidation clears the injected backend too.
-	if _, err := cl.UploadGridSignal(testSignal(), ""); err != nil {
-		t.Fatal(err)
-	}
-	if backend.Len() != 0 {
-		t.Fatalf("signal re-install left %d entries in the injected backend", backend.Len())
-	}
-	if st := srv.CacheStats(); st.Entries != 0 {
-		t.Fatalf("stats report %d entries after clear", st.Entries)
-	}
-
-	// PlanKey.Canonical is the cross-replica serialization: distinct
-	// problems must canonicalize distinctly.
-	a := PlanKey{Epoch: 1, Table: 42, Target: 10, Objective: grid.ObjectiveCarbon, Scale: 1}
-	b := a
-	b.Target = 20
-	if a.Canonical() == b.Canonical() {
-		t.Fatalf("distinct keys share canonical form %q", a.Canonical())
-	}
-}

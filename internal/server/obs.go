@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -40,6 +39,7 @@ type serverObs struct {
 	cacheCoalesced *obs.Counter
 	cacheEvictions *obs.Counter
 	cacheEntries   *obs.Gauge
+	cacheBytes     *obs.Gauge
 
 	// Controller runtime (controller.go).
 	ticks       *obs.Counter
@@ -98,6 +98,7 @@ type serverObs struct {
 const (
 	spanStoreSnapshot  = "store.snapshot"
 	spanCacheLookup    = "cache.lookup"
+	spanPlanEncode     = "plan.encode"
 	spanReplanInputs   = "replan.inputs"
 	spanReplanFreeze   = "replan.freeze"
 	spanReplanFcast    = "replan.forecast"
@@ -181,6 +182,8 @@ func newServerObs() *serverObs {
 			"Plan-cache entries dropped by epoch invalidation or the size-cap flush."),
 		cacheEntries: r.Gauge("perseus_plan_cache_entries",
 			"Plan-cache entries currently resident."),
+		cacheBytes: r.Gauge("perseus_plan_cache_bytes",
+			"Encoded /grid/plan response bodies held by resident plan-cache entries, in bytes (an entry is encoded on its first HTTP serve)."),
 
 		ticks: r.Counter("perseus_controller_ticks_total",
 			"Completed controller ticks (background loop and synchronous)."),
@@ -541,8 +544,7 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp = s.Events(limit)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	writeJSON(w, resp)
 }
 
 // TracesResponse is the GET /debug/traces view: assembled span trees,

@@ -20,7 +20,8 @@
 //     ticks at signal-interval boundaries, re-plans every managed job
 //     with the executed prefix frozen, and bumps schedule versions
 //   - cache.go     the single-flight plan cache keyed by
-//     (plan epoch, frontier hash, request params)
+//     (plan epoch, frontier hash, request params); an entry is the
+//     plan and, once served over HTTP, its encoded body
 //   - obs.go       the observability surface: the internal/obs metric
 //     registry and event ring, the HTTP instrumentation middleware,
 //     and the /metrics, /healthz, and /debug/events endpoints
@@ -41,8 +42,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -109,16 +112,6 @@ func New() *Server {
 	s.ctrl.s = s
 	s.ctrl.managed = map[string]managedJob{}
 	return s
-}
-
-// SetPlanCacheBackend swaps the plan cache's storage backend — the
-// seam a multi-replica deployment uses to share solved plans (the
-// cache key embeds the plan epoch and the frontier's content hash, so
-// entries are location-independent). The default is the in-memory
-// backend. Call before serving traffic; the single-flight solve
-// de-duplication always stays replica-local.
-func (s *Server) SetPlanCacheBackend(b PlanCacheBackend) {
-	s.cache.setBackend(b)
 }
 
 // SetClock replaces the server's wall clock — the hook fake-clock
@@ -202,7 +195,29 @@ func (s *Server) Handler() http.Handler {
 	return s.obs.middleware(mux)
 }
 
+// jsonBufs holds the buffers JSON responses are encoded into before
+// anything is written.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers 200 with v's JSON encoding, or 500 when v cannot be
+// encoded (a NaN or ±Inf float): v is encoded in full first, so a
+// failure can still change the status instead of cutting a 200 short.
 func writeJSON(w http.ResponseWriter, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeJSONBody(w, buf.Bytes())
+}
+
+// writeJSONBody answers 200 with an already encoded JSON body in one
+// Write, its length declared so the response is not chunked.
+func writeJSONBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body)
 }

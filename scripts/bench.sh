@@ -10,7 +10,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_PR7.json}"
-pattern='^(BenchmarkOptimizerRuntime|BenchmarkAblationMaxFlowSolver|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
+pattern='^(BenchmarkOptimizerRuntime|BenchmarkAblationMaxFlowSolver|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
 
 raw=$(go test -run '^$' -bench "$pattern" -benchmem .)
 echo "$raw" >&2
