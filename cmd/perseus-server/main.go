@@ -12,8 +12,20 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"perseus/internal/server"
+)
+
+// Connection timeouts: a client gets readHeaderTimeout to send its
+// request headers, and a keep-alive connection may sit idle between
+// requests for idleTimeout. There is deliberately no WriteTimeout (nor
+// a ReadTimeout, whose deadline also cuts the connection under a
+// running handler): a ?wait= long-poll legitimately holds its response
+// for up to the server's 30 s maxScheduleWait.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -33,5 +45,11 @@ func main() {
 		handler = mux
 	}
 	log.Printf("perseus server listening on %s", *addr)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	log.Fatal(srv.ListenAndServe())
 }

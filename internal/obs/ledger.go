@@ -23,6 +23,13 @@ type LedgerEntry struct {
 	plan.BloatSpan
 }
 
+// LedgerSpan names the decomposition LedgerTotals embeds: consumers of
+// the client's ledger view read the totals' decomposition as a whole by
+// this name (led.Fleet.LedgerSpan), while those that build a
+// LedgerEntry spell its field BloatSpan — bench/ does both, so each
+// struct keeps the field name its callers compile against.
+type LedgerSpan = plan.BloatSpan
+
 // LedgerTotals are cumulative ledger sums: entry counts plus the
 // field-wise BloatSpan accumulation (whose conservation identities
 // survive summation) and the monotone absolute drift used for the
@@ -32,7 +39,7 @@ type LedgerTotals struct {
 	// bounded history has overwritten (totals still include them).
 	Entries int `json:"entries"`
 	Dropped int `json:"dropped"`
-	plan.BloatSpan
+	LedgerSpan
 	AbsDriftC float64 `json:"abs_drift_c"`
 }
 
@@ -104,7 +111,7 @@ func (l *Ledger) Settle(jobID string, e LedgerEntry) {
 // accumulate folds one entry into totals.
 func accumulate(t *LedgerTotals, e LedgerEntry) {
 	t.Entries++
-	t.BloatSpan.Accumulate(e.BloatSpan)
+	t.LedgerSpan.Accumulate(e.BloatSpan)
 	t.AbsDriftC += math.Abs(e.DriftC)
 }
 

@@ -43,7 +43,7 @@ func TestLedgerRingBounds(t *testing.T) {
 		t.Fatalf("totals energy = %v, want 1000", view.Totals.EnergyJ)
 	}
 	if !view.Totals.Conserved(1e-12) {
-		t.Fatalf("totals must conserve: %+v", view.Totals.BloatSpan)
+		t.Fatalf("totals must conserve: %+v", view.Totals.LedgerSpan)
 	}
 	// n caps the returned tail, newest retained.
 	view, _ = l.Job("job-1", 2)

@@ -223,19 +223,6 @@ func (c *planCache) clear() {
 	c.syncObsLocked()
 }
 
-// CacheStats reports the plan cache's cumulative counters and current
-// size. Coalesced counts the subset of hits that waited on an
-// in-flight solve; evictions counts entries dropped by epoch
-// invalidation and size-cap flushes; entries counts resident plans,
-// solved or in flight.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-}
-
 // CacheStats returns the plan cache counters (test and ops hook; also
 // reported by GET /controller).
 func (s *Server) CacheStats() CacheStats {

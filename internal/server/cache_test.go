@@ -364,12 +364,14 @@ func TestGridPlanHitAllocs(t *testing.T) {
 // must answer 500 with no part of a 200 body, and count as a 500.
 func TestWriteJSONUnencodable(t *testing.T) {
 	srv := New()
-	h := srv.obs.middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /fleet/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, struct {
 			Name string  `json:"name"`
 			X    float64 `json:"x"`
 		}{"encoded before the float is reached", math.Inf(1)})
-	}))
+	})
+	h := srv.obs.middleware(mux)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/fleet/status", nil))
 	if rec.Code != http.StatusInternalServerError {

@@ -2,13 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,58 +40,6 @@ type controller struct {
 	ticks       int
 	lastTick    time.Time
 	lastTickErr string // first per-job error of the last tick ("" = clean)
-}
-
-// ControllerJobStatus is one managed job's view in the controller
-// status.
-type ControllerJobStatus struct {
-	JobID               string  `json:"job_id"`
-	Version             int     `json:"version"`
-	Plans               int     `json:"plans"`
-	DoneIterations      float64 `json:"done_iterations"`
-	RemainingIterations float64 `json:"remaining_iterations"`
-	Feasible            bool    `json:"feasible"`
-	LastError           string  `json:"last_error,omitempty"`
-
-	// LastReplanUnixS is the wall-clock time of the job's last
-	// successful re-plan (0 = never re-planned).
-	LastReplanUnixS float64 `json:"last_replan_unix_s,omitempty"`
-}
-
-// ControllerStatus is the controller runtime's observable state.
-type ControllerStatus struct {
-	Running bool `json:"running"`
-
-	// Ticks counts completed controller ticks.
-	Ticks int `json:"ticks"`
-
-	// LastTickUnixS is the wall-clock time of the last tick (0 = none).
-	LastTickUnixS float64 `json:"last_tick_unix_s,omitempty"`
-
-	// LastTickError is the first per-job error of the last tick, empty
-	// when the tick advanced every managed job cleanly.
-	LastTickError string `json:"last_tick_error,omitempty"`
-
-	// NextBoundaryS is the countdown, in seconds from now, to the next
-	// interval boundary the background loop would tick at (-1 without
-	// a signal).
-	NextBoundaryS float64 `json:"next_boundary_s"`
-
-	// Jobs lists the managed jobs in management order.
-	Jobs []ControllerJobStatus `json:"jobs"`
-
-	// Cache reports the plan cache counters.
-	Cache CacheStats `json:"cache"`
-}
-
-// ControllerJobRequest puts a job's rolling schedule under controller
-// management.
-type ControllerJobRequest struct {
-	JobID     string  `json:"job_id"`
-	Target    float64 `json:"iterations"`
-	DeadlineS float64 `json:"deadline_s,omitempty"`
-	Objective string  `json:"objective,omitempty"`
-	Quantile  float64 `json:"quantile,omitempty"`
 }
 
 // manages reports whether the controller owns the job's schedule.
@@ -384,46 +330,33 @@ func (s *Server) ControllerStatus() ControllerStatus {
 	return st
 }
 
-func (s *Server) handleController(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) handleController(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.ControllerStatus())
 }
 
-func (s *Server) handleControllerAction(w http.ResponseWriter, r *http.Request) {
-	action := strings.TrimPrefix(r.URL.Path, "/controller/")
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+func (s *Server) handleManageJob(w http.ResponseWriter, r *http.Request) {
+	var req ControllerJobRequest
+	if !decodeJSON(w, r, &req) {
 		return
 	}
-	switch action {
-	case "jobs":
-		var req ControllerJobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := s.manageJob(r.Context(), req)
-		if err != nil {
-			status := http.StatusBadRequest
-			if _, ok := s.st.job(req.JobID); !ok {
-				status = http.StatusNotFound
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		writeJSON(w, resp)
-	case "start":
-		s.StartController()
-		writeJSON(w, s.ControllerStatus())
-	case "stop":
-		s.StopController()
-		writeJSON(w, s.ControllerStatus())
-	case "tick":
-		writeJSON(w, s.tickController(r.Context()))
-	default:
-		http.Error(w, fmt.Sprintf("unknown controller action %q", action), http.StatusNotFound)
+	resp, err := s.manageJob(r.Context(), req)
+	if err != nil {
+		s.jobError(w, req.JobID, err)
+		return
 	}
+	writeJSON(w, resp)
+}
+
+func (s *Server) handleControllerStart(w http.ResponseWriter, _ *http.Request) {
+	s.StartController()
+	writeJSON(w, s.ControllerStatus())
+}
+
+func (s *Server) handleControllerStop(w http.ResponseWriter, _ *http.Request) {
+	s.StopController()
+	writeJSON(w, s.ControllerStatus())
+}
+
+func (s *Server) handleControllerTick(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.tickController(r.Context()))
 }

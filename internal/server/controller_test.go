@@ -104,7 +104,7 @@ func TestControllerClosesMPCLoop(t *testing.T) {
 		t.Fatalf("controller completed %v of %v iterations", roll.DoneIterations, target)
 	}
 	if roll.RemainingIterations != 0 || roll.Remaining != nil {
-		t.Fatalf("work left after the deadline: %+v", roll.Replan)
+		t.Fatalf("work left after the deadline: %+v", roll.ReplanResponse)
 	}
 
 	// The realized total must equal the MPC row of the offline forecast
@@ -194,7 +194,7 @@ func TestControllerTickClientReplanRace(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					record(r.Replan)
+					record(r.ReplanResponse)
 				}
 			}
 		}(w)

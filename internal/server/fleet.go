@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -12,63 +11,16 @@ import (
 	pln "perseus/internal/plan"
 )
 
-// FleetCapRequest sets the facility power cap (watts); 0 uncaps.
-type FleetCapRequest struct {
-	CapW float64 `json:"cap_w"`
-}
-
-// JobAllocationResponse is one job's fleet allocation.
-type JobAllocationResponse struct {
-	JobID string `json:"job_id"`
-
-	// Ready is false until the job is characterized; an unready job
-	// draws no planned power and takes no part in the allocation.
-	Ready bool `json:"ready"`
-
-	// Time is the allocated planned iteration time; the job's deployed
-	// schedule never runs faster while a cap is in force.
-	Time float64 `json:"time_s"`
-
-	// PowerW is the job's allocated power draw (all pipelines).
-	PowerW float64 `json:"power_w"`
-
-	// FloorTime and Loss mirror fleet.JobAlloc.
-	FloorTime float64 `json:"floor_s"`
-	Loss      float64 `json:"loss"`
-}
-
-// FleetStatusResponse is the fleet-wide allocation.
-type FleetStatusResponse struct {
-	CapW     float64                 `json:"cap_w"`
-	PowerW   float64                 `json:"power_w"`
-	Loss     float64                 `json:"loss"`
-	Feasible bool                    `json:"feasible"`
-	Jobs     []JobAllocationResponse `json:"jobs"`
-}
-
 func (s *Server) handleFleetCap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req FleetCapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	st, err := s.setFleetCap(r.Context(), req.CapW)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, st)
+	writeResult(w, st, err, http.StatusBadRequest)
 }
 
 func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, s.recomputeFleet(r.Context()))
 }
 

@@ -2,13 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,50 +16,6 @@ import (
 	"perseus/internal/obs"
 	pln "perseus/internal/plan"
 )
-
-// ForecastRequest installs a forecast issuer over the installed grid
-// signal and issues a forecast from the revealed history.
-type ForecastRequest struct {
-	// Model selects the forecaster: persistence, seasonal, or smoothed
-	// (history-driven models), or "revisions" — the seeded noisy-
-	// revision feed that simulates an external forecast provider over
-	// the installed signal, the issuer the background controller's MPC
-	// experiments replay.
-	Model string `json:"model"`
-
-	// Level is the uncertainty-band quantile level; 0 means 0.9.
-	Level float64 `json:"level,omitempty"`
-
-	// Quantile is the default planning quantile GET /grid/replan uses:
-	// 0 plans on the point forecast, higher values plan robustly
-	// against the pessimistic band.
-	Quantile float64 `json:"quantile,omitempty"`
-
-	// HorizonS extends the forecast coverage in signal seconds; 0
-	// means one full signal cycle beyond the current time.
-	HorizonS float64 `json:"horizon_s,omitempty"`
-
-	// Seed and Sigma parameterize the "revisions" issuer (ignored for
-	// history-driven models): Seed selects the innovation stream and
-	// Sigma the per-step relative innovation (0 = the provider default).
-	Seed  int64   `json:"seed,omitempty"`
-	Sigma float64 `json:"sigma,omitempty"`
-}
-
-// ForecastResponse is an issued forecast plus the installed issuer
-// parameters.
-type ForecastResponse struct {
-	Model     string  `json:"model"`
-	Level     float64 `json:"level"`
-	Quantile  float64 `json:"quantile"`
-	IssuedS   float64 `json:"issued_s"`
-	HorizonS  float64 `json:"horizon_s"`
-	Intervals int     `json:"intervals"`
-
-	// Forecast is the issued forecast: point-forecast signal plus
-	// carbon and price bands.
-	Forecast *forecast.Forecast `json:"forecast"`
-}
 
 // forecastSpec is the installed forecast issuer: either a history-
 // driven model or the seeded revisions feed. It is immutable once
@@ -83,53 +37,6 @@ func (fs *forecastSpec) provider(sig *grid.Signal, horizonS float64) forecast.Pr
 		return &forecast.FromHistory{Truth: sig, Model: fs.model, HorizonS: horizonS, Level: fs.level}
 	}
 	return &forecast.Revisions{Truth: sig, Seed: fs.seed, Sigma: fs.sigma, HorizonS: horizonS, Level: fs.level}
-}
-
-// ReplanInterval is one frozen (already executed) span of a job's
-// rolling-horizon schedule, with realized and predicted accounting —
-// exactly the controller's executed-interval record.
-type ReplanInterval = forecast.ExecutedInterval
-
-// ReplanResponse is a job's rolling-horizon schedule state: the frozen
-// executed prefix (realized against the installed signal, predicted
-// against the forecasts that planned it) and the freshly re-planned
-// remainder.
-type ReplanResponse struct {
-	JobID     string  `json:"job_id"`
-	Target    float64 `json:"target_iterations"`
-	DeadlineS float64 `json:"deadline_s"`
-	Objective string  `json:"objective"`
-	Quantile  float64 `json:"quantile"`
-
-	// Plans counts planner invocations for this schedule so far.
-	Plans int `json:"plans"`
-
-	// DoneIterations is the frozen prefix's progress;
-	// RemainingIterations is what the fresh plan still has to cover.
-	DoneIterations      float64 `json:"done_iterations"`
-	RemainingIterations float64 `json:"remaining_iterations"`
-
-	// Feasible reports whether the remaining target still fits before
-	// the deadline under the latest forecast.
-	Feasible bool `json:"feasible"`
-
-	// Frozen lists the executed spans in time order (signal seconds).
-	Frozen []ReplanInterval `json:"frozen,omitempty"`
-
-	// EnergyJ, CarbonG, and CostUSD total the frozen prefix (realized);
-	// PredCarbonG and PredCostUSD total what its planning forecasts
-	// predicted for it.
-	EnergyJ     float64 `json:"energy_j"`
-	CarbonG     float64 `json:"carbon_g"`
-	CostUSD     float64 `json:"cost_usd"`
-	PredCarbonG float64 `json:"pred_carbon_g"`
-	PredCostUSD float64 `json:"pred_cost_usd"`
-
-	// Remaining is the fresh plan for [RemainingOffsetS, DeadlineS),
-	// with interval times relative to RemainingOffsetS; nil once the
-	// target is complete.
-	Remaining        *grid.Plan `json:"remaining,omitempty"`
-	RemainingOffsetS float64    `json:"remaining_offset_s"`
 }
 
 // replanState is a job's rolling schedule between roll-forwards (client
@@ -238,30 +145,18 @@ func (v *tickView) forecasts() int {
 	return len(v.issued)
 }
 
-func (s *Server) handleGridForecast(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req ForecastRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := s.setForecast(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, resp)
-	case http.MethodGet:
-		resp, err := s.Forecast()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		writeJSON(w, resp)
-	default:
-		http.Error(w, "POST or GET only", http.StatusMethodNotAllowed)
+func (s *Server) handleSetForecast(w http.ResponseWriter, r *http.Request) {
+	var req ForecastRequest
+	if !decodeJSON(w, r, &req) {
+		return
 	}
+	resp, err := s.setForecast(r.Context(), req)
+	writeResult(w, resp, err, http.StatusBadRequest)
+}
+
+func (s *Server) handleForecast(w http.ResponseWriter, _ *http.Request) {
+	resp, err := s.Forecast()
+	writeResult(w, resp, err, http.StatusNotFound)
 }
 
 // SetForecast installs a forecast issuer over the installed signal and
@@ -383,15 +278,7 @@ func (s *Server) Forecast() (ForecastResponse, error) {
 }
 
 func (s *Server) handleGridReplan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/grid/replan/")
-	if id == "" || strings.Contains(id, "/") {
-		http.NotFound(w, r)
-		return
-	}
+	id := r.PathValue("id")
 	q := r.URL.Query()
 	f, ok := queryFloats(w, q, "iterations", "deadline", "quantile")
 	if !ok {
@@ -400,11 +287,7 @@ func (s *Server) handleGridReplan(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.replan(r.Context(), ControllerJobRequest{
 		JobID: id, Target: f[0], DeadlineS: f[1], Objective: q.Get("objective"), Quantile: f[2]})
 	if err != nil {
-		status := http.StatusBadRequest
-		if _, ok := s.st.job(id); !ok {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
+		s.jobError(w, id, err)
 		return
 	}
 	writeJSON(w, resp)
@@ -747,15 +630,6 @@ func replanView(id string, rs *replanState) *ReplanResponse {
 		Remaining:           rs.Plan,
 		RemainingOffsetS:    rs.PlanAt,
 	}
-}
-
-// RolloutResponse is the read-only view of a job's rolling-horizon
-// schedule: the same shape as a replan response plus the job's current
-// schedule version and whether the controller manages the schedule.
-type RolloutResponse struct {
-	ReplanResponse
-	Version int  `json:"version"`
-	Managed bool `json:"managed"`
 }
 
 // scheduleView renders a job's rolling schedule as it stands, without

@@ -2,12 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"perseus/internal/frontier"
@@ -16,76 +14,24 @@ import (
 	pln "perseus/internal/plan"
 )
 
-// GridSignalRequest installs a grid trace and (optionally) the default
-// temporal-planning objective.
-type GridSignalRequest struct {
-	Signal    grid.Signal `json:"signal"`
-	Objective string      `json:"objective,omitempty"`
-}
-
-// GridSignalResponse summarizes the installed signal.
-type GridSignalResponse struct {
-	Name      string  `json:"name"`
-	Intervals int     `json:"intervals"`
-	HorizonS  float64 `json:"horizon_s"`
-	Objective string  `json:"objective"`
-}
-
-// EmissionsResponse is a job's cumulative emissions accounting since
-// characterization: deployed-schedule energy integrated against the
-// grid signal (cyclically beyond its horizon).
-type EmissionsResponse struct {
-	JobID string `json:"job_id"`
-
-	// Ready is false until the job is characterized and drawing power.
-	Ready bool `json:"ready"`
-
-	// SinceS is the accounted wall-clock span in seconds.
-	SinceS float64 `json:"since_s"`
-
-	// EnergyJ, CarbonG, and CostUSD are the cumulative totals. Carbon
-	// and cost stay zero while no signal is installed.
-	EnergyJ float64 `json:"energy_j"`
-	CarbonG float64 `json:"carbon_g"`
-	CostUSD float64 `json:"cost_usd"`
-
-	// PredCarbonG and PredCostUSD accrue the same draw at the latest
-	// issued forecast's rates (zero until POST /grid/forecast; global
-	// signal only — a placed job accrues at its region's rates, which
-	// the forecast does not cover). DriftCarbonG is realized minus
-	// predicted over exactly the forecast-covered spans: positive means
-	// the grid ran dirtier than forecast.
-	PredCarbonG  float64 `json:"pred_carbon_g"`
-	PredCostUSD  float64 `json:"pred_cost_usd"`
-	DriftCarbonG float64 `json:"drift_carbon_g"`
-}
-
-func (s *Server) handleGridSignal(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req GridSignalRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := s.setGridSignal(r.Context(), req.Signal, req.Objective)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, resp)
-	case http.MethodGet:
-		s.st.mu.Lock()
-		sig := s.st.signal
-		s.st.mu.Unlock()
-		if sig == nil {
-			http.Error(w, "no grid signal installed", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, sig)
-	default:
-		http.Error(w, "POST or GET only", http.StatusMethodNotAllowed)
+func (s *Server) handleSetGridSignal(w http.ResponseWriter, r *http.Request) {
+	var req GridSignalRequest
+	if !decodeJSON(w, r, &req) {
+		return
 	}
+	resp, err := s.setGridSignal(r.Context(), req.Signal, req.Objective)
+	writeResult(w, resp, err, http.StatusBadRequest)
+}
+
+func (s *Server) handleGridSignal(w http.ResponseWriter, _ *http.Request) {
+	s.st.mu.Lock()
+	sig := s.st.signal
+	s.st.mu.Unlock()
+	if sig == nil {
+		http.Error(w, "no grid signal installed", http.StatusNotFound)
+		return
+	}
+	writeJSON(w, sig)
 }
 
 // SetGridSignal validates and installs a grid trace, anchoring its
@@ -147,15 +93,7 @@ func (s *Server) setGridSignal(ctx context.Context, sig grid.Signal, objective s
 }
 
 func (s *Server) handleGridPlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/grid/plan/")
-	if id == "" || strings.Contains(id, "/") {
-		http.NotFound(w, r)
-		return
-	}
+	id := r.PathValue("id")
 	q := r.URL.Query()
 	f, ok := queryFloats(w, q, "iterations", "deadline")
 	if !ok {
@@ -167,13 +105,7 @@ func (s *Server) handleGridPlan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fail := func(err error) {
-		status := http.StatusBadRequest
-		if _, ok := s.st.job(id); !ok {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
-	}
+	fail := func(err error) { s.jobError(w, id, err) }
 	pb, err := s.planProblem(r.Context(), id, target, deadline, objective)
 	if err != nil {
 		fail(err)

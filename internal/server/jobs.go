@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -17,86 +16,9 @@ import (
 	"perseus/internal/sched"
 )
 
-// JobRequest registers a training job: its pipeline schedule (from which
-// the server reconstructs the computation DAG) and accelerator type.
-type JobRequest struct {
-	Schedule     string  `json:"schedule"` // "1f1b", "gpipe", ...
-	Stages       int     `json:"stages"`
-	Microbatches int     `json:"microbatches"`
-	Chunks       int     `json:"chunks,omitempty"`
-	GPU          string  `json:"gpu"`            // gpu preset name
-	Unit         float64 `json:"unit,omitempty"` // optimizer τ seconds
-
-	// DataParallel is the number of pipeline replicas; the fleet
-	// allocator scales the job's power draw by it. 0 means 1.
-	DataParallel int `json:"data_parallel,omitempty"`
-
-	// Weight scales the job's throughput loss in the fleet objective
-	// (fleet.Job.Weight). 0 means 1.
-	Weight float64 `json:"weight,omitempty"`
-}
-
-// JobResponse returns the job handle.
-type JobResponse struct {
-	JobID string `json:"job_id"`
-}
-
-// MeasurementJSON is one profiler observation (client → server).
-type MeasurementJSON struct {
-	Virtual int     `json:"virtual"`
-	Kind    string  `json:"kind"` // "forward" | "backward"
-	Freq    int     `json:"freq_mhz"`
-	Time    float64 `json:"time_s"`
-	Energy  float64 `json:"energy_j"`
-}
-
-// ProfileUpload carries a job's complete online profile.
-type ProfileUpload struct {
-	PBlocking    float64           `json:"p_blocking_w"`
-	Measurements []MeasurementJSON `json:"measurements"`
-}
-
-// StragglerNotice is the set_straggler payload (paper Table 2): the
-// infrastructure anticipates accelerator id becoming Degree times slower
-// after Delay seconds. Degree 1 communicates a recovery.
-type StragglerNotice struct {
-	ID     string  `json:"id"`
-	Delay  float64 `json:"delay_s"`
-	Degree float64 `json:"degree"`
-}
-
-// ScheduleResponse is the energy schedule for the current T_opt.
-type ScheduleResponse struct {
-	Ready bool `json:"ready"`
-	// Time is the planned iteration time of the deployed schedule.
-	Time float64 `json:"time_s"`
-	// Tmin and TStar bound the frontier.
-	Tmin  float64 `json:"tmin_s"`
-	TStar float64 `json:"tstar_s"`
-	// Freqs is the per-op frequency plan, indexed by schedule op id.
-	Freqs []int `json:"freqs_mhz"`
-	// Version increments whenever the deployed schedule changes — on
-	// characterization, stragglers, fleet floors, and controller
-	// re-plans — so clients can poll cheaply or long-poll via
-	// If-None-Match.
-	Version int `json:"version"`
-}
-
-// FrontierResponse lists the characterized frontier.
-type FrontierResponse struct {
-	Ready  bool      `json:"ready"`
-	Time   []float64 `json:"time_s"`
-	Energy []float64 `json:"energy_j"`
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	j, err := s.register(r.Context(), req)
@@ -187,116 +109,74 @@ func (s *Server) removeJob(ctx context.Context, id string) error {
 	return nil
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	parts := strings.SplitN(rest, "/", 2)
-	j, ok := s.st.job(parts[0])
-	if !ok {
-		http.NotFound(w, r)
+func (s *Server) handleRemoveJob(w http.ResponseWriter, r *http.Request, j *job) {
+	if err := s.removeJob(r.Context(), j.id); err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if len(parts) == 1 {
-		if r.Method != http.MethodDelete {
-			http.Error(w, "DELETE only", http.StatusMethodNotAllowed)
-			return
-		}
-		if err := s.removeJob(r.Context(), j.id); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, j *job) {
+	var up ProfileUpload
+	if !decodeJSON(w, r, &up) {
 		return
 	}
-	switch parts[1] {
-	case "profile":
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var up ProfileUpload
-		if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.uploadProfile(r.Context(), j.id, up); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	case "schedule":
-		s.handleSchedule(w, r, j)
-	case "straggler":
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var n StragglerNotice
-		if err := json.NewDecoder(r.Body).Decode(&n); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.setStraggler(r.Context(), j.id, n); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	case "frontier":
-		writeJSON(w, s.FrontierOf(j.id))
-	case "table":
-		lt, err := s.Table(j.id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		writeJSON(w, lt)
-	case "allocation":
-		resp, err := s.AllocationOf(j.id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, resp)
-	case "emissions":
-		resp, err := s.Emissions(j.id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, resp)
-	case "rollout":
-		resp, err := s.Rollout(j.id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		writeJSON(w, resp)
-	case "placement":
-		switch r.Method {
-		case http.MethodPost:
-			var req PlacementRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			resp, err := s.placeJob(r.Context(), j.id, req)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, resp)
-		case http.MethodGet:
-			resp, err := s.PlacementOf(j.id)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			writeJSON(w, resp)
-		default:
-			http.Error(w, "POST or GET only", http.StatusMethodNotAllowed)
-		}
-	default:
-		http.NotFound(w, r)
+	if err := s.uploadProfile(r.Context(), j.id, up); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
+	w.WriteHeader(http.StatusAccepted)
+}
+
+func (s *Server) handleStraggler(w http.ResponseWriter, r *http.Request, j *job) {
+	var n StragglerNotice
+	if !decodeJSON(w, r, &n) {
+		return
+	}
+	if err := s.setStraggler(r.Context(), j.id, n); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+}
+
+func (s *Server) handleFrontier(w http.ResponseWriter, _ *http.Request, j *job) {
+	writeJSON(w, s.FrontierOf(j.id))
+}
+
+func (s *Server) handleTable(w http.ResponseWriter, _ *http.Request, j *job) {
+	lt, err := s.Table(j.id)
+	writeResult(w, lt, err, http.StatusConflict)
+}
+
+func (s *Server) handleAllocation(w http.ResponseWriter, _ *http.Request, j *job) {
+	resp, err := s.AllocationOf(j.id)
+	writeResult(w, resp, err, http.StatusInternalServerError)
+}
+
+func (s *Server) handleEmissions(w http.ResponseWriter, _ *http.Request, j *job) {
+	resp, err := s.Emissions(j.id)
+	writeResult(w, resp, err, http.StatusInternalServerError)
+}
+
+func (s *Server) handleRollout(w http.ResponseWriter, _ *http.Request, j *job) {
+	resp, err := s.Rollout(j.id)
+	writeResult(w, resp, err, http.StatusNotFound)
+}
+
+func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, j *job) {
+	var req PlacementRequest
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	resp, err := s.placeJob(r.Context(), j.id, req)
+	writeResult(w, resp, err, http.StatusBadRequest)
+}
+
+func (s *Server) handlePlacement(w http.ResponseWriter, _ *http.Request, j *job) {
+	resp, err := s.PlacementOf(j.id)
+	writeResult(w, resp, err, http.StatusInternalServerError)
 }
 
 // maxScheduleWait caps how long a schedule long-poll may block.
@@ -353,10 +233,6 @@ func queryFloats(w http.ResponseWriter, q url.Values, keys ...string) (vals []fl
 // written; the connection is gone) instead of holding the goroutine
 // and a timer until the wait expires.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, j *job) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	inm := r.Header.Get("If-None-Match")
 	wait, ok := parseWait(w, r)
 	if !ok {

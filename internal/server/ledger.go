@@ -163,13 +163,6 @@ func (j *job) chargeMigrationLocked(gs gridState, migrationJ float64, dest *serv
 	j.obs.settleLedger(j.id, j.series, entry)
 }
 
-// LedgerResponse is the GET /debug/ledger view: fleet-wide cumulative
-// totals plus per-job views (registration order; one job with ?job=).
-type LedgerResponse struct {
-	Fleet obs.LedgerTotals    `json:"fleet"`
-	Jobs  []obs.JobLedgerView `json:"jobs"`
-}
-
 // Ledger settles every job at now and returns the energy-bloat ledger:
 // all jobs with entries (jobID == "") or one job's view. n caps the
 // retained entries returned per job (<= 0: all). Settling first means
@@ -231,10 +224,6 @@ func writeLedgerCSV(w io.Writer, resp LedgerResponse) error {
 }
 
 func (s *Server) handleDebugLedger(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	n := 0
 	if v := q.Get("n"); v != "" {

@@ -83,10 +83,10 @@ func TestLedgerConservationAndReconciliation(t *testing.T) {
 		}
 	}
 	if !view.Totals.Conserved(ledgerEps) {
-		t.Fatalf("job totals violate conservation: %+v", view.Totals.BloatSpan)
+		t.Fatalf("job totals violate conservation: %+v", view.Totals.LedgerSpan)
 	}
 	if !resp.Fleet.Conserved(ledgerEps) {
-		t.Fatalf("fleet totals violate conservation: %+v", resp.Fleet.BloatSpan)
+		t.Fatalf("fleet totals violate conservation: %+v", resp.Fleet.LedgerSpan)
 	}
 	// One job: fleet rollup is exactly the job's totals.
 	if resp.Fleet.EnergyJ != view.Totals.EnergyJ || resp.Fleet.Entries != view.Totals.Entries {
@@ -132,7 +132,7 @@ func TestLedgerConservationAndReconciliation(t *testing.T) {
 	}
 	// Forecast-covered spans accrued: predicted-realized carbon is real.
 	if view.Totals.PredRealC <= 0 {
-		t.Fatalf("no forecast-covered realized carbon: %+v", view.Totals.BloatSpan)
+		t.Fatalf("no forecast-covered realized carbon: %+v", view.Totals.LedgerSpan)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestLedgerTickByTickConservation(t *testing.T) {
 		}
 		prevEntries = tot.Entries
 		if !tot.Conserved(ledgerEps) {
-			t.Fatalf("tick %d totals violate conservation: %+v", i, tot.BloatSpan)
+			t.Fatalf("tick %d totals violate conservation: %+v", i, tot.LedgerSpan)
 		}
 		em, err := srv.Emissions(id)
 		if err != nil {
@@ -556,9 +556,9 @@ func TestLedgerHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resp.Jobs[0].Totals.Conserved(1e-6) {
-		t.Fatalf("post-hammer totals violate conservation: %+v", resp.Jobs[0].Totals.BloatSpan)
+		t.Fatalf("post-hammer totals violate conservation: %+v", resp.Jobs[0].Totals.LedgerSpan)
 	}
 	if !resp.Fleet.Conserved(1e-6) {
-		t.Fatalf("post-hammer fleet violates conservation: %+v", resp.Fleet.BloatSpan)
+		t.Fatalf("post-hammer fleet violates conservation: %+v", resp.Fleet.LedgerSpan)
 	}
 }

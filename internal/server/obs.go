@@ -353,35 +353,15 @@ func (s *Server) Traces(limit int, minDur time.Duration, op string) []obs.Trace 
 	return s.obs.tracer.Traces(limit, minDur, op)
 }
 
-// routePattern normalizes a request path to a bounded label set, so
-// per-job and per-action paths cannot explode metric cardinality.
-func routePattern(path string) string {
-	switch path {
-	case "/jobs", "/fleet/cap", "/fleet/status", "/grid/signal", "/grid/forecast",
-		"/regions", "/regions/plan", "/controller",
-		"/metrics", "/healthz", "/debug/events", "/debug/traces", "/debug/slo",
-		"/debug/ledger":
+// routeLabel is the bounded label a request's metrics and spans carry:
+// the path of the registered pattern it matches, or "other" when the
+// mux itself answers it (no such path, or a known path under another
+// method) — so per-job paths cannot explode metric cardinality, and
+// the registration list is the label set.
+func routeLabel(mux *http.ServeMux, r *http.Request) string {
+	_, pattern := mux.Handler(r)
+	if _, path, ok := strings.Cut(pattern, " "); ok {
 		return path
-	}
-	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	switch {
-	case parts[0] == "jobs" && len(parts) == 2 && parts[1] != "":
-		return "/jobs/{id}"
-	case parts[0] == "jobs" && len(parts) == 3:
-		switch parts[2] {
-		case "profile", "schedule", "straggler", "frontier", "table",
-			"allocation", "emissions", "rollout", "placement":
-			return "/jobs/{id}/" + parts[2]
-		}
-	case parts[0] == "grid" && len(parts) == 3 && parts[1] == "plan":
-		return "/grid/plan/{id}"
-	case parts[0] == "grid" && len(parts) == 3 && parts[1] == "replan":
-		return "/grid/replan/{id}"
-	case parts[0] == "controller" && len(parts) == 2:
-		switch parts[1] {
-		case "jobs", "start", "stop", "tick":
-			return "/controller/" + parts[1]
-		}
 	}
 	return "other"
 }
@@ -404,9 +384,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 // spans share one trace ID); absent or malformed headers start a fresh
 // trace. The response carries X-Trace-Id and a traceparent of the root
 // span, so callers can fetch the assembled tree from /debug/traces.
-func (o *serverObs) middleware(next http.Handler) http.Handler {
+func (o *serverObs) middleware(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routePattern(r.URL.Path)
+		route := routeLabel(mux, r)
 		o.httpInFlight.Add(1)
 		start := time.Now()
 		traceID, parentID, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
@@ -416,7 +396,7 @@ func (o *serverObs) middleware(next http.Handler) http.Handler {
 		w.Header().Set("X-Trace-Id", span.TraceID())
 		w.Header().Set("Traceparent", obs.FormatTraceparent(span.TraceID(), span.SpanID()))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(rec, r.WithContext(ctx))
+		mux.ServeHTTP(rec, r.WithContext(ctx))
 		o.httpInFlight.Add(-1)
 		o.httpLatency.With(route).Observe(time.Since(start).Seconds())
 		o.httpRequests.With(route, r.Method, strconv.Itoa(rec.code)).Inc()
@@ -426,26 +406,6 @@ func (o *serverObs) middleware(next http.Handler) http.Handler {
 		}
 		span.End()
 	})
-}
-
-// HealthResponse is the GET /healthz liveness and readiness view.
-type HealthResponse struct {
-	// Status is the worst per-SLO status: ok, warn, or breach.
-	Status string `json:"status"`
-
-	// Ready is false while any SLO is in breach — the load-balancer
-	// readiness signal.
-	Ready bool `json:"ready"`
-
-	UptimeS           float64 `json:"uptime_s"`
-	Jobs              int     `json:"jobs"`
-	Regions           int     `json:"regions"`
-	SignalInstalled   bool    `json:"signal_installed"`
-	ForecastInstalled bool    `json:"forecast_installed"`
-	ControllerRunning bool    `json:"controller_running"`
-
-	// SLOs carries every rule's current multi-window status.
-	SLOs []obs.SLOStatus `json:"slos"`
 }
 
 // Health reports the server's liveness summary plus per-SLO status:
@@ -482,28 +442,14 @@ func (s *Server) Health() HealthResponse {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, s.Health())
 }
 
 // handleMetrics serves the registry in Prometheus text exposition
 // format (hand-rolled — the module has zero external dependencies).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.obs.reg.WritePrometheus(w)
-}
-
-// EventsResponse is the GET /debug/events view: structured events,
-// oldest first.
-type EventsResponse struct {
-	Events []obs.Event `json:"events"`
 }
 
 // Events returns the most recent events (limit <= 0 returns the whole
@@ -520,10 +466,6 @@ func (s *Server) EventsSince(since uint64, limit int) EventsResponse {
 }
 
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	limit := 0
 	if v := r.URL.Query().Get("n"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -547,17 +489,7 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// TracesResponse is the GET /debug/traces view: assembled span trees,
-// newest first.
-type TracesResponse struct {
-	Traces []obs.Trace `json:"traces"`
-}
-
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	limit := 0
 	if v := q.Get("n"); v != "" {
@@ -580,16 +512,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, TracesResponse{Traces: s.Traces(limit, minDur, q.Get("op"))})
 }
 
-// SLOResponse is the GET /debug/slo view: every rule evaluated now.
-type SLOResponse struct {
-	SLOs []obs.SLOStatus `json:"slos"`
-}
-
 func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, SLOResponse{SLOs: s.SLOs()})
 }
 

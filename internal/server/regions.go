@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,75 +12,17 @@ import (
 	"perseus/internal/region"
 )
 
-// RegionRequest registers a datacenter region: its GPU capacity,
-// facility power cap, and grid signal.
-type RegionRequest struct {
-	Name   string      `json:"name"`
-	GPUs   int         `json:"gpus,omitempty"`
-	CapW   float64     `json:"cap_w,omitempty"`
-	Signal grid.Signal `json:"signal"`
-}
-
-// RegionInfo summarizes one registered region.
-type RegionInfo struct {
-	Name      string  `json:"name"`
-	GPUs      int     `json:"gpus"`
-	CapW      float64 `json:"cap_w"`
-	Intervals int     `json:"intervals"`
-	HorizonS  float64 `json:"horizon_s"`
-}
-
-// PlacementRequest places a job into a region.
-type PlacementRequest struct {
-	Region string `json:"region"`
-
-	// MigrationJ is the energy overhead of the move in joules
-	// (checkpoint, transfer, restart). It is charged at the destination
-	// region's instantaneous rates into the job's emissions account and
-	// booked as a "migration" entry in the bloat ledger. 0 (and a
-	// placement into the job's current region) charges nothing.
-	MigrationJ float64 `json:"migration_j,omitempty"`
-}
-
-// PlacementEntry is one step of a job's placement history.
-type PlacementEntry struct {
-	Region  string  `json:"region"`
-	AtUnixS float64 `json:"at_unix_s"`
-}
-
-// PlacementResponse reports a job's current placement.
-type PlacementResponse struct {
-	JobID string `json:"job_id"`
-
-	// Region is the current placement ("" = unplaced).
-	Region string `json:"region"`
-
-	// Migrations counts region changes after the initial placement.
-	Migrations int `json:"migrations"`
-
-	// History lists every placement in time order.
-	History []PlacementEntry `json:"history,omitempty"`
-}
-
-func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req RegionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		info, err := s.RegisterRegion(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, info)
-	case http.MethodGet:
-		writeJSON(w, s.Regions())
-	default:
-		http.Error(w, "POST or GET only", http.StatusMethodNotAllowed)
+func (s *Server) handleRegisterRegion(w http.ResponseWriter, r *http.Request) {
+	var req RegionRequest
+	if !decodeJSON(w, r, &req) {
+		return
 	}
+	info, err := s.RegisterRegion(req)
+	writeResult(w, info, err, http.StatusBadRequest)
+}
+
+func (s *Server) handleRegions(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, s.Regions())
 }
 
 // RegisterRegion validates and registers a datacenter region, anchoring
@@ -205,10 +146,6 @@ func placementLocked(j *job) PlacementResponse {
 }
 
 func (s *Server) handleRegionsPlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	f, ok := queryFloats(w, q, "iterations", "deadline", "downtime", "migration_j")
 	if !ok {
@@ -217,11 +154,7 @@ func (s *Server) handleRegionsPlan(w http.ResponseWriter, r *http.Request) {
 	plan, err := s.regionsPlan(r.Context(), f[0], f[1], q.Get("objective"), region.MigrationCost{
 		DowntimeS: f[2], EnergyJ: f[3],
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, plan)
+	writeResult(w, plan, err, http.StatusBadRequest)
 }
 
 // RegionsPlan plans every characterized job's spatio-temporal schedule

@@ -1,0 +1,285 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"perseus/internal/gpu"
+)
+
+// routeMethods groups the registered patterns by path: path → the
+// methods registered for it.
+func routeMethods(s *Server) map[string][]string {
+	byPath := map[string][]string{}
+	for _, rt := range s.routes() {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		byPath[path] = append(byPath[path], method)
+	}
+	return byPath
+}
+
+// do sends a bodyless request and returns the response, body closed.
+func do(t *testing.T, method, url string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp
+}
+
+// TestWrongMethodIs405 walks the registered routes and sends each path
+// every method it is not registered for: the answer is 405 with an
+// Allow header naming the registered ones. At the parent the GET-only
+// job sub-resources (frontier, table, allocation, emissions, rollout)
+// served any method.
+func TestWrongMethodIs405(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id, err := srv.Register(JobRequest{Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, allowed := range routeMethods(srv) {
+		url := ts.URL + strings.ReplaceAll(path, "{id}", id)
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete} {
+			if slices.Contains(allowed, method) {
+				continue
+			}
+			resp := do(t, method, url)
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s = %d, want 405", method, path, resp.StatusCode)
+				continue
+			}
+			allow := resp.Header.Get("Allow")
+			for _, m := range allowed {
+				if !strings.Contains(allow, m) {
+					t.Errorf("%s %s: Allow %q does not name %s", method, path, allow, m)
+				}
+			}
+		}
+	}
+	if _, ok := srv.st.job(id); !ok {
+		t.Fatal("the sweep's wrong-method requests removed the job")
+	}
+}
+
+// TestWrongMethodDoesNotSettle: at the parent DELETE
+// /jobs/{id}/emissions ran the GET handler and settled the account.
+func TestWrongMethodDoesNotSettle(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	srv := New()
+	srv.SetClock(clock.Now)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	emissionsURL := ts.URL + "/jobs/" + id + "/emissions"
+	rejectDelete := func() {
+		t.Helper()
+		if resp := do(t, http.MethodDelete, emissionsURL); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("DELETE emissions = %d, want 405", resp.StatusCode)
+		}
+	}
+	clock.Advance(time.Hour)
+	var before, after EmissionsResponse
+	get(t, emissionsURL, &before)
+	rejectDelete()
+	get(t, emissionsURL, &after)
+	if after != before {
+		t.Fatalf("emissions moved across a rejected DELETE: %+v, was %+v", after, before)
+	}
+
+	// An hour later a settle would move the account's clock.
+	settledAt := func() time.Time {
+		j, _ := srv.st.job(id)
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.accAt
+	}
+	at := settledAt()
+	clock.Advance(time.Hour)
+	rejectDelete()
+	if got := settledAt(); !got.Equal(at) {
+		t.Fatalf("a rejected DELETE settled the account: settled at %v, was %v", got, at)
+	}
+}
+
+// padded returns body (a JSON object) with a leading "pad" member
+// sized so the whole is exactly n bytes; every request type ignores
+// the unknown member, so only the size distinguishes the bodies.
+func padded(t *testing.T, body any, n int) []byte {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frame = len(`{"pad":"",`)
+	out := append([]byte(`{"pad":"`), bytes.Repeat([]byte{'x'}, n-frame-(len(buf)-1))...)
+	out = append(append(out, `",`...), buf[1:]...)
+	if len(out) != n {
+		t.Fatalf("padded body is %d bytes, want %d", len(out), n)
+	}
+	return out
+}
+
+// TestBodyLimit: a JSON body over maxBodyBytes answers 413 and leaves
+// no trace; one of exactly maxBodyBytes is served. At the parent every
+// body was read to its end.
+func TestBodyLimit(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	req := JobRequest{Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3}
+
+	if code := post("/jobs", padded(t, req, maxBodyBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit POST /jobs = %d, want 413", code)
+	}
+	if n := srv.Health().Jobs; n != 0 {
+		t.Fatalf("an over-limit POST /jobs registered %d jobs", n)
+	}
+	if code := post("/jobs", padded(t, req, maxBodyBytes)); code != http.StatusOK {
+		t.Fatalf("POST /jobs of exactly maxBodyBytes = %d, want 200", code)
+	}
+	const id = "job-1"
+
+	sig := GridSignalRequest{Signal: testSignal()}
+	if code := post("/grid/signal", padded(t, sig, maxBodyBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit POST /grid/signal = %d, want 413", code)
+	}
+	if srv.Health().SignalInstalled {
+		t.Fatal("an over-limit POST /grid/signal installed a signal")
+	}
+
+	g, err := gpu.ByName(req.GPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := buildUpload(t, g, req.Stages, 4)
+	if code := post("/jobs/"+id+"/profile", padded(t, up, maxBodyBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit POST profile = %d, want 413", code)
+	}
+	// Nothing was stored: the same profile at a legitimate size is a
+	// first upload, not "already profiled".
+	if code := post("/jobs/"+id+"/profile", padded(t, up, maxBodyBytes)); code != http.StatusAccepted {
+		t.Fatalf("POST profile of exactly maxBodyBytes = %d, want 202", code)
+	}
+	if err := srv.WaitCharacterized(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var routeLabelRE = regexp.MustCompile(`(?m)^perseus_http_requests_total\{route="([^"]*)",method="([^"]*)",code="([^"]*)"\}`)
+
+// TestRouteLabelsAreRegisteredPatterns: whatever is requested — valid,
+// wrong method, unknown job, garbage — every route label in /metrics is
+// a registered pattern's path or "other", and the labels of requests a
+// handler answered are the ones the parent's hand-kept list gave.
+func TestRouteLabelsAreRegisteredPatterns(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	byPath := routeMethods(srv)
+	for path, methods := range byPath {
+		for _, jobID := range []string{id, "nope"} {
+			url := ts.URL + strings.ReplaceAll(path, "{id}", jobID)
+			for _, m := range methods {
+				if m != http.MethodDelete { // keep the job for the rest of the sweep
+					do(t, m, url)
+				}
+			}
+			do(t, http.MethodPut, url)
+		}
+	}
+	for _, path := range []string{"/", "/jobs/", "/jobs/x/y/z", "/jobs/" + id + "/nope", "/grid/plan/a/b", "/grid/plan/", "/grid/replan/", "/controller/nope", "/debug", "/metrics/x"} {
+		do(t, http.MethodGet, ts.URL+path)
+		do(t, http.MethodPost, ts.URL+path)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, m := range routeLabelRE.FindAllStringSubmatch(string(text), -1) {
+		route, method, code := m[1], m[2], m[3]
+		seen[route+" "+method+" "+code] = true
+		if _, ok := byPath[route]; !ok && route != "other" {
+			t.Errorf("route label %q is neither a registered pattern nor other", route)
+		}
+		if route == "other" && code != "404" && code != "405" {
+			t.Errorf("a %s %s request was labelled other", method, code)
+		}
+	}
+	for _, want := range []string{
+		"/jobs/{id}/schedule GET 200",
+		"/jobs/{id}/schedule GET 404", // unknown job: a handler's 404 keeps its route
+		"/grid/plan/{id} GET 404",
+		"/grid/replan/{id} GET 404",
+		"/jobs/{id}/placement GET 200",
+		"/controller/tick POST 200",
+		"/fleet/status GET 200",
+		"other PUT 405", // the mux's own answers
+		"other GET 404",
+		"other POST 404",
+	} {
+		if !seen[want] {
+			t.Errorf("no perseus_http_requests_total series for %q", want)
+		}
+	}
+}
+
+var readmeEndpointRE = regexp.MustCompile("(?m)^\\| `((?:GET|POST|PUT|PATCH|DELETE) /[^`]*)` \\|")
+
+// TestREADMEEndpointTable keeps README's endpoint table equal to the
+// registration list.
+func TestREADMEEndpointTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented, registered []string
+	for _, m := range readmeEndpointRE.FindAllSubmatch(readme, -1) {
+		documented = append(documented, string(m[1]))
+	}
+	for _, rt := range New().routes() {
+		registered = append(registered, rt.pattern)
+	}
+	if !slices.Equal(documented, registered) {
+		t.Fatalf("README's endpoint table and routes() differ:\nREADME: %q\nroutes: %q", documented, registered)
+	}
+}

@@ -44,11 +44,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
+	"perseus/internal/api"
 	pln "perseus/internal/plan"
 )
 
@@ -124,75 +126,142 @@ func (s *Server) SetClock(fn func() time.Time) {
 	s.obs.tracer.SetClock(fn)
 }
 
-// Handler returns the HTTP API:
-//
-//	POST /jobs                      register a job
-//	POST /jobs/{id}/profile        upload profiling results
-//	GET  /jobs/{id}/schedule       fetch the deployed energy schedule
-//	                               (ETag; If-None-Match + ?wait long-polls)
-//	POST /jobs/{id}/straggler      set_straggler notification
-//	GET  /jobs/{id}/frontier       fetch the characterized frontier
-//	GET  /jobs/{id}/table          fetch the full energy-schedule lookup table
-//	GET  /jobs/{id}/allocation     fetch the job's fleet allocation
-//	GET  /jobs/{id}/emissions      fetch the job's cumulative emissions
-//	GET  /jobs/{id}/rollout        fetch the job's rolling-horizon schedule
-//	                               state without triggering a re-plan
-//	POST /fleet/cap                set the fleet power cap
-//	GET  /fleet/status             fetch the fleet-wide allocation
-//	POST /grid/signal              install a grid signal (carbon/price/cap trace)
-//	GET  /grid/signal              fetch the installed grid signal
-//	GET  /grid/plan/{id}           plan a job's temporal schedule over the signal
-//	                               (cached; identical concurrent requests solve once)
-//	POST /grid/forecast            install a forecast issuer and issue a forecast
-//	GET  /grid/forecast            fetch the latest issued forecast
-//	GET  /grid/replan/{id}         roll a job's schedule forward: freeze the executed
-//	                               prefix, re-plan the rest on the latest forecast
-//	POST /regions                  register a datacenter region (capacity + signal)
-//	GET  /regions                  list the registered regions
-//	GET  /regions/plan             plan all jobs' spatio-temporal schedules across regions
-//	POST /jobs/{id}/placement      place (or migrate) a job into a region
-//	GET  /jobs/{id}/placement      fetch a job's placement and history
-//	GET  /controller               fetch the controller runtime status
-//	POST /controller/jobs          put a job's rolling schedule under controller management
-//	POST /controller/start         start the background tick loop
-//	POST /controller/stop          stop the background tick loop
-//	POST /controller/tick          run one controller tick synchronously
-//	GET  /metrics                  Prometheus text exposition of every metric
-//	GET  /healthz                  liveness + readiness with per-SLO status
-//	GET  /debug/events             recent structured event ring as JSON
-//	                               (?n= limit, ?since= Seq cursor)
-//	GET  /debug/traces             assembled trace span trees, newest first
-//	                               (?n= limit, ?min_ms= floor, ?op= span filter)
-//	GET  /debug/slo                every SLO rule evaluated now
-//	GET  /debug/ledger             per-job + fleet energy-bloat ledger
-//	                               (?job= one job, ?n= entry cap, ?format=json|csv)
-//	DELETE /jobs/{id}              unregister a job: final span settled,
-//	                               per-job metric series deleted
-//
-// Every endpoint is instrumented (request count/status/latency, an
-// in-flight gauge, and a root trace span continuing any incoming W3C
-// traceparent) by the observability middleware in obs.go.
+// Wire types: every request and response body is declared once, in
+// internal/api; the server names them by alias.
+type (
+	JobRequest            = api.JobRequest
+	JobResponse           = api.JobResponse
+	MeasurementJSON       = api.MeasurementJSON
+	ProfileUpload         = api.ProfileUpload
+	StragglerNotice       = api.StragglerNotice
+	ScheduleResponse      = api.ScheduleResponse
+	FrontierResponse      = api.FrontierResponse
+	FleetCapRequest       = api.FleetCapRequest
+	JobAllocationResponse = api.JobAllocationResponse
+	FleetStatusResponse   = api.FleetStatusResponse
+	GridSignalRequest     = api.GridSignalRequest
+	GridSignalResponse    = api.GridSignalResponse
+	EmissionsResponse     = api.EmissionsResponse
+	RegionRequest         = api.RegionRequest
+	RegionInfo            = api.RegionInfo
+	PlacementRequest      = api.PlacementRequest
+	PlacementEntry        = api.PlacementEntry
+	PlacementResponse     = api.PlacementResponse
+	ForecastRequest       = api.ForecastRequest
+	ForecastResponse      = api.ForecastResponse
+	ReplanResponse        = api.ReplanResponse
+	RolloutResponse       = api.RolloutResponse
+	ControllerJobStatus   = api.ControllerJobStatus
+	ControllerStatus      = api.ControllerStatus
+	ControllerJobRequest  = api.ControllerJobRequest
+	CacheStats            = api.CacheStats
+	HealthResponse        = api.HealthResponse
+	EventsResponse        = api.EventsResponse
+	TracesResponse        = api.TracesResponse
+	SLOResponse           = api.SLOResponse
+	LedgerResponse        = api.LedgerResponse
+)
+
+// route is one endpoint: a net/http method-and-wildcard pattern
+// ("GET /jobs/{id}/schedule") and its handler.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes is the HTTP API — the one list of endpoints. The mux answers
+// 404 for a path no pattern matches and 405 (with an Allow header) for
+// a known path under another method, so handlers check neither; the
+// middleware labels metrics and spans with the matched pattern's path.
+// There is deliberately no catch-all "/" pattern: it would swallow the
+// mux's own 405s.
+func (s *Server) routes() []route {
+	return []route{
+		{"POST /jobs", s.handleRegister},                             // register a job
+		{"DELETE /jobs/{id}", s.withJob(s.handleRemoveJob)},          // unregister: final span settled, per-job series deleted
+		{"POST /jobs/{id}/profile", s.withJob(s.handleProfile)},      // upload profiling results
+		{"GET /jobs/{id}/schedule", s.withJob(s.handleSchedule)},     // deployed energy schedule (ETag; If-None-Match + ?wait long-polls)
+		{"POST /jobs/{id}/straggler", s.withJob(s.handleStraggler)},  // set_straggler notification
+		{"GET /jobs/{id}/frontier", s.withJob(s.handleFrontier)},     // characterized frontier
+		{"GET /jobs/{id}/table", s.withJob(s.handleTable)},           // full energy-schedule lookup table
+		{"GET /jobs/{id}/allocation", s.withJob(s.handleAllocation)}, // the job's fleet allocation
+		{"GET /jobs/{id}/emissions", s.withJob(s.handleEmissions)},   // cumulative emissions account
+		{"GET /jobs/{id}/rollout", s.withJob(s.handleRollout)},       // rolling-horizon schedule state, without re-planning
+		{"POST /jobs/{id}/placement", s.withJob(s.handlePlace)},      // place (or migrate) the job into a region
+		{"GET /jobs/{id}/placement", s.withJob(s.handlePlacement)},   // placement and history
+		{"POST /fleet/cap", s.handleFleetCap},                        // set the fleet power cap
+		{"GET /fleet/status", s.handleFleetStatus},                   // fleet-wide allocation
+		{"POST /grid/signal", s.handleSetGridSignal},                 // install a grid signal (carbon/price/cap trace)
+		{"GET /grid/signal", s.handleGridSignal},                     // the installed grid signal
+		{"GET /grid/plan/{id}", s.handleGridPlan},                    // temporal plan over the signal (cached, single-flight; ETag + ?wait)
+		{"POST /grid/forecast", s.handleSetForecast},                 // install a forecast issuer and issue a forecast
+		{"GET /grid/forecast", s.handleForecast},                     // the latest issued forecast
+		{"GET /grid/replan/{id}", s.handleGridReplan},                // roll forward: freeze the executed prefix, re-plan the rest
+		{"POST /regions", s.handleRegisterRegion},                    // register a datacenter region (capacity + signal)
+		{"GET /regions", s.handleRegions},                            // list the registered regions
+		{"GET /regions/plan", s.handleRegionsPlan},                   // joint spatio-temporal plan across regions
+		{"GET /controller", s.handleController},                      // controller runtime status
+		{"POST /controller/jobs", s.handleManageJob},                 // put a rolling schedule under controller management
+		{"POST /controller/start", s.handleControllerStart},          // start the background tick loop
+		{"POST /controller/stop", s.handleControllerStop},            // stop the background tick loop
+		{"POST /controller/tick", s.handleControllerTick},            // run one tick synchronously
+		{"GET /metrics", s.handleMetrics},                            // Prometheus text exposition
+		{"GET /healthz", s.handleHealthz},                            // liveness + readiness with per-SLO status
+		{"GET /debug/events", s.handleDebugEvents},                   // event ring (?n= limit, ?since= Seq cursor)
+		{"GET /debug/traces", s.handleDebugTraces},                   // span trees, newest first (?n=, ?min_ms=, ?op=)
+		{"GET /debug/slo", s.handleDebugSLO},                         // every SLO rule evaluated now
+		{"GET /debug/ledger", s.handleDebugLedger},                   // energy-bloat ledger (?job=, ?n=, ?format=json|csv)
+	}
+}
+
+// Handler returns the HTTP API: the endpoints listed in routes, each
+// instrumented (request count/status/latency, an in-flight gauge, and a
+// root trace span continuing any incoming W3C traceparent) by the
+// observability middleware in obs.go.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/jobs", s.handleJobs)
-	mux.HandleFunc("/jobs/", s.handleJob)
-	mux.HandleFunc("/fleet/cap", s.handleFleetCap)
-	mux.HandleFunc("/fleet/status", s.handleFleetStatus)
-	mux.HandleFunc("/grid/signal", s.handleGridSignal)
-	mux.HandleFunc("/grid/plan/", s.handleGridPlan)
-	mux.HandleFunc("/grid/forecast", s.handleGridForecast)
-	mux.HandleFunc("/grid/replan/", s.handleGridReplan)
-	mux.HandleFunc("/regions", s.handleRegions)
-	mux.HandleFunc("/regions/plan", s.handleRegionsPlan)
-	mux.HandleFunc("/controller", s.handleController)
-	mux.HandleFunc("/controller/", s.handleControllerAction)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/debug/events", s.handleDebugEvents)
-	mux.HandleFunc("/debug/traces", s.handleDebugTraces)
-	mux.HandleFunc("/debug/slo", s.handleDebugSLO)
-	mux.HandleFunc("/debug/ledger", s.handleDebugLedger)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, rt.handler)
+	}
 	return s.obs.middleware(mux)
+}
+
+// withJob resolves the {id} of a /jobs/{id}/… route, answering 404 for
+// an unknown job.
+func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.st.job(r.PathValue("id"))
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		h(w, r, j)
+	}
+}
+
+// maxBodyBytes bounds every JSON request body. Measured over the test
+// suites and the four bench/ workloads, the largest body sent is a
+// profile upload of 136,552 bytes (the tests' largest is 68,204) and
+// next a 288-interval grid signal of 31,414; 4 MiB leaves 30× headroom
+// over that for paper-scale profiles and still refuses a body before
+// it costs real memory.
+const maxBodyBytes = 4 << 20
+
+// decodeJSON reads the request's JSON body into v. ok is false after it
+// has answered 400 for a malformed body or 413 for one over
+// maxBodyBytes.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
 }
 
 // jsonBufs holds the buffers JSON responses are encoded into before
@@ -211,6 +280,26 @@ func writeJSON(w http.ResponseWriter, v any) {
 		return
 	}
 	writeJSONBody(w, buf.Bytes())
+}
+
+// writeResult answers a call's outcome: failStatus with err's message
+// when it failed, v as JSON otherwise.
+func writeResult(w http.ResponseWriter, v any, err error, failStatus int) {
+	if err != nil {
+		http.Error(w, err.Error(), failStatus)
+		return
+	}
+	writeJSON(w, v)
+}
+
+// jobError answers a failed planning call for job id: 404 when the job
+// does not exist, 400 (the request cannot be planned) otherwise.
+func (s *Server) jobError(w http.ResponseWriter, id string, err error) {
+	status := http.StatusBadRequest
+	if _, ok := s.st.job(id); !ok {
+		status = http.StatusNotFound
+	}
+	http.Error(w, err.Error(), status)
 }
 
 // writeJSONBody answers 200 with an already encoded JSON body in one
