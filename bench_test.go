@@ -382,7 +382,7 @@ func BenchmarkGridOptimize(b *testing.B) {
 // the bundled phase-shifted pair — the synchronous cost behind GET
 // /regions/plan and each multi-region re-plan.
 func BenchmarkRegionPlan(b *testing.B) {
-	for _, nJobs := range []int{1, 2, 8} {
+	for _, nJobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs-%d", nJobs), func(b *testing.B) {
 			regions, jobs, opts := benchRegionCase(nJobs)
 			b.ResetTimer()

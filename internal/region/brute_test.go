@@ -59,6 +59,18 @@ func randomBruteInstance(rng *rand.Rand, nRegions, nJobs, nCells, capacity int) 
 	return inst
 }
 
+// emptyPlanner builds the instance's planner with nothing committed,
+// for tests that evaluate placements directly.
+func emptyPlanner(t *testing.T, inst bruteInstance) *planner {
+	t.Helper()
+	p, err := newPlanner(inst.regions, inst.jobs, inst.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.usage = newUsage(len(p.regions), len(p.cells))
+	return p
+}
+
 // enumerate lists every placement sequence over nCells cells drawing
 // from {Paused, 0..nRegions-1}.
 func enumerate(nRegions, nCells int) [][]int {
@@ -87,10 +99,8 @@ func enumerate(nRegions, nCells int) [][]int {
 // objective over combinations where every job is feasible.
 func bruteForce(t *testing.T, inst bruteInstance) (best float64, ok bool) {
 	t.Helper()
-	horizon := inst.regions[0].Signal.Horizon()
-	cells := commonGrid(inst.regions, horizon)
-	p := &planner{regions: inst.regions, cells: cells, horizon: horizon,
-		opts: inst.opts, usage: newUsage(len(inst.regions), len(cells))}
+	p := emptyPlanner(t, inst)
+	cells := p.cells
 
 	placements := enumerate(len(inst.regions), len(cells))
 	// Cache each job's per-placement evaluation (no caps, so the
@@ -103,7 +113,7 @@ func bruteForce(t *testing.T, inst bruteInstance) (best float64, ok bool) {
 	for j := range inst.jobs {
 		cache[j] = make([]cached, len(placements))
 		for i, pl := range placements {
-			ev, err := p.evaluate(&inst.jobs[j], pl)
+			ev, err := p.evaluateFull(&p.scratch[0], &inst.jobs[j], pl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,13 +263,10 @@ func TestPlannerNeverWorseThanBaselines(t *testing.T) {
 func TestEvaluatePlanInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	inst := randomBruteInstance(rng, 3, 1, 4, 0)
-	horizon := inst.regions[0].Signal.Horizon()
-	cells := commonGrid(inst.regions, horizon)
-	p := &planner{regions: inst.regions, cells: cells, horizon: horizon,
-		opts: inst.opts, usage: newUsage(len(inst.regions), len(cells))}
+	p := emptyPlanner(t, inst)
 	j := &inst.jobs[0]
 	for _, pl := range enumerate(3, 4) {
-		ev, err := p.evaluate(j, pl)
+		ev, err := p.evaluateFull(&p.scratch[0], j, pl)
 		if err != nil {
 			t.Fatal(err)
 		}

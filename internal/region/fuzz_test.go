@@ -19,7 +19,11 @@ import (
 //     arrival cells, and the plan totals are the per-job sums;
 //  4. on capacity-unconstrained instances the planner is never worse
 //     than BestFixed — every single-region placement is one of its
-//     descent starts, so losing to one would break the construction.
+//     descent starts, so losing to one would break the construction;
+//  5. the plan is the reference planner's (memo dropped before every
+//     use, every order run), bit for bit — on the instance as drawn and
+//     again with power caps drawn onto it, where a memo entry can go
+//     stale (memo_test.go).
 func FuzzPlan(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed%3), uint8(seed%2), uint8(seed%3), seed%2 == 0)
@@ -134,6 +138,15 @@ func FuzzPlan(f *testing.F) {
 				t.Fatalf("planner %v above BestFixed %v", plan.Total(), bestFixed.Total())
 			}
 		}
+
+		// (5) same plan as the reference planner, uncapped then capped.
+		requireSamePlan(t, "as drawn", plan, optimizeReference(t, inst))
+		withCaps(rng, &inst)
+		capped, err := Optimize(inst.regions, inst.jobs, inst.opts)
+		if err != nil {
+			t.Fatalf("optimize failed on valid capped instance: %v", err)
+		}
+		requireSamePlan(t, "capped", capped, optimizeReference(t, inst))
 	})
 }
 

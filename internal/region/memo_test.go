@@ -1,0 +1,358 @@
+package region
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"perseus/internal/grid"
+)
+
+// optimizeReference is Optimize on the reference planner: every memo
+// is dropped before each use — each descent starts empty, each
+// incumbent and swap lookup is solved against the usage in force — and
+// every job order is run. It is what the planner did before the memo
+// outlived a descent, and it cannot read a stale entry because it never
+// reads an old one.
+func optimizeReference(t testing.TB, inst bruteInstance) *Plan {
+	t.Helper()
+	p, err := newPlanner(inst.regions, inst.jobs, inst.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.resetPerDescent = true
+	plan, err := p.solveAll(inst.jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// requireSamePlan compares two joint plans assignment for assignment
+// and Account for Account, bit for bit.
+func requireSamePlan(t testing.TB, what string, got, want *Plan) {
+	t.Helper()
+	if got.Account != want.Account || got.Feasible != want.Feasible {
+		t.Fatalf("%s: totals %+v feasible=%v, reference %+v feasible=%v",
+			what, got.Account, got.Feasible, want.Account, want.Feasible)
+	}
+	for i := range want.Jobs {
+		g, w := got.Jobs[i], want.Jobs[i]
+		if !slices.Equal(g.Assignments, w.Assignments) {
+			t.Fatalf("%s: job %s placed %v, reference %v", what, w.JobID, placementOf(g), placementOf(w))
+		}
+		if g.Account != w.Account || g.Feasible != w.Feasible || g.Temporal.Iterations != w.Temporal.Iterations {
+			t.Fatalf("%s: job %s totals %+v, reference %+v", what, w.JobID, g.Account, w.Account)
+		}
+	}
+}
+
+// withCaps draws power caps onto a brute instance: each region gets a
+// facility cap with probability 1/2 and each interval its own with
+// probability 1/3, sized between half of and two and a half times the
+// first job's peak draw — so that some caps never bind, some squeeze a
+// second job onto slower points, and some leave it only idling. (Kept
+// apart from randomBruteInstance: the brute-force tests enumerate
+// cap-free instances, and their seeds must keep drawing the same ones.)
+func withCaps(rng *rand.Rand, inst *bruteInstance) {
+	peak := inst.jobs[0].scale() * inst.jobs[0].Table.AvgPower(0)
+	draw := func() float64 { return peak * (0.5 + 2*rng.Float64()) }
+	for r := range inst.regions {
+		if rng.Intn(2) == 0 {
+			inst.regions[r].CapW = draw()
+		}
+		ivs := inst.regions[r].Signal.Intervals
+		for k := range ivs {
+			if rng.Intn(3) == 0 {
+				ivs[k].CapW = draw()
+			}
+		}
+	}
+}
+
+// TestMemoMatchesResetPerDescent is the differential test that licenses
+// keeping the memo for the whole solve (and skipping replayed orders):
+// over the brute-force test's shapes — uncontended, capacity-1
+// contended, one to three jobs — with and without power caps, Optimize
+// returns exactly the reference planner's plan. The capped half is the
+// part that exercises cap-view invalidation: there an outcome depends
+// on what the others draw, and a memo that missed a view change would
+// answer with another usage's cost.
+func TestMemoMatchesResetPerDescent(t *testing.T) {
+	shapes := []struct{ regions, jobs, cells, capacity int }{
+		{2, 1, 4, 0}, {3, 1, 4, 0},
+		{2, 2, 3, 0}, {3, 3, 3, 0},
+		{2, 2, 3, 1}, {2, 3, 2, 1}, {3, 2, 3, 1}, {3, 3, 4, 2},
+	}
+	instances, capped, resets := 0, 0, 0
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 36; seed++ {
+			for _, caps := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(seed*1000 + int64(sh.regions*100+sh.jobs*10+sh.cells)))
+				inst := randomBruteInstance(rng, sh.regions, sh.jobs, sh.cells, sh.capacity)
+				if caps {
+					withCaps(rng, &inst)
+					capped++
+				}
+				got, err := Optimize(inst.regions, inst.jobs, inst.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSamePlan(t, "memo vs reset-per-descent", got, optimizeReference(t, inst))
+				if !caps && got.Stats.MemoResets != 0 {
+					t.Fatalf("shape %+v seed %d: %d memo resets with no cap to invalidate a view", sh, seed, got.Stats.MemoResets)
+				}
+				resets += got.Stats.MemoResets
+				instances++
+			}
+		}
+	}
+	if instances < 500 || capped < 250 {
+		t.Fatalf("compared %d instances (%d capped), want at least 500 (250)", instances, capped)
+	}
+	if resets == 0 {
+		t.Fatal("no capped instance ever changed a cap view: invalidation went untested")
+	}
+}
+
+// twoCells builds a flat two-cell signal (two cells so swaps have
+// ranges to exchange).
+func twoCells(name string, carbon float64) *grid.Signal {
+	return &grid.Signal{Name: name, Intervals: []grid.Interval{
+		{StartS: 0, EndS: 1800, CarbonGPerKWh: carbon, PriceUSDPerKWh: 0.1},
+		{StartS: 1800, EndS: 3600, CarbonGPerKWh: carbon, PriceUSDPerKWh: 0.1},
+	}}
+}
+
+// TestStaleMemoEntryWouldMisplace is the hand-built case behind the cap
+// view: a clean region whose cap feeds one job but not two, a dirty
+// uncapped one, and two identical jobs. Planned alone, job a takes the
+// clean region and its memo says so. Once b is committed there, what is
+// left of the cap is below a's slowest point: the same placement now
+// only idles. The memo's answer from before — feasible and cheap — is
+// strictly better than anything a can really get, so a planner that
+// read it would keep a in the clean region and miss its target.
+func TestStaleMemoEntryWouldMisplace(t *testing.T) {
+	lt := convexTable(0.01, 80, 110, 3000, 120)
+	inst := bruteInstance{
+		regions: []Region{
+			{Name: "clean", Signal: twoCells("clean", 50), CapW: 1.2 * lt.AvgPower(0)},
+			{Name: "dirty", Signal: twoCells("dirty", 500)},
+		},
+		jobs: []Job{
+			{ID: "a", Table: lt, Target: 0.7 * 3600 / lt.TStar()},
+			{ID: "b", Table: lt, Target: 0.7 * 3600 / lt.TStar()},
+		},
+	}
+	p := emptyPlanner(t, inst)
+	p.memos = make([]jobMemo, 2)
+	a, b := &inst.jobs[0], &inst.jobs[1]
+
+	alone, err := p.planJob(0, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !alone.feasible || !slices.Equal(alone.placement, []int{0, 0}) {
+		t.Fatalf("alone, a should take the clean region: %+v", alone)
+	}
+	evB, err := p.planJob(1, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.commit(b, evB); err != nil {
+		t.Fatal(err)
+	}
+	if evB.plan == nil {
+		t.Fatal("a commit at a capped cell must build the plan whose power it records")
+	}
+
+	beside, err := p.planJob(0, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.stats.MemoResets != 1 {
+		t.Fatalf("b's draw changed a's cap view: want 1 memo reset, got %d", p.stats.MemoResets)
+	}
+	if !beside.feasible || !slices.Equal(beside.placement, []int{1, 1}) {
+		t.Fatalf("beside b, a should take the dirty region: %+v", beside)
+	}
+	if !betterOutcome(alone.outcome, beside.outcome, true) {
+		t.Fatal("the stale outcome should look better than a's real best — otherwise reading it would be harmless")
+	}
+	fresh, err := p.lookup(0, a, alone.placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.feasible {
+		t.Fatalf("beside b the clean region cannot feed a, yet its lookup reads %+v", fresh)
+	}
+
+	got, err := Optimize(inst.regions, inst.jobs, inst.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePlan(t, "capped pair", got, optimizeReference(t, inst))
+	if !got.Feasible || got.Jobs[0].Assignments[0].Region == got.Jobs[1].Assignments[0].Region {
+		t.Fatalf("the pair should split across the regions and both finish: %+v", got.Jobs)
+	}
+}
+
+// benchShapedCase mirrors the root package's benchRegionCase: the
+// bundled phase-shifted pair sized so every job fits either region (so
+// nothing binds), n distinct 8-GPU jobs, migration friction. Odd jobs
+// are due at three quarters of the day, so placements differ and swaps
+// have something to exchange.
+func benchShapedCase(n int) bruteInstance {
+	inst := bruteInstance{
+		regions: PhaseShiftedPair(8 * n),
+		opts:    Options{Migration: MigrationCost{DowntimeS: 600, EnergyJ: 5e6}},
+	}
+	for i := 0; i < n; i++ {
+		lt := convexTable(0.01, int64(70+5*i), int64(100+5*i), 3000+200*float64(i), 120+10*float64(i))
+		horizon := inst.regions[0].Signal.Horizon()
+		inst.jobs = append(inst.jobs, Job{
+			ID: string(rune('a' + i)), Table: lt, GPUs: 8,
+			Target: 0.4 * horizon / lt.TStar(), DeadlineS: float64(i%2) * 0.75 * horizon,
+		})
+	}
+	return inst
+}
+
+// seedsOf turns a plan into the next solve's warm-start seeds, as the
+// MPC loop does tick to tick.
+func seedsOf(p *Plan) map[string][]SeedSpan {
+	seeds := map[string][]SeedSpan{}
+	for _, jp := range p.Jobs {
+		for _, a := range jp.Assignments {
+			name := ""
+			if a.Region >= 0 {
+				name = p.Regions[a.Region]
+			}
+			seeds[jp.JobID] = append(seeds[jp.JobID], SeedSpan{StartS: a.StartS, EndS: a.EndS, Region: name})
+		}
+	}
+	return seeds
+}
+
+// TestStatsCounts pins, in counts rather than milliseconds, what the
+// solve-long memo and the warm start buy on a benchRegionCase(4)-shaped
+// instance: the counts do not depend on the worker pool, a seeded solve
+// runs strictly fewer inner solves than the cold solve that seeded it,
+// an n-job solve in which nothing binds runs no more inner solves than
+// its n jobs solved alone plus whatever the swaps missed, and temporal
+// plans are built for winners only.
+func TestStatsCounts(t *testing.T) {
+	inst := benchShapedCase(4)
+	cold, err := Optimize(inst.regions, inst.jobs, inst.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		opts := inst.opts
+		opts.Workers = workers
+		p, err := Optimize(inst.regions, inst.jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Stats != cold.Stats {
+			t.Fatalf("workers=%d counts %+v, default %+v", workers, p.Stats, cold.Stats)
+		}
+	}
+
+	opts := inst.opts
+	opts.Seeds = seedsOf(cold)
+	seeded, err := Optimize(inst.regions, inst.jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeded.Total() > cold.Total() {
+		t.Fatalf("seeded solve %v worse than its seed %v", seeded.Total(), cold.Total())
+	}
+	if seeded.Stats.InnerSolves >= cold.Stats.InnerSolves {
+		t.Fatalf("seeded solve ran %d inner solves, the cold solve that seeded it %d",
+			seeded.Stats.InnerSolves, cold.Stats.InnerSolves)
+	}
+
+	alone := 0
+	for i := range inst.jobs {
+		p, err := Optimize(inst.regions, inst.jobs[i:i+1], inst.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone += p.Stats.InnerSolves
+	}
+	s := cold.Stats
+	if s.InnerSolves > alone+s.SwapSolves {
+		t.Fatalf("%d inner solves for 4 jobs; solved alone they take %d, swaps missed %d", s.InnerSolves, alone, s.SwapSolves)
+	}
+	if s.Materialized > 2*len(inst.jobs) {
+		t.Fatalf("%d plans materialized for %d jobs", s.Materialized, len(inst.jobs))
+	}
+	if s.MemoResets != 0 || s.MemoHits() <= s.InnerSolves || s.SwapsTried == 0 {
+		t.Fatalf("uncapped 4-job solve should never reset, mostly hit, and try swaps: %+v", s)
+	}
+	t.Logf("cold %+v", cold.Stats)
+	t.Logf("seeded %+v", seeded.Stats)
+}
+
+// TestOrderSkipIsExact pins the argument on planner.binds: where
+// nothing binds every job order replays the first evaluation for
+// evaluation, so running one is exact; where capacity does bind every
+// order still runs.
+func TestOrderSkipIsExact(t *testing.T) {
+	inst := benchShapedCase(4)
+	var first []*eval
+	for _, order := range orders(len(inst.jobs), true) {
+		p, err := newPlanner(inst.regions, inst.jobs, inst.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.binds(inst.jobs) {
+			t.Fatal("every job fits every region and nothing is capped: nothing binds")
+		}
+		p.memos = make([]jobMemo, len(inst.jobs))
+		evals, err := p.runOrder(inst.jobs, order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = evals
+			continue
+		}
+		for i := range evals {
+			if !slices.Equal(evals[i].placement, first[i].placement) || evals[i].outcome != first[i].outcome {
+				t.Fatalf("order %v: job %d ends at %v %+v, identity order %v %+v", order, i,
+					evals[i].placement, evals[i].outcome, first[i].placement, first[i].outcome)
+			}
+		}
+	}
+	plan, err := Optimize(inst.regions, inst.jobs, inst.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Stats.Orders != 1 {
+		t.Fatalf("non-binding solve ran %d orders", plan.Stats.Orders)
+	}
+
+	// One GPU short of seating everyone in one region: orders matter.
+	tight := benchShapedCase(4)
+	for r := range tight.regions {
+		tight.regions[r].GPUs = 8*4 - 1
+	}
+	plan, err = Optimize(tight.regions, tight.jobs, tight.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(orders(4, true)); plan.Stats.Orders != want {
+		t.Fatalf("binding solve ran %d of %d orders", plan.Stats.Orders, want)
+	}
+	rng := rand.New(rand.NewSource(7))
+	contended := randomBruteInstance(rng, 2, 3, 2, 1)
+	plan, err = Optimize(contended.regions, contended.jobs, contended.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(orders(3, true)); plan.Stats.Orders != want {
+		t.Fatalf("capacity-1 solve ran %d of %d orders", plan.Stats.Orders, want)
+	}
+}

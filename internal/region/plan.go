@@ -3,6 +3,8 @@ package region
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"perseus/internal/grid"
 	pln "perseus/internal/plan"
@@ -127,6 +129,42 @@ type Plan struct {
 
 	// Feasible reports whether every job meets its target and deadline.
 	Feasible bool `json:"feasible"`
+
+	// Stats counts the work the solve did; it is not part of the wire
+	// form.
+	Stats Stats `json:"-"`
+}
+
+// Stats counts one solve's work. Every field is accumulated in the
+// planner's sequential reduction, so the counts are identical for any
+// Options.Workers.
+type Stats struct {
+	Orders        int // job orders run (one when no region can bind)
+	Descents      int // per-job descents
+	Candidates    int // placements proposed to a job memo: descent sweeps, incumbent re-evaluations, swap lookups
+	InnerSolves   int // proposals that missed and ran the inner temporal solver, totals only
+	SwapSolves    int // the InnerSolves made for swap lookups
+	MemoResets    int // non-empty memos dropped because the job's cap view changed
+	MemoBytes     int // the job memos' high-water marks, summed
+	Materialized  int // temporal plans built
+	SwapsTried    int // range exchanges that change something and fit
+	SwapsAccepted int
+}
+
+// MemoHits is the number of proposals a memo answered without a solve.
+func (s Stats) MemoHits() int { return s.Candidates - s.InnerSolves }
+
+// SpanAttrs lists the counts as key/value pairs; obs.InstrumentPlanner
+// puts them on the solve's trace span.
+func (p *Plan) SpanAttrs() []string {
+	s := p.Stats
+	return []string{
+		"orders", strconv.Itoa(s.Orders), "descents", strconv.Itoa(s.Descents),
+		"candidates", strconv.Itoa(s.Candidates), "inner_solves", strconv.Itoa(s.InnerSolves),
+		"memo_hits", strconv.Itoa(s.MemoHits()), "memo_resets", strconv.Itoa(s.MemoResets),
+		"materialized", strconv.Itoa(s.Materialized),
+		"swaps_tried", strconv.Itoa(s.SwapsTried), "swaps_accepted", strconv.Itoa(s.SwapsAccepted),
+	}
 }
 
 // Total reads the plan total matching its objective.
@@ -176,33 +214,16 @@ func (p *Planner) Plan(req pln.Request) (pln.Result, error) {
 	})
 }
 
-// eval is one evaluated placement candidate for one job.
+// eval is one job's evaluated placement. It is born light — placement
+// and outcome, all a comparison reads — and gains its temporal plan,
+// migration summary and cell map only when planner.materialize is
+// asked for them: by a commit at a capped cell, or by assembly.
 type eval struct {
 	placement []int
-	plan      *grid.Plan
-	mig       migSummary
-	cellOf    []int
-	cost      float64 // objective incl. migration; only valid when feasible
-	coverage  float64
-	feasible  bool
-}
-
-// better reports whether a strictly improves on b: feasibility first,
-// then objective cost, then (both infeasible) coverage.
-func (a *eval) better(b *eval) bool {
-	if b == nil || b.placement == nil {
-		return true
-	}
-	if a.feasible != b.feasible {
-		return a.feasible
-	}
-	if a.feasible {
-		return a.cost < b.cost-1e-9*(1+math.Abs(b.cost))
-	}
-	if math.Abs(a.coverage-b.coverage) > 1e-9*(1+b.coverage) {
-		return a.coverage > b.coverage
-	}
-	return a.cost < b.cost-1e-9*(1+math.Abs(b.cost))
+	outcome
+	plan   *grid.Plan
+	mig    migSummary
+	cellOf []int
 }
 
 // usage tracks the capacity and power other jobs consume per
@@ -222,7 +243,7 @@ func newUsage(nRegions, nCells int) *usage {
 }
 
 // apply commits (sign +1) or releases (sign -1) a job's evaluated
-// placement.
+// placement: its GPUs and its power.
 func (u *usage) apply(j *Job, ev *eval, sign int) {
 	if ev == nil || ev.placement == nil {
 		return
@@ -232,6 +253,14 @@ func (u *usage) apply(j *Job, ev *eval, sign int) {
 			u.gpus[r][k] += sign * j.gpus()
 		}
 	}
+	u.power(j, ev, sign)
+}
+
+// power adds (or removes) the peak power ev's temporal plan draws per
+// cell. A light eval has no plan and draws nothing here: peakW is read
+// only at capped cells, and planner.commit materializes every eval
+// placed at one.
+func (u *usage) power(j *Job, ev *eval, sign int) {
 	if ev.plan == nil {
 		return
 	}
@@ -254,10 +283,8 @@ func (u *usage) apply(j *Job, ev *eval, sign int) {
 
 // planner bundles the planning context: the immutable instance
 // (regions, cells, options, precomputed rates) plus the mutable solve
-// state — committed usage, per-worker evaluation scratch, and the
-// per-job candidate memo. Tests build bare planners with just the
-// first five fields; every method tolerates the zero values of the
-// rest (nil rates fall back to Region.rates, zero workers run inline).
+// state — committed usage, per-worker evaluation scratch, and one
+// candidate memo per job, kept for the whole solve.
 type planner struct {
 	regions []Region
 	cells   []Cell
@@ -266,13 +293,23 @@ type planner struct {
 	usage   *usage
 
 	workers int
-	rates   [][]cellRates // nil on bare test planners
+	rates   [][]cellRates // [region][cell]
+	capAt   [][2]int      // the (region, cell)s that carry a power cap
 	scratch []evalScratch // one per worker
-	memo    jobMemo
-	cands   []int32 // current batch, entry indices in generation order
-	pending []int32 // entries awaiting evaluation this batch
-	curPl   []int   // descent incumbent placement
-	tmpPl   []int   // candidate construction buffer
+	memos   []jobMemo     // one per job; see planner.sync
+	cands   []int32       // current batch, entry indices in generation order
+	pending []int32       // entries awaiting evaluation this batch
+	curPl   []int         // descent incumbent placement
+	tmpPl   []int         // candidate construction buffer
+	swapA   []int         // swapRefine's exchanged placements
+	swapB   []int
+	view    []float64 // sync's reading of the live cap view
+	stats   Stats
+
+	// resetPerDescent is the differential tests' reference planner: every
+	// sync drops the memo (each descent starts empty, each incumbent and
+	// swap lookup is solved afresh) and every job order is run.
+	resetPerDescent bool
 }
 
 // newPlanner validates the instance and builds a ready planner:
@@ -315,13 +352,20 @@ func newPlanner(regions []Region, jobs []Job, opts Options) (*planner, error) {
 		workers: opts.workers(),
 		rates:   rateTable(regions, cells),
 	}
+	for r := range p.rates {
+		for k, rc := range p.rates[r] {
+			if rc.capW > 0 {
+				p.capAt = append(p.capAt, [2]int{r, k})
+			}
+		}
+	}
 	p.scratch = make([]evalScratch, p.workers)
 	return p, nil
 }
 
 // fork clones the planner's immutable context for an independent solve
 // (BestFixed runs one per region concurrently): shared regions, cells,
-// and rates; private usage, scratch, and memo. Forks run their inner
+// and rates; private usage, scratch, and memos. Forks run their inner
 // evaluations sequentially — the fan-out is across forks.
 func (p *planner) fork() *planner {
 	return &planner{
@@ -331,6 +375,7 @@ func (p *planner) fork() *planner {
 		opts:    p.opts,
 		workers: 1,
 		rates:   p.rates,
+		capAt:   p.capAt,
 		scratch: make([]evalScratch, 1),
 	}
 }
@@ -348,12 +393,7 @@ func (p *planner) allowed(j *Job, r, k int) bool {
 // region's effective cap minus the power other jobs' plans already
 // draw there (0 = uncapped).
 func (p *planner) capOverride(r, k int) float64 {
-	var capW float64
-	if p.rates != nil {
-		capW = p.rates[r][k].capW
-	} else {
-		_, _, capW = p.regions[r].rates(p.cells[k])
-	}
+	capW := p.rates[r][k].capW
 	if capW <= 0 {
 		return 0
 	}
@@ -362,17 +402,6 @@ func (p *planner) capOverride(r, k int) float64 {
 		rem = forceIdleCapW
 	}
 	return rem
-}
-
-// cellRate reads region r's (carbon, price) over cell k, through the
-// precomputed table when present.
-func (p *planner) cellRate(r, k int) (carbon, price float64) {
-	if p.rates != nil {
-		rc := p.rates[r][k]
-		return rc.carbon, rc.price
-	}
-	carbon, price, _ = p.regions[r].rates(p.cells[k])
-	return carbon, price
 }
 
 // origin resolves the job's Origin region name to an index (Paused
@@ -399,34 +428,13 @@ func (p *planner) gridOptions(j *Job) grid.Options {
 	}
 }
 
-// evaluate compiles a placement into a composite signal and solves the
-// inner temporal subproblem exactly with grid.Optimize. The
-// allocate-everything path, kept for bare test planners; hot paths use
-// evaluateFull/evaluateLight below.
-func (p *planner) evaluate(j *Job, placement []int) (*eval, error) {
-	sig, mig, cellOf := compile(p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride)
-	plan, err := grid.Optimize(j.Table, sig, p.gridOptions(j))
-	if err != nil {
-		return nil, err
-	}
-	ev := &eval{
-		placement: placement,
-		plan:      plan,
-		mig:       mig,
-		cellOf:    cellOf,
-		coverage:  plan.Iterations,
-		feasible:  plan.Feasible,
-		cost:      objectiveTotal(plan) + mig.objective(plan.Objective),
-	}
-	return ev, nil
-}
-
 // evaluateFull evaluates a placement and materializes the full eval —
-// temporal plan and cell map included — for commit paths (usage
-// accounting, assembly). Compile runs in the scratch's buffers; the
+// temporal plan and cell map included — for the baselines' candidates
+// and for materialize. Compile runs in the scratch's buffers; the
 // returned eval retains only fresh state (the plan and a copied cell
 // map), never the scratch.
 func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, error) {
+	p.stats.Materialized++
 	sig, mig, cellOf := compileInto(&s.compileScratch, p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride, p.rates)
 	plan, err := s.solver.Optimize(j.Table, sig, p.gridOptions(j))
 	if err != nil {
@@ -437,17 +445,90 @@ func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, 
 		plan:      plan,
 		mig:       mig,
 		cellOf:    append([]int(nil), cellOf...),
-		coverage:  plan.Iterations,
-		feasible:  plan.Feasible,
-		cost:      objectiveTotal(plan) + mig.objective(plan.Objective),
+		outcome: outcome{
+			coverage: plan.Iterations,
+			feasible: plan.Feasible,
+			cost:     objectiveTotal(plan) + mig.objective(plan.Objective),
+		},
 	}, nil
+}
+
+// materialize builds the temporal plan of a light eval in place. The
+// usage in force must be the usage ev was evaluated under wherever
+// that matters — at capped cells — which holds for commit (called
+// before anything else moves) and for assembly (an eval still light
+// then touches no capped cell, so no usage can change its plan).
+func (p *planner) materialize(j *Job, ev *eval) error {
+	full, err := p.evaluateFull(&p.scratch[0], j, ev.placement)
+	if err != nil {
+		return err
+	}
+	*ev = *full
+	return nil
+}
+
+// commit adds ev to the committed usage, building its temporal plan
+// first when the placement meets a capped cell: the power drawn there
+// is the one thing a commit needs a plan for.
+func (p *planner) commit(j *Job, ev *eval) error {
+	if ev.plan == nil && p.touchesCap(ev.placement) {
+		if err := p.materialize(j, ev); err != nil {
+			return err
+		}
+	}
+	p.usage.apply(j, ev, +1)
+	return nil
+}
+
+// touchesCap reports whether the placement runs in any capped cell.
+func (p *planner) touchesCap(placement []int) bool {
+	for _, c := range p.capAt {
+		if placement[c[1]] == c[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// sync returns job ji's memo, valid for the usage now committed: it is
+// reset unless the others' peak power at every capped cell is exactly
+// what the memo's entries were solved under. Exact comparison means a
+// view that drifted by float rounding only costs a re-solve.
+func (p *planner) sync(ji int) *jobMemo {
+	m := &p.memos[ji]
+	p.view = p.view[:0]
+	for _, c := range p.capAt {
+		p.view = append(p.view, p.usage.peakW[c[0]][c[1]])
+	}
+	if m.keys != nil && !p.resetPerDescent && slices.Equal(m.view, p.view) {
+		return m
+	}
+	if len(m.entries) > 0 {
+		p.stats.MemoResets++
+	}
+	m.reset()
+	m.view = append(m.view[:0], p.view...)
+	return m
+}
+
+// lookup returns the outcome of one placement for job ji against the
+// usage now committed, solving it only if the job's memo has not seen
+// it under this cap view.
+func (p *planner) lookup(ji int, j *Job, placement []int) (outcome, error) {
+	m := p.sync(ji)
+	p.beginBatch()
+	p.addCand(m, placement)
+	if err := p.runBatch(m, j); err != nil {
+		return outcome{}, err
+	}
+	return m.entries[p.cands[0]].out, nil
 }
 
 // evaluateLight evaluates a placement to its comparison outcome only —
 // no plan, no allocations in steady state. grid.Solver.Evaluate totals
 // with arithmetic bit-identical to Optimize's, so light and full
-// evaluations of the same placement always agree; descent compares
-// candidates light and re-solves only committed winners full.
+// evaluations of the same placement always agree; every comparison the
+// planner makes is on light outcomes (see materialize).
 func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcome, error) {
 	sig, mig, _ := compileInto(&s.compileScratch, p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride, p.rates)
 	ev, err := s.solver.Evaluate(j.Table, sig, p.gridOptions(j))
@@ -466,7 +547,7 @@ func (p *planner) beginBatch() { p.cands = p.cands[:0] }
 
 // addCand records a candidate in generation order, interning it in the
 // job memo (duplicates and already-solved placements share entries).
-func (p *planner) addCand(pl []int) { p.cands = append(p.cands, p.memo.intern(pl)) }
+func (p *planner) addCand(m *jobMemo, pl []int) { p.cands = append(p.cands, m.intern(pl)) }
 
 // runBatch solves every not-yet-solved candidate in the current batch,
 // fanned across the worker pool. Each pending entry is written by
@@ -474,22 +555,27 @@ func (p *planner) addCand(pl []int) { p.cands = append(p.cands, p.memo.intern(pl
 // workers run, so the pass is race-free; results are then read back
 // sequentially in generation order, which keeps the reduction — and
 // therefore the whole planner — bit-identical for any worker count.
-func (p *planner) runBatch(j *Job) error {
+func (p *planner) runBatch(m *jobMemo, j *Job) error {
 	p.pending = p.pending[:0]
 	for _, e := range p.cands {
-		ent := &p.memo.entries[e]
+		ent := &m.entries[e]
 		if !ent.solved {
 			ent.solved = true // batches can repeat an entry; queue it once
 			p.pending = append(p.pending, e)
 		}
 	}
+	p.stats.Candidates += len(p.cands)
+	p.stats.InnerSolves += len(p.pending)
+	if len(p.pending) == 0 {
+		return nil // all hits: most swap lookups and every replayed sweep
+	}
 	parallelFor(p.workers, len(p.pending), func(w, i int) {
 		e := p.pending[i]
-		ent := &p.memo.entries[e]
-		ent.out, ent.err = p.evaluateLight(&p.scratch[w], j, p.memo.placement(e))
+		ent := &m.entries[e]
+		ent.out, ent.err = p.evaluateLight(&p.scratch[w], j, m.placement(e))
 	})
 	for _, e := range p.pending {
-		if err := p.memo.entries[e].err; err != nil {
+		if err := m.entries[e].err; err != nil {
 			return err
 		}
 	}
@@ -585,10 +671,9 @@ func (p *planner) starts(j *Job) [][]int {
 			if !p.allowed(j, r, k) {
 				continue
 			}
-			carbon, price := p.cellRate(r, k)
-			rate := carbon
+			rate := p.rates[r][k].carbon
 			if p.opts.Objective == grid.ObjectiveCost {
-				rate = price
+				rate = p.rates[r][k].price
 			}
 			if rate < bestRate {
 				best, bestRate = r, rate
@@ -612,9 +697,13 @@ func (p *planner) starts(j *Job) [][]int {
 // evaluated light across the worker pool, and reduced sequentially in
 // generation order with the same strict comparisons the sequential
 // planner makes — so the chosen move, and hence the whole descent, is
-// bit-identical for any Options.Workers.
-func (p *planner) planJob(j *Job) (*eval, error) {
-	p.memo.reset()
+// bit-identical for any Options.Workers. The memo outlives the descent
+// (see jobMemo): a re-plan of the same job under an unchanged cap view
+// re-proposes what an earlier descent solved and reads it back. The
+// winner is returned light.
+func (p *planner) planJob(ji int, j *Job) (*eval, error) {
+	m := p.sync(ji)
+	p.stats.Descents++
 	kEnd := p.kEnd(j)
 
 	p.beginBatch()
@@ -623,17 +712,17 @@ func (p *planner) planJob(j *Job) (*eval, error) {
 		starts = append(starts, seed)
 	}
 	for _, pl := range starts {
-		p.addCand(pl)
+		p.addCand(m, pl)
 	}
-	if err := p.runBatch(j); err != nil {
+	if err := p.runBatch(m, j); err != nil {
 		return nil, err
 	}
 	var cur outcome
 	haveCur := false
 	for _, e := range p.cands {
-		if out := p.memo.entries[e].out; betterOutcome(out, cur, haveCur) {
+		if out := m.entries[e].out; betterOutcome(out, cur, haveCur) {
 			cur, haveCur = out, true
-			p.curPl = append(p.curPl[:0], p.memo.placement(e)...)
+			p.curPl = append(p.curPl[:0], m.placement(e)...)
 		}
 	}
 
@@ -664,17 +753,17 @@ func (p *planner) planJob(j *Job) (*eval, error) {
 						cand[c] = t
 					}
 					p.tmpPl = cand
-					p.addCand(cand)
+					p.addCand(m, cand)
 				}
 			}
 		}
-		if err := p.runBatch(j); err != nil {
+		if err := p.runBatch(m, j); err != nil {
 			return nil, err
 		}
 		bestE := int32(-1)
 		var best outcome
 		for _, e := range p.cands {
-			out := p.memo.entries[e].out
+			out := m.entries[e].out
 			if betterOutcome(out, cur, true) && betterOutcome(out, best, bestE >= 0) {
 				best, bestE = out, e
 			}
@@ -683,11 +772,9 @@ func (p *planner) planJob(j *Job) (*eval, error) {
 			break
 		}
 		cur = best
-		p.curPl = append(p.curPl[:0], p.memo.placement(bestE)...)
+		p.curPl = append(p.curPl[:0], m.placement(bestE)...)
 	}
-	// Materialize the winner once, full: the descent itself never
-	// builds a temporal plan.
-	return p.evaluateFull(&p.scratch[0], j, append([]int(nil), p.curPl...))
+	return &eval{placement: append([]int(nil), p.curPl...), outcome: cur}, nil
 }
 
 // Optimize plans the joint spatio-temporal schedule: for every job a
@@ -697,20 +784,26 @@ func (p *planner) planJob(j *Job) (*eval, error) {
 // region's GPU capacity, and each region's facility and interval power
 // caps (shared across the jobs placed there).
 //
-// Jobs are planned sequentially in input order against the committed
-// usage of earlier jobs, then refined with gaussSeidelRounds Gauss-Seidel
-// rounds (each job re-planned against all others). Per job the search
-// is steepest descent over contiguous segment moves from the best of
-// the single-region and rate-envelope starts (plus any warm-start
-// seed); every candidate is evaluated exactly by the inner temporal
-// solver on the placement's composite signal, so temporal shifting,
-// pausing, and migration trade off in one objective. Candidate
-// evaluations fan out across an Options.Workers pool with a
-// deterministic sequential reduction, so the plan is identical for any
-// worker count. brute_test.go cross-checks the result against
-// exhaustive placement enumeration on small instances.
+// Jobs are planned sequentially against the committed usage of earlier
+// jobs, then refined with gaussSeidelRounds rounds of Gauss-Seidel
+// (each job re-planned against all others) and pairwise range swaps,
+// over several job orders when the instance can bind (see binds). Per
+// job the search is steepest descent over contiguous segment moves
+// from the best of the single-region and rate-envelope starts (plus
+// any warm-start seed); every candidate — a descent move, a re-checked
+// incumbent, either half of a swap — is costed exactly by the inner
+// temporal solver on the placement's composite signal, so temporal
+// shifting, pausing, and migration trade off in one objective, and is
+// costed once: outcomes are memoized per job for the whole solve
+// (jobMemo), and a temporal plan is built only for a placement that
+// is committed at a capped cell or wins. Candidate evaluations fan out
+// across an Options.Workers pool with a deterministic sequential
+// reduction, so the plan is identical for any worker count.
+// brute_test.go cross-checks the result against exhaustive placement
+// enumeration on small instances; memo_test.go checks it against the
+// same planner with the memo dropped before every use.
 func Optimize(regions []Region, jobs []Job, opts Options) (*Plan, error) {
-	return plan(regions, jobs, opts, nil, true)
+	return plan(regions, jobs, opts, nil)
 }
 
 // Fixed plans the single-datacenter baseline: every job runs in the
@@ -726,13 +819,13 @@ func Fixed(regions []Region, jobs []Job, name string, opts Options) (*Plan, erro
 	if idx < 0 {
 		return nil, fmt.Errorf("region: unknown region %q", name)
 	}
-	return p.solveAll(jobs, fixedCandidates(idx), false)
+	return p.solveAll(jobs, fixedCandidates(idx))
 }
 
 // fixedCandidates restricts a solve to the single-region start idx.
-func fixedCandidates(idx int) func(*planner, *Job) ([][]int, error) {
-	return func(p *planner, j *Job) ([][]int, error) {
-		return [][]int{p.starts(j)[idx]}, nil
+func fixedCandidates(idx int) func(*planner, *Job) [][]int {
+	return func(p *planner, j *Job) [][]int {
+		return [][]int{p.starts(j)[idx]}
 	}
 }
 
@@ -750,7 +843,7 @@ func BestFixed(regions []Region, jobs []Job, opts Options) (*Plan, error) {
 	plans := make([]*Plan, len(regions))
 	errs := make([]error, len(regions))
 	parallelFor(p.workers, len(regions), func(_, i int) {
-		plans[i], errs[i] = p.fork().solveAll(jobs, fixedCandidates(i), false)
+		plans[i], errs[i] = p.fork().solveAll(jobs, fixedCandidates(i))
 	})
 	var best *Plan
 	for i := range plans {
@@ -771,108 +864,37 @@ func BestFixed(regions []Region, jobs []Job, opts Options) (*Plan, error) {
 // respected) and stays there — spatial choice without the temporal
 // freedom to chase another region's clean hours.
 func NoMigration(regions []Region, jobs []Job, opts Options) (*Plan, error) {
-	return plan(regions, jobs, opts, func(p *planner, j *Job) ([][]int, error) {
-		return p.starts(j)[:len(p.regions)], nil
-	}, false)
+	return plan(regions, jobs, opts, func(p *planner, j *Job) [][]int {
+		return p.starts(j)[:len(p.regions)]
+	})
 }
 
 // plan is the shared orchestration: build the planner, then solve.
-func plan(regions []Region, jobs []Job, opts Options, candidates func(*planner, *Job) ([][]int, error), descend bool) (*Plan, error) {
+func plan(regions []Region, jobs []Job, opts Options, candidates func(*planner, *Job) [][]int) (*Plan, error) {
 	p, err := newPlanner(regions, jobs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return p.solveAll(jobs, candidates, descend)
+	return p.solveAll(jobs, candidates)
 }
 
-// solveAll plans the jobs sequentially with committed usage, optional
-// candidate restriction (baselines), and optional descent +
-// improvement rounds (the full planner).
-func (p *planner) solveAll(jobs []Job, candidates func(*planner, *Job) ([][]int, error), descend bool) (*Plan, error) {
-	solve := func(i int) (*eval, error) {
-		j := &jobs[i]
-		if descend {
-			return p.planJob(j)
-		}
-		cands, err := candidates(p, j)
-		if err != nil {
-			return nil, err
-		}
-		var best *eval
-		for _, pl := range cands {
-			ev, err := p.evaluateFull(&p.scratch[0], j, pl)
-			if err != nil {
-				return nil, err
-			}
-			if ev.better(best) {
-				best = ev
-			}
-		}
-		return best, nil
-	}
-
-	// run plans the jobs sequentially in the given order (with fresh
-	// usage), then refines with Gauss-Seidel rounds.
-	run := func(order []int) ([]*eval, error) {
-		p.usage = newUsage(len(p.regions), len(p.cells))
-		evals := make([]*eval, len(jobs))
-		for _, i := range order {
-			ev, err := solve(i)
-			if err != nil {
-				return nil, err
-			}
-			evals[i] = ev
-			p.usage.apply(&jobs[i], ev, +1)
-		}
-		if !descend {
-			return evals, nil
-		}
-		gaussSeidel := func() (bool, error) {
-			improved := false
-			for _, i := range order {
-				p.usage.apply(&jobs[i], evals[i], -1)
-				// Re-evaluate the incumbent against the others' current
-				// placements: its stored cost may be stale.
-				cur, err := p.evaluateFull(&p.scratch[0], &jobs[i], evals[i].placement)
-				if err != nil {
-					return false, err
-				}
-				ev, err := solve(i)
-				if err != nil {
-					return false, err
-				}
-				if ev.better(cur) {
-					cur = ev
-					improved = true
-				}
-				evals[i] = cur
-				p.usage.apply(&jobs[i], evals[i], +1)
-			}
-			return improved, nil
-		}
-		for round := 0; round < gaussSeidelRounds; round++ {
-			gs, err := gaussSeidel()
-			if err != nil {
-				return nil, err
-			}
-			sw, err := p.swapRefine(jobs, evals)
-			if err != nil {
-				return nil, err
-			}
-			if !gs && !sw {
-				break
-			}
-		}
-		return evals, nil
-	}
-
+// solveAll plans the jobs sequentially with committed usage: the full
+// planner (descent + improvement rounds over several job orders) when
+// candidates is nil, otherwise a baseline restricted to the candidates
+// it returns, in input order.
+func (p *planner) solveAll(jobs []Job, candidates func(*planner, *Job) [][]int) (*Plan, error) {
+	p.memos = make([]jobMemo, len(jobs))
 	// Sequential planning is order-dependent under capacity contention:
 	// the full planner tries every job order on small fleets (rotations
 	// on larger ones) and keeps the best joint outcome; baselines keep
 	// input order, matching their "first come, first placed" story.
+	ords := orders(len(jobs), candidates == nil)
+	if !p.binds(jobs) && !p.resetPerDescent {
+		ords = ords[:1]
+	}
 	var best []*eval
-	for _, order := range orders(len(jobs), descend) {
-		evals, err := run(order)
+	for _, order := range ords {
+		evals, err := p.runOrder(jobs, order, candidates)
 		if err != nil {
 			return nil, err
 		}
@@ -880,18 +902,150 @@ func (p *planner) solveAll(jobs []Job, candidates func(*planner, *Job) ([][]int,
 			best = evals
 		}
 	}
-	return assemble(p, jobs, best), nil
+	for i, ev := range best {
+		if ev.plan == nil {
+			if err := p.materialize(&jobs[i], ev); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := assemble(p, jobs, best)
+	out.Stats = p.stats
+	for i := range p.memos {
+		out.Stats.MemoBytes += max(p.memos[i].peak, p.memos[i].bytes())
+	}
+	return out, nil
 }
 
-// placementFits reports whether a placement fits every cell's GPU
-// capacity against the usage currently committed.
-func (p *planner) placementFits(j *Job, placement []int) bool {
-	for k, r := range placement {
-		if r >= 0 && !p.allowed(j, r, k) {
+// binds reports whether what one job is offered or charged can depend
+// on where the others sit: some cell carries a power cap, or some
+// region has fewer GPUs than the whole fleet asks for. When nothing
+// binds, allowed is true and capOverride is 0 whatever is committed, so
+// every descent, incumbent re-evaluation and swap sees the same inputs
+// in every job order (swaps walk pairs in index order, not job order):
+// each order replays the first one evaluation for evaluation, and
+// solveAll runs only the first.
+func (p *planner) binds(jobs []Job) bool {
+	total := 0
+	for i := range jobs {
+		total += jobs[i].gpus()
+	}
+	for i := range p.regions {
+		if g := p.regions[i].GPUs; g > 0 && g < total {
+			return true
+		}
+	}
+	return len(p.capAt) > 0
+}
+
+// runOrder plans the jobs sequentially in the given order against
+// fresh usage, then (full planner only) refines with Gauss-Seidel
+// rounds and pairwise swaps.
+func (p *planner) runOrder(jobs []Job, order []int, candidates func(*planner, *Job) [][]int) ([]*eval, error) {
+	p.stats.Orders++
+	p.usage = newUsage(len(p.regions), len(p.cells))
+	evals := make([]*eval, len(jobs))
+	for _, i := range order {
+		ev, err := p.solveJob(jobs, i, candidates)
+		if err != nil {
+			return nil, err
+		}
+		evals[i] = ev
+		if err := p.commit(&jobs[i], ev); err != nil {
+			return nil, err
+		}
+	}
+	if candidates != nil {
+		return evals, nil
+	}
+	for round := 0; round < gaussSeidelRounds; round++ {
+		gs, err := p.gaussSeidel(jobs, order, evals)
+		if err != nil {
+			return nil, err
+		}
+		sw, err := p.swapRefine(jobs, evals)
+		if err != nil {
+			return nil, err
+		}
+		if !gs && !sw {
+			break
+		}
+	}
+	return evals, nil
+}
+
+// solveJob plans job i against the committed usage: the descent, or
+// the best of a baseline's candidates.
+func (p *planner) solveJob(jobs []Job, i int, candidates func(*planner, *Job) [][]int) (*eval, error) {
+	j := &jobs[i]
+	if candidates == nil {
+		return p.planJob(i, j)
+	}
+	var best *eval
+	for _, pl := range candidates(p, j) {
+		ev, err := p.evaluateFull(&p.scratch[0], j, pl)
+		if err != nil {
+			return nil, err
+		}
+		if best == nil || betterOutcome(ev.outcome, best.outcome, true) {
+			best = ev
+		}
+	}
+	return best, nil
+}
+
+// gaussSeidel re-plans every job in order against the others'
+// committed placements and reports whether any job improved.
+func (p *planner) gaussSeidel(jobs []Job, order []int, evals []*eval) (bool, error) {
+	improved := false
+	for _, i := range order {
+		j := &jobs[i]
+		p.usage.apply(j, evals[i], -1)
+		// Look the incumbent up against the others' current placements:
+		// its stored outcome may be stale (under an unchanged cap view
+		// this is a memo hit).
+		out, err := p.lookup(i, j, evals[i].placement)
+		if err != nil {
+			return false, err
+		}
+		cur := &eval{placement: evals[i].placement, outcome: out}
+		ev, err := p.planJob(i, j)
+		if err != nil {
+			return false, err
+		}
+		if betterOutcome(ev.outcome, out, true) {
+			cur = ev
+			improved = true
+		}
+		evals[i] = cur
+		if err := p.commit(j, cur); err != nil {
+			return false, err
+		}
+	}
+	return improved, nil
+}
+
+// swapFits reports whether exchanging two jobs' placements pa and pb
+// over cells [i, k] changes anything and fits every region's GPUs. At
+// a cell where they differ b takes a's seat and a takes b's; both
+// incumbents are committed, so a region's load moves by the difference
+// of the two jobs' sizes and cells outside the range (or where the two
+// agree) fit as they did.
+func (p *planner) swapFits(ja, jb *Job, pa, pb []int, i, k int) bool {
+	over := func(r, c, delta int) bool {
+		return r >= 0 && p.regions[r].GPUs > 0 && p.usage.gpus[r][c]+delta > p.regions[r].GPUs
+	}
+	changed := false
+	for c := i; c <= k; c++ {
+		if pa[c] == pb[c] {
+			continue
+		}
+		changed = true
+		if d := jb.gpus() - ja.gpus(); over(pa[c], c, d) || over(pb[c], c, -d) {
 			return false
 		}
 	}
-	return true
+	return changed
 }
 
 // swapRefine runs pairwise segment-swap descent: for every job pair
@@ -900,62 +1054,73 @@ func (p *planner) placementFits(j *Job, placement []int) bool {
 // This is the move capacity contention demands — two jobs wanting the
 // same region's clean hours must trade them, which no single-job
 // re-plan can express — and it returns whether anything improved.
+//
+// A candidate is tested on the incumbents first (swapFits), then costs
+// two memo lookups: b's exchanged placement with both jobs' power
+// withdrawn, a's with b's exchanged placement drawing in their place.
+// Only an accepted swap touches the committed GPUs or builds a plan
+// that no capped cell asked for.
 func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
-	if len(jobs) < 2 {
-		return false, nil
-	}
 	K := len(p.cells)
 	improved := false
+	solves := p.stats.InnerSolves
 	for a := 0; a < len(jobs); a++ {
 		for b := a + 1; b < len(jobs); b++ {
+			ja, jb := &jobs[a], &jobs[b]
 			for i := 0; i < K; i++ {
 				for k := i; k < K; k++ {
-					pa := append([]int(nil), evals[a].placement...)
-					pb := append([]int(nil), evals[b].placement...)
-					changed := false
-					for c := i; c <= k; c++ {
-						if pa[c] != pb[c] {
-							changed = true
-						}
-						pa[c], pb[c] = pb[c], pa[c]
-					}
-					if !changed {
+					ea, eb := evals[a], evals[b]
+					if !p.swapFits(ja, jb, ea.placement, eb.placement, i, k) {
 						continue
 					}
-					p.usage.apply(&jobs[a], evals[a], -1)
-					p.usage.apply(&jobs[b], evals[b], -1)
-					var evA, evB *eval
+					p.stats.SwapsTried++
+					p.swapA = append(p.swapA[:0], ea.placement...)
+					p.swapB = append(p.swapB[:0], eb.placement...)
+					copy(p.swapA[i:k+1], eb.placement[i:k+1])
+					copy(p.swapB[i:k+1], ea.placement[i:k+1])
+					na, nb := eval{placement: p.swapA}, eval{placement: p.swapB}
+
+					p.usage.power(ja, ea, -1)
+					p.usage.power(jb, eb, -1)
 					var err error
-					if p.placementFits(&jobs[b], pb) {
-						evB, err = p.evaluateFull(&p.scratch[0], &jobs[b], pb)
-						if err == nil {
-							p.usage.apply(&jobs[b], evB, +1)
-							if p.placementFits(&jobs[a], pa) {
-								evA, err = p.evaluateFull(&p.scratch[0], &jobs[a], pa)
-							}
-							p.usage.apply(&jobs[b], evB, -1)
-						}
+					accept := false
+					if nb.outcome, err = p.lookup(b, jb, nb.placement); err == nil && p.touchesCap(nb.placement) {
+						err = p.materialize(jb, &nb)
 					}
-					p.usage.apply(&jobs[a], evals[a], +1)
-					p.usage.apply(&jobs[b], evals[b], +1)
+					if err == nil {
+						p.usage.power(jb, &nb, +1)
+						if na.outcome, err = p.lookup(a, ja, na.placement); err == nil {
+							accept = jointBetter([]*eval{&na, &nb}, []*eval{ea, eb})
+							if accept && p.touchesCap(na.placement) {
+								err = p.materialize(ja, &na)
+							}
+						}
+						p.usage.power(jb, &nb, -1)
+					}
+					p.usage.power(ja, ea, +1)
+					p.usage.power(jb, eb, +1)
 					if err != nil {
 						return false, err
 					}
-					if evA == nil || evB == nil {
+					if !accept {
 						continue
 					}
-					if jointBetter([]*eval{evA, evB}, []*eval{evals[a], evals[b]}) {
-						p.usage.apply(&jobs[a], evals[a], -1)
-						p.usage.apply(&jobs[b], evals[b], -1)
-						evals[a], evals[b] = evA, evB
-						p.usage.apply(&jobs[a], evals[a], +1)
-						p.usage.apply(&jobs[b], evals[b], +1)
-						improved = true
-					}
+					// The accepted evals leave the swap buffers for good.
+					ka, kb := na, nb
+					ka.placement = append([]int(nil), na.placement...)
+					kb.placement = append([]int(nil), nb.placement...)
+					p.usage.apply(ja, ea, -1)
+					p.usage.apply(jb, eb, -1)
+					evals[a], evals[b] = &ka, &kb
+					p.usage.apply(ja, &ka, +1)
+					p.usage.apply(jb, &kb, +1)
+					p.stats.SwapsAccepted++
+					improved = true
 				}
 			}
 		}
 	}
+	p.stats.SwapSolves += p.stats.InnerSolves - solves
 	return improved, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"perseus/internal/grid"
 )
@@ -80,17 +81,24 @@ func betterOutcome(a, b outcome, bOK bool) bool {
 	return a.cost < b.cost-1e-9*(1+math.Abs(b.cost))
 }
 
-// jobMemo memoizes light evaluations by placement for one job's
-// descent. Usage is fixed while a job is being planned, so an outcome
-// is a pure function of the placement — a repeated candidate (steepest
-// descent re-proposes most of the previous sweep's moves) is never
-// re-solved. Keys are FNV-1a hashes verified against the stored
-// placement, so a hash collision degrades to a duplicate solve, never
-// a wrong result.
+// jobMemo memoizes one job's light evaluations by placement for a whole
+// solve. What a placement costs a job depends on the other jobs only
+// through the power they draw at capped (region, cell)s — GPU capacity
+// decides which placements get proposed, never what one costs — so an
+// outcome is a pure function of (placement, view), where view is the
+// others' committed peak power at the planner's capAt cells when the
+// memo was filled. planner.sync resets the memo whenever the live view
+// differs, so a stale entry is never read; with no cap anywhere the
+// view is empty and every descent, incumbent re-evaluation and swap of
+// the solve reads the same table. Keys are FNV-1a hashes verified
+// against the stored placement, so a hash collision degrades to a
+// duplicate solve, never a wrong result.
 type jobMemo struct {
 	keys    map[uint64]int32
 	entries []memoEntry
-	arena   []int // interned placements, back to back
+	arena   []int     // interned placements, back to back
+	view    []float64 // peakW at planner.capAt when the entries were solved
+	peak    int       // largest bytes() a reset has dropped
 }
 
 type memoEntry struct {
@@ -101,6 +109,7 @@ type memoEntry struct {
 }
 
 func (m *jobMemo) reset() {
+	m.peak = max(m.peak, m.bytes())
 	if m.keys == nil {
 		m.keys = make(map[uint64]int32)
 	} else {
@@ -108,6 +117,13 @@ func (m *jobMemo) reset() {
 	}
 	m.entries = m.entries[:0]
 	m.arena = m.arena[:0]
+}
+
+// bytes sizes the memo's live contents (lengths, not capacities, so the
+// figure is the same for any worker count).
+func (m *jobMemo) bytes() int {
+	const keyBytes = 12 // uint64 hash + int32 index
+	return len(m.arena)*int(unsafe.Sizeof(int(0))) + len(m.entries)*int(unsafe.Sizeof(memoEntry{})) + len(m.keys)*keyBytes
 }
 
 // placement returns entry e's interned placement (arena-backed: valid

@@ -49,6 +49,10 @@ type serverObs struct {
 	warmStarts  *obs.Counter
 	planWorkers *obs.Gauge
 
+	// regionSolves is the inner-solve count of each GET /regions/plan
+	// solve (region.Stats.InnerSolves).
+	regionSolves *obs.Histogram
+
 	// forecastsIssued counts forecasts issued for rolling schedules: one
 	// per requested horizon per tick, however many jobs share it.
 	forecastsIssued *obs.Counter
@@ -199,6 +203,9 @@ func newServerObs() *serverObs {
 			"Forecasts issued for rolling schedules: one per requested horizon per tick or client replan, shared by every job that plans from it."),
 		planWorkers: r.Gauge("perseus_planner_workers",
 			"Worker-pool size the region planner fans candidate evaluations across (GOMAXPROCS)."),
+		regionSolves: r.Histogram("perseus_region_plan_inner_solves",
+			"Inner temporal solves per region plan (memo misses; the rest of the solve's counts ride on its planner.solve span).",
+			[]float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}),
 
 		jobsRegistered: r.Counter("perseus_jobs_registered_total",
 			"Training jobs registered."),

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"perseus/internal/client"
 	"perseus/internal/grid"
+	"perseus/internal/obs"
 	"perseus/internal/region"
 )
 
@@ -150,6 +152,34 @@ func TestRegionsPlanEndpoint(t *testing.T) {
 	}
 	if got := plan.Jobs[0].Temporal.Iterations; math.Abs(got-target) > 1e-6*target {
 		t.Fatalf("plan completes %v iterations, want %v", got, target)
+	}
+
+	// The solve's work counts ride on its planner.solve span, and the
+	// inner-solve count feeds its histogram.
+	traces, err := cl.FetchTraces(0, 0, obs.SpanPlannerSolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != 1 {
+		t.Fatalf("%d traces with a planner.solve, want the one successful plan", len(traces))
+	}
+	attrs := findSpans(traces[0], obs.SpanPlannerSolve)[0].Attrs
+	if attrs["planner"] != "region" || attrs["orders"] != "1" || attrs["descents"] != "2" ||
+		attrs["materialized"] != "1" || attrs["memo_resets"] != "0" || attrs["swaps_tried"] != "0" {
+		t.Fatalf("region planner.solve attrs %v", attrs)
+	}
+	if n, err := strconv.Atoi(attrs["inner_solves"]); err != nil || n < 1 {
+		t.Fatalf("region planner.solve inner_solves %q", attrs["inner_solves"])
+	}
+	if hits, err := strconv.Atoi(attrs["memo_hits"]); err != nil || hits < 1 {
+		t.Fatalf("the second descent should read the first one's memo: memo_hits %q", attrs["memo_hits"])
+	}
+	metrics, err := cl.FetchMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics, "perseus_region_plan_inner_solves_count 1") {
+		t.Fatal("one region plan should have fed perseus_region_plan_inner_solves once")
 	}
 
 	// Bad parameters 400; an uncharacterized-only server errors.

@@ -225,7 +225,9 @@ func (s *Server) regionsPlan(ctx context.Context, target, deadline float64, obje
 	if err != nil {
 		return nil, err
 	}
-	return res.(*region.Plan), nil
+	plan := res.(*region.Plan)
+	s.obs.regionSolves.Observe(float64(plan.Stats.InnerSolves))
+	return plan, nil
 }
 
 // maxPlanJobs bounds the fleet size GET /regions/plan will plan
