@@ -232,6 +232,24 @@ func BenchmarkOptimizerRuntime(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontierTable measures materializing the lookup table of one
+// characterized ~400-point frontier: what stands between the optimizer's
+// last step and the version bump that wakes the trainer.
+func BenchmarkFrontierTable(b *testing.B) {
+	sys, err := experiments.BuildSystem(experiments.A100Workloads()[0], gpu.A100PCIe,
+		experiments.Scale{MaxMicrobatches: 16, TargetSteps: 400})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lt := sys.Frontier.Table(); len(lt.Points) != len(sys.Frontier.Points()) {
+			b.Fatal("short table")
+		}
+	}
+}
+
 func BenchmarkScheduleLookup(b *testing.B) {
 	// §6.5: "Looking up the optimal energy schedule ... is instantaneous."
 	sys, err := experiments.BuildSystem(experiments.A100Workloads()[0], gpu.A100PCIe, benchScale)

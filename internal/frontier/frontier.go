@@ -54,7 +54,7 @@ type Options struct {
 	// min-cut subroutine, whether that stepper is the default or set
 	// explicitly; GreedyStepper solves no flow and ignores it. Default
 	// maxflow.EdmondsKarp, the paper's choice; maxflow.Dinic computes
-	// identical cuts at the same speed (see maxflow.MaxFlowDinic).
+	// identical cuts at the same speed (BenchmarkAblationMaxFlowSolver).
 	Solver maxflow.Solver
 
 	// keyframeEvery controls duration-snapshot spacing for plan
@@ -85,7 +85,8 @@ type Stepper interface {
 	// unit with minimal energy increase, returning false when no
 	// further reduction is possible. It leaves in st.moved, in
 	// ascending order, every computation whose duration it changed (and
-	// possibly some it changed back).
+	// possibly some it changed back), and calls st.durationsMoved after
+	// the last change.
 	Step(st *state) (bool, error)
 }
 
@@ -108,7 +109,7 @@ type state struct {
 	solver maxflow.Solver
 
 	moved []int32 // computations the last Step touched, ascending
-	est   []int64 // earliest starts as of the last makespan call
+	est   []int64 // earliest starts under the current durations; empty when they moved since
 
 	// cut is MinCutStepper's flow network and buffers, built by its first
 	// Step and reused by every later one.
@@ -117,11 +118,18 @@ type state struct {
 }
 
 // makespan returns the iteration time under the current durations, leaving
-// the earliest starts it came from in st.est.
+// the earliest starts it came from in st.est. The pass over the DAG runs
+// once per change of durations: Characterize's call after a step and the
+// next step's own read the same starts.
 func (st *state) makespan() int64 {
-	st.est = st.g.EarliestStartsInto(st.est)
+	if len(st.est) == 0 {
+		st.est = st.g.EarliestStartsInto(st.est)
+	}
 	return st.est[st.g.Sink]
 }
+
+// durationsMoved drops the earliest starts a change of st.durs outdated.
+func (st *state) durationsMoved() { st.est = st.est[:0] }
 
 // phi returns the relaxed adjusted energy of computation i at duration d.
 func (st *state) phi(i int, d int64) float64 {
@@ -235,7 +243,9 @@ type Frontier struct {
 // Stats counts the work one characterization did.
 type Stats struct {
 	Steps           int // stepper calls, the last of which may have found no cut
-	AugmentingPaths int // paths pushed by every min-cut solve together
+	EdgesMoved      int // network edges re-clamped by every min-cut solve together; the first clamps all
+	Searches        int // breadth-first passes (path searches or level graphs) run by them
+	AugmentingPaths int // paths pushed by them
 	Fallbacks       int // steps that fell back to the speed-up-only cut
 }
 
@@ -430,7 +440,8 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 	}
 	f.stats.Fallbacks = st.fallbacks
 	if st.cut != nil {
-		f.stats.AugmentingPaths = st.cut.nw.AugmentingPaths()
+		nw := st.cut.nw
+		f.stats.EdgesMoved, f.stats.Searches, f.stats.AugmentingPaths = nw.EdgesMoved(), nw.Searches(), nw.AugmentingPaths()
 	}
 
 	// Reverse to time-ascending order and fix indices.
@@ -451,10 +462,6 @@ func unitsRound(sec, unit float64) int64 {
 	return int64(math.Round(sec / unit))
 }
 
-func unitsFloor(sec, unit float64) int64 {
-	return int64(math.Floor(sec/unit + 1e-9))
-}
-
 // MinCutStepper is the paper's GetNextSchedule (Algorithm 2): it removes
 // non-critical computations, annotates the Critical DAG with marginal
 // energy flow capacities (Eq. 8), and finds the minimum s-t cut via
@@ -465,21 +472,23 @@ func unitsFloor(sec, unit float64) int64 {
 // The value is stateless. What a step reuses lives in the state of the
 // Characterize call it serves: one flow network over the whole DAG, built
 // by the first step. A later step removes a computation or dependency from
-// the Critical DAG by setting its edge's capacity to zero, and the network
-// starts its solve from the previous step's flow — one step moves bounds
-// only on and around the previous cut, so little of that flow has to be
-// rerouted (maxflow.Network).
+// the Critical DAG by setting its edge's capacity to zero, and hands the
+// network only the bounds that differ from the previous step's — those on
+// and around the previous cut — so the network re-clamps, re-balances and
+// re-routes just that much of the flow it kept (maxflow.Network).
 type MinCutStepper struct{}
 
 // cutNet is MinCutStepper's working set. Computation v is flow node 2v
 // (in) and 2v+1 (out); edge nodeEdge[v] joins them and carries v's
 // bounds, and the edges after it, one per g.Succ[v] in order, are v's
-// dependencies.
+// dependencies. The network's bounds are those the last step set: all
+// zero on a computation that was off the Critical DAG (critical[v] false).
 type cutNet struct {
 	nw       *maxflow.Network
 	nodeEdge []int32
 	lst      []int64
-	critical []bool
+	critical []bool // per computation: on the Critical DAG as of the last step
+	was      []bool // the same one step earlier
 	slowed   []int32
 
 	// lo[v], up[v] are computation v's bounds at duration boundDur[v]
@@ -492,7 +501,7 @@ type cutNet struct {
 func newCutNet(g *dag.Graph) (*cutNet, error) {
 	n := len(g.Dur)
 	c := &cutNet{
-		nodeEdge: make([]int32, n), critical: make([]bool, n),
+		nodeEdge: make([]int32, n), critical: make([]bool, n), was: make([]bool, n),
 		lo: make([]float64, n), up: make([]float64, n), boundDur: make([]int64, n),
 	}
 	var edges []maxflow.BoundedEdge
@@ -522,6 +531,7 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 	mk := st.makespan()
 	est := st.est
 	c.lst = g.LatestStartsInto(c.lst, mk)
+	c.was, c.critical = c.critical, c.was
 	critical := c.critical
 	for v := range critical {
 		critical[v] = est[v] == c.lst[v]
@@ -533,7 +543,9 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 	for v := range critical {
 		e := int(c.nodeEdge[v])
 		if !critical[v] {
-			for i := 0; i <= len(g.Succ[v]); i++ {
+			// Off the Critical DAG; its bounds are zero already unless it
+			// was on it a step ago.
+			for i := 0; c.was[v] && i <= len(g.Succ[v]); i++ {
 				c.nw.SetBounds(e+i, 0, 0)
 			}
 			continue
@@ -579,12 +591,13 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 		// recovery; we fall back to the speed-up-only cut (all lower
 		// bounds zero), which is always feasible and still reduces the
 		// makespan by exactly one unit, at a slightly higher energy for
-		// this step. The failed attempt left the network's carried flow
-		// alone, so the retry starts where the attempt did.
+		// this step. The network kept what the failed attempt routed and
+		// what it could not, so the retry re-clamps only the credits.
 		st.fallbacks++
-		for _, e := range c.nodeEdge {
-			_, up := c.nw.Bounds(int(e))
-			c.nw.SetBounds(int(e), 0, up)
+		for v := 0; v < st.nReal; v++ {
+			if critical[v] && !st.info[v].fixed {
+				c.nw.SetBounds(int(c.nodeEdge[v]), 0, c.up[v])
+			}
 		}
 		value, err = c.nw.Solve(st.solver)
 	}
@@ -619,6 +632,7 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 			}
 		}
 	}
+	st.durationsMoved()
 	if spedUp == 0 {
 		return false, fmt.Errorf("frontier: finite cut with no computations to speed up")
 	}
@@ -632,6 +646,7 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 		for _, v := range c.slowed {
 			st.durs[v]--
 		}
+		st.durationsMoved()
 	}
 	return true, nil
 }
@@ -667,5 +682,6 @@ func (GreedyStepper) Step(st *state) (bool, error) {
 		return false, nil
 	}
 	st.moved = append(st.moved[:0], int32(best))
+	st.durationsMoved()
 	return true, nil
 }

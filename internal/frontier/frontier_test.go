@@ -49,6 +49,10 @@ func buildCase(t *testing.T, modelName string, g *gpu.Model, stages, micro, mbSi
 	return graph, p, opts
 }
 
+func unitsFloor(sec, unit float64) int64 {
+	return int64(math.Floor(sec/unit + 1e-9))
+}
+
 func characterize(t *testing.T, g *dag.Graph, p *profile.Profile, opts Options) *Frontier {
 	t.Helper()
 	f, err := Characterize(g, p, opts)

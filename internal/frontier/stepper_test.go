@@ -132,6 +132,7 @@ func (m *coldStepper) Step(st *state) (bool, error) {
 			st.durs[v]--
 		}
 	}
+	st.durationsMoved()
 	return true, nil
 }
 
@@ -386,13 +387,11 @@ func (s *solverSpy) Step(st *state) (bool, error) {
 	return MinCutStepper{}.Step(st)
 }
 
-// TestCharacterizeAllocsPerPoint is the machine-independent gate on the
-// optimizer's cost: a 400-point GPT-3 frontier may allocate at most 16
-// times per point (the point's delta list, amortized growth of the point
-// and delta slices, a keyframe every 256 points, and the one-time network
-// and buffers spread over all of them). Rebuilding the network every step
-// cost about 900.
-func TestCharacterizeAllocsPerPoint(t *testing.T) {
+// gpt3Shape400 builds the GPT-3 1.3B 1F1B pipeline (4 stages, 16
+// microbatches) with τ picked for about 400 frontier points, as
+// experiments.Scale.TargetSteps does.
+func gpt3Shape400(t *testing.T) (*dag.Graph, *profile.Profile, Options, int) {
+	t.Helper()
 	m, err := model.GPT3("1.3b")
 	if err != nil {
 		t.Fatal(err)
@@ -417,13 +416,23 @@ func TestCharacterizeAllocsPerPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick τ for about 400 points, as experiments.Scale.TargetSteps does.
 	coarse := characterize(t, g, p, Options{Unit: 20e-3})
 	opts := Options{Unit: (coarse.TStar() - coarse.Tmin()) / 400}
 	points := len(characterize(t, g, p, opts).Points())
 	if points < 350 || points > 450 {
 		t.Fatalf("shape has %d points, want about 400", points)
 	}
+	return g, p, opts, points
+}
+
+// TestCharacterizeAllocsPerPoint is the machine-independent gate on the
+// optimizer's cost: a 400-point GPT-3 frontier may allocate at most 16
+// times per point (the point's delta list, amortized growth of the point
+// and delta slices, a keyframe every 256 points, and the one-time network
+// and buffers spread over all of them). Rebuilding the network every step
+// cost about 900.
+func TestCharacterizeAllocsPerPoint(t *testing.T) {
+	g, p, opts, points := gpt3Shape400(t)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Characterize(g, p, opts); err != nil {
 			t.Fatal(err)
@@ -433,5 +442,35 @@ func TestCharacterizeAllocsPerPoint(t *testing.T) {
 		t.Errorf("%.0f allocations for %d points = %.1f per point, budget 16", allocs, points, perPoint)
 	} else {
 		t.Logf("%.0f allocations for %d points = %.1f per point", allocs, points, perPoint)
+	}
+}
+
+// TestCharacterizeWorkCounts is the machine-independent gate on what a
+// step costs outside its searches: on the same 400-point frontier the
+// network re-clamps, per step, a small share of its edges (all of them on
+// the first step, a handful on and around the previous cut afterwards:
+// 3.51 of 368 measured, pinned with half again as much headroom),
+// and runs at most one search per phase and augmenting path. The counts
+// repeat exactly, and the edges moved do not depend on the max-flow solver.
+func TestCharacterizeWorkCounts(t *testing.T) {
+	g, p, opts, _ := gpt3Shape400(t)
+	edges := 0
+	for v := range g.Dur {
+		edges += 1 + len(g.Succ[v])
+	}
+	ek := characterize(t, g, p, opts).Stats()
+	t.Logf("%d network edges, %+v", edges, ek)
+	if perStep := float64(ek.EdgesMoved) / float64(ek.Steps); perStep > 5.3 || perStep >= float64(edges)/4 {
+		t.Errorf("%.2f of %d edges moved per step, want at most 5.3", perStep, edges)
+	}
+	if ek.Searches < ek.Steps || ek.Searches > 3*ek.Steps+ek.AugmentingPaths {
+		t.Errorf("%d searches for %d steps and %d augmenting paths", ek.Searches, ek.Steps, ek.AugmentingPaths)
+	}
+	if again := characterize(t, g, p, opts).Stats(); again != ek {
+		t.Errorf("second run counted %+v, first %+v", again, ek)
+	}
+	opts.Solver = maxflow.Dinic
+	if dinic := characterize(t, g, p, opts).Stats(); dinic.EdgesMoved != ek.EdgesMoved || dinic.Steps != ek.Steps {
+		t.Errorf("Dinic moved %d edges in %d steps, Edmonds-Karp %d in %d", dinic.EdgesMoved, dinic.Steps, ek.EdgesMoved, ek.Steps)
 	}
 }

@@ -43,7 +43,10 @@ type TablePoint struct {
 // Time returns the planned iteration time in seconds under the table's τ.
 func (lt *LookupTable) time(units int64) float64 { return float64(units) * lt.Unit }
 
-// Table materializes the frontier into a serializable lookup table.
+// Table materializes the frontier into a serializable lookup table. It
+// walks the points in the order the optimizer found them, from T* down,
+// keeping one duration and one frequency vector and re-realizing only the
+// computations each step moved; every point's plan is a slice of one array.
 // Memory is points × computations; for very fine frontiers consider
 // sampling with stride before persisting.
 func (f *Frontier) Table() *LookupTable {
@@ -51,13 +54,23 @@ func (f *Frontier) Table() *LookupTable {
 		Unit:       f.Unit,
 		TminUnits:  f.tminUnits,
 		TStarUnits: f.tstarUnits,
+		Points:     make([]TablePoint, len(f.points)),
 	}
-	for _, pt := range f.points {
-		lt.Points = append(lt.Points, TablePoint{
-			TimeUnits: pt.TimeUnits,
-			Energy:    pt.Energy,
-			Freqs:     pt.Plan(),
-		})
+	last := len(f.points) - 1
+	n := f.nReal
+	freqs := make([]gpu.Frequency, len(f.points)*n)
+	durs := f.points[last].Durations()
+	cur := f.points[last].Plan()
+	for k := last; k >= 0; k-- {
+		pt := f.points[k]
+		for _, d := range f.deltas[pt.index] {
+			durs[d.comp] += int64(d.delta)
+			chosen, _ := realize(&f.info[d.comp], durs[d.comp], f.Unit)
+			cur[d.comp] = chosen.Freq
+		}
+		plan := freqs[k*n : (k+1)*n : (k+1)*n]
+		copy(plan, cur)
+		lt.Points[k] = TablePoint{TimeUnits: pt.TimeUnits, Energy: pt.Energy, Freqs: plan}
 	}
 	return lt
 }

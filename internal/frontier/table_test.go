@@ -2,6 +2,7 @@ package frontier
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,6 +28,36 @@ func TestTableMatchesFrontierLookup(t *testing.T) {
 			if got.Freqs[i] != wantPlan[i] {
 				t.Fatalf("factor %v: plan mismatch at op %d", factor, i)
 			}
+		}
+	}
+}
+
+// TestTableMatchesEveryPlan checks the table's walk by deltas against the
+// per-point reconstruction: every row is the plan, energy and time of the
+// frontier point it came from, with keyframes every 7 points so that the
+// points' own reconstruction starts from many different snapshots.
+func TestTableMatchesEveryPlan(t *testing.T) {
+	for _, schedule := range []string{"1f1b", "gpipe"} {
+		g, p, opts := buildCase(t, "gpt3-1.3b", gpu.A100PCIe, 4, 6, 4, schedule)
+		opts.keyframeEvery = 7
+		f := characterize(t, g, p, opts)
+		lt := f.Table()
+		if len(lt.Points) != len(f.Points()) || len(lt.Points) < 30 {
+			t.Fatalf("%s: table has %d points, frontier %d", schedule, len(lt.Points), len(f.Points()))
+		}
+		for k, pt := range f.Points() {
+			row := lt.Points[k]
+			if row.TimeUnits != pt.TimeUnits || row.Energy != pt.Energy {
+				t.Fatalf("%s: row %d is (%d units, %v J), point (%d units, %v J)", schedule, k, row.TimeUnits, row.Energy, pt.TimeUnits, pt.Energy)
+			}
+			if !slices.Equal(row.Freqs, pt.Plan()) {
+				t.Fatalf("%s: row %d's frequencies differ from the point's plan", schedule, k)
+			}
+		}
+		// Rows share one array; appending to one must not reach the next.
+		_ = append(lt.Points[0].Freqs, 1)
+		if !slices.Equal(lt.Points[1].Freqs, f.Points()[1].Plan()) {
+			t.Fatalf("%s: appending to row 0 overwrote row 1", schedule)
 		}
 	}
 }

@@ -2,18 +2,15 @@ package maxflow
 
 import "math"
 
-// MaxFlowDinic pushes the maximum flow from s to t using Dinic's
-// algorithm: BFS level graphs with blocking flows found by DFS. It
-// computes the same flow value and the same minimum cut as Edmonds-Karp,
-// and on the Capacity DAGs the Perseus optimizer builds it is no faster.
-// Measured on BenchmarkAblationMaxFlowSolver (one whole characterization,
-// -count 5 medians, 2 vCPU Xeon 2.1 GHz): 17.5 ms against Edmonds-Karp's
-// 16.9 ms when every step solved from zero flow, 2.9 ms against 2.7 ms now
-// that steps are warm-started and push less than one path each; one cold
-// min cut of a 256-op critical network takes 0.20 ms against 0.22 ms. The
-// paper uses Edmonds-Karp (§4.3), so that is the default solver; Dinic is
-// the independent reference the benchmark's table check compares it with.
-func (g *Graph) MaxFlowDinic(s, t int) float64 {
+// dinic pushes the maximum flow from s to t using Dinic's algorithm: BFS
+// level graphs with blocking flows found by DFS. It computes the same flow
+// value and the same minimum cut as Edmonds-Karp, and on the Capacity DAGs
+// the Perseus optimizer builds it is no faster (BenchmarkAblationMaxFlowSolver:
+// the two stay within each other's spread, because a warm-started step
+// pushes less than one path). The paper uses Edmonds-Karp (§4.3), so that
+// is the default solver; Dinic is the independent reference the
+// benchmark's table check compares it with.
+func (g *graph) dinic(s, t int) float64 {
 	g.build()
 	var total float64
 	for g.levels(s, t) {
@@ -31,8 +28,10 @@ func (g *Graph) MaxFlowDinic(s, t int) float64 {
 }
 
 // levels labels every node with its BFS distance from s in the residual
-// graph and reports whether t was reached.
-func (g *Graph) levels(s, t int) bool {
+// graph and reports whether t was reached. The nodes it reached stay in
+// g.queue.
+func (g *graph) levels(s, t int) bool {
+	g.searches++
 	level := g.level
 	for i := range level {
 		level[i] = -1
@@ -49,12 +48,13 @@ func (g *Graph) levels(s, t int) bool {
 			}
 		}
 	}
+	g.queue = queue
 	return level[t] >= 0
 }
 
 // blocking pushes up to limit along one path of the level graph from u to
 // t, resuming each node's arc scan at iter.
-func (g *Graph) blocking(u, t int32, limit float64) float64 {
+func (g *graph) blocking(u, t int32, limit float64) float64 {
 	if u == t {
 		return limit
 	}
@@ -85,14 +85,14 @@ const (
 	// EdmondsKarp is the paper's solver (§4.3): BFS augmenting paths.
 	EdmondsKarp Solver = iota
 	// Dinic is the level-graph solver; identical cuts, no measured speed
-	// difference on these networks (see MaxFlowDinic).
+	// difference on these networks (BenchmarkAblationMaxFlowSolver).
 	Dinic
 )
 
 // maxFlow dispatches on the solver.
-func (g *Graph) maxFlow(solver Solver, s, t int) float64 {
+func (g *graph) maxFlow(solver Solver, s, t int) float64 {
 	if solver == Dinic {
-		return g.MaxFlowDinic(s, t)
+		return g.dinic(s, t)
 	}
-	return g.MaxFlow(s, t)
+	return g.edmondsKarp(s, t)
 }

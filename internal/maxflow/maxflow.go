@@ -4,11 +4,12 @@
 // Algorithm 3). Capacities are float64 energy values (joules); edges whose
 // computation cannot change speed carry effectively infinite capacity.
 //
-// Graph is the plain flow network and the arena every solve runs in: its
-// adjacency is one compressed array and it owns the BFS, level and side
-// buffers, so solving again on the same topology allocates nothing.
-// Network (network.go) puts lower and upper bounds on a Graph's edges and
-// carries each solve's flow into the next as a warm start.
+// Network (network.go) is the package's surface: fixed edges with movable
+// lower and upper bounds, solved for a minimum cut any number of times,
+// each solve paying only for the bounds that moved since the last. It runs
+// on a graph, the plain residual network and arena: one compressed
+// adjacency array plus the search buffers, so solving again on the same
+// topology allocates nothing.
 package maxflow
 
 import (
@@ -22,37 +23,37 @@ var ErrInfeasible = errors.New("maxflow: no feasible flow satisfies the lower bo
 
 const eps = 1e-9
 
-// Graph is a flow network over nodes 0..n-1. Edge id's reverse arc is
+// graph is a flow network over nodes 0..n-1. Edge id's reverse arc is
 // id^1.
-type Graph struct {
+type graph struct {
 	n    int
 	to   []int32
 	cap  []float64
 	flow []float64
 
 	// Node u's incident arc ids (both directions, in insertion order) are
-	// adj[start[u]:start[u+1]]. Built by the first solve after an AddEdge;
+	// adj[start[u]:start[u+1]]. Built by the first solve after an addEdge;
 	// a start of the wrong length marks it stale.
 	start, adj []int32
 
-	// Solver scratch, sized with the adjacency.
+	// Solver scratch, sized with the adjacency. After a solver returns,
+	// queue holds the nodes its last search reached from the source: that
+	// search found no path to the sink, so they are the S side of a
+	// minimum cut — the same set after every maximum flow, the smallest S
+	// side among minimum cuts.
 	prev, level, iter, queue []int32
-	side                     []bool
 
-	paths int // augmenting paths pushed so far, by either solver
+	paths    int // augmenting paths pushed so far, by either solver
+	searches int // breadth-first passes run so far, by either solver
 }
 
-// New returns an empty flow network with n nodes.
-func New(n int) *Graph {
-	return &Graph{n: n}
+func newGraph(n int) *graph {
+	return &graph{n: n}
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
-// AddEdge adds a directed edge u→v with the given capacity and returns its
+// addEdge adds a directed edge u→v with the given capacity and returns its
 // edge id. A reverse edge with zero capacity is added implicitly.
-func (g *Graph) AddEdge(u, v int, capacity float64) int {
+func (g *graph) addEdge(u, v int, capacity float64) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("maxflow: edge %d->%d out of range [0,%d)", u, v, g.n))
 	}
@@ -69,7 +70,7 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 
 // build lays the adjacency out and sizes the scratch buffers. The tail of
 // arc id is the head of its reverse, to[id^1].
-func (g *Graph) build() {
+func (g *graph) build() {
 	if len(g.start) == g.n+1 {
 		return
 	}
@@ -85,7 +86,6 @@ func (g *Graph) build() {
 	g.level = make([]int32, g.n)
 	g.iter = make([]int32, g.n)
 	g.queue = make([]int32, 0, g.n)
-	g.side = make([]bool, g.n)
 	next := g.iter
 	copy(next, g.start)
 	for id := range g.to {
@@ -96,24 +96,22 @@ func (g *Graph) build() {
 }
 
 // arcs returns the ids of the arcs leaving u.
-func (g *Graph) arcs(u int32) []int32 { return g.adj[g.start[u]:g.start[u+1]] }
+func (g *graph) arcs(u int32) []int32 { return g.adj[g.start[u]:g.start[u+1]] }
 
 // residual returns the residual capacity of edge id.
-func (g *Graph) residual(id int32) float64 { return g.cap[id] - g.flow[id] }
+func (g *graph) residual(id int32) float64 { return g.cap[id] - g.flow[id] }
 
-// Flow returns the current flow on the edge with the given id.
-func (g *Graph) Flow(id int) float64 { return g.flow[id] }
-
-// MaxFlow pushes the maximum flow from s to t using Edmonds-Karp (BFS
+// edmondsKarp pushes the maximum flow from s to t using Edmonds-Karp (BFS
 // augmenting paths, Edmonds & Karp 1972) and returns the flow value it
 // added. It augments whatever flow the graph already carries, so it may be
 // called again after capacities change or with another source and sink;
-// MinCutWithBounds does both.
-func (g *Graph) MaxFlow(s, t int) float64 {
+// Network.Solve does both.
+func (g *graph) edmondsKarp(s, t int) float64 {
 	g.build()
 	var total float64
 	prev := g.prev
 	for {
+		g.searches++
 		for i := range prev {
 			prev[i] = -1
 		}
@@ -136,6 +134,7 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 			}
 		}
 		if !found {
+			g.queue = queue
 			return total
 		}
 		// Find the bottleneck along the path.
@@ -156,27 +155,4 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 		total += bottleneck
 		g.paths++
 	}
-}
-
-// MinCutSide returns, after MaxFlow, the set of nodes reachable from s in
-// the residual graph: the S side of a minimum s-t cut. Every maximum flow
-// leaves the same set, the smallest S side among minimum cuts. The slice
-// is the graph's own and is overwritten by the next call.
-func (g *Graph) MinCutSide(s int) []bool {
-	g.build()
-	side := g.side
-	clear(side)
-	side[s] = true
-	queue := append(g.queue[:0], int32(s))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, id := range g.arcs(u) {
-			v := g.to[id]
-			if !side[v] && g.residual(id) > eps {
-				side[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return side
 }

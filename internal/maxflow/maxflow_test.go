@@ -7,44 +7,54 @@ import (
 	"testing"
 )
 
+// reached marks the nodes g's last search reached from its source: after a
+// maximum flow, the S side of a minimum cut.
+func reached(g *graph) []bool {
+	side := make([]bool, g.n)
+	for _, v := range g.queue {
+		side[v] = true
+	}
+	return side
+}
+
 func TestMaxFlowClassic(t *testing.T) {
 	// CLRS figure: max flow 23.
-	g := New(6)
-	g.AddEdge(0, 1, 16)
-	g.AddEdge(0, 2, 13)
-	g.AddEdge(1, 2, 10)
-	g.AddEdge(2, 1, 4)
-	g.AddEdge(1, 3, 12)
-	g.AddEdge(3, 2, 9)
-	g.AddEdge(2, 4, 14)
-	g.AddEdge(4, 3, 7)
-	g.AddEdge(3, 5, 20)
-	g.AddEdge(4, 5, 4)
-	if got := g.MaxFlow(0, 5); math.Abs(got-23) > 1e-9 {
+	g := newGraph(6)
+	g.addEdge(0, 1, 16)
+	g.addEdge(0, 2, 13)
+	g.addEdge(1, 2, 10)
+	g.addEdge(2, 1, 4)
+	g.addEdge(1, 3, 12)
+	g.addEdge(3, 2, 9)
+	g.addEdge(2, 4, 14)
+	g.addEdge(4, 3, 7)
+	g.addEdge(3, 5, 20)
+	g.addEdge(4, 5, 4)
+	if got := g.edmondsKarp(0, 5); math.Abs(got-23) > 1e-9 {
 		t.Fatalf("max flow = %v, want 23", got)
 	}
-	side := g.MinCutSide(0)
+	side := reached(g)
 	if !side[0] || side[5] {
 		t.Fatal("cut does not separate source from sink")
 	}
 }
 
 func TestMaxFlowDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 5)
-	g.AddEdge(2, 3, 5)
-	if got := g.MaxFlow(0, 3); got != 0 {
+	g := newGraph(4)
+	g.addEdge(0, 1, 5)
+	g.addEdge(2, 3, 5)
+	if got := g.edmondsKarp(0, 3); got != 0 {
 		t.Fatalf("disconnected max flow = %v, want 0", got)
 	}
 }
 
 func TestMaxFlowParallelPaths(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 3)
-	g.AddEdge(1, 3, 3)
-	g.AddEdge(0, 2, 5)
-	g.AddEdge(2, 3, 4)
-	if got := g.MaxFlow(0, 3); math.Abs(got-7) > 1e-9 {
+	g := newGraph(4)
+	g.addEdge(0, 1, 3)
+	g.addEdge(1, 3, 3)
+	g.addEdge(0, 2, 5)
+	g.addEdge(2, 3, 4)
+	if got := g.edmondsKarp(0, 3); math.Abs(got-7) > 1e-9 {
 		t.Fatalf("max flow = %v, want 7", got)
 	}
 }
@@ -53,7 +63,7 @@ func TestMinCutValueEqualsFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		n := 4 + rng.Intn(6)
-		g := New(n)
+		g := newGraph(n)
 		type e struct {
 			u, v int
 			c    float64
@@ -63,13 +73,13 @@ func TestMinCutValueEqualsFlow(t *testing.T) {
 			for v := 0; v < n; v++ {
 				if u != v && rng.Float64() < 0.4 {
 					c := rng.Float64() * 10
-					g.AddEdge(u, v, c)
+					g.addEdge(u, v, c)
 					es = append(es, e{u, v, c})
 				}
 			}
 		}
-		flow := g.MaxFlow(0, n-1)
-		side := g.MinCutSide(0)
+		flow := g.edmondsKarp(0, n-1)
+		side := reached(g)
 		var cut float64
 		for _, ed := range es {
 			if side[ed.u] && !side[ed.v] {
@@ -275,13 +285,13 @@ func TestDinicMatchesEdmondsKarp(t *testing.T) {
 				}
 			}
 		}
-		g1, g2 := New(n), New(n)
+		g1, g2 := newGraph(n), newGraph(n)
 		for _, ed := range es {
-			g1.AddEdge(ed.u, ed.v, ed.c)
-			g2.AddEdge(ed.u, ed.v, ed.c)
+			g1.addEdge(ed.u, ed.v, ed.c)
+			g2.addEdge(ed.u, ed.v, ed.c)
 		}
-		f1 := g1.MaxFlow(0, n-1)
-		f2 := g2.MaxFlowDinic(0, n-1)
+		f1 := g1.edmondsKarp(0, n-1)
+		f2 := g2.dinic(0, n-1)
 		if math.Abs(f1-f2) > 1e-6 {
 			t.Fatalf("trial %d: Edmonds-Karp %v != Dinic %v", trial, f1, f2)
 		}
@@ -340,34 +350,77 @@ func warmTestNetwork() (n int, edges []BoundedEdge) {
 	return n, edges
 }
 
-// FuzzWarmMinCut applies a fuzzed sequence of up to 64 bound changes to one
-// Network and requires, after each, what a fresh MinCutWithBounds of the
-// same bounds gives: the same feasibility verdict, the same S side, the
-// same value — whatever flow the earlier solves (failed ones included)
-// left behind.
+// FuzzWarmMinCut applies a fuzzed sequence of up to 64 rounds of bound
+// changes to one Network and requires, after each, what a fresh
+// MinCutWithBounds of the same bounds gives: the same feasibility verdict,
+// the same S side, the same value — whatever flow the earlier solves
+// (failed ones included) left behind. A round moves one to four edges; a
+// move may re-issue the bounds the edge already has, which must not count
+// as a moved edge, or first set upper below lower, which the next Solve
+// must reject without touching anything, and then repair it.
 func FuzzWarmMinCut(f *testing.F) {
 	f.Add([]byte{0, 0, 9, 3, 2, 20, 7, 5, 1})
 	f.Add([]byte{1, 7, 0, 1, 7, 250, 4, 0, 240, 4, 1, 3, 2, 6, 2})
 	f.Add([]byte{12, 3, 255, 5, 3, 255, 0, 0, 255, 9, 0, 255, 12, 0, 1})
+	// Four edges in one solve, then one re-issued, then a bad bound repaired.
+	f.Add([]byte{2, 24 + 3, 9, 5, 1, 30, 11, 6, 2, 14, 0, 17, 5, 32, 0, 8, 64 + 2, 12})
+	// Infeasible, a bad bound on top of the failed routing, feasible again.
+	f.Add([]byte{14, 7, 0, 5, 64 + 1, 3, 14, 0, 40, 3, 32, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		n, edges := warmTestNetwork()
 		nw, err := NewNetwork(n, edges, 0, n-1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for step := 0; step < 64 && len(ops) >= 3; step, ops = step+1, ops[3:] {
-			i := int(ops[0]) % len(edges)
-			e := &edges[i]
-			e.Lower = float64(ops[1]%8) / 4
-			e.Upper = e.Lower + float64(ops[2]%32)/4
-			if ops[2] >= 224 {
-				e.Upper = math.Inf(1)
+		// pending marks the edges the next Solve has to re-clamp: all of
+		// them at first, then those a SetBounds gave different bounds.
+		pending := make([]bool, len(edges))
+		for i := range pending {
+			pending[i] = true
+		}
+		set := func(i int, lower, upper float64) {
+			if e := &edges[i]; e.Lower != lower || e.Upper != upper {
+				e.Lower, e.Upper, pending[i] = lower, upper, true
 			}
-			nw.SetBounds(i, e.Lower, e.Upper)
+			nw.SetBounds(i, lower, upper)
+		}
+		for step := 0; step < 64 && len(ops) >= 3; step++ {
 			solver := Solver(ops[1] >> 7)
+			for moves := 1 + int(ops[1]>>3&3); moves > 0 && len(ops) >= 3; moves, ops = moves-1, ops[3:] {
+				i := int(ops[0]) % len(edges)
+				lower := float64(ops[1]%8) / 4
+				upper := lower + float64(ops[2]%32)/4
+				if ops[2] >= 224 {
+					upper = math.Inf(1)
+				}
+				switch ops[1] >> 5 & 3 {
+				case 1:
+					lower, upper = edges[i].Lower, edges[i].Upper
+				case 2:
+					before := nw.EdgesMoved()
+					set(i, lower, lower-1)
+					if _, err := nw.Solve(solver); err == nil || errors.Is(err, ErrInfeasible) {
+						t.Fatalf("step %d: Solve with upper < lower on edge %d: %v", step, i, err)
+					}
+					if nw.EdgesMoved() != before {
+						t.Fatalf("step %d: a rejected Solve moved %d edges", step, nw.EdgesMoved()-before)
+					}
+				}
+				set(i, lower, upper)
+			}
+			wantMoved := nw.EdgesMoved()
+			for i := range pending {
+				if pending[i] {
+					wantMoved++
+					pending[i] = false
+				}
+			}
 
 			want, wantErr := MinCutWithBoundsUsing(solver, n, edges, 0, n-1)
 			got, gotErr := nw.Solve(solver)
+			if nw.EdgesMoved() != wantMoved {
+				t.Fatalf("step %d: %d edges moved so far, want %d", step, nw.EdgesMoved(), wantMoved)
+			}
 			if errors.Is(wantErr, ErrInfeasible) != errors.Is(gotErr, ErrInfeasible) || (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("step %d: warm verdict %v, fresh verdict %v", step, gotErr, wantErr)
 			}
@@ -382,9 +435,18 @@ func FuzzWarmMinCut(f *testing.F) {
 					t.Fatalf("step %d: node %d on S side: warm %v, fresh %v", step, v, nw.SSide()[v], inS)
 				}
 			}
+			net := make([]float64, n)
 			for i, e := range edges {
-				if f := nw.Flow(i); f < e.Lower || f > e.Upper {
+				f := nw.Flow(i)
+				if f < e.Lower || f > e.Upper {
 					t.Fatalf("step %d: warm flow %v on edge %d outside [%v, %v]", step, f, i, e.Lower, e.Upper)
+				}
+				net[e.From] -= f
+				net[e.To] += f
+			}
+			for v := 1; v < n-1; v++ {
+				if math.Abs(net[v]) > 1e-9 {
+					t.Fatalf("step %d: warm flow violates conservation at node %d by %v", step, v, net[v])
 				}
 			}
 		}

@@ -28,20 +28,39 @@ type CutResult struct {
 // Network is a flow network with lower and upper bounds on fixed edges,
 // solved for its minimum s-t cut any number of times: between solves the
 // caller moves bounds with SetBounds, and each solve starts from the flow
-// the previous one ended with. Only what the moved bounds broke is routed
-// again, so a solve after a small change costs a few augmenting paths
-// where a solve from zero flow costs hundreds; the cut is the same either
-// way, because the residual graph of every maximum flow leaves the same
-// nodes reachable from s. A Network allocates when built and never after.
+// the previous one ended with. A solve costs what moved: only the edges
+// whose bounds changed are validated and re-clamped, only the nodes they
+// unbalanced are given super arcs, only what that broke is routed again,
+// and the cut is read off the search that ended the solve. So a solve after
+// a small change costs a few augmenting paths and a few touched edges where
+// a solve from zero flow costs hundreds of paths and every edge; the cut is
+// the same either way, because the residual graph of every maximum flow
+// leaves the same nodes reachable from s. A Network allocates when built
+// and never after.
 type Network struct {
-	g    *Graph
+	g    *graph
 	n    int // the caller's nodes; the super source is n, the super sink n+1
 	s, t int
 
-	edges []BoundedEdge // arc 2i of g carries edge i's flow above its lower bound
-	flow  []float64     // the last successful solve's flow per edge; zero before it
+	// Arc 2i carries edge i's flow above lower[i], the lower bound it was
+	// last clamped to; the entry past the edges', always 0, is the t→s
+	// edge's.
+	edges []BoundedEdge // the bounds the next Solve will honour
+	lower []float64
 
-	excess []float64 // per node: inflow minus outflow of the starting flow
+	dirty   []int32 // edges whose bounds moved since they were last clamped
+	isDirty []bool
+	open    []int32 // nodes the carried flow may leave unbalanced
+	isOpen  []bool
+
+	// Running sums over edges: finite uppers plus lowers, and lowers alone.
+	// big is the effectively-infinite capacity, beyond the sum of all
+	// finite ones so that it is never part of a finite cut; it is raised,
+	// and every infinite edge with it, only when the sum outgrows it.
+	sumFinite, sumLower, big float64
+
+	side  []bool // the last Solve's S side
+	moved int    // edges re-clamped by every Solve so far
 }
 
 // NewNetwork builds the network of the given edges over nodes 0..n-1 with
@@ -52,130 +71,210 @@ func NewNetwork(n int, edges []BoundedEdge, s, t int) (*Network, error) {
 		return nil, fmt.Errorf("maxflow: source equals sink (%d)", s)
 	}
 	nw := &Network{
-		g: New(n + 2), n: n, s: s, t: t,
-		edges:  append([]BoundedEdge(nil), edges...),
-		flow:   make([]float64, len(edges)),
-		excess: make([]float64, n),
+		g: newGraph(n + 2), n: n, s: s, t: t,
+		edges:   append([]BoundedEdge(nil), edges...),
+		lower:   make([]float64, len(edges)+1),
+		dirty:   make([]int32, len(edges)),
+		isDirty: make([]bool, len(edges)),
+		open:    make([]int32, 0, n),
+		isOpen:  make([]bool, n),
+		side:    make([]bool, n),
 	}
-	for _, e := range edges {
-		nw.g.AddEdge(e.From, e.To, 0)
+	for i, e := range edges {
+		nw.g.addEdge(e.From, e.To, 0)
+		nw.account(e, 1)
+		nw.dirty[i], nw.isDirty[i] = int32(i), true
 	}
+	nw.g.addEdge(t, s, 0)
 	for v := 0; v < n; v++ {
-		nw.g.AddEdge(n, v, 0)
-		nw.g.AddEdge(v, n+1, 0)
+		nw.g.addEdge(n, v, 0)
+		nw.g.addEdge(v, n+1, 0)
 	}
-	nw.g.AddEdge(t, s, 0)
 	nw.g.build()
 	return nw, nil
 }
 
-// SetBounds replaces edge i's bounds for the next Solve.
-func (nw *Network) SetBounds(i int, lower, upper float64) {
-	nw.edges[i].Lower, nw.edges[i].Upper = lower, upper
+// account adds (sign 1) or removes (sign -1) an edge's bounds from the
+// running sums.
+func (nw *Network) account(e BoundedEdge, sign float64) {
+	if !math.IsInf(e.Upper, 1) {
+		nw.sumFinite += sign * e.Upper
+	}
+	nw.sumFinite += sign * e.Lower
+	nw.sumLower += sign * e.Lower
 }
 
-// Bounds returns edge i's current bounds.
-func (nw *Network) Bounds(i int) (lower, upper float64) {
-	return nw.edges[i].Lower, nw.edges[i].Upper
+// SetBounds replaces edge i's bounds for the next Solve. Setting the bounds
+// an edge already has costs nothing in Solve and one inlined compare here,
+// which is why the rest lives in move.
+func (nw *Network) SetBounds(i int, lower, upper float64) {
+	if e := nw.edges[i]; e.Lower != lower || e.Upper != upper {
+		nw.move(i, lower, upper)
+	}
+}
+
+// move gives edge i new bounds and queues it for the next Solve.
+func (nw *Network) move(i int, lower, upper float64) {
+	e := &nw.edges[i]
+	nw.account(*e, -1)
+	e.Lower, e.Upper = lower, upper
+	nw.account(*e, 1)
+	if !nw.isDirty[i] {
+		nw.isDirty[i] = true
+		nw.dirty = append(nw.dirty, int32(i))
+	}
+}
+
+// reopen records that node v's balance has to be looked at by this Solve.
+func (nw *Network) reopen(v int) {
+	if !nw.isOpen[v] {
+		nw.isOpen[v] = true
+		nw.open = append(nw.open, int32(v))
+	}
+}
+
+// imbalance returns node v's inflow minus outflow under the carried flow,
+// the t→s edge's included. A node's real arcs come first among its arcs, in
+// edge order, then the t→s edge's, then its super arcs.
+func (nw *Network) imbalance(v int32) float64 {
+	var ex float64
+	for _, a := range nw.g.arcs(v) {
+		if int(a) >= 2*len(nw.lower) {
+			break
+		}
+		if f := nw.g.flow[a&^1] + nw.lower[a>>1]; a&1 == 0 {
+			ex -= f
+		} else {
+			ex += f
+		}
+	}
+	return ex
 }
 
 // Solve computes a minimum s-t cut under the current bounds, following
-// paper Algorithm 3 from a warm start. Every edge starts at the previous
-// solve's flow clamped into its new bounds; the node imbalances that
+// paper Algorithm 3 from a warm start. Every edge whose bounds moved starts
+// at the carried flow clamped into its new bounds; the node imbalances that
 // leaves are routed from a super source to a super sink, with a t→s edge
 // closing the circulation; if they cannot all be routed no feasible flow
 // exists (ErrInfeasible); otherwise flow is augmented from s to t and the
 // nodes still reachable from s are the cut's S side. The Max-Flow Min-Cut
 // theorem holds with non-zero lower bounds (Ford & Fulkerson, ch. 1 §9).
-// A first solve is the same steps from zero flow.
+// A first solve is the same steps from zero flow with every edge moved.
 //
 // It returns the cut value, infinite when every cut crosses an uncuttable
-// edge; SSide and Flow describe the solution until the next Solve. A
-// failed solve leaves the carried flow as it was.
+// edge; SSide and Flow describe the solution until the next Solve. A solve
+// that fails on a bad bound changes nothing; an infeasible one keeps what
+// it managed to route and the nodes it could not balance on the books, so
+// the next solve carries on from there.
 func (nw *Network) Solve(solver Solver) (float64, error) {
-	g, n, s, t := nw.g, nw.n, nw.s, nw.t
-	// Effectively-infinite capacity: beyond the sum of all finite
-	// capacities, so it is never part of a finite cut. Computed per solve
-	// to preserve float64 precision.
-	var sumFinite, sumLower float64
-	for _, e := range nw.edges {
-		if e.Lower < -eps {
-			return 0, fmt.Errorf("maxflow: negative lower bound on %d->%d", e.From, e.To)
+	g, s, m := nw.g, int32(nw.s), len(nw.edges)
+	for _, i := range nw.dirty {
+		if e := nw.edges[i]; e.Lower < -eps || e.Upper < e.Lower-eps {
+			return 0, fmt.Errorf("maxflow: bounds [%v, %v] on %d->%d are negative or empty", e.Lower, e.Upper, e.From, e.To)
 		}
-		if !math.IsInf(e.Upper, 1) {
-			if e.Upper < e.Lower-eps {
-				return 0, fmt.Errorf("maxflow: upper %v < lower %v on %d->%d", e.Upper, e.Lower, e.From, e.To)
-			}
-			sumFinite += e.Upper
-		}
-		sumFinite += e.Lower
-		sumLower += e.Lower
 	}
-	big := 2*sumFinite + 1e6
+	if need := 2*nw.sumFinite + 1e6; need > nw.big {
+		nw.big = 2 * need
+		for i, e := range nw.edges {
+			if math.IsInf(e.Upper, 1) {
+				g.cap[2*i] = nw.big - nw.lower[i]
+			}
+		}
+	}
+	big := nw.big
 
 	// Step 1: the starting flow and what it leaves unbalanced. Arc 2i
 	// carries edge i's flow above its lower bound, so its residual is
 	// upper−f forward and f−lower backward.
-	clear(nw.excess)
-	for i, e := range nw.edges {
+	for _, i := range nw.dirty {
+		e := nw.edges[i]
 		up := min(e.Upper, big)
-		f := min(max(nw.flow[i], e.Lower), up)
+		was := g.flow[2*i] + nw.lower[i]
+		f := min(max(was, e.Lower), up)
 		g.cap[2*i] = up - e.Lower
 		g.flow[2*i], g.flow[2*i+1] = f-e.Lower, e.Lower-f
-		nw.excess[e.To] += f
-		nw.excess[e.From] -= f
+		nw.lower[i], nw.isDirty[i] = e.Lower, false
+		if f != was {
+			nw.reopen(e.From)
+			nw.reopen(e.To)
+		}
 	}
-	// The t→s edge starts at whatever balances s.
-	ts := len(g.to) - 2
-	back := min(max(-nw.excess[s], 0), big)
-	g.cap[ts] = big
-	g.flow[ts], g.flow[ts+1] = back, -back
-	nw.excess[s] += back
-	nw.excess[t] -= back
+	nw.moved += len(nw.dirty)
+	nw.dirty = nw.dirty[:0]
+
+	// The t→s edge, arc 2m, starts at the flow value s sends, so that only a
+	// change at s or t leaves either unbalanced. Node v's arcs from the
+	// super source and to the super sink follow it, in the order NewNetwork
+	// added them.
+	nw.reopen(nw.s)
+	nw.reopen(nw.t)
+	back := min(max(-nw.imbalance(s), 0), big)
+	g.cap[2*m] = big
+	g.flow[2*m], g.flow[2*m+1] = back, -back
 	var demand float64
-	for v, ex := range nw.excess {
-		// Node v's arcs from the super source and to the super sink
-		// follow the real edges, in the order NewNetwork added them.
-		in := 2*len(nw.edges) + 4*v
-		out := in + 2
-		g.cap[in], g.cap[out] = max(ex, 0), max(-ex, 0)
-		g.flow[in], g.flow[in+1], g.flow[out], g.flow[out+1] = 0, 0, 0, 0
+	for _, v := range nw.open {
+		ex := nw.imbalance(v)
+		in := 2*m + 2 + 4*int(v)
+		g.cap[in], g.cap[in+2] = max(ex, 0), max(-ex, 0)
 		demand += g.cap[in]
 	}
 
-	// Step 2: route the imbalances; otherwise no feasible flow. The
-	// tolerance is relative to the sum of all lower bounds, which is what a
-	// solve from zero flow has to route, not to what is left of it here.
-	if got := g.maxFlow(solver, n, n+1); demand-got > 1e-6*(1+sumLower) {
-		return 0, fmt.Errorf("%w: %v of %v left unrouted", ErrInfeasible, demand-got, sumLower)
+	// Step 2: route the imbalances; otherwise no feasible flow. Then take
+	// the super edges and the t→s edge out again (no capacity, no flow to
+	// cancel) so that no later path routes through them; a node stays open
+	// while more than a search can see is left of its imbalance.
+	var got float64
+	if demand > eps {
+		got = g.maxFlow(solver, nw.n, nw.n+1)
+	}
+	open := nw.open[:0]
+	for _, v := range nw.open {
+		in := 2*m + 2 + 4*int(v)
+		left := max(g.residual(int32(in)), g.residual(int32(in+2)))
+		g.cap[in], g.flow[in], g.flow[in+1] = 0, 0, 0
+		g.cap[in+2], g.flow[in+2], g.flow[in+3] = 0, 0, 0
+		nw.isOpen[v] = left > eps
+		if left > eps {
+			open = append(open, v)
+		}
+	}
+	nw.open = open
+	g.cap[2*m], g.flow[2*m], g.flow[2*m+1] = 0, 0, 0
+	// The tolerance is relative to the sum of all lower bounds, which is
+	// what a solve from zero flow has to route, not to what is left of it
+	// here.
+	if demand-got > 1e-6*(1+nw.sumLower) {
+		return 0, fmt.Errorf("%w: %v of %v left unrouted", ErrInfeasible, demand-got, nw.sumLower)
 	}
 
-	// Steps 3-4: continue augmenting s→t on the same residual graph, with
-	// the super edges and the t→s edge taken out (no capacity, no flow to
-	// cancel) so that no path routes through them. The backward residual
-	// of a real edge correctly allows reducing its flow down to the lower
-	// bound.
-	for a := 2 * len(nw.edges); a < len(g.to); a += 2 {
-		g.cap[a], g.flow[a], g.flow[a+1] = 0, 0, 0
-	}
-	g.maxFlow(solver, s, t)
-	side := g.MinCutSide(s)
-	for i, e := range nw.edges {
-		nw.flow[i] = g.flow[2*i] + e.Lower
+	// Steps 3-4: continue augmenting s→t on the same residual graph. The
+	// backward residual of a real edge correctly allows reducing its flow
+	// down to the lower bound. The search that finds no further path has
+	// reached exactly the S side, and left it in g.queue.
+	g.maxFlow(solver, nw.s, nw.t)
+	clear(nw.side)
+	for _, v := range g.queue {
+		nw.side[v] = true
 	}
 
-	// Cut value from the definition, detecting "infinite" cuts.
+	// Cut value from the definition, over the S side's own arcs, detecting
+	// "infinite" cuts.
 	var val float64
 	infinite := false
-	for _, e := range nw.edges {
-		switch {
-		case side[e.From] && !side[e.To]:
-			if math.IsInf(e.Upper, 1) {
-				infinite = true
+	for _, u := range g.queue {
+		for _, a := range g.arcs(u) {
+			if int(a) >= 2*m {
+				break
 			}
-			val += min(e.Upper, big)
-		case !side[e.From] && side[e.To]:
-			val -= e.Lower
+			if nw.side[g.to[a]] {
+				continue
+			}
+			if e := nw.edges[a>>1]; a&1 == 1 {
+				val -= e.Lower
+			} else {
+				infinite = infinite || math.IsInf(e.Upper, 1)
+				val += min(e.Upper, big)
+			}
 		}
 	}
 	if infinite || val >= big/2 {
@@ -186,14 +285,23 @@ func (nw *Network) Solve(solver Solver) (float64, error) {
 
 // SSide reports, per caller node, whether the last Solve left it on the
 // source side of the cut. The slice is the network's own.
-func (nw *Network) SSide() []bool { return nw.g.side[:nw.n] }
+func (nw *Network) SSide() []bool { return nw.side }
 
-// Flow returns the last successful Solve's flow on edge i.
-func (nw *Network) Flow(i int) float64 { return nw.flow[i] }
+// Flow returns edge i's flow as the last Solve left it.
+func (nw *Network) Flow(i int) float64 { return nw.g.flow[2*i] + nw.lower[i] }
 
 // AugmentingPaths returns how many augmenting paths every Solve so far
 // has pushed in total.
 func (nw *Network) AugmentingPaths() int { return nw.g.paths }
+
+// Searches returns how many breadth-first passes (Edmonds-Karp path
+// searches, Dinic level graphs) every Solve so far has run in total.
+func (nw *Network) Searches() int { return nw.g.searches }
+
+// EdgesMoved returns how many edges every Solve so far has re-clamped in
+// total: all of them for the first, afterwards only those whose bounds
+// SetBounds changed.
+func (nw *Network) EdgesMoved() int { return nw.moved }
 
 // MinCutWithBounds computes a minimum s-t cut of a DAG whose edges carry
 // flow lower bounds (paper Algorithm 3; see Network.Solve). It uses the
@@ -213,5 +321,9 @@ func MinCutWithBoundsUsing(solver Solver, n int, edges []BoundedEdge, s, t int) 
 	if err != nil {
 		return nil, err
 	}
-	return &CutResult{SSide: nw.SSide(), Value: value, Flow: nw.flow}, nil
+	flow := make([]float64, len(edges))
+	for i := range flow {
+		flow[i] = nw.Flow(i)
+	}
+	return &CutResult{SSide: nw.SSide(), Value: value, Flow: flow}, nil
 }

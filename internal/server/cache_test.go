@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"perseus/internal/client"
+	"perseus/internal/frontier"
+	"perseus/internal/gpu"
 	"perseus/internal/grid"
 )
 
@@ -437,5 +439,45 @@ func TestPlanCacheFlushes(t *testing.T) {
 	}
 	if _, err := c.do(ctx, key, solve); err != nil || c.misses != maxPlanCacheEntries+3 {
 		t.Fatalf("the key did not re-solve after the clear: err %v, %d misses", err, c.misses)
+	}
+}
+
+// TestHashTableSeparatesNeighbours checks the plan-cache key's table
+// component: tables that differ in one frequency, in the last bit of one
+// energy or in one time unit hash differently, and equal tables alike.
+func TestHashTableSeparatesNeighbours(t *testing.T) {
+	build := func() *frontier.LookupTable {
+		lt := &frontier.LookupTable{Unit: 5e-3, TminUnits: 100, TStarUnits: 139}
+		for k := 0; k < 40; k++ {
+			pt := frontier.TablePoint{TimeUnits: int64(100 + k), Energy: 9000 - 17.25*float64(k)}
+			for i := 0; i < 64; i++ {
+				pt.Freqs = append(pt.Freqs, gpu.Frequency(1410-15*((i+k)%40)))
+			}
+			lt.Points = append(lt.Points, pt)
+		}
+		return lt
+	}
+	base := hashTable(build())
+	if again := hashTable(build()); again != base {
+		t.Fatalf("equal tables hash to %x and %x", base, again)
+	}
+	seen := map[uint64]string{base: "the base table"}
+	for name, edit := range map[string]func(*frontier.LookupTable){
+		"one frequency, first point": func(lt *frontier.LookupTable) { lt.Points[0].Freqs[0] -= 15 },
+		"one frequency, last point":  func(lt *frontier.LookupTable) { lt.Points[39].Freqs[63] += 15 },
+		"two frequencies swapped":    func(lt *frontier.LookupTable) { f := lt.Points[7].Freqs; f[3], f[4] = f[4], f[3] },
+		"one energy bit": func(lt *frontier.LookupTable) {
+			lt.Points[20].Energy = math.Float64frombits(math.Float64bits(lt.Points[20].Energy) ^ 1)
+		},
+		"one time unit": func(lt *frontier.LookupTable) { lt.Points[39].TimeUnits++ },
+		"the unit":      func(lt *frontier.LookupTable) { lt.Unit = 4e-3 },
+	} {
+		lt := build()
+		edit(lt)
+		h := hashTable(lt)
+		if other, dup := seen[h]; dup {
+			t.Errorf("%s: hashes like %s (%x)", name, other, h)
+		}
+		seen[h] = name
 	}
 }

@@ -290,7 +290,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 	if !ok {
 		return fmt.Errorf("server: unknown job %s", id)
 	}
-	var ms []profile.Measurement
+	ms := make([]profile.Measurement, 0, len(up.Measurements))
 	for _, m := range up.Measurements {
 		kind, err := parseKind(m.Kind)
 		if err != nil {
@@ -329,12 +329,19 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		if err == nil {
 			front, err = frontier.Characterize(graph, prof, frontier.Options{Unit: j.req.Unit})
 		}
+		// The table and its hash are built before the lock is taken: every
+		// request for this job waits on j.mu.
+		var table *frontier.LookupTable
+		var tableHash uint64
+		if front != nil {
+			table = front.Table()
+			tableHash = hashTable(table)
+		}
 		now := s.st.now()
 		j.mu.Lock()
 		j.front, j.charErr = front, err
 		if front != nil {
-			j.table = front.Table()
-			j.tableHash = hashTable(j.table)
+			j.table, j.tableHash = table, tableHash
 			// The job now has a deployed schedule drawing power:
 			// emissions accounting starts here. Render the per-job
 			// ledger series once, so every later settle is alloc-free.
@@ -363,6 +370,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		s.obs.ring.Emit(now, "job.characterize", took, traceKV(ctx,
 			"job", j.id, "outcome", outcome,
 			"points", strconv.Itoa(points), "steps", strconv.Itoa(work.Steps),
+			"edges_moved", strconv.Itoa(work.EdgesMoved), "searches", strconv.Itoa(work.Searches),
 			"augmenting_paths", strconv.Itoa(work.AugmentingPaths), "fallbacks", strconv.Itoa(work.Fallbacks))...)
 		close(done)
 		// The fleet gained a characterized member: under a cap, power

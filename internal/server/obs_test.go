@@ -93,7 +93,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 		// The characterize event carries the optimizer's work counts:
 		// one step per point after the first, plus at most the closing
 		// call that finds no cut. (Paths can be fewer than steps: a
-		// warm-started solve often has nothing left to push.)
+		// warm-started solve often has nothing left to push; every step
+		// ends on a search that finds none, and moves at least one edge.)
 		count := func(key string) int {
 			n, err := strconv.Atoi(e.Labels[key])
 			if err != nil {
@@ -102,7 +103,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 			return n
 		}
 		points, steps := count("points"), count("steps")
-		if points < 10 || steps < points-1 || steps > points || count("augmenting_paths") < 1 || count("fallbacks") != 0 {
+		if points < 10 || steps < points-1 || steps > points || count("augmenting_paths") < 1 || count("fallbacks") != 0 ||
+			count("searches") < steps || count("edges_moved") < steps {
 			t.Fatalf("job.characterize work counts %v", e.Labels)
 		}
 	}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"sync"
 	"time"
@@ -318,23 +316,27 @@ func (j *job) accrueLocked(gs gridState) {
 
 // hashTable content-hashes a characterized lookup table so the plan
 // cache can key on the frontier a plan was solved against: any
-// re-characterization yields a different key.
+// re-characterization yields a different key. One multiply and shift per
+// 64-bit word; each round is a bijection of the running hash for a given
+// word and of the word for a given hash, so two tables of one shape that
+// differ in a single word never collide.
 func hashTable(lt *frontier.LookupTable) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:])
-	}
-	put(math.Float64bits(lt.Unit))
-	put(uint64(lt.TminUnits))
-	put(uint64(lt.TStarUnits))
+	h := uint64(0xcbf29ce484222325)
+	h = mixWord(h, math.Float64bits(lt.Unit))
+	h = mixWord(h, uint64(lt.TminUnits))
+	h = mixWord(h, uint64(lt.TStarUnits))
 	for _, pt := range lt.Points {
-		put(uint64(pt.TimeUnits))
-		put(math.Float64bits(pt.Energy))
+		h = mixWord(h, uint64(pt.TimeUnits))
+		h = mixWord(h, math.Float64bits(pt.Energy))
 		for _, f := range pt.Freqs {
-			put(uint64(f))
+			h = mixWord(h, uint64(f))
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// mixWord folds one word into a running hash.
+func mixWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }

@@ -10,8 +10,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_PR7.json}"
-pattern='^(BenchmarkOptimizerRuntime|BenchmarkAblationMaxFlowSolver|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
+pattern='^(BenchmarkOptimizerRuntime|BenchmarkAblationMaxFlowSolver|BenchmarkFrontierTable|BenchmarkScheduleLookup|BenchmarkClusterSimulation|BenchmarkFrontierMerge|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
 
+procs="${GOMAXPROCS:-$(nproc)}"
 raw=$(go test -run '^$' -bench "$pattern" -benchmem .)
 echo "$raw" >&2
 
@@ -20,8 +21,11 @@ echo "$raw" >&2
   printf '  "date": "%s",\n' "$(date -u +%Y-%m-%d)"
   printf '  "commit": "%s",\n' "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
   printf '  "go": "%s",\n' "$(go env GOVERSION)"
+  printf '  "cpu": "%s",\n' "$(echo "$raw" | sed -n 's/^cpu: //p' | head -1)"
+  printf '  "nproc": %s,\n' "$(nproc)"
+  printf '  "gomaxprocs": %s,\n' "$procs"
   printf '  "benchmarks": [\n'
-  echo "$raw" | awk -v procs="${GOMAXPROCS:-$(nproc)}" '
+  echo "$raw" | awk -v procs="$procs" '
     /^Benchmark/ && /ns\/op/ {
       name = $1
       # Strip the -GOMAXPROCS suffix (absent when it is 1) without
