@@ -375,16 +375,44 @@ func BenchmarkFrontierMerge(b *testing.B) {
 
 // BenchmarkGridOptimize measures the temporal planner — the inner
 // solver every region placement evaluation and every forecast re-plan
-// runs, so its cost multiplies through both outer layers.
+// runs, so its cost multiplies through both outer layers. intervals-N
+// plans the 41-point synthetic table with a fresh solver per solve;
+// characterized-96 plans the table benchUpload's job characterizes to
+// (285 points: the regime a controller tick lives in, where an interval
+// takes long runs of consecutive steps), and reused-96 does so on one
+// Solver, as every hot caller does. steps/op is the greedy steps a solve
+// takes, so ns/step compares across machines.
 func BenchmarkGridOptimize(b *testing.B) {
-	lt := benchFleet(1)[0].Table
-	for _, n := range []int{24, 96, 288} {
-		b.Run(fmt.Sprintf("intervals-%d", n), func(b *testing.B) {
-			sig := grid.Generate(grid.GenOptions{Intervals: n, IntervalS: 86400 / float64(n), Jitter: 0.1, Seed: 3})
-			target := 0.55 * sig.Horizon() / lt.TStar()
+	synthetic := benchFleet(1)[0].Table
+	srv := server.New()
+	characterized, err := srv.Table(benchJob(b, srv, benchUpload(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		lt     *frontier.LookupTable
+		n      int
+		reused bool
+	}{
+		{"intervals-24", synthetic, 24, false},
+		{"intervals-96", synthetic, 96, false},
+		{"intervals-288", synthetic, 288, false},
+		{"characterized-96", characterized, 96, false},
+		{"reused-96", characterized, 96, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sig := grid.Generate(grid.GenOptions{Intervals: c.n, IntervalS: 86400 / float64(c.n), Jitter: 0.1, Seed: 3})
+			opts := grid.Options{Target: 0.55 * sig.Horizon() / c.lt.TStar()}
+			var solver grid.Solver
+			optimize := grid.Optimize
+			if c.reused {
+				optimize = solver.Optimize
+			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan, err := grid.Optimize(lt, sig, grid.Options{Target: target})
+				plan, err := optimize(c.lt, sig, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -392,6 +420,11 @@ func BenchmarkGridOptimize(b *testing.B) {
 					b.Fatal("benchmark target unexpectedly infeasible")
 				}
 			}
+			b.StopTimer()
+			if _, err := solver.Evaluate(c.lt, sig, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(solver.Steps()), "steps/op")
 		})
 	}
 }

@@ -58,12 +58,14 @@ type Forecast struct {
 // 1 − Level to Lo, with linear interpolation between and clamping
 // beyond. Planning carbon against q > 0.5 is pessimistic — distant
 // hours that merely *look* clean are discounted by their uncertainty —
-// which is what the MPC controller's robust mode uses.
+// which is what the MPC controller's robust mode uses. The result is a
+// fresh signal; planners only read it, so one may serve every schedule
+// that plans this forecast at q.
 func (f *Forecast) At(q float64) *grid.Signal {
 	if q == 0 {
 		q = 0.5
 	}
-	out := &grid.Signal{Name: f.Signal.Name}
+	out := &grid.Signal{Name: f.Signal.Name, Intervals: make([]grid.Interval, 0, len(f.Signal.Intervals))}
 	frac := 0.0
 	if f.Level > 0.5 {
 		frac = (q - 0.5) / (f.Level - 0.5)
@@ -207,12 +209,18 @@ func ExtendCyclic(sig *grid.Signal, upTo float64) *grid.Signal {
 	return out
 }
 
-// window returns the sub-signal covering [from, to) shifted to start at
+// Window returns the sub-signal covering [from, to) shifted to start at
 // time 0 — the remaining planning problem a rolling-horizon controller
 // hands to grid.Optimize at decision time `from`. The straddling first
 // and last intervals are cut at the window edges.
-func window(sig *grid.Signal, from, to float64) *grid.Signal {
-	out := &grid.Signal{Name: sig.Name}
+func Window(sig *grid.Signal, from, to float64) *grid.Signal {
+	n := 0
+	for _, iv := range sig.Intervals {
+		if iv.EndS > from && iv.StartS < to {
+			n++
+		}
+	}
+	out := &grid.Signal{Name: sig.Name, Intervals: make([]grid.Interval, 0, n)}
 	for _, iv := range sig.Intervals {
 		if iv.EndS <= from || iv.StartS >= to {
 			continue

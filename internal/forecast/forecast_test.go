@@ -42,7 +42,7 @@ func TestExtendCyclic(t *testing.T) {
 
 func TestWindow(t *testing.T) {
 	sig := grid.Diurnal24h()
-	w := window(sig, 2*3600+1800, 5*3600)
+	w := Window(sig, 2*3600+1800, 5*3600)
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -581,9 +581,10 @@ func TestMPCWarmStartTailOnlyRevision(t *testing.T) {
 // TestStepperReplanOnlyReadsForecast pins what lets the server hand one
 // issued forecast to every schedule of a controller tick: steppers with
 // different quantiles, objectives and targets plan and execute from the
-// same *Forecast concurrently (-race flags any write to it), the
-// forecast equals its deep copy afterwards, and each stepper's result
-// equals the one it gets from a forecast of its own.
+// same *Forecast — and, per quantile, from the same view and the same
+// re-based window — concurrently (-race flags any write to them); the
+// forecast, views and windows equal fresh copies afterwards, and each
+// stepper's result equals the one it gets from signals of its own.
 func TestStepperReplanOnlyReadsForecast(t *testing.T) {
 	truth := grid.Diurnal24h()
 	lt := convexTable(0.01, 60, 75, 3000, 200)
@@ -602,6 +603,13 @@ func TestStepperReplanOnlyReadsForecast(t *testing.T) {
 		}
 		return out
 	}
+	// Each solve here uses its own solver; what the shared side shares
+	// is the forecast, one view per quantile and one window per view.
+	solveOn := func(st *Stepper, window func(view *grid.Signal, from, to float64) *grid.Signal) func(*grid.Signal, float64, float64, float64) (*grid.Plan, error) {
+		return func(view *grid.Signal, from, to, target float64) (*grid.Plan, error) {
+			return grid.Optimize(st.Table, window(view, from, to), grid.Options{Target: target, Objective: st.Objective, PowerScale: st.Scale})
+		}
+	}
 	shared, own := steppers(), steppers()
 	for _, at := range []float64{0, 3600, 7200} {
 		fc, err := prov.At(at)
@@ -612,28 +620,55 @@ func TestStepperReplanOnlyReadsForecast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		views := map[float64]*grid.Signal{}
+		for _, st := range shared {
+			if views[st.Quantile] == nil {
+				views[st.Quantile] = fc.At(st.Quantile)
+			}
+		}
+		var mu sync.Mutex
+		windows := map[*grid.Signal]*grid.Signal{}
+		sharedWindow := func(view *grid.Signal, from, to float64) *grid.Signal {
+			mu.Lock()
+			defer mu.Unlock()
+			if windows[view] == nil {
+				windows[view] = Window(view, from, to)
+			}
+			return windows[view]
+		}
 		var wg sync.WaitGroup
 		for _, st := range shared {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				st.ExecuteTo(at)
-				if _, err := st.Replan(fc, nil); err != nil {
+				if _, err := st.Replan(fc, views[st.Quantile], solveOn(st, sharedWindow)); err != nil {
 					t.Error(err)
 				}
 			}()
 		}
 		wg.Wait()
+		if len(windows) != len(views) {
+			t.Fatalf("issue at %v: %d windows for %d views at one (from, to)", at, len(windows), len(views))
+		}
+		for q, view := range views {
+			if !reflect.DeepEqual(view, pristine.At(q)) || !reflect.DeepEqual(windows[view], Window(pristine.At(q), at, truth.Horizon())) {
+				t.Fatalf("issue at %v: the shared view or window at q=%v changed under its steppers", at, q)
+			}
+		}
 		if !reflect.DeepEqual(fc, pristine) {
 			t.Fatalf("issue at %v: the shared forecast changed under its steppers", at)
 		}
 		for k, st := range own {
+			if shared[k].View() != views[st.Quantile] {
+				t.Fatalf("issue at %v: stepper %d does not hold the shared view it planned on", at, k)
+			}
 			mine, err := prov.At(at)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st.ExecuteTo(at)
-			if _, err := st.Replan(mine, nil); err != nil {
+			if _, err := st.Replan(mine, mine.At(st.Quantile), solveOn(st, Window)); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(st.Plan, shared[k].Plan) || !reflect.DeepEqual(st.Intervals, shared[k].Intervals) {

@@ -226,35 +226,35 @@ func (s *Stepper) ExecuteTo(t float64) {
 	}
 }
 
-// Replan decides the plan for [At, DeadlineS) under forecast fc and
-// reports whether it is a fresh one. The single warm rule: when fc's
-// quantile view agrees exactly with the one the plan in force was
-// solved on over the whole remaining window — the revision touched
-// only executed or beyond-deadline intervals — the plan's suffix is
-// still the optimum for the remaining work and is kept. Otherwise the
-// remaining window is solved for the remaining work (solve == nil
-// means grid.Optimize); a failed solve leaves no plan in force. A
-// schedule that is not Open drops its plan and ignores fc.
-func (s *Stepper) Replan(fc *Forecast, solve func(window *grid.Signal, target float64) (*grid.Plan, error)) (bool, error) {
+// View is the quantile view the plan in force was solved on, in
+// absolute signal time. It may be shared with other steppers: read-only.
+func (s *Stepper) View() *grid.Signal { return s.view }
+
+// Replan decides the plan for [At, DeadlineS) under forecast fc, whose
+// signal at the stepper's quantile is view — fc.At(s.Quantile), or one
+// copy of it serving every stepper that plans fc at that quantile: the
+// stepper keeps the pointer and only ever reads it. It reports whether
+// the plan is a fresh one. The single warm rule: when view agrees
+// exactly with the one the plan in force was solved on over the whole
+// remaining window — the revision touched only executed or
+// beyond-deadline intervals — the plan's suffix is still the optimum
+// for the remaining work and is kept. Otherwise solve plans target
+// iterations on Window(view, from, to), the remaining window, which it
+// may likewise share between steppers with the same bounds (the solver
+// only reads it); a failed solve leaves no plan in force. A schedule
+// that is not Open drops its plan and ignores fc and view.
+func (s *Stepper) Replan(fc *Forecast, view *grid.Signal, solve func(view *grid.Signal, from, to, target float64) (*grid.Plan, error)) (bool, error) {
 	if !s.Open() {
 		s.Plan, s.PlanAt = nil, s.At
 		return false, nil
 	}
 	s.point = fc.Signal
-	view := fc.At(s.Quantile)
 	if s.Plan != nil && SignalEqualWithin(s.view, view, s.At, s.DeadlineS) {
 		s.WarmStarts++
 		return false, nil
 	}
 	s.Plan, s.PlanAt = nil, s.At
-	if solve == nil {
-		solve = func(window *grid.Signal, target float64) (*grid.Plan, error) {
-			return grid.Optimize(s.Table, window, grid.Options{
-				Target: target, Objective: s.Objective, PowerScale: s.Scale,
-			})
-		}
-	}
-	p, err := solve(window(view, s.At, s.DeadlineS), s.Remaining)
+	p, err := solve(view, s.At, s.DeadlineS, s.Remaining)
 	if err != nil {
 		return false, err
 	}
@@ -315,7 +315,14 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 	}
 	decisions = append(decisions, opts.DeadlineS)
 
+	// One solver's buffers serve every decision of the episode.
+	var solver grid.Solver
 	st := NewStepper(lt, truth, opts, 0)
+	solve := func(view *grid.Signal, from, to, target float64) (*grid.Plan, error) {
+		return solver.Optimize(st.Table, Window(view, from, to), grid.Options{
+			Target: target, Objective: st.Objective, PowerScale: st.Scale,
+		})
+	}
 	for di, d := range decisions[:len(decisions)-1] {
 		if !st.Open() {
 			break
@@ -328,7 +335,7 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 				return nil, err
 			}
 		}
-		if _, err := st.Replan(fc, nil); err != nil {
+		if _, err := st.Replan(fc, fc.At(st.Quantile), solve); err != nil {
 			return nil, err
 		}
 		st.ExecuteTo(decisions[di+1])

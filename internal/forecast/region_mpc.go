@@ -243,7 +243,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 			warm = warm && SignalEqualWithin(prevViews[i], views[i], d, deadline)
 			fregions[i] = region.Region{
 				Name: regs[i].Region.Name, GPUs: regs[i].Region.GPUs,
-				CapW: regs[i].Region.CapW, Signal: window(views[i], d, deadline),
+				CapW: regs[i].Region.CapW, Signal: Window(views[i], d, deadline),
 			}
 		}
 		var rjobs []region.Job

@@ -53,6 +53,8 @@ func fuzzInstance(seed int64, targetFrac, deadlineFrac float64) (*frontier.Looku
 // FuzzOptimize fuzzes signal, frontier, target, and deadline inputs
 // and asserts the temporal planner's invariants on every instance:
 //
+//  0. the solver agrees bit for bit with the scan reference (scanSolve),
+//     on the instance, under NoIdle, and over a non-convex table;
 //  1. feasibility is decided correctly — the plan is feasible exactly
 //     when the target fits under the deadline at the fastest allowed
 //     points, and a feasible plan completes the target by the deadline;
@@ -76,6 +78,16 @@ func FuzzOptimize(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
+		// (0) Exact agreement with the scan reference.
+		var sol solution
+		bumpy := bumpyTable(rand.New(rand.NewSource(seed)), 40+seed&31, 2+int(seed&7))
+		for _, noIdle := range []bool{false, true} {
+			o := opts
+			o.NoIdle = noIdle
+			checkAgainstScan(t, &sol, lt, sig, o)
+			checkAgainstScan(t, &sol, bumpy, sig, o)
+		}
+
 		plan, err := Optimize(lt, sig, opts)
 		if err != nil {
 			t.Fatalf("optimize failed on valid instance: %v", err)

@@ -3,6 +3,8 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"perseus/internal/frontier"
 	"perseus/internal/plan"
@@ -163,6 +165,8 @@ type Planner struct {
 	// aliases it. A Solver is not safe for concurrent use, so neither
 	// is a Planner that holds one.
 	Solver *Solver
+
+	steps int // greedy steps of the last Plan: Plan writes it, so one Planner serves one goroutine
 }
 
 // Name implements plan.Planner.
@@ -174,53 +178,62 @@ func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
 	if s == nil {
 		s = new(Solver)
 	}
-	return s.Optimize(p.Table, p.Signal, Options{
+	res, err := s.Optimize(p.Table, p.Signal, Options{
 		Target:     req.Target,
 		DeadlineS:  req.DeadlineS,
 		Objective:  req.Objective,
 		PowerScale: req.PowerScale,
 		NoIdle:     p.NoIdle,
 	})
+	p.steps = s.Steps()
+	return res, err
 }
+
+// SpanAttrs describes the work of the last Plan for its solve span: the
+// greedy steps taken.
+func (p *Planner) SpanAttrs() []string { return []string{"steps", strconv.Itoa(p.steps)} }
 
 // planInterval is the solver's working state for one interval.
 type planInterval struct {
 	iv   Interval
 	dur  float64
 	perJ float64 // objective weight per joule
+	c    float64 // perJ·scale·dur: what every descent step's dc multiplies
+	work float64 // dur/tm[cur], carried from the step that reached cur; 0 idle
 	lo   int     // fastest allowed point under the interval cap
 	only bool    // idle-only: even the slowest point violates the cap
 	cur  int     // current descent state; -1 = idle
+	next step    // the one pending step out of cur (valid while in the heap)
 }
 
 // step is one marginal segment of an interval's cost-vs-iterations
-// frontier: moving the interval from state `from` (-1 = idle) to state
-// `to` buys dw iterations at cost dc. Segments are divisible — taking
-// fraction f of a step time-shares the two states within the interval.
+// frontier: moving the interval from its current state (-1 = idle) to
+// state `to` buys dw iterations at cost dc and leaves it doing w
+// iterations. Segments are divisible — taking fraction f of a step
+// time-shares the two states within the interval.
 type step struct {
-	from, to int
-	dw, dc   float64
+	to        int
+	w, dw, dc float64
 }
 
 // fracStep is the single partially taken step of a solution: fraction
-// f of interval k's step st (f·dur seconds at st.to, the rest at
-// st.from or idle).
+// f of interval k's step from → to (f·dur seconds at to, the rest at
+// from or idle). k is -1 when every taken step was whole.
 type fracStep struct {
-	k  int
-	st step
-	f  float64
+	k, from, to int
+	f           float64
 }
 
 // solution is the solver outcome, carrying the normalized inputs it
-// was solved under. Whole steps live in stacks; at most one step is
-// fractional. A solution's buffers are reusable: solving into the same
-// value again truncates and refills them instead of re-allocating.
+// was solved under: each interval's descent state and at most one
+// fractional step. A solution's buffers are reusable: solving into the
+// same value again truncates and refills them instead of re-allocating.
 type solution struct {
 	ivs      []planInterval
-	stacks   [][]step
+	tm, pw   []float64 // lt.PointTime(i), lt.AvgPower(i)
 	heap     []heapItem
-	frac     *fracStep
-	fracBuf  fracStep
+	frac     fracStep
+	steps    int // greedy steps taken, the fractional one included
 	coverage float64
 	cost     float64
 	feasible bool
@@ -230,37 +243,37 @@ type solution struct {
 	obj      Objective
 }
 
-// heapItem is one interval's currently available step in the greedy's
-// min-heap, keyed by marginal slope with the interval index as the
+// heapItem keys one interval's pending step (planInterval.next) in the
+// greedy's min-heap: its marginal slope with the interval index as the
 // tie-break — lexicographic (slope, k) ordering reproduces exactly the
 // strict-< first-index-wins selection of a sequential scan.
 type heapItem struct {
 	slope float64
 	k     int32
-	st    step
 }
 
 func stepLess(a, b heapItem) bool {
 	return a.slope < b.slope || (a.slope == b.slope && a.k < b.k)
 }
 
-func (sol *solution) siftDown(i int) {
-	n := len(sol.heap)
+// siftDown places it at the position the hole at i sinks to.
+func (sol *solution) siftDown(i int, it heapItem) {
+	h := sol.heap
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && stepLess(sol.heap[l], sol.heap[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r < n && stepLess(sol.heap[r], sol.heap[min]) {
-			min = r
+		if r := c + 1; r < len(h) && stepLess(h[r], h[c]) {
+			c = r
 		}
-		if min == i {
-			return
+		if !stepLess(h[c], it) {
+			break
 		}
-		sol.heap[i], sol.heap[min] = sol.heap[min], sol.heap[i]
-		i = min
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = it
 }
 
 // heapify orders an appended-unordered heap in O(n). The comparator is
@@ -268,48 +281,34 @@ func (sol *solution) siftDown(i int) {
 // is independent of how the heap was built.
 func (sol *solution) heapify() {
 	for i := len(sol.heap)/2 - 1; i >= 0; i-- {
-		sol.siftDown(i)
+		sol.siftDown(i, sol.heap[i])
 	}
 }
 
-// dropTop removes the heap minimum. Taking a step and re-inserting the
-// same interval's next one instead goes through replaceTop — one
-// sift-down, no sift-up — which pops in exactly the same order as a
-// pop-then-push would (the comparator is a strict total order).
-func (sol *solution) dropTop() {
-	last := len(sol.heap) - 1
-	sol.heap[0] = sol.heap[last]
-	sol.heap = sol.heap[:last]
-	sol.siftDown(0)
-}
-
-func (sol *solution) replaceTop(k int32, st step) {
-	sol.heap[0] = heapItem{slope: st.dc / st.dw, k: k, st: st}
-	sol.siftDown(0)
-}
-
-// nextStep returns interval k's next available marginal step: wake up
-// at the slowest allowed point, then one point faster at a time, until
-// the interval saturates at its cap floor.
-func (sol *solution) nextStep(lt *frontier.LookupTable, n, k int) (step, bool) {
+// nextStep sets pi.next to the interval's next marginal step — wake up
+// at the slowest allowed point, then one point faster at a time — and
+// returns its heap key; false once the interval is saturated at its cap
+// floor. A step costs the two divisions that are new in it: w and the
+// slope.
+func (sol *solution) nextStep(k int32) (heapItem, bool) {
 	pi := &sol.ivs[k]
 	if pi.only || pi.cur == pi.lo {
-		return step{}, false
+		return heapItem{}, false
 	}
+	st := &pi.next
 	if pi.cur < 0 {
 		// First step: wake up at the slowest allowed point.
-		to := n - 1
-		if to < pi.lo {
-			to = pi.lo
-		}
-		return step{from: -1, to: to,
-			dw: pi.dur / lt.PointTime(to),
-			dc: pi.perJ * sol.scale * lt.AvgPower(to) * pi.dur}, true
+		st.to = max(len(sol.tm)-1, pi.lo)
+		st.w = pi.dur / sol.tm[st.to]
+		st.dw = st.w
+		st.dc = pi.perJ * sol.scale * sol.pw[st.to] * pi.dur
+	} else {
+		st.to = pi.cur - 1
+		st.w = pi.dur / sol.tm[st.to]
+		st.dw = st.w - pi.work
+		st.dc = pi.c * (sol.pw[st.to] - sol.pw[pi.cur])
 	}
-	to := pi.cur - 1
-	return step{from: pi.cur, to: to,
-		dw: pi.dur/lt.PointTime(to) - pi.dur/lt.PointTime(pi.cur),
-		dc: pi.perJ * sol.scale * pi.dur * (lt.AvgPower(to) - lt.AvgPower(pi.cur))}, true
+	return heapItem{slope: st.dc / st.dw, k: k}, true
 }
 
 // request maps the options to the shared planning request.
@@ -379,14 +378,18 @@ func Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (*Plan, error
 
 // Solver is a reusable temporal-planner instance: repeated Optimize and
 // Evaluate calls on one Solver share the greedy's working buffers, so
-// hot callers — the region planner's candidate descent evaluates tens
-// of thousands of composite signals per plan — avoid re-allocating the
-// per-interval state on every solve. The zero value is ready; a Solver
-// is not safe for concurrent use.
+// hot callers — a controller tick's roll-forwards, the region planner's
+// candidate descent (thousands of composite signals per plan) — avoid
+// re-allocating the per-interval state on every solve. The zero value
+// is ready; a Solver is not safe for concurrent use.
 type Solver struct {
 	sol solution
 	buf []Slice
 }
+
+// Steps returns the greedy steps the last solve took (0 when it was
+// infeasible: best effort takes none).
+func (s *Solver) Steps() int { return s.sol.steps }
 
 // Evaluation is the totals-only outcome of a solve: what candidate
 // comparison needs, computed with arithmetic identical to Optimize's
@@ -433,8 +436,8 @@ func (s *Solver) Evaluate(lt *frontier.LookupTable, sig *Signal, opts Options) (
 		s.buf = sol.intervalSlices(k, s.buf[:0])
 		var iters, energy float64
 		for _, sl := range s.buf {
-			iters += sl.Seconds / lt.PointTime(sl.Point)
-			energy += sl.Seconds * sol.scale * lt.AvgPower(sl.Point)
+			iters += sl.Seconds / sol.tm[sl.Point]
+			energy += sl.Seconds * sol.scale * sol.pw[sl.Point]
 		}
 		pi := &sol.ivs[k]
 		out.Iterations += iters
@@ -466,7 +469,7 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 	}
 	nSlices := 0
 	for k := range sol.ivs {
-		if sol.frac != nil && sol.frac.k == k {
+		if sol.frac.k == k {
 			nSlices += 2
 		} else if sol.ivs[k].cur >= 0 {
 			nSlices++
@@ -491,8 +494,8 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 		var run float64
 		for _, sl := range ip.Slices {
 			run += sl.Seconds
-			ip.Iterations += sl.Seconds / lt.PointTime(sl.Point)
-			ip.EnergyJ += sl.Seconds * scale * lt.AvgPower(sl.Point)
+			ip.Iterations += sl.Seconds / sol.tm[sl.Point]
+			ip.EnergyJ += sl.Seconds * scale * sol.pw[sl.Point]
 		}
 		ip.IdleS = pi.dur - run
 		ip.CarbonG = ip.EnergyJ / JoulesPerKWh * pi.iv.CarbonGPerKWh
@@ -504,7 +507,7 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 			need := remaining
 			at := ip.StartS
 			for _, sl := range ip.Slices {
-				rate := 1 / lt.PointTime(sl.Point)
+				rate := 1 / sol.tm[sl.Point]
 				if got := sl.Seconds * rate; got < need {
 					need -= got
 					at += sl.Seconds
@@ -534,12 +537,11 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 // other awake interval runs its descent state for its whole duration.
 func (sol *solution) intervalSlices(k int, buf []Slice) []Slice {
 	pi := &sol.ivs[k]
-	if sol.frac != nil && sol.frac.k == k {
-		fs := sol.frac
+	if fs := sol.frac; fs.k == k {
 		fast := fs.f * pi.dur
-		buf = append(buf, Slice{Point: fs.st.to, Seconds: fast})
-		if fs.st.from >= 0 {
-			buf = append(buf, Slice{Point: fs.st.from, Seconds: pi.dur - fast})
+		buf = append(buf, Slice{Point: fs.to, Seconds: fast})
+		if fs.from >= 0 {
+			buf = append(buf, Slice{Point: fs.from, Seconds: pi.dur - fast})
 		}
 	} else if pi.cur >= 0 {
 		buf = append(buf, Slice{Point: pi.cur, Seconds: pi.dur})
@@ -547,29 +549,26 @@ func (sol *solution) intervalSlices(k int, buf []Slice) []Slice {
 	return buf
 }
 
-// solve runs the marginal-cost greedy and returns the per-interval
-// states plus the single fractional step. Exposed separately so tests
-// can compare the solver layer against brute force.
-func solve(lt *frontier.LookupTable, sig *Signal, opts Options) (*solution, error) {
-	sol := &solution{}
-	if err := sol.solve(lt, sig, opts); err != nil {
-		return nil, err
-	}
-	return sol, nil
-}
-
-// solve fills the solution in place, truncating and reusing its
-// buffers from any previous run.
+// solve runs the marginal-cost greedy, filling the solution in place:
+// its buffers from any previous run are truncated and reused.
 func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) error {
 	d, scale, obj, err := normalize(lt, sig, opts)
 	if err != nil {
 		return err
 	}
 
+	// The table's times and powers, once per solve: each is a multiply
+	// and a division away from the table's fields, and read every step.
 	n := len(lt.Points)
-	minPow := lt.AvgPower(n - 1) // slowest point's draw: any cap below it forces idle
-	sol.ivs = sol.ivs[:0]
-	sol.frac = nil
+	tm, pw := slices.Grow(sol.tm[:0], n), slices.Grow(sol.pw[:0], n)
+	for i := 0; i < n; i++ {
+		tm, pw = append(tm, lt.PointTime(i)), append(pw, lt.AvgPower(i))
+	}
+	sol.tm, sol.pw = tm, pw
+	minPow := pw[n-1] // slowest point's draw: any cap below it forces idle
+	sol.ivs = slices.Grow(sol.ivs[:0], len(sig.Intervals))
+	sol.frac = fracStep{k: -1}
+	sol.steps = 0
 	sol.coverage, sol.cost, sol.maxCover = 0, 0, 0
 	sol.deadline, sol.scale, sol.obj = d, scale, obj
 	for _, iv := range sig.Intervals {
@@ -581,6 +580,7 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 			iv.EndS = d
 		}
 		pi := planInterval{iv: iv, dur: iv.Duration(), perJ: PerJoule(obj, iv), cur: -1, lo: 0}
+		pi.c = pi.perJ * scale * pi.dur
 		if iv.CapW > 0 {
 			if maxW := iv.CapW / scale; maxW < minPow {
 				pi.lo = -1 // skip FirstUnderPower's search: no point qualifies
@@ -592,22 +592,15 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 			}
 		}
 		if !pi.only {
-			sol.maxCover += pi.dur / lt.PointTime(pi.lo)
+			sol.maxCover += pi.dur / tm[pi.lo]
 			if opts.NoIdle {
 				pi.cur = n - 1
-				sol.coverage += pi.dur / lt.PointTime(pi.cur)
-				sol.cost += pi.perJ * scale * lt.AvgPower(pi.cur) * pi.dur
+				pi.work = pi.dur / tm[pi.cur]
+				sol.coverage += pi.work
+				sol.cost += pi.perJ * scale * pw[pi.cur] * pi.dur
 			}
 		}
 		sol.ivs = append(sol.ivs, pi)
-	}
-	if cap(sol.stacks) < len(sol.ivs) {
-		sol.stacks = make([][]step, len(sol.ivs))
-	} else {
-		sol.stacks = sol.stacks[:len(sol.ivs)]
-		for k := range sol.stacks {
-			sol.stacks[k] = sol.stacks[k][:0]
-		}
 	}
 	sol.feasible = sol.maxCover >= opts.Target-1e-9
 
@@ -633,44 +626,64 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 	// overshoots the target.
 	//
 	// An interval's available step only changes when its current one is
-	// taken, so the cheapest-available selection runs over a min-heap —
-	// each step pushed and popped once, O(steps · log intervals) rather
-	// than a full interval rescan per step — while heapItem's (slope,
-	// index) ordering keeps the pick sequence, and hence every float
-	// accumulation, bit-identical to the sequential scan.
-	sol.heap = sol.heap[:0]
+	// taken, so the cheapest-available selection runs over a min-heap of
+	// (slope, index) keys, whose strict total order keeps the pick
+	// sequence, and hence every float accumulation, bit-identical to a
+	// sequential scan. On a characterized table the interval that was
+	// cheapest usually still is after its step, so the loop descends in
+	// runs: it reads the runner-up — the root's smaller child — once,
+	// steps the root's interval while its next key still sorts first,
+	// and only the step that ends a run writes the heap and sifts.
+	sol.heap = slices.Grow(sol.heap[:0], len(sol.ivs))
 	for k := range sol.ivs {
-		if st, ok := sol.nextStep(lt, n, k); ok {
-			sol.heap = append(sol.heap, heapItem{slope: st.dc / st.dw, k: int32(k), st: st})
+		if it, ok := sol.nextStep(int32(k)); ok {
+			sol.heap = append(sol.heap, it)
 		}
 	}
 	sol.heapify()
-	for sol.coverage < opts.Target-1e-9 {
-		if len(sol.heap) == 0 {
-			break // every interval saturated (NoIdle with coverage < target is impossible here)
+	target := opts.Target
+	for len(sol.heap) > 0 && sol.coverage < target-1e-9 {
+		h := sol.heap
+		k := h[0].k
+		second := heapItem{slope: math.Inf(1), k: math.MaxInt32} // alone: nothing ends the run
+		if len(h) > 1 {
+			second = h[1]
+			if len(h) > 2 && stepLess(h[2], second) {
+				second = h[2]
+			}
 		}
-		it := sol.heap[0] // peek: the take either breaks or replaces the top in place
-		best, bestStep := int(it.k), it.st
-		if need := opts.Target - sol.coverage; bestStep.dw > need+1e-12 {
-			// Final fractional take: time-share the step's endpoints so
-			// the target is completed exactly. (Under NoIdle every
-			// interval is already awake, so the shared states both run —
-			// no idle time is introduced.)
-			f := need / bestStep.dw
-			sol.fracBuf = fracStep{k: best, st: bestStep, f: f}
-			sol.frac = &sol.fracBuf
-			sol.coverage += need
-			sol.cost += f * bestStep.dc
-			break
-		}
-		sol.ivs[best].cur = bestStep.to
-		sol.coverage += bestStep.dw
-		sol.cost += bestStep.dc
-		sol.stacks[best] = append(sol.stacks[best], bestStep)
-		if st, ok := sol.nextStep(lt, n, best); ok {
-			sol.replaceTop(it.k, st)
-		} else {
-			sol.dropTop()
+		pi := &sol.ivs[k]
+		for sol.coverage < target-1e-9 {
+			st := pi.next
+			sol.steps++
+			if need := target - sol.coverage; st.dw > need+1e-12 {
+				// Final fractional take: time-share the step's endpoints so
+				// the target is completed exactly. (Under NoIdle every
+				// interval is already awake, so the shared states both run —
+				// no idle time is introduced.)
+				f := need / st.dw
+				sol.frac = fracStep{k: int(k), from: pi.cur, to: st.to, f: f}
+				sol.coverage += need
+				sol.cost += f * st.dc
+				return nil
+			}
+			pi.cur, pi.work = st.to, st.w
+			sol.coverage += st.dw
+			sol.cost += st.dc
+			it, ok := sol.nextStep(k)
+			if !ok {
+				// Saturated: the heap's last key sinks from the root.
+				last := len(h) - 1
+				sol.heap = h[:last]
+				if last > 0 {
+					sol.siftDown(0, h[last])
+				}
+				break
+			}
+			if !stepLess(it, second) {
+				sol.siftDown(0, it) // the run ends: another interval is cheaper now
+				break
+			}
 		}
 	}
 	return nil

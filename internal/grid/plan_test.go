@@ -2,6 +2,7 @@ package grid
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -224,16 +225,15 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The attainable coverage breakpoints are the prefix sums of
-			// the steps in slope order.
+			// the descent's whole steps in slope order; the scan reference
+			// lists them.
+			ref, err := scanSolve(lt, sig, full)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var breaks []float64
 			cover := 0.0
-			type sw struct{ slope, dw float64 }
-			var sws []sw
-			for _, st := range sol.stacks {
-				for _, s := range st {
-					sws = append(sws, sw{s.dc / s.dw, s.dw})
-				}
-			}
+			sws := append([]scanStep(nil), ref.taken...)
 			for i := range sws {
 				for j := i + 1; j < len(sws); j++ {
 					if sws[j].slope < sws[i].slope {
@@ -614,5 +614,291 @@ func TestSolverReuseDoesNotAlias(t *testing.T) {
 				t.Fatalf("%s window from %d: a later solve on the same Solver changed a returned plan", obj, from)
 			}
 		}
+	}
+}
+
+// solve runs the solver layer alone on a fresh solution, so tests can
+// compare it against brute force and the scan reference.
+func solve(lt *frontier.LookupTable, sig *Signal, opts Options) (*solution, error) {
+	sol := &solution{}
+	if err := sol.solve(lt, sig, opts); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// scanStep is one whole step the scan reference took.
+type scanStep struct{ slope, dw float64 }
+
+// scanResult is everything a solve decides: each interval's descent
+// state, the fractional step, the accumulated coverage and cost.
+type scanResult struct {
+	cur            []int
+	frac           fracStep
+	coverage, cost float64
+	feasible       bool
+	steps          int
+	taken          []scanStep // whole steps, in pick order
+}
+
+// scanSolve is the solver's oracle: the greedy with every step computed
+// from the table itself (lt.PointTime, lt.AvgPower — five divisions a
+// step, the expressions the solver had before it carried operands
+// between steps) and the cheapest step picked by a sequential strict-<
+// scan over the intervals, first index winning ties. The solver's heap,
+// run loop, per-solve arrays and carried operands are licensed by
+// agreeing with it exactly, bit for bit.
+func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult, error) {
+	d, scale, obj, err := normalize(lt, sig, opts)
+	if err != nil {
+		return scanResult{}, err
+	}
+	type state struct {
+		dur, perJ float64
+		lo, cur   int
+		only      bool
+	}
+	n := len(lt.Points)
+	res := scanResult{frac: fracStep{k: -1}}
+	var ivs []state
+	var maxCover float64
+	for _, iv := range sig.Truncate(d).Intervals {
+		st := state{dur: iv.Duration(), perJ: PerJoule(obj, iv), cur: -1}
+		if iv.CapW > 0 {
+			st.lo = lt.FirstUnderPower(iv.CapW / scale)
+			st.only = st.lo < 0
+		}
+		if !st.only {
+			maxCover += st.dur / lt.PointTime(st.lo)
+			if opts.NoIdle {
+				st.cur = n - 1
+				res.coverage += st.dur / lt.PointTime(st.cur)
+				res.cost += st.perJ * scale * lt.AvgPower(st.cur) * st.dur
+			}
+		}
+		ivs = append(ivs, st)
+	}
+	res.feasible = maxCover >= opts.Target-1e-9
+	if !res.feasible {
+		for _, st := range ivs {
+			if !st.only {
+				st.cur = st.lo
+			}
+			res.cur = append(res.cur, st.cur)
+		}
+		res.coverage = maxCover
+		return res, nil
+	}
+	next := func(st state) (to int, dw, dc float64, ok bool) {
+		if st.only || st.cur == st.lo {
+			return 0, 0, 0, false
+		}
+		if st.cur < 0 {
+			to = max(n-1, st.lo)
+			return to, st.dur / lt.PointTime(to), st.perJ * scale * lt.AvgPower(to) * st.dur, true
+		}
+		to = st.cur - 1
+		return to, st.dur/lt.PointTime(to) - st.dur/lt.PointTime(st.cur),
+			st.perJ * scale * st.dur * (lt.AvgPower(to) - lt.AvgPower(st.cur)), true
+	}
+	for res.coverage < opts.Target-1e-9 {
+		best, bestSlope := -1, 0.0
+		for k, st := range ivs {
+			if _, dw, dc, ok := next(st); ok {
+				if slope := dc / dw; best < 0 || slope < bestSlope {
+					best, bestSlope = k, slope
+				}
+			}
+		}
+		if best < 0 {
+			break
+		}
+		to, dw, dc, _ := next(ivs[best])
+		res.steps++
+		if need := opts.Target - res.coverage; dw > need+1e-12 {
+			f := need / dw
+			res.frac = fracStep{k: best, from: ivs[best].cur, to: to, f: f}
+			res.coverage += need
+			res.cost += f * dc
+			break
+		}
+		ivs[best].cur = to
+		res.coverage += dw
+		res.cost += dc
+		res.taken = append(res.taken, scanStep{bestSlope, dw})
+	}
+	for _, st := range ivs {
+		res.cur = append(res.cur, st.cur)
+	}
+	return res, nil
+}
+
+// checkAgainstScan solves the instance on sol (fresh or reused) and
+// requires exact agreement with the scan reference — == on every float,
+// no tolerance.
+func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig *Signal, opts Options) {
+	t.Helper()
+	want, err := scanSolve(lt, sig, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sol.solve(lt, sig, opts); err != nil {
+		t.Fatal(err)
+	}
+	if sol.feasible != want.feasible || sol.coverage != want.coverage || sol.cost != want.cost ||
+		sol.frac != want.frac || sol.steps != want.steps {
+		t.Fatalf("solver {feasible %v coverage %v cost %v frac %+v steps %d}\n  scan {feasible %v coverage %v cost %v frac %+v steps %d}",
+			sol.feasible, sol.coverage, sol.cost, sol.frac, sol.steps,
+			want.feasible, want.coverage, want.cost, want.frac, want.steps)
+	}
+	if len(sol.ivs) != len(want.cur) {
+		t.Fatalf("solver planned %d intervals, scan %d", len(sol.ivs), len(want.cur))
+	}
+	for k := range sol.ivs {
+		if sol.ivs[k].cur != want.cur[k] {
+			t.Fatalf("interval %d: solver at point %d, scan at %d", k, sol.ivs[k].cur, want.cur[k])
+		}
+	}
+}
+
+// bumpyTable builds a non-convex table: time strictly rising, energy
+// strictly falling by uneven decrements, so per-interval slopes are not
+// monotone and runs end at arbitrary places.
+func bumpyTable(rng *rand.Rand, tminU int64, points int) *frontier.LookupTable {
+	lt := &frontier.LookupTable{Unit: 0.01, TminUnits: tminU, TStarUnits: tminU + int64(points) - 1}
+	e := 3000 + 4000*rng.Float64()
+	for u := tminU; u <= lt.TStarUnits; u++ {
+		lt.Points = append(lt.Points, frontier.TablePoint{TimeUnits: u, Energy: e})
+		e -= e * (0.001 + 0.03*rng.Float64()*rng.Float64())
+	}
+	return lt
+}
+
+// TestSolveMatchesScanReference pins the solver to the scan reference
+// over the fuzz corpus and the shapes it does not reach: non-convex
+// tables, NoIdle, caps that idle or floor intervals, a deadline cutting
+// the last interval, one-interval and one-point instances, exact ties,
+// and dense many-interval cases — each on a fresh solution and on one
+// reused across the whole corpus.
+func TestSolveMatchesScanReference(t *testing.T) {
+	var reused solution
+	check := func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
+		t.Helper()
+		for _, noIdle := range []bool{false, true} {
+			opts.NoIdle = noIdle
+			t.Run(fmt.Sprintf("%s/noidle=%v", name, noIdle), func(t *testing.T) {
+				checkAgainstScan(t, &solution{}, lt, sig, opts)
+				checkAgainstScan(t, &reused, lt, sig, opts)
+			})
+		}
+	}
+
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, tf := range []float64{0.05, 0.37, 0.6, 0.93, 1, 1.2} {
+			for _, df := range []float64{0.31, 0.77, 1} {
+				lt, sig, opts, ok := fuzzInstance(seed, tf, df)
+				if !ok {
+					continue
+				}
+				check(fmt.Sprintf("fuzz-%d-%v-%v", seed, tf, df), lt, sig, opts)
+				rng := rand.New(rand.NewSource(seed))
+				check(fmt.Sprintf("bumpy-%d-%v-%v", seed, tf, df), bumpyTable(rng, 40+seed, 3+rng.Intn(9)), sig, opts)
+			}
+		}
+	}
+
+	// Dense: a day of 15-minute intervals over an 80-point table, capped
+	// in places, deadline inside the last interval.
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sig := Generate(GenOptions{Intervals: 96, IntervalS: 900, Jitter: 0.2, Seed: seed})
+		for _, lt := range []*frontier.LookupTable{convexTable(0.01, 60, 139, 3000, 200), bumpyTable(rng, 60, 80)} {
+			for i := 0; i < 8; i++ {
+				k := rng.Intn(len(sig.Intervals))
+				sig.Intervals[k].CapW = lt.AvgPower(len(lt.Points)-1) * (0.5 + 2*rng.Float64())
+			}
+			for _, tf := range []float64{0.2, 0.7, 0.999} {
+				d := sig.Horizon() - 450
+				check(fmt.Sprintf("dense-%d-%d-%v", seed, len(lt.Points), tf), lt, sig,
+					Options{Target: tf * 0.8 * d / lt.Tmin(), DeadlineS: d, PowerScale: 2, Objective: ObjectiveCost})
+			}
+		}
+	}
+
+	// Degenerate shapes.
+	one := convexTable(0.01, 80, 80, 3000, 120) // a single point: wake steps only
+	sig := Generate(GenOptions{Intervals: 6, IntervalS: 600, Jitter: 0.3, Seed: 5})
+	check("one-point", one, sig, Options{Target: 0.5 * sig.Horizon() / one.Tmin()})
+	lt := convexTable(0.01, 80, 90, 3000, 120)
+	single := &Signal{Intervals: sig.Intervals[:1]} // one interval: every run is alone in the heap
+	check("one-interval", lt, single, Options{Target: 0.9 * 600 / lt.Tmin()})
+	check("one-interval-full", lt, single, Options{Target: 600 / lt.Tmin()})
+
+	// Exact ties: intervals with identical durations and rates offer
+	// identical slopes at every state; the lower index goes first.
+	ties := &Signal{}
+	for k := 0; k < 6; k++ {
+		ties.Intervals = append(ties.Intervals, Interval{
+			StartS: float64(k) * 600, EndS: float64(k+1) * 600,
+			CarbonGPerKWh: []float64{300, 200, 300, 200, 200, 300}[k], PriceUSDPerKWh: 0.1,
+		})
+	}
+	// Swept finely: which tied interval the fractional step lands on is
+	// the only trace the order of equal steps leaves.
+	for tf := 0.01; tf < 1; tf += 0.01 {
+		opts := Options{Target: tf * ties.Horizon() / lt.Tmin()}
+		check(fmt.Sprintf("ties-%v", tf), lt, ties, opts)
+		want, err := scanSolve(lt, ties, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Steps taken so far, the fractional one counting half.
+		progress := func(k int) float64 {
+			p := 0.0
+			if c := want.cur[k]; c >= 0 {
+				p = float64(len(lt.Points) - c)
+			}
+			if want.frac.k == k {
+				p += 0.5
+			}
+			return p
+		}
+		for _, tied := range [][]int{{1, 3, 4}, {0, 2, 5}} {
+			a, b, c := progress(tied[0]), progress(tied[1]), progress(tied[2])
+			if a < b || b < c || a-c > 1 {
+				t.Fatalf("target %v: tied intervals %v must descend in step, lowest index first; progress %v %v %v", tf, tied, a, b, c)
+			}
+		}
+	}
+}
+
+// TestSolverSteadyStateAllocs pins what the hot callers reuse a Solver
+// for: once warmed on an instance's size, Evaluate allocates nothing and
+// Optimize only what it returns — the Plan, its intervals, their slices.
+func TestSolverSteadyStateAllocs(t *testing.T) {
+	lt := convexTable(0.01, 60, 99, 3000, 200)
+	sig := Generate(GenOptions{Intervals: 96, IntervalS: 900, Jitter: 0.2, Seed: 7})
+	sig.Intervals[9].CapW = lt.AvgPower(20) // a floored interval: the cap search must not allocate
+	opts := Options{Target: 0.6 * sig.Horizon() / lt.TStar()}
+	var s Solver
+	if _, err := s.Optimize(lt, sig, opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := s.Evaluate(lt, sig, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("warmed Evaluate allocates %v times a solve, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := s.Optimize(lt, sig, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Fatalf("warmed Optimize allocates %v times a solve, want the plan's 3", n)
+	}
+	if s.Steps() == 0 {
+		t.Fatal("a feasible solve took no steps")
 	}
 }

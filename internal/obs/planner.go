@@ -20,9 +20,9 @@ import (
 // The decorator is also span-aware: when ctx carries an active trace
 // span (the HTTP middleware's or the controller tick's), each Plan
 // call records a "planner.solve" child span with planner/objective
-// attrs (plus the result's own SpanAttrs, when it has any), marked
-// failed on error. With no active span the tracing side
-// costs one nil check — instrumented solves reached outside a traced
+// attrs (plus the planner's and the result's own SpanAttrs, when they
+// have any), marked failed on error. With no active span the tracing
+// side costs one nil check — instrumented solves reached outside a traced
 // request (benchmarks, direct library use) stay at PR 6 overhead.
 // Instances are constructed per request, so capturing ctx at
 // construction is exact.
@@ -68,17 +68,25 @@ func (p *instrumentedPlanner) Plan(req plan.Request) (plan.Result, error) {
 	if err != nil && p.errors != nil {
 		p.errors.With(p.name).Inc()
 	}
-	if a, ok := res.(spanAttrser); ok && sp != nil && err == nil {
-		kv := a.SpanAttrs()
-		for i := 0; i+1 < len(kv); i += 2 {
-			sp.SetAttr(kv[i], kv[i+1])
-		}
+	if sp != nil && err == nil {
+		setSpanAttrs(sp, p.inner)
+		setSpanAttrs(sp, res)
 	}
 	sp.Fail(err)
 	sp.End()
 	return res, err
 }
 
-// spanAttrser is a plan.Result that describes the work its solve did
-// as key/value pairs for the solve's span (region.Plan's counts).
+// spanAttrser is a plan.Planner or plan.Result that describes the work
+// the solve did as key/value pairs for its span (grid.Planner's greedy
+// steps, region.Plan's counts).
 type spanAttrser interface{ SpanAttrs() []string }
+
+func setSpanAttrs(sp *ActiveSpan, v any) {
+	if a, ok := v.(spanAttrser); ok {
+		kv := a.SpanAttrs()
+		for i := 0; i+1 < len(kv); i += 2 {
+			sp.SetAttr(kv[i], kv[i+1])
+		}
+	}
+}

@@ -70,7 +70,9 @@ type replanState struct {
 // exactly once, and hands it read-only to every schedule that asks
 // (forecast.Stepper.Replan only reads its forecast) — issuing costs as
 // much as tens of solves, and 64 jobs of one tick used to pay it 64
-// times for bit-identical results.
+// times for bit-identical results. The signals planned on are shared
+// the same way, read-only: one quantile view per (forecast, quantile),
+// one re-based window per (view, bounds).
 type tickView struct {
 	now  time.Time
 	sig  *grid.Signal
@@ -84,8 +86,9 @@ type tickView struct {
 	// before the fan-out, read-only after.
 	sharers map[float64]int
 
-	mu     sync.Mutex
-	issued map[issueKey]*issuedForecast
+	mu      sync.Mutex
+	issued  map[issueKey]*issuedForecast
+	signals map[signalKey]*grid.Signal
 }
 
 // issueKey names one forecast of a view: the requested horizon and the
@@ -136,6 +139,31 @@ func (s *Server) forecast(ctx context.Context, v *tickView, t, horizonS float64)
 		sp.End()
 	})
 	return is.fc, is.err
+}
+
+// signalKey names one signal a view's schedules plan on: forecast fc at
+// quantile q — the quantile view itself when from == to == 0, else its
+// window [from, to) re-based at 0.
+type signalKey struct {
+	fc          *forecast.Forecast
+	q, from, to float64
+}
+
+// signal returns the view's one signal for key, building it on first
+// use — under v.mu: a copy of tens of intervals, far less than the
+// solve every asker is about to run.
+func (v *tickView) signal(key signalKey, build func() *grid.Signal) *grid.Signal {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	sig := v.signals[key]
+	if sig == nil {
+		if v.signals == nil {
+			v.signals = map[signalKey]*grid.Signal{}
+		}
+		sig = build()
+		v.signals[key] = sig
+	}
+	return sig
 }
 
 // forecasts reports how many forecasts the view has issued.
@@ -522,7 +550,8 @@ func (s *Server) advanceManaged(ctx context.Context, v *tickView, id string) err
 }
 
 // solvers recycles grid.Solver working buffers (the greedy's interval
-// states, stacks and heap) across roll-forward solves, jobs and ticks.
+// states, table arrays and heap) across roll-forward solves, jobs and
+// ticks.
 var solvers = sync.Pool{New: func() any { return new(grid.Solver) }}
 
 // rollForward steps in.rs to in.t: the stepper freezes the span
@@ -558,18 +587,24 @@ func (s *Server) rollForward(ctx context.Context, v *tickView, in rollInputs, fc
 		}
 	}
 	rs.frevSeen = v.frev
-	fresh, err := rs.Replan(fc, func(window *grid.Signal, target float64) (*grid.Plan, error) {
+	var view *grid.Signal
+	if fc != nil {
+		view = v.signal(signalKey{fc: fc, q: rs.Quantile}, func() *grid.Signal { return fc.At(rs.Quantile) })
+	}
+	fresh, err := rs.Replan(fc, view, func(view *grid.Signal, from, to, target float64) (*grid.Plan, error) {
 		// The solve runs through the instrumented grid planner over the
 		// forecast window — the MPC counterpart of forecast.Planner,
 		// reported as its own planning layer.
 		sctx, sv := obs.Child(ctx, spanReplanSolve)
 		defer sv.End()
 		sv.SetAttr("job", id)
+		window := v.signal(signalKey{fc, rs.Quantile, from, to}, func() *grid.Signal { return forecast.Window(view, from, to) })
 		solver := solvers.Get().(*grid.Solver)
 		defer solvers.Put(solver)
 		p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: rs.Table, Signal: window, Solver: solver}),
 			"forecast-mpc", s.obs.planLatency, s.obs.planErrors)
 		res, err := p.Plan(pln.Request{Target: target, Objective: rs.Objective, PowerScale: rs.Scale})
+		sv.SetAttr("steps", strconv.Itoa(solver.Steps()))
 		if err != nil {
 			sv.Fail(err)
 			return nil, err

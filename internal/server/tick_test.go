@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"perseus/internal/grid"
+	"perseus/internal/obs"
 	pln "perseus/internal/plan"
 )
 
@@ -166,6 +167,11 @@ func TestTickIssuesOneForecastPerHorizon(t *testing.T) {
 					t.Fatalf("replan.forecast span attrs %v", sp.Attrs)
 				}
 				sharedBy = append(sharedBy, n)
+			case spanReplanSolve, obs.SpanPlannerSolve:
+				// Both solve spans say what the solve did.
+				if n, err := strconv.Atoi(sp.Attrs["steps"]); err != nil || n <= 0 {
+					t.Fatalf("%s span attrs %v, want a positive steps count", sp.Name, sp.Attrs)
+				}
 			}
 		}
 		events := srv.Events(1).Events
@@ -192,6 +198,88 @@ func TestTickIssuesOneForecastPerHorizon(t *testing.T) {
 	before := forecastsIssued(srv)
 	if st := srv.TickController(); st.LastTickError != "" || forecastsIssued(srv) != before {
 		t.Fatalf("idle tick: error %q, %d forecasts issued", st.LastTickError, forecastsIssued(srv)-before)
+	}
+}
+
+// TestTickSharesViews pins the tick view's signal memo: 64 managed jobs
+// planning one forecast at one quantile to one deadline end a tick
+// holding the same quantile view — one pointer — and were all solved on
+// one window object; a second quantile or a second deadline among them
+// makes it two of each. Under -race the 64 solves reading one window
+// from two workers also check that nothing writes it.
+func TestTickSharesViews(t *testing.T) {
+	var mu sync.Mutex
+	windows := map[*grid.Signal]int{}
+	srv, clock, ids := fleetServer(t, 64, func(p pln.Planner) pln.Planner {
+		if gp, ok := p.(*grid.Planner); ok {
+			mu.Lock()
+			windows[gp.Signal]++
+			mu.Unlock()
+		}
+		return p
+	})
+	truth := grid.Diurnal24h()
+	horizon := truth.Horizon()
+	if _, err := srv.SetGridSignal(*truth, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: 4, Sigma: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	manage := func(ids []string, deadline, quantile float64) {
+		t.Helper()
+		for _, id := range ids {
+			tbl, err := srv.Table(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.ManageJob(id, math.Floor(0.5*deadline/tbl.Tmin()), deadline, "", quantile); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// tick advances an hour, ticks, and returns how many distinct views
+	// the schedules hold afterwards and how many distinct windows the
+	// tick's solves ran on.
+	tick := func() (views, solvedOn int) {
+		t.Helper()
+		mu.Lock()
+		clear(windows)
+		mu.Unlock()
+		clock.Advance(time.Hour)
+		if st := srv.TickController(); st.LastTickError != "" {
+			t.Fatal(st.LastTickError)
+		}
+		held := map[*grid.Signal]bool{}
+		srv.replanMu.RLock()
+		for _, id := range ids {
+			rs := srv.replans[id]
+			rs.mu.Lock()
+			held[rs.View()] = true
+			rs.mu.Unlock()
+		}
+		srv.replanMu.RUnlock()
+		solves := 0
+		for _, n := range windows {
+			solves += n
+		}
+		if solves != len(ids) {
+			t.Fatalf("tick solved %d times for %d jobs", solves, len(ids))
+		}
+		return len(held), len(windows)
+	}
+
+	manage(ids, horizon, 0)
+	if views, solvedOn := tick(); views != 1 || solvedOn != 1 {
+		t.Fatalf("one quantile, one deadline: %d views held, solved on %d windows; want 1 and 1", views, solvedOn)
+	}
+	manage(ids[:16], horizon, 0.9)
+	if views, solvedOn := tick(); views != 2 || solvedOn != 2 {
+		t.Fatalf("two quantiles: %d views held, solved on %d windows; want 2 and 2", views, solvedOn)
+	}
+	manage(ids[:16], 20*3600, 0)
+	if views, solvedOn := tick(); views != 2 || solvedOn != 2 {
+		t.Fatalf("two deadlines: %d views held, solved on %d windows; want 2 and 2", views, solvedOn)
 	}
 }
 
