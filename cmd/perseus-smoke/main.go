@@ -1,9 +1,11 @@
 // Command perseus-smoke is the CI observability smoke test: it boots
-// the server in-process, drives one end-to-end planning flow over HTTP
-// (register → profile → signal → plan ×2 → controller tick), then
-// scrapes /metrics, /healthz, and /debug/ledger and exits non-zero
-// unless every core series is present with a sane value and the
-// energy-bloat ledger conserves. It guards the contract dashboards and
+// the server in-process on a clock it steps itself, drives one
+// end-to-end planning flow over HTTP (register → profile → signal →
+// plan ×2 → controller tick), then scrapes /metrics, /healthz, and
+// /debug/ledger and exits non-zero unless every core series is present
+// with a sane value, the energy-bloat ledger conserves, and the ledger
+// is the only account: the bloat series and GET /jobs/{id}/emissions
+// read exactly its totals. It guards the contract dashboards and
 // alerting would be built on: the exposition endpoint keeps serving
 // the documented metric catalog after real traffic.
 package main
@@ -17,6 +19,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"perseus/internal/client"
@@ -61,8 +64,38 @@ func buildProfile(g *gpu.Model, stages, mbSize int) ([]profile.Measurement, floa
 	return ms, profile.MeasurePBlocking(g), nil
 }
 
+// sample returns the value of one series of a scraped exposition.
+func sample(text, series string) float64 {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				log.Fatalf("smoke: %s: %v", line, err)
+			}
+			return f
+		}
+	}
+	log.Fatalf("smoke: /metrics has no series %s", series)
+	return 0
+}
+
 func main() {
 	srv := server.New()
+	// The server reads a clock only this program advances, so the
+	// account settles exactly when the flow says and two reads with no
+	// step between them see the same totals.
+	var clockMu sync.Mutex
+	now := time.Now()
+	srv.SetClock(func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	})
+	advance := func(d time.Duration) {
+		clockMu.Lock()
+		now = now.Add(d)
+		clockMu.Unlock()
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -106,9 +139,20 @@ func main() {
 	if _, err := cl.FetchGridPlan(id, target, 0, ""); err != nil {
 		log.Fatal(err)
 	}
+	advance(10 * time.Minute) // the tick settles the job's first span
 	if _, err := cl.TickController(); err != nil {
 		log.Fatal(err)
 	}
+	// A made-up method is served (405) and counted under method="other".
+	req, err := http.NewRequest("BREW", "http://"+ln.Addr().String()+"/healthz", nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp.Body.Close()
 
 	// Scrape and assert.
 	h, err := cl.FetchHealth()
@@ -178,6 +222,7 @@ func main() {
 		`perseus_slo_status{slo="plan-latency-p99"} 0`,
 		`perseus_slo_status{slo="replan-failure-ratio"} 0`,
 		`perseus_slo_status{slo="longpoll-wake-p99"} 0`,
+		`method="other",code="405"} 1`,
 	}
 	var missing []string
 	for _, want := range core {
@@ -223,6 +268,29 @@ func main() {
 	if led.Fleet.EnergyJ != led.Jobs[0].Totals.EnergyJ {
 		log.Fatalf("smoke: fleet rollup %v != sole job's totals %v", led.Fleet.EnergyJ, led.Jobs[0].Totals.EnergyJ)
 	}
+	// One account: the clock has not moved since the scrape, so the
+	// fleet bloat series read exactly the ledger's fleet totals, and the
+	// emissions view exactly the job's.
+	fleet := led.Fleet
+	for series, want := range map[string]float64{
+		`perseus_fleet_bloat_energy_joules_total{component="realized"}`:       fleet.EnergyJ,
+		`perseus_fleet_bloat_energy_joules_total{component="floor"}`:          fleet.FloorJ,
+		`perseus_fleet_bloat_energy_joules_total{component="residual_bloat"}`: fleet.ResidualJ,
+		`perseus_fleet_bloat_energy_joules_total{component="migration"}`:      fleet.MigrationJ,
+		`perseus_fleet_bloat_carbon_g_total{component="realized"}`:            fleet.CarbonG,
+	} {
+		if got := sample(text, series); got != want {
+			log.Fatalf("smoke: %s = %v, ledger holds %v", series, got, want)
+		}
+	}
+	em, err := cl.FetchEmissions(id)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if tot := led.Jobs[0].Totals; em.EnergyJ != tot.EnergyJ || em.CarbonG != tot.CarbonG || em.CostUSD != tot.CostUSD {
+		log.Fatalf("smoke: emissions (%v J, %v g, $%v) != ledger totals (%v J, %v g, $%v)",
+			em.EnergyJ, em.CarbonG, em.CostUSD, tot.EnergyJ, tot.CarbonG, tot.CostUSD)
+	}
 	for _, want := range []string{
 		`perseus_job_energy_joules_total{job="` + id + `",component="realized"}`,
 		`perseus_job_energy_joules_total{job="` + id + `",component="floor"}`,
@@ -242,11 +310,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("smoke: ledger CSV does not parse: %v", err)
 	}
-	// Every /debug/ledger read settles the span since the last one, so
-	// on a real clock the CSV fetched after the JSON holds at least as
-	// many entries — never fewer.
-	if len(rows) < len(entries)+1 {
-		log.Fatalf("smoke: ledger CSV has %d rows, want at least header + %d entries", len(rows), len(entries))
+	// The clock has not moved, so the CSV holds exactly the JSON's
+	// entries.
+	if len(rows) != len(entries)+1 {
+		log.Fatalf("smoke: ledger CSV has %d rows, want header + %d entries", len(rows), len(entries))
 	}
 	if rows[0][0] != "job" || rows[0][5] != "energy_j" {
 		log.Fatalf("smoke: ledger CSV header %v", rows[0])
@@ -272,6 +339,7 @@ func main() {
 
 	// Unregistering the job drops its per-job series — cardinality must
 	// shrink, while the fleet rollup retains the history.
+	advance(time.Minute)
 	if err := cl.RemoveJob(id); err != nil {
 		log.Fatal(err)
 	}
@@ -287,9 +355,9 @@ func main() {
 		log.Fatal(err)
 	}
 	// The remove settles the job's final span first, so the fleet
-	// rollup can only have grown — history is retained, never rewritten.
-	if len(after.Jobs) != 0 || after.Fleet.EnergyJ < led.Fleet.EnergyJ {
-		log.Fatalf("smoke: ledger after remove = %+v, want no jobs and fleet >= %v", after, led.Fleet.EnergyJ)
+	// rollup has grown — history is retained, never rewritten.
+	if len(after.Jobs) != 0 || after.Fleet.EnergyJ <= led.Fleet.EnergyJ {
+		log.Fatalf("smoke: ledger after remove = %+v, want no jobs and fleet > %v", after, led.Fleet.EnergyJ)
 	}
 
 	fmt.Printf("smoke ok: %d core series present, %d events recorded, %d-span plan trace, %d SLOs ok, %d ledger entries conserve, uptime %.2fs\n",

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"perseus/internal/plan"
@@ -136,16 +135,35 @@ func (l *Ledger) Job(jobID string, n int) (JobLedgerView, bool) {
 	return view, true
 }
 
-// Jobs lists the job IDs the ledger holds, sorted.
-func (l *Ledger) Jobs() []string {
+// Totals returns the job's cumulative totals without copying its ring.
+// ok is false for a job the ledger does not hold.
+func (l *Ledger) Totals(jobID string) (LedgerTotals, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ids := make([]string, 0, len(l.jobs))
-	for id := range l.jobs {
-		ids = append(ids, id)
+	jl, ok := l.jobs[jobID]
+	if !ok {
+		return LedgerTotals{}, false
 	}
-	sort.Strings(ids)
-	return ids
+	return jl.totals, true
+}
+
+// EachJob calls fn with every held job's cumulative totals, in no
+// particular order: a snapshot copied under the lock, which fn runs
+// after releasing.
+func (l *Ledger) EachJob(fn func(jobID string, t LedgerTotals)) {
+	type held struct {
+		id string
+		t  LedgerTotals
+	}
+	l.mu.Lock()
+	jobs := make([]held, 0, len(l.jobs))
+	for id, jl := range l.jobs {
+		jobs = append(jobs, held{id, jl.totals})
+	}
+	l.mu.Unlock()
+	for _, j := range jobs {
+		fn(j.id, j.t)
+	}
 }
 
 // Fleet returns the fleet-wide cumulative totals. Removed jobs stay

@@ -56,8 +56,13 @@ func TestLedgerFleetAndRemove(t *testing.T) {
 	l := NewLedger(0)
 	l.Settle("job-1", spanEntry(0, 1, 100, 10, 0, 0))
 	l.Settle("job-2", spanEntry(0, 1, 300, 30, 0, 0))
-	if got := l.Jobs(); len(got) != 2 || got[0] != "job-1" || got[1] != "job-2" {
-		t.Fatalf("Jobs() = %v", got)
+	energy := map[string]float64{}
+	l.EachJob(func(id string, t LedgerTotals) { energy[id] = t.EnergyJ })
+	if len(energy) != 2 || energy["job-1"] != 100 || energy["job-2"] != 300 {
+		t.Fatalf("EachJob energy = %v", energy)
+	}
+	if tot, ok := l.Totals("job-2"); !ok || tot.EnergyJ != 300 || tot.Entries != 1 {
+		t.Fatalf("Totals(job-2) = %+v, %v", tot, ok)
 	}
 	fleet := l.Fleet()
 	if fleet.EnergyJ != 400 || fleet.Entries != 2 {
@@ -71,6 +76,9 @@ func TestLedgerFleetAndRemove(t *testing.T) {
 	}
 	if _, ok := l.Job("job-1", 0); ok {
 		t.Fatal("job-1 still present after Remove")
+	}
+	if _, ok := l.Totals("job-1"); ok {
+		t.Fatal("job-1 totals still present after Remove")
 	}
 	// Fleet history does not rewrite itself when a job leaves.
 	if fleet2 := l.Fleet(); fleet2.EnergyJ != 400 || fleet2.Entries != 2 {

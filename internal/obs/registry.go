@@ -1,9 +1,11 @@
 // Package obs is the repository's dependency-free observability layer:
-// typed Counter/Gauge/Histogram metrics in a concurrency-safe Registry
-// with hand-rolled Prometheus text exposition (no external modules), a
-// bounded in-memory event ring for tracing controller ticks, re-plans,
-// and migrations (events.go), and an instrumenting decorator over the
-// shared plan.Planner contract (planner.go).
+// typed Counter/Gauge/Histogram metrics and function-backed counter and
+// gauge families (read at scrape time from the structure that owns the
+// number) in a concurrency-safe Registry with hand-rolled Prometheus
+// text exposition (no external modules), a bounded in-memory event ring
+// for tracing controller ticks, re-plans, and migrations (events.go),
+// and an instrumenting decorator over the shared plan.Planner contract
+// (planner.go).
 //
 // The server (internal/server) owns one Registry and one Ring and
 // exposes them at GET /metrics and GET /debug/events; everything here
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -197,16 +200,26 @@ const (
 	kindHistogram metricKind = "histogram"
 )
 
-// family is one named metric and its label-partitioned series.
+// View computes a function-backed family's series each time the family
+// is read: it calls emit once per series with the series' value and one
+// label value per label name. The number stays owned by whatever the
+// view reads; the registry keeps no copy of it to fall out of step.
+type View func(emit func(v float64, labelValues ...string))
+
+// family is one named metric and its label-partitioned series: handles
+// created by with, or, for a function-backed family, whatever its view
+// emits when read.
 type family struct {
 	name    string
 	help    string
 	kind    metricKind
 	labels  []string
 	buckets []float64 // histograms only
+	view    View      // function-backed families only
 
 	mu     sync.Mutex
-	series map[string]any // rendered label block ("" or `{k="v",...}`) → *Counter | *Gauge | *Histogram
+	series map[string]any     // rendered label block ("" or `{k="v",...}`) → *Counter | *Gauge | *Histogram
+	last   map[string]float64 // counter views: each series' last value read
 }
 
 // newSeries materializes an empty series of the family's kind.
@@ -221,12 +234,17 @@ func (f *family) newSeries() any {
 	}
 }
 
-// with returns (creating if needed) the series for the label values.
-func (f *family) with(values []string) any {
+// key renders the label block for the label values.
+func (f *family) key(values []string) string {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := renderLabels(f.labels, values)
+	return renderLabels(f.labels, values)
+}
+
+// with returns (creating if needed) the series for the label values.
+func (f *family) with(values []string) any {
+	key := f.key(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s, ok := f.series[key]
@@ -237,21 +255,66 @@ func (f *family) with(values []string) any {
 	return s
 }
 
-// delete drops the series for the label values, reporting whether it
-// existed. Bounds unbounded cardinality: callers delete a label's
-// series when the labeled entity (a job, say) is removed, and the
-// exposition shrinks — a family left with no series is skipped
-// entirely by WritePrometheus.
-func (f *family) delete(values []string) bool {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := renderLabels(f.labels, values)
+// handle is one handle-backed series.
+type handle struct {
+	key string // rendered label block
+	s   any
+}
+
+// handles snapshots the family's handle-backed series, sorted by label
+// block.
+func (f *family) handles() []handle {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.series[key]
-	delete(f.series, key)
-	return ok
+	hs := make([]handle, 0, len(f.series))
+	for key, s := range f.series {
+		hs = append(hs, handle{key, s})
+	}
+	f.mu.Unlock()
+	slices.SortFunc(hs, func(a, b handle) int { return strings.Compare(a.key, b.key) })
+	return hs
+}
+
+// sample is one series of a counter or gauge family as read.
+type sample struct {
+	key string // rendered label block
+	v   float64
+}
+
+// scalars reads a counter or gauge family's series, sorted by label
+// block. A view is called here with no lock held; a counter view's
+// values are then raised to the last ones read — a counter never reads
+// lower than it did — and the series it no longer emits are forgotten.
+func (f *family) scalars() []sample {
+	if f.view == nil {
+		hs := f.handles()
+		out := make([]sample, len(hs))
+		for i, h := range hs {
+			out[i] = sample{h.key, h.s.(interface{ Value() float64 }).Value()}
+		}
+		return out
+	}
+	var out []sample
+	f.view(func(v float64, values ...string) {
+		out = append(out, sample{f.key(values), v})
+	})
+	slices.SortFunc(out, func(a, b sample) int { return strings.Compare(a.key, b.key) })
+	if f.kind == kindCounter {
+		f.mu.Lock()
+		for i := range out {
+			if prev, ok := f.last[out[i].key]; ok && out[i].v < prev {
+				out[i].v = prev
+			}
+			f.last[out[i].key] = out[i].v
+		}
+		if len(f.last) > len(out) { // some series were not emitted
+			clear(f.last)
+			for _, s := range out {
+				f.last[s.key] = s.v
+			}
+		}
+		f.mu.Unlock()
+	}
+	return out
 }
 
 // CounterVec is a labeled counter family.
@@ -260,29 +323,17 @@ type CounterVec struct{ f *family }
 // With returns the counter for the label values (created on first use).
 func (v *CounterVec) With(values ...string) *Counter { return v.f.with(values).(*Counter) }
 
-// Delete drops the series for the label values, reporting whether it
-// existed. A later With re-creates it from zero.
-func (v *CounterVec) Delete(values ...string) bool { return v.f.delete(values) }
-
 // GaugeVec is a labeled gauge family.
 type GaugeVec struct{ f *family }
 
 // With returns the gauge for the label values (created on first use).
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.with(values).(*Gauge) }
 
-// Delete drops the series for the label values, reporting whether it
-// existed. A later With re-creates it from zero.
-func (v *GaugeVec) Delete(values ...string) bool { return v.f.delete(values) }
-
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
 
 // With returns the histogram for the label values (created on first use).
 func (v *HistogramVec) With(values ...string) *Histogram { return v.f.with(values).(*Histogram) }
-
-// Delete drops the series for the label values, reporting whether it
-// existed. A later With re-creates it from zero.
-func (v *HistogramVec) Delete(values ...string) bool { return v.f.delete(values) }
 
 // Registry is a concurrency-safe set of metric families. Registration
 // is idempotent for an identical (name, kind) pair; re-registering a
@@ -298,15 +349,15 @@ func NewRegistry() *Registry {
 	return &Registry{fams: map[string]*family{}}
 }
 
-func (r *Registry) family(name, help string, kind metricKind, labels []string, buckets []float64) *family {
+func (r *Registry) family(name, help string, kind metricKind, labels []string, buckets []float64, view View) *family {
 	if name == "" || strings.ContainsAny(name, " \n\"{}") {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind != kind || len(f.labels) != len(labels) {
-			panic(fmt.Sprintf("obs: metric %s re-registered as a different kind or label set", name))
+		if f.kind != kind || len(f.labels) != len(labels) || f.view != nil || view != nil {
+			panic(fmt.Sprintf("obs: metric %s re-registered as a different kind, label set, or view", name))
 		}
 		return f
 	}
@@ -319,8 +370,8 @@ func (r *Registry) family(name, help string, kind metricKind, labels []string, b
 	}
 	f := &family{
 		name: name, help: help, kind: kind,
-		labels: append([]string(nil), labels...), buckets: buckets,
-		series: map[string]any{},
+		labels: append([]string(nil), labels...), buckets: buckets, view: view,
+		series: map[string]any{}, last: map[string]float64{},
 	}
 	r.fams[name] = f
 	return f
@@ -328,34 +379,50 @@ func (r *Registry) family(name, help string, kind metricKind, labels []string, b
 
 // Counter registers (or fetches) an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.family(name, help, kindCounter, nil, nil).with(nil).(*Counter)
+	return r.family(name, help, kindCounter, nil, nil, nil).with(nil).(*Counter)
 }
 
 // CounterVec registers (or fetches) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.family(name, help, kindCounter, labels, nil)}
+	return &CounterVec{r.family(name, help, kindCounter, labels, nil, nil)}
 }
 
 // Gauge registers (or fetches) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, kindGauge, nil, nil).with(nil).(*Gauge)
+	return r.family(name, help, kindGauge, nil, nil, nil).with(nil).(*Gauge)
 }
 
 // GaugeVec registers (or fetches) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, kindGauge, labels, nil)}
+	return &GaugeVec{r.family(name, help, kindGauge, labels, nil, nil)}
 }
 
 // Histogram registers (or fetches) an unlabeled histogram; nil buckets
 // use LatencyBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.family(name, help, kindHistogram, nil, buckets).with(nil).(*Histogram)
+	return r.family(name, help, kindHistogram, nil, buckets, nil).with(nil).(*Histogram)
 }
 
 // HistogramVec registers (or fetches) a labeled histogram family; nil
 // buckets use LatencyBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.family(name, help, kindHistogram, labels, buckets)}
+	return &HistogramVec{r.family(name, help, kindHistogram, labels, buckets, nil)}
+}
+
+// CounterView registers a function-backed counter family: fn is called
+// at every read of the family — a scrape, CounterValue, an SLO
+// evaluation — with no registry or family lock held. A series never
+// reads lower than it last did (a value below the last one read reports
+// the last), and a series fn stops emitting is forgotten.
+func (r *Registry) CounterView(name, help string, fn View, labels ...string) {
+	r.family(name, help, kindCounter, labels, nil, fn)
+}
+
+// GaugeView registers a function-backed gauge family: fn is called at
+// every read of the family, with no registry or family lock held, and
+// its series read as emitted.
+func (r *Registry) GaugeView(name, help string, fn View, labels ...string) {
+	r.family(name, help, kindGauge, labels, nil, fn)
 }
 
 // histogramFamilySnapshot aggregates every series of the named
@@ -370,18 +437,13 @@ func (r *Registry) histogramFamilySnapshot(name string) (upper []float64, counts
 	if !found || f.kind != kindHistogram {
 		return nil, nil, 0, false
 	}
-	f.mu.Lock()
-	series := make([]any, 0, len(f.series))
-	for _, s := range f.series {
-		series = append(series, s)
-	}
-	f.mu.Unlock()
-	if len(series) == 0 {
+	hs := f.handles()
+	if len(hs) == 0 {
 		return nil, nil, 0, false
 	}
 	counts = make([]uint64, len(f.buckets)+1)
-	for _, s := range series {
-		c, n := s.(*Histogram).raw()
+	for _, h := range hs {
+		c, n := h.s.(*Histogram).raw()
 		for i := range c {
 			counts[i] += c[i]
 		}
@@ -390,22 +452,20 @@ func (r *Registry) histogramFamilySnapshot(name string) (upper []float64, counts
 	return f.buckets, counts, count, true
 }
 
-// counterFamilyTotal sums every series of the named counter family
-// (the SLO engine's ratio inputs). ok is false when the family is
-// absent or not a counter; a registered family with no series yet
-// reports 0, true — the metric exists, nothing has happened.
-func (r *Registry) counterFamilyTotal(name string) (float64, bool) {
+// scalarTotal sums every series of the named counter or gauge family.
+// ok is false when the family is absent or not of that kind; a
+// registered family with no series yet reports 0, true — the metric
+// exists, nothing has happened.
+func (r *Registry) scalarTotal(name string, kind metricKind) (float64, bool) {
 	r.mu.Lock()
 	f, found := r.fams[name]
 	r.mu.Unlock()
-	if !found || f.kind != kindCounter {
+	if !found || f.kind != kind {
 		return 0, false
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var total float64
-	for _, s := range f.series {
-		total += s.(*Counter).Value()
+	for _, s := range f.scalars() {
+		total += s.v
 	}
 	return total, true
 }
@@ -431,35 +491,25 @@ func (r *Registry) HistogramCount(name string) (uint64, bool) {
 	return count, ok
 }
 
-// CounterValue sums every series of the named counter family. ok is
-// false when the family is absent or not a counter.
+// CounterValue sums every series of the named counter family (the SLO
+// engine's ratio inputs). ok is false when the family is absent or not
+// a counter.
 func (r *Registry) CounterValue(name string) (float64, bool) {
-	return r.counterFamilyTotal(name)
+	return r.scalarTotal(name, kindCounter)
 }
 
 // GaugeValue sums every series of the named gauge family. ok is false
 // when the family is absent or not a gauge.
 func (r *Registry) GaugeValue(name string) (float64, bool) {
-	r.mu.Lock()
-	f, found := r.fams[name]
-	r.mu.Unlock()
-	if !found || f.kind != kindGauge {
-		return 0, false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var total float64
-	for _, s := range f.series {
-		total += s.(*Gauge).Value()
-	}
-	return total, true
+	return r.scalarTotal(name, kindGauge)
 }
 
 // WritePrometheus renders every family in Prometheus text exposition
 // format (version 0.0.4): families sorted by name, series sorted by
 // label block, HELP text and label values escaped per the format's
-// rules. The output is deterministic for a given registry state — the
-// property the golden exposition test pins.
+// rules. Function-backed families are evaluated during the call, with
+// no registry lock held. The output is deterministic for a given
+// registry state — the property the golden exposition test pins.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.fams))
@@ -474,38 +524,34 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, f := range fams {
-		f.mu.Lock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		series := make([]any, len(keys))
-		for i, k := range keys {
-			series[i] = f.series[k]
-		}
-		f.mu.Unlock()
-		if len(keys) == 0 {
-			continue
-		}
+	header := func(f *family) {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for i, key := range keys {
-			switch s := series[i].(type) {
-			case *Counter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, key, formatFloat(s.Value()))
-			case *Gauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, key, formatFloat(s.Value()))
-			case *Histogram:
-				cum, count, sum := s.snapshot()
-				for j, ub := range f.buckets {
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, addLabel(key, "le", formatFloat(ub)), cum[j])
-				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, addLabel(key, "le", "+Inf"), count)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, key, formatFloat(sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, key, count)
+	}
+	for _, f := range fams {
+		if f.kind != kindHistogram {
+			samples := f.scalars()
+			if len(samples) > 0 {
+				header(f)
 			}
+			for _, s := range samples {
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, formatFloat(s.v))
+			}
+			continue
+		}
+		hs := f.handles()
+		if len(hs) > 0 {
+			header(f)
+		}
+		for _, h := range hs {
+			key := h.key
+			cum, count, sum := h.s.(*Histogram).snapshot()
+			for j, ub := range f.buckets {
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, addLabel(key, "le", formatFloat(ub)), cum[j])
+			}
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, addLabel(key, "le", "+Inf"), count)
+			fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, key, formatFloat(sum))
+			fmt.Fprintf(&b, "%s_count%s %d\n", f.name, key, count)
 		}
 	}
 	_, err := io.WriteString(w, b.String())

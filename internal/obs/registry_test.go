@@ -35,6 +35,15 @@ func goldenRegistry() *Registry {
 
 	hv := r.HistogramVec("test_op_seconds", "Per-op latency.", []float64{1}, "op")
 	hv.With("plan").Observe(0.5)
+
+	// Function-backed twins of test_cache_ops_total and test_in_flight.
+	r.CounterView("test_view_ops_total", "Cache operations.", func(emit func(float64, ...string)) {
+		emit(1, "miss")
+		emit(5, "hit")
+	}, "op")
+	r.GaugeView("test_view_in_flight", "In-flight requests.", func(emit func(float64, ...string)) {
+		emit(2)
+	})
 	return r
 }
 
@@ -63,6 +72,96 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+	// A view renders byte for byte like the handle family it mirrors.
+	for handle, view := range map[string]string{"test_cache_ops_total": "test_view_ops_total", "test_in_flight": "test_view_in_flight"} {
+		if h, v := familyText(got, handle), familyText(got, view); h == "" || strings.ReplaceAll(v, view, handle) != h {
+			t.Errorf("view %s renders\n%s\nunlike its handle twin\n%s", view, v, h)
+		}
+	}
+}
+
+// familyText returns the exposition lines of one family.
+func familyText(expo, name string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(expo, "\n") {
+		if fields := strings.Fields(strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")); len(fields) > 0 &&
+			strings.SplitN(fields[0], "{", 2)[0] == name {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// TestCounterViewMonotone: a counter view never reads lower than it
+// last did, wherever it is read, and forgets a series it stops emitting.
+func TestCounterViewMonotone(t *testing.T) {
+	r := NewRegistry()
+	vals := map[string]float64{"a": 10}
+	r.CounterView("test_view_total", "v", func(emit func(float64, ...string)) {
+		for _, k := range []string{"a", "b"} {
+			if v, ok := vals[k]; ok {
+				emit(v, k)
+			}
+		}
+	}, "k")
+	read := func() float64 {
+		v, ok := r.CounterValue("test_view_total")
+		if !ok {
+			t.Fatal("view family missing")
+		}
+		return v
+	}
+	for i, step := range []struct{ set, want float64 }{{10, 10}, {10 - 1e-12, 10}, {11, 11}} {
+		vals["a"] = step.set
+		if got := read(); got != step.want {
+			t.Fatalf("read %d = %v, want %v", i, got, step.want)
+		}
+	}
+	// The scrape applies the same floor.
+	vals["a"] = 5
+	if out := exposition(t, r); !strings.Contains(out, `test_view_total{k="a"} 11`+"\n") {
+		t.Fatalf("scrape went below the last read:\n%s", out)
+	}
+	// A series the view stops emitting is forgotten: it leaves the
+	// exposition, and when it returns it reads as emitted.
+	vals["b"] = 7
+	_ = read()
+	delete(vals, "b")
+	if out := exposition(t, r); strings.Contains(out, `k="b"`) {
+		t.Fatalf("dropped series still rendered:\n%s", out)
+	}
+	vals["b"] = 3
+	if got := read(); got != 11+3 {
+		t.Fatalf("returning series reads %v, want 11 + 3", got-11)
+	}
+}
+
+// TestGaugeViewReadsAsEmitted: a gauge view may go down.
+func TestGaugeViewReadsAsEmitted(t *testing.T) {
+	r := NewRegistry()
+	v := 4.0
+	r.GaugeView("test_view_gauge", "v", func(emit func(float64, ...string)) { emit(v) })
+	for _, want := range []float64{4, -2} {
+		v = want
+		if got, ok := r.GaugeValue("test_view_gauge"); !ok || got != want {
+			t.Fatalf("GaugeValue = %v, %v, want %v", got, ok, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("re-registering a view did not panic")
+		}
+	}()
+	r.GaugeView("test_view_gauge", "v", func(func(float64, ...string)) {})
+}
+
+func exposition(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestExpositionDeterministic re-renders the same registry and demands

@@ -203,8 +203,8 @@ func (e *SLOEngine) Rules() []SLO {
 func (e *SLOEngine) sample(r SLO, now time.Time) sloSample {
 	s := sloSample{at: now}
 	if r.ratio() {
-		s.bad, _ = e.reg.counterFamilyTotal(r.BadMetric)
-		s.good, _ = e.reg.counterFamilyTotal(r.GoodMetric)
+		s.bad, _ = e.reg.CounterValue(r.BadMetric)
+		s.good, _ = e.reg.CounterValue(r.GoodMetric)
 		return s
 	}
 	_, s.counts, s.count, _ = e.reg.histogramFamilySnapshot(r.Metric)

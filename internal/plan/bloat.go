@@ -69,6 +69,10 @@ type BloatSpan struct {
 	PredC     float64 `json:"pred_c"`
 	PredRealC float64 `json:"pred_real_c"`
 	DriftC    float64 `json:"drift_c"`
+
+	// PredCostUSD is the cost the forecast in force priced the span at
+	// (0 when the span was not forecast-covered).
+	PredCostUSD float64 `json:"pred_cost_usd"`
 }
 
 // SpanInputs are the raw measurements DecomposeSpan splits.
@@ -94,10 +98,12 @@ type SpanInputs struct {
 	MeanGPerJ float64
 
 	// PredC and PredRealC are the forecast-predicted and the
-	// forecast-covered realized carbon for the span (both 0 when the
-	// span was not forecast-covered).
-	PredC     float64
-	PredRealC float64
+	// forecast-covered realized carbon for the span, and PredCostUSD the
+	// forecast-predicted cost (all 0 when the span was not
+	// forecast-covered).
+	PredC       float64
+	PredRealC   float64
+	PredCostUSD float64
 }
 
 // DecomposeSpan splits one settled interval into the bloat categories.
@@ -105,13 +111,14 @@ type SpanInputs struct {
 // conservation identities hold bit-for-bit, not just to tolerance.
 func DecomposeSpan(in SpanInputs) BloatSpan {
 	b := BloatSpan{
-		Account:    in.Realized,
-		Iterations: in.Iterations,
-		FloorJ:     in.FloorJ,
-		MigrationJ: in.MigrationJ,
-		TminJ:      in.TminJ,
-		PredC:      in.PredC,
-		PredRealC:  in.PredRealC,
+		Account:     in.Realized,
+		Iterations:  in.Iterations,
+		FloorJ:      in.FloorJ,
+		MigrationJ:  in.MigrationJ,
+		TminJ:       in.TminJ,
+		PredC:       in.PredC,
+		PredRealC:   in.PredRealC,
+		PredCostUSD: in.PredCostUSD,
 	}
 	b.ResidualJ = b.EnergyJ - b.FloorJ - b.MigrationJ
 	b.RemovedJ = b.TminJ - (b.EnergyJ - b.MigrationJ)
@@ -146,6 +153,7 @@ func (b *BloatSpan) Accumulate(o BloatSpan) {
 	b.PredC += o.PredC
 	b.PredRealC += o.PredRealC
 	b.DriftC += o.DriftC
+	b.PredCostUSD += o.PredCostUSD
 }
 
 // Conserved verifies the conservation identities within eps relative

@@ -89,20 +89,20 @@ type planCache struct {
 	obs       *serverObs
 }
 
-// newPlanCache returns an empty cache mirroring its counters into o
-// (nil skips the mirroring — direct unit tests construct bare caches).
+// newPlanCache returns an empty cache mirroring its counters into o and
+// registering its size gauges as views of its map (nil skips both —
+// direct unit tests construct bare caches).
 func newPlanCache(o *serverObs) *planCache {
-	return &planCache{entries: map[PlanKey]*planEntry{}, obs: o}
-}
-
-// syncObsLocked pushes the size gauges into the metric registry.
-// Callers hold c.mu.
-func (c *planCache) syncObsLocked() {
-	if c.obs == nil {
-		return
+	c := &planCache{entries: map[PlanKey]*planEntry{}, obs: o}
+	if o != nil {
+		o.reg.GaugeView("perseus_plan_cache_entries",
+			"Plan-cache entries currently resident.",
+			countView(&c.mu, func() int { return len(c.entries) }))
+		o.reg.GaugeView("perseus_plan_cache_bytes",
+			"Encoded /grid/plan response bodies held by resident plan-cache entries, in bytes (an entry is encoded on its first HTTP serve).",
+			countView(&c.mu, func() int { return c.bodyBytes }))
 	}
-	c.obs.cacheEntries.Set(float64(len(c.entries)))
-	c.obs.cacheBytes.Set(float64(c.bodyBytes))
+	return c
 }
 
 // flushLocked drops every entry, counting the drop as eviction.
@@ -163,7 +163,6 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 	if c.obs != nil {
 		c.obs.cacheMisses.Inc()
 	}
-	c.syncObsLocked()
 	c.mu.Unlock()
 	sp.SetAttr("hit", "false")
 	sp.SetAttr("coalesced", "false")
@@ -178,7 +177,6 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 			e.solved = true
 		} else {
 			delete(c.entries, key)
-			c.syncObsLocked()
 		}
 	}
 	c.mu.Unlock()
@@ -208,7 +206,6 @@ func (c *planCache) wireBody(ctx context.Context, key PlanKey, e *planEntry) ([]
 		c.mu.Lock()
 		if c.entries[key] == e {
 			c.bodyBytes += len(e.body)
-			c.syncObsLocked()
 		}
 		c.mu.Unlock()
 	})
@@ -220,7 +217,6 @@ func (c *planCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	c.syncObsLocked()
 }
 
 // CacheStats returns the plan cache counters (test and ops hook; also

@@ -129,9 +129,10 @@ func (s *Server) tickController(ctx context.Context) ControllerStatus {
 	ctx, root := s.obs.tracer.StartSpan(ctx, spanControllerTick)
 	tickStart := time.Now()
 	v := s.newTickView()
-	// Settle every job's emissions and bloat ledger at the tick
-	// boundary, so the ledger and its exported series advance at
-	// control-loop cadence even when nobody reads /jobs/{id}/emissions.
+	// Settle every job's account (the bloat ledger) at the tick
+	// boundary, so the ledger — and the series and emissions that read
+	// it — advance at control-loop cadence even when nobody reads
+	// /jobs/{id}/emissions.
 	s.st.settleAll(s.st.gridStateAt(v.now))
 	v.sharers = map[float64]int{}
 	s.replanMu.RLock()

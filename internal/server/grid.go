@@ -283,8 +283,8 @@ func (s *Server) solvePlan(ctx context.Context, pb planProblem) (*planEntry, err
 	})
 }
 
-// Emissions settles and returns a job's cumulative emissions
-// accounting.
+// Emissions settles a job's account and returns its cumulative
+// emissions: a view of the job's bloat-ledger totals.
 func (s *Server) Emissions(id string) (EmissionsResponse, error) {
 	j, ok := s.st.job(id)
 	if !ok {
@@ -298,12 +298,10 @@ func (s *Server) Emissions(id string) (EmissionsResponse, error) {
 	if !j.accSince.IsZero() {
 		resp.Ready = true
 		resp.SinceS = j.accAt.Sub(j.accSince).Seconds()
-		resp.EnergyJ = j.energyAccJ
-		resp.CarbonG = j.carbonAccG
-		resp.CostUSD = j.costAccUSD
-		resp.PredCarbonG = j.predCarbonG
-		resp.PredCostUSD = j.predCostUSD
-		resp.DriftCarbonG = j.predRealCarbonG - j.predCarbonG
+		t, _ := s.obs.ledger.Totals(id)
+		resp.EnergyJ, resp.CarbonG, resp.CostUSD = t.EnergyJ, t.CarbonG, t.CostUSD
+		resp.PredCarbonG, resp.PredCostUSD = t.PredC, t.PredCostUSD
+		resp.DriftCarbonG = t.PredRealC - t.PredC
 	}
 	return resp, nil
 }

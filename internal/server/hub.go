@@ -29,8 +29,16 @@ type hub struct {
 	obs    *serverObs // broadcast/topic metrics (nil in bare unit tests)
 }
 
+// newHub returns an empty hub counting broadcasts into o and
+// registering its topic gauge as a view of its map (nil skips both).
 func newHub(o *serverObs) *hub {
-	return &hub{topics: map[string]chan struct{}{}, obs: o}
+	h := &hub{topics: map[string]chan struct{}{}, obs: o}
+	if o != nil {
+		o.reg.GaugeView("perseus_hub_topics",
+			"Notification-hub topics with a live watch channel.",
+			countView(&h.mu, func() int { return len(h.topics) }))
+	}
+	return h
 }
 
 // topicSchedule names a job's deployed-schedule version topic, bumped
@@ -53,9 +61,6 @@ func (h *hub) watch(topic string) <-chan struct{} {
 	if !ok {
 		ch = make(chan struct{})
 		h.topics[topic] = ch
-		if h.obs != nil {
-			h.obs.hubTopics.Set(float64(len(h.topics)))
-		}
 	}
 	return ch
 }
@@ -71,7 +76,6 @@ func (h *hub) bump(topic string) {
 	}
 	if h.obs != nil && ok {
 		h.obs.hubBroadcasts.Inc()
-		h.obs.hubTopics.Set(float64(len(h.topics)))
 	}
 	h.mu.Unlock()
 	if ok {

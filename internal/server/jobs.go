@@ -60,11 +60,10 @@ func (s *Server) register(ctx context.Context, req JobRequest) (string, error) {
 }
 
 // RemoveJob unregisters a job (DELETE /jobs/{id}): its final span is
-// settled into the emissions account and the bloat ledger, every
-// per-job labeled metric series is deleted (bounding exposition
-// cardinality as jobs churn), the ledger drops its per-job state
-// (fleet totals retain the contribution), and the controller, replan,
-// and fleet state forget it.
+// settled into the bloat ledger and its account closed, the ledger
+// drops its per-job state — and with it the job's metric series, which
+// are views of that state (fleet totals retain the contribution) — and
+// the controller, replan, and fleet state forget it.
 func (s *Server) RemoveJob(id string) error {
 	return s.removeJob(context.Background(), id)
 }
@@ -77,6 +76,11 @@ func (s *Server) removeJob(ctx context.Context, id string) error {
 	gs := s.st.gridState()
 	j.mu.Lock()
 	j.accrueLocked(gs) // settle the final span before the job disappears
+	// Close the account in the same critical section that drops it: a
+	// settle on a *job looked up before the removal books nothing, so it
+	// cannot re-create the job in the ledger.
+	j.closed = true
+	s.obs.ledger.Remove(id)
 	if j.pending != nil {
 		j.pending.Stop()
 		j.pending = nil
@@ -98,8 +102,6 @@ func (s *Server) removeJob(ctx context.Context, id string) error {
 	s.replanMu.Lock()
 	delete(s.replans, id)
 	s.replanMu.Unlock()
-	s.obs.dropJobSeries(id)
-	s.obs.ledger.Remove(id)
 	// Wake any long-pollers parked on the job's schedule topic; their
 	// re-read serves against the snapshot they hold.
 	s.hub.bump(topicSchedule(id))
@@ -219,6 +221,22 @@ func queryFloats(w http.ResponseWriter, q url.Values, keys ...string) (vals []fl
 		}
 	}
 	return vals, true
+}
+
+// queryN reads the optional ?n= limit of the /debug endpoints (absent =
+// 0). ok is false (after writing a 400) unless it is a non-negative
+// integer.
+func queryN(w http.ResponseWriter, q url.Values) (n int, ok bool) {
+	v := q.Get("n")
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		http.Error(w, "bad n: "+v, http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
 }
 
 // handleSchedule serves the deployed schedule with version
@@ -343,10 +361,8 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		if front != nil {
 			j.table, j.tableHash = table, tableHash
 			// The job now has a deployed schedule drawing power:
-			// emissions accounting starts here. Render the per-job
-			// ledger series once, so every later settle is alloc-free.
+			// emissions accounting starts here.
 			j.accSince, j.accAt = now, now
-			j.series = s.obs.jobSeries(j.id)
 		}
 		j.characterizing = false
 		j.bumpLocked()

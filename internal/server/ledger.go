@@ -4,10 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"perseus/internal/grid"
 	"perseus/internal/obs"
@@ -15,124 +13,138 @@ import (
 )
 
 // This file wires the online energy-bloat ledger (obs.Ledger) into the
-// server: per-span decomposition at every emissions settlement, the
-// per-job and fleet Prometheus series, and GET /debug/ledger. All
-// ledger work happens at settle points (controller ticks, emissions
-// reads, operating-point changes) — never on the cached-plan hot path.
+// server. The ledger is the server's only account of settled energy,
+// carbon and cost: a settle decomposes the span (plan.DecomposeSpan)
+// and hands the entry to the ledger, and GET /jobs/{id}/emissions, the
+// per-job and fleet bloat metric families, the drift SLO and
+// GET /debug/ledger all read the ledger's totals. All ledger work
+// happens at settle points (controller ticks, emissions reads,
+// operating-point changes) — never on the cached-plan hot path.
 
-// jobLedgerSeries caches one job's per-job metric handles, created
-// once at characterization so settlement never renders label blocks
-// (the registry's With does a map lookup plus string build; Settle
-// must stay allocation-free).
-type jobLedgerSeries struct {
-	realized  *obs.Counter
-	floor     *obs.Counter
-	residual  *obs.Counter
-	migration *obs.Counter
-	removed   *obs.Gauge // signed: an extreme straggler can run above Tmin's burn
-	drift     *obs.Gauge
-}
-
-// ledgerComponents are the component label values of the per-job and
-// fleet energy/carbon families.
-var ledgerComponents = []string{"realized", "floor", "residual_bloat", "migration"}
-
-// jobSeries materializes (or refetches) a job's per-job ledger series.
-func (o *serverObs) jobSeries(id string) *jobLedgerSeries {
-	return &jobLedgerSeries{
-		realized:  o.jobEnergy.With(id, "realized"),
-		floor:     o.jobEnergy.With(id, "floor"),
-		residual:  o.jobEnergy.With(id, "residual_bloat"),
-		migration: o.jobEnergy.With(id, "migration"),
-		removed:   o.jobRemoved.With(id),
-		drift:     o.driftG.With(id),
+// ledgerViews registers the ledger's metric families as views of its
+// per-job and fleet totals: a scrape reads the numbers the ledger holds,
+// a job's series appear with its first settled entry and vanish with
+// its removal.
+func ledgerViews(r *obs.Registry, led *obs.Ledger) {
+	r.CounterView("perseus_job_energy_joules_total",
+		"Per-job settled energy decomposed by the bloat ledger: realized, frontier-optimal floor, residual_bloat, migration overhead.",
+		func(emit func(float64, ...string)) {
+			led.EachJob(func(id string, t obs.LedgerTotals) {
+				emit(t.EnergyJ, id, "realized")
+				emit(t.FloorJ, id, "floor")
+				emit(t.ResidualJ, id, "residual_bloat")
+				emit(t.MigrationJ, id, "migration")
+			})
+		}, "job", "component")
+	r.GaugeView("perseus_job_energy_intrinsic_removed_joules",
+		"Per-job intrinsic bloat removed vs the always-Tmin baseline at equal work (signed: a span run above T* burns more than flat-out).",
+		func(emit func(float64, ...string)) {
+			led.EachJob(func(id string, t obs.LedgerTotals) { emit(t.RemovedJ, id) })
+		}, "job")
+	r.GaugeView("perseus_job_carbon_drift_g",
+		"Realized minus forecast-predicted carbon over the forecast-covered spans, per job.",
+		func(emit func(float64, ...string)) {
+			led.EachJob(func(id string, t obs.LedgerTotals) { emit(t.PredRealC-t.PredC, id) })
+		}, "job")
+	r.CounterView("perseus_fleet_bloat_energy_joules_total",
+		"Fleet-wide settled energy decomposed by the bloat ledger: realized, frontier-optimal floor, residual_bloat, migration overhead.",
+		func(emit func(float64, ...string)) {
+			t := led.Fleet()
+			emit(t.EnergyJ, "realized")
+			emit(t.FloorJ, "floor")
+			emit(t.ResidualJ, "residual_bloat")
+			emit(t.MigrationJ, "migration")
+		}, "component")
+	r.CounterView("perseus_fleet_bloat_carbon_g_total",
+		"Fleet-wide settled carbon decomposed by the bloat ledger at each span's mean realized intensity.",
+		func(emit func(float64, ...string)) {
+			t := led.Fleet()
+			emit(t.CarbonG, "realized")
+			emit(t.FloorC, "floor")
+			emit(t.ResidualC, "residual_bloat")
+			emit(t.MigrationC, "migration")
+		}, "component")
+	fleet := func(field func(obs.LedgerTotals) float64) obs.View {
+		return func(emit func(float64, ...string)) { emit(field(led.Fleet())) }
 	}
+	r.GaugeView("perseus_fleet_bloat_intrinsic_removed_joules",
+		"Fleet-wide intrinsic bloat removed vs the always-Tmin baseline at equal work (signed).",
+		fleet(func(t obs.LedgerTotals) float64 { return t.RemovedJ }))
+	r.GaugeView("perseus_fleet_bloat_temporal_saved_carbon_g",
+		"Fleet-wide carbon saved by when energy was drawn, vs the best signal-blind fixed baseline (signed: negative means timing lost carbon).",
+		fleet(func(t obs.LedgerTotals) float64 { return t.TemporalSavedC }))
+	r.CounterView("perseus_fleet_bloat_drift_abs_carbon_g_total",
+		"Fleet-wide absolute realized-minus-forecast carbon drift over forecast-covered spans (drift-SLO numerator).",
+		fleet(func(t obs.LedgerTotals) float64 { return t.AbsDriftC }))
+	r.CounterView("perseus_fleet_bloat_forecast_covered_carbon_g_total",
+		"Fleet-wide realized carbon over exactly the forecast-covered spans (drift-SLO denominator complement).",
+		fleet(func(t obs.LedgerTotals) float64 { return t.PredRealC }))
 }
 
-// dropJobSeries deletes every per-job labeled series of a removed job,
-// so the exposition's cardinality stays bounded as jobs churn.
-func (o *serverObs) dropJobSeries(id string) {
-	for _, comp := range ledgerComponents {
-		o.jobEnergy.Delete(id, comp)
-	}
-	o.jobRemoved.Delete(id)
-	o.driftG.Delete(id)
-}
-
-// settleLedger books one settled entry: into the ledger (ring + job +
-// fleet totals) and into the exported series. The per-job handles are
-// passed in pre-rendered; a nil series (job removed mid-settle) skips
-// only the per-job counters.
-func (o *serverObs) settleLedger(id string, series *jobLedgerSeries, e obs.LedgerEntry) {
-	o.ledger.Settle(id, e)
-	if series != nil {
-		series.realized.Add(e.EnergyJ)
-		series.floor.Add(e.FloorJ)
-		series.residual.Add(e.ResidualJ)
-		series.migration.Add(e.MigrationJ)
-		series.removed.Add(e.RemovedJ)
-	}
-	o.fleetRealizedJ.Add(e.EnergyJ)
-	o.fleetFloorJ.Add(e.FloorJ)
-	o.fleetResidualJ.Add(e.ResidualJ)
-	o.fleetMigrationJ.Add(e.MigrationJ)
-	o.fleetRemovedJ.Add(e.RemovedJ)
-	o.fleetRealizedC.Add(e.CarbonG)
-	o.fleetFloorC.Add(e.FloorC)
-	o.fleetResidualC.Add(e.ResidualC)
-	o.fleetMigrationC.Add(e.MigrationC)
-	o.fleetTemporalC.Add(e.TemporalSavedC)
-	o.fleetDriftAbsC.Add(math.Abs(e.DriftC))
-	o.fleetCoveredC.Add(e.PredRealC)
-}
-
-// settleSpanLocked decomposes the span just settled by accrueLocked
-// into the bloat ledger. realized carries exactly the floats added to
-// the emissions accumulators, so ledger totals and GET /jobs/{id}/
-// emissions reconcile bit-for-bit. Work baselines are taken at equal
-// work: the span's iterations priced at the frontier's T* point
-// (floor) and Tmin point (always-fast baseline). Callers hold j.mu.
-func (j *job) settleSpanLocked(gs gridState, spanStart time.Time, realized pln.Account, predC, predRealC, meanG float64) {
-	if j.obs == nil || j.table == nil || len(j.table.Points) == 0 {
+// accrueLocked settles the span since the last accrual into the bloat
+// ledger: the deployed schedule's power draw integrated at the placed
+// region's rates when the job has a placement, at the global signal's
+// otherwise (energy only before either exists), with work baselines
+// taken at equal work — the span's iterations priced at the frontier's
+// T* point (floor) and Tmin point (always-fast baseline). Callers hold
+// j.mu and must call it before any change to the deployed operating
+// point or placement, so each span is charged at the rates that
+// actually applied.
+func (j *job) accrueLocked(gs gridState) {
+	if j.closed || j.accAt.IsZero() || !gs.now.After(j.accAt) {
 		return
 	}
 	lt := j.table
-	pipes := float64(j.req.DataParallel)
-	if pipes < 1 {
-		pipes = 1
-	}
+	pipes := float64(max(j.req.DataParallel, 1))
 	tdep := j.deployedTimeLocked(lt.Tmin())
-	var iters float64
-	if tdep > 0 {
-		iters = gs.now.Sub(spanStart).Seconds() / tdep
+	power := pipes * lt.AvgPower(lt.LookupIndex(tdep))
+	sig, start, meanG := gs.sig, gs.start, gs.meanG
+	if j.region != "" {
+		if r, ok := gs.regions[j.region]; ok {
+			sig, start, meanG = r.sig, r.anchor, r.meanG
+		}
 	}
-	last := len(lt.Points) - 1
-	entry := obs.LedgerEntry{
-		StartUnixS: float64(spanStart.UnixNano()) / 1e9,
+	var t0, t1 float64
+	if sig != nil {
+		t0 = j.accAt.Sub(start).Seconds()
+		t1 = gs.now.Sub(start).Seconds()
+	} else {
+		t1 = gs.now.Sub(j.accAt).Seconds()
+	}
+	in := pln.SpanInputs{MeanGPerJ: meanG}
+	in.Realized.EnergyJ, in.Realized.CarbonG, in.Realized.CostUSD = grid.Accrue(sig, t0, t1, power)
+	// Predicted accrual: the same draw priced at the latest issued
+	// forecast's rates, beside the realized carbon over exactly that
+	// forecast-covered span, so drift compares like with like even when
+	// the forecast predicted zero. Only meaningful against the global
+	// signal, so placed jobs (accruing at a region's rates) are skipped.
+	if gs.fsig != nil && j.region == "" && gs.sig != nil {
+		_, in.PredC, in.PredCostUSD = grid.Accrue(gs.fsig, j.accAt.Sub(gs.start).Seconds(), gs.now.Sub(gs.start).Seconds(), power)
+		in.PredRealC = in.Realized.CarbonG
+	}
+	if tdep > 0 {
+		in.Iterations = gs.now.Sub(j.accAt).Seconds() / tdep
+	}
+	in.FloorJ = in.Iterations * pipes * lt.Points[len(lt.Points)-1].Energy
+	in.TminJ = in.Iterations * pipes * lt.Points[0].Energy
+	j.obs.ledger.Settle(j.id, obs.LedgerEntry{
+		StartUnixS: float64(j.accAt.UnixNano()) / 1e9,
 		EndUnixS:   float64(gs.now.UnixNano()) / 1e9,
 		Kind:       obs.LedgerKindSpan,
-		BloatSpan: pln.DecomposeSpan(pln.SpanInputs{
-			Realized:   realized,
-			Iterations: iters,
-			FloorJ:     iters * pipes * lt.Points[last].Energy,
-			TminJ:      iters * pipes * lt.Points[0].Energy,
-			MeanGPerJ:  meanG,
-			PredC:      predC,
-			PredRealC:  predRealC,
-		}),
-	}
-	j.obs.settleLedger(j.id, j.series, entry)
+		BloatSpan:  pln.DecomposeSpan(in),
+	})
+	j.accAt = gs.now
 }
 
 // chargeMigrationLocked books a migration's energy overhead at the
-// destination's instantaneous rates into both accounts — the emissions
-// accumulators and a zero-width "migration" ledger entry — so the two
-// stay reconciled and the overhead is attributed, not smeared into a
-// training span. Charged only once accounting has started (an
-// uncharacterized job draws no deployed power to migrate). Callers
-// hold j.mu; the caller settles the preceding span first.
+// destination's instantaneous rates as a zero-width "migration" ledger
+// entry, so the overhead is attributed, not smeared into a training
+// span. Charged only while the job's account is open (an
+// uncharacterized job draws no deployed power to migrate; a removed
+// one has no account). Callers hold j.mu; the caller settles the
+// preceding span first.
 func (j *job) chargeMigrationLocked(gs gridState, migrationJ float64, dest *serverRegion) {
-	if migrationJ <= 0 || j.accAt.IsZero() || j.obs == nil {
+	if migrationJ <= 0 || j.closed || j.accAt.IsZero() {
 		return
 	}
 	sig, start, meanG := gs.sig, gs.start, gs.meanG
@@ -146,11 +158,8 @@ func (j *job) chargeMigrationLocked(gs gridState, migrationJ float64, dest *serv
 			musd = migrationJ / grid.JoulesPerKWh * iv.PriceUSDPerKWh
 		}
 	}
-	j.energyAccJ += migrationJ
-	j.carbonAccG += mc
-	j.costAccUSD += musd
 	at := float64(gs.now.UnixNano()) / 1e9
-	entry := obs.LedgerEntry{
+	j.obs.ledger.Settle(j.id, obs.LedgerEntry{
 		StartUnixS: at,
 		EndUnixS:   at,
 		Kind:       obs.LedgerKindMigration,
@@ -159,8 +168,7 @@ func (j *job) chargeMigrationLocked(gs gridState, migrationJ float64, dest *serv
 			MigrationJ: migrationJ,
 			MeanGPerJ:  meanG,
 		}),
-	}
-	j.obs.settleLedger(j.id, j.series, entry)
+	})
 }
 
 // Ledger settles every job at now and returns the energy-bloat ledger:
@@ -194,7 +202,7 @@ var ledgerCSVHeader = []string{
 	"floor_j", "migration_j", "residual_j", "tmin_j", "removed_j",
 	"floor_c", "migration_c", "residual_c",
 	"blind_c", "temporal_saved_c",
-	"pred_c", "pred_real_c", "drift_c",
+	"pred_c", "pred_real_c", "drift_c", "pred_cost_usd",
 }
 
 // writeLedgerCSV renders the response's entries as CSV.
@@ -212,7 +220,7 @@ func writeLedgerCSV(w io.Writer, resp LedgerResponse) error {
 				g(e.FloorJ), g(e.MigrationJ), g(e.ResidualJ), g(e.TminJ), g(e.RemovedJ),
 				g(e.FloorC), g(e.MigrationC), g(e.ResidualC),
 				g(e.BlindC), g(e.TemporalSavedC),
-				g(e.PredC), g(e.PredRealC), g(e.DriftC),
+				g(e.PredC), g(e.PredRealC), g(e.DriftC), g(e.PredCostUSD),
 			}
 			if err := cw.Write(row); err != nil {
 				return err
@@ -225,14 +233,9 @@ func writeLedgerCSV(w io.Writer, resp LedgerResponse) error {
 
 func (s *Server) handleDebugLedger(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	n := 0
-	if v := q.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			http.Error(w, "bad n: "+v, http.StatusBadRequest)
-			return
-		}
-		n = parsed
+	n, ok := queryN(w, q)
+	if !ok {
+		return
 	}
 	format := q.Get("format")
 	if format == "" {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/csv"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -109,8 +110,9 @@ func TestLedgerConservationAndReconciliation(t *testing.T) {
 		t.Fatalf("straggler span carries no work: %+v", last.BloatSpan)
 	}
 
-	// Ledger totals reconcile with the emissions account bit-for-bit:
-	// the same floats flow into both.
+	// GET /jobs/{id}/emissions is a view of the ledger totals: each field
+	// reads its total exactly (drift is PredRealC − PredC, the summed
+	// DriftC up to rounding).
 	em, err := srv.Emissions(id)
 	if err != nil {
 		t.Fatal(err)
@@ -158,14 +160,6 @@ func TestLedgerTickByTickConservation(t *testing.T) {
 		prevEntries = tot.Entries
 		if !tot.Conserved(ledgerEps) {
 			t.Fatalf("tick %d totals violate conservation: %+v", i, tot.LedgerSpan)
-		}
-		em, err := srv.Emissions(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if em.EnergyJ != tot.EnergyJ || em.CarbonG != tot.CarbonG {
-			t.Fatalf("tick %d: emissions (%v J, %v g) != ledger (%v J, %v g)",
-				i, em.EnergyJ, em.CarbonG, tot.EnergyJ, tot.CarbonG)
 		}
 	}
 }
@@ -231,16 +225,6 @@ func TestLedgerMigrationEntry(t *testing.T) {
 	}
 	if view.Totals.MigrationJ != m {
 		t.Fatalf("totals migration %v, want %v", view.Totals.MigrationJ, m)
-	}
-	// The charge landed in the emissions account too, and the two still
-	// reconcile exactly.
-	em, err := srv.Emissions(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.EnergyJ != view.Totals.EnergyJ || em.CarbonG != view.Totals.CarbonG {
-		t.Fatalf("emissions (%v J, %v g) != ledger (%v J, %v g)",
-			em.EnergyJ, em.CarbonG, view.Totals.EnergyJ, view.Totals.CarbonG)
 	}
 	// Placing into the current region charges nothing.
 	before := view.Totals.EnergyJ
@@ -469,7 +453,7 @@ func TestDebugLedgerEndpoint(t *testing.T) {
 		"floor_j", "migration_j", "residual_j", "tmin_j", "removed_j",
 		"floor_c", "migration_c", "residual_c",
 		"blind_c", "temporal_saved_c",
-		"pred_c", "pred_real_c", "drift_c",
+		"pred_c", "pred_real_c", "drift_c", "pred_cost_usd",
 	}
 	if strings.Join(rows[0], ",") != strings.Join(wantHeader, ",") {
 		t.Fatalf("CSV header = %v", rows[0])
@@ -479,7 +463,7 @@ func TestDebugLedgerEndpoint(t *testing.T) {
 		if row[0] != id || row[1] != e.Kind {
 			t.Fatalf("row %d = %v", i, row)
 		}
-		for col, want := range map[int]float64{5: e.EnergyJ, 6: e.CarbonG, 8: e.FloorJ, 20: e.DriftC} {
+		for col, want := range map[int]float64{5: e.EnergyJ, 6: e.CarbonG, 8: e.FloorJ, 20: e.DriftC, 21: e.PredCostUSD} {
 			got, err := strconv.ParseFloat(row[col], 64)
 			if err != nil || got != want {
 				t.Fatalf("row %d col %d = %q, want %v (%v)", i, col, row[col], want, err)
@@ -560,5 +544,183 @@ func TestLedgerHammer(t *testing.T) {
 	}
 	if !resp.Fleet.Conserved(1e-6) {
 		t.Fatalf("post-hammer fleet violates conservation: %+v", resp.Fleet.LedgerSpan)
+	}
+}
+
+// scrapeSeries parses the exposition's job_* and fleet_bloat_* samples
+// into series → value.
+func scrapeSeries(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := srv.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, "perseus_job_") && !strings.HasPrefix(line, "perseus_fleet_bloat_") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestLedgerSeriesAreViews: after spans, a straggler and migrations,
+// every per-job and fleet bloat series reads exactly the ledger total it
+// views — no series more, none fewer.
+func TestLedgerSeriesAreViews(t *testing.T) {
+	srv, clk := ledgerTestServer(t)
+	id1 := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3, DataParallel: 2,
+	}, 4)
+	id2 := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 3, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	if _, err := srv.RegisterRegion(RegionRequest{Name: "west", GPUs: 64, Signal: testSignal()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: 6, Sigma: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(20 * time.Minute)
+	srv.TickController()
+	if err := srv.SetStraggler(id1, StragglerNotice{ID: "gpu-1", Degree: 1.5}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(20 * time.Minute)
+	if _, err := srv.PlaceJobMigrating(id2, "west", 4e5); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(40 * time.Minute) // into the second hour, where the revised forecast drifts
+	srv.TickController()
+
+	led := srv.obs.ledger
+	want := map[string]float64{}
+	for _, id := range []string{id1, id2} {
+		tot, ok := led.Totals(id)
+		if !ok {
+			t.Fatalf("%s has no ledger totals", id)
+		}
+		for comp, v := range map[string]float64{
+			"realized": tot.EnergyJ, "floor": tot.FloorJ, "residual_bloat": tot.ResidualJ, "migration": tot.MigrationJ,
+		} {
+			want[`perseus_job_energy_joules_total{job="`+id+`",component="`+comp+`"}`] = v
+		}
+		want[`perseus_job_energy_intrinsic_removed_joules{job="`+id+`"}`] = tot.RemovedJ
+		want[`perseus_job_carbon_drift_g{job="`+id+`"}`] = tot.PredRealC - tot.PredC
+	}
+	f := led.Fleet()
+	for comp, v := range map[string][2]float64{
+		"realized": {f.EnergyJ, f.CarbonG}, "floor": {f.FloorJ, f.FloorC},
+		"residual_bloat": {f.ResidualJ, f.ResidualC}, "migration": {f.MigrationJ, f.MigrationC},
+	} {
+		want[`perseus_fleet_bloat_energy_joules_total{component="`+comp+`"}`] = v[0]
+		want[`perseus_fleet_bloat_carbon_g_total{component="`+comp+`"}`] = v[1]
+	}
+	want["perseus_fleet_bloat_intrinsic_removed_joules"] = f.RemovedJ
+	want["perseus_fleet_bloat_temporal_saved_carbon_g"] = f.TemporalSavedC
+	want["perseus_fleet_bloat_drift_abs_carbon_g_total"] = f.AbsDriftC
+	want["perseus_fleet_bloat_forecast_covered_carbon_g_total"] = f.PredRealC
+	if f.MigrationJ == 0 || f.PredRealC == 0 || f.AbsDriftC == 0 {
+		t.Fatalf("fixture settled no migration or forecast drift: %+v", f)
+	}
+
+	got := scrapeSeries(t, srv)
+	if len(got) != len(want) {
+		t.Fatalf("scraped %d ledger series, want %d:\n%v", len(got), len(want), got)
+	}
+	for series, v := range want {
+		if g, ok := got[series]; !ok || g != v {
+			t.Errorf("%s = %v (present %v), ledger holds %v", series, g, ok, v)
+		}
+	}
+}
+
+// TestLedgerCounterViewsNeverDecrease: a migration entry can carry a
+// −ulp ResidualC (MigrationC = m·(c/m) rounds above c), so the ledger's
+// fleet residual carbon can step down. The exported counter must not:
+// across the scrapes around every migration, no counter series reads
+// lower than it did.
+func TestLedgerCounterViewsNeverDecrease(t *testing.T) {
+	srv, _ := ledgerTestServer(t)
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	for _, name := range []string{"east", "west"} {
+		if _, err := srv.RegisterRegion(RegionRequest{Name: name, GPUs: 64, Signal: testSignal()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	isCounter := func(series string) bool {
+		return strings.Contains(series, "_total")
+	}
+	last := scrapeSeries(t, srv)
+	var negative, ledgerDropped bool
+	prevLedger := srv.obs.ledger.Fleet().ResidualC
+	for i := 0; i < 128; i++ {
+		// No clock advance: only the zero-width migration entries settle.
+		if _, err := srv.PlaceJobMigrating(id, []string{"east", "west"}[i%2], 1e5+float64(i)*12345.678); err != nil {
+			t.Fatal(err)
+		}
+		view, _ := srv.obs.ledger.Job(id, 1)
+		if view.Entries[0].ResidualC < 0 {
+			negative = true
+		}
+		led := srv.obs.ledger.Fleet().ResidualC
+		ledgerDropped = ledgerDropped || led < prevLedger
+		prevLedger = led
+		cur := scrapeSeries(t, srv)
+		for series, v := range cur {
+			if isCounter(series) && v < last[series] {
+				t.Fatalf("migration %d: %s fell from %v to %v", i, series, last[series], v)
+			}
+		}
+		last = cur
+	}
+	if !negative || !ledgerDropped {
+		t.Fatalf("fixture never produced a negative ResidualC entry (%v) that lowered the ledger total (%v)", negative, ledgerDropped)
+	}
+}
+
+// TestSettleAfterRemoveIsNoop: a settle on a job looked up before
+// DELETE /jobs/{id} must not re-create the job in the ledger.
+func TestSettleAfterRemoveIsNoop(t *testing.T) {
+	srv, clk := ledgerTestServer(t)
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	if _, err := srv.RegisterRegion(RegionRequest{Name: "west", GPUs: 64, Signal: testSignal()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "persistence"}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Minute)
+	stale, ok := srv.st.job(id)
+	if !ok {
+		t.Fatal("job missing")
+	}
+	if err := srv.RemoveJob(id); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Minute)
+	gs := srv.st.gridState()
+	stale.mu.Lock()
+	stale.accrueLocked(gs)
+	stale.chargeMigrationLocked(gs, 1e5, gs.regions["west"])
+	stale.mu.Unlock()
+	if view, ok := srv.obs.ledger.Job(id, 0); ok {
+		t.Fatalf("a settle after removal re-created %s in the ledger: %+v", id, view.Totals)
+	}
+	if worst, _ := srv.obs.ledger.WorstDriftJob(); worst == id {
+		t.Fatalf("WorstDriftJob names removed %s", id)
+	}
+	if strings.Contains(fmt.Sprint(scrapeSeries(t, srv)), `job="`+id+`"`) {
+		t.Fatalf("metrics carry series for removed %s", id)
 	}
 }

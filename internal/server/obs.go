@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"perseus/internal/obs"
@@ -16,7 +17,10 @@ import (
 // registry, one event ring, and one tracer (internal/obs), plus the
 // typed handles every resource module records into. All handles are
 // registered once at construction, so hot paths never touch the
-// registry map.
+// registry map. A number another struct owns — the ledger's totals
+// (ledger.go), the plan cache's and the hub's sizes, the tracer's
+// drops — is not copied into a handle but registered as a view that
+// reads it at scrape time.
 //
 // The metric catalog (all names prefixed perseus_) is documented in
 // README.md's Observability section; the golden exposition test and
@@ -38,8 +42,6 @@ type serverObs struct {
 	cacheMisses    *obs.Counter
 	cacheCoalesced *obs.Counter
 	cacheEvictions *obs.Counter
-	cacheEntries   *obs.Gauge
-	cacheBytes     *obs.Gauge
 
 	// Controller runtime (controller.go).
 	ticks       *obs.Counter
@@ -69,29 +71,17 @@ type serverObs struct {
 	wakeDur       *obs.Histogram
 	cancelled     *obs.Counter
 	hubBroadcasts *obs.Counter
-	hubTopics     *obs.Gauge
 
 	// Planning layers, via the obs.InstrumentPlanner decorator.
 	planLatency *obs.HistogramVec // planner, objective
 	planErrors  *obs.CounterVec   // planner
 
-	// Per-job realized-minus-predicted carbon drift (store.go).
-	driftG *obs.GaugeVec // job
-
-	// Energy-bloat ledger (ledger.go): the ledger itself, the per-job
-	// decomposition families, and the fleet rollup's cached handles.
-	ledger                                                       *obs.Ledger
-	jobEnergy                                                    *obs.CounterVec // job, component
-	jobRemoved                                                   *obs.GaugeVec   // job
-	fleetRealizedJ, fleetFloorJ, fleetResidualJ, fleetMigrationJ *obs.Counter
-	fleetRemovedJ                                                *obs.Gauge
-	fleetRealizedC, fleetFloorC, fleetResidualC, fleetMigrationC *obs.Counter
-	fleetTemporalC                                               *obs.Gauge
-	fleetDriftAbsC, fleetCoveredC                                *obs.Counter
+	// Energy-bloat ledger (ledger.go): the server's only account of
+	// settled energy, carbon and cost; its metric families are views.
+	ledger *obs.Ledger
 
 	// Tracing and SLO self-monitoring (this file).
 	traceSpans  *obs.CounterVec // span
-	traceDrops  *obs.Gauge
 	sloStatus   *obs.GaugeVec   // slo: 0 ok, 1 warn, 2 breach
 	sloBreaches *obs.CounterVec // slo
 }
@@ -184,10 +174,6 @@ func newServerObs() *serverObs {
 			"Plan-cache hits that waited on an in-flight solve (single-flight followers)."),
 		cacheEvictions: r.Counter("perseus_plan_cache_evictions_total",
 			"Plan-cache entries dropped by epoch invalidation or the size-cap flush."),
-		cacheEntries: r.Gauge("perseus_plan_cache_entries",
-			"Plan-cache entries currently resident."),
-		cacheBytes: r.Gauge("perseus_plan_cache_bytes",
-			"Encoded /grid/plan response bodies held by resident plan-cache entries, in bytes (an entry is encoded on its first HTTP serve)."),
 
 		ticks: r.Counter("perseus_controller_ticks_total",
 			"Completed controller ticks (background loop and synchronous)."),
@@ -227,8 +213,6 @@ func newServerObs() *serverObs {
 			"Long-poll requests whose client disconnected while parked."),
 		hubBroadcasts: r.Counter("perseus_hub_broadcasts_total",
 			"Notification-hub topic broadcasts (each wakes every watcher of the topic at once)."),
-		hubTopics: r.Gauge("perseus_hub_topics",
-			"Notification-hub topics with a live watch channel."),
 
 		planLatency: r.HistogramVec("perseus_planner_plan_duration_seconds",
 			"Planning latency through the plan.Planner contract, by layer and objective.",
@@ -236,30 +220,10 @@ func newServerObs() *serverObs {
 		planErrors: r.CounterVec("perseus_planner_plan_errors_total",
 			"Failed Plan calls by layer.", "planner"),
 
-		driftG: r.GaugeVec("perseus_job_carbon_drift_g",
-			"Realized minus forecast-predicted carbon over the forecast-covered spans, per job.",
-			"job"),
-
 		ledger: obs.NewLedger(0),
-		jobEnergy: r.CounterVec("perseus_job_energy_joules_total",
-			"Per-job settled energy decomposed by the bloat ledger: realized, frontier-optimal floor, residual_bloat, migration overhead.",
-			"job", "component"),
-		jobRemoved: r.GaugeVec("perseus_job_energy_intrinsic_removed_joules",
-			"Per-job intrinsic bloat removed vs the always-Tmin baseline at equal work (signed: a span run above T* burns more than flat-out).",
-			"job"),
-		fleetRemovedJ: r.Gauge("perseus_fleet_bloat_intrinsic_removed_joules",
-			"Fleet-wide intrinsic bloat removed vs the always-Tmin baseline at equal work (signed)."),
-		fleetTemporalC: r.Gauge("perseus_fleet_bloat_temporal_saved_carbon_g",
-			"Fleet-wide carbon saved by when energy was drawn, vs the best signal-blind fixed baseline (signed: negative means timing lost carbon)."),
-		fleetDriftAbsC: r.Counter("perseus_fleet_bloat_drift_abs_carbon_g_total",
-			"Fleet-wide absolute realized-minus-forecast carbon drift over forecast-covered spans (drift-SLO numerator)."),
-		fleetCoveredC: r.Counter("perseus_fleet_bloat_forecast_covered_carbon_g_total",
-			"Fleet-wide realized carbon over exactly the forecast-covered spans (drift-SLO denominator complement)."),
 
 		traceSpans: r.CounterVec("perseus_trace_spans_total",
 			"Finished trace spans committed to the span ring, by span name.", "span"),
-		traceDrops: r.Gauge("perseus_trace_spans_dropped_total",
-			"Finished spans the bounded span ring has overwritten."),
 		sloStatus: r.GaugeVec("perseus_slo_status",
 			"Per-SLO multi-window burn-rate status: 0 ok, 1 warn, 2 breach.", "slo"),
 		sloBreaches: r.CounterVec("perseus_slo_breaches_total",
@@ -268,27 +232,11 @@ func newServerObs() *serverObs {
 	// The planner worker-pool gauge is static per process: the region
 	// planner sizes its candidate-evaluation pool to GOMAXPROCS.
 	o.planWorkers.Set(float64(region.DefaultWorkers()))
-	// Fleet rollup families, with component handles pre-rendered so
-	// settlement never touches the registry map.
-	fleetEnergy := r.CounterVec("perseus_fleet_bloat_energy_joules_total",
-		"Fleet-wide settled energy decomposed by the bloat ledger: realized, frontier-optimal floor, residual_bloat, migration overhead.",
-		"component")
-	o.fleetRealizedJ = fleetEnergy.With("realized")
-	o.fleetFloorJ = fleetEnergy.With("floor")
-	o.fleetResidualJ = fleetEnergy.With("residual_bloat")
-	o.fleetMigrationJ = fleetEnergy.With("migration")
-	fleetCarbon := r.CounterVec("perseus_fleet_bloat_carbon_g_total",
-		"Fleet-wide settled carbon decomposed by the bloat ledger at each span's mean realized intensity.",
-		"component")
-	o.fleetRealizedC = fleetCarbon.With("realized")
-	o.fleetFloorC = fleetCarbon.With("floor")
-	o.fleetResidualC = fleetCarbon.With("residual_bloat")
-	o.fleetMigrationC = fleetCarbon.With("migration")
-
-	o.tracer.OnPush(func(sp obs.Span) {
-		o.traceSpans.With(sp.Name).Inc()
-		o.traceDrops.Set(float64(o.tracer.Drops()))
-	})
+	ledgerViews(r, o.ledger)
+	r.CounterView("perseus_trace_spans_dropped_total",
+		"Finished spans the bounded span ring has overwritten.",
+		func(emit func(float64, ...string)) { emit(float64(o.tracer.Drops())) })
+	o.tracer.OnPush(func(sp obs.Span) { o.traceSpans.With(sp.Name).Inc() })
 	o.slo = obs.NewSLOEngine(r, o.tracer, defaultSLOs(o.ledger))
 	o.slo.OnTransition(func(rule obs.SLO, from, to string, st obs.SLOStatus) {
 		if to == obs.StatusBreach {
@@ -308,6 +256,16 @@ func newServerObs() *serverObs {
 		o.ring.Emit(time.Unix(0, int64(st.SinceUnixS*1e9)), "slo."+to, 0, kv...)
 	})
 	return o
+}
+
+// countView is a gauge view of a count its owner guards with mu.
+func countView(mu *sync.Mutex, count func() int) obs.View {
+	return func(emit func(float64, ...string)) {
+		mu.Lock()
+		n := count()
+		mu.Unlock()
+		emit(float64(n))
+	}
 }
 
 // traceKV appends a trace_id label to an event's key-value pairs when
@@ -373,6 +331,19 @@ func routeLabel(mux *http.ServeMux, r *http.Request) string {
 	return "other"
 }
 
+// methodLabel is the bounded method label of a request's metrics: one
+// of the nine methods net/http names (RFC 9110's eight and PATCH), or
+// "other" — a client must not be able to mint a series per request.
+// The request's span keeps the raw method.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+		return method
+	}
+	return "other"
+}
+
 // statusRecorder captures the response status code for the middleware.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -406,7 +377,7 @@ func (o *serverObs) middleware(mux *http.ServeMux) http.Handler {
 		mux.ServeHTTP(rec, r.WithContext(ctx))
 		o.httpInFlight.Add(-1)
 		o.httpLatency.With(route).Observe(time.Since(start).Seconds())
-		o.httpRequests.With(route, r.Method, strconv.Itoa(rec.code)).Inc()
+		o.httpRequests.With(route, methodLabel(r.Method), strconv.Itoa(rec.code)).Inc()
 		span.SetAttr("code", strconv.Itoa(rec.code))
 		if rec.code >= http.StatusInternalServerError {
 			span.Fail(fmt.Errorf("HTTP %d", rec.code))
@@ -473,14 +444,9 @@ func (s *Server) EventsSince(since uint64, limit int) EventsResponse {
 }
 
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad n: "+v, http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := queryN(w, r.URL.Query())
+	if !ok {
+		return
 	}
 	var resp EventsResponse
 	if v := r.URL.Query().Get("since"); v != "" {
@@ -498,14 +464,9 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	limit := 0
-	if v := q.Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad n: "+v, http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := queryN(w, q)
+	if !ok {
+		return
 	}
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {

@@ -331,3 +331,39 @@ func TestObsConcurrentHammer(t *testing.T) {
 		t.Fatalf("in-flight gauge %v after quiescence, want 0", got)
 	}
 }
+
+// TestMethodLabelBounded: made-up request methods share the "other"
+// label, so a client cannot mint a perseus_http_requests_total series
+// per request.
+func TestMethodLabelBounded(t *testing.T) {
+	srv := New()
+	h := srv.Handler()
+	for i := 0; i < 50; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("MADEUP"+strconv.Itoa(i), "/fleet/status", nil))
+	}
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/fleet/status", nil))
+	var b strings.Builder
+	if err := srv.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{"other": true}
+	for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace} {
+		allowed[m] = true
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, "perseus_http_requests_total{") {
+			continue
+		}
+		_, rest, _ := strings.Cut(line, `method="`)
+		method, _, _ := strings.Cut(rest, `"`)
+		if !allowed[method] {
+			t.Errorf("unbounded method label %q", method)
+		}
+		seen[method] = true
+	}
+	if !seen["other"] || !seen[http.MethodGet] {
+		t.Fatalf("method labels %v, want GET and other", seen)
+	}
+}

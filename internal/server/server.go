@@ -13,7 +13,7 @@
 //     ETag/long-poll version fetching), stragglers, frontiers
 //   - fleet.go     facility power cap and the fleet allocator
 //   - grid.go      grid signal install, cached temporal planning,
-//     emissions accounting
+//     emissions (a view of the job's ledger totals)
 //   - regions.go   datacenter regions, placement, joint planning
 //   - forecast.go  forecast issuing and rolling-horizon re-planning
 //   - controller.go the background MPC controller runtime: a loop that
@@ -25,9 +25,10 @@
 //   - obs.go       the observability surface: the internal/obs metric
 //     registry and event ring, the HTTP instrumentation middleware,
 //     and the /metrics, /healthz, and /debug/events endpoints
-//   - ledger.go    the online energy-bloat ledger wiring: per-span
-//     decomposition at every settlement (obs.Ledger), the per-job and
-//     fleet bloat series, migration-overhead charging, and
+//   - ledger.go    the online energy-bloat ledger (obs.Ledger), the
+//     server's only account of settled energy, carbon and cost: per-span
+//     decomposition at every settlement, migration-overhead charging,
+//     the per-job and fleet bloat series as views of its totals, and
 //     GET /debug/ledger
 //
 // The grid and region planning endpoints drive the shared
@@ -178,7 +179,7 @@ type route struct {
 func (s *Server) routes() []route {
 	return []route{
 		{"POST /jobs", s.handleRegister},                             // register a job
-		{"DELETE /jobs/{id}", s.withJob(s.handleRemoveJob)},          // unregister: final span settled, per-job series deleted
+		{"DELETE /jobs/{id}", s.withJob(s.handleRemoveJob)},          // unregister: final span settled, account closed
 		{"POST /jobs/{id}/profile", s.withJob(s.handleProfile)},      // upload profiling results
 		{"GET /jobs/{id}/schedule", s.withJob(s.handleSchedule)},     // deployed energy schedule (ETag; If-None-Match + ?wait long-polls)
 		{"POST /jobs/{id}/straggler", s.withJob(s.handleStraggler)},  // set_straggler notification

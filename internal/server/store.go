@@ -10,7 +10,6 @@ import (
 	"perseus/internal/frontier"
 	"perseus/internal/gpu"
 	"perseus/internal/grid"
-	pln "perseus/internal/plan"
 	"perseus/internal/sched"
 )
 
@@ -97,7 +96,7 @@ func (st *store) jobsInOrder() []*job {
 	return jobs
 }
 
-// settleAll accrues every job's emissions at the given snapshot —
+// settleAll settles every job's account at the given snapshot —
 // called before any change to the rates (signal or forecast install)
 // so each span is charged at the rates that actually applied.
 func (st *store) settleAll(gs gridState) {
@@ -114,15 +113,11 @@ type job struct {
 	req   JobRequest
 	gpu   *gpu.Model
 	sched *sched.Schedule
-	obs   *serverObs // the owning server's observability surface
+	obs   *serverObs // the owning server's observability surface and ledger
 
 	// hub is the owning server's notification hub; every version bump
 	// broadcasts on the job's schedule topic through it.
 	hub *hub
-
-	// series caches the job's per-job ledger metric handles, created at
-	// characterization so Settle never renders label blocks (obs.go).
-	series *jobLedgerSeries
 
 	mu             sync.Mutex
 	characterizing bool
@@ -142,21 +137,14 @@ type job struct {
 	done chan struct{}
 
 	// Emissions accounting: the deployed schedule's power draw is
-	// integrated against the grid signal from characterization on.
-	// When a forecast is installed, the same draw is also integrated
-	// against the forecast's rates (while the job is unplaced), so
-	// predicted and realized accrual reconcile.
-	accSince    time.Time // accounting start (characterization time)
-	accAt       time.Time // last accrual
-	energyAccJ  float64
-	carbonAccG  float64
-	costAccUSD  float64
-	predCarbonG float64
-	predCostUSD float64
-	// predRealCarbonG is the realized carbon over exactly the spans the
-	// predicted account covers, so drift compares like with like even
-	// when the forecast predicted zero.
-	predRealCarbonG float64
+	// integrated against the grid signal from characterization on, and
+	// every settled span goes to the bloat ledger — the job's only
+	// account (ledger.go). The account opens at characterization and
+	// closes when the job is removed; a settle books nothing unless it
+	// is open.
+	accSince time.Time // accounting start (characterization time)
+	accAt    time.Time // last accrual
+	closed   bool      // the job was removed
 
 	// Placement: the datacenter region the job currently runs in ("" =
 	// unplaced; emissions then accrue against the global signal) and
@@ -244,74 +232,6 @@ func (j *job) deployedTimeLocked(tmin float64) float64 {
 		t = j.capTime
 	}
 	return t
-}
-
-// deployedPowerLocked returns the power draw of the job's currently
-// deployed schedule (all pipelines). Callers hold j.mu.
-func (j *job) deployedPowerLocked() float64 {
-	if j.table == nil || len(j.table.Points) == 0 {
-		return 0
-	}
-	t := j.deployedTimeLocked(j.table.Tmin())
-	pipes := j.req.DataParallel
-	if pipes <= 0 {
-		pipes = 1
-	}
-	return float64(pipes) * j.table.AvgPower(j.table.LookupIndex(t))
-}
-
-// accrueLocked integrates the deployed schedule's power draw since the
-// last accrual into the job's emissions accumulators: at the placed
-// region's rates when the job has a placement, at the global signal's
-// otherwise (energy only before either exists). Callers hold j.mu and
-// must call it before any change to the deployed operating point or
-// placement, so each span is charged at the rates that actually
-// applied.
-func (j *job) accrueLocked(gs gridState) {
-	if j.accAt.IsZero() || !gs.now.After(j.accAt) {
-		return
-	}
-	spanStart := j.accAt
-	power := j.deployedPowerLocked()
-	sig, start, meanG := gs.sig, gs.start, gs.meanG
-	if j.region != "" {
-		if r, ok := gs.regions[j.region]; ok {
-			sig, start, meanG = r.sig, r.anchor, r.meanG
-		}
-	}
-	var t0, t1 float64
-	if sig != nil {
-		t0 = j.accAt.Sub(start).Seconds()
-		t1 = gs.now.Sub(start).Seconds()
-	} else {
-		t1 = gs.now.Sub(j.accAt).Seconds()
-	}
-	e, c, usd := grid.Accrue(sig, t0, t1, power)
-	j.energyAccJ += e
-	j.carbonAccG += c
-	j.costAccUSD += usd
-	// Predicted accrual: the same draw priced at the latest issued
-	// forecast's rates. Only meaningful against the global signal, so
-	// placed jobs (accruing at a region's rates) are skipped.
-	var pc, predReal float64
-	if gs.fsig != nil && j.region == "" && gs.sig != nil {
-		var pusd float64
-		_, pc, pusd = grid.Accrue(gs.fsig, j.accAt.Sub(gs.start).Seconds(), gs.now.Sub(gs.start).Seconds(), power)
-		predReal = c
-		j.predCarbonG += pc
-		j.predCostUSD += pusd
-		j.predRealCarbonG += c
-		if j.series != nil {
-			// Realized-vs-predicted drift over exactly the forecast-
-			// covered spans, refreshed at every settle point.
-			j.series.drift.Set(j.predRealCarbonG - j.predCarbonG)
-		}
-	}
-	j.accAt = gs.now
-	// Decompose the settled span into the energy-bloat ledger. The
-	// exact same floats just added to the emissions accumulators flow
-	// into the ledger totals, so the two accounts reconcile bit-for-bit.
-	j.settleSpanLocked(gs, spanStart, pln.Account{EnergyJ: e, CarbonG: c, CostUSD: usd}, pc, predReal, meanG)
 }
 
 // hashTable content-hashes a characterized lookup table so the plan
