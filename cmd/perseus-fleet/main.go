@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("uncapped fleet draw %.0f W; cap %.0f W (%.0f%%)\n\n",
-		built.UncappedW, built.CapW, 100**capFrac)
+		built.UncappedW, built.CapW, 100*built.CapW/built.UncappedW)
 
 	fmt.Println("scenario trace:")
 	for _, e := range built.Scenario.Events {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"perseus/internal/fleet"
 	"perseus/internal/gpu"
@@ -34,7 +35,7 @@ type FleetScenario struct {
 // and assembles the bundled scenario trace: staggered arrivals, a
 // facility cap at capFrac of the full fleet's uncapped draw, a
 // straggler onset and recovery on the data-parallel job, and one
-// departure.
+// departure. capFrac must be finite and positive.
 //
 //	t=0    GPT-3 1.3B (DP2) arrives
 //	t=120  BERT 1.3B arrives
@@ -44,8 +45,8 @@ type FleetScenario struct {
 //	t=600  BERT departs
 //	t=720  horizon
 func BuildFleetScenario(g *gpu.Model, sc Scale, capFrac float64) (*FleetScenario, error) {
-	if capFrac <= 0 {
-		capFrac = 0.9
+	if !(capFrac > 0) || math.IsInf(capFrac, 1) {
+		return nil, fmt.Errorf("experiments: fleet cap fraction must be finite and positive, got %v", capFrac)
 	}
 	cfgs := FleetWorkloads()
 	jobs := make([]*fleet.SimJob, len(cfgs))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,6 +10,11 @@ import (
 )
 
 func TestFleetScenarioEndToEnd(t *testing.T) {
+	for _, bad := range []float64{0, -0.5, math.NaN()} {
+		if _, err := BuildFleetScenario(gpu.A100PCIe, Quick, bad); err == nil {
+			t.Errorf("cap fraction %v accepted", bad)
+		}
+	}
 	built, err := BuildFleetScenario(gpu.A100PCIe, Quick, 0.9)
 	if err != nil {
 		t.Fatal(err)

@@ -78,11 +78,21 @@ func (p *Planner) Name() string { return "fleet" }
 // Plan implements plan.Planner. Only req.CapW is consumed — a capacity
 // allocator has no target or deadline.
 func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
-	if math.IsNaN(req.CapW) || math.IsInf(req.CapW, 0) || req.CapW < 0 {
-		return nil, fmt.Errorf("fleet: power cap must be a finite non-negative number of watts, got %v", req.CapW)
+	if err := checkCap(req.CapW); err != nil {
+		return nil, err
 	}
 	alloc := Allocate(p.Jobs, req.CapW)
 	return &alloc, nil
+}
+
+// checkCap rejects NaN, infinite, or negative watts: a malformed cap
+// silently clamped to "uncapped" would quietly lift the facility
+// envelope. Zero is valid and uncaps.
+func checkCap(watts float64) error {
+	if math.IsNaN(watts) || math.IsInf(watts, 0) || watts < 0 {
+		return fmt.Errorf("fleet: power cap must be a finite non-negative number of watts, got %v", watts)
+	}
+	return nil
 }
 
 // Allocate picks each job's operating point on its own frontier so the
@@ -190,34 +200,6 @@ func Allocate(jobs []Job, capW float64) Allocation {
 			FloorTime: floorTimes[i],
 			Loss:      j.weight() * (t - floorTimes[i]) / floorTimes[i],
 		}
-		alloc.Loss += ja.Loss
-		alloc.Jobs = append(alloc.Jobs, ja)
-	}
-	return alloc
-}
-
-// AllocateMinEnergy returns the fleet energy-minimization allocation:
-// every job at its own T* point, the minimum of its adjusted energy
-// curve. This is the fleet's lowest sustainable power draw; its Loss is
-// the throughput price of fleet-wide minimum-energy operation.
-func AllocateMinEnergy(jobs []Job) Allocation {
-	alloc := Allocation{Feasible: true}
-	for i := range jobs {
-		j := &jobs[i]
-		last := len(j.Table.Points) - 1
-		fi := j.floorIndex()
-		ft := j.Table.PointTime(fi)
-		t := j.Table.PointTime(last)
-		ja := JobAlloc{
-			ID:        j.ID,
-			Point:     last,
-			Time:      t,
-			Energy:    j.Table.Points[last].Energy,
-			PowerW:    float64(j.pipelines()) * j.Table.AvgPower(last),
-			FloorTime: ft,
-			Loss:      j.weight() * (t - ft) / ft,
-		}
-		alloc.PowerW += ja.PowerW
 		alloc.Loss += ja.Loss
 		alloc.Jobs = append(alloc.Jobs, ja)
 	}

@@ -226,7 +226,11 @@ func TestInfeasibleCap(t *testing.T) {
 		{ID: "a", Table: convexTable(0.01, 80, 95, 3000, 120)},
 		{ID: "b", Table: convexTable(0.01, 50, 67, 5000, 300)},
 	}
-	minP := AllocateMinEnergy(jobs).PowerW
+	// The fleet's minimum power: every job at its T* point.
+	var minP float64
+	for i := range jobs {
+		minP += powerOf(&jobs[i], len(jobs[i].Table.Points)-1)
+	}
 	got := Allocate(jobs, minP*0.5)
 	if got.Feasible {
 		t.Fatal("cap at half the fleet minimum power cannot be feasible")

@@ -12,23 +12,17 @@
 // generalizes extrinsic bloat from one pipeline held up by a straggler
 // to a whole datacenter held down by a power envelope.
 //
-// The package has three parts: a fleet state model (this file), a
-// marginal-cost waterfilling allocator over merged frontiers (alloc.go),
-// and an event-driven multi-job simulator that replays scenario traces
-// of arrivals, departures, stragglers, and cap changes (sim.go).
+// The package has two parts: a marginal-cost waterfilling allocator
+// over merged frontiers (alloc.go), and an event-driven multi-job
+// simulator that replays scenario traces of arrivals, departures,
+// stragglers, and cap changes (sim.go).
 package fleet
 
-import (
-	"fmt"
-	"math"
-	"sync"
+import "perseus/internal/frontier"
 
-	"perseus/internal/frontier"
-)
-
-// Job is one registered training job in the fleet state model.
+// Job is one training job as the allocator sees it.
 type Job struct {
-	// ID names the job; unique within a Fleet.
+	// ID names the job; unique among the jobs allocated together.
 	ID string
 
 	// Table is the job's characterized time-energy frontier.
@@ -74,121 +68,4 @@ func (j *Job) floorIndex() int {
 		return 0
 	}
 	return j.Table.LookupIndex(j.TPrime)
-}
-
-// Fleet is the mutable fleet state: registered jobs and the facility
-// power cap. Safe for concurrent use.
-type Fleet struct {
-	mu   sync.Mutex
-	jobs map[string]*Job
-	ord  []string // registration order, for deterministic allocation output
-	capW float64  // 0 = uncapped
-}
-
-// New returns an empty fleet with no power cap.
-func New() *Fleet {
-	return &Fleet{jobs: map[string]*Job{}}
-}
-
-// Add registers a job. The job's Table must be non-nil and non-empty.
-func (f *Fleet) Add(j Job) error {
-	if j.ID == "" {
-		return fmt.Errorf("fleet: job needs an id")
-	}
-	if j.Table == nil || len(j.Table.Points) == 0 {
-		return fmt.Errorf("fleet: job %s needs a characterized frontier table", j.ID)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.jobs[j.ID]; ok {
-		return fmt.Errorf("fleet: job %s already registered", j.ID)
-	}
-	f.jobs[j.ID] = &j
-	f.ord = append(f.ord, j.ID)
-	return nil
-}
-
-// Remove deregisters a job; removing an unknown id is a no-op.
-func (f *Fleet) Remove(id string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.jobs[id]; !ok {
-		return
-	}
-	delete(f.jobs, id)
-	for i, jid := range f.ord {
-		if jid == id {
-			f.ord = append(f.ord[:i], f.ord[i+1:]...)
-			break
-		}
-	}
-}
-
-// SetStraggler records a job's anticipated straggler iteration time;
-// tPrime <= 0 clears it (recovery).
-func (f *Fleet) SetStraggler(id string, tPrime float64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	j, ok := f.jobs[id]
-	if !ok {
-		return fmt.Errorf("fleet: unknown job %s", id)
-	}
-	if tPrime <= 0 {
-		j.TPrime = 0
-	} else {
-		j.TPrime = tPrime
-	}
-	return nil
-}
-
-// SetCap sets the fleet power cap in watts; 0 uncaps. NaN, infinite,
-// or negative watts are rejected and leave the cap unchanged — a
-// malformed cap silently clamped to "uncapped" would quietly lift the
-// facility envelope.
-func (f *Fleet) SetCap(watts float64) error {
-	if math.IsNaN(watts) || math.IsInf(watts, 0) || watts < 0 {
-		return fmt.Errorf("fleet: power cap must be a finite non-negative number of watts, got %v", watts)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.capW = watts
-	return nil
-}
-
-// Cap returns the current fleet power cap (0 = uncapped).
-func (f *Fleet) Cap() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.capW
-}
-
-// Len returns the number of registered jobs.
-func (f *Fleet) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.jobs)
-}
-
-// Snapshot returns the registered jobs in registration order.
-func (f *Fleet) Snapshot() []Job {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Job, 0, len(f.ord))
-	for _, id := range f.ord {
-		out = append(out, *f.jobs[id])
-	}
-	return out
-}
-
-// Allocate runs the power-budget allocator over the current fleet state
-// under the current cap.
-func (f *Fleet) Allocate() Allocation {
-	f.mu.Lock()
-	jobs := make([]Job, 0, len(f.ord))
-	for _, id := range f.ord {
-		jobs = append(jobs, *f.jobs[id])
-	}
-	capW := f.capW
-	f.mu.Unlock()
-	return Allocate(jobs, capW)
 }

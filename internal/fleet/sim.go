@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"perseus/internal/cluster"
-	"perseus/internal/grid"
 )
 
 // SimJob couples a fleet job with the cluster description needed to
@@ -36,20 +35,8 @@ const (
 	// (the job's pipeline 0 slows by Factor), Factor <= 1 is recovery.
 	EventStraggler
 
-	// EventSetCap changes the fleet power cap to Event.CapW. In a
-	// multi-region scenario the cap is per datacenter — a facility
-	// envelope is local power infrastructure — so each region's
-	// allocator run (and the unplaced group) gets the full CapW unless
-	// its own signal's interval cap overrides it; it does NOT bound the
-	// summed draw across regions.
+	// EventSetCap changes the fleet power cap to Event.CapW.
 	EventSetCap
-
-	// EventPlace places a job (Event.JobID) into a scenario region
-	// (Event.Region). Placing an already-placed job into a different
-	// region is a migration: the job pauses for the scenario's
-	// migration downtime and is charged the transfer energy at the
-	// destination region's rates.
-	EventPlace
 )
 
 // String renders the kind for traces and tables.
@@ -63,8 +50,6 @@ func (k EventKind) String() string {
 		return "straggler"
 	case EventSetCap:
 		return "set-cap"
-	case EventPlace:
-		return "place"
 	}
 	return fmt.Sprintf("event(%d)", int(k))
 }
@@ -89,26 +74,6 @@ type Event struct {
 
 	// CapW is the new fleet power cap in watts (EventSetCap); 0 uncaps.
 	CapW float64
-
-	// Region names the destination scenario region (EventPlace).
-	Region string
-}
-
-// SimRegion is one datacenter in a multi-region scenario: jobs placed
-// there are allocated under its signal's interval caps and accounted
-// at its rates.
-type SimRegion struct {
-	// Name labels the region; EventPlace targets it.
-	Name string
-
-	// Signal is the region's grid trace (cyclic beyond its horizon).
-	Signal *grid.Signal
-
-	// Truth optionally separates forecast from reality for this region,
-	// exactly like Scenario.Truth: when set, Signal is what the
-	// operator sees (driving caps and predicted accounting) while
-	// realized carbon and cost accrue at Truth's rates.
-	Truth *grid.Signal
 }
 
 // Scenario is a replayable multi-job trace.
@@ -121,44 +86,6 @@ type Scenario struct {
 
 	// Events are the trace entries; Replay sorts them by time.
 	Events []Event
-
-	// Signal optionally drives the fleet from a grid trace
-	// (internal/grid): Replay inserts a re-allocation boundary at every
-	// signal interval edge, an interval's facility cap (CapW > 0)
-	// overrides the event-set cap while it is in force, and every
-	// segment's energy is accounted into carbon and cost at the
-	// interval's rates. A trace shorter than the horizon repeats
-	// cyclically (a 24 h trace describes every day).
-	Signal *grid.Signal
-
-	// Regions optionally makes the scenario multi-region: jobs are
-	// placed (and migrated) across datacenters via EventPlace, each
-	// region's signal drives its own interval caps and rates, and every
-	// region's interval edges become re-allocation boundaries. Jobs not
-	// yet placed run under the scenario Signal (or rate-free without
-	// one). The power-budget allocator runs per region, and caps are
-	// per datacenter: each region's jobs divide that region's interval
-	// cap — or, absent one, the scenario/event cap, which therefore
-	// bounds each datacenter individually rather than the fleet's
-	// summed draw.
-	Regions []SimRegion
-
-	// MigrationDowntimeS is the checkpoint-transfer pause a migrating
-	// job suffers on arrival; MigrationEnergyJ is the transfer energy,
-	// charged at the destination's rates at the migration time.
-	MigrationDowntimeS float64
-	MigrationEnergyJ   float64
-
-	// Truth optionally makes the replay forecast-driven: when set,
-	// Signal plays the role of the operator's revealed/forecast trace —
-	// it still drives re-allocation boundaries, interval cap overrides,
-	// and the *predicted* carbon/cost accounting — while realized
-	// carbon and cost accrue at Truth's rates. The simulator itself
-	// never reads Truth for a decision; only the accounting does, so a
-	// replay sees exactly what a forecast-fed operator would. Truth's
-	// own interval edges also become segment boundaries, keeping every
-	// segment within one set of realized rates.
-	Truth *grid.Signal
 }
 
 // SegmentJob is one job's state during a segment.
@@ -187,23 +114,8 @@ type SegmentJob struct {
 	Iterations float64
 	EnergyJ    float64
 
-	// CarbonG and CostUSD account the job's segment energy at the
-	// scenario signal's rates (zero without a signal); in a
-	// forecast-driven replay they are realized at the truth's rates
-	// while PredCarbonG and PredCostUSD carry the forecast's view.
-	CarbonG     float64
-	CostUSD     float64
-	PredCarbonG float64
-	PredCostUSD float64
-
 	// StragglerFactor is the active slowdown degree (1 = healthy).
 	StragglerFactor float64
-
-	// Region names the job's placement ("" before any placement or in
-	// single-region scenarios); Migrating marks a checkpoint-transfer
-	// pause segment (the job draws no power and makes no progress).
-	Region    string
-	Migrating bool
 }
 
 // Segment is one constant-state interval between scenario events.
@@ -220,33 +132,16 @@ type Segment struct {
 	AllocPowerW float64
 	PowerW      float64
 
-	// CarbonGPerKWh and PriceUSDPerKWh echo the signal interval in
-	// force (zero without a signal); CarbonG and CostUSD account the
-	// segment's simulated energy at those rates — at the truth's rates
-	// in a forecast-driven replay, with PredCarbonG and PredCostUSD
-	// carrying the forecast's view. A segment never spans a signal (or
-	// truth) interval edge.
-	CarbonGPerKWh  float64
-	PriceUSDPerKWh float64
-	CarbonG        float64
-	CostUSD        float64
-	PredCarbonG    float64
-	PredCostUSD    float64
-
 	// Jobs holds the active jobs' states in arrival order.
 	Jobs []SegmentJob
 }
 
 // JobTotal accumulates one job's whole-scenario outcome.
 type JobTotal struct {
-	ID          string
-	ActiveS     float64
-	Iterations  float64
-	EnergyJ     float64
-	CarbonG     float64
-	CostUSD     float64
-	PredCarbonG float64
-	PredCostUSD float64
+	ID         string
+	ActiveS    float64
+	Iterations float64
+	EnergyJ    float64
 }
 
 // Series is the replayed scenario: per-segment fleet state plus
@@ -260,78 +155,31 @@ type Series struct {
 	// EnergyJ is the fleet's total simulated energy.
 	EnergyJ float64
 
-	// CarbonG and CostUSD are the fleet's total accounted emissions and
-	// electricity cost under the scenario signal (zero without one) —
-	// realized at the truth's rates in a forecast-driven replay, with
-	// PredCarbonG and PredCostUSD totaling what the forecast predicted.
-	CarbonG     float64
-	CostUSD     float64
-	PredCarbonG float64
-	PredCostUSD float64
-
 	// PeakPowerW is the maximum simulated fleet power over segments.
 	PeakPowerW float64
 }
 
+// activeJob is a registered job during a replay: its arrival, the
+// allocator's view of it (the arrival's Job with the straggler's T'),
+// and its straggler slowdown (1 = healthy).
+type activeJob struct {
+	sim    *SimJob
+	job    Job
+	factor float64
+}
+
 // Replay runs the event-driven multi-job simulation: it applies the
 // scenario's events in time order — job arrival and departure,
-// straggler onset and recovery, cap changes, placements — re-running
-// the power-budget allocator at every state change, and simulates each
+// straggler onset and recovery, cap changes — re-running the
+// power-budget allocator at every state change, and simulates each
 // constant-state segment with cluster.Simulate at the allocated
-// operating points. A scenario Signal adds signal-driven state changes
-// on top: interval edges become segment boundaries, interval caps
-// override the event-set cap, and each segment's energy is accounted
-// into carbon and cost at the interval's rates. Scenario Regions make
-// the replay multi-region: every region's interval edges become
-// boundaries, the allocator runs per region under each region's cap,
-// jobs are accounted at their region's rates, and migrations insert a
-// checkpoint-transfer pause (plus transfer energy at the destination's
-// rates).
+// operating points.
 func Replay(sc Scenario) (*Series, error) {
 	if sc.Horizon <= 0 {
 		return nil, fmt.Errorf("fleet: scenario horizon must be positive, got %v", sc.Horizon)
 	}
-	if sc.Signal != nil {
-		if err := sc.Signal.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if sc.Truth != nil {
-		if sc.Signal == nil {
-			return nil, fmt.Errorf("fleet: scenario truth needs a signal (the forecast the replay sees)")
-		}
-		if err := sc.Truth.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: scenario truth: %w", err)
-		}
-	}
-	if !(sc.MigrationDowntimeS >= 0) || !(sc.MigrationEnergyJ >= 0) {
-		return nil, fmt.Errorf("fleet: migration cost must be non-negative, got %v s / %v J",
-			sc.MigrationDowntimeS, sc.MigrationEnergyJ)
-	}
-	regionSigs := map[string]*grid.Signal{}
-	regionTruths := map[string]*grid.Signal{}
-	var regionOrder []string
-	for _, r := range sc.Regions {
-		if r.Name == "" {
-			return nil, fmt.Errorf("fleet: scenario region needs a name")
-		}
-		if _, dup := regionSigs[r.Name]; dup {
-			return nil, fmt.Errorf("fleet: duplicate scenario region %q", r.Name)
-		}
-		if r.Signal == nil {
-			return nil, fmt.Errorf("fleet: scenario region %q needs a signal", r.Name)
-		}
-		if err := r.Signal.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: scenario region %q: %w", r.Name, err)
-		}
-		if r.Truth != nil {
-			if err := r.Truth.Validate(); err != nil {
-				return nil, fmt.Errorf("fleet: scenario region %q truth: %w", r.Name, err)
-			}
-			regionTruths[r.Name] = r.Truth
-		}
-		regionSigs[r.Name] = r.Signal
-		regionOrder = append(regionOrder, r.Name)
+	if err := checkCap(sc.CapW); err != nil {
+		return nil, err
 	}
 	events := append([]Event(nil), sc.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
@@ -341,17 +189,11 @@ func Replay(sc Scenario) (*Series, error) {
 		}
 	}
 
-	f := New()
-	if err := f.SetCap(sc.CapW); err != nil {
-		return nil, err
-	}
-	evCap := sc.CapW // the event-set cap, under any signal override
-	sims := map[string]*SimJob{}
-	factors := map[string]float64{}
+	capW := sc.CapW
+	var active []*activeJob // arrival order, for deterministic allocation output
+	byID := map[string]*activeJob{}
 	totals := map[string]*JobTotal{}
-	place := map[string]string{}     // job id -> region name
-	migUntil := map[string]float64{} // job id -> migration pause end
-	var order []string               // first-arrival order, for stable totals
+	var order []string // first-arrival order, for stable totals
 	series := &Series{}
 
 	apply := func(e Event) error {
@@ -360,181 +202,85 @@ func Replay(sc Scenario) (*Series, error) {
 			if e.Job == nil {
 				return fmt.Errorf("fleet: arrival event at %v has no job", e.At)
 			}
-			if err := f.Add(e.Job.Job); err != nil {
-				return err
-			}
 			id := e.Job.ID
-			sims[id] = e.Job
-			factors[id] = 1
+			if id == "" {
+				return fmt.Errorf("fleet: job needs an id")
+			}
+			if e.Job.Table == nil || len(e.Job.Table.Points) == 0 {
+				return fmt.Errorf("fleet: job %s needs a characterized frontier table", id)
+			}
+			if _, ok := byID[id]; ok {
+				return fmt.Errorf("fleet: job %s already registered", id)
+			}
+			a := &activeJob{sim: e.Job, job: e.Job.Job, factor: 1}
+			active = append(active, a)
+			byID[id] = a
 			if _, ok := totals[id]; !ok {
 				totals[id] = &JobTotal{ID: id}
 				order = append(order, id)
 			}
 		case EventDepart:
-			if _, ok := sims[e.JobID]; !ok {
+			a, ok := byID[e.JobID]
+			if !ok {
 				return fmt.Errorf("fleet: departure of unknown job %s at %v", e.JobID, e.At)
 			}
-			f.Remove(e.JobID)
-			delete(sims, e.JobID)
-			delete(factors, e.JobID)
-			delete(place, e.JobID)
-			delete(migUntil, e.JobID)
+			delete(byID, e.JobID)
+			for k := range active {
+				if active[k] == a {
+					active = append(active[:k], active[k+1:]...)
+					break
+				}
+			}
 		case EventStraggler:
-			sj, ok := sims[e.JobID]
+			a, ok := byID[e.JobID]
 			if !ok {
 				return fmt.Errorf("fleet: straggler event for unknown job %s at %v", e.JobID, e.At)
 			}
 			if e.Factor <= 1 { // recovery
-				factors[e.JobID] = 1
-				return f.SetStraggler(e.JobID, 0)
+				a.factor, a.job.TPrime = 1, 0
+			} else {
+				a.factor, a.job.TPrime = e.Factor, a.job.Table.Tmin()*e.Factor
 			}
-			factors[e.JobID] = e.Factor
-			return f.SetStraggler(e.JobID, sj.Table.Tmin()*e.Factor)
 		case EventSetCap:
-			if err := f.SetCap(e.CapW); err != nil {
+			if err := checkCap(e.CapW); err != nil {
 				return err
 			}
-			evCap = e.CapW
-		case EventPlace:
-			if len(sc.Regions) == 0 {
-				return fmt.Errorf("fleet: placement event at %v in a scenario without regions", e.At)
-			}
-			if _, ok := sims[e.JobID]; !ok {
-				return fmt.Errorf("fleet: placement of unknown job %s at %v", e.JobID, e.At)
-			}
-			sig, ok := regionSigs[e.Region]
-			if !ok {
-				return fmt.Errorf("fleet: placement of job %s into unknown region %q at %v", e.JobID, e.Region, e.At)
-			}
-			prev, had := place[e.JobID]
-			if had && prev == e.Region {
-				return nil // re-placing in place is a no-op
-			}
-			place[e.JobID] = e.Region
-			if !had {
-				return nil // initial placement is free
-			}
-			// Migration: pause for the checkpoint transfer and charge
-			// the transfer energy at the destination's rates — realized
-			// at the truth's when the region is forecast-driven, with
-			// the forecast's view accounted as predicted.
-			if sc.MigrationDowntimeS > 0 {
-				migUntil[e.JobID] = e.At + sc.MigrationDowntimeS
-			}
-			if sc.MigrationEnergyJ > 0 {
-				rateOf := func(s *grid.Signal) (carbon, price float64) {
-					if s == nil {
-						return 0, 0
-					}
-					if iv, ok := s.AtCyclic(e.At); ok {
-						return iv.CarbonGPerKWh, iv.PriceUSDPerKWh
-					}
-					return 0, 0
-				}
-				carbon, price := rateOf(sig)
-				var predC, predUSD float64
-				if truth, ok := regionTruths[e.Region]; ok {
-					// Realized at truth, predicted at the forecast signal.
-					predC = sc.MigrationEnergyJ / grid.JoulesPerKWh * carbon
-					predUSD = sc.MigrationEnergyJ / grid.JoulesPerKWh * price
-					carbon, price = rateOf(truth)
-				}
-				c := sc.MigrationEnergyJ / grid.JoulesPerKWh * carbon
-				usd := sc.MigrationEnergyJ / grid.JoulesPerKWh * price
-				tot := totals[e.JobID]
-				tot.EnergyJ += sc.MigrationEnergyJ
-				tot.CarbonG += c
-				tot.CostUSD += usd
-				tot.PredCarbonG += predC
-				tot.PredCostUSD += predUSD
-				series.EnergyJ += sc.MigrationEnergyJ
-				series.CarbonG += c
-				series.CostUSD += usd
-				series.PredCarbonG += predC
-				series.PredCostUSD += predUSD
-			}
+			capW = e.CapW
 		default:
 			return fmt.Errorf("fleet: unknown event kind %d at %v", int(e.Kind), e.At)
 		}
 		return nil
 	}
 
-	// Signal interval edges — of the scenario signal, the truth traces,
-	// and every region's — are re-allocation boundaries too, so every
-	// segment lies within one interval and one set of rates per region
-	// under both the forecast and the truth.
-	sigs := []*grid.Signal{sc.Signal, sc.Truth}
-	for _, r := range sc.Regions {
-		sigs = append(sigs, r.Signal, r.Truth)
-	}
-	bounds := grid.MergedBoundaries(sigs, sc.Horizon)
-	bi := 0
-
-	i := 0
-	now := 0.0
-	for {
-		for i < len(events) && events[i].At <= now {
+	for i, now := 0, 0.0; ; {
+		for ; i < len(events) && events[i].At <= now; i++ {
 			if err := apply(events[i]); err != nil {
 				return nil, err
 			}
-			i++
-		}
-		for bi < len(bounds) && bounds[bi] <= now {
-			bi++
 		}
 		if now >= sc.Horizon {
 			break
 		}
 		next := sc.Horizon
-		if i < len(events) && events[i].At < next {
+		if i < len(events) {
 			next = events[i].At
 		}
-		if bi < len(bounds) && bounds[bi] < next {
-			next = bounds[bi]
+		seg, err := simulateSegment(active, capW, now, next)
+		if err != nil {
+			return nil, err
 		}
-		// A migration pause ending is a state change too.
-		for _, mu := range migUntil {
-			if mu > now && mu < next {
-				next = mu
-			}
+		for k := range seg.Jobs {
+			sjob := &seg.Jobs[k]
+			tot := totals[sjob.ID]
+			tot.ActiveS += next - now
+			tot.Iterations += sjob.Iterations
+			tot.EnergyJ += sjob.EnergyJ
 		}
-		if next > now {
-			var seg Segment
-			var err error
-			if len(sc.Regions) > 0 {
-				seg, err = simulateRegionsSegment(f, sims, factors, place, migUntil,
-					regionOrder, regionSigs, regionTruths, sc.Signal, sc.Truth, evCap, now, next)
-			} else {
-				seg, err = simulateSignalSegment(f, sims, factors, sc.Signal, sc.Truth, evCap, now, next)
-			}
-			if err != nil {
-				return nil, err
-			}
-			for k := range seg.Jobs {
-				sjob := &seg.Jobs[k]
-				tot := totals[sjob.ID]
-				tot.ActiveS += next - now
-				tot.Iterations += sjob.Iterations
-				tot.EnergyJ += sjob.EnergyJ
-				tot.CarbonG += sjob.CarbonG
-				tot.CostUSD += sjob.CostUSD
-				tot.PredCarbonG += sjob.PredCarbonG
-				tot.PredCostUSD += sjob.PredCostUSD
-				seg.CarbonG += sjob.CarbonG
-				seg.CostUSD += sjob.CostUSD
-				seg.PredCarbonG += sjob.PredCarbonG
-				seg.PredCostUSD += sjob.PredCostUSD
-			}
-			series.EnergyJ += seg.PowerW * (next - now)
-			series.CarbonG += seg.CarbonG
-			series.CostUSD += seg.CostUSD
-			series.PredCarbonG += seg.PredCarbonG
-			series.PredCostUSD += seg.PredCostUSD
-			if seg.PowerW > series.PeakPowerW {
-				series.PeakPowerW = seg.PowerW
-			}
-			series.Segments = append(series.Segments, seg)
+		series.EnergyJ += seg.PowerW * (next - now)
+		if seg.PowerW > series.PeakPowerW {
+			series.PeakPowerW = seg.PowerW
 		}
+		series.Segments = append(series.Segments, seg)
 		now = next
 	}
 	for _, id := range order {
@@ -543,13 +289,40 @@ func Replay(sc Scenario) (*Series, error) {
 	return series, nil
 }
 
+// simulateSegment allocates the active jobs under capW and simulates
+// each at its allocated point over [start, end).
+func simulateSegment(active []*activeJob, capW, start, end float64) (Segment, error) {
+	jobs := make([]Job, len(active))
+	for k, a := range active {
+		jobs[k] = a.job
+	}
+	alloc := Allocate(jobs, capW)
+	seg := Segment{
+		Start:       start,
+		End:         end,
+		CapW:        alloc.CapW,
+		Feasible:    alloc.Feasible,
+		AllocPowerW: alloc.PowerW,
+	}
+	for k, ja := range alloc.Jobs {
+		sjob, err := simulateJob(active[k], ja, end-start)
+		if err != nil {
+			return Segment{}, err
+		}
+		seg.PowerW += sjob.PowerW
+		seg.Jobs = append(seg.Jobs, sjob)
+	}
+	return seg, nil
+}
+
 // simulateJob simulates one allocated job's steady state over dur
 // seconds.
-func simulateJob(sj *SimJob, ja JobAlloc, factor, dur float64) (SegmentJob, error) {
+func simulateJob(a *activeJob, ja JobAlloc, dur float64) (SegmentJob, error) {
+	sj := a.sim
 	plan := cluster.Plan(sj.Table.Points[ja.Point].Freqs)
 	var res cluster.Result
 	var err error
-	if factor > 1 {
+	if a.factor > 1 {
 		// The straggler pipeline keeps the fastest plan — it is slow
 		// because the hardware throttled it, not by schedule — while
 		// the other replicas deploy the allocated T_opt plan (paper
@@ -560,7 +333,7 @@ func simulateJob(sj *SimJob, ja JobAlloc, factor, dur float64) (SegmentJob, erro
 				return fastest
 			}
 			return plan
-		}, []cluster.Straggler{{Pipeline: 0, Factor: factor}})
+		}, []cluster.Straggler{{Pipeline: 0, Factor: a.factor}})
 	} else {
 		res, err = cluster.Simulate(sj.Spec, plan, nil)
 	}
@@ -577,153 +350,6 @@ func simulateJob(sj *SimJob, ja JobAlloc, factor, dur float64) (SegmentJob, erro
 		PowerW:          powerW,
 		Iterations:      dur / res.IterTime,
 		EnergyJ:         powerW * dur,
-		StragglerFactor: factor,
+		StragglerFactor: a.factor,
 	}, nil
-}
-
-// segmentRates resolves a segment's accounting rates: the decision
-// signal's rates (what the operator sees), and the realized ones —
-// the truth's when the replay is forecast-driven, the signal's own
-// otherwise. pred reports whether a separate predicted account exists.
-func segmentRates(sig, truth *grid.Signal, start float64) (carbonRate, priceRate, predCarbonRate, predPriceRate float64, pred bool) {
-	if sig != nil {
-		if iv, ok := sig.AtCyclic(start); ok {
-			carbonRate, priceRate = iv.CarbonGPerKWh, iv.PriceUSDPerKWh
-		}
-	}
-	if truth == nil {
-		return carbonRate, priceRate, 0, 0, false
-	}
-	predCarbonRate, predPriceRate = carbonRate, priceRate
-	carbonRate, priceRate = 0, 0
-	if iv, ok := truth.AtCyclic(start); ok {
-		carbonRate, priceRate = iv.CarbonGPerKWh, iv.PriceUSDPerKWh
-	}
-	return carbonRate, priceRate, predCarbonRate, predPriceRate, true
-}
-
-// simulateSignalSegment is the single-region path: one fleet-wide
-// allocation under the scenario signal's cap override, per-job energy
-// accounted at the signal's rates (realized at the truth's in a
-// forecast-driven replay).
-func simulateSignalSegment(f *Fleet, sims map[string]*SimJob, factors map[string]float64, sig, truth *grid.Signal, evCap, start, end float64) (Segment, error) {
-	if sig != nil {
-		// The signal's interval cap, while in force, overrides the
-		// event-set cap.
-		capW := evCap
-		if iv, ok := sig.AtCyclic(start); ok {
-			if iv.CapW > 0 {
-				capW = iv.CapW
-			}
-		}
-		if err := f.SetCap(capW); err != nil {
-			return Segment{}, err
-		}
-	}
-	carbonRate, priceRate, predCarbon, predPrice, pred := segmentRates(sig, truth, start)
-	alloc := f.Allocate()
-	seg := Segment{
-		Start:       start,
-		End:         end,
-		CapW:        alloc.CapW,
-		Feasible:    alloc.Feasible,
-		AllocPowerW: alloc.PowerW,
-		// The echoed rates are the operator's view (the decision
-		// signal's); realized accounting may differ under a truth.
-		CarbonGPerKWh:  carbonRate,
-		PriceUSDPerKWh: priceRate,
-	}
-	if pred {
-		seg.CarbonGPerKWh, seg.PriceUSDPerKWh = predCarbon, predPrice
-	}
-	dur := end - start
-	for _, ja := range alloc.Jobs {
-		sjob, err := simulateJob(sims[ja.ID], ja, factors[ja.ID], dur)
-		if err != nil {
-			return Segment{}, err
-		}
-		sjob.CarbonG = sjob.EnergyJ / grid.JoulesPerKWh * carbonRate
-		sjob.CostUSD = sjob.EnergyJ / grid.JoulesPerKWh * priceRate
-		if pred {
-			sjob.PredCarbonG = sjob.EnergyJ / grid.JoulesPerKWh * predCarbon
-			sjob.PredCostUSD = sjob.EnergyJ / grid.JoulesPerKWh * predPrice
-		}
-		seg.PowerW += sjob.PowerW
-		seg.Jobs = append(seg.Jobs, sjob)
-	}
-	return seg, nil
-}
-
-// simulateRegionsSegment is the multi-region path: the allocator runs
-// once per region over the jobs placed there (each region's interval
-// cap, or the event-set cap, divides among them), unplaced jobs run
-// under the scenario signal, and migrating jobs pause at zero power.
-func simulateRegionsSegment(f *Fleet, sims map[string]*SimJob, factors map[string]float64, place map[string]string, migUntil map[string]float64, regionOrder []string, regionSigs, regionTruths map[string]*grid.Signal, global, globalTruth *grid.Signal, evCap, start, end float64) (Segment, error) {
-	seg := Segment{Start: start, End: end, CapW: evCap, Feasible: true}
-	dur := end - start
-	snap := f.Snapshot()
-
-	groups := map[string][]Job{}
-	migrating := map[string]bool{}
-	for _, j := range snap {
-		if mu, ok := migUntil[j.ID]; ok && start < mu {
-			migrating[j.ID] = true
-			continue
-		}
-		groups[place[j.ID]] = append(groups[place[j.ID]], j)
-	}
-
-	jobsOut := map[string]SegmentJob{}
-	for _, rname := range append([]string{""}, regionOrder...) {
-		grp := groups[rname]
-		if len(grp) == 0 {
-			continue
-		}
-		sig, truth := global, globalTruth
-		if rname != "" {
-			sig, truth = regionSigs[rname], regionTruths[rname]
-		}
-		capW := evCap
-		if sig != nil {
-			if iv, ok := sig.AtCyclic(start); ok {
-				if iv.CapW > 0 {
-					capW = iv.CapW
-				}
-			}
-		}
-		carbonRate, priceRate, predCarbon, predPrice, pred := segmentRates(sig, truth, start)
-		alloc := Allocate(grp, capW)
-		if !alloc.Feasible {
-			seg.Feasible = false
-		}
-		seg.AllocPowerW += alloc.PowerW
-		for _, ja := range alloc.Jobs {
-			sjob, err := simulateJob(sims[ja.ID], ja, factors[ja.ID], dur)
-			if err != nil {
-				return Segment{}, err
-			}
-			sjob.Region = rname
-			sjob.CarbonG = sjob.EnergyJ / grid.JoulesPerKWh * carbonRate
-			sjob.CostUSD = sjob.EnergyJ / grid.JoulesPerKWh * priceRate
-			if pred {
-				sjob.PredCarbonG = sjob.EnergyJ / grid.JoulesPerKWh * predCarbon
-				sjob.PredCostUSD = sjob.EnergyJ / grid.JoulesPerKWh * predPrice
-			}
-			seg.PowerW += sjob.PowerW
-			jobsOut[ja.ID] = sjob
-		}
-	}
-	for id := range migrating {
-		jobsOut[id] = SegmentJob{
-			ID: id, Region: place[id], Migrating: true,
-			StragglerFactor: factors[id],
-		}
-	}
-	// Emit in arrival order for stable output.
-	for _, j := range snap {
-		if sjob, ok := jobsOut[j.ID]; ok {
-			seg.Jobs = append(seg.Jobs, sjob)
-		}
-	}
-	return seg, nil
 }

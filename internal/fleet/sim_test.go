@@ -8,7 +8,6 @@ import (
 	"perseus/internal/dag"
 	"perseus/internal/frontier"
 	"perseus/internal/gpu"
-	"perseus/internal/grid"
 	"perseus/internal/model"
 	"perseus/internal/partition"
 	"perseus/internal/profile"
@@ -143,110 +142,30 @@ func TestReplayScenario(t *testing.T) {
 	if math.Abs(series.EnergyJ-sum) > 1e-6*sum {
 		t.Fatalf("fleet energy %v != power integral %v", series.EnergyJ, sum)
 	}
+	// Per-job totals are the sums of the job's segments, and their
+	// energy is the fleet's.
+	var totE float64
+	for _, tot := range series.Totals {
+		var iters, active float64
+		for _, seg := range series.Segments {
+			for _, sj := range seg.Jobs {
+				if sj.ID == tot.ID {
+					iters += sj.Iterations
+					active += seg.End - seg.Start
+				}
+			}
+		}
+		if tot.Iterations != iters || tot.ActiveS != active {
+			t.Fatalf("%s totals %v iterations over %vs, segments sum to %v over %vs",
+				tot.ID, tot.Iterations, tot.ActiveS, iters, active)
+		}
+		totE += tot.EnergyJ
+	}
+	if math.Abs(totE-series.EnergyJ) > 1e-9*series.EnergyJ {
+		t.Fatalf("job totals energy %v != fleet energy %v", totE, series.EnergyJ)
+	}
 	if series.PeakPowerW <= 0 {
 		t.Fatal("no peak power recorded")
-	}
-}
-
-// TestReplaySignal drives the fleet from a grid trace: interval edges
-// become segment boundaries, the interval cap throttles the fleet while
-// in force, and segment energy is accounted into carbon and cost at the
-// interval rates.
-func TestReplaySignal(t *testing.T) {
-	a := buildSimJob(t, "gpt-a", 2, 4)
-	b := buildSimJob(t, "gpt-b", 2, 3)
-	uncapped := Allocate([]Job{a.Job, b.Job}, 0).PowerW
-
-	sig := &grid.Signal{Intervals: []grid.Interval{
-		{StartS: 0, EndS: 100, CarbonGPerKWh: 500, PriceUSDPerKWh: 0.2},
-		{StartS: 100, EndS: 200, CarbonGPerKWh: 200, PriceUSDPerKWh: 0.05, CapW: 0.92 * uncapped},
-		{StartS: 200, EndS: 300, CarbonGPerKWh: 400, PriceUSDPerKWh: 0.1},
-	}}
-	series, err := Replay(Scenario{
-		Horizon: 450, // 1.5 cycles: the trace repeats
-		Signal:  sig,
-		Events: []Event{
-			{At: 0, Kind: EventArrive, Job: a},
-			{At: 0, Kind: EventArrive, Job: b},
-			{At: 250, Kind: EventSetCap, CapW: 0.97 * uncapped},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Boundaries at interval edges (100, 200, 300, 400 cyclically) plus
-	// the cap event at 250.
-	wantBounds := []float64{0, 100, 200, 250, 300, 400, 450}
-	if len(series.Segments) != len(wantBounds)-1 {
-		t.Fatalf("got %d segments, want %d", len(series.Segments), len(wantBounds)-1)
-	}
-	for i, seg := range series.Segments {
-		if seg.Start != wantBounds[i] || seg.End != wantBounds[i+1] {
-			t.Fatalf("segment %d spans [%v,%v], want [%v,%v]", i, seg.Start, seg.End, wantBounds[i], wantBounds[i+1])
-		}
-	}
-
-	segs := series.Segments
-	// Segment 0: no cap, dirty interval rates echoed.
-	if segs[0].CapW != 0 || segs[0].CarbonGPerKWh != 500 {
-		t.Fatalf("segment 0: cap %v carbon rate %v, want 0 and 500", segs[0].CapW, segs[0].CarbonGPerKWh)
-	}
-	// Segment 1: the interval cap is in force and binds the allocation.
-	if segs[1].CapW != 0.92*uncapped || !segs[1].Feasible {
-		t.Fatalf("segment 1: cap %v feasible %v", segs[1].CapW, segs[1].Feasible)
-	}
-	if segs[1].AllocPowerW > segs[1].CapW+1e-9 {
-		t.Fatalf("segment 1 model power %v exceeds the interval cap %v", segs[1].AllocPowerW, segs[1].CapW)
-	}
-	// Segments 2-3: the uncapped interval restores the event cap (none
-	// until t=250, then 0.97× uncapped).
-	if segs[2].CapW != 0 {
-		t.Fatalf("segment 2 cap %v, want event cap 0", segs[2].CapW)
-	}
-	if segs[3].CapW != 0.97*uncapped {
-		t.Fatalf("segment 3 cap %v, want event cap %v", segs[3].CapW, 0.97*uncapped)
-	}
-	// Segments 4-5 wrap into the trace's second cycle: [300,400) is
-	// interval 0 again (event cap still in force), and [400,450) is
-	// interval 1, whose cap overrides the event cap once more.
-	if segs[4].CapW != 0.97*uncapped || segs[4].CarbonGPerKWh != 500 {
-		t.Fatalf("segment 4 (cyclic): cap %v carbon rate %v", segs[4].CapW, segs[4].CarbonGPerKWh)
-	}
-	if segs[5].CapW != 0.92*uncapped || segs[5].CarbonGPerKWh != 200 {
-		t.Fatalf("segment 5 (cyclic): cap %v carbon rate %v", segs[5].CapW, segs[5].CarbonGPerKWh)
-	}
-
-	// Accounting: each segment's carbon is energy × rate, and the
-	// series totals are the segment sums.
-	var carbon, cost float64
-	for _, seg := range segs {
-		wantC := seg.PowerW * (seg.End - seg.Start) / grid.JoulesPerKWh * seg.CarbonGPerKWh
-		if math.Abs(seg.CarbonG-wantC) > 1e-6*(1+wantC) {
-			t.Fatalf("segment [%v,%v) carbon %v, want %v", seg.Start, seg.End, seg.CarbonG, wantC)
-		}
-		var jobC float64
-		for _, sj := range seg.Jobs {
-			jobC += sj.CarbonG
-		}
-		if math.Abs(jobC-seg.CarbonG) > 1e-6*(1+seg.CarbonG) {
-			t.Fatalf("segment job carbon %v != segment carbon %v", jobC, seg.CarbonG)
-		}
-		carbon += seg.CarbonG
-		cost += seg.CostUSD
-	}
-	if math.Abs(series.CarbonG-carbon) > 1e-9*(1+carbon) || carbon <= 0 {
-		t.Fatalf("series carbon %v, want positive segment sum %v", series.CarbonG, carbon)
-	}
-	if math.Abs(series.CostUSD-cost) > 1e-9*(1+cost) || cost <= 0 {
-		t.Fatalf("series cost %v, want positive segment sum %v", series.CostUSD, cost)
-	}
-	var totC float64
-	for _, tot := range series.Totals {
-		totC += tot.CarbonG
-	}
-	if math.Abs(totC-carbon) > 1e-6*(1+carbon) {
-		t.Fatalf("job totals carbon %v != series carbon %v", totC, carbon)
 	}
 }
 
@@ -264,7 +183,17 @@ func TestReplayErrors(t *testing.T) {
 		{"unknown straggler", Scenario{Horizon: 10, Events: []Event{{At: 0, Kind: EventStraggler, JobID: "x", Factor: 2}}}},
 		{"negative scenario cap", Scenario{Horizon: 10, CapW: -1}},
 		{"nan cap event", Scenario{Horizon: 10, Events: []Event{{At: 0, Kind: EventSetCap, CapW: math.NaN()}}}},
-		{"invalid signal", Scenario{Horizon: 10, Signal: &grid.Signal{}}},
+		{"arrival with empty ID", Scenario{Horizon: 10, Events: []Event{
+			{At: 0, Kind: EventArrive, Job: &SimJob{Job: Job{Table: a.Table}, Spec: a.Spec}},
+		}}},
+		{"arrival without a table", Scenario{Horizon: 10, Events: []Event{
+			{At: 0, Kind: EventArrive, Job: &SimJob{Job: Job{ID: "b"}, Spec: a.Spec}},
+		}}},
+		{"straggler after departure", Scenario{Horizon: 10, Events: []Event{
+			{At: 0, Kind: EventArrive, Job: a},
+			{At: 1, Kind: EventDepart, JobID: "a"},
+			{At: 2, Kind: EventStraggler, JobID: "a", Factor: 2},
+		}}},
 		{"duplicate arrival", Scenario{Horizon: 10, Events: []Event{
 			{At: 0, Kind: EventArrive, Job: a},
 			{At: 1, Kind: EventArrive, Job: a},
@@ -286,314 +215,5 @@ func TestEventKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("EventKind(%d).String() = %q, want %q", int(k), got, want)
 		}
-	}
-}
-
-// TestReplayRegions drives a two-region scenario: jobs placed per
-// region are allocated and accounted independently, a migration inserts
-// a checkpoint-transfer pause plus transfer energy at the destination's
-// rates, and per-region interval caps bind only their own region.
-func TestReplayRegions(t *testing.T) {
-	a := buildSimJob(t, "gpt-a", 2, 4)
-	b := buildSimJob(t, "gpt-b", 2, 3)
-	soloA := Allocate([]Job{a.Job}, 0).PowerW
-
-	dirty := &grid.Signal{Name: "dirty", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 600, CarbonGPerKWh: 500, PriceUSDPerKWh: 0.2},
-	}}
-	clean := &grid.Signal{Name: "clean", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 300, CarbonGPerKWh: 100, PriceUSDPerKWh: 0.05},
-		{StartS: 300, EndS: 600, CarbonGPerKWh: 100, PriceUSDPerKWh: 0.05, CapW: 0.9 * soloA},
-	}}
-	series, err := Replay(Scenario{
-		Horizon:            600,
-		Regions:            []SimRegion{{Name: "dirty", Signal: dirty}, {Name: "clean", Signal: clean}},
-		MigrationDowntimeS: 50,
-		MigrationEnergyJ:   grid.JoulesPerKWh, // 1 kWh
-		Events: []Event{
-			{At: 0, Kind: EventArrive, Job: a},
-			{At: 0, Kind: EventPlace, JobID: "gpt-a", Region: "dirty"},
-			{At: 0, Kind: EventArrive, Job: b},
-			{At: 200, Kind: EventPlace, JobID: "gpt-a", Region: "clean"},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Boundaries: migration at 200, pause end at 250, clean region's
-	// interval edge at 300.
-	wantBounds := []float64{0, 200, 250, 300, 600}
-	if len(series.Segments) != len(wantBounds)-1 {
-		t.Fatalf("got %d segments (%+v), want %d", len(series.Segments), series.Segments, len(wantBounds)-1)
-	}
-	for i, seg := range series.Segments {
-		if seg.Start != wantBounds[i] || seg.End != wantBounds[i+1] {
-			t.Fatalf("segment %d spans [%v,%v], want [%v,%v]", i, seg.Start, seg.End, wantBounds[i], wantBounds[i+1])
-		}
-	}
-	segs := series.Segments
-
-	// Segment 0: gpt-a in dirty at dirty rates; gpt-b unplaced, no rates.
-	jobA, jobB := segs[0].Jobs[0], segs[0].Jobs[1]
-	if jobB.ID == "gpt-a" {
-		jobA, jobB = jobB, jobA
-	}
-	if jobA.Region != "dirty" || jobA.Migrating {
-		t.Fatalf("segment 0 gpt-a %+v", jobA)
-	}
-	wantC := jobA.EnergyJ / grid.JoulesPerKWh * 500
-	if math.Abs(jobA.CarbonG-wantC) > 1e-6*(1+wantC) {
-		t.Fatalf("segment 0 gpt-a carbon %v, want %v", jobA.CarbonG, wantC)
-	}
-	if jobB.Region != "" || jobB.CarbonG != 0 || jobB.Iterations <= 0 {
-		t.Fatalf("segment 0 unplaced gpt-b %+v", jobB)
-	}
-
-	// Segment 1: gpt-a migrating — zero power, zero progress.
-	var mig SegmentJob
-	for _, sj := range segs[1].Jobs {
-		if sj.ID == "gpt-a" {
-			mig = sj
-		}
-	}
-	if !mig.Migrating || mig.Region != "clean" || mig.PowerW != 0 || mig.Iterations != 0 {
-		t.Fatalf("migration segment job %+v", mig)
-	}
-
-	// Segment 2: gpt-a running in clean at clean rates.
-	var post SegmentJob
-	for _, sj := range segs[2].Jobs {
-		if sj.ID == "gpt-a" {
-			post = sj
-		}
-	}
-	if post.Migrating || post.Region != "clean" || post.Iterations <= 0 {
-		t.Fatalf("post-migration job %+v", post)
-	}
-	wantC = post.EnergyJ / grid.JoulesPerKWh * 100
-	if math.Abs(post.CarbonG-wantC) > 1e-6*(1+wantC) {
-		t.Fatalf("post-migration carbon %v, want %v", post.CarbonG, wantC)
-	}
-
-	// Segment 3: the clean region's interval cap binds gpt-a (the only
-	// job there) below its uncapped draw.
-	var capped SegmentJob
-	for _, sj := range segs[3].Jobs {
-		if sj.ID == "gpt-a" {
-			capped = sj
-		}
-	}
-	if capped.AllocPowerW > 0.9*soloA+1e-9 {
-		t.Fatalf("capped region allocation %v exceeds interval cap %v", capped.AllocPowerW, 0.9*soloA)
-	}
-	if capped.Point == 0 {
-		t.Fatal("interval cap did not move gpt-a off its Tmin point")
-	}
-
-	// Migration transfer energy: 1 kWh at clean rates (100 g/kWh,
-	// $0.05/kWh) lands in gpt-a's totals and the series totals.
-	var totA *JobTotal
-	for i := range series.Totals {
-		if series.Totals[i].ID == "gpt-a" {
-			totA = &series.Totals[i]
-		}
-	}
-	var runC, runE float64
-	for _, seg := range segs {
-		for _, sj := range seg.Jobs {
-			if sj.ID == "gpt-a" {
-				runC += sj.CarbonG
-				runE += sj.EnergyJ
-			}
-		}
-	}
-	if math.Abs(totA.CarbonG-(runC+100)) > 1e-6*(1+runC) {
-		t.Fatalf("gpt-a total carbon %v, want run %v + migration 100", totA.CarbonG, runC)
-	}
-	if math.Abs(totA.EnergyJ-(runE+grid.JoulesPerKWh)) > 1e-6*(1+runE) {
-		t.Fatalf("gpt-a total energy %v, want run %v + migration %v", totA.EnergyJ, runE, grid.JoulesPerKWh)
-	}
-	var segPowerE float64
-	for _, seg := range segs {
-		segPowerE += seg.PowerW * (seg.End - seg.Start)
-	}
-	if math.Abs(series.EnergyJ-(segPowerE+grid.JoulesPerKWh)) > 1e-6*(1+segPowerE) {
-		t.Fatalf("series energy %v, want power integral %v + migration energy", series.EnergyJ, segPowerE)
-	}
-
-	// Re-placing a job in its current region is a free no-op.
-	again, err := Replay(Scenario{
-		Horizon: 100,
-		Regions: []SimRegion{{Name: "dirty", Signal: dirty}},
-		Events: []Event{
-			{At: 0, Kind: EventArrive, Job: buildSimJob(t, "solo", 2, 3)},
-			{At: 0, Kind: EventPlace, JobID: "solo", Region: "dirty"},
-			{At: 50, Kind: EventPlace, JobID: "solo", Region: "dirty"},
-		},
-		MigrationDowntimeS: 30,
-		MigrationEnergyJ:   1e6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range again.Segments {
-		for _, sj := range seg.Jobs {
-			if sj.Migrating {
-				t.Fatalf("no-op re-placement migrated: %+v", seg)
-			}
-		}
-	}
-}
-
-// TestReplayRegionErrors covers the region-specific validation paths.
-func TestReplayRegionErrors(t *testing.T) {
-	a := buildSimJob(t, "a", 2, 3)
-	sig := &grid.Signal{Intervals: []grid.Interval{{StartS: 0, EndS: 100, CarbonGPerKWh: 100}}}
-	regions := []SimRegion{{Name: "r", Signal: sig}}
-	cases := []struct {
-		name string
-		sc   Scenario
-	}{
-		{"unnamed region", Scenario{Horizon: 10, Regions: []SimRegion{{Signal: sig}}}},
-		{"duplicate region", Scenario{Horizon: 10, Regions: []SimRegion{{Name: "r", Signal: sig}, {Name: "r", Signal: sig}}}},
-		{"region without signal", Scenario{Horizon: 10, Regions: []SimRegion{{Name: "r"}}}},
-		{"invalid region signal", Scenario{Horizon: 10, Regions: []SimRegion{{Name: "r", Signal: &grid.Signal{}}}}},
-		{"negative migration downtime", Scenario{Horizon: 10, Regions: regions, MigrationDowntimeS: -1}},
-		{"negative migration energy", Scenario{Horizon: 10, Regions: regions, MigrationEnergyJ: -1}},
-		{"place without regions", Scenario{Horizon: 10, Events: []Event{{At: 0, Kind: EventPlace, JobID: "a", Region: "r"}}}},
-		{"place unknown job", Scenario{Horizon: 10, Regions: regions, Events: []Event{{At: 0, Kind: EventPlace, JobID: "x", Region: "r"}}}},
-		{"place unknown region", Scenario{Horizon: 10, Regions: regions, Events: []Event{
-			{At: 0, Kind: EventArrive, Job: a},
-			{At: 0, Kind: EventPlace, JobID: "a", Region: "nope"},
-		}}},
-	}
-	for _, tc := range cases {
-		if _, err := Replay(tc.sc); err == nil {
-			t.Errorf("%s: expected error", tc.name)
-		}
-	}
-	if got := EventPlace.String(); got != "place" {
-		t.Errorf("EventPlace.String() = %q", got)
-	}
-}
-
-// TestReplayForecastDriven checks the forecast/truth split: the replay
-// sees only the forecast signal (decisions and predicted accounting),
-// while realized carbon and cost accrue at the truth's rates. With the
-// same boundary structure and no caps, the realized totals must equal
-// a plain truth-driven replay's and the predicted totals a plain
-// forecast-driven one's.
-func TestReplayForecastDriven(t *testing.T) {
-	a := buildSimJob(t, "gpt-a", 2, 4)
-	truth := &grid.Signal{Name: "truth", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 100, CarbonGPerKWh: 500, PriceUSDPerKWh: 0.2},
-		{StartS: 100, EndS: 200, CarbonGPerKWh: 200, PriceUSDPerKWh: 0.05},
-		{StartS: 200, EndS: 300, CarbonGPerKWh: 400, PriceUSDPerKWh: 0.1},
-	}}
-	forecast := &grid.Signal{Name: "forecast", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 100, CarbonGPerKWh: 300, PriceUSDPerKWh: 0.1},
-		{StartS: 100, EndS: 200, CarbonGPerKWh: 350, PriceUSDPerKWh: 0.15},
-		{StartS: 200, EndS: 300, CarbonGPerKWh: 250, PriceUSDPerKWh: 0.07},
-	}}
-	events := []Event{{At: 0, Kind: EventArrive, Job: a}}
-	run := func(sig, tr *grid.Signal) *Series {
-		t.Helper()
-		series, err := Replay(Scenario{Horizon: 300, Signal: sig, Truth: tr, Events: events})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return series
-	}
-	split := run(forecast, truth)
-	realized := run(truth, nil)
-	predicted := run(forecast, nil)
-
-	if math.Abs(split.CarbonG-realized.CarbonG) > 1e-9*(1+realized.CarbonG) ||
-		math.Abs(split.CostUSD-realized.CostUSD) > 1e-12*(1+realized.CostUSD) {
-		t.Fatalf("realized totals %v/%v, want truth-driven %v/%v",
-			split.CarbonG, split.CostUSD, realized.CarbonG, realized.CostUSD)
-	}
-	if math.Abs(split.PredCarbonG-predicted.CarbonG) > 1e-9*(1+predicted.CarbonG) ||
-		math.Abs(split.PredCostUSD-predicted.CostUSD) > 1e-12*(1+predicted.CostUSD) {
-		t.Fatalf("predicted totals %v/%v, want forecast-driven %v/%v",
-			split.PredCarbonG, split.PredCostUSD, predicted.CarbonG, predicted.CostUSD)
-	}
-	if math.Abs(split.EnergyJ-realized.EnergyJ) > 1e-6*(1+realized.EnergyJ) {
-		t.Fatalf("energy %v, want %v", split.EnergyJ, realized.EnergyJ)
-	}
-	// Plain replays carry no predicted account.
-	if realized.PredCarbonG != 0 || predicted.PredCarbonG != 0 {
-		t.Fatalf("plain replays should have zero predicted accrual")
-	}
-	// Per-job totals reconcile the same way.
-	if math.Abs(split.Totals[0].CarbonG-realized.Totals[0].CarbonG) > 1e-9*(1+realized.Totals[0].CarbonG) ||
-		math.Abs(split.Totals[0].PredCarbonG-predicted.Totals[0].CarbonG) > 1e-9*(1+predicted.Totals[0].CarbonG) {
-		t.Fatalf("per-job reconciliation broken: %+v", split.Totals[0])
-	}
-	// Segments echo the operator's (forecast) view.
-	if split.Segments[0].CarbonGPerKWh != 300 {
-		t.Fatalf("segment 0 echoes %v, want the forecast's 300", split.Segments[0].CarbonGPerKWh)
-	}
-
-	// A truth needs a signal to forecast from, and must be valid.
-	if _, err := Replay(Scenario{Horizon: 300, Truth: truth, Events: events}); err == nil {
-		t.Fatal("truth without a signal should error")
-	}
-	bad := &grid.Signal{Intervals: []grid.Interval{{StartS: 5, EndS: 10}}}
-	if _, err := Replay(Scenario{Horizon: 300, Signal: forecast, Truth: bad, Events: events}); err == nil {
-		t.Fatal("invalid truth should error")
-	}
-}
-
-// TestReplayRegionForecastDriven checks the per-region forecast/truth
-// split, including the migration transfer energy being realized at the
-// truth's rates and predicted at the forecast's.
-func TestReplayRegionForecastDriven(t *testing.T) {
-	a := buildSimJob(t, "gpt-a", 2, 4)
-	truthW := &grid.Signal{Name: "tw", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 150, CarbonGPerKWh: 450, PriceUSDPerKWh: 0.2},
-		{StartS: 150, EndS: 300, CarbonGPerKWh: 100, PriceUSDPerKWh: 0.04},
-	}}
-	fcW := &grid.Signal{Name: "fw", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 150, CarbonGPerKWh: 400, PriceUSDPerKWh: 0.18},
-		{StartS: 150, EndS: 300, CarbonGPerKWh: 150, PriceUSDPerKWh: 0.06},
-	}}
-	truthE := &grid.Signal{Name: "te", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 300, CarbonGPerKWh: 360, PriceUSDPerKWh: 0.12},
-	}}
-	fcE := &grid.Signal{Name: "fe", Intervals: []grid.Interval{
-		{StartS: 0, EndS: 300, CarbonGPerKWh: 240, PriceUSDPerKWh: 0.09},
-	}}
-	series, err := Replay(Scenario{
-		Horizon: 300,
-		Regions: []SimRegion{
-			{Name: "west", Signal: fcW, Truth: truthW},
-			{Name: "east", Signal: fcE, Truth: truthE},
-		},
-		MigrationEnergyJ: grid.JoulesPerKWh, // 1 kWh for easy arithmetic
-		Events: []Event{
-			{At: 0, Kind: EventArrive, Job: a},
-			{At: 0, Kind: EventPlace, JobID: "gpt-a", Region: "west"},
-			{At: 150, Kind: EventPlace, JobID: "gpt-a", Region: "east"},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot := series.Totals[0]
-	// Migration at t=150 into east: 1 kWh realized at truth 360 g,
-	// predicted at forecast 240 g. Segment energy realized at the
-	// region truths.
-	seg0 := series.Segments[0].Jobs[0]
-	wantRealized := seg0.EnergyJ/grid.JoulesPerKWh*450 + 360 +
-		series.Segments[1].Jobs[0].EnergyJ/grid.JoulesPerKWh*360
-	wantPredicted := seg0.EnergyJ/grid.JoulesPerKWh*400 + 240 +
-		series.Segments[1].Jobs[0].EnergyJ/grid.JoulesPerKWh*240
-	if math.Abs(tot.CarbonG-wantRealized) > 1e-6*(1+wantRealized) {
-		t.Fatalf("realized carbon %v, want %v", tot.CarbonG, wantRealized)
-	}
-	if math.Abs(tot.PredCarbonG-wantPredicted) > 1e-6*(1+wantPredicted) {
-		t.Fatalf("predicted carbon %v, want %v", tot.PredCarbonG, wantPredicted)
 	}
 }

@@ -249,7 +249,7 @@ func (s *Stepper) Replan(fc *Forecast, view *grid.Signal, solve func(view *grid.
 		return false, nil
 	}
 	s.point = fc.Signal
-	if s.Plan != nil && SignalEqualWithin(s.view, view, s.At, s.DeadlineS) {
+	if s.Plan != nil && signalEqualWithin(s.view, view, s.At, s.DeadlineS) {
 		s.WarmStarts++
 		return false, nil
 	}
@@ -409,14 +409,14 @@ func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
 	return PlanOnce(p.Table, p.Provider, p.Truth, req)
 }
 
-// SignalEqualWithin reports whether two absolute-time signals agree
+// signalEqualWithin reports whether two absolute-time signals agree
 // exactly (same boundaries, rates, and caps) on every interval
 // overlapping (from, to) — the warm-start test: a forecast revision
 // that only touched intervals outside the remaining planning window
 // leaves the plan built on the old signal optimal. Exact float
 // equality is deliberate: anything less re-plans, which is always
 // correct, just colder.
-func SignalEqualWithin(a, b *grid.Signal, from, to float64) bool {
+func signalEqualWithin(a, b *grid.Signal, from, to float64) bool {
 	if a == nil || b == nil {
 		return false
 	}

@@ -240,7 +240,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 			}
 			fsignals[i] = fc.Signal
 			views[i] = fc.At(q)
-			warm = warm && SignalEqualWithin(prevViews[i], views[i], d, deadline)
+			warm = warm && signalEqualWithin(prevViews[i], views[i], d, deadline)
 			fregions[i] = region.Region{
 				Name: regs[i].Region.Name, GPUs: regs[i].Region.GPUs,
 				CapW: regs[i].Region.CapW, Signal: Window(views[i], d, deadline),

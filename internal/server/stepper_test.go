@@ -131,7 +131,7 @@ func TestTickKeepsPlanOnUnchangedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !forecast.SignalEqualWithin(before.At(0), after.At(0), nextS, deadline) {
+	if !reflect.DeepEqual(forecast.Window(before.At(0), nextS, deadline), forecast.Window(after.At(0), nextS, deadline)) {
 		t.Fatal("precondition: the seasonal view over the remaining window changed between issues")
 	}
 

@@ -1,6 +1,6 @@
 // Package viz renders pipeline execution timelines (paper Figures 1 and
 // 10): per-stage rows of forward/backward computations drawn to scale,
-// shaded by power draw, as ASCII art and CSV.
+// shaded by power draw, as ASCII art — and frontier series as CSV.
 package viz
 
 import (
@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"perseus/internal/cluster"
-	"perseus/internal/sched"
 )
 
 // shades order from low to high power draw.
@@ -79,21 +78,6 @@ func Timeline(w io.Writer, spans []cluster.OpSpan, width int) error {
 	return err
 }
 
-// CSV writes the spans as comma-separated rows: stage, kind, microbatch,
-// start, duration, frequency, power.
-func CSV(w io.Writer, spans []cluster.OpSpan) error {
-	if _, err := fmt.Fprintln(w, "stage,kind,microbatch,start_s,dur_s,freq_mhz,power_w"); err != nil {
-		return err
-	}
-	for _, sp := range spans {
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%.6f,%.6f,%d,%.1f\n",
-			sp.Op.Stage, sp.Op.Kind, sp.Op.Microbatch, sp.Start, sp.Dur, sp.Freq, sp.Power); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Series writes (x, y) pairs as CSV with a header, for frontier plots
 // (paper Figures 9, 12, 13).
 func Series(w io.Writer, name string, xs, ys []float64) error {
@@ -109,15 +93,6 @@ func Series(w io.Writer, name string, xs, ys []float64) error {
 		}
 	}
 	return nil
-}
-
-// KindCounts summarizes a span list for quick sanity checks.
-func KindCounts(spans []cluster.OpSpan) map[sched.Kind]int {
-	m := map[sched.Kind]int{}
-	for _, sp := range spans {
-		m[sp.Op.Kind]++
-	}
-	return m
 }
 
 func min(a, b int) int {

@@ -56,23 +56,6 @@ func TestTimelineNarrowWidthClamped(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := CSV(&buf, spans()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("%d CSV lines, want header + 4", len(lines))
-	}
-	if lines[0] != "stage,kind,microbatch,start_s,dur_s,freq_mhz,power_w" {
-		t.Errorf("bad header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "0,F,0,") {
-		t.Errorf("bad first row %q", lines[1])
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Series(&buf, "perseus", []float64{1, 2}, []float64{30, 20}); err != nil {
@@ -83,12 +66,5 @@ func TestSeries(t *testing.T) {
 	}
 	if err := Series(&buf, "bad", []float64{1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch should error")
-	}
-}
-
-func TestKindCounts(t *testing.T) {
-	m := KindCounts(spans())
-	if m[sched.Forward] != 2 || m[sched.Backward] != 2 {
-		t.Errorf("counts %v", m)
 	}
 }
