@@ -2,7 +2,7 @@
 // evaluation (§6, Appendices A/H): workload definitions from Tables 8-10,
 // the strong-scaling emulation grid of Table 5, and drivers producing the
 // same rows and series the paper reports. The drivers are shared by
-// cmd/perseus-tables, the repository benchmarks, and EXPERIMENTS.md.
+// cmd/perseus-tables and the repository benchmarks.
 package experiments
 
 import (

@@ -1,12 +1,9 @@
 package grid
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"testing"
 )
 
@@ -117,62 +114,6 @@ func TestAccrueProperties(t *testing.T) {
 			we, wc, wu := naiveAccrue(sig, t0, t1, p, 200000)
 			if math.Abs(e-we) > 1e-3*(1+we) || math.Abs(c-wc) > 1e-3*(1+wc) || math.Abs(usd-wu) > 1e-3*(1+wu) {
 				t.Fatalf("trial %d: closed form (%v,%v,%v) vs oracle (%v,%v,%v)", trial, e, c, usd, we, wc, wu)
-			}
-		}
-	}
-}
-
-// writeCSV renders a signal in the ParseCSV column format with
-// full-precision floats.
-func writeCSV(s *Signal) string {
-	var buf bytes.Buffer
-	buf.WriteString("start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh,cap_w\n")
-	for _, iv := range s.Intervals {
-		for i, v := range []float64{iv.StartS, iv.EndS, iv.CarbonGPerKWh, iv.PriceUSDPerKWh, iv.CapW} {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			buf.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		buf.WriteByte('\n')
-	}
-	return buf.String()
-}
-
-// TestSignalParseRoundTrip checks that random signals survive both
-// serialization paths bit-exactly: JSON encode → ParseJSON and CSV
-// render → ParseCSV (shortest-round-trip float formatting).
-func TestSignalParseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		orig := randomSignal(rng)
-
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(orig); err != nil {
-			t.Fatal(err)
-		}
-		viaJSON, err := ParseJSON(&buf)
-		if err != nil {
-			t.Fatalf("trial %d: JSON round trip: %v", trial, err)
-		}
-		if viaJSON.Name != orig.Name {
-			t.Fatalf("trial %d: JSON lost name", trial)
-		}
-		viaCSV, err := ParseCSV(bytes.NewReader([]byte(writeCSV(orig))))
-		if err != nil {
-			t.Fatalf("trial %d: CSV round trip: %v", trial, err)
-		}
-		for _, got := range []*Signal{viaJSON, viaCSV} {
-			if len(got.Intervals) != len(orig.Intervals) {
-				t.Fatalf("trial %d: %d intervals, want %d", trial, len(got.Intervals), len(orig.Intervals))
-			}
-			for i := range orig.Intervals {
-				if got.Intervals[i] != orig.Intervals[i] {
-					t.Fatalf("trial %d interval %d: %+v != %+v", trial, i, got.Intervals[i], orig.Intervals[i])
-				}
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("trial %d: parsed signal invalid: %v", trial, err)
 			}
 		}
 	}

@@ -13,8 +13,8 @@
 // expensive hours and sprint (T_min) during clean and cheap ones, at
 // provably minimal total carbon, cost, or energy.
 //
-// The package has three parts: a step-function signal model with
-// parsing, a bundled diurnal trace, and generators (this file); a
+// The package has three parts: a step-function signal model, a
+// bundled diurnal trace, and generators (this file); a
 // temporal planner that picks one frontier operating point per signal
 // interval to minimize a pluggable objective subject to an iteration
 // deadline (plan.go); and accrual helpers that integrate a power draw
@@ -22,13 +22,9 @@
 package grid
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // JoulesPerKWh converts the signal's per-kWh rates to per-joule ones.
@@ -56,7 +52,7 @@ func (iv Interval) Duration() float64 { return iv.EndS - iv.StartS }
 
 // Signal is a piecewise-constant grid trace: contiguous intervals
 // starting at time 0. The zero Signal is invalid; build one with
-// literal intervals, ParseCSV/ParseJSON, Diurnal24h, or Generate, and
+// literal intervals, Diurnal24h, or Generate, and
 // check it with Validate.
 type Signal struct {
 	// Name labels the trace in tables and logs.
@@ -247,79 +243,6 @@ func Accrue(sig *Signal, t0, t1, powerW float64) (energyJ, carbonG, costUSD floa
 		t = end
 	}
 	return energyJ, carbonG, costUSD
-}
-
-// ParseJSON reads a Signal written as JSON and validates it.
-func ParseJSON(r io.Reader) (*Signal, error) {
-	var s Signal
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("grid: decoding signal JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// ParseCSV reads a Signal from CSV with header
-//
-//	start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh[,cap_w]
-//
-// (the cap column is optional) and validates it.
-func ParseCSV(r io.Reader) (*Signal, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("grid: reading signal CSV header: %w", err)
-	}
-	col := map[string]int{}
-	for i, h := range header {
-		col[h] = i
-	}
-	for _, want := range []string{"start_s", "end_s", "carbon_g_per_kwh", "price_usd_per_kwh"} {
-		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("grid: signal CSV missing column %q", want)
-		}
-	}
-	field := func(rec []string, name string) (float64, error) {
-		i, ok := col[name]
-		if !ok || i >= len(rec) || rec[i] == "" {
-			return 0, nil
-		}
-		return strconv.ParseFloat(rec[i], 64)
-	}
-	s := &Signal{}
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("grid: reading signal CSV: %w", err)
-		}
-		var iv Interval
-		for _, f := range []struct {
-			name string
-			dst  *float64
-		}{
-			{"start_s", &iv.StartS}, {"end_s", &iv.EndS},
-			{"carbon_g_per_kwh", &iv.CarbonGPerKWh},
-			{"price_usd_per_kwh", &iv.PriceUSDPerKWh},
-			{"cap_w", &iv.CapW},
-		} {
-			v, err := field(rec, f.name)
-			if err != nil {
-				return nil, fmt.Errorf("grid: signal CSV line %d, column %s: %w", line, f.name, err)
-			}
-			*f.dst = v
-		}
-		s.Intervals = append(s.Intervals, iv)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // diurnal24 holds the bundled trace's hourly (carbon gCO₂/kWh, price

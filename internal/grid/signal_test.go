@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -23,8 +22,12 @@ func TestValidate(t *testing.T) {
 			{StartS: 0, EndS: 1}, {StartS: 2, EndS: 3},
 		}}},
 		{"zero duration", Signal{Intervals: []Interval{{StartS: 0, EndS: 0}}}},
+		{"nan carbon", Signal{Intervals: []Interval{{StartS: 0, EndS: 1, CarbonGPerKWh: math.NaN()}}}},
+		{"inf carbon", Signal{Intervals: []Interval{{StartS: 0, EndS: 1, CarbonGPerKWh: math.Inf(1)}}}},
 		{"negative carbon", Signal{Intervals: []Interval{{StartS: 0, EndS: 1, CarbonGPerKWh: -1}}}},
 		{"nan price", Signal{Intervals: []Interval{{StartS: 0, EndS: 1, PriceUSDPerKWh: math.NaN()}}}},
+		{"negative price", Signal{Intervals: []Interval{{StartS: 0, EndS: 1, PriceUSDPerKWh: -0.1}}}},
+		{"negative cap", Signal{Intervals: []Interval{{StartS: 0, EndS: 1, CapW: -100}}}},
 		{"inf cap", Signal{Intervals: []Interval{{StartS: 0, EndS: 1, CapW: math.Inf(1)}}}},
 	}
 	for _, tc := range cases {
@@ -139,55 +142,6 @@ func TestAccrue(t *testing.T) {
 	}
 }
 
-func TestParseJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	orig := Diurnal24h()
-	if err := json.NewEncoder(&buf).Encode(orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || len(got.Intervals) != len(orig.Intervals) {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	if _, err := ParseJSON(strings.NewReader(`{"intervals":[]}`)); err == nil {
-		t.Fatal("empty signal should fail validation")
-	}
-	if _, err := ParseJSON(strings.NewReader(`{nope`)); err == nil {
-		t.Fatal("malformed JSON should fail")
-	}
-}
-
-func TestParseCSV(t *testing.T) {
-	csv := `start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh,cap_w
-0,3600,420,0.08,0
-3600,7200,250,0.05,5000
-`
-	sig, err := ParseCSV(strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sig.Intervals) != 2 || sig.Intervals[1].CapW != 5000 || sig.Intervals[0].CarbonGPerKWh != 420 {
-		t.Fatalf("parsed %+v", sig.Intervals)
-	}
-	// The cap column is optional.
-	sig, err = ParseCSV(strings.NewReader("start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,60,100,0.1\n"))
-	if err != nil || sig.Intervals[0].CapW != 0 {
-		t.Fatalf("capless CSV: %v %+v", err, sig)
-	}
-	for name, bad := range map[string]string{
-		"missing column": "start_s,end_s,carbon_g_per_kwh\n0,60,100\n",
-		"bad number":     "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,60,oops,0.1\n",
-		"gap":            "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,60,100,0.1\n120,180,100,0.1\n",
-	} {
-		if _, err := ParseCSV(strings.NewReader(bad)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
 func TestGenerate(t *testing.T) {
 	sig := Generate(GenOptions{Name: "sweep", Seed: 7, Jitter: 0.1, CapW: 9000})
 	if err := sig.Validate(); err != nil {
@@ -226,42 +180,37 @@ func TestGenerate(t *testing.T) {
 	}
 }
 
-// TestParseRejectsInvalidRates pins the parse-layer hardening: NaN,
-// Inf, and negative carbon-intensity or price entries are rejected at
-// ParseCSV/ParseJSON instead of poisoning Optimize and Accrue
-// downstream (the same contract POST /grid/signal enforces over HTTP,
-// tested in internal/server).
+// TestParseRejectsInvalidRates pins the decode-and-validate contract
+// POST /grid/signal relies on: NaN, Inf and negative carbon-intensity,
+// price or cap entries are rejected before they can poison Optimize
+// and Accrue downstream (the HTTP side is tested in internal/server).
 func TestParseRejectsInvalidRates(t *testing.T) {
-	csvCases := map[string]string{
-		"NaN carbon": "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,3600,NaN,0.1\n",
-		"Inf carbon": "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,3600,Inf,0.1\n",
-		"neg carbon": "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,3600,-5,0.1\n",
-		"NaN price":  "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,3600,400,NaN\n",
-		"neg price":  "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,3600,400,-0.1\n",
-		"neg cap":    "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh,cap_w\n0,3600,400,0.1,-100\n",
-		"Inf cap":    "start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh,cap_w\n0,3600,400,0.1,+Inf\n",
-	}
-	for name, body := range csvCases {
-		if _, err := ParseCSV(strings.NewReader(body)); err == nil {
-			t.Errorf("ParseCSV accepted %s", name)
+	parse := func(body string) error {
+		var sig Signal
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&sig); err != nil {
+			return err
 		}
+		return sig.Validate()
 	}
-	jsonCases := map[string]string{
+	cases := map[string]string{
 		"neg carbon": `{"intervals":[{"start_s":0,"end_s":3600,"carbon_g_per_kwh":-5,"price_usd_per_kwh":0.1}]}`,
 		"neg price":  `{"intervals":[{"start_s":0,"end_s":3600,"carbon_g_per_kwh":400,"price_usd_per_kwh":-0.1}]}`,
 		"neg cap":    `{"intervals":[{"start_s":0,"end_s":3600,"carbon_g_per_kwh":400,"price_usd_per_kwh":0.1,"cap_w":-1}]}`,
 		// JSON cannot carry NaN/Inf literals: the decoder itself must
 		// reject them rather than zeroing the field.
 		"NaN carbon": `{"intervals":[{"start_s":0,"end_s":3600,"carbon_g_per_kwh":NaN,"price_usd_per_kwh":0.1}]}`,
+		"Inf price":  `{"intervals":[{"start_s":0,"end_s":3600,"carbon_g_per_kwh":400,"price_usd_per_kwh":Infinity}]}`,
+		"empty":      `{"intervals":[]}`,
 	}
-	for name, body := range jsonCases {
-		if _, err := ParseJSON(strings.NewReader(body)); err == nil {
-			t.Errorf("ParseJSON accepted %s", name)
+	for name, body := range cases {
+		if err := parse(body); err == nil {
+			t.Errorf("accepted %s", name)
 		}
 	}
 	// A valid trace still parses after all that.
-	if _, err := ParseCSV(strings.NewReader(
-		"start_s,end_s,carbon_g_per_kwh,price_usd_per_kwh\n0,3600,400,0.1\n")); err != nil {
-		t.Fatalf("valid CSV rejected: %v", err)
+	if err := parse(`{"intervals":[{"start_s":0,"end_s":3600,"carbon_g_per_kwh":400,"price_usd_per_kwh":0.1}]}`); err != nil {
+		t.Fatalf("valid signal rejected: %v", err)
 	}
 }
