@@ -378,8 +378,8 @@ func BenchmarkFrontierMerge(b *testing.B) {
 // runs, so its cost multiplies through both outer layers. intervals-N
 // plans the 41-point synthetic table with a fresh solver per solve;
 // characterized-96 plans the table benchUpload's job characterizes to
-// (285 points: the regime a controller tick lives in, where an interval
-// takes long runs of consecutive steps), and reused-96 does so on one
+// (222 Pareto points, 25 on the hull the solver steps over: the regime
+// a controller tick lives in), and reused-96 does so on one
 // Solver, as every hot caller does. steps/op is the greedy steps a solve
 // takes, so ns/step compares across machines.
 func BenchmarkGridOptimize(b *testing.B) {

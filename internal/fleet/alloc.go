@@ -106,18 +106,21 @@ func checkCap(watts float64) error {
 // step the final (overshooting) step made unnecessary is undone,
 // most-loss first.
 //
-// Optimality, for convex frontiers (per-job watts-saved-per-loss slopes
-// non-increasing — true of the E(t) curves Perseus characterizes): a
-// greedy prefix's loss is minimal among all point combinations drawing
-// at most the power it draws, by the standard marginal-analysis
-// exchange argument — any combination with less loss fits under the
-// sorted-slope concave envelope and therefore saves strictly less
-// power. Consequently, when the cap coincides with a breakpoint of the
-// merged descent the allocation matches exhaustive enumeration exactly;
-// for caps between breakpoints the final step overshoots and the loss
-// exceeds the constrained optimum by less than that single step's loss
-// (one τ of one job's slowdown). alloc_test.go verifies both bounds by
-// brute force.
+// Optimality holds only on convex frontiers (per-job watts-saved-per-
+// loss slopes non-increasing). The merged descent walks every point of
+// each job's table, a Pareto set whose slopes need not be monotone —
+// the tables Perseus characterizes are not convex — and there the
+// bounds below are not guaranteed. On convex tables a greedy prefix's
+// loss is minimal among all point combinations drawing at most the
+// power it draws, by the standard marginal-analysis exchange argument:
+// any combination with less loss fits under the sorted-slope concave
+// envelope and therefore saves strictly less power. Consequently, when
+// the cap coincides with a breakpoint of the merged descent the
+// allocation matches exhaustive enumeration exactly; for caps between
+// breakpoints the final step overshoots and the loss exceeds the
+// constrained optimum by less than that single step's loss (one τ of
+// one job's slowdown). alloc_test.go verifies both bounds by brute
+// force on convex tables.
 func Allocate(jobs []Job, capW float64) Allocation {
 	alloc := Allocation{CapW: capW, Feasible: true}
 	if len(jobs) == 0 {

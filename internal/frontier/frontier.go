@@ -240,13 +240,16 @@ type Frontier struct {
 	stats                 Stats
 }
 
-// Stats counts the work one characterization did.
+// Stats counts the work one characterization did and the size of the
+// table it yields.
 type Stats struct {
 	Steps           int // stepper calls, the last of which may have found no cut
 	EdgesMoved      int // network edges re-clamped by every min-cut solve together; the first clamps all
 	Searches        int // breadth-first passes (path searches or level graphs) run by them
 	AugmentingPaths int // paths pushed by them
 	Fallbacks       int // steps that fell back to the speed-up-only cut
+	TablePoints     int // points Table keeps: the Pareto set
+	HullPoints      int // of those, the lower convex hull's vertices (LookupTable.Hull)
 }
 
 // Stats returns the work counts of the characterization that built f.
@@ -451,6 +454,11 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 	for i := range f.points {
 		f.points[i].f = f
 	}
+	keep := paretoSet(len(f.points), func(i int) float64 { return f.points[i].Energy })
+	f.stats.TablePoints = len(keep)
+	f.stats.HullPoints = len(lowerHull(nil, 0, len(keep)-1,
+		func(i int) float64 { return float64(f.points[keep[i]].TimeUnits) },
+		func(i int) float64 { return f.points[keep[i]].Energy }))
 	return f, nil
 }
 

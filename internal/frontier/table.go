@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"perseus/internal/gpu"
 )
@@ -23,8 +24,21 @@ type LookupTable struct {
 	TminUnits  int64 `json:"tmin_units"`
 	TStarUnits int64 `json:"tstar_units"`
 
-	// Points are the cached energy schedules by increasing time.
+	// Points are the cached energy schedules by increasing time, each
+	// strictly cheaper in energy than every faster one: the Pareto set.
+	// Points must not change once the table is planned on (Hull caches
+	// an index into them).
 	Points []TablePoint `json:"points"`
+
+	hull atomic.Pointer[hullIndex] // Hull's cache; never serialized
+}
+
+// hullIndex is Hull's cached result with the Points slice it indexes,
+// so a table whose Points are replaced or resized is re-indexed.
+type hullIndex struct {
+	first *TablePoint
+	n     int
+	idx   []int
 }
 
 // TablePoint is one cached energy schedule.
@@ -46,33 +60,103 @@ func (lt *LookupTable) time(units int64) float64 { return float64(units) * lt.Un
 // Table materializes the frontier into a serializable lookup table. It
 // walks the points in the order the optimizer found them, from T* down,
 // keeping one duration and one frequency vector and re-realizing only the
-// computations each step moved; every point's plan is a slice of one array.
-// Memory is points × computations; for very fine frontiers consider
-// sampling with stride before persisting.
+// computations each step moved; every kept point's plan is a slice of
+// one array. Only the Pareto set is kept (see paretoSet): a point that
+// is no cheaper than a faster one is never worth scheduling, so T* is
+// the slowest kept point. Memory is points × computations; for very
+// fine frontiers consider sampling with stride before persisting.
 func (f *Frontier) Table() *LookupTable {
+	keep := paretoSet(len(f.points), func(i int) float64 { return f.points[i].Energy })
 	lt := &LookupTable{
 		Unit:       f.Unit,
 		TminUnits:  f.tminUnits,
-		TStarUnits: f.tstarUnits,
-		Points:     make([]TablePoint, len(f.points)),
+		TStarUnits: f.points[keep[len(keep)-1]].TimeUnits,
+		Points:     make([]TablePoint, len(keep)),
 	}
 	last := len(f.points) - 1
 	n := f.nReal
-	freqs := make([]gpu.Frequency, len(f.points)*n)
+	freqs := make([]gpu.Frequency, len(keep)*n)
 	durs := f.points[last].Durations()
 	cur := f.points[last].Plan()
-	for k := last; k >= 0; k-- {
+	row := len(keep) - 1
+	for k := last; k >= 0 && row >= 0; k-- {
 		pt := f.points[k]
 		for _, d := range f.deltas[pt.index] {
 			durs[d.comp] += int64(d.delta)
 			chosen, _ := realize(&f.info[d.comp], durs[d.comp], f.Unit)
 			cur[d.comp] = chosen.Freq
 		}
-		plan := freqs[k*n : (k+1)*n : (k+1)*n]
+		if keep[row] != k {
+			continue
+		}
+		plan := freqs[row*n : (row+1)*n : (row+1)*n]
 		copy(plan, cur)
-		lt.Points[k] = TablePoint{TimeUnits: pt.TimeUnits, Energy: pt.Energy, Freqs: plan}
+		lt.Points[row] = TablePoint{TimeUnits: pt.TimeUnits, Energy: pt.Energy, Freqs: plan}
+		row--
 	}
 	return lt
+}
+
+// paretoSet returns, in order, the positions of the n time-ascending
+// points that no faster point matches: a point is kept only when its
+// energy is strictly below every faster kept point's. The fastest point
+// is always kept.
+func paretoSet(n int, energy func(int) float64) []int {
+	keep := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if len(keep) == 0 || energy(i) < energy(keep[len(keep)-1]) {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// lowerHull appends to dst the positions among lo..hi (time-ascending)
+// that are vertices of the lower convex hull of (time, energy):
+// Andrew's monotone chain, O(hi-lo). A point on or above the chord of
+// its neighbours is not a vertex.
+func lowerHull(dst []int, lo, hi int, time func(int) float64, energy func(int) float64) []int {
+	base := len(dst)
+	for i := lo; i <= hi; i++ {
+		for len(dst)-base >= 2 {
+			a, b := dst[len(dst)-2], dst[len(dst)-1]
+			if (energy(b)-energy(a))*(time(i)-time(a)) < (energy(i)-energy(a))*(time(b)-time(a)) {
+				break // b is strictly below the chord a→i
+			}
+			dst = dst[:len(dst)-1]
+		}
+		dst = append(dst, i)
+	}
+	return dst
+}
+
+// Hull returns the indices of the points on the table's lower convex
+// hull of (time, energy), fastest first. The Tmin and T* points are
+// always on it. Time-sharing two hull neighbours reaches every point of
+// the segment between them, so a planner that may time-share steps over
+// these points only: any other point costs more than the mix of its
+// hull neighbours at the same throughput. The index is computed once
+// per table, on first use, and cached; callers must not modify it.
+func (lt *LookupTable) Hull() []int {
+	n := len(lt.Points)
+	if h := lt.hull.Load(); h != nil && h.n == n && (n == 0 || h.first == &lt.Points[0]) {
+		return h.idx
+	}
+	h := &hullIndex{n: n, idx: lt.HullOf(nil, 0, n-1)}
+	if n > 0 {
+		h.first = &lt.Points[0]
+	}
+	lt.hull.Store(h)
+	return h.idx
+}
+
+// HullOf appends to dst the indices of the lower convex hull of points
+// lo..hi alone, fastest first: for instance the hull of the points a
+// power cap still allows, which may include points Hull skips.
+func (lt *LookupTable) HullOf(dst []int, lo, hi int) []int {
+	return lowerHull(dst, lo, hi,
+		func(i int) float64 { return float64(lt.Points[i].TimeUnits) },
+		func(i int) float64 { return lt.Points[i].Energy })
 }
 
 // Lookup returns the energy schedule for an anticipated straggler
@@ -93,10 +177,10 @@ func (lt *LookupTable) PointTime(i int) float64 { return lt.time(lt.Points[i].Ti
 
 // AvgPower returns the average power draw of point i in watts: the
 // point's adjusted computation energy divided by its planned iteration
-// time. Along the table, time strictly rises while energy falls, so
-// average power strictly decreases from the Tmin point to the T* point —
-// this is the knob a fleet-level allocator trades across jobs to meet a
-// datacenter power envelope.
+// time. Along a Pareto table time strictly rises while energy strictly
+// falls, so average power strictly decreases from the Tmin point to the
+// T* point — this is the knob a fleet-level allocator trades across
+// jobs to meet a datacenter power envelope.
 func (lt *LookupTable) AvgPower(i int) float64 {
 	pt := lt.Points[i]
 	return pt.Energy / lt.time(pt.TimeUnits)
@@ -104,8 +188,9 @@ func (lt *LookupTable) AvgPower(i int) float64 {
 
 // FirstUnderPower returns the index of the fastest point whose average
 // power is at most maxW, or -1 when even the T* point draws more.
-// Average power strictly decreases along the table, so this is the
-// operating floor a per-interval facility cap imposes on a job.
+// Average power strictly decreases along a Pareto table (see AvgPower),
+// so this is the operating floor a per-interval facility cap imposes on
+// a job.
 func (lt *LookupTable) FirstUnderPower(maxW float64) int {
 	n := len(lt.Points)
 	i := sort.Search(n, func(i int) bool { return lt.AvgPower(i) <= maxW })
@@ -143,7 +228,9 @@ func (lt *LookupTable) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(lt)
 }
 
-// LoadTable reads and validates a table written by Save.
+// LoadTable reads and validates a table written by Save, and prunes it
+// to its Pareto set as Table does (a table saved before pruning loads
+// as the one Table writes now).
 func LoadTable(r io.Reader) (*LookupTable, error) {
 	var lt LookupTable
 	if err := json.NewDecoder(r).Decode(&lt); err != nil {
@@ -167,5 +254,11 @@ func LoadTable(r io.Reader) (*LookupTable, error) {
 	if lt.Points[0].TimeUnits != lt.TminUnits || lt.Points[len(lt.Points)-1].TimeUnits != lt.TStarUnits {
 		return nil, fmt.Errorf("frontier: lookup table endpoints do not match Tmin/T*")
 	}
+	keep := paretoSet(len(lt.Points), func(i int) float64 { return lt.Points[i].Energy })
+	for row, i := range keep {
+		lt.Points[row] = lt.Points[i]
+	}
+	lt.Points = lt.Points[:len(keep)]
+	lt.TStarUnits = lt.Points[len(keep)-1].TimeUnits
 	return &lt, nil
 }

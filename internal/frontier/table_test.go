@@ -35,30 +35,114 @@ func TestTableMatchesFrontierLookup(t *testing.T) {
 // TestTableMatchesEveryPlan checks the table's walk by deltas against the
 // per-point reconstruction: every row is the plan, energy and time of the
 // frontier point it came from, with keyframes every 7 points so that the
-// points' own reconstruction starts from many different snapshots.
+// points' own reconstruction starts from many different snapshots. The
+// rows are the frontier's Pareto set: a frontier point is missing only
+// when a faster row costs no more energy.
 func TestTableMatchesEveryPlan(t *testing.T) {
 	for _, schedule := range []string{"1f1b", "gpipe"} {
 		g, p, opts := buildCase(t, "gpt3-1.3b", gpu.A100PCIe, 4, 6, 4, schedule)
 		opts.keyframeEvery = 7
 		f := characterize(t, g, p, opts)
 		lt := f.Table()
-		if len(lt.Points) != len(f.Points()) || len(lt.Points) < 30 {
-			t.Fatalf("%s: table has %d points, frontier %d", schedule, len(lt.Points), len(f.Points()))
+		if len(lt.Points) < 30 || len(lt.Points) != f.Stats().TablePoints {
+			t.Fatalf("%s: table has %d points, Stats %d", schedule, len(lt.Points), f.Stats().TablePoints)
 		}
+		if lt.TStarUnits != lt.Points[len(lt.Points)-1].TimeUnits {
+			t.Fatalf("%s: T* %d units is not the slowest row's %d", schedule, lt.TStarUnits, lt.Points[len(lt.Points)-1].TimeUnits)
+		}
+		row := 0
+		var source []Point // the frontier point of each row
 		for k, pt := range f.Points() {
-			row := lt.Points[k]
-			if row.TimeUnits != pt.TimeUnits || row.Energy != pt.Energy {
-				t.Fatalf("%s: row %d is (%d units, %v J), point (%d units, %v J)", schedule, k, row.TimeUnits, row.Energy, pt.TimeUnits, pt.Energy)
+			if row < len(lt.Points) && lt.Points[row].TimeUnits == pt.TimeUnits {
+				r := lt.Points[row]
+				if r.Energy != pt.Energy {
+					t.Fatalf("%s: row %d is (%d units, %v J), point %d (%d units, %v J)", schedule, row, r.TimeUnits, r.Energy, k, pt.TimeUnits, pt.Energy)
+				}
+				if !slices.Equal(r.Freqs, pt.Plan()) {
+					t.Fatalf("%s: row %d's frequencies differ from point %d's plan", schedule, row, k)
+				}
+				if row > 0 && !(r.Energy < lt.Points[row-1].Energy) {
+					t.Fatalf("%s: row %d (%v J) is dominated by row %d (%v J)", schedule, row, r.Energy, row-1, lt.Points[row-1].Energy)
+				}
+				source = append(source, pt)
+				row++
+				continue
 			}
-			if !slices.Equal(row.Freqs, pt.Plan()) {
-				t.Fatalf("%s: row %d's frequencies differ from the point's plan", schedule, k)
+			if row == 0 || pt.Energy < lt.Points[row-1].Energy {
+				t.Fatalf("%s: point %d (%d units, %v J) is missing but no faster row costs less", schedule, k, pt.TimeUnits, pt.Energy)
 			}
+		}
+		if row != len(lt.Points) {
+			t.Fatalf("%s: %d rows match no frontier point", schedule, len(lt.Points)-row)
 		}
 		// Rows share one array; appending to one must not reach the next.
 		_ = append(lt.Points[0].Freqs, 1)
-		if !slices.Equal(lt.Points[1].Freqs, f.Points()[1].Plan()) {
+		if !slices.Equal(lt.Points[1].Freqs, source[1].Plan()) {
 			t.Fatalf("%s: appending to row 0 overwrote row 1", schedule)
 		}
+	}
+}
+
+// TestHull checks the hull index on a characterized table and on a
+// hand-built one that never passed through Table: it runs from the
+// Tmin row to the T* row, every row it skips lies on or above the
+// chord of the hull vertices around it, and every vertex lies strictly
+// below the chord of its neighbours. HullOf of a suffix keeps every
+// table vertex in it. The index is cached: a second call returns the
+// same slice and allocates nothing, and a table whose Points are
+// replaced is indexed again.
+func TestHull(t *testing.T) {
+	g, p, opts := buildCase(t, "gpt3-1.3b", gpu.A100PCIe, 4, 6, 4, "1f1b")
+	f := characterize(t, g, p, opts)
+	built := &LookupTable{Unit: 0.01, TminUnits: 10, TStarUnits: 15}
+	for u, e := range []float64{90, 70, 66, 50, 48.5, 46} {
+		built.Points = append(built.Points, TablePoint{TimeUnits: int64(10 + u), Energy: e})
+	}
+	for name, lt := range map[string]*LookupTable{"characterized": f.Table(), "hand-built": built} {
+		h := lt.Hull()
+		n := len(lt.Points)
+		if h[0] != 0 || h[len(h)-1] != n-1 {
+			t.Fatalf("%s: hull %v does not span rows 0..%d", name, h, n-1)
+		}
+		above := func(i, a, b int) float64 { // row i's energy minus the a→b chord's at its time
+			pa, pb, pi := lt.Points[a], lt.Points[b], lt.Points[i]
+			frac := float64(pi.TimeUnits-pa.TimeUnits) / float64(pb.TimeUnits-pa.TimeUnits)
+			return pi.Energy - (pa.Energy + frac*(pb.Energy-pa.Energy))
+		}
+		for v := 1; v < len(h); v++ {
+			for i := h[v-1] + 1; i < h[v]; i++ {
+				if d := above(i, h[v-1], h[v]); d < -1e-9 {
+					t.Fatalf("%s: skipped row %d is %v J below the hull", name, i, -d)
+				}
+			}
+			if v+1 < len(h) && above(h[v], h[v-1], h[v+1]) >= 0 {
+				t.Fatalf("%s: vertex %d is not below its neighbours' chord", name, h[v])
+			}
+		}
+		if name == "characterized" && f.Stats().HullPoints != len(h) {
+			t.Fatalf("Stats counts %d hull points, Hull %d", f.Stats().HullPoints, len(h))
+		}
+		for _, lo := range []int{1, n / 2, n - 1} {
+			sub := lt.HullOf(nil, lo, n-1)
+			for _, v := range h {
+				if v >= lo && !slices.Contains(sub, v) {
+					t.Fatalf("%s: HullOf(%d..) %v drops table vertex %d", name, lo, sub, v)
+				}
+			}
+		}
+		if again := lt.Hull(); &again[0] != &h[0] {
+			t.Fatalf("%s: second Hull call rebuilt the index", name)
+		}
+		if n := testing.AllocsPerRun(10, func() { lt.Hull() }); n != 0 {
+			t.Fatalf("%s: cached Hull allocates %v times", name, n)
+		}
+	}
+	if h := built.Hull(); !slices.Equal(h, []int{0, 1, 3, 5}) {
+		t.Fatalf("hand-built hull %v, want [0 1 3 5]", h)
+	}
+	built.Points = built.Points[:3]
+	if h := built.Hull(); !slices.Equal(h, []int{0, 1, 2}) {
+		t.Fatalf("hull of the truncated table %v, want [0 1 2]", h)
 	}
 }
 
@@ -111,5 +195,27 @@ func TestLoadTableValidation(t *testing.T) {
 		if _, err := LoadTable(strings.NewReader(c.json)); err == nil {
 			t.Errorf("%s: LoadTable accepted invalid input", c.name)
 		}
+	}
+}
+
+// TestLoadTablePrunesToPareto loads a table that still holds dominated
+// points, as tables saved before Table pruned did: it loads as its
+// Pareto set, with T* moved to the slowest point kept.
+func TestLoadTablePrunesToPareto(t *testing.T) {
+	lt, err := LoadTable(strings.NewReader(`{"unit_s":0.01,"tmin_units":1,"tstar_units":5,"points":[
+		{"time_units":1,"energy_j":9,"freqs_mhz":[100]},
+		{"time_units":2,"energy_j":9,"freqs_mhz":[100]},
+		{"time_units":3,"energy_j":7,"freqs_mhz":[100]},
+		{"time_units":4,"energy_j":8,"freqs_mhz":[100]},
+		{"time_units":5,"energy_j":7,"freqs_mhz":[100]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []int64
+	for _, pt := range lt.Points {
+		units = append(units, pt.TimeUnits)
+	}
+	if !slices.Equal(units, []int64{1, 3}) || lt.TStarUnits != 3 {
+		t.Fatalf("loaded rows at %v units with T* %d, want [1 3] and 3", units, lt.TStarUnits)
 	}
 }

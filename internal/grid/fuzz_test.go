@@ -62,7 +62,9 @@ func fuzzInstance(seed int64, targetFrac, deadlineFrac float64) (*frontier.Looku
 //  3. slice time fits its interval and the accounting identities hold
 //     (energy = Σ seconds × scale × power; carbon/cost = energy ×
 //     interval rate);
-//  4. the plan's accrued objective never exceeds either signal-blind
+//  4. the plan's price certifies it (checkPrice), under NoIdle and over
+//     a non-convex table too;
+//  5. the plan's accrued objective never exceeds either signal-blind
 //     Fixed baseline (always-Tmin and static min-energy): both
 //     baselines are feasible points of the continuous time-sharing
 //     space the greedy fill solves exactly (see Optimize), so losing
@@ -78,14 +80,21 @@ func FuzzOptimize(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		// (0) Exact agreement with the scan reference.
+		// (0) Exact agreement with the scan reference, and (4) the price
+		// certificate.
 		var sol solution
 		bumpy := bumpyTable(rand.New(rand.NewSource(seed)), 40+seed&31, 2+int(seed&7))
 		for _, noIdle := range []bool{false, true} {
 			o := opts
 			o.NoIdle = noIdle
-			checkAgainstScan(t, &sol, lt, sig, o)
-			checkAgainstScan(t, &sol, bumpy, sig, o)
+			for _, table := range []*frontier.LookupTable{lt, bumpy} {
+				checkAgainstScan(t, &sol, table, sig, o)
+				p, err := Optimize(table, sig, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPrice(t, table, sig, o, p)
+			}
 		}
 
 		plan, err := Optimize(lt, sig, opts)
@@ -165,7 +174,7 @@ func FuzzOptimize(f *testing.F) {
 			t.Fatalf("totals do not add up: %+v", plan)
 		}
 
-		// (4) never above a feasible Fixed baseline. Fixed ignores
+		// (5) never above a feasible Fixed baseline. Fixed ignores
 		// interval caps (it models a signal-blind operator), so the
 		// comparison only binds when the baseline's point fits under
 		// every cap in the planning window — otherwise the baseline has

@@ -130,6 +130,15 @@ type Plan struct {
 	// plan always survives JSON encoding.
 	FinishS float64 `json:"finish_s"`
 
+	// Price is λ, the marginal objective cost of one more iteration: the
+	// slope of the greedy's last step. Every interval's choice minimizes
+	// cost − λ·iterations over its allowed points (idle included unless
+	// NoIdle), and a time-shared interval's two states tie — the dual
+	// certificate that the plan is optimal. 0 when the target needed no
+	// step (NoIdle alone covers it); -1 when the plan has no price
+	// (infeasible, or a Fixed baseline), kept finite like FinishS.
+	Price float64 `json:"price"`
+
 	// Intervals holds the per-interval plans in time order.
 	Intervals []IntervalPlan `json:"intervals"`
 }
@@ -193,17 +202,31 @@ func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
 // greedy steps taken.
 func (p *Planner) SpanAttrs() []string { return []string{"steps", strconv.Itoa(p.steps)} }
 
-// planInterval is the solver's working state for one interval.
+// planInterval is the solver's working state for one interval. Its
+// states are solver positions (see solution.pts): the descent steps one
+// position faster at a time, except that a capped interval whose floor
+// is off the table's hull leaves the hull at join for its own prefix,
+// entering it at tail.
 type planInterval struct {
 	iv   Interval
 	dur  float64
 	perJ float64 // objective weight per joule
 	c    float64 // perJ·scale·dur: what every descent step's dc multiplies
 	work float64 // dur/tm[cur], carried from the step that reached cur; 0 idle
-	lo   int     // fastest allowed point under the interval cap
+	lo   int     // fastest allowed position under the interval cap
+	join int     // hull position stepped from into tail; -1 when lo is on the hull
+	tail int     // slowest position of the interval's own prefix
 	only bool    // idle-only: even the slowest point violates the cap
 	cur  int     // current descent state; -1 = idle
 	next step    // the one pending step out of cur (valid while in the heap)
+}
+
+// capPrefix is the hull prefix of one cap floor, the fastest table
+// point a cap allows: the vertices of the hull of table points floor..h
+// faster than h, the first table hull point after floor (hull position
+// join). They sit at solver positions pos..tail, fastest first.
+type capPrefix struct {
+	floor, pos, join, tail int
 }
 
 // step is one marginal segment of an interval's cost-vs-iterations
@@ -229,11 +252,19 @@ type fracStep struct {
 // fractional step. A solution's buffers are reusable: solving into the
 // same value again truncates and refills them instead of re-allocating.
 type solution struct {
-	ivs      []planInterval
-	tm, pw   []float64 // lt.PointTime(i), lt.AvgPower(i)
+	ivs []planInterval
+	// pts maps a solver position to its table index: first the table's
+	// hull, slowest last, then the cap prefixes. tm and pw hold
+	// lt.PointTime and lt.AvgPower of each position.
+	pts      []int
+	tm, pw   []float64
+	slowest  int // the hull's last position: the table's slowest point
+	prefixes []capPrefix
+	hull     []int // scratch for frontier.LookupTable.HullOf
 	heap     []heapItem
 	frac     fracStep
-	steps    int // greedy steps taken, the fractional one included
+	steps    int     // greedy steps taken, the fractional one included
+	price    float64 // slope of the last step taken: Plan.Price
 	coverage float64
 	cost     float64
 	feasible bool
@@ -286,7 +317,7 @@ func (sol *solution) heapify() {
 }
 
 // nextStep sets pi.next to the interval's next marginal step — wake up
-// at the slowest allowed point, then one point faster at a time — and
+// at the slowest point, then one hull vertex faster at a time — and
 // returns its heap key; false once the interval is saturated at its cap
 // floor. A step costs the two divisions that are new in it: w and the
 // slope.
@@ -297,18 +328,52 @@ func (sol *solution) nextStep(k int32) (heapItem, bool) {
 	}
 	st := &pi.next
 	if pi.cur < 0 {
-		// First step: wake up at the slowest allowed point.
-		st.to = max(len(sol.tm)-1, pi.lo)
+		// First step: wake up at the slowest point, the hull's last.
+		st.to = sol.slowest
 		st.w = pi.dur / sol.tm[st.to]
 		st.dw = st.w
 		st.dc = pi.perJ * sol.scale * sol.pw[st.to] * pi.dur
 	} else {
 		st.to = pi.cur - 1
+		if pi.cur == pi.join {
+			st.to = pi.tail
+		}
 		st.w = pi.dur / sol.tm[st.to]
 		st.dw = st.w - pi.work
 		st.dc = pi.c * (sol.pw[st.to] - sol.pw[pi.cur])
 	}
 	return heapItem{slope: st.dc / st.dw, k: k}, true
+}
+
+// addPoint appends table point i as the next solver position.
+func (sol *solution) addPoint(lt *frontier.LookupTable, i int) {
+	sol.pts = append(sol.pts, i)
+	sol.tm = append(sol.tm, lt.PointTime(i))
+	sol.pw = append(sol.pw, lt.AvgPower(i))
+}
+
+// floor maps a cap's floor f (a table index) to the interval's fastest
+// allowed solver position. When f is off the hull it also returns the
+// interval's detour: stepping faster from hull position join enters the
+// floor's prefix at tail. Intervals with one floor share one prefix.
+func (sol *solution) floor(lt *frontier.LookupTable, hull []int, f int) (lo, join, tail int) {
+	j, _ := slices.BinarySearch(hull, f)
+	if hull[j] == f {
+		return j, -1, 0
+	}
+	for _, c := range sol.prefixes {
+		if c.floor == f {
+			return c.pos, c.join, c.tail
+		}
+	}
+	c := capPrefix{floor: f, pos: len(sol.pts), join: j}
+	sol.hull = lt.HullOf(sol.hull[:0], f, hull[j])
+	for _, i := range sol.hull[:len(sol.hull)-1] {
+		sol.addPoint(lt, i)
+	}
+	c.tail = len(sol.pts) - 1
+	sol.prefixes = append(sol.prefixes, c)
+	return c.pos, c.join, c.tail
 }
 
 // request maps the options to the shared planning request.
@@ -362,15 +427,22 @@ func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, s
 // exactly.
 //
 // Optimality: per interval, cost is rate × scale × P(t) × d and
-// iterations are d/t, so cost as a function of iterations — with idle
-// allowed, through the origin — is the perspective function of the
-// energy curve E(t): convex whenever E is. Every segment is divisible
-// (any point may run for any fraction of its interval), so the global
-// problem is a separable convex allocation whose exact optimum is the
-// greedy fill in marginal-cost order with at most one fractional
-// segment. plan_test.go verifies exactness against continuous
-// brute-force enumeration (every per-interval point choice plus every
-// single time-shared interval).
+// iterations are d/t, so an interval's attainable (iterations, cost)
+// pairs — idle is the origin — are the perspective images of the
+// table's (t, E) points, and time-sharing fills in their convex hull.
+// The perspective map keeps lines as lines and sides as sides, so the
+// lower boundary of that hull runs through idle and the vertices of the
+// lower convex hull of (t, E) over the allowed points; and because a
+// table is a Pareto set (energy falls as time rises) its slopes, from
+// the wake-up step on, are non-decreasing. The solver steps over those
+// vertices only (LookupTable.Hull, plus a short prefix when a cap's
+// floor is off the hull), so each interval's cost is a convex
+// piecewise-linear function of its iterations, whatever the table's
+// shape. The global problem is then a separable convex allocation whose
+// exact optimum is the greedy fill in marginal-cost order with at most
+// one fractional segment, and the last slope taken is its price λ
+// (Plan.Price). plan_test.go verifies exactness against continuous
+// brute-force enumeration and checks the λ certificate on every plan.
 func Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (*Plan, error) {
 	var s Solver
 	return s.Optimize(lt, sig, opts)
@@ -465,6 +537,7 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 		DeadlineS: sol.deadline,
 		Feasible:  sol.feasible,
 		FinishS:   math.Inf(1),
+		Price:     sol.price,
 		Intervals: make([]IntervalPlan, 0, len(sol.ivs)),
 	}
 	nSlices := 0
@@ -518,6 +591,9 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 			}
 			plan.FinishS = at
 		}
+		for i := range ip.Slices {
+			ip.Slices[i].Point = sol.pts[ip.Slices[i].Point]
+		}
 		remaining -= ip.Iterations
 		plan.Iterations += ip.Iterations
 		plan.EnergyJ += ip.EnergyJ
@@ -531,10 +607,11 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 	return plan, nil
 }
 
-// intervalSlices appends interval k's planned runs to buf: the
-// fractional interval time-shares its step's endpoints — f·dur seconds
-// at the faster state, the rest at the slower one (or idle) — and any
-// other awake interval runs its descent state for its whole duration.
+// intervalSlices appends interval k's planned runs to buf, with solver
+// positions for points: the fractional interval time-shares its step's
+// endpoints — f·dur seconds at the faster state, the rest at the slower
+// one (or idle) — and any other awake interval runs its descent state
+// for its whole duration.
 func (sol *solution) intervalSlices(k int, buf []Slice) []Slice {
 	pi := &sol.ivs[k]
 	if fs := sol.frac; fs.k == k {
@@ -557,18 +634,21 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 		return err
 	}
 
-	// The table's times and powers, once per solve: each is a multiply
-	// and a division away from the table's fields, and read every step.
-	n := len(lt.Points)
-	tm, pw := slices.Grow(sol.tm[:0], n), slices.Grow(sol.pw[:0], n)
-	for i := 0; i < n; i++ {
-		tm, pw = append(tm, lt.PointTime(i)), append(pw, lt.AvgPower(i))
+	// The hull's times and powers, once per solve: each is a multiply and
+	// a division away from the table's fields, and read every step. The
+	// hull index itself is cached on the table.
+	hull := lt.Hull()
+	n := len(hull)
+	sol.pts, sol.tm, sol.pw = slices.Grow(sol.pts[:0], n), slices.Grow(sol.tm[:0], n), slices.Grow(sol.pw[:0], n)
+	for _, i := range hull {
+		sol.addPoint(lt, i)
 	}
-	sol.tm, sol.pw = tm, pw
-	minPow := pw[n-1] // slowest point's draw: any cap below it forces idle
+	sol.slowest = len(hull) - 1
+	minPow := sol.pw[sol.slowest] // slowest point's draw: any cap below it forces idle
+	sol.prefixes = sol.prefixes[:0]
 	sol.ivs = slices.Grow(sol.ivs[:0], len(sig.Intervals))
 	sol.frac = fracStep{k: -1}
-	sol.steps = 0
+	sol.steps, sol.price = 0, 0
 	sol.coverage, sol.cost, sol.maxCover = 0, 0, 0
 	sol.deadline, sol.scale, sol.obj = d, scale, obj
 	for _, iv := range sig.Intervals {
@@ -579,25 +659,22 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 		if iv.EndS > d {
 			iv.EndS = d
 		}
-		pi := planInterval{iv: iv, dur: iv.Duration(), perJ: PerJoule(obj, iv), cur: -1, lo: 0}
+		pi := planInterval{iv: iv, dur: iv.Duration(), perJ: PerJoule(obj, iv), cur: -1, lo: 0, join: -1}
 		pi.c = pi.perJ * scale * pi.dur
 		if iv.CapW > 0 {
 			if maxW := iv.CapW / scale; maxW < minPow {
-				pi.lo = -1 // skip FirstUnderPower's search: no point qualifies
-			} else {
-				pi.lo = lt.FirstUnderPower(maxW)
-			}
-			if pi.lo < 0 {
 				pi.only = true // cap excludes every point: forced idle
+			} else {
+				pi.lo, pi.join, pi.tail = sol.floor(lt, hull, lt.FirstUnderPower(maxW))
 			}
 		}
 		if !pi.only {
-			sol.maxCover += pi.dur / tm[pi.lo]
+			sol.maxCover += pi.dur / sol.tm[pi.lo]
 			if opts.NoIdle {
-				pi.cur = n - 1
-				pi.work = pi.dur / tm[pi.cur]
+				pi.cur = sol.slowest
+				pi.work = pi.dur / sol.tm[pi.cur]
 				sol.coverage += pi.work
-				sol.cost += pi.perJ * scale * pw[pi.cur] * pi.dur
+				sol.cost += pi.perJ * scale * sol.pw[pi.cur] * pi.dur
 			}
 		}
 		sol.ivs = append(sol.ivs, pi)
@@ -614,16 +691,17 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 			pi.cur = pi.lo
 		}
 		sol.coverage = sol.maxCover
+		sol.price = -1
 		return nil
 	}
 
 	// Greedy fill: cheapest marginal objective cost per iteration
 	// first. Each interval's available step is its next one — wake up
-	// at the minimum-energy point, then one point faster at a time —
-	// and per-interval slopes are non-decreasing for convex tables, so
-	// the global cheapest-available order is the global slope order.
-	// The final step is taken fractionally, so the fill never
-	// overshoots the target.
+	// at the minimum-energy point, then one hull vertex faster at a
+	// time — and per-interval slopes along a hull are non-decreasing
+	// (see Optimize), so the global cheapest-available order is the
+	// global slope order. The final step is taken fractionally, so the
+	// fill never overshoots the target.
 	//
 	// An interval's available step only changes when its current one is
 	// taken, so the cheapest-available selection runs over a min-heap of
@@ -653,9 +731,11 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 			}
 		}
 		pi := &sol.ivs[k]
+		slope := h[0].slope
 		for sol.coverage < target-1e-9 {
 			st := pi.next
 			sol.steps++
+			sol.price = slope
 			if need := target - sol.coverage; st.dw > need+1e-12 {
 				// Final fractional take: time-share the step's endpoints so
 				// the target is completed exactly. (Under NoIdle every
@@ -684,6 +764,7 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 				sol.siftDown(0, it) // the run ends: another interval is cheaper now
 				break
 			}
+			slope = it.slope
 		}
 	}
 	return nil
@@ -710,6 +791,7 @@ func Fixed(lt *frontier.LookupTable, point int, sig *Signal, opts Options) (*Pla
 		DeadlineS: d,
 		Feasible:  finish <= d+1e-9,
 		FinishS:   finish,
+		Price:     -1,
 	}
 	if !plan.Feasible {
 		// Same contract as Optimize: the plan never reaches the target

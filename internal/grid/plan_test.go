@@ -100,7 +100,7 @@ func bruteForceContinuous(lt *frontier.LookupTable, sig *Signal, opts Options) (
 	n := len(lt.Points)
 	K := len(win.Intervals)
 
-	// states per interval: -1 (idle) then n-1 down to lo.
+	// states per interval: -1 (idle, unless NoIdle) then n-1 down to lo.
 	lo := make([]int, K)
 	for k, iv := range win.Intervals {
 		lo[k] = 0
@@ -122,7 +122,9 @@ func bruteForceContinuous(lt *frontier.LookupTable, sig *Signal, opts Options) (
 			continue
 		}
 		var pairs [][2]int
-		pairs = append(pairs, [2]int{-1, n - 1})
+		if !opts.NoIdle {
+			pairs = append(pairs, [2]int{-1, n - 1})
+		}
 		for p := n - 1; p > lo[fk]; p-- {
 			pairs = append(pairs, [2]int{p, p - 1})
 		}
@@ -314,6 +316,7 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 					t.Fatalf("seed %d %s: plan completes %.9f iterations, want exactly %.9f",
 						seed, obj, plan.Iterations, o.Target)
 				}
+				checkPrice(t, lt, sig, o, plan)
 				cost := planCost(plan)
 				if cost > got.cost+1e-9*(1+got.cost) {
 					t.Fatalf("seed %d %s: plan cost %.9f above solver cost %.9f",
@@ -333,6 +336,71 @@ func planCost(p *Plan) float64 {
 		return p.EnergyJ
 	default:
 		return p.CarbonG
+	}
+}
+
+// checkPrice checks a plan's dual certificate. An infeasible plan has
+// Price -1. A feasible plan's λ = Price is non-negative, and every
+// interval's choice minimizes cost − λ·iterations over the table points
+// its cap allows, idle included unless NoIdle, within 1e-9 of the
+// terms' size. That also puts both states of the time-shared interval
+// at the tie. By Lagrangian duality this is an O(points × intervals)
+// proof that no plan covering the same iterations costs less.
+func checkPrice(t *testing.T, lt *frontier.LookupTable, sig *Signal, opts Options, p *Plan) {
+	t.Helper()
+	if !p.Feasible {
+		if p.Price != -1 {
+			t.Fatalf("infeasible plan has price %v, want -1", p.Price)
+		}
+		return
+	}
+	lambda := p.Price
+	if !(lambda >= 0) || math.IsInf(lambda, 0) {
+		t.Fatalf("feasible plan has price %v", lambda)
+	}
+	scale := opts.PowerScale
+	if scale <= 0 {
+		scale = 1
+	}
+	for _, ip := range p.Intervals {
+		iv := sig.Intervals[ip.Index]
+		dur := ip.EndS - ip.StartS
+		perJ := PerJoule(p.Objective, iv)
+		var size float64
+		value := func(q int) float64 { // cost − λ·iterations of q all interval long
+			if q < 0 {
+				return 0
+			}
+			c, w := perJ*scale*lt.AvgPower(q)*dur, lambda*dur/lt.PointTime(q)
+			size = max(size, c, w)
+			return c - w
+		}
+		lo := 0
+		if iv.CapW > 0 {
+			lo = lt.FirstUnderPower(iv.CapW / scale)
+		}
+		best := math.Inf(1)
+		if !opts.NoIdle || lo < 0 {
+			best = value(-1)
+		}
+		for q := max(lo, 0); lo >= 0 && q < len(lt.Points); q++ {
+			best = min(best, value(q))
+		}
+		chosen := []int{-1} // idle
+		switch {
+		case len(ip.Slices) == 2:
+			chosen = []int{ip.Slices[0].Point, ip.Slices[1].Point}
+		case len(ip.Slices) == 1 && ip.Slices[0].Seconds < dur:
+			chosen = []int{-1, ip.Slices[0].Point}
+		case len(ip.Slices) == 1:
+			chosen = []int{ip.Slices[0].Point}
+		}
+		for _, q := range chosen {
+			if v := value(q); v > best+1e-9*size {
+				t.Fatalf("interval %d: state %d has cost − λ·iterations %v, above the minimum %v at λ %v",
+					ip.Index, q, v, best, lambda)
+			}
+		}
 	}
 }
 
@@ -413,6 +481,7 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 	if !plan.Feasible {
 		t.Fatal("near-max target should be feasible")
 	}
+	checkPrice(t, lt, sig, Options{Target: maxCover * 0.98}, plan)
 	for _, ip := range plan.Intervals {
 		cap := sig.Intervals[ip.Index].CapW
 		for _, sl := range ip.Slices {
@@ -437,8 +506,8 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 	if math.Abs(plan.Iterations-maxCover) > 1e-6*maxCover {
 		t.Fatalf("best effort covers %.4f, want max %.4f", plan.Iterations, maxCover)
 	}
-	if plan.FinishS != -1 {
-		t.Fatalf("infeasible plan finish %v, want -1", plan.FinishS)
+	if plan.FinishS != -1 || plan.Price != -1 {
+		t.Fatalf("infeasible plan finish %v price %v, want -1 and -1", plan.FinishS, plan.Price)
 	}
 	// Infeasible plans must survive JSON encoding (the server returns
 	// them over HTTP).
@@ -454,6 +523,9 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 	}
 	if plan.Iterations <= 1 {
 		t.Fatalf("NoIdle with slack should overshoot, got %.3f iterations", plan.Iterations)
+	}
+	if plan.Price != 0 {
+		t.Fatalf("NoIdle overshoot took no step, so its price is 0; got %v", plan.Price)
 	}
 	for _, ip := range plan.Intervals[:2] {
 		if len(ip.Slices) == 0 || ip.IdleS > 1e-9 {
@@ -638,16 +710,35 @@ type scanResult struct {
 	coverage, cost float64
 	feasible       bool
 	steps          int
+	price          float64    // slope of the last step taken
 	taken          []scanStep // whole steps, in pick order
 }
 
-// scanSolve is the solver's oracle: the greedy with every step computed
-// from the table itself (lt.PointTime, lt.AvgPower — five divisions a
-// step, the expressions the solver had before it carried operands
-// between steps) and the cheapest step picked by a sequential strict-<
-// scan over the intervals, first index winning ties. The solver's heap,
-// run loop, per-solve arrays and carried operands are licensed by
-// agreeing with it exactly, bit for bit.
+// hullFrom returns the hull a cap with floor lo leaves an interval, as
+// table indices, fastest first: the hull of points lo..n-1, built the
+// way the solver builds it — the hull of lo..h, where h is the first
+// table hull point at or after lo, then the table's hull from h on.
+func hullFrom(lt *frontier.LookupTable, lo int) []int {
+	hull := lt.Hull()
+	j := 0
+	for hull[j] < lo {
+		j++
+	}
+	if hull[j] == lo {
+		return hull[j:]
+	}
+	chain := lt.HullOf(nil, lo, hull[j])
+	return append(chain, hull[j+1:]...)
+}
+
+// scanSolve is the solver's oracle: the greedy over each interval's
+// hull (hullFrom), with every step computed from the table itself
+// (lt.PointTime, lt.AvgPower — five divisions a step, the expressions
+// the solver had before it carried operands between steps) and the
+// cheapest step picked by a sequential strict-< scan over the
+// intervals, first index winning ties. The solver's heap, run loop,
+// per-solve arrays, solver positions and carried operands are licensed
+// by agreeing with it exactly, bit for bit.
 func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult, error) {
 	d, scale, obj, err := normalize(lt, sig, opts)
 	if err != nil {
@@ -655,25 +746,31 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 	}
 	type state struct {
 		dur, perJ float64
-		lo, cur   int
-		only      bool
+		chain     []int // allowed hull, fastest first; nil when only
+		pos       int   // position of the descent state in chain; -1 = idle
 	}
-	n := len(lt.Points)
+	cur := func(st state) int {
+		if st.pos < 0 {
+			return -1
+		}
+		return st.chain[st.pos]
+	}
 	res := scanResult{frac: fracStep{k: -1}}
 	var ivs []state
 	var maxCover float64
 	for _, iv := range sig.Truncate(d).Intervals {
-		st := state{dur: iv.Duration(), perJ: PerJoule(obj, iv), cur: -1}
+		st := state{dur: iv.Duration(), perJ: PerJoule(obj, iv), pos: -1}
+		lo := 0
 		if iv.CapW > 0 {
-			st.lo = lt.FirstUnderPower(iv.CapW / scale)
-			st.only = st.lo < 0
+			lo = lt.FirstUnderPower(iv.CapW / scale)
 		}
-		if !st.only {
-			maxCover += st.dur / lt.PointTime(st.lo)
+		if lo >= 0 {
+			st.chain = hullFrom(lt, lo)
+			maxCover += st.dur / lt.PointTime(lo)
 			if opts.NoIdle {
-				st.cur = n - 1
-				res.coverage += st.dur / lt.PointTime(st.cur)
-				res.cost += st.perJ * scale * lt.AvgPower(st.cur) * st.dur
+				st.pos = len(st.chain) - 1
+				res.coverage += st.dur / lt.PointTime(cur(st))
+				res.cost += st.perJ * scale * lt.AvgPower(cur(st)) * st.dur
 			}
 		}
 		ivs = append(ivs, st)
@@ -681,30 +778,32 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 	res.feasible = maxCover >= opts.Target-1e-9
 	if !res.feasible {
 		for _, st := range ivs {
-			if !st.only {
-				st.cur = st.lo
+			if st.chain != nil {
+				st.pos = 0
 			}
-			res.cur = append(res.cur, st.cur)
+			res.cur = append(res.cur, cur(st))
 		}
 		res.coverage = maxCover
 		return res, nil
 	}
-	next := func(st state) (to int, dw, dc float64, ok bool) {
-		if st.only || st.cur == st.lo {
-			return 0, 0, 0, false
+	next := func(st state) (pos, to int, dw, dc float64, ok bool) {
+		if st.chain == nil || st.pos == 0 {
+			return 0, 0, 0, 0, false
 		}
-		if st.cur < 0 {
-			to = max(n-1, st.lo)
-			return to, st.dur / lt.PointTime(to), st.perJ * scale * lt.AvgPower(to) * st.dur, true
+		if st.pos < 0 {
+			pos = len(st.chain) - 1
+			to = st.chain[pos]
+			return pos, to, st.dur / lt.PointTime(to), st.perJ * scale * lt.AvgPower(to) * st.dur, true
 		}
-		to = st.cur - 1
-		return to, st.dur/lt.PointTime(to) - st.dur/lt.PointTime(st.cur),
-			st.perJ * scale * st.dur * (lt.AvgPower(to) - lt.AvgPower(st.cur)), true
+		pos = st.pos - 1
+		to, from := st.chain[pos], cur(st)
+		return pos, to, st.dur/lt.PointTime(to) - st.dur/lt.PointTime(from),
+			st.perJ * scale * st.dur * (lt.AvgPower(to) - lt.AvgPower(from)), true
 	}
 	for res.coverage < opts.Target-1e-9 {
 		best, bestSlope := -1, 0.0
 		for k, st := range ivs {
-			if _, dw, dc, ok := next(st); ok {
+			if _, _, dw, dc, ok := next(st); ok {
 				if slope := dc / dw; best < 0 || slope < bestSlope {
 					best, bestSlope = k, slope
 				}
@@ -713,29 +812,30 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 		if best < 0 {
 			break
 		}
-		to, dw, dc, _ := next(ivs[best])
+		pos, to, dw, dc, _ := next(ivs[best])
 		res.steps++
+		res.price = bestSlope
 		if need := opts.Target - res.coverage; dw > need+1e-12 {
 			f := need / dw
-			res.frac = fracStep{k: best, from: ivs[best].cur, to: to, f: f}
+			res.frac = fracStep{k: best, from: cur(ivs[best]), to: to, f: f}
 			res.coverage += need
 			res.cost += f * dc
 			break
 		}
-		ivs[best].cur = to
+		ivs[best].pos = pos
 		res.coverage += dw
 		res.cost += dc
 		res.taken = append(res.taken, scanStep{bestSlope, dw})
 	}
 	for _, st := range ivs {
-		res.cur = append(res.cur, st.cur)
+		res.cur = append(res.cur, cur(st))
 	}
 	return res, nil
 }
 
 // checkAgainstScan solves the instance on sol (fresh or reused) and
 // requires exact agreement with the scan reference — == on every float,
-// no tolerance.
+// no tolerance — with the solver's positions read as table indices.
 func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig *Signal, opts Options) {
 	t.Helper()
 	want, err := scanSolve(lt, sig, opts)
@@ -745,18 +845,31 @@ func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig
 	if err := sol.solve(lt, sig, opts); err != nil {
 		t.Fatal(err)
 	}
+	point := func(pos int) int {
+		if pos < 0 {
+			return pos
+		}
+		return sol.pts[pos]
+	}
+	frac := sol.frac
+	if frac.k >= 0 {
+		frac.from, frac.to = point(frac.from), point(frac.to)
+	}
+	if !want.feasible {
+		want.price = -1
+	}
 	if sol.feasible != want.feasible || sol.coverage != want.coverage || sol.cost != want.cost ||
-		sol.frac != want.frac || sol.steps != want.steps {
-		t.Fatalf("solver {feasible %v coverage %v cost %v frac %+v steps %d}\n  scan {feasible %v coverage %v cost %v frac %+v steps %d}",
-			sol.feasible, sol.coverage, sol.cost, sol.frac, sol.steps,
-			want.feasible, want.coverage, want.cost, want.frac, want.steps)
+		frac != want.frac || sol.steps != want.steps || sol.price != want.price {
+		t.Fatalf("solver {feasible %v coverage %v cost %v frac %+v steps %d price %v}\n  scan {feasible %v coverage %v cost %v frac %+v steps %d price %v}",
+			sol.feasible, sol.coverage, sol.cost, frac, sol.steps, sol.price,
+			want.feasible, want.coverage, want.cost, want.frac, want.steps, want.price)
 	}
 	if len(sol.ivs) != len(want.cur) {
 		t.Fatalf("solver planned %d intervals, scan %d", len(sol.ivs), len(want.cur))
 	}
 	for k := range sol.ivs {
-		if sol.ivs[k].cur != want.cur[k] {
-			t.Fatalf("interval %d: solver at point %d, scan at %d", k, sol.ivs[k].cur, want.cur[k])
+		if got := point(sol.ivs[k].cur); got != want.cur[k] {
+			t.Fatalf("interval %d: solver at point %d, scan at %d", k, got, want.cur[k])
 		}
 	}
 }
@@ -774,6 +887,74 @@ func bumpyTable(rng *rand.Rand, tminU int64, points int) *frontier.LookupTable {
 	return lt
 }
 
+// hullTable is the table of lt's hull points alone.
+func hullTable(lt *frontier.LookupTable) *frontier.LookupTable {
+	h := lt.Hull()
+	out := &frontier.LookupTable{Unit: lt.Unit, TminUnits: lt.TminUnits, TStarUnits: lt.TStarUnits}
+	for _, i := range h {
+		out.Points = append(out.Points, lt.Points[i])
+	}
+	return out
+}
+
+// TestNonConvexTablePlansOnItsHull plans over non-convex tables, where
+// stepping one table point at a time is not the slope order: a step
+// out of a point above the hull can be dearer than the one after it,
+// and time-sharing two adjacent points misses the cheaper mix of the
+// hull vertices around them. The plan must reach the continuous
+// optimum of the hull points (brute force over the hull-only table).
+// The instances are one interval, and three under NoIdle, so the
+// time-shared step falls between hull vertices rather than at wake-up;
+// on most of them that optimum is strictly below the best plan that
+// time-shares only adjacent table points, which is where a point-by-
+// point greedy lands.
+func TestNonConvexTablePlansOnItsHull(t *testing.T) {
+	below := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lt := bumpyTable(rng, 40+seed, 7)
+		if len(lt.Hull()) == len(lt.Points) {
+			t.Fatalf("seed %d: bumpy table is convex", seed)
+		}
+		sig := &Signal{}
+		for k := 0; k < 3; k++ {
+			sig.Intervals = append(sig.Intervals, Interval{
+				StartS: float64(k) * 600, EndS: float64(k+1) * 600,
+				CarbonGPerKWh: 100 + 500*rng.Float64(), PriceUSDPerKWh: 0.1,
+			})
+		}
+		one := &Signal{Intervals: sig.Intervals[:1]}
+		for _, c := range []struct {
+			sig    *Signal
+			noIdle bool
+		}{{one, false}, {sig, true}} {
+			maxCover := c.sig.Horizon() / lt.Tmin()
+			for _, tf := range []float64{0.72, 0.8, 0.88, 0.96} {
+				opts := Options{Target: tf * maxCover, NoIdle: c.noIdle}
+				p, err := Optimize(lt, c.sig, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPrice(t, lt, c.sig, opts, p)
+				want, ok := bruteForceContinuous(hullTable(lt), c.sig, opts)
+				if !ok || !p.Feasible {
+					t.Fatalf("seed %d target %v: infeasible", seed, opts.Target)
+				}
+				if got := p.Total(); math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("seed %d %d intervals target %v: plan %.12g, hull optimum %.12g",
+						seed, len(c.sig.Intervals), opts.Target, got, want)
+				}
+				if adjacent, _ := bruteForceContinuous(lt, c.sig, opts); want < adjacent*(1-1e-9) {
+					below++
+				}
+			}
+		}
+	}
+	if below < 16 {
+		t.Fatalf("the hull optimum beat adjacent-point time-sharing on %d of 64 instances, want at least 16", below)
+	}
+}
+
 // TestSolveMatchesScanReference pins the solver to the scan reference
 // over the fuzz corpus and the shapes it does not reach: non-convex
 // tables, NoIdle, caps that idle or floor intervals, a deadline cutting
@@ -789,6 +970,11 @@ func TestSolveMatchesScanReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/noidle=%v", name, noIdle), func(t *testing.T) {
 				checkAgainstScan(t, &solution{}, lt, sig, opts)
 				checkAgainstScan(t, &reused, lt, sig, opts)
+				p, err := Optimize(lt, sig, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPrice(t, lt, sig, opts, p)
 			})
 		}
 	}

@@ -56,6 +56,8 @@ func decodePlanFast(b []byte) (p Plan, ok bool) {
 	d.account(&p.Account)
 	d.lit(`,"finish_s":`)
 	p.FinishS = d.float()
+	d.lit(`,"price":`)
+	p.Price = d.float()
 	d.lit(`,"intervals":[`)
 	if d.has(`]`) {
 		p.Intervals = []IntervalPlan{}

@@ -82,12 +82,12 @@ var decodeSeeds = []struct {
 	body      string
 	canonical bool
 }{
-	{"idle only", `{"objective":"carbon","target_iterations":1,"deadline_s":600,"feasible":false,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0,"finish_s":-1,"intervals":[{"index":0,"start_s":0,"end_s":600,"carbon_g_per_kwh":400,"price_usd_per_kwh":0.1,"idle_s":600,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0}]}` + "\n", true},
-	{"two slices", `{"objective":"cost","target_iterations":2.5,"deadline_s":300,"feasible":true,"iterations":2.5,"energy_j":10,"carbon_g":1,"cost_usd":0.5,"finish_s":250,"intervals":[{"index":3,"start_s":0,"end_s":300,"carbon_g_per_kwh":1,"price_usd_per_kwh":2,"slices":[{"point":4,"seconds":100},{"point":5,"seconds":150}],"idle_s":50,"iterations":2.5,"energy_j":10,"carbon_g":1,"cost_usd":0.5}]}`, true},
-	{"exponents", `{"objective":"energy","target_iterations":1e21,"deadline_s":1e-7,"feasible":true,"iterations":1E+2,"energy_j":-0,"carbon_g":-1.5e-300,"cost_usd":0.0,"finish_s":1e0,"intervals":[]}`, true},
-	{"integers", `{"objective":"carbon","target_iterations":999999999999999,"deadline_s":9007199254740993,"feasible":true,"iterations":-12,"energy_j":-0,"carbon_g":123456789012345678901234567890,"cost_usd":0,"finish_s":-999999999999999,"intervals":[{"index":-3,"start_s":0,"end_s":0,"carbon_g_per_kwh":0,"price_usd_per_kwh":0,"slices":[{"point":-0,"seconds":1}],"idle_s":0,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0}]}`, true},
+	{"idle only", `{"objective":"carbon","target_iterations":1,"deadline_s":600,"feasible":false,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0,"finish_s":-1,"price":-1,"intervals":[{"index":0,"start_s":0,"end_s":600,"carbon_g_per_kwh":400,"price_usd_per_kwh":0.1,"idle_s":600,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0}]}` + "\n", true},
+	{"two slices", `{"objective":"cost","target_iterations":2.5,"deadline_s":300,"feasible":true,"iterations":2.5,"energy_j":10,"carbon_g":1,"cost_usd":0.5,"finish_s":250,"price":0.004,"intervals":[{"index":3,"start_s":0,"end_s":300,"carbon_g_per_kwh":1,"price_usd_per_kwh":2,"slices":[{"point":4,"seconds":100},{"point":5,"seconds":150}],"idle_s":50,"iterations":2.5,"energy_j":10,"carbon_g":1,"cost_usd":0.5}]}`, true},
+	{"exponents", `{"objective":"energy","target_iterations":1e21,"deadline_s":1e-7,"feasible":true,"iterations":1E+2,"energy_j":-0,"carbon_g":-1.5e-300,"cost_usd":0.0,"finish_s":1e0,"price":2E-3,"intervals":[]}`, true},
+	{"integers", `{"objective":"carbon","target_iterations":999999999999999,"deadline_s":9007199254740993,"feasible":true,"iterations":-12,"energy_j":-0,"carbon_g":123456789012345678901234567890,"cost_usd":0,"finish_s":-999999999999999,"price":-0,"intervals":[{"index":-3,"start_s":0,"end_s":0,"carbon_g_per_kwh":0,"price_usd_per_kwh":0,"slices":[{"point":-0,"seconds":1}],"idle_s":0,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0}]}`, true},
 	{"index overflow", `{"objective":"carbon","target_iterations":1,"deadline_s":1,"feasible":true,"iterations":1,"energy_j":1,"carbon_g":1,"cost_usd":1,"finish_s":1,"intervals":[{"index":99999999999999999999}]}`, false},
-	{"no intervals", `{"objective":"","target_iterations":0,"deadline_s":0,"feasible":false,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0,"finish_s":0,"intervals":[]}`, true},
+	{"no intervals", `{"objective":"","target_iterations":0,"deadline_s":0,"feasible":false,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0,"finish_s":0,"price":0,"intervals":[]}`, true},
 	{"null intervals", `{"objective":"carbon","target_iterations":0,"deadline_s":0,"feasible":false,"iterations":0,"energy_j":0,"carbon_g":0,"cost_usd":0,"finish_s":0,"intervals":null}`, false},
 	{"reordered keys", `{"target_iterations":7,"objective":"carbon","intervals":[{"end_s":9,"index":1}]}`, false},
 	{"extra key", `{"objective":"carbon","version":2,"target_iterations":7}`, false},

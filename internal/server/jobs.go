@@ -385,7 +385,8 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		// characterize event still carries the registering trace's ID.
 		s.obs.ring.Emit(now, "job.characterize", took, traceKV(ctx,
 			"job", j.id, "outcome", outcome,
-			"points", strconv.Itoa(points), "steps", strconv.Itoa(work.Steps),
+			"points", strconv.Itoa(points), "table_points", strconv.Itoa(work.TablePoints),
+			"hull_points", strconv.Itoa(work.HullPoints), "steps", strconv.Itoa(work.Steps),
 			"edges_moved", strconv.Itoa(work.EdgesMoved), "searches", strconv.Itoa(work.Searches),
 			"augmenting_paths", strconv.Itoa(work.AugmentingPaths), "fallbacks", strconv.Itoa(work.Fallbacks))...)
 		close(done)
@@ -489,17 +490,20 @@ func (s *Server) Schedule(id string) (ScheduleResponse, error) {
 	if j.front == nil {
 		return ScheduleResponse{Ready: false, Version: j.version}, nil
 	}
-	pt := j.front.Lookup(j.deployedTimeLocked(j.front.Tmin()))
-	plan := pt.Plan()
-	freqs := make([]int, len(plan))
-	for i, f := range plan {
-		freqs[i] = int(f)
+	// The table, not the frontier: its Pareto set is what the ledger
+	// charges and the planners deploy, and it holds no point a faster
+	// one matches in energy.
+	lt := j.table
+	i := lt.LookupIndex(j.deployedTimeLocked(lt.Tmin()))
+	freqs := make([]int, len(lt.Points[i].Freqs))
+	for k, f := range lt.Points[i].Freqs {
+		freqs[k] = int(f)
 	}
 	return ScheduleResponse{
 		Ready:   true,
-		Time:    pt.Time,
-		Tmin:    j.front.Tmin(),
-		TStar:   j.front.TStar(),
+		Time:    lt.PointTime(i),
+		Tmin:    lt.Tmin(),
+		TStar:   lt.TStar(),
 		Freqs:   freqs,
 		Version: j.version,
 	}, nil

@@ -107,6 +107,11 @@ func TestObservabilityEndpoints(t *testing.T) {
 			count("searches") < steps || count("edges_moved") < steps {
 			t.Fatalf("job.characterize work counts %v", e.Labels)
 		}
+		// The table keeps the Pareto points, the planners step over its
+		// hull, and the Tmin and T* points are on both.
+		if tablePts, hullPts := count("table_points"), count("hull_points"); tablePts > points || hullPts > tablePts || hullPts < 2 {
+			t.Fatalf("job.characterize table counts %v", e.Labels)
+		}
 	}
 	if byName["job.register"] != 1 || byName["job.characterize"] != 1 || byName["signal.install"] != 1 {
 		t.Fatalf("event counts %v", byName)

@@ -180,3 +180,52 @@ func TestTickKeepsPlanOnUnchangedView(t *testing.T) {
 		t.Fatal("metrics missing the warm start")
 	}
 }
+
+// TestControllerCarbonAtZeroForecastError separates what the MPC
+// roll-forward realizes from what forecast error costs it, job by job,
+// on characterized tables whose hulls skip most of their points. With
+// a perfect forecast, re-planning the remaining window after every
+// interval realizes exactly the oracle's carbon: neither committing
+// interval by interval, nor re-basing the window, nor the time-share
+// inside an interval costs anything. So the carbon the controller
+// realizes above the oracle under a revisions feed is the price of
+// committing to decisions planned on forecast error; the test logs it
+// at σ 0.2, the benchmark's level. The perfect forecast is
+// forecast.Perfect: a Revisions forecast reads σ 0 as its 0.10
+// default. (TestControllerMatchesOfflineMPC pins the server's ticks to
+// forecast.Replan, which this test runs.)
+func TestControllerCarbonAtZeroForecastError(t *testing.T) {
+	srv, _, ids := fleetServer(t, 3, nil)
+	truth := grid.Diurnal24h()
+	horizon := truth.Horizon()
+	for k, id := range ids {
+		lt, err := srv.Table(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := forecast.Options{Target: math.Floor([]float64{0.55, 0.4, 0.7}[k] * horizon / lt.TStar()), DeadlineS: horizon}
+		oracle, err := forecast.Oracle(lt, truth, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perfect, err := forecast.Replan(lt, &forecast.Perfect{Truth: truth, HorizonS: horizon}, truth, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noisy, err := forecast.Replan(lt, &forecast.Revisions{Truth: truth, Seed: 1, Sigma: 0.2}, truth, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d points, %d on the hull; carbon: oracle %.4f g, MPC at σ 0 %.4f g, MPC at σ 0.2 %.4f g (x%.4f)",
+			id, len(lt.Points), len(lt.Hull()), oracle.CarbonG, perfect.CarbonG, noisy.CarbonG, noisy.CarbonG/oracle.CarbonG)
+		if len(lt.Hull()) == len(lt.Points) {
+			t.Fatalf("%s: the table is convex, so the hull solve goes untested", id)
+		}
+		if !perfect.Feasible || math.Abs(perfect.CarbonG-oracle.CarbonG) > 1e-9*oracle.CarbonG {
+			t.Fatalf("%s: MPC on a perfect forecast realized %v g, the oracle %v g", id, perfect.CarbonG, oracle.CarbonG)
+		}
+		if !noisy.Feasible || noisy.CarbonG < oracle.CarbonG*(1-1e-9) {
+			t.Fatalf("%s: MPC under forecast error realized %v g, below the oracle's %v g", id, noisy.CarbonG, oracle.CarbonG)
+		}
+	}
+}
