@@ -6,7 +6,6 @@
 package perseus
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -682,9 +681,7 @@ func BenchmarkServerPlanCached(b *testing.B) {
 }
 
 // BenchmarkDecodePlan decodes one 288-interval /grid/plan body — what a
-// trainer pays per plan it fetches — beside the decode grid.DecodePlan
-// replaced in internal/client: encoding/json's streaming Decoder over
-// the response body.
+// trainer pays per plan it fetches.
 func BenchmarkDecodePlan(b *testing.B) {
 	srv, id, target := benchServer(b)
 	p, err := srv.GridPlan(id, target, 0, "")
@@ -695,23 +692,13 @@ func BenchmarkDecodePlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("wire", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := grid.DecodePlan(body); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ReportMetric(float64(len(body)), "bytes")
+	for i := 0; i < b.N; i++ {
+		if _, err := grid.DecodePlan(body); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("encoding-json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var p grid.Plan
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkSocketFetch times the trainer client's four reads over a real

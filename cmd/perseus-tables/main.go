@@ -200,7 +200,7 @@ var runners = map[string]runner{
 		if err != nil {
 			return err
 		}
-		return render(out, experiments.GridPlanTable(lt, featured), experiments.GridComparisonTable(sig, strategies))
+		return render(out, experiments.GridPlanTable(lt, sig, featured), experiments.GridComparisonTable(sig, strategies))
 	},
 
 	// region places and migrates one job across two datacenters whose
@@ -229,7 +229,7 @@ var runners = map[string]runner{
 		if err != nil {
 			return err
 		}
-		return render(out, experiments.RegionPlanTable(regions, featured, 0), experiments.RegionComparisonTable(strategies))
+		return render(out, experiments.RegionPlanTable(regions, lt, featured, 0), experiments.RegionComparisonTable(strategies))
 	},
 
 	// forecast replays the diurnal trace through a seeded noisy-revision
@@ -314,6 +314,13 @@ var runners = map[string]runner{
 	},
 }
 
+// scales are the -scale presets.
+var scales = map[string]experiments.Scale{
+	"quick":  {MaxMicrobatches: 16, TargetSteps: 400},
+	"medium": {MaxMicrobatches: 48, TargetSteps: 800},
+	"full":   experiments.Full,
+}
+
 // order fixes the presentation sequence for -experiment all.
 var order = []string{
 	"table1", "table7", "fig1", "potential", "table3", "table4", "realized",
@@ -331,15 +338,8 @@ func main() {
 		fmt.Println(strings.Join(order, "\n"))
 		return
 	}
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.Scale{MaxMicrobatches: 16, TargetSteps: 400}
-	case "medium":
-		sc = experiments.Scale{MaxMicrobatches: 48, TargetSteps: 800}
-	case "full":
-		sc = experiments.Full
-	default:
+	sc, ok := scales[*scale]
+	if !ok {
 		log.Fatalf("unknown scale %q", *scale)
 	}
 

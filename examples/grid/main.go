@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("target: %.0f iterations by hour 24 (deadline slack: T* needs only %.1f h)\n\n",
 		target, target*lt.TStar()/3600)
 	fmt.Println("hour  gCO2/kWh  plan")
-	for _, ip := range plan.Intervals {
+	for ip := range plan.Intervals(lt, sig) {
 		bar := "idle"
 		if len(ip.Slices) > 0 {
 			bar = fmt.Sprintf("run %4.0f min at T=%.3fs", (ip.EndS-ip.StartS-ip.IdleS)/60, lt.PointTime(ip.Slices[0].Point))

@@ -297,8 +297,9 @@ type ReplanResponse struct {
 	PredCostUSD float64 `json:"pred_cost_usd"`
 
 	// Remaining is the fresh plan for [RemainingOffsetS, DeadlineS),
-	// with interval times relative to RemainingOffsetS; nil once the
-	// target is complete.
+	// planned on the forecast window starting there: its runs cover the
+	// window's intervals, timed relative to RemainingOffsetS. nil once
+	// the target is complete.
 	Remaining        *grid.Plan `json:"remaining,omitempty"`
 	RemainingOffsetS float64    `json:"remaining_offset_s"`
 }

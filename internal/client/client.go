@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"perseus/internal/api"
@@ -441,20 +440,13 @@ func (c *ServerClient) FetchGridPlanIfChanged(jobID string, iterations, deadline
 	if resp.StatusCode == http.StatusNotModified {
 		return grid.Plan{}, etag, false, nil
 	}
-	// A day-long plan is a ~69 kB body and DecodePlan keeps none of it,
-	// so the read buffer is reused from fetch to fetch.
-	body := planBodies.Get().(*bytes.Buffer)
-	defer planBodies.Put(body)
-	body.Reset()
-	if _, err := body.ReadFrom(resp.Body); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return grid.Plan{}, "", false, err
 	}
-	p, err = grid.DecodePlan(body.Bytes())
+	p, err = grid.DecodePlan(body)
 	return p, etag, err == nil, err
 }
-
-// planBodies holds FetchGridPlanIfChanged's read buffers.
-var planBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // RegisterRegion registers a datacenter region — GPU capacity, facility
 // power cap, and its own grid signal — with the server.

@@ -90,12 +90,12 @@ func GridComparisonTable(sig *grid.Signal, strategies []GridStrategy) *Table {
 
 // GridPlanTable renders a temporal plan interval by interval: when the
 // job runs, at which operating points, and what each hour costs.
-func GridPlanTable(lt *frontier.LookupTable, p *grid.Plan) *Table {
+func GridPlanTable(lt *frontier.LookupTable, sig *grid.Signal, p *grid.Plan) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Grid-aware temporal plan (%s objective)", p.Objective),
 		Header: []string{"t (h)", "gCO2/kWh", "$/kWh", "Operating point", "Run (min)", "Iters", "Carbon (g)"},
 	}
-	for _, ip := range p.Intervals {
+	for ip := range p.Intervals(lt, sig) {
 		var run float64
 		point := "idle"
 		if len(ip.Slices) > 0 {

@@ -70,7 +70,7 @@ func TestGridComparisonOnBundledTrace(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := GridPlanTable(lt, aware).Render(&buf); err != nil {
+	if err := GridPlanTable(lt, sig, aware).Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "idle") {

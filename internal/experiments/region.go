@@ -90,7 +90,7 @@ func RegionComparisonTable(strategies []RegionStrategy) *Table {
 // RegionPlanTable renders one job's spatio-temporal schedule cell by
 // cell: where the job runs, each region's carbon intensity there, and
 // what each span contributes.
-func RegionPlanTable(regions []region.Region, p *region.Plan, jobIdx int) *Table {
+func RegionPlanTable(regions []region.Region, lt *frontier.LookupTable, p *region.Plan, jobIdx int) *Table {
 	jp := p.Jobs[jobIdx]
 	t := &Table{
 		Title:  fmt.Sprintf("Region plan for %s (%s objective)", jp.JobID, p.Objective),
@@ -101,7 +101,7 @@ func RegionPlanTable(regions []region.Region, p *region.Plan, jobIdx int) *Table
 	type cellSum struct{ run, iters, carbon float64 }
 	sums := make([]cellSum, len(p.Cells))
 	ci := 0
-	for _, ip := range jp.Temporal.Intervals {
+	for ip := range jp.Temporal.Intervals(lt, jp.Signal) {
 		for ci < len(p.Cells)-1 && ip.StartS >= p.Cells[ci].EndS {
 			ci++
 		}

@@ -57,7 +57,7 @@ func TestRegionComparison(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := RegionPlanTable(regions, planner, 0).Render(&buf); err != nil {
+	if err := RegionPlanTable(regions, lt, planner, 0).Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()

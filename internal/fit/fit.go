@@ -57,16 +57,23 @@ func FitExp(ts, es []float64) (Exp, error) {
 		return Exp{}, fmt.Errorf("fit: degenerate time span")
 	}
 
+	// Each candidate b costs one exponential per point: u keeps them for
+	// the residual pass, and the offsets and Σe do not depend on b.
+	n := float64(len(ts))
+	dt, u := make([]float64, len(ts)), make([]float64, len(ts))
+	var se float64
+	for i := range ts {
+		dt[i] = ts[i] - t0
+		se += es[i]
+	}
 	sse := func(b float64) (float64, float64, float64) {
 		// Linear least squares for (a, c) with u = exp(b (t - t0)).
-		var su, suu, se, sue float64
-		n := float64(len(ts))
-		for i := range ts {
-			u := math.Exp(b * (ts[i] - t0))
-			su += u
-			suu += u * u
-			se += es[i]
-			sue += u * es[i]
+		var su, suu, sue float64
+		for i := range dt {
+			u[i] = math.Exp(b * dt[i])
+			su += u[i]
+			suu += u[i] * u[i]
+			sue += u[i] * es[i]
 		}
 		den := n*suu - su*su
 		if math.Abs(den) < 1e-30 {
@@ -75,8 +82,8 @@ func FitExp(ts, es []float64) (Exp, error) {
 		a := (n*sue - su*se) / den
 		c := (se - a*su) / n
 		var s float64
-		for i := range ts {
-			r := a*math.Exp(b*(ts[i]-t0)) + c - es[i]
+		for i := range u {
+			r := a*u[i] + c - es[i]
 			s += r * r
 		}
 		return s, a, c

@@ -140,3 +140,92 @@ func TestExpString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// referenceFitExp is FitExp as it was before it kept each candidate's
+// exponentials for the residual pass and hoisted the offsets and Σe:
+// the reference the faster one must equal bit for bit.
+func referenceFitExp(ts, es []float64) Exp {
+	t0 := ts[0]
+	span := ts[len(ts)-1] - ts[0]
+	sse := func(b float64) (float64, float64, float64) {
+		var su, suu, se, sue float64
+		n := float64(len(ts))
+		for i := range ts {
+			u := math.Exp(b * (ts[i] - t0))
+			su += u
+			suu += u * u
+			se += es[i]
+			sue += u * es[i]
+		}
+		den := n*suu - su*su
+		if math.Abs(den) < 1e-30 {
+			return math.Inf(1), 0, 0
+		}
+		a := (n*sue - su*se) / den
+		c := (se - a*su) / n
+		var s float64
+		for i := range ts {
+			r := a*math.Exp(b*(ts[i]-t0)) + c - es[i]
+			s += r * r
+		}
+		return s, a, c
+	}
+	bestB, bestSSE := -1.0/span, math.Inf(1)
+	for k := 0; k < 60; k++ {
+		b := -math.Pow(10, -2+4*float64(k)/59) / span
+		if s, _, _ := sse(b); s < bestSSE {
+			bestSSE, bestB = s, b
+		}
+	}
+	lo, hi := bestB*3, bestB/3
+	const phi = 0.6180339887498949
+	x1 := hi - phi*(hi-lo)
+	x2 := lo + phi*(hi-lo)
+	f1, _, _ := sse(x1)
+	f2, _, _ := sse(x2)
+	for iter := 0; iter < 80; iter++ {
+		if f1 < f2 {
+			hi, x2, f2 = x2, x1, f1
+			x1 = hi - phi*(hi-lo)
+			f1, _, _ = sse(x1)
+		} else {
+			lo, x1, f1 = x1, x2, f2
+			x2 = lo + phi*(hi-lo)
+			f2, _, _ = sse(x2)
+		}
+	}
+	b := (lo + hi) / 2
+	if s, _, _ := sse(b); s > bestSSE {
+		b = bestB
+	}
+	_, a, c := sse(b)
+	return Exp{A: a, B: b, C: c, T0: t0}
+}
+
+// TestFitExpMatchesReference requires FitExp to return exactly what
+// referenceFitExp does, == on every field, over random point sets:
+// noisy exponentials and plain noise, 3 to 40 points.
+func TestFitExpMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		n := 3 + rng.Intn(38)
+		truth := Exp{A: 1 + 100*rng.Float64(), B: -rng.ExpFloat64() / 10, C: 200 * rng.Float64(), T0: 50 * rng.Float64()}
+		ts, es := make([]float64, n), make([]float64, n)
+		x := truth.T0
+		for i := range ts {
+			x += 0.1 + 5*rng.Float64()
+			ts[i] = x
+			es[i] = truth.Eval(x) * (1 + 0.05*rng.NormFloat64())
+			if trial%5 == 0 {
+				es[i] = 500 * rng.Float64()
+			}
+		}
+		got, err := FitExp(ts, es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceFitExp(ts, es); got != want {
+			t.Fatalf("trial %d: FitExp %+v, reference %+v", trial, got, want)
+		}
+	}
+}

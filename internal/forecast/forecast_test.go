@@ -605,9 +605,11 @@ func TestStepperReplanOnlyReadsForecast(t *testing.T) {
 	}
 	// Each solve here uses its own solver; what the shared side shares
 	// is the forecast, one view per quantile and one window per view.
-	solveOn := func(st *Stepper, window func(view *grid.Signal, from, to float64) *grid.Signal) func(*grid.Signal, float64, float64, float64) (*grid.Plan, error) {
-		return func(view *grid.Signal, from, to, target float64) (*grid.Plan, error) {
-			return grid.Optimize(st.Table, window(view, from, to), grid.Options{Target: target, Objective: st.Objective, PowerScale: st.Scale})
+	solveOn := func(st *Stepper, window func(view *grid.Signal, from, to float64) *grid.Signal) func(*grid.Signal, float64, float64, float64) (*grid.Plan, *grid.Signal, error) {
+		return func(view *grid.Signal, from, to, target float64) (*grid.Plan, *grid.Signal, error) {
+			win := window(view, from, to)
+			p, err := grid.Optimize(st.Table, win, grid.Options{Target: target, Objective: st.Objective, PowerScale: st.Scale})
+			return p, win, err
 		}
 	}
 	shared, own := steppers(), steppers()

@@ -143,9 +143,10 @@ type Stepper struct {
 	At float64
 
 	// Plan is the plan in force (nil when none: target complete, deadline
-	// passed, or the last solve failed), with interval times relative
-	// to PlanAt. Remaining is the work still to cover, kept by
-	// successive subtraction of each executed interval's iterations.
+	// passed, or the last solve failed), planned on a window of the
+	// forecast whose times are relative to PlanAt. Remaining is the work
+	// still to cover, kept by successive subtraction of each executed
+	// interval's iterations.
 	Plan      *grid.Plan
 	PlanAt    float64
 	Remaining float64
@@ -160,8 +161,9 @@ type Stepper struct {
 	Plans      int
 	WarmStarts int
 
-	view  *grid.Signal // quantile view Plan was solved on (absolute time)
-	point *grid.Signal // latest point forecast, what executed slices were predicted at
+	view   *grid.Signal // quantile view Plan was solved on (absolute time)
+	window *grid.Signal // the window of view Plan was solved on (relative to PlanAt)
+	point  *grid.Signal // latest point forecast, what executed slices were predicted at
 }
 
 // NewStepper starts a rolling schedule at signal time startS. The
@@ -190,13 +192,14 @@ func (s *Stepper) Stalled() bool { return s.Plan == nil && s.Open() }
 func (s *Stepper) Feasible() bool { return s.done() || (s.Plan != nil && s.Plan.Feasible) }
 
 // ExecuteTo runs the plan in force over [At, t) against the truth and
-// advances At to t. Plan intervals are clipped at both ends: one that
-// straddles At (a kept plan whose earlier part already ran and was
+// advances At to t, one executed interval per interval of the window
+// the plan was solved on. Plan intervals are clipped at both ends: one
+// that straddles At (a kept plan whose earlier part already ran and was
 // recorded, idle tail included) resumes from At, one that straddles t
 // stops there.
 func (s *Stepper) ExecuteTo(t float64) {
 	if s.Plan != nil {
-		for _, ip := range s.Plan.Intervals {
+		for ip := range s.Plan.Intervals(s.Table, s.window) {
 			absStart, absEnd := s.PlanAt+ip.StartS, s.PlanAt+ip.EndS
 			if absEnd <= s.At+1e-9 {
 				continue // executed by an earlier step
@@ -239,11 +242,12 @@ func (s *Stepper) View() *grid.Signal { return s.view }
 // remaining window — the revision touched only executed or
 // beyond-deadline intervals — the plan's suffix is still the optimum
 // for the remaining work and is kept. Otherwise solve plans target
-// iterations on Window(view, from, to), the remaining window, which it
-// may likewise share between steppers with the same bounds (the solver
-// only reads it); a failed solve leaves no plan in force. A schedule
+// iterations on Window(view, from, to), the remaining window, and
+// returns the plan with that window, which it may likewise share
+// between steppers with the same bounds (the solver and the stepper
+// only read it); a failed solve leaves no plan in force. A schedule
 // that is not Open drops its plan and ignores fc and view.
-func (s *Stepper) Replan(fc *Forecast, view *grid.Signal, solve func(view *grid.Signal, from, to, target float64) (*grid.Plan, error)) (bool, error) {
+func (s *Stepper) Replan(fc *Forecast, view *grid.Signal, solve func(view *grid.Signal, from, to, target float64) (*grid.Plan, *grid.Signal, error)) (bool, error) {
 	if !s.Open() {
 		s.Plan, s.PlanAt = nil, s.At
 		return false, nil
@@ -254,11 +258,11 @@ func (s *Stepper) Replan(fc *Forecast, view *grid.Signal, solve func(view *grid.
 		return false, nil
 	}
 	s.Plan, s.PlanAt = nil, s.At
-	p, err := solve(view, s.At, s.DeadlineS, s.Remaining)
+	p, window, err := solve(view, s.At, s.DeadlineS, s.Remaining)
 	if err != nil {
 		return false, err
 	}
-	s.Plan, s.view = p, view
+	s.Plan, s.view, s.window = p, view, window
 	s.Plans++
 	return true, nil
 }
@@ -318,10 +322,12 @@ func run(lt *frontier.LookupTable, prov Provider, truth *grid.Signal, opts Optio
 	// One solver's buffers serve every decision of the episode.
 	var solver grid.Solver
 	st := NewStepper(lt, truth, opts, 0)
-	solve := func(view *grid.Signal, from, to, target float64) (*grid.Plan, error) {
-		return solver.Optimize(st.Table, Window(view, from, to), grid.Options{
+	solve := func(view *grid.Signal, from, to, target float64) (*grid.Plan, *grid.Signal, error) {
+		window := Window(view, from, to)
+		p, err := solver.Optimize(st.Table, window, grid.Options{
 			Target: target, Objective: st.Objective, PowerScale: st.Scale,
 		})
+		return p, window, err
 	}
 	for di, d := range decisions[:len(decisions)-1] {
 		if !st.Open() {

@@ -341,7 +341,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 			// the slice time falling inside an earlier span's transfer
 			// residue — the schedule is not re-packed, the work simply
 			// does not happen.
-			for _, ip := range jp.Temporal.Intervals {
+			for ip := range jp.Temporal.Intervals(job.Table, jp.Signal) {
 				if ip.StartS >= span-1e-9 {
 					break
 				}

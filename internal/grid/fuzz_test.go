@@ -68,7 +68,12 @@ func fuzzInstance(seed int64, targetFrac, deadlineFrac float64) (*frontier.Looku
 //     Fixed baseline (always-Tmin and static min-energy): both
 //     baselines are feasible points of the continuous time-sharing
 //     space the greedy fill solves exactly (see Optimize), so losing
-//     to either at all would break exactness.
+//     to either at all would break exactness;
+//  6. the runs of every plan above and of both baselines are maximal,
+//     in order and cover the intervals before the deadline, a run with
+//     slices is one interval its slices fit (checkRuns), and each plan
+//     expands to the reference assembly's intervals and totals bit for
+//     bit (checkExpansion).
 func FuzzOptimize(f *testing.F) {
 	for seed := int64(1); seed <= 10; seed++ {
 		f.Add(seed, 0.6, 0.9)
@@ -94,6 +99,17 @@ func FuzzOptimize(f *testing.F) {
 					t.Fatal(err)
 				}
 				checkPrice(t, table, sig, o, p)
+				// (6) the runs and their expansion.
+				checkRuns(t, p, sig)
+				checkExpansion(t, table, sig, p, referenceOptimize(t, table, sig, o))
+				for _, point := range []int{0, len(table.Points) - 1} {
+					base, err := Fixed(table, point, sig, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkRuns(t, base, sig)
+					checkExpansion(t, table, sig, base, referenceFixed(t, table, point, sig, o))
+				}
 			}
 		}
 
@@ -131,7 +147,7 @@ func FuzzOptimize(f *testing.F) {
 
 		// (2) + (3) per-interval invariants.
 		var totalIter, totalEnergy, totalCarbon, totalCost float64
-		for _, ip := range plan.Intervals {
+		for ip := range plan.Intervals(lt, sig) {
 			iv := sig.Intervals[ip.Index]
 			var run, energy, iters float64
 			for _, sl := range ip.Slices {

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"strconv"
@@ -68,7 +69,7 @@ type Options struct {
 	NoIdle bool
 }
 
-// Slice is a run of one frontier point within an interval.
+// Slice is a stretch of one frontier point within an interval.
 type Slice struct {
 	// Point indexes the job's lookup table.
 	Point int `json:"point"`
@@ -77,43 +78,81 @@ type Slice struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// IntervalPlan is the plan for one signal interval: the point slices to
-// run (at most two — the optimum time-shares adjacent descent states in
-// at most one interval) with the remainder idle.
+// Idle is the Run.Point of a run that pauses the job.
+const Idle = -1
+
+// Run is a maximal stretch of consecutive signal intervals that share
+// one decision: each interval of the run spends its whole duration at
+// table point Point, or pauses (Point == Idle). An interval planned any
+// other way — the one interval that time-shares two states, or the one
+// a Fixed baseline's finish cuts — is a run of one that spells out its
+// Slices. An interval cut by the deadline is still whole: it runs until
+// the deadline.
+type Run struct {
+	// Count is the number of signal intervals the run covers.
+	Count int `json:"count"`
+
+	// Point is the table point of a whole-interval run, or Idle.
+	Point int `json:"point,omitempty"`
+
+	// Slices, when non-empty, replace Point: the run is one interval
+	// that runs them back to back from its start and idles the rest.
+	// The optimum time-shares at most two states, in at most one
+	// interval.
+	Slices []Slice `json:"slices,omitempty"`
+}
+
+// appendRun appends one interval's decision — whole at point (or Idle)
+// when slices is empty, otherwise slices — extending the last run when
+// it is the same whole decision.
+func appendRun(runs []Run, point int, slices []Slice) []Run {
+	if n := len(runs); n > 0 && len(slices) == 0 && len(runs[n-1].Slices) == 0 && runs[n-1].Point == point {
+		runs[n-1].Count++
+		return runs
+	}
+	return append(runs, Run{Count: 1, Point: point, Slices: slices})
+}
+
+// IntervalPlan is one signal interval of a plan, as Plan.Intervals
+// expands it: the point slices run (at most two) with the remainder
+// idle, and what they do.
 type IntervalPlan struct {
 	// Index is the interval's position in the signal.
-	Index int `json:"index"`
+	Index int
 
 	// StartS and EndS bound the interval (the last may be cut by the
 	// deadline).
-	StartS float64 `json:"start_s"`
-	EndS   float64 `json:"end_s"`
+	StartS, EndS float64
 
-	// CarbonGPerKWh and PriceUSDPerKWh echo the interval's rates.
-	CarbonGPerKWh  float64 `json:"carbon_g_per_kwh"`
-	PriceUSDPerKWh float64 `json:"price_usd_per_kwh"`
+	// CarbonGPerKWh and PriceUSDPerKWh are the interval's rates.
+	CarbonGPerKWh, PriceUSDPerKWh float64
 
-	// Slices are the planned runs; empty means the job idles throughout.
-	Slices []Slice `json:"slices,omitempty"`
+	// Slices are the planned stretches; empty means the job idles
+	// throughout.
+	Slices []Slice
 
 	// IdleS is the planned pause time within the interval.
-	IdleS float64 `json:"idle_s"`
+	IdleS float64
 
 	// Iterations and the embedded plan.Account are the interval's
 	// planned outcomes.
-	Iterations float64 `json:"iterations"`
+	Iterations float64
 	plan.Account
 }
 
 // Plan is a temporal frequency-plan schedule: one operating choice per
-// signal interval minimizing the objective subject to the deadline.
+// signal interval minimizing the objective subject to the deadline,
+// stored as runs of intervals sharing a choice. It does not repeat the
+// signal: Intervals expands it over the signal it was planned on.
 type Plan struct {
 	// Objective is what the plan minimizes.
 	Objective Objective `json:"objective"`
 
-	// Target and DeadlineS echo the planning inputs.
-	Target    float64 `json:"target_iterations"`
-	DeadlineS float64 `json:"deadline_s"`
+	// Target, DeadlineS and PowerScale echo the planning inputs (the
+	// deadline and scale resolved).
+	Target     float64 `json:"target_iterations"`
+	DeadlineS  float64 `json:"deadline_s"`
+	PowerScale float64 `json:"power_scale"`
 
 	// Feasible reports whether the target fits before the deadline.
 	// When it does not, the plan runs every interval at its fastest
@@ -139,8 +178,56 @@ type Plan struct {
 	// (infeasible, or a Fixed baseline), kept finite like FinishS.
 	Price float64 `json:"price"`
 
-	// Intervals holds the per-interval plans in time order.
-	Intervals []IntervalPlan `json:"intervals"`
+	// Runs cover the signal's intervals before the deadline in time
+	// order.
+	Runs []Run `json:"runs"`
+}
+
+// Intervals iterates the plan interval by interval over sig, the signal
+// it was planned on, with lt the job's lookup table. Each IntervalPlan
+// repeats the planner's own arithmetic, so it is bit for bit what the
+// plan's totals were summed from. Its Slices alias the plan or a buffer
+// the next step reuses: copy them to keep them.
+func (p *Plan) Intervals(lt *frontier.LookupTable, sig *Signal) iter.Seq[IntervalPlan] {
+	return func(yield func(IntervalPlan) bool) {
+		var whole [1]Slice
+		k := 0
+		for _, r := range p.Runs {
+			for end := k + r.Count; k < end && k < len(sig.Intervals); k++ {
+				iv := sig.Intervals[k]
+				if iv.EndS > p.DeadlineS {
+					iv.EndS = p.DeadlineS
+				}
+				dur := iv.Duration()
+				ip := IntervalPlan{
+					Index:          k,
+					StartS:         iv.StartS,
+					EndS:           iv.StartS + dur,
+					CarbonGPerKWh:  iv.CarbonGPerKWh,
+					PriceUSDPerKWh: iv.PriceUSDPerKWh,
+				}
+				switch {
+				case len(r.Slices) > 0:
+					ip.Slices = r.Slices[:len(r.Slices):len(r.Slices)]
+				case r.Point != Idle:
+					whole[0] = Slice{Point: r.Point, Seconds: dur}
+					ip.Slices = whole[:1:1]
+				}
+				var run float64
+				for _, sl := range ip.Slices {
+					run += sl.Seconds
+					ip.Iterations += sl.Seconds / lt.PointTime(sl.Point)
+					ip.EnergyJ += sl.Seconds * p.PowerScale * lt.AvgPower(sl.Point)
+				}
+				ip.IdleS = dur - run
+				ip.CarbonG = ip.EnergyJ / JoulesPerKWh * iv.CarbonGPerKWh
+				ip.CostUSD = ip.EnergyJ / JoulesPerKWh * iv.PriceUSDPerKWh
+				if !yield(ip) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Summarize implements plan.Result.
@@ -464,8 +551,8 @@ type Solver struct {
 func (s *Solver) Steps() int { return s.sol.steps }
 
 // Evaluation is the totals-only outcome of a solve: what candidate
-// comparison needs, computed with arithmetic identical to Optimize's
-// plan assembly but without materializing any per-interval plans.
+// comparison needs, computed by the code that totals Optimize's plans
+// but without building the plan.
 type Evaluation struct {
 	// Feasible reports whether the target fits before the deadline.
 	Feasible bool
@@ -494,16 +581,27 @@ func (e Evaluation) Total(obj Objective) float64 {
 
 // Evaluate solves the instance and returns only its totals, reusing the
 // solver's buffers: no plan, no per-interval slices, no allocations in
-// steady state. The totals are bit-identical to Optimize's on the same
-// inputs — both accumulate the same per-slice terms in the same order —
-// so a descent may compare candidates via Evaluate and re-solve only
-// the winner with Optimize.
+// steady state. The totals are Optimize's, from the same code, so a
+// descent may compare candidates via Evaluate and re-solve only the
+// winner with Optimize.
 func (s *Solver) Evaluate(lt *frontier.LookupTable, sig *Signal, opts Options) (Evaluation, error) {
 	if err := s.sol.solve(lt, sig, opts); err != nil {
 		return Evaluation{}, err
 	}
+	out, _ := s.account(opts.Target)
+	return out, nil
+}
+
+// account totals the solution interval by interval — the arithmetic
+// Plan.Intervals repeats per interval — and returns with the totals the
+// time the target is reached (-1 when it never is), each interval's
+// slices running back to back from its start.
+func (s *Solver) account(target float64) (out Evaluation, finishS float64) {
 	sol := &s.sol
-	out := Evaluation{Feasible: sol.feasible}
+	out.Feasible = sol.feasible
+	finishS = -1
+	finished := false
+	remaining := target
 	for k := range sol.ivs {
 		s.buf = sol.intervalSlices(k, s.buf[:0])
 		var iters, energy float64
@@ -512,102 +610,86 @@ func (s *Solver) Evaluate(lt *frontier.LookupTable, sig *Signal, opts Options) (
 			energy += sl.Seconds * sol.scale * sol.pw[sl.Point]
 		}
 		pi := &sol.ivs[k]
+		if !finished && out.Iterations+iters >= target-1e-9 {
+			// The target lands inside this interval.
+			finished = true
+			need := remaining
+			finishS = pi.iv.StartS
+			for _, sl := range s.buf {
+				rate := 1 / sol.tm[sl.Point]
+				if got := sl.Seconds * rate; got < need {
+					need -= got
+					finishS += sl.Seconds
+				} else {
+					finishS += need / rate
+					break
+				}
+			}
+		}
+		remaining -= iters
 		out.Iterations += iters
 		out.EnergyJ += energy
 		out.CarbonG += energy / JoulesPerKWh * pi.iv.CarbonGPerKWh
 		out.CostUSD += energy / JoulesPerKWh * pi.iv.PriceUSDPerKWh
 	}
-	return out, nil
+	return out, finishS
 }
 
 // Optimize plans via the solver's reusable buffers; see the package
 // Optimize for semantics. The returned Plan is freshly allocated (it
-// does not alias the solver), with all interval slices carved from one
-// backing array.
+// does not alias the solver): its runs in one array, the time-shared
+// interval's slices in another.
 func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (*Plan, error) {
 	if err := s.sol.solve(lt, sig, opts); err != nil {
 		return nil, err
 	}
 	sol := &s.sol
-	scale := sol.scale
-
-	plan := &Plan{
-		Objective: sol.obj,
-		Target:    opts.Target,
-		DeadlineS: sol.deadline,
-		Feasible:  sol.feasible,
-		FinishS:   math.Inf(1),
-		Price:     sol.price,
-		Intervals: make([]IntervalPlan, 0, len(sol.ivs)),
-	}
-	nSlices := 0
-	for k := range sol.ivs {
-		if sol.frac.k == k {
-			nSlices += 2
-		} else if sol.ivs[k].cur >= 0 {
-			nSlices++
-		}
-	}
-	slices := make([]Slice, 0, nSlices)
-	remaining := opts.Target
-	for k := range sol.ivs {
-		pi := &sol.ivs[k]
-		ip := IntervalPlan{
-			Index:          k,
-			StartS:         pi.iv.StartS,
-			EndS:           pi.iv.StartS + pi.dur,
-			CarbonGPerKWh:  pi.iv.CarbonGPerKWh,
-			PriceUSDPerKWh: pi.iv.PriceUSDPerKWh,
-		}
-		base := len(slices)
-		slices = sol.intervalSlices(k, slices)
-		if len(slices) > base {
-			ip.Slices = slices[base:len(slices):len(slices)]
-		}
-		var run float64
-		for _, sl := range ip.Slices {
-			run += sl.Seconds
-			ip.Iterations += sl.Seconds / sol.tm[sl.Point]
-			ip.EnergyJ += sl.Seconds * scale * sol.pw[sl.Point]
-		}
-		ip.IdleS = pi.dur - run
-		ip.CarbonG = ip.EnergyJ / JoulesPerKWh * pi.iv.CarbonGPerKWh
-		ip.CostUSD = ip.EnergyJ / JoulesPerKWh * pi.iv.PriceUSDPerKWh
-
-		if math.IsInf(plan.FinishS, 1) && plan.Iterations+ip.Iterations >= opts.Target-1e-9 {
-			// The target lands inside this interval; slices run
-			// back-to-back from its start.
-			need := remaining
-			at := ip.StartS
-			for _, sl := range ip.Slices {
-				rate := 1 / sol.tm[sl.Point]
-				if got := sl.Seconds * rate; got < need {
-					need -= got
-					at += sl.Seconds
-				} else {
-					at += need / rate
-					break
-				}
-			}
-			plan.FinishS = at
-		}
-		for i := range ip.Slices {
-			ip.Slices[i].Point = sol.pts[ip.Slices[i].Point]
-		}
-		remaining -= ip.Iterations
-		plan.Iterations += ip.Iterations
-		plan.EnergyJ += ip.EnergyJ
-		plan.CarbonG += ip.CarbonG
-		plan.CostUSD += ip.CostUSD
-		plan.Intervals = append(plan.Intervals, ip)
-	}
-	if math.IsInf(plan.FinishS, 1) {
-		plan.FinishS = -1
-	}
-	return plan, nil
+	ev, finishS := s.account(opts.Target)
+	return &Plan{
+		Objective:  sol.obj,
+		Target:     opts.Target,
+		DeadlineS:  sol.deadline,
+		PowerScale: sol.scale,
+		Feasible:   sol.feasible,
+		Iterations: ev.Iterations,
+		Account:    plan.Account{EnergyJ: ev.EnergyJ, CarbonG: ev.CarbonG, CostUSD: ev.CostUSD},
+		FinishS:    finishS,
+		Price:      sol.price,
+		Runs:       sol.runs(),
+	}, nil
 }
 
-// intervalSlices appends interval k's planned runs to buf, with solver
+// runs renders the solution's decisions as a plan's runs, with table
+// indices for points.
+func (sol *solution) runs() []Run {
+	point := func(k int) int {
+		if cur := sol.ivs[k].cur; cur >= 0 {
+			return sol.pts[cur]
+		}
+		return Idle
+	}
+	n := 0
+	for k := range sol.ivs {
+		if k == 0 || k == sol.frac.k || k-1 == sol.frac.k || point(k) != point(k-1) {
+			n++
+		}
+	}
+	runs := make([]Run, 0, n)
+	for k := range sol.ivs {
+		if k != sol.frac.k {
+			runs = appendRun(runs, point(k), nil)
+			continue
+		}
+		slices := sol.intervalSlices(k, make([]Slice, 0, 2))
+		for i := range slices {
+			slices[i].Point = sol.pts[slices[i].Point]
+		}
+		runs = appendRun(runs, 0, slices)
+	}
+	return runs
+}
+
+// intervalSlices appends interval k's planned slices to buf, with solver
 // positions for points: the fractional interval time-shares its step's
 // endpoints — f·dur seconds at the faster state, the rest at the slower
 // one (or idle) — and any other awake interval runs its descent state
@@ -786,12 +868,13 @@ func Fixed(lt *frontier.LookupTable, point int, sig *Signal, opts Options) (*Pla
 	t := lt.PointTime(point)
 	finish := opts.Target * t
 	plan := &Plan{
-		Objective: obj,
-		Target:    opts.Target,
-		DeadlineS: d,
-		Feasible:  finish <= d+1e-9,
-		FinishS:   finish,
-		Price:     -1,
+		Objective:  obj,
+		Target:     opts.Target,
+		DeadlineS:  d,
+		PowerScale: scale,
+		Feasible:   finish <= d+1e-9,
+		FinishS:    finish,
+		Price:      -1,
 	}
 	if !plan.Feasible {
 		// Same contract as Optimize: the plan never reaches the target
@@ -800,31 +883,22 @@ func Fixed(lt *frontier.LookupTable, point int, sig *Signal, opts Options) (*Pla
 		plan.FinishS = -1
 	}
 	power := scale * lt.AvgPower(point)
-	for k, iv := range sig.Truncate(d).Intervals {
+	for _, iv := range sig.Truncate(d).Intervals {
 		run := math.Min(iv.EndS, finish) - iv.StartS
-		if run < 0 {
-			run = 0
+		switch {
+		case run <= 0:
+			plan.Runs = appendRun(plan.Runs, Idle, nil)
+			continue
+		case run < iv.Duration(): // the finish cuts this interval
+			plan.Runs = appendRun(plan.Runs, 0, []Slice{{Point: point, Seconds: run}})
+		default:
+			plan.Runs = appendRun(plan.Runs, point, nil)
 		}
-		ip := IntervalPlan{
-			Index:          k,
-			StartS:         iv.StartS,
-			EndS:           math.Min(iv.EndS, d),
-			CarbonGPerKWh:  iv.CarbonGPerKWh,
-			PriceUSDPerKWh: iv.PriceUSDPerKWh,
-		}
-		if run > 0 {
-			ip.Slices = []Slice{{Point: point, Seconds: run}}
-			ip.Iterations = run / t
-			ip.EnergyJ = run * power
-			ip.CarbonG = ip.EnergyJ / JoulesPerKWh * iv.CarbonGPerKWh
-			ip.CostUSD = ip.EnergyJ / JoulesPerKWh * iv.PriceUSDPerKWh
-		}
-		ip.IdleS = ip.EndS - ip.StartS - run
-		plan.Iterations += ip.Iterations
-		plan.EnergyJ += ip.EnergyJ
-		plan.CarbonG += ip.CarbonG
-		plan.CostUSD += ip.CostUSD
-		plan.Intervals = append(plan.Intervals, ip)
+		energy := run * power
+		plan.Iterations += run / t
+		plan.EnergyJ += energy
+		plan.CarbonG += energy / JoulesPerKWh * iv.CarbonGPerKWh
+		plan.CostUSD += energy / JoulesPerKWh * iv.PriceUSDPerKWh
 	}
 	return plan, nil
 }

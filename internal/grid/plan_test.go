@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"perseus/internal/frontier"
@@ -362,7 +363,7 @@ func checkPrice(t *testing.T, lt *frontier.LookupTable, sig *Signal, opts Option
 	if scale <= 0 {
 		scale = 1
 	}
-	for _, ip := range p.Intervals {
+	for ip := range p.Intervals(lt, sig) {
 		iv := sig.Intervals[ip.Index]
 		dur := ip.EndS - ip.StartS
 		perJ := PerJoule(p.Objective, iv)
@@ -449,11 +450,12 @@ func TestBundledTraceBeatsBaselines(t *testing.T) {
 	}
 	// The shift is temporal: the plan must idle somewhere dirty and run
 	// during the midday valley.
-	valley := plan.Intervals[13] // 13:00, carbon minimum neighborhood
+	ivs := expand(plan, lt, sig)
+	valley := ivs[13] // 13:00, carbon minimum neighborhood
 	if valley.Iterations == 0 {
 		t.Fatal("plan does not run during the solar valley")
 	}
-	peak := plan.Intervals[20] // 20:00, evening ramp peak
+	peak := ivs[20] // 20:00, evening ramp peak
 	if peak.EnergyJ >= valley.EnergyJ {
 		t.Fatalf("plan spends as much energy at the evening peak (%v J) as in the valley (%v J)",
 			peak.EnergyJ, valley.EnergyJ)
@@ -482,7 +484,8 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 		t.Fatal("near-max target should be feasible")
 	}
 	checkPrice(t, lt, sig, Options{Target: maxCover * 0.98}, plan)
-	for _, ip := range plan.Intervals {
+	ivs := expand(plan, lt, sig)
+	for _, ip := range ivs {
 		cap := sig.Intervals[ip.Index].CapW
 		for _, sl := range ip.Slices {
 			if cap > 0 && lt.AvgPower(sl.Point) > cap+1e-9 {
@@ -491,7 +494,7 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 		}
 	}
 	// The third interval's cap excludes every point: forced idle.
-	if last := plan.Intervals[2]; len(last.Slices) != 0 || last.Iterations != 0 {
+	if last := ivs[2]; len(last.Slices) != 0 || last.Iterations != 0 {
 		t.Fatalf("cap-excluded interval should idle, got %+v", last)
 	}
 
@@ -527,7 +530,7 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 	if plan.Price != 0 {
 		t.Fatalf("NoIdle overshoot took no step, so its price is 0; got %v", plan.Price)
 	}
-	for _, ip := range plan.Intervals[:2] {
+	for _, ip := range expand(plan, lt, sig)[:2] {
 		if len(ip.Slices) == 0 || ip.IdleS > 1e-9 {
 			t.Fatalf("NoIdle interval %d idles: %+v", ip.Index, ip)
 		}
@@ -539,7 +542,7 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if costPlan.Intervals[1].EnergyJ > 0 && costPlan.Intervals[0].EnergyJ == 0 {
+	if ivs := expand(costPlan, lt, sig); ivs[1].EnergyJ > 0 && ivs[0].EnergyJ == 0 {
 		t.Fatal("cost objective ran the expensive interval before the cheap one")
 	}
 
@@ -548,8 +551,8 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(short.Intervals); n != 2 || short.Intervals[1].EndS != 700 {
-		t.Fatalf("deadline truncation: %d intervals, last ends %v", n, short.Intervals[n-1].EndS)
+	if ivs := expand(short, lt, sig); len(ivs) != 2 || ivs[1].EndS != 700 {
+		t.Fatalf("deadline truncation: %d intervals, last ends %v", len(ivs), ivs[len(ivs)-1].EndS)
 	}
 
 	// Error paths.
@@ -963,7 +966,7 @@ func TestNonConvexTablePlansOnItsHull(t *testing.T) {
 // reused across the whole corpus.
 func TestSolveMatchesScanReference(t *testing.T) {
 	var reused solution
-	check := func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
+	referenceCorpus(func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
 		t.Helper()
 		for _, noIdle := range []bool{false, true} {
 			opts.NoIdle = noIdle
@@ -977,64 +980,15 @@ func TestSolveMatchesScanReference(t *testing.T) {
 				checkPrice(t, lt, sig, opts, p)
 			})
 		}
-	}
-
-	for seed := int64(1); seed <= 40; seed++ {
-		for _, tf := range []float64{0.05, 0.37, 0.6, 0.93, 1, 1.2} {
-			for _, df := range []float64{0.31, 0.77, 1} {
-				lt, sig, opts, ok := fuzzInstance(seed, tf, df)
-				if !ok {
-					continue
-				}
-				check(fmt.Sprintf("fuzz-%d-%v-%v", seed, tf, df), lt, sig, opts)
-				rng := rand.New(rand.NewSource(seed))
-				check(fmt.Sprintf("bumpy-%d-%v-%v", seed, tf, df), bumpyTable(rng, 40+seed, 3+rng.Intn(9)), sig, opts)
-			}
-		}
-	}
-
-	// Dense: a day of 15-minute intervals over an 80-point table, capped
-	// in places, deadline inside the last interval.
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		sig := Generate(GenOptions{Intervals: 96, IntervalS: 900, Jitter: 0.2, Seed: seed})
-		for _, lt := range []*frontier.LookupTable{convexTable(0.01, 60, 139, 3000, 200), bumpyTable(rng, 60, 80)} {
-			for i := 0; i < 8; i++ {
-				k := rng.Intn(len(sig.Intervals))
-				sig.Intervals[k].CapW = lt.AvgPower(len(lt.Points)-1) * (0.5 + 2*rng.Float64())
-			}
-			for _, tf := range []float64{0.2, 0.7, 0.999} {
-				d := sig.Horizon() - 450
-				check(fmt.Sprintf("dense-%d-%d-%v", seed, len(lt.Points), tf), lt, sig,
-					Options{Target: tf * 0.8 * d / lt.Tmin(), DeadlineS: d, PowerScale: 2, Objective: ObjectiveCost})
-			}
-		}
-	}
-
-	// Degenerate shapes.
-	one := convexTable(0.01, 80, 80, 3000, 120) // a single point: wake steps only
-	sig := Generate(GenOptions{Intervals: 6, IntervalS: 600, Jitter: 0.3, Seed: 5})
-	check("one-point", one, sig, Options{Target: 0.5 * sig.Horizon() / one.Tmin()})
-	lt := convexTable(0.01, 80, 90, 3000, 120)
-	single := &Signal{Intervals: sig.Intervals[:1]} // one interval: every run is alone in the heap
-	check("one-interval", lt, single, Options{Target: 0.9 * 600 / lt.Tmin()})
-	check("one-interval-full", lt, single, Options{Target: 600 / lt.Tmin()})
+	})
 
 	// Exact ties: intervals with identical durations and rates offer
-	// identical slopes at every state; the lower index goes first.
-	ties := &Signal{}
-	for k := 0; k < 6; k++ {
-		ties.Intervals = append(ties.Intervals, Interval{
-			StartS: float64(k) * 600, EndS: float64(k+1) * 600,
-			CarbonGPerKWh: []float64{300, 200, 300, 200, 200, 300}[k], PriceUSDPerKWh: 0.1,
-		})
-	}
-	// Swept finely: which tied interval the fractional step lands on is
-	// the only trace the order of equal steps leaves.
+	// identical slopes at every state; the lower index goes first. Which
+	// tied interval the fractional step lands on is the only trace the
+	// order of equal steps leaves.
+	lt, ties := tiesInstance()
 	for tf := 0.01; tf < 1; tf += 0.01 {
-		opts := Options{Target: tf * ties.Horizon() / lt.Tmin()}
-		check(fmt.Sprintf("ties-%v", tf), lt, ties, opts)
-		want, err := scanSolve(lt, ties, opts)
+		want, err := scanSolve(lt, ties, Options{Target: tf * ties.Horizon() / lt.Tmin()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1058,9 +1012,285 @@ func TestSolveMatchesScanReference(t *testing.T) {
 	}
 }
 
+// tiesInstance is a table and six intervals whose rates repeat, so
+// their slopes tie exactly.
+func tiesInstance() (*frontier.LookupTable, *Signal) {
+	ties := &Signal{}
+	for k := 0; k < 6; k++ {
+		ties.Intervals = append(ties.Intervals, Interval{
+			StartS: float64(k) * 600, EndS: float64(k+1) * 600,
+			CarbonGPerKWh: []float64{300, 200, 300, 200, 200, 300}[k], PriceUSDPerKWh: 0.1,
+		})
+	}
+	return convexTable(0.01, 80, 90, 3000, 120), ties
+}
+
+// referenceCorpus calls f on the solver's reference instances: the fuzz
+// corpus and the shapes it does not reach — non-convex tables, caps
+// that idle or floor intervals, a deadline cutting the last interval,
+// one-interval and one-point instances, exact ties swept finely, and
+// dense many-interval cases.
+func referenceCorpus(f func(name string, lt *frontier.LookupTable, sig *Signal, opts Options)) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, tf := range []float64{0.05, 0.37, 0.6, 0.93, 1, 1.2} {
+			for _, df := range []float64{0.31, 0.77, 1} {
+				lt, sig, opts, ok := fuzzInstance(seed, tf, df)
+				if !ok {
+					continue
+				}
+				f(fmt.Sprintf("fuzz-%d-%v-%v", seed, tf, df), lt, sig, opts)
+				rng := rand.New(rand.NewSource(seed))
+				f(fmt.Sprintf("bumpy-%d-%v-%v", seed, tf, df), bumpyTable(rng, 40+seed, 3+rng.Intn(9)), sig, opts)
+			}
+		}
+	}
+
+	// Dense: a day of 15-minute intervals over an 80-point table, capped
+	// in places, deadline inside the last interval.
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sig := Generate(GenOptions{Intervals: 96, IntervalS: 900, Jitter: 0.2, Seed: seed})
+		for _, lt := range []*frontier.LookupTable{convexTable(0.01, 60, 139, 3000, 200), bumpyTable(rng, 60, 80)} {
+			for i := 0; i < 8; i++ {
+				k := rng.Intn(len(sig.Intervals))
+				sig.Intervals[k].CapW = lt.AvgPower(len(lt.Points)-1) * (0.5 + 2*rng.Float64())
+			}
+			for _, tf := range []float64{0.2, 0.7, 0.999} {
+				d := sig.Horizon() - 450
+				f(fmt.Sprintf("dense-%d-%d-%v", seed, len(lt.Points), tf), lt, sig,
+					Options{Target: tf * 0.8 * d / lt.Tmin(), DeadlineS: d, PowerScale: 2, Objective: ObjectiveCost})
+			}
+		}
+	}
+
+	// Degenerate shapes.
+	one := convexTable(0.01, 80, 80, 3000, 120) // a single point: wake steps only
+	sig := Generate(GenOptions{Intervals: 6, IntervalS: 600, Jitter: 0.3, Seed: 5})
+	f("one-point", one, sig, Options{Target: 0.5 * sig.Horizon() / one.Tmin()})
+	lt, ties := tiesInstance()
+	single := &Signal{Intervals: sig.Intervals[:1]} // one interval: every run is alone in the heap
+	f("one-interval", lt, single, Options{Target: 0.9 * 600 / lt.Tmin()})
+	f("one-interval-full", lt, single, Options{Target: 600 / lt.Tmin()})
+	for tf := 0.01; tf < 1; tf += 0.01 {
+		f(fmt.Sprintf("ties-%v", tf), lt, ties, Options{Target: tf * ties.Horizon() / lt.Tmin()})
+	}
+}
+
+// expand collects a plan's intervals over sig, each owning its slices.
+func expand(p *Plan, lt *frontier.LookupTable, sig *Signal) []IntervalPlan {
+	var out []IntervalPlan
+	for ip := range p.Intervals(lt, sig) {
+		ip.Slices = slices.Clone(ip.Slices)
+		out = append(out, ip)
+	}
+	return out
+}
+
+// referencePlan is a plan as the planner built it before plans became
+// runs: its totals, its finish and one IntervalPlan per interval.
+type referencePlan struct {
+	iterations float64
+	plan.Account
+	finishS   float64
+	intervals []IntervalPlan
+}
+
+// referenceOptimize is Optimize's assembly from before plans became
+// runs, kept as it was: the reference Plan.Intervals and the plan's
+// totals must equal bit for bit.
+func referenceOptimize(t testing.TB, lt *frontier.LookupTable, sig *Signal, opts Options) referencePlan {
+	t.Helper()
+	var sol solution
+	if err := sol.solve(lt, sig, opts); err != nil {
+		t.Fatal(err)
+	}
+	scale := sol.scale
+	out := referencePlan{finishS: math.Inf(1)}
+	var slices []Slice
+	remaining := opts.Target
+	for k := range sol.ivs {
+		pi := &sol.ivs[k]
+		ip := IntervalPlan{
+			Index:          k,
+			StartS:         pi.iv.StartS,
+			EndS:           pi.iv.StartS + pi.dur,
+			CarbonGPerKWh:  pi.iv.CarbonGPerKWh,
+			PriceUSDPerKWh: pi.iv.PriceUSDPerKWh,
+		}
+		base := len(slices)
+		slices = sol.intervalSlices(k, slices)
+		if len(slices) > base {
+			ip.Slices = slices[base:len(slices):len(slices)]
+		}
+		var run float64
+		for _, sl := range ip.Slices {
+			run += sl.Seconds
+			ip.Iterations += sl.Seconds / sol.tm[sl.Point]
+			ip.EnergyJ += sl.Seconds * scale * sol.pw[sl.Point]
+		}
+		ip.IdleS = pi.dur - run
+		ip.CarbonG = ip.EnergyJ / JoulesPerKWh * pi.iv.CarbonGPerKWh
+		ip.CostUSD = ip.EnergyJ / JoulesPerKWh * pi.iv.PriceUSDPerKWh
+
+		if math.IsInf(out.finishS, 1) && out.iterations+ip.Iterations >= opts.Target-1e-9 {
+			need := remaining
+			at := ip.StartS
+			for _, sl := range ip.Slices {
+				rate := 1 / sol.tm[sl.Point]
+				if got := sl.Seconds * rate; got < need {
+					need -= got
+					at += sl.Seconds
+				} else {
+					at += need / rate
+					break
+				}
+			}
+			out.finishS = at
+		}
+		for i := range ip.Slices {
+			ip.Slices[i].Point = sol.pts[ip.Slices[i].Point]
+		}
+		remaining -= ip.Iterations
+		out.iterations += ip.Iterations
+		out.EnergyJ += ip.EnergyJ
+		out.CarbonG += ip.CarbonG
+		out.CostUSD += ip.CostUSD
+		out.intervals = append(out.intervals, ip)
+	}
+	if math.IsInf(out.finishS, 1) {
+		out.finishS = -1
+	}
+	return out
+}
+
+// referenceFixed is Fixed's assembly from before plans became runs,
+// kept as it was.
+func referenceFixed(t testing.TB, lt *frontier.LookupTable, point int, sig *Signal, opts Options) referencePlan {
+	t.Helper()
+	d, scale, _, err := normalize(lt, sig, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := lt.PointTime(point)
+	finish := opts.Target * tm
+	out := referencePlan{finishS: finish}
+	if finish > d+1e-9 {
+		out.finishS = -1
+	}
+	power := scale * lt.AvgPower(point)
+	for k, iv := range sig.Truncate(d).Intervals {
+		run := math.Min(iv.EndS, finish) - iv.StartS
+		if run < 0 {
+			run = 0
+		}
+		ip := IntervalPlan{
+			Index:          k,
+			StartS:         iv.StartS,
+			EndS:           math.Min(iv.EndS, d),
+			CarbonGPerKWh:  iv.CarbonGPerKWh,
+			PriceUSDPerKWh: iv.PriceUSDPerKWh,
+		}
+		if run > 0 {
+			ip.Slices = []Slice{{Point: point, Seconds: run}}
+			ip.Iterations = run / tm
+			ip.EnergyJ = run * power
+			ip.CarbonG = ip.EnergyJ / JoulesPerKWh * iv.CarbonGPerKWh
+			ip.CostUSD = ip.EnergyJ / JoulesPerKWh * iv.PriceUSDPerKWh
+		}
+		ip.IdleS = ip.EndS - ip.StartS - run
+		out.iterations += ip.Iterations
+		out.EnergyJ += ip.EnergyJ
+		out.CarbonG += ip.CarbonG
+		out.CostUSD += ip.CostUSD
+		out.intervals = append(out.intervals, ip)
+	}
+	return out
+}
+
+// checkExpansion requires p's totals, finish and expansion over sig to
+// equal the reference's bit for bit.
+func checkExpansion(t testing.TB, lt *frontier.LookupTable, sig *Signal, p *Plan, want referencePlan) {
+	t.Helper()
+	if p.Iterations != want.iterations || p.Account != want.Account || p.FinishS != want.finishS {
+		t.Fatalf("plan totals {%v %+v finish %v}, reference {%v %+v finish %v}",
+			p.Iterations, p.Account, p.FinishS, want.iterations, want.Account, want.finishS)
+	}
+	got := expand(p, lt, sig)
+	if len(got) != len(want.intervals) {
+		t.Fatalf("plan expands to %d intervals, reference %d", len(got), len(want.intervals))
+	}
+	for k := range got {
+		if !reflect.DeepEqual(got[k], want.intervals[k]) {
+			t.Fatalf("interval %d:\n  plan      %+v\n  reference %+v", k, got[k], want.intervals[k])
+		}
+	}
+}
+
+// checkRuns checks a plan's runs against the signal it was planned on:
+// they are maximal (no two whole runs in a row share a point), every
+// count is positive, together they cover the intervals before the
+// deadline in order, a run with slices is one interval long, and its
+// slices fit that interval.
+func checkRuns(t testing.TB, p *Plan, sig *Signal) {
+	t.Helper()
+	want := len(sig.Truncate(p.DeadlineS).Intervals)
+	k := 0
+	for i, r := range p.Runs {
+		if r.Count < 1 {
+			t.Fatalf("run %d covers %d intervals", i, r.Count)
+		}
+		if i > 0 && len(r.Slices) == 0 && len(p.Runs[i-1].Slices) == 0 && r.Point == p.Runs[i-1].Point {
+			t.Fatalf("runs %d and %d both run point %d: not maximal", i-1, i, r.Point)
+		}
+		if len(r.Slices) > 0 {
+			iv := sig.Intervals[k]
+			dur := math.Min(iv.EndS, p.DeadlineS) - iv.StartS
+			var run float64
+			for _, sl := range r.Slices {
+				run += sl.Seconds
+			}
+			if r.Count != 1 || len(r.Slices) > 2 || run > dur*(1+1e-12) {
+				t.Fatalf("run %d (interval %d, %v s) has slices %+v over %d intervals", i, k, dur, r.Slices, r.Count)
+			}
+		}
+		k += r.Count
+	}
+	if k != want {
+		t.Fatalf("runs cover %d intervals, the deadline leaves %d", k, want)
+	}
+}
+
+// TestIntervalsMatchReference pins plans as runs to the plans the
+// planner built before: over the reference corpus, with and without
+// NoIdle, every Optimize plan and both Fixed baselines have the runs
+// checkRuns asks for, and expand over the signal to the reference's
+// intervals with the reference's totals, == on every float.
+func TestIntervalsMatchReference(t *testing.T) {
+	referenceCorpus(func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
+		for _, noIdle := range []bool{false, true} {
+			opts.NoIdle = noIdle
+			p, err := Optimize(lt, sig, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkRuns(t, p, sig)
+			checkExpansion(t, lt, sig, p, referenceOptimize(t, lt, sig, opts))
+		}
+		for _, point := range []int{0, len(lt.Points) - 1} {
+			p, err := Fixed(lt, point, sig, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkRuns(t, p, sig)
+			checkExpansion(t, lt, sig, p, referenceFixed(t, lt, point, sig, opts))
+		}
+	})
+}
+
 // TestSolverSteadyStateAllocs pins what the hot callers reuse a Solver
 // for: once warmed on an instance's size, Evaluate allocates nothing and
-// Optimize only what it returns — the Plan, its intervals, their slices.
+// Optimize only what it returns — the Plan, its runs, the time-shared
+// interval's slices.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	lt := convexTable(0.01, 60, 99, 3000, 200)
 	sig := Generate(GenOptions{Intervals: 96, IntervalS: 900, Jitter: 0.2, Seed: 7})

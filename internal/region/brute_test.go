@@ -271,8 +271,8 @@ func TestEvaluatePlanInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		var carbon float64
-		for i, ip := range ev.plan.Intervals {
-			k := ev.cellOf[i]
+		for ip := range ev.plan.Intervals(j.Table, ev.sig) {
+			k := ev.cellOf[ip.Index]
 			if pl[k] == Paused && ip.Iterations != 0 {
 				t.Fatalf("placement %v: paused cell %d ran %v iterations", pl, k, ip.Iterations)
 			}

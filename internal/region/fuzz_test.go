@@ -3,7 +3,11 @@ package region
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"perseus/internal/grid"
+	pln "perseus/internal/plan"
 )
 
 // FuzzPlan fuzzes the joint spatio-temporal planner on random
@@ -23,7 +27,10 @@ import (
 //  5. the plan is the reference planner's (memo dropped before every
 //     use, every order run), bit for bit — on the instance as drawn and
 //     again with power caps drawn onto it, where a memo entry can go
-//     stale (memo_test.go).
+//     stale (memo_test.go);
+//  6. each job's Temporal plan is grid.Optimize's over its Signal, and
+//     its runs expand over that signal to intervals whose accounting,
+//     summed in order, is the plan's totals bit for bit.
 func FuzzPlan(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed%3), uint8(seed%2), uint8(seed%3), seed%2 == 0)
@@ -59,7 +66,25 @@ func FuzzPlan(f *testing.F) {
 		}
 
 		var sumEnergy, sumCarbon, sumCost float64
-		for _, jp := range plan.Jobs {
+		for ji, jp := range plan.Jobs {
+			// (6) the temporal plan and its expansion.
+			j := &inst.jobs[ji]
+			again, err := grid.Optimize(j.Table, jp.Signal, grid.Options{
+				Target: j.Target, DeadlineS: j.DeadlineS, Objective: plan.Objective, PowerScale: j.scale(),
+			})
+			if err != nil || !reflect.DeepEqual(again, jp.Temporal) {
+				t.Fatalf("job %s: Temporal is not grid.Optimize over its Signal (err %v)", jp.JobID, err)
+			}
+			var sum pln.Account
+			var iters float64
+			for ip := range jp.Temporal.Intervals(j.Table, jp.Signal) {
+				iters += ip.Iterations
+				sum.Accumulate(ip.Account)
+			}
+			if iters != jp.Temporal.Iterations || sum != jp.Temporal.Account {
+				t.Fatalf("job %s: expansion sums to %v / %+v, plan %v / %+v", jp.JobID, iters, sum, jp.Temporal.Iterations, jp.Temporal.Account)
+			}
+
 			// (2) slices only run in placed cells, outside downtime.
 			arrivalDowntime := map[int]float64{} // cell -> downtime end
 			for _, a := range jp.Assignments {
@@ -76,7 +101,7 @@ func FuzzPlan(f *testing.F) {
 				}
 				return nil
 			}
-			for _, ip := range jp.Temporal.Intervals {
+			for ip := range jp.Temporal.Intervals(inst.jobs[ji].Table, jp.Signal) {
 				run := 0.0
 				for _, sl := range ip.Slices {
 					run += sl.Seconds

@@ -85,9 +85,12 @@ type JobPlan struct {
 	Assignments []Assignment `json:"assignments"`
 
 	// Temporal is the job's inner temporal plan over the composite
-	// signal its placement induces (grid.Optimize output; slices index
-	// the job's lookup table).
-	Temporal *grid.Plan `json:"temporal"`
+	// signal its placement induces (grid.Optimize output; points index
+	// the job's lookup table), and Signal is that composite signal:
+	// Temporal.Intervals(table, Signal) expands the plan. Signal is not
+	// part of the wire form.
+	Temporal *grid.Plan   `json:"temporal"`
+	Signal   *grid.Signal `json:"-"`
 
 	// Migrations counts region changes; the downtime and transfer
 	// energy totals follow, with the energy priced at each arrival
@@ -222,6 +225,7 @@ type eval struct {
 	placement []int
 	outcome
 	plan   *grid.Plan
+	sig    *grid.Signal // the composite signal plan was solved on
 	mig    migSummary
 	cellOf []int
 }
@@ -264,20 +268,25 @@ func (u *usage) power(j *Job, ev *eval, sign int) {
 	if ev.plan == nil {
 		return
 	}
-	// Peak slice power per cell, via the composite-interval → cell map.
-	for i, ip := range ev.plan.Intervals {
-		k := ev.cellOf[i]
-		r := ev.placement[k]
-		if r < 0 {
-			continue
-		}
+	// Peak slice power per cell, run by run via the composite-interval →
+	// cell map.
+	i := 0
+	for _, run := range ev.plan.Runs {
 		var peak float64
-		for _, sl := range ip.Slices {
+		if len(run.Slices) == 0 && run.Point != grid.Idle {
+			peak = j.scale() * j.Table.AvgPower(run.Point)
+		}
+		for _, sl := range run.Slices {
 			if p := j.scale() * j.Table.AvgPower(sl.Point); p > peak {
 				peak = p
 			}
 		}
-		u.peakW[r][k] += float64(sign) * peak
+		for end := i + run.Count; i < end; i++ {
+			k := ev.cellOf[i]
+			if r := ev.placement[k]; r >= 0 {
+				u.peakW[r][k] += float64(sign) * peak
+			}
+		}
 	}
 }
 
@@ -429,10 +438,10 @@ func (p *planner) gridOptions(j *Job) grid.Options {
 }
 
 // evaluateFull evaluates a placement and materializes the full eval —
-// temporal plan and cell map included — for the baselines' candidates
-// and for materialize. Compile runs in the scratch's buffers; the
-// returned eval retains only fresh state (the plan and a copied cell
-// map), never the scratch.
+// temporal plan, composite signal and cell map included — for the
+// baselines' candidates and for materialize. Compile runs in the
+// scratch's buffers; the returned eval retains only fresh state (the
+// plan, copies of the signal and the cell map), never the scratch.
 func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, error) {
 	p.stats.Materialized++
 	sig, mig, cellOf := compileInto(&s.compileScratch, p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride, p.rates)
@@ -443,6 +452,7 @@ func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, 
 	return &eval{
 		placement: placement,
 		plan:      plan,
+		sig:       &grid.Signal{Name: sig.Name, Intervals: slices.Clone(sig.Intervals)},
 		mig:       mig,
 		cellOf:    append([]int(nil), cellOf...),
 		outcome: outcome{
@@ -1202,6 +1212,7 @@ func assemble(p *planner, jobs []Job, evals []*eval) *Plan {
 		jp := JobPlan{
 			JobID:              jobs[i].ID,
 			Temporal:           ev.plan,
+			Signal:             ev.sig,
 			Migrations:         ev.mig.count,
 			MigrationDowntimeS: ev.mig.downtimeS,
 			MigrationEnergyJ:   ev.mig.energyJ,

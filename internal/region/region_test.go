@@ -308,7 +308,7 @@ func TestRegionCapForcesIdleOrElsewhere(t *testing.T) {
 	for i, a := range plan.Jobs[0].Assignments {
 		if a.Region == 0 {
 			// Placing in the starved region is legal but can only idle.
-			for _, ip := range plan.Jobs[0].Temporal.Intervals {
+			for ip := range plan.Jobs[0].Temporal.Intervals(lt, plan.Jobs[0].Signal) {
 				if ip.Index == i && ip.Iterations > 0 {
 					t.Fatalf("iterations ran in the power-starved region: %+v", ip)
 				}

@@ -75,9 +75,10 @@ const maxPlanCacheEntries = 1024
 // put back, so the map only ever holds plans of the live generation.
 //
 // Memory: an entry is its plan plus, if it was ever served over HTTP,
-// the encoded body — at 288 intervals ~32 kB and ~69 kB, so a full map
-// of served day-long plans is 1,024 × ~100 kB ≈ 100 MB before the cap
-// flushes it. perseus_plan_cache_bytes reports the body share.
+// the encoded body — a plan is runs of intervals sharing a decision, so
+// a day of 288 intervals is a few dozen runs, about 1 kB each way, and a
+// full map of served day-long plans is a few MB before the cap flushes
+// it. perseus_plan_cache_bytes reports the body share.
 type planCache struct {
 	mu        sync.Mutex
 	entries   map[PlanKey]*planEntry

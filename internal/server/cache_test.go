@@ -304,8 +304,16 @@ func TestGridPlanColdRaceEncodesOnce(t *testing.T) {
 			t.Fatalf("worker %d read a different body", w)
 		}
 	}
-	if len(bodies[0]) < 288*100 {
-		t.Fatalf("a %d-byte body for a 288-interval plan", len(bodies[0]))
+	p, err := grid.DecodePlan(bodies[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := 0
+	for _, r := range p.Runs {
+		covered += r.Count
+	}
+	if covered != 288 {
+		t.Fatalf("the %d-byte body's runs cover %d of 288 intervals", len(bodies[0]), covered)
 	}
 }
 
@@ -345,7 +353,7 @@ func TestGridPlanHitAllocs(t *testing.T) {
 			h.ServeHTTP(w, req)
 		}
 		serve() // the miss: solve and encode
-		if w.code != http.StatusOK || w.n < intervals*100 {
+		if w.code != http.StatusOK || w.n == 0 {
 			t.Fatalf("%d intervals: status %d, %d body bytes", intervals, w.code, w.n)
 		}
 		perHit[intervals] = testing.AllocsPerRun(200, serve)

@@ -591,7 +591,7 @@ func (s *Server) rollForward(ctx context.Context, v *tickView, in rollInputs, fc
 	if fc != nil {
 		view = v.signal(signalKey{fc: fc, q: rs.Quantile}, func() *grid.Signal { return fc.At(rs.Quantile) })
 	}
-	fresh, err := rs.Replan(fc, view, func(view *grid.Signal, from, to, target float64) (*grid.Plan, error) {
+	fresh, err := rs.Replan(fc, view, func(view *grid.Signal, from, to, target float64) (*grid.Plan, *grid.Signal, error) {
 		// The solve runs through the instrumented grid planner over the
 		// forecast window — the MPC counterpart of forecast.Planner,
 		// reported as its own planning layer.
@@ -607,9 +607,9 @@ func (s *Server) rollForward(ctx context.Context, v *tickView, in rollInputs, fc
 		sv.SetAttr("steps", strconv.Itoa(solver.Steps()))
 		if err != nil {
 			sv.Fail(err)
-			return nil, err
+			return nil, nil, err
 		}
-		return res.(*grid.Plan), nil
+		return res.(*grid.Plan), window, nil
 	})
 	switch {
 	case err != nil:

@@ -4,12 +4,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"perseus/internal/client"
+	"perseus/internal/forecast"
 	"perseus/internal/grid"
 )
 
@@ -178,8 +180,13 @@ func TestReplanRollsForward(t *testing.T) {
 		t.Fatalf("frozen %d intervals, want the 2 executed hours", len(second.Frozen))
 	}
 	// The frozen prefix is exactly what the first plan scheduled there.
+	// The plan expands over the installed trace's hours: the persistence
+	// forecast it was planned on keeps their boundaries, only its rates
+	// differ.
+	fsig := forecastTestSignal()
+	firstIvs := slices.Collect(first.Remaining.Intervals(tbl, forecast.Window(&fsig, 0, deadline)))
 	for i, fi := range second.Frozen {
-		ip := first.Remaining.Intervals[i]
+		ip := firstIvs[i]
 		if math.Abs(fi.Iterations-ip.Iterations) > 1e-6*(1+ip.Iterations) ||
 			fi.StartS != ip.StartS || fi.EndS != ip.EndS {
 			t.Fatalf("frozen[%d] %+v does not match the first plan's interval %+v", i, fi, ip)
@@ -238,10 +245,10 @@ func TestReplanRollsForward(t *testing.T) {
 	// With a full revealed cycle the seasonal model is exact, so the
 	// final re-plan must put the bulk of the remaining work into the
 	// clean hour 3 (100 g) rather than what remains of dirty hour 2.
-	if third.Remaining != nil && len(third.Remaining.Intervals) >= 2 {
-		last := third.Remaining.Intervals[len(third.Remaining.Intervals)-1]
-		if third.RemainingIterations > 1 && last.Iterations == 0 {
-			t.Fatalf("re-plan ignores the clean final hour: %+v", third.Remaining.Intervals)
+	if third.Remaining != nil {
+		rest := slices.Collect(third.Remaining.Intervals(tbl, forecast.Window(&fsig, third.RemainingOffsetS, deadline)))
+		if last := rest[len(rest)-1]; len(rest) >= 2 && third.RemainingIterations > 1 && last.Iterations == 0 {
+			t.Fatalf("re-plan ignores the clean final hour: %+v", rest)
 		}
 	}
 

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -124,8 +126,9 @@ func TestGridPlanEndpoint(t *testing.T) {
 	if plan.Objective != grid.ObjectiveCarbon {
 		t.Fatalf("plan objective %q, want server default carbon", plan.Objective)
 	}
-	if len(plan.Intervals) != 2 || plan.Intervals[1].EnergyJ <= plan.Intervals[0].EnergyJ {
-		t.Fatalf("plan does not shift into the clean hour: %+v", plan.Intervals)
+	sig := testSignal()
+	if ivs := slices.Collect(plan.Intervals(tbl, &sig)); len(ivs) != 2 || ivs[1].EnergyJ <= ivs[0].EnergyJ {
+		t.Fatalf("plan does not shift into the clean hour: %+v", ivs)
 	}
 	// An explicit objective overrides the default.
 	costPlan, err := cl.FetchGridPlan(id, target, 0, "cost")
@@ -180,6 +183,53 @@ func TestGridPlanEndpoint(t *testing.T) {
 	}
 	if _, err := srv.GridPlan(raw, 10, 0, ""); err == nil {
 		t.Fatal("planning an uncharacterized job should fail")
+	}
+}
+
+// TestGridPlanRejectsNonFiniteParams pins the query parse against
+// non-finite floats. A NaN iterations or deadline answers 400 without
+// touching the plan cache (a NaN key never equals itself, so a failed
+// solve's entry could not be deleted and leaked one per request). A
+// non-finite wait answers 400, and a huge one waits the 30 s cap
+// instead of overflowing into an immediate 304.
+func TestGridPlanRejectsNonFiniteParams(t *testing.T) {
+	srv := New()
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	if _, err := srv.SetGridSignal(testSignal(), ""); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	get := func(ctx context.Context, query, etag string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/grid/plan/"+id+query, nil).WithContext(ctx)
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+	ok := get(context.Background(), "?iterations=100", "")
+	if ok.Code != http.StatusOK || srv.CacheStats().Entries != 1 {
+		t.Fatalf("a finite request: status %d, %+v", ok.Code, srv.CacheStats())
+	}
+	for _, q := range []string{"?iterations=NaN", "?iterations=100&deadline=NaN", "?iterations=-Inf", "?iterations=100&deadline=Inf", "?iterations=100&wait=NaN", "?iterations=100&wait=Inf"} {
+		if w := get(context.Background(), q, ok.Header().Get("ETag")); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", q, w.Code)
+		}
+	}
+	if n := srv.CacheStats().Entries; n != 1 {
+		t.Fatalf("%d plan-cache entries after the rejected requests, want 1", n)
+	}
+
+	// A still-current validator with wait=1e300 parks until the client
+	// goes: it writes nothing, not a 304.
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if w := get(ctx, "?iterations=100&wait=1e300", ok.Header().Get("ETag")); w.Code == http.StatusNotModified || time.Since(start) < 100*time.Millisecond {
+		t.Fatalf("wait=1e300 answered %d after %v instead of parking", w.Code, time.Since(start))
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -185,28 +186,26 @@ func (s *Server) handlePlacement(w http.ResponseWriter, _ *http.Request, j *job)
 const maxScheduleWait = 30 * time.Second
 
 // parseWait reads a ?wait=<seconds> query parameter, capped at
-// maxScheduleWait. ok is false (after writing a 400) on a malformed
-// value.
+// maxScheduleWait before it is converted, so a huge value waits the cap
+// rather than overflowing. ok is false (after writing a 400) on a
+// malformed, negative or non-finite value.
 func parseWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 	v := r.URL.Query().Get("wait")
 	if v == "" {
 		return 0, true
 	}
 	sec, err := strconv.ParseFloat(v, 64)
-	if err != nil || sec < 0 {
+	if err != nil || !(sec >= 0) || math.IsInf(sec, 1) {
 		http.Error(w, fmt.Sprintf("bad wait: %q", v), http.StatusBadRequest)
 		return 0, false
 	}
-	wait := time.Duration(sec * float64(time.Second))
-	if wait > maxScheduleWait {
-		wait = maxScheduleWait
-	}
-	return wait, true
+	return time.Duration(min(sec, maxScheduleWait.Seconds()) * float64(time.Second)), true
 }
 
 // queryFloats reads optional float query parameters (absent = 0) in
 // key order. ok is false (after writing a 400 naming the key) on a
-// malformed value.
+// malformed or non-finite value: a NaN would never equal itself as a
+// plan-cache key.
 func queryFloats(w http.ResponseWriter, q url.Values, keys ...string) (vals []float64, ok bool) {
 	vals = make([]float64, len(keys))
 	for i, key := range keys {
@@ -214,11 +213,15 @@ func queryFloats(w http.ResponseWriter, q url.Values, keys ...string) (vals []fl
 		if v == "" {
 			continue
 		}
-		var err error
-		if vals[i], err = strconv.ParseFloat(v, 64); err != nil {
+		f, err := strconv.ParseFloat(v, 64)
+		if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			err = fmt.Errorf("%q is not finite", v)
+		}
+		if err != nil {
 			http.Error(w, fmt.Sprintf("bad %s: %v", key, err), http.StatusBadRequest)
 			return nil, false
 		}
+		vals[i] = f
 	}
 	return vals, true
 }
