@@ -218,6 +218,7 @@ func main() {
 		"perseus_characterize_seconds_count 1",
 		"perseus_characterize_points_count 1",
 		`perseus_planner_plan_duration_seconds_count{planner="grid",objective="carbon"} 1`,
+		`perseus_planner_plan_duration_seconds_count{planner="fleet",objective="carbon"} 1`,
 		`perseus_trace_spans_total{span="cache.lookup"} 2`,
 		`perseus_slo_status{slo="plan-latency-p99"} 0`,
 		`perseus_slo_status{slo="replan-failure-ratio"} 0`,

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"perseus/internal/frontier"
-	"perseus/internal/plan"
 )
 
 // JobAlloc is one job's allocated operating point.
@@ -57,32 +56,6 @@ type Allocation struct {
 
 	// Jobs holds per-job allocations in input order.
 	Jobs []JobAlloc `json:"jobs"`
-}
-
-// Summarize implements plan.Result. An allocation has no iteration or
-// emissions accounting of its own — it reports the allocated power
-// draw and whether the cap was met.
-func (a *Allocation) Summarize() plan.Summary {
-	return plan.Summary{PowerW: a.PowerW, Plans: 1, Feasible: a.Feasible}
-}
-
-// Planner adapts the power-cap allocator to the shared plan.Planner
-// contract: a fixed job set divided under the request's CapW.
-type Planner struct {
-	Jobs []Job
-}
-
-// Name implements plan.Planner.
-func (p *Planner) Name() string { return "fleet" }
-
-// Plan implements plan.Planner. Only req.CapW is consumed — a capacity
-// allocator has no target or deadline.
-func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
-	if err := checkCap(req.CapW); err != nil {
-		return nil, err
-	}
-	alloc := Allocate(p.Jobs, req.CapW)
-	return &alloc, nil
 }
 
 // checkCap rejects NaN, infinite, or negative watts: a malformed cap

@@ -82,16 +82,6 @@ type Outcome struct {
 	Intervals []ExecutedInterval `json:"intervals"`
 }
 
-// Summarize implements plan.Result.
-func (o *Outcome) Summarize() plan.Summary {
-	return plan.Summary{
-		Account:    o.Account,
-		Iterations: o.Iterations,
-		Plans:      o.Plans,
-		Feasible:   o.Feasible,
-	}
-}
-
 // PlanOnce plans on the provider's first forecast (issued at t = 0) and
 // executes that plan to the end, come what may — the baseline every
 // operational deployment starts from, and the one MPC must beat.
@@ -385,34 +375,6 @@ func finishTime(lt *frontier.LookupTable, intervals []ExecutedInterval, target f
 		return at
 	}
 	return -1
-}
-
-// Planner adapts the forecast-driven controllers to the shared
-// plan.Planner contract: one job's table executed against a truth
-// trace under a forecast provider, with Replan selecting rolling-
-// horizon MPC (true) or plan-once (false). The request's Quantile
-// flows through as the robust planning quantile.
-type Planner struct {
-	Table    *frontier.LookupTable
-	Provider Provider
-	Truth    *grid.Signal
-	Replan   bool
-}
-
-// Name implements plan.Planner.
-func (p *Planner) Name() string {
-	if p.Replan {
-		return "forecast-mpc"
-	}
-	return "forecast-plan-once"
-}
-
-// Plan implements plan.Planner.
-func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
-	if p.Replan {
-		return Replan(p.Table, p.Provider, p.Truth, req)
-	}
-	return PlanOnce(p.Table, p.Provider, p.Truth, req)
 }
 
 // signalEqualWithin reports whether two absolute-time signals agree

@@ -51,6 +51,23 @@ type RegionOptions struct {
 	HysteresisMargin float64
 }
 
+// validate applies the single-region controller's rules
+// (plan.Request.Validate) to the options, naming the offending field: a
+// finite non-negative deadline, a quantile in [0, 1), and a finite
+// non-negative margin.
+func (o RegionOptions) validate() error {
+	if math.IsNaN(o.DeadlineS) || math.IsInf(o.DeadlineS, 0) || o.DeadlineS < 0 {
+		return fmt.Errorf("forecast: DeadlineS must be finite and non-negative, got %v", o.DeadlineS)
+	}
+	if math.IsNaN(o.PlanQuantile) || o.PlanQuantile < 0 || o.PlanQuantile >= 1 {
+		return fmt.Errorf("forecast: PlanQuantile must be in [0, 1), got %v", o.PlanQuantile)
+	}
+	if math.IsNaN(o.HysteresisMargin) || math.IsInf(o.HysteresisMargin, 0) || o.HysteresisMargin < 0 {
+		return fmt.Errorf("forecast: HysteresisMargin must be finite and non-negative, got %v", o.HysteresisMargin)
+	}
+	return nil
+}
+
 // planMigration resolves the migration cost a re-plan at decision time
 // d sees: the initial plan (d = 0, committing nothing yet) and
 // margin 0 keep the real cost.
@@ -105,15 +122,6 @@ type RegionOutcome struct {
 	Feasible bool `json:"feasible"`
 }
 
-// Summarize implements plan.Result.
-func (o *RegionOutcome) Summarize() plan.Summary {
-	s := plan.Summary{Account: o.Account, Plans: o.Plans, Feasible: o.Feasible}
-	for i := range o.Jobs {
-		s.Iterations += o.Jobs[i].Iterations
-	}
-	return s
-}
-
 // ReplanRegions is the multi-region rolling-horizon controller: at
 // every merged interval boundary it fetches each region's latest
 // forecast, re-runs region.Optimize over the remaining window — every
@@ -146,6 +154,9 @@ func OracleRegions(regions []region.Region, jobs []region.Job, opts RegionOption
 }
 
 func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, replanEvery bool) (*RegionOutcome, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	if len(regs) == 0 {
 		return nil, fmt.Errorf("forecast: region controller needs at least one region")
 	}
@@ -167,9 +178,6 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 	deadline := opts.DeadlineS
 	if deadline == 0 {
 		deadline = maxH
-	}
-	if math.IsNaN(deadline) || deadline <= 0 {
-		return nil, fmt.Errorf("forecast: deadline must be positive, got %v", opts.DeadlineS)
 	}
 	q := opts.PlanQuantile
 	if q == 0 {

@@ -5,7 +5,6 @@ import (
 	"iter"
 	"math"
 	"slices"
-	"strconv"
 
 	"perseus/internal/frontier"
 	"perseus/internal/plan"
@@ -230,64 +229,8 @@ func (p *Plan) Intervals(lt *frontier.LookupTable, sig *Signal) iter.Seq[Interva
 	}
 }
 
-// Summarize implements plan.Result.
-func (p *Plan) Summarize() plan.Summary {
-	return plan.Summary{
-		Account:    p.Account,
-		Iterations: p.Iterations,
-		Plans:      1,
-		Feasible:   p.Feasible,
-	}
-}
-
 // Total reads the plan total matching its objective.
 func (p *Plan) Total() float64 { return p.Account.Total(p.Objective) }
-
-// Planner adapts the temporal planner to the shared plan.Planner
-// contract: one characterized job's lookup table over one signal.
-type Planner struct {
-	// Table is the job's characterized frontier lookup table.
-	Table *frontier.LookupTable
-
-	// Signal is the grid trace to plan over.
-	Signal *Signal
-
-	// NoIdle forbids pausing (Options.NoIdle).
-	NoIdle bool
-
-	// Solver, when set, is the solver whose working buffers the solve
-	// reuses (a caller that plans repeatedly keeps one, or takes one
-	// from a pool); nil solves on a fresh one. The returned plan never
-	// aliases it. A Solver is not safe for concurrent use, so neither
-	// is a Planner that holds one.
-	Solver *Solver
-
-	steps int // greedy steps of the last Plan: Plan writes it, so one Planner serves one goroutine
-}
-
-// Name implements plan.Planner.
-func (p *Planner) Name() string { return "grid" }
-
-// Plan implements plan.Planner.
-func (p *Planner) Plan(req plan.Request) (plan.Result, error) {
-	s := p.Solver
-	if s == nil {
-		s = new(Solver)
-	}
-	res, err := s.Optimize(p.Table, p.Signal, Options{
-		Target:     req.Target,
-		DeadlineS:  req.DeadlineS,
-		Objective:  req.Objective,
-		PowerScale: req.PowerScale,
-		NoIdle:     p.NoIdle,
-	})
-	p.steps = s.Steps()
-	return res, err
-}
-
-// SpanAttrs describes the work of the last Plan for its solve span: the
-// greedy steps taken.
-func (p *Planner) SpanAttrs() []string { return []string{"steps", strconv.Itoa(p.steps)} }
 
 // planInterval is the solver's working state for one interval. Its
 // states are solver positions (see solution.pts): the descent steps one
@@ -561,22 +504,8 @@ type Evaluation struct {
 	// infeasible).
 	Iterations float64
 
-	// EnergyJ, CarbonG, and CostUSD total the plan.
-	EnergyJ float64
-	CarbonG float64
-	CostUSD float64
-}
-
-// Total reads the evaluation total matching the objective.
-func (e Evaluation) Total(obj Objective) float64 {
-	switch obj {
-	case ObjectiveCost:
-		return e.CostUSD
-	case ObjectiveEnergy:
-		return e.EnergyJ
-	default:
-		return e.CarbonG
-	}
+	// Account totals the plan.
+	plan.Account
 }
 
 // Evaluate solves the instance and returns only its totals, reusing the
@@ -652,7 +581,7 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 		PowerScale: sol.scale,
 		Feasible:   sol.feasible,
 		Iterations: ev.Iterations,
-		Account:    plan.Account{EnergyJ: ev.EnergyJ, CarbonG: ev.CarbonG, CostUSD: ev.CostUSD},
+		Account:    ev.Account,
 		FinishS:    finishS,
 		Price:      sol.price,
 		Runs:       sol.runs(),

@@ -645,7 +645,7 @@ func deepCopyPlan(t *testing.T, p *Plan) *Plan {
 // sequence of shrinking windows with a shrinking target — the access
 // pattern of a controller tick rolling one schedule forward — a reused
 // Solver and a fresh one per solve return bit-identical plans, for all
-// three objectives, through Planner.Solver as the server calls it.
+// three objectives, through Solver.Optimize as the server calls it.
 func TestSolverReuseDoesNotAlias(t *testing.T) {
 	full := Generate(GenOptions{Intervals: 48, IntervalS: 900, Jitter: 0.2, Seed: 7})
 	full.Intervals[5].CapW = 1 // a forced-idle interval in the early windows
@@ -665,13 +665,13 @@ func TestSolverReuseDoesNotAlias(t *testing.T) {
 				iv.EndS -= base
 				win.Intervals = append(win.Intervals, iv)
 			}
-			req := plan.Request{Target: 0.6 * win.Horizon() / lt.PointTime(0), Objective: obj, PowerScale: 2}
+			opts := Options{Target: 0.6 * win.Horizon() / lt.PointTime(0), Objective: obj, PowerScale: 2}
 
-			got, err := (&Planner{Table: lt, Signal: win, Solver: &reused}).Plan(req)
+			got, err := reused.Optimize(lt, win, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := (&Planner{Table: lt, Signal: win}).Plan(req)
+			want, err := new(Solver).Optimize(lt, win, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -681,11 +681,11 @@ func TestSolverReuseDoesNotAlias(t *testing.T) {
 
 			// Solve something else on the same solver; the plan it
 			// returned before must not move.
-			kept := deepCopyPlan(t, got.(*Plan))
+			kept := deepCopyPlan(t, got)
 			if _, err := reused.Optimize(other, otherSig, Options{Target: 0.5 * otherSig.Horizon() / other.PointTime(0), Objective: obj}); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.(*Plan), kept) {
+			if !reflect.DeepEqual(got, kept) {
 				t.Fatalf("%s window from %d: a later solve on the same Solver changed a returned plan", obj, from)
 			}
 		}

@@ -4,7 +4,7 @@
 // number) in a concurrency-safe Registry with hand-rolled Prometheus
 // text exposition (no external modules), a bounded in-memory event ring
 // for tracing controller ticks, re-plans, and migrations (events.go),
-// and an instrumenting decorator over the shared plan.Planner contract
+// and Solve, which times, counts and traces one planning-layer solve
 // (planner.go).
 //
 // The server (internal/server) owns one Registry and one Ring and

@@ -1,13 +1,11 @@
-// Package plan defines the common contract every planning layer in the
-// repository implements: the grid temporal planner, the multi-region
-// spatio-temporal planner, the forecast-driven MPC controllers, and the
-// fleet power-cap allocator all accept a plan.Request and produce a
-// plan.Result through a plan.Planner. The package also owns the types
-// those layers used to re-declare independently — the planning
-// objective, the deadline-resolution rules, and the energy/carbon/cost
-// accounting — so a server (or experiment harness) can treat any
-// planning layer as a pluggable component and cache or compare results
-// uniformly.
+// Package plan owns the vocabulary the planning layers share — the grid
+// temporal planner, the multi-region spatio-temporal planner, the
+// forecast-driven MPC controllers and the fleet power-cap allocator —
+// so they cannot drift apart on it: the planning objective, the
+// request validation and deadline-resolution rules (Request), the
+// energy/carbon/cost accounting every result embeds (Account,
+// Predicted), and the energy-bloat decomposition (bloat.go). Callers
+// call each layer's own entry point directly.
 //
 // plan is a leaf package: it imports nothing from the planning layers,
 // and they all import it.
@@ -47,8 +45,7 @@ func ParseObjective(s string) (Objective, error) {
 }
 
 // Request is a planner-agnostic planning request. Not every planner
-// consumes every field — the fleet allocator ignores Target and
-// DeadlineS, the grid planner ignores CapW and Quantile — but the
+// consumes every field — the grid planner ignores Quantile — but the
 // validation and defaulting rules are shared, so the layers cannot
 // drift apart on what "deadline 0" or "quantile 0" means.
 type Request struct {
@@ -71,15 +68,11 @@ type Request struct {
 	// 0 or 0.5 plans on the point forecast, higher values plan robustly
 	// against the pessimistic band. Must be in [0, 1).
 	Quantile float64 `json:"quantile,omitempty"`
-
-	// CapW is the facility power cap in watts for capacity planners
-	// (the fleet allocator); 0 means uncapped.
-	CapW float64 `json:"cap_w,omitempty"`
 }
 
 // Validate checks the request invariants shared by every layer: a
 // positive finite target, a non-negative non-NaN deadline, a known
-// objective, a quantile in [0, 1), and a finite non-negative cap.
+// objective, and a quantile in [0, 1).
 func (r Request) Validate() error {
 	if !(r.Target > 0) || math.IsInf(r.Target, 0) {
 		return fmt.Errorf("plan: target iterations must be positive and finite, got %v", r.Target)
@@ -92,9 +85,6 @@ func (r Request) Validate() error {
 	}
 	if math.IsNaN(r.Quantile) || r.Quantile < 0 || r.Quantile >= 1 {
 		return fmt.Errorf("plan: quantile must be in [0, 1), got %v", r.Quantile)
-	}
-	if math.IsNaN(r.CapW) || math.IsInf(r.CapW, 0) || r.CapW < 0 {
-		return fmt.Errorf("plan: power cap must be a finite non-negative number of watts, got %v", r.CapW)
 	}
 	return nil
 }
@@ -174,45 +164,4 @@ type Predicted struct {
 func (p *Predicted) Accumulate(b Predicted) {
 	p.PredCarbonG += b.PredCarbonG
 	p.PredCostUSD += b.PredCostUSD
-}
-
-// Summary is the common surface of a planning result: the accounting,
-// the work covered, and whether the request was satisfiable. Fields a
-// layer cannot express stay zero (the fleet allocator has no
-// iterations; a single temporal plan has exactly one Plans).
-type Summary struct {
-	Account
-
-	// Iterations is the work the plan covers (0 when not applicable).
-	Iterations float64 `json:"iterations,omitempty"`
-
-	// PowerW is the allocated power draw for capacity planners.
-	PowerW float64 `json:"power_w,omitempty"`
-
-	// Plans counts planner invocations behind the result (rolling-
-	// horizon controllers re-plan many times; one-shot planners report 1).
-	Plans int `json:"plans,omitempty"`
-
-	// Feasible reports whether the request was fully satisfied.
-	Feasible bool `json:"feasible"`
-}
-
-// Result is what every planning layer produces: anything that can
-// summarize itself into the common surface.
-type Result interface {
-	Summarize() Summary
-}
-
-// Planner is the common planning contract. Implementations are
-// adapters over each layer's native entry point (grid.Optimize,
-// region.Optimize, forecast.Replan, fleet.Allocate) carrying the
-// layer-specific inputs — tables, signals, providers, job sets — as
-// struct fields, so a Request stays layer-agnostic.
-type Planner interface {
-	// Name identifies the planning layer (e.g. "grid", "region",
-	// "forecast-mpc", "fleet").
-	Name() string
-
-	// Plan solves the request.
-	Plan(req Request) (Result, error)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"perseus/internal/fleet"
 	"perseus/internal/forecast"
 	"perseus/internal/frontier"
 	"perseus/internal/grid"
@@ -30,7 +29,7 @@ func TestParseObjective(t *testing.T) {
 }
 
 func TestRequestValidate(t *testing.T) {
-	good := plan.Request{Target: 10, DeadlineS: 100, Quantile: 0.9, CapW: 500}
+	good := plan.Request{Target: 10, DeadlineS: 100, Quantile: 0.9}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +43,6 @@ func TestRequestValidate(t *testing.T) {
 		"bad objective":    {Target: 1, Objective: "vibes"},
 		"quantile too big": {Target: 1, Quantile: 1},
 		"quantile < 0":     {Target: 1, Quantile: -0.1},
-		"NaN cap":          {Target: 1, CapW: math.NaN()},
-		"negative cap":     {Target: 1, CapW: -2},
 	} {
 		if err := req.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -129,77 +126,59 @@ func flatSignal(name string, carbon float64) *grid.Signal {
 	return s
 }
 
-// TestPlannersShareOneContract is the unification check the package
-// exists for: the grid temporal planner, the joint multi-region
-// planner, the forecast-driven MPC controller, and the fleet power-cap
-// allocator all solve the same plan.Request through plan.Planner and
-// summarize into the same surface.
-func TestPlannersShareOneContract(t *testing.T) {
+// TestLayersAgreeOnOneRegion checks the layers that share this
+// package's request rules on the one problem they all can solve — one
+// job, one region, an easy target: the temporal planner, the joint
+// region planner and the forecast MPC controller under perfect
+// foresight all complete the target with a non-empty account, the
+// temporal and region planners realize the same carbon, and each
+// rejects a negative target.
+func TestLayersAgreeOnOneRegion(t *testing.T) {
 	lt := convexTable()
 	sig := flatSignal("flat", 300)
 	target := 0.5 * sig.Horizon() / lt.TStar()
-	req := plan.Request{Target: target, DeadlineS: sig.Horizon(), CapW: 1e6}
+	regions := []region.Region{{Name: "a", Signal: sig}}
 
-	planners := []plan.Planner{
-		&grid.Planner{Table: lt, Signal: sig},
-		&region.Planner{
-			Regions: []region.Region{{Name: "a", Signal: sig}},
-			Jobs:    []region.Job{{ID: "train", Table: lt}},
-		},
-		&forecast.Planner{
-			Table:    lt,
-			Provider: &forecast.Perfect{Truth: sig},
-			Truth:    sig,
-			Replan:   true,
-		},
-		&fleet.Planner{Jobs: []fleet.Job{{ID: "train", Table: lt}}},
+	g, err := grid.Optimize(lt, sig, grid.Options{Target: target})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, p := range planners {
-		if seen[p.Name()] {
-			t.Fatalf("duplicate planner name %q", p.Name())
+	r, err := region.Optimize(regions, []region.Job{{ID: "train", Table: lt, Target: target}}, region.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := forecast.Replan(lt, &forecast.Perfect{Truth: sig}, sig, plan.Request{Target: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		layer      string
+		feasible   bool
+		iterations float64
+		account    plan.Account
+	}{
+		{"grid", g.Feasible, g.Iterations, g.Account},
+		{"region", r.Feasible, r.Jobs[0].Temporal.Iterations, r.Account},
+		{"forecast-mpc", f.Feasible, f.Iterations, f.Account},
+	} {
+		if !got.feasible || math.Abs(got.iterations-target) > 1e-6*(1+target) {
+			t.Errorf("%s: feasible %v, iterations %v; want %v", got.layer, got.feasible, got.iterations, target)
 		}
-		seen[p.Name()] = true
-		res, err := p.Plan(req)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
-		}
-		sum := res.Summarize()
-		if !sum.Feasible {
-			t.Fatalf("%s: infeasible under an easy request: %+v", p.Name(), sum)
-		}
-		if p.Name() == "fleet" {
-			if sum.PowerW <= 0 {
-				t.Fatalf("fleet summary has no power: %+v", sum)
-			}
-			continue
-		}
-		if math.Abs(sum.Iterations-target) > 1e-6*(1+target) {
-			t.Fatalf("%s: iterations %v, want %v", p.Name(), sum.Iterations, target)
-		}
-		if sum.EnergyJ <= 0 || sum.CarbonG <= 0 || sum.CostUSD <= 0 {
-			t.Fatalf("%s: empty account: %+v", p.Name(), sum)
-		}
-		if sum.Plans < 1 {
-			t.Fatalf("%s: plans %d", p.Name(), sum.Plans)
+		if got.account.EnergyJ <= 0 || got.account.CarbonG <= 0 || got.account.CostUSD <= 0 {
+			t.Errorf("%s: empty account %+v", got.layer, got.account)
 		}
 	}
-	// The grid and region planners solve the same single-region problem:
-	// their realized carbon agrees.
-	g, _ := planners[0].Plan(req)
-	r, _ := planners[1].Plan(req)
-	if math.Abs(g.Summarize().CarbonG-r.Summarize().CarbonG) > 1e-6*(1+g.Summarize().CarbonG) {
-		t.Fatalf("grid %v vs region %v carbon on the same problem",
-			g.Summarize().CarbonG, r.Summarize().CarbonG)
+	if math.Abs(g.CarbonG-r.CarbonG) > 1e-6*(1+g.CarbonG) {
+		t.Errorf("grid %v vs region %v carbon on the same problem", g.CarbonG, r.CarbonG)
 	}
 
-	// A request every layer must reject.
-	for _, p := range planners[:3] {
-		if _, err := p.Plan(plan.Request{Target: -1}); err == nil {
-			t.Errorf("%s: negative target accepted", p.Name())
-		}
+	if _, err := grid.Optimize(lt, sig, grid.Options{Target: -1}); err == nil {
+		t.Error("grid: negative target accepted")
 	}
-	if _, err := planners[3].Plan(plan.Request{CapW: math.NaN()}); err == nil {
-		t.Error("fleet: NaN cap accepted")
+	if _, err := region.Optimize(regions, []region.Job{{ID: "train", Table: lt, Target: -1}}, region.Options{}); err == nil {
+		t.Error("region: negative target accepted")
+	}
+	if _, err := forecast.Replan(lt, &forecast.Perfect{Truth: sig}, sig, plan.Request{Target: -1}); err == nil {
+		t.Error("forecast-mpc: negative target accepted")
 	}
 }

@@ -157,8 +157,8 @@ type Stats struct {
 // MemoHits is the number of proposals a memo answered without a solve.
 func (s Stats) MemoHits() int { return s.Candidates - s.InnerSolves }
 
-// SpanAttrs lists the counts as key/value pairs; obs.InstrumentPlanner
-// puts them on the solve's trace span.
+// SpanAttrs lists the counts as key/value pairs for the solve's trace
+// span.
 func (p *Plan) SpanAttrs() []string {
 	s := p.Stats
 	return []string{
@@ -172,50 +172,6 @@ func (p *Plan) SpanAttrs() []string {
 
 // Total reads the plan total matching its objective.
 func (p *Plan) Total() float64 { return p.Account.Total(p.Objective) }
-
-// Summarize implements plan.Result.
-func (p *Plan) Summarize() pln.Summary {
-	s := pln.Summary{Account: p.Account, Plans: 1, Feasible: p.Feasible}
-	for i := range p.Jobs {
-		if p.Jobs[i].Temporal != nil {
-			s.Iterations += p.Jobs[i].Temporal.Iterations
-		}
-	}
-	return s
-}
-
-// Planner adapts the joint spatio-temporal planner to the shared
-// plan.Planner contract: a fixed fleet of regions and jobs, with the
-// request supplying the objective and per-job target/deadline defaults
-// (jobs carrying their own keep them).
-type Planner struct {
-	Regions   []Region
-	Jobs      []Job
-	Migration MigrationCost
-}
-
-// Name implements plan.Planner.
-func (p *Planner) Name() string { return "region" }
-
-// Plan implements plan.Planner.
-func (p *Planner) Plan(req pln.Request) (pln.Result, error) {
-	jobs := append([]Job(nil), p.Jobs...)
-	for i := range jobs {
-		if jobs[i].Target <= 0 {
-			jobs[i].Target = req.Target
-		}
-		if jobs[i].DeadlineS <= 0 {
-			jobs[i].DeadlineS = req.DeadlineS
-		}
-		if jobs[i].PowerScale <= 0 && req.PowerScale > 0 {
-			jobs[i].PowerScale = req.PowerScale
-		}
-	}
-	return Optimize(p.Regions, jobs, Options{
-		Objective: req.Objective,
-		Migration: p.Migration,
-	})
-}
 
 // eval is one job's evaluated placement. It is born light — placement
 // and outcome, all a comparison reads — and gains its temporal plan,
@@ -458,7 +414,7 @@ func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, 
 		outcome: outcome{
 			coverage: plan.Iterations,
 			feasible: plan.Feasible,
-			cost:     objectiveTotal(plan) + mig.objective(plan.Objective),
+			cost:     plan.Total() + mig.Total(plan.Objective),
 		},
 	}, nil
 }
@@ -546,7 +502,7 @@ func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcom
 		return outcome{}, err
 	}
 	return outcome{
-		cost:     ev.Total(p.opts.Objective) + mig.objective(p.opts.Objective),
+		cost:     ev.Total(p.opts.Objective) + mig.Total(p.opts.Objective),
 		coverage: ev.Iterations,
 		feasible: ev.Feasible,
 	}, nil
@@ -1215,16 +1171,13 @@ func assemble(p *planner, jobs []Job, evals []*eval) *Plan {
 			Signal:             ev.sig,
 			Migrations:         ev.mig.count,
 			MigrationDowntimeS: ev.mig.downtimeS,
-			MigrationEnergyJ:   ev.mig.energyJ,
-			MigrationCarbonG:   ev.mig.carbonG,
-			MigrationCostUSD:   ev.mig.costUSD,
-			Account: pln.Account{
-				EnergyJ: ev.plan.EnergyJ + ev.mig.energyJ,
-				CarbonG: ev.plan.CarbonG + ev.mig.carbonG,
-				CostUSD: ev.plan.CostUSD + ev.mig.costUSD,
-			},
-			Feasible: ev.feasible,
+			MigrationEnergyJ:   ev.mig.EnergyJ,
+			MigrationCarbonG:   ev.mig.CarbonG,
+			MigrationCostUSD:   ev.mig.CostUSD,
+			Account:            ev.plan.Account,
+			Feasible:           ev.feasible,
 		}
+		jp.Accumulate(ev.mig.Account)
 		for k, c := range p.cells {
 			jp.Assignments = append(jp.Assignments, Assignment{
 				Cell: k, StartS: c.StartS, EndS: c.EndS,

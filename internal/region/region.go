@@ -29,6 +29,7 @@ import (
 
 	"perseus/internal/frontier"
 	"perseus/internal/grid"
+	pln "perseus/internal/plan"
 )
 
 // forceIdleCapW is a power cap below any frontier point's draw: a
@@ -257,9 +258,9 @@ func compileInto(cs *compileScratch, regions []Region, cells []Cell, placement [
 			idleUntil = c.StartS + mig.DowntimeS
 			sum.count++
 			sum.downtimeS += mig.DowntimeS
-			sum.energyJ += mig.EnergyJ
-			sum.carbonG += mig.EnergyJ / grid.JoulesPerKWh * carbon
-			sum.costUSD += mig.EnergyJ / grid.JoulesPerKWh * price
+			sum.EnergyJ += mig.EnergyJ
+			sum.CarbonG += mig.EnergyJ / grid.JoulesPerKWh * carbon
+			sum.CostUSD += mig.EnergyJ / grid.JoulesPerKWh * price
 		}
 		if idleUntil > c.StartS {
 			// The downtime covers a prefix of the cell (possibly all of
@@ -293,34 +294,7 @@ func compileInto(cs *compileScratch, regions []Region, cells []Cell, placement [
 type migSummary struct {
 	count     int
 	downtimeS float64
-	energyJ   float64
-	carbonG   float64
-	costUSD   float64
-}
-
-// objectiveTotal reads the plan total matching the objective.
-func objectiveTotal(p *grid.Plan) float64 {
-	switch p.Objective {
-	case grid.ObjectiveCost:
-		return p.CostUSD
-	case grid.ObjectiveEnergy:
-		return p.EnergyJ
-	default:
-		return p.CarbonG
-	}
-}
-
-// migObjective reads the migration summary's contribution to the
-// objective.
-func (m migSummary) objective(obj grid.Objective) float64 {
-	switch obj {
-	case grid.ObjectiveCost:
-		return m.costUSD
-	case grid.ObjectiveEnergy:
-		return m.energyJ
-	default:
-		return m.carbonG
-	}
+	pln.Account
 }
 
 // validate checks the shared planning inputs.

@@ -163,11 +163,11 @@ func TestCompileCompositeSignal(t *testing.T) {
 	if iv := sig.Intervals[3]; iv.StartS != 1300 || iv.CapW != 0 {
 		t.Fatalf("post-downtime interval %+v", iv)
 	}
-	if sum.count != 1 || sum.downtimeS != 100 || sum.energyJ != 3.6e6 {
+	if sum.count != 1 || sum.downtimeS != 100 || sum.EnergyJ != 3.6e6 {
 		t.Fatalf("summary %+v", sum)
 	}
 	// 1 kWh at the arrival region's rates.
-	if math.Abs(sum.carbonG-100) > 1e-9 || math.Abs(sum.costUSD-0.05) > 1e-12 {
+	if math.Abs(sum.CarbonG-100) > 1e-9 || math.Abs(sum.CostUSD-0.05) > 1e-12 {
 		t.Fatalf("migration pricing %+v", sum)
 	}
 	wantCells := []int{0, 1, 2, 2}

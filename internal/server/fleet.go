@@ -7,8 +7,6 @@ import (
 	"net/http"
 
 	"perseus/internal/fleet"
-	"perseus/internal/obs"
-	pln "perseus/internal/plan"
 )
 
 func (s *Server) handleFleetCap(w http.ResponseWriter, r *http.Request) {
@@ -100,17 +98,12 @@ func (s *Server) recomputeFleet(ctx context.Context) FleetStatusResponse {
 		}
 		j.mu.Unlock()
 	}
-	// The allocation runs through the instrumented fleet planner so the
-	// capacity layer reports planning latency like the temporal and
-	// spatial layers. The cap was validated at the API boundary, but a
-	// planner error must still not crash the recompute: fall back to an
-	// empty (infeasible) allocation.
-	p := obs.InstrumentPlanner(ctx, s.wrapPlanner(&fleet.Planner{Jobs: fjobs}),
-		"fleet", s.obs.planLatency, s.obs.planErrors)
+	// fleet.Allocate cannot fail: setFleetCap validated the cap.
 	var alloc fleet.Allocation
-	if res, err := p.Plan(pln.Request{CapW: capW}); err == nil {
-		alloc = *res.(*fleet.Allocation)
-	}
+	_ = s.solve(ctx, "fleet", "", nil, func() ([]string, error) {
+		alloc = fleet.Allocate(fjobs, capW)
+		return nil, nil
+	})
 
 	st := FleetStatusResponse{
 		CapW:     alloc.CapW,

@@ -592,24 +592,27 @@ func (s *Server) rollForward(ctx context.Context, v *tickView, in rollInputs, fc
 		view = v.signal(signalKey{fc: fc, q: rs.Quantile}, func() *grid.Signal { return fc.At(rs.Quantile) })
 	}
 	fresh, err := rs.Replan(fc, view, func(view *grid.Signal, from, to, target float64) (*grid.Plan, *grid.Signal, error) {
-		// The solve runs through the instrumented grid planner over the
-		// forecast window — the MPC counterpart of forecast.Planner,
-		// reported as its own planning layer.
+		// The grid solve over the forecast window — the deployable
+		// counterpart of forecast.Replan — reports as its own planning
+		// layer.
 		sctx, sv := obs.Child(ctx, spanReplanSolve)
 		defer sv.End()
 		sv.SetAttr("job", id)
 		window := v.signal(signalKey{fc, rs.Quantile, from, to}, func() *grid.Signal { return forecast.Window(view, from, to) })
 		solver := solvers.Get().(*grid.Solver)
 		defer solvers.Put(solver)
-		p := obs.InstrumentPlanner(sctx, s.wrapPlanner(&grid.Planner{Table: rs.Table, Signal: window, Solver: solver}),
-			"forecast-mpc", s.obs.planLatency, s.obs.planErrors)
-		res, err := p.Plan(pln.Request{Target: target, Objective: rs.Objective, PowerScale: rs.Scale})
+		var plan *grid.Plan
+		err := s.solve(sctx, "forecast-mpc", rs.Objective, window, func() ([]string, error) {
+			var err error
+			plan, err = solver.Optimize(rs.Table, window, grid.Options{Target: target, Objective: rs.Objective, PowerScale: rs.Scale})
+			return []string{"steps", strconv.Itoa(solver.Steps())}, err
+		})
 		sv.SetAttr("steps", strconv.Itoa(solver.Steps()))
 		if err != nil {
 			sv.Fail(err)
 			return nil, nil, err
 		}
-		return res.(*grid.Plan), window, nil
+		return plan, window, nil
 	})
 	switch {
 	case err != nil:

@@ -11,7 +11,6 @@ import (
 	"perseus/internal/frontier"
 	"perseus/internal/grid"
 	"perseus/internal/obs"
-	pln "perseus/internal/plan"
 )
 
 func (s *Server) handleSetGridSignal(w http.ResponseWriter, r *http.Request) {
@@ -268,18 +267,19 @@ func (s *Server) planProblem(ctx context.Context, id string, target, deadline fl
 // solving at most once per key however many callers arrive.
 func (s *Server) solvePlan(ctx context.Context, pb planProblem) (*planEntry, error) {
 	return s.cache.do(ctx, pb.key, func(ctx context.Context) (*grid.Plan, error) {
-		p := obs.InstrumentPlanner(ctx, s.wrapPlanner(&grid.Planner{Table: pb.table, Signal: pb.sig}),
-			"grid", s.obs.planLatency, s.obs.planErrors)
-		res, err := p.Plan(pln.Request{
-			Target:     pb.key.Target,
-			DeadlineS:  pb.key.Deadline,
-			Objective:  pb.key.Objective,
-			PowerScale: float64(pb.key.Scale),
+		var plan *grid.Plan
+		err := s.solve(ctx, "grid", pb.key.Objective, pb.sig, func() ([]string, error) {
+			var solver grid.Solver
+			var err error
+			plan, err = solver.Optimize(pb.table, pb.sig, grid.Options{
+				Target:     pb.key.Target,
+				DeadlineS:  pb.key.Deadline,
+				Objective:  pb.key.Objective,
+				PowerScale: float64(pb.key.Scale),
+			})
+			return []string{"steps", strconv.Itoa(solver.Steps())}, err
 		})
-		if err != nil {
-			return nil, err
-		}
-		return res.(*grid.Plan), nil
+		return plan, err
 	})
 }
 

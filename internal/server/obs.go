@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -72,7 +73,7 @@ type serverObs struct {
 	cancelled     *obs.Counter
 	hubBroadcasts *obs.Counter
 
-	// Planning layers, via the obs.InstrumentPlanner decorator.
+	// Planning layers, via Server.solve.
 	planLatency *obs.HistogramVec // planner, objective
 	planErrors  *obs.CounterVec   // planner
 
@@ -215,10 +216,10 @@ func newServerObs() *serverObs {
 			"Notification-hub topic broadcasts (each wakes every watcher of the topic at once)."),
 
 		planLatency: r.HistogramVec("perseus_planner_plan_duration_seconds",
-			"Planning latency through the plan.Planner contract, by layer and objective.",
+			"Planning-layer solve latency, by layer and objective.",
 			nil, "planner", "objective"),
 		planErrors: r.CounterVec("perseus_planner_plan_errors_total",
-			"Failed Plan calls by layer.", "planner"),
+			"Failed planning-layer solves by layer.", "planner"),
 
 		ledger: obs.NewLedger(0),
 
@@ -462,6 +463,10 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxTraceFilter caps ?min_ms= before it is converted, so a huge value
+// filters out every trace rather than overflowing time.Duration.
+const maxTraceFilter = time.Duration(math.MaxInt64 / 2)
+
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit, ok := queryN(w, q)
@@ -471,11 +476,11 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			http.Error(w, "bad min_ms: "+v, http.StatusBadRequest)
+		if err != nil || !(ms >= 0) || math.IsInf(ms, 1) {
+			http.Error(w, fmt.Sprintf("bad min_ms: %q", v), http.StatusBadRequest)
 			return
 		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
+		minDur = time.Duration(min(ms, float64(maxTraceFilter/time.Millisecond)) * float64(time.Millisecond))
 	}
 	writeJSON(w, TracesResponse{Traces: s.Traces(limit, minDur, q.Get("op"))})
 }

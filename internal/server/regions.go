@@ -7,8 +7,6 @@ import (
 	"net/http"
 
 	"perseus/internal/grid"
-	"perseus/internal/obs"
-	pln "perseus/internal/plan"
 	"perseus/internal/region"
 )
 
@@ -217,15 +215,17 @@ func (s *Server) regionsPlan(ctx context.Context, target, deadline float64, obje
 	if len(rjobs) > maxPlanJobs {
 		return nil, fmt.Errorf("server: %d characterized jobs exceed the synchronous planning limit of %d; plan offline with internal/region", len(rjobs), maxPlanJobs)
 	}
-	p := obs.InstrumentPlanner(ctx, s.wrapPlanner(&region.Planner{Regions: regs, Jobs: rjobs, Migration: mig}),
-		"region", s.obs.planLatency, s.obs.planErrors)
-	res, err := p.Plan(pln.Request{
-		Target: target, DeadlineS: deadline, Objective: obj,
+	var plan *region.Plan
+	err := s.solve(ctx, "region", obj, nil, func() ([]string, error) {
+		var err error
+		if plan, err = region.Optimize(regs, rjobs, region.Options{Objective: obj, Migration: mig}); err != nil {
+			return nil, err
+		}
+		return plan.SpanAttrs(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	plan := res.(*region.Plan)
 	s.obs.regionSolves.Observe(float64(plan.Stats.InnerSolves))
 	return plan, nil
 }

@@ -31,12 +31,12 @@
 //     the per-job and fleet bloat series as views of its totals, and
 //     GET /debug/ledger
 //
-// The grid and region planning endpoints drive the shared
-// internal/plan planners (grid.Planner, region.Planner); the fleet
-// recompute and the controller's incremental roll-forward use the same
-// layers through their native entry points (fleet.Allocate and
-// grid.Optimize over forecast windows — the controller is the
-// deployable, prefix-freezing counterpart of forecast.Planner). A
+// The server calls the planning layers directly — grid.Solver.Optimize
+// for a cold plan and for the controller's roll-forward over forecast
+// windows (the deployable, prefix-freezing counterpart of
+// forecast.Replan), region.Optimize for the joint region plan,
+// fleet.Allocate for the fleet recompute — each through one helper,
+// Server.solve, that times, counts and traces the solve. A
 // controller tick plans the whole fleet from one tickView (forecast.go):
 // one clock read, one forecast per requested horizon, the managed jobs
 // rolled forward in parallel under per-schedule locks.
@@ -44,6 +44,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -52,6 +53,8 @@ import (
 	"time"
 
 	"perseus/internal/api"
+	"perseus/internal/grid"
+	"perseus/internal/obs"
 	pln "perseus/internal/plan"
 )
 
@@ -88,19 +91,28 @@ type Server struct {
 	// obs is the observability surface every module records into.
 	obs *serverObs
 
-	// planWrap, when set, wraps every planner the server constructs
-	// before instrumentation — the test seam fault-injection tests use
-	// to force solver errors. Set before serving traffic; never mutated
-	// concurrently with requests.
-	planWrap func(pln.Planner) pln.Planner
+	// solveHook, when set, runs inside every solve before the layer
+	// does, with the layer label and the signal the solve plans over
+	// (nil for the region and fleet layers); an error it returns fails
+	// the solve. It is the seam tests gate, count and fail solves
+	// through. Set before serving traffic; never mutated concurrently
+	// with requests.
+	solveHook func(layer string, sig *grid.Signal) error
 }
 
-// wrapPlanner applies the planWrap seam (identity when unset).
-func (s *Server) wrapPlanner(p pln.Planner) pln.Planner {
-	if s.planWrap != nil {
-		return s.planWrap(p)
-	}
-	return p
+// solve runs one planning-layer solve through obs.Solve: timed into
+// planner_plan_duration_seconds (layer, objective), a failure counted
+// into planner_plan_errors_total, and a planner.solve child span of
+// ctx's active span carrying the attrs solve returns.
+func (s *Server) solve(ctx context.Context, layer string, obj pln.Objective, sig *grid.Signal, solve func() (attrs []string, err error)) error {
+	return obs.Solve(ctx, layer, obj, s.obs.planLatency, s.obs.planErrors, func() ([]string, error) {
+		if s.solveHook != nil {
+			if err := s.solveHook(layer, sig); err != nil {
+				return nil, err
+			}
+		}
+		return solve()
+	})
 }
 
 // New returns an empty server.

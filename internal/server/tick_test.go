@@ -12,18 +12,17 @@ import (
 
 	"perseus/internal/grid"
 	"perseus/internal/obs"
-	pln "perseus/internal/plan"
 )
 
 // fleetServer returns a fake-clock server with n characterized jobs of
-// two pipeline shapes, in registration order. wrap (nil for none) is
-// installed as the planner seam before anything plans.
-func fleetServer(t *testing.T, n int, wrap func(pln.Planner) pln.Planner) (*Server, *fakeClock, []string) {
+// two pipeline shapes, in registration order. hook (nil for none) is
+// installed as the solve hook before anything plans.
+func fleetServer(t *testing.T, n int, hook func(string, *grid.Signal) error) (*Server, *fakeClock, []string) {
 	t.Helper()
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
 	srv := New()
 	srv.SetClock(clock.Now)
-	srv.planWrap = wrap
+	srv.solveHook = hook
 	ids := make([]string, n)
 	for k := range ids {
 		ids[k] = registerCharacterized(t, srv, JobRequest{
@@ -210,13 +209,13 @@ func TestTickIssuesOneForecastPerHorizon(t *testing.T) {
 func TestTickSharesViews(t *testing.T) {
 	var mu sync.Mutex
 	windows := map[*grid.Signal]int{}
-	srv, clock, ids := fleetServer(t, 64, func(p pln.Planner) pln.Planner {
-		if gp, ok := p.(*grid.Planner); ok {
+	srv, clock, ids := fleetServer(t, 64, func(_ string, sig *grid.Signal) error {
+		if sig != nil {
 			mu.Lock()
-			windows[gp.Signal]++
+			windows[sig]++
 			mu.Unlock()
 		}
-		return p
+		return nil
 	})
 	truth := grid.Diurnal24h()
 	horizon := truth.Horizon()
@@ -283,7 +282,7 @@ func TestTickSharesViews(t *testing.T) {
 	}
 }
 
-// TestTickSkipsJobUnmanagedMidTick holds job 1's solve (the gatedPlanner
+// TestTickSkipsJobUnmanagedMidTick holds job 1's solve (the gate
 // seam) while the signal is re-installed under a one-worker tick. The
 // install un-manages every job and drops every schedule, so whatever job
 // 2's turn runs into afterwards is not an error of the tick; and the
@@ -295,11 +294,12 @@ func TestTickSkipsJobUnmanagedMidTick(t *testing.T) {
 	// make, so only the gate blocks.
 	var armed atomic.Bool
 	entered, release := make(chan struct{}, 2), make(chan struct{})
-	srv, clock, ids := fleetServer(t, 2, func(p pln.Planner) pln.Planner {
+	gated := gate(entered, release)
+	srv, clock, ids := fleetServer(t, 2, func(layer string, sig *grid.Signal) error {
 		if !armed.Load() {
-			return p
+			return nil
 		}
-		return &gatedPlanner{inner: p, entered: entered, release: release}
+		return gated(layer, sig)
 	})
 	sig := forecastTestSignal()
 	if _, err := srv.SetGridSignal(sig, ""); err != nil {

@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"perseus/internal/client"
+	"perseus/internal/grid"
 	"perseus/internal/obs"
-	pln "perseus/internal/plan"
 )
 
 // findSpans returns the trace's spans with the given name.
@@ -282,20 +282,14 @@ func TestTickTraceStageSpans(t *testing.T) {
 	}
 }
 
-// gatedPlanner blocks grid solves until released — the seam the
-// coalescing test uses to hold a solve in flight.
-type gatedPlanner struct {
-	inner   pln.Planner
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (g *gatedPlanner) Name() string { return g.inner.Name() }
-
-func (g *gatedPlanner) Plan(req pln.Request) (pln.Result, error) {
-	g.entered <- struct{}{}
-	<-g.release
-	return g.inner.Plan(req)
+// gate is a solve hook that blocks each solve it sees until released —
+// the seam tests use to hold a solve in flight.
+func gate(entered, release chan struct{}) func(string, *grid.Signal) error {
+	return func(string, *grid.Signal) error {
+		entered <- struct{}{}
+		<-release
+		return nil
+	}
 }
 
 // TestCoalescedLookupTraceAttr pins the single-flight trace attr: a
@@ -303,15 +297,15 @@ func (g *gatedPlanner) Plan(req pln.Request) (pln.Result, error) {
 // cache.lookup span with coalesced=true.
 func TestCoalescedLookupTraceAttr(t *testing.T) {
 	srv := New()
-	gate := &gatedPlanner{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	// Gate only the grid planner: the fleet recompute that follows
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	gated := gate(entered, release)
+	// Gate only the grid layer: the fleet recompute that follows
 	// characterization must pass through untouched.
-	srv.planWrap = func(p pln.Planner) pln.Planner {
-		if p.Name() != "grid" {
-			return p
+	srv.solveHook = func(layer string, sig *grid.Signal) error {
+		if layer != "grid" {
+			return nil
 		}
-		gate.inner = p
-		return gate
+		return gated(layer, sig)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -333,7 +327,7 @@ func TestCoalescedLookupTraceAttr(t *testing.T) {
 	}
 	wg.Add(2)
 	go fetch()
-	<-gate.entered // the leader is inside the solve
+	<-entered // the leader is inside the solve
 	go fetch()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.CacheStats().Coalesced != 1 {
@@ -342,7 +336,7 @@ func TestCoalescedLookupTraceAttr(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(gate.release)
+	close(release)
 	wg.Wait()
 
 	var misses, coalesced int
@@ -364,16 +358,6 @@ func TestCoalescedLookupTraceAttr(t *testing.T) {
 	}
 }
 
-// failingGridPlanner fails every solve — the injected fault that trips
-// the replan-failure SLO.
-type failingGridPlanner struct{ inner pln.Planner }
-
-func (f failingGridPlanner) Name() string { return f.inner.Name() }
-
-func (f failingGridPlanner) Plan(pln.Request) (pln.Result, error) {
-	return nil, fmt.Errorf("injected solver failure")
-}
-
 // TestReplanFailureBreachesSLO drives the whole self-monitoring loop
 // under a fake clock: a forced planner error marks the replan.solve
 // span failed, trips the replan-failure-ratio SLO to breach, flips
@@ -383,11 +367,13 @@ func TestReplanFailureBreachesSLO(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
 	srv := New()
 	srv.SetClock(clock.Now)
-	srv.planWrap = func(p pln.Planner) pln.Planner {
-		if p.Name() != "grid" {
-			return p
+	// Fail every solve over a grid signal (cold plans and the
+	// controller's): the injected fault that trips the replan-failure SLO.
+	srv.solveHook = func(_ string, sig *grid.Signal) error {
+		if sig == nil {
+			return nil
 		}
-		return failingGridPlanner{inner: p}
+		return fmt.Errorf("injected solver failure")
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -557,7 +543,8 @@ func TestLongPollWakeAccounting(t *testing.T) {
 
 // TestDebugEndpointValidation pins the debug endpoints' parameter
 // contract: malformed n, since, and min_ms values answer 400 instead
-// of being silently ignored.
+// of being silently ignored, and a huge finite min_ms filters out every
+// trace instead of overflowing into no filter.
 func TestDebugEndpointValidation(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -572,6 +559,8 @@ func TestDebugEndpointValidation(t *testing.T) {
 		"/debug/traces?n=-1",
 		"/debug/traces?min_ms=abc",
 		"/debug/traces?min_ms=-1",
+		"/debug/traces?min_ms=NaN",
+		"/debug/traces?min_ms=Inf",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -581,6 +570,14 @@ func TestDebugEndpointValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET %s: %s, want 400", path, resp.Status)
 		}
+	}
+
+	cl := client.NewServerClient(ts.URL)
+	if tr, err := cl.FetchTraces(0, 0, ""); err != nil || len(tr) == 0 {
+		t.Fatalf("unfiltered: %d traces, %v; want the requests above", len(tr), err)
+	}
+	if tr, err := cl.FetchTraces(0, 1e300, ""); err != nil || len(tr) != 0 {
+		t.Errorf("min_ms=1e300: %d traces, %v; want none", len(tr), err)
 	}
 }
 
