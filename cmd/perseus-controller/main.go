@@ -7,10 +7,10 @@
 // boundary on its own — freezing the executed prefix, re-planning the
 // remainder on the freshly issued forecast, and bumping the schedule
 // version — while the client only ever long-polls the schedule with
-// If-None-Match and reads the rollout view: it never calls
-// /grid/replan. The demo closes by comparing the controller's realized
-// account against the offline rolling-horizon MPC on the same seed and
-// by timing a cold versus cached /grid/plan solve.
+// If-None-Match and reads the rollout view: it never plans. The demo
+// closes by comparing the controller's realized account against the
+// offline rolling-horizon MPC on the same seed and by timing a cold
+// versus cached /grid/plan solve.
 //
 // Usage:
 //

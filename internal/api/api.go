@@ -228,9 +228,9 @@ type ForecastRequest struct {
 	// Level is the uncertainty-band quantile level; 0 means 0.9.
 	Level float64 `json:"level,omitempty"`
 
-	// Quantile is the default planning quantile GET /grid/replan uses:
-	// 0 plans on the point forecast, higher values plan robustly
-	// against the pessimistic band.
+	// Quantile is the default planning quantile of a managed job whose
+	// POST /controller/jobs leaves quantile 0: 0 plans on the point
+	// forecast, higher values plan robustly against the pessimistic band.
 	Quantile float64 `json:"quantile,omitempty"`
 
 	// HorizonS extends the forecast coverage in signal seconds; 0
@@ -304,13 +304,12 @@ type ReplanResponse struct {
 	RemainingOffsetS float64    `json:"remaining_offset_s"`
 }
 
-// RolloutResponse is the read-only view of a job's rolling-horizon
-// schedule: the same shape as a replan response plus the job's current
-// schedule version and whether the controller manages the schedule.
+// RolloutResponse is the read-only view of a managed job's
+// rolling-horizon schedule: the same shape as the POST /controller/jobs
+// response plus the job's current schedule version.
 type RolloutResponse struct {
 	ReplanResponse
-	Version int  `json:"version"`
-	Managed bool `json:"managed"`
+	Version int `json:"version"`
 }
 
 // ControllerJobStatus is one managed job's view in the controller

@@ -506,7 +506,7 @@ func (c *ServerClient) InstallForecast(model string, level, quantile, horizonS f
 }
 
 // InstallRevisionsForecast installs the seeded noisy-revision issuer
-// over the installed grid signal: every issue (install, replan,
+// over the installed grid signal: every issue (install, ManageJob,
 // controller tick) sees the signal's future multiplied by seeded
 // lognormal innovations that drain as boundaries pass — the external
 // forecast feed the MPC experiments replay. sigma 0 uses the provider
@@ -521,27 +521,13 @@ func (c *ServerClient) FetchForecast() (ForecastAck, error) {
 	return get[ForecastAck](c, "/grid/forecast")
 }
 
-// FetchReplan rolls the job's forecast-driven schedule forward on the
-// server: freeze what has executed since the last call, re-plan the
-// remainder against a freshly issued forecast. deadline 0 means the
-// forecast horizon; quantile 0 uses the installed default, values
-// above 0.5 plan against the pessimistic band.
-func (c *ServerClient) FetchReplan(jobID string, iterations, deadline float64, objective string, quantile float64) (Replan, error) {
-	qv := ""
-	if quantile != 0 {
-		qv = float(quantile)
-	}
-	return get[Replan](c, "/grid/replan/"+jobID+query(
-		"iterations", float(iterations), "deadline", float(deadline), "objective", objective, "quantile", qv))
-}
-
 // FetchScheduleIfChanged fetches the deployed schedule only if its
 // version moved past haveVersion, long-polling up to wait: the request
 // carries If-None-Match with the version's entity tag, and the server
 // blocks until a version bump or the wait expires. changed is false
 // (with a zero Schedule) on 304 Not Modified — the trainer keeps its
 // current schedule. This is how a trainer observes the background
-// controller's re-plans without ever calling /grid/replan.
+// controller's re-plans without ever planning itself.
 func (c *ServerClient) FetchScheduleIfChanged(jobID string, haveVersion int, wait time.Duration) (s Schedule, changed bool, err error) {
 	path := "/jobs/" + jobID + "/schedule"
 	if wait > 0 {

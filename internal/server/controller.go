@@ -6,34 +6,26 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// managedJob marks a job as controller-managed (its rolling schedule
-// pins the planning parameters) and holds its last tick error.
-type managedJob struct {
-	lastErr string
-}
-
-// controller is the background MPC runtime: a long-lived loop that
-// wakes at every grid-signal interval boundary, rolls every managed
-// job's rolling-horizon schedule forward — executed prefix frozen,
-// remainder re-planned on a freshly issued forecast — and bumps each
-// job's schedule version so long-polling clients observe the change
-// without ever calling /grid/replan themselves. A tick plans the fleet
-// from one view (tickView) and rolls the managed jobs forward in
-// parallel; a tick and a client replan of the same job meet on that
-// schedule's own lock, so the two can never disagree about the frozen
-// prefix.
+// controller is the background MPC runtime's loop state: a long-lived
+// loop that wakes at every grid-signal interval boundary and ticks. A
+// tick rolls every managed job's rolling-horizon schedule forward —
+// executed prefix frozen, remainder re-planned on a freshly issued
+// forecast — and bumps each job's schedule version, so long-polling
+// clients observe the change without ever planning themselves. The
+// managed jobs are the server's rolling schedules (Server.replans, in
+// Server.order); a tick plans them from one view (tickView) and rolls
+// them forward in parallel, each under its schedule's own lock.
 type controller struct {
 	s *Server
 
 	mu          sync.Mutex
-	managed     map[string]managedJob
-	order       []string
 	running     bool
 	stop        chan struct{}
 	done        chan struct{}
@@ -42,66 +34,37 @@ type controller struct {
 	lastTickErr string // first per-job error of the last tick ("" = clean)
 }
 
-// manages reports whether the controller owns the job's schedule.
-func (c *controller) manages(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.managed[id]
-	return ok
-}
-
-// reset drops every managed job (the signal, and with it every rolling
-// schedule, was replaced).
-func (c *controller) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.managed = map[string]managedJob{}
-	c.order = nil
-}
-
-// forget drops one job from management (the job was removed).
-func (c *controller) forget(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.managed, id)
-	for i, v := range c.order {
-		if v == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// ManageJob registers a job's rolling-horizon schedule with the
-// controller: the schedule is created (or rolled forward) immediately
-// with plan #1, and every subsequent tick rolls it forward. Re-managing
-// with different parameters restarts the schedule, exactly like a
-// parameter change on GET /grid/replan; a signal re-install drops both
-// the schedule and the management, and the job must be re-managed.
+// ManageJob puts a job's rolling-horizon schedule under controller
+// management — the one way a rolling schedule is created, restarted or
+// moved outside a tick. The schedule completes target iterations by the
+// deadline (signal seconds; 0 means the forecast horizon, pinned at
+// creation); quantile 0 uses the installed default, values above 0.5
+// plan against the pessimistic band (robust mode). A new job's schedule
+// is planned immediately (plan #1) and every subsequent tick rolls it
+// forward. Re-managing with the same parameters rolls the schedule
+// forward to now, or returns it as it stands when time and forecast are
+// unchanged; different parameters restart it from now, and a restart
+// whose first plan fails leaves the running schedule in force. A signal
+// re-install drops every schedule, and the job must be re-managed.
 func (s *Server) ManageJob(id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
 	return s.manageJob(context.Background(), ControllerJobRequest{
 		JobID: id, Target: target, DeadlineS: deadline, Objective: objective, Quantile: quantile})
 }
 
+// manageJob is ManageJob with context: under a traced request, the
+// roll-forward records its stage spans (replan.inputs, replan.freeze,
+// replan.forecast, replan.solve, replan.bump) as children of the active
+// span. It holds the write side of replanMu throughout.
 func (s *Server) manageJob(ctx context.Context, req ControllerJobRequest) (*ReplanResponse, error) {
-	resp, err := s.replan(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	c := &s.ctrl
-	c.mu.Lock()
-	if _, ok := c.managed[req.JobID]; !ok {
-		c.order = append(c.order, req.JobID)
-	}
-	c.managed[req.JobID] = managedJob{}
-	c.mu.Unlock()
-	return resp, nil
+	s.replanMu.Lock()
+	defer s.replanMu.Unlock()
+	return s.manageLocked(ctx, req)
 }
 
 // TickController runs one controller tick synchronously: every managed
 // job's existing schedule rolls forward to the tick's instant (a tick
-// never creates state — only ManageJob and client replans do, so a tick
-// racing a signal re-install cannot resurrect a dropped schedule).
+// never creates state — only ManageJob does, so a tick racing a signal
+// re-install cannot resurrect a dropped schedule).
 // Per-job errors are recorded in the status rather than aborting the
 // tick — one broken job must not stall the fleet's control loop.
 func (s *Server) TickController() ControllerStatus {
@@ -121,11 +84,6 @@ func (s *Server) TickController() ControllerStatus {
 // burn-rate status (and breach events) advance at control-loop cadence
 // even when nobody polls /debug/slo.
 func (s *Server) tickController(ctx context.Context) ControllerStatus {
-	c := &s.ctrl
-	c.mu.Lock()
-	ids := append([]string(nil), c.order...)
-	c.mu.Unlock()
-
 	ctx, root := s.obs.tracer.StartSpan(ctx, spanControllerTick)
 	tickStart := time.Now()
 	v := s.newTickView()
@@ -136,10 +94,9 @@ func (s *Server) tickController(ctx context.Context) ControllerStatus {
 	s.st.settleAll(s.st.gridStateAt(v.now))
 	v.sharers = map[float64]int{}
 	s.replanMu.RLock()
-	for _, id := range ids {
-		if rs := s.replans[id]; rs != nil {
-			v.sharers[rs.reqDeadline]++
-		}
+	ids := slices.Clone(s.order)
+	for _, rs := range s.replans {
+		v.sharers[rs.reqDeadline]++
 	}
 	s.replanMu.RUnlock()
 
@@ -162,30 +119,20 @@ func (s *Server) tickController(ctx context.Context) ControllerStatus {
 	wg.Wait()
 
 	dur := time.Since(tickStart)
-	failed := 0
+	failed, lastTickErr := 0, ""
+	for i, err := range errs {
+		if err != nil {
+			failed++
+			if lastTickErr == "" {
+				lastTickErr = ids[i] + ": " + err.Error()
+			}
+		}
+	}
+	c := &s.ctrl
 	c.mu.Lock()
 	c.ticks++
 	c.lastTick = v.now
-	c.lastTickErr = ""
-	for i, id := range ids {
-		// A job un-managed since the snapshot (a signal install, a
-		// DELETE: neither drops a schedule before its job is un-managed)
-		// has no error to report — whatever its turn ran into, it is
-		// gone.
-		mj, ok := c.managed[id]
-		if !ok {
-			continue
-		}
-		mj.lastErr = ""
-		if errs[i] != nil {
-			failed++
-			mj.lastErr = errs[i].Error()
-			if c.lastTickErr == "" {
-				c.lastTickErr = id + ": " + mj.lastErr
-			}
-		}
-		c.managed[id] = mj
-	}
+	c.lastTickErr = lastTickErr
 	c.mu.Unlock()
 	attrs := []string{"jobs", strconv.Itoa(len(ids)), "errors", strconv.Itoa(failed), "forecasts", strconv.Itoa(v.forecasts())}
 	s.obs.ticks.Inc()
@@ -298,28 +245,29 @@ func (s *Server) ControllerStatus() ControllerStatus {
 	if !c.lastTick.IsZero() {
 		st.LastTickUnixS = float64(c.lastTick.UnixNano()) / 1e9
 	}
-	ids := append([]string(nil), c.order...)
-	errs := make(map[string]string, len(c.managed))
-	for id, mj := range c.managed {
-		errs[id] = mj.lastErr
-	}
 	c.mu.Unlock()
 
 	st.NextBoundaryS = -1
 	if b, ok := s.nextBoundary(); ok {
 		st.NextBoundaryS = b
 	}
-	for _, id := range ids {
-		js := ControllerJobStatus{JobID: id, LastError: errs[id]}
-		if view, lastPlanAt := s.scheduleView(id); view != nil {
-			js.Plans = view.Plans
-			js.DoneIterations = view.DoneIterations
-			js.RemainingIterations = view.RemainingIterations
-			js.Feasible = view.Feasible
-			if !lastPlanAt.IsZero() {
-				js.LastReplanUnixS = float64(lastPlanAt.UnixNano()) / 1e9
-			}
+	s.replanMu.RLock()
+	for _, id := range s.order {
+		rs := s.replans[id]
+		rs.mu.Lock()
+		view := replanView(id, rs)
+		js := ControllerJobStatus{
+			JobID:               id,
+			Plans:               view.Plans,
+			DoneIterations:      view.DoneIterations,
+			RemainingIterations: view.RemainingIterations,
+			Feasible:            view.Feasible,
+			LastError:           rs.lastErr,
 		}
+		if !rs.lastPlanAt.IsZero() {
+			js.LastReplanUnixS = float64(rs.lastPlanAt.UnixNano()) / 1e9
+		}
+		rs.mu.Unlock()
 		if j, ok := s.st.job(id); ok {
 			j.mu.Lock()
 			js.Version = j.version
@@ -327,6 +275,7 @@ func (s *Server) ControllerStatus() ControllerStatus {
 		}
 		st.Jobs = append(st.Jobs, js)
 	}
+	s.replanMu.RUnlock()
 	st.Cache = s.CacheStats()
 	return st
 }

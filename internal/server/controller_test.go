@@ -18,7 +18,7 @@ import (
 // boundary roll the schedule forward server-side. The client observes
 // strictly increasing schedule versions through conditional fetches and
 // reads the final rolling schedule through the read-only rollout view —
-// it never calls /grid/replan — and the realized carbon total matches
+// it never plans — and the realized carbon total matches
 // experiments.ForecastComparison's MPC row for the same seed exactly.
 func TestControllerClosesMPCLoop(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
@@ -97,9 +97,6 @@ func TestControllerClosesMPCLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !roll.Managed {
-		t.Fatal("rollout does not report controller management")
-	}
 	if math.Abs(roll.DoneIterations-target) > 1e-6*(1+target) {
 		t.Fatalf("controller completed %v of %v iterations", roll.DoneIterations, target)
 	}
@@ -132,9 +129,9 @@ func TestControllerClosesMPCLoop(t *testing.T) {
 	}
 }
 
-// TestControllerTickClientReplanRace drives controller ticks and
-// client replan calls concurrently with a moving clock (run under
-// -race): the two roll the schedule forward under its own lock, so the
+// TestControllerTickClientReplanRace drives controller ticks and a
+// client's same-parameter re-manage calls concurrently with a moving
+// clock (run under -race): both roll the one schedule forward, so the
 // frozen prefix must never rewind, overlap, or diverge between
 // observers.
 func TestControllerTickClientReplanRace(t *testing.T) {
@@ -181,7 +178,7 @@ func TestControllerTickClientReplanRace(t *testing.T) {
 				case 0:
 					srv.TickController()
 				case 1:
-					r, err := cl.FetchReplan(id, target, 14400, "", 0)
+					r, err := cl.ManageJob(id, target, 14400, "", 0)
 					if err != nil {
 						t.Error(err)
 						return
@@ -204,7 +201,7 @@ func TestControllerTickClientReplanRace(t *testing.T) {
 	// The frozen prefix never rewinds: sort observations by frozen
 	// length; every longer view extends the shorter ones verbatim, and
 	// frozen spans never overlap.
-	final, err := cl.FetchReplan(id, target, 14400, "", 0)
+	final, err := cl.ManageJob(id, target, 14400, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -39,19 +38,18 @@ func (fs *forecastSpec) provider(sig *grid.Signal, horizonS float64) forecast.Pr
 	return &forecast.Revisions{Truth: sig, Seed: fs.seed, Sigma: fs.sigma, HorizonS: horizonS, Level: fs.level}
 }
 
-// replanState is a job's rolling schedule between roll-forwards (client
-// GET /grid/replan calls and controller ticks share it): the request
-// that identifies it plus the forecast.Stepper that carries it forward
-// — the same stepper forecast.Replan loops over offline. A restart
-// installs a new replanState, so the request parameters never change.
+// replanState is a managed job's rolling schedule: the request that
+// identifies it plus the forecast.Stepper that carries it forward — the
+// same stepper forecast.Replan loops over offline. A restart installs a
+// new replanState, so the request parameters never change.
 type replanState struct {
 	reqDeadline float64 // the raw request parameter (0 = default)
 	reqQuantile float64 // the raw request parameter (0 = installed default)
 
-	// mu guards the stepper and the fields below it: whoever rolls the
-	// schedule forward or renders it holds mu, so a tick and a client
-	// replan of one job can never disagree about the frozen prefix
-	// while other jobs' schedules move in parallel.
+	// mu guards the stepper and the fields below it while replanMu is
+	// held for reading: a tick worker rolling the schedule forward and an
+	// observer rendering it hold mu, so other jobs' schedules move in
+	// parallel. Under the write side (ManageJob) nothing else can hold it.
 	mu sync.Mutex
 	*forecast.Stepper
 	frevSeen int // forecast revision of the last roll-forward
@@ -59,10 +57,14 @@ type replanState struct {
 	// lastPlanAt is the wall-clock time of the last successful re-plan
 	// (zero before the first), surfaced per job in GET /controller.
 	lastPlanAt time.Time
+
+	// lastErr is the error of the last tick that rolled the schedule
+	// ("" = clean), surfaced per job in GET /controller.
+	lastErr string
 }
 
 // tickView is the one reading of the world a controller tick — or one
-// client replan — plans from: the clock, the installed signal (with the
+// ManageJob call — plans from: the clock, the installed signal (with the
 // clock as its signal time t), the forecast issuer, the default
 // objective and the forecast revision, each read once. Every schedule
 // the view rolls forward freezes at the same instant and plans from the
@@ -82,7 +84,7 @@ type tickView struct {
 	t    float64 // now in signal seconds, never negative
 
 	// sharers counts, per requested horizon, the managed schedules a
-	// tick offers its forecast to (nil for a client replan: one). Filled
+	// tick offers its forecast to (nil for ManageJob: one). Filled
 	// before the fan-out, read-only after.
 	sharers map[float64]int
 
@@ -92,9 +94,9 @@ type tickView struct {
 }
 
 // issueKey names one forecast of a view: the requested horizon and the
-// issue time — the view's t, except for a schedule a racing client
-// already rolled past it, which plans from its own time as it always
-// did.
+// issue time — the view's t, except for a schedule that already
+// executed past it (an overlapping tick or a re-manage read a later
+// clock, or the clock stepped back), which plans from its own time.
 type issueKey struct{ t, horizonS float64 }
 
 type issuedForecast struct {
@@ -305,82 +307,23 @@ func (s *Server) Forecast() (ForecastResponse, error) {
 	}, nil
 }
 
-func (s *Server) handleGridReplan(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	q := r.URL.Query()
-	f, ok := queryFloats(w, q, "iterations", "deadline", "quantile")
-	if !ok {
-		return
-	}
-	resp, err := s.replan(r.Context(), ControllerJobRequest{
-		JobID: id, Target: f[0], DeadlineS: f[1], Objective: q.Get("objective"), Quantile: f[2]})
-	if err != nil {
-		s.jobError(w, id, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// Replan rolls a job's forecast-driven schedule forward to now: the
-// span executed since the previous roll-forward is frozen — its slices
-// accrued against the installed signal (realized) and against the
-// forecast that planned them (predicted) — and the remainder is
-// re-planned with grid.Optimize against a forecast freshly issued from
-// the installed issuer, completing target iterations by the deadline
-// (signal seconds; 0 means the forecast horizon). Changing any
-// parameter restarts the schedule from now. quantile 0 uses the
-// installed default; values above 0.5 plan against the pessimistic
-// band (robust mode).
-//
-// Client calls and controller ticks roll one job's schedule forward
-// under that schedule's lock, so the frozen prefix is identical no
-// matter who observes it — and a call that finds time and forecast
-// unchanged returns the current state without re-planning.
-func (s *Server) Replan(id string, target, deadline float64, objective string, quantile float64) (*ReplanResponse, error) {
-	return s.replan(context.Background(), ControllerJobRequest{
-		JobID: id, Target: target, DeadlineS: deadline, Objective: objective, Quantile: quantile})
-}
-
-// errRestart is replanLocked's answer under the read side of replanMu
-// when the request needs a schedule created or restarted.
-var errRestart = errors.New("server: replan needs the write side of replanMu")
-
-// replan is Replan with context: under a traced request, the
-// roll-forward records its stage spans (replan.inputs, replan.freeze,
-// replan.forecast, replan.solve, replan.bump) as children of the active
-// span. A schedule that exists with these parameters rolls forward
-// under the read side of replanMu, beside the tick's workers and other
-// jobs' replans; creating or restarting one writes the map, so that
-// attempt is repeated with the write side held.
-func (s *Server) replan(ctx context.Context, req ControllerJobRequest) (*ReplanResponse, error) {
-	s.replanMu.RLock()
-	resp, err := s.replanLocked(ctx, req, false)
-	s.replanMu.RUnlock()
-	if errors.Is(err, errRestart) {
-		s.replanMu.Lock()
-		resp, err = s.replanLocked(ctx, req, true)
-		s.replanMu.Unlock()
-	}
-	return resp, err
-}
-
-// replanLocked is one attempt at replan with replanMu held — its write
-// side when exclusive. The view is read inside the lock: POST
-// /grid/signal installs the signal before it takes the write side to
-// clear the schedules, so an attempt that read the old signal outside
-// the lock could re-insert a schedule of the replaced trace (anchored
-// to the old clock) into the freshly cleared map.
-func (s *Server) replanLocked(ctx context.Context, req ControllerJobRequest, exclusive bool) (*ReplanResponse, error) {
+// manageLocked is manageJob with the write side of replanMu held, so
+// it takes no schedule lock: nothing else can hold one. It creates,
+// restarts or rolls forward the job's rolling schedule. The view is read
+// inside the lock: POST /grid/signal installs the signal before it takes
+// the write side to clear the schedules, so a call that read the old
+// signal outside the lock could insert a schedule of the replaced trace
+// (anchored to the old clock) into the freshly cleared map. A new or
+// restarted schedule enters the map only once its first roll-forward
+// succeeded: a failed restart leaves the running schedule in force, and
+// a failed first manage leaves the job unmanaged.
+func (s *Server) manageLocked(ctx context.Context, req ControllerJobRequest) (*ReplanResponse, error) {
 	_, insp := obs.Child(ctx, spanReplanInputs)
 	insp.SetAttr("job", req.JobID)
 	v := s.newTickView()
 	rs := s.replans[req.JobID]
 	if rs != nil && rs.Truth != v.sig {
 		rs = nil // of the replaced trace; its install has not cleared the map yet
-	}
-	if rs != nil {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
 	}
 	in, err := s.inputsFor(v, req.JobID, rs)
 	// The raw quantile parameter identifies the schedule (like the raw
@@ -422,9 +365,6 @@ func (s *Server) replanLocked(ctx context.Context, req ControllerJobRequest, exc
 		}
 		return replanView(req.JobID, rs), nil
 	}
-	if !exclusive {
-		return nil, errRestart
-	}
 	fc, err := s.forecast(ctx, v, in.t, deadline)
 	if err != nil {
 		return nil, err
@@ -439,19 +379,19 @@ func (s *Server) replanLocked(ctx context.Context, req ControllerJobRequest, exc
 	if eff > fc.Signal.Horizon()+1e-9 {
 		return nil, fmt.Errorf("server: replan deadline %v beyond forecast horizon %v", eff, fc.Signal.Horizon())
 	}
-	// The write side makes the new schedule unreachable until the first
-	// plan is in force (or the schedule is withdrawn), so it needs no mu.
 	in.rs = &replanState{
 		Stepper: forecast.NewStepper(in.table, v.sig, pln.Request{
 			Target: target, DeadlineS: eff, Objective: in.obj, Quantile: quantile,
 		}, in.t),
 		reqDeadline: deadline, reqQuantile: req.Quantile,
 	}
-	s.replans[req.JobID] = in.rs
 	if err := s.rollForward(ctx, v, in, fc); err != nil {
-		delete(s.replans, req.JobID)
 		return nil, err
 	}
+	if _, ok := s.replans[req.JobID]; !ok {
+		s.order = append(s.order, req.JobID)
+	}
+	s.replans[req.JobID] = in.rs
 	return replanView(req.JobID, in.rs), nil
 }
 
@@ -467,9 +407,9 @@ type rollInputs struct {
 	rs    *replanState
 
 	// t never rewinds: a view whose clock reads earlier than what the
-	// schedule already executed (a racing caller froze a later instant;
-	// rolling back would double-count the spans it froze) clamps to the
-	// schedule's own time.
+	// schedule already executed (an overlapping tick or a re-manage froze
+	// a later instant, or the clock stepped back; rolling back would
+	// double-count the spans it froze) clamps to the schedule's own time.
 	t float64
 
 	// due reports that rs warrants a roll-forward: time advanced, the
@@ -478,9 +418,9 @@ type rollInputs struct {
 	due bool
 }
 
-// inputsFor is the shared prelude of client replans and controller
-// ticks: it binds one job to the view. Callers hold rs.mu when rs is
-// not nil.
+// inputsFor is the shared prelude of ManageJob and controller ticks: it
+// binds one job to the view. Callers hold rs.mu, or the write side of
+// replanMu, when rs is not nil.
 func (s *Server) inputsFor(v *tickView, id string, rs *replanState) (rollInputs, error) {
 	j, ok := s.st.job(id)
 	if !ok {
@@ -504,49 +444,48 @@ func (s *Server) inputsFor(v *tickView, id string, rs *replanState) (rollInputs,
 	if rs != nil {
 		in.t = math.Max(in.t, rs.At)
 		// Revisions only count up, and a tick's view may be older than a
-		// schedule a client just rolled: "<" keeps such a view from
+		// schedule a re-manage just rolled: "<" keeps such a view from
 		// dragging the schedule back onto the issuer it replaced.
 		in.due = in.t > rs.At+1e-9 || rs.frevSeen < v.frev || rs.Stalled()
 	}
 	return in, nil
 }
 
-// advanceManaged rolls an EXISTING rolling schedule forward to the
-// tick's view — the controller tick's path. Unlike Replan it never
-// creates state: after POST /grid/signal drops every schedule, a
-// straggler tick worker must not resurrect one with stale parameters;
-// the job has to be re-managed explicitly. The read side of replanMu is
-// held to the end, so the signal install's clear waits for the
-// roll-forward and none starts after it. Under the tick's trace, the
-// roll-forward's stage spans land as children of the controller.tick
-// root.
+// advanceManaged rolls a managed job's rolling schedule forward to the
+// tick's view — the controller tick's path — and records the outcome as
+// the schedule's last error. It never creates state: a job with no
+// schedule was removed, or its schedule dropped by POST /grid/signal,
+// since the tick took its snapshot, so there is nothing to roll and no
+// error to report. The read side of replanMu is held to the end, so the
+// signal install's clear waits for the roll-forward and none starts
+// after it. Under the tick's trace, the roll-forward's stage spans land
+// as children of the controller.tick root.
 func (s *Server) advanceManaged(ctx context.Context, v *tickView, id string) error {
 	_, insp := obs.Child(ctx, spanReplanInputs)
 	insp.SetAttr("job", id)
 	s.replanMu.RLock()
 	defer s.replanMu.RUnlock()
 	rs := s.replans[id]
-	if rs != nil && rs.Truth != v.sig {
-		// Created on a signal installed after the tick read its view,
-		// which knows neither its trace nor its clock: the next tick
+	if rs == nil || rs.Truth != v.sig {
+		// Gone, or created on a signal installed after the tick read its
+		// view, which knows neither its trace nor its clock: the next tick
 		// rolls it.
 		insp.End()
 		return nil
 	}
-	if rs != nil {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	in, err := s.inputsFor(v, id, rs)
-	if err == nil && rs == nil {
-		err = fmt.Errorf("server: job %s has no rolling schedule (a signal change drops them; re-manage the job)", id)
-	}
 	insp.Fail(err)
 	insp.End()
-	if err != nil || !in.due {
-		return err
+	if err == nil && in.due {
+		err = s.rollForward(ctx, v, in, nil)
 	}
-	return s.rollForward(ctx, v, in, nil)
+	rs.lastErr = ""
+	if err != nil {
+		rs.lastErr = err.Error()
+	}
+	return err
 }
 
 // solvers recycles grid.Solver working buffers (the greedy's interval
@@ -557,7 +496,8 @@ var solvers = sync.Pool{New: func() any { return new(grid.Solver) }}
 // rollForward steps in.rs to in.t: the stepper freezes the span
 // executed since the last roll-forward, then keeps or re-solves the plan
 // against the view's forecast for the schedule's horizon (or the one
-// the creation path already holds). Callers hold replanMu and in.rs.mu.
+// the creation path already holds). Callers hold the read side of
+// replanMu and in.rs.mu, or the write side.
 // Only a fresh plan bumps the job's schedule version and wakes its
 // long-pollers; a kept plan changes nothing they deployed. Each stage
 // records a child span of ctx's active span (replan.freeze,
@@ -671,38 +611,34 @@ func replanView(id string, rs *replanState) *ReplanResponse {
 }
 
 // scheduleView renders a job's rolling schedule as it stands, without
-// rolling it forward (nil when the job has none), and the wall-clock
-// time of its last re-plan.
-func (s *Server) scheduleView(id string) (*ReplanResponse, time.Time) {
+// rolling it forward (nil when the job has none).
+func (s *Server) scheduleView(id string) *ReplanResponse {
 	s.replanMu.RLock()
 	defer s.replanMu.RUnlock()
 	rs := s.replans[id]
 	if rs == nil {
-		return nil, time.Time{}
+		return nil
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return replanView(id, rs), rs.lastPlanAt
+	return replanView(id, rs)
 }
 
-// Rollout returns a job's rolling-horizon schedule state WITHOUT
-// rolling it forward — the observation endpoint clients use alongside
-// long-poll schedule fetching, so observing never triggers planning.
+// Rollout returns a managed job's rolling-horizon schedule state
+// WITHOUT rolling it forward — the observation endpoint clients use
+// alongside long-poll schedule fetching, so observing never triggers
+// planning.
 func (s *Server) Rollout(id string) (*RolloutResponse, error) {
 	j, ok := s.st.job(id)
 	if !ok {
 		return nil, fmt.Errorf("server: unknown job %s", id)
 	}
-	view, _ := s.scheduleView(id)
+	view := s.scheduleView(id)
 	if view == nil {
-		return nil, fmt.Errorf("server: job %s has no rolling schedule (POST /controller/jobs or GET /grid/replan first)", id)
+		return nil, fmt.Errorf("server: job %s has no rolling schedule (POST /controller/jobs first; a signal change drops them)", id)
 	}
 	j.mu.Lock()
 	version := j.version
 	j.mu.Unlock()
-	return &RolloutResponse{
-		ReplanResponse: *view,
-		Version:        version,
-		Managed:        s.ctrl.manages(id),
-	}, nil
+	return &RolloutResponse{ReplanResponse: *view, Version: version}, nil
 }

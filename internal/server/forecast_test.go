@@ -132,7 +132,7 @@ func TestReplanRollsForward(t *testing.T) {
 	}
 
 	// Re-planning needs a forecast model.
-	if _, err := cl.FetchReplan(id, 100, 14400, "", 0); err == nil {
+	if _, err := cl.ManageJob(id, 100, 14400, "", 0); err == nil {
 		t.Fatal("replanning without a forecast should fail")
 	}
 	if _, err := cl.InstallForecast("persistence", 0, 0, 0); err != nil {
@@ -143,7 +143,7 @@ func TestReplanRollsForward(t *testing.T) {
 	// work remains in flight at every boundary the test crosses.
 	target := math.Floor(0.8 * 14400 / tbl.Tmin())
 	const deadline = 14400.0
-	first, err := cl.FetchReplan(id, target, deadline, "", 0)
+	first, err := cl.ManageJob(id, target, deadline, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestReplanRollsForward(t *testing.T) {
 	if _, err := cl.InstallForecast("seasonal", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.FetchReplan(id, target, deadline, "", 0)
+	second, err := cl.ManageJob(id, target, deadline, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestReplanRollsForward(t *testing.T) {
 	// Another hour passes: the frozen prefix from before is preserved
 	// verbatim and hour 2 joins it.
 	clock.Advance(time.Hour)
-	third, err := cl.FetchReplan(id, target, deadline, "", 0)
+	third, err := cl.ManageJob(id, target, deadline, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestReplanRollsForward(t *testing.T) {
 	}
 
 	// Changing a parameter restarts the schedule from now.
-	reset, err := cl.FetchReplan(id, target*0.5, deadline, "", 0)
+	reset, err := cl.ManageJob(id, target*0.5, deadline, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +280,8 @@ func TestReplanRollsForward(t *testing.T) {
 	}
 }
 
-// TestReplanConcurrency hammers the replan, forecast, and emissions
-// endpoints concurrently (run under -race).
+// TestReplanConcurrency hammers the controller-jobs, forecast, and
+// emissions endpoints concurrently (run under -race).
 func TestReplanConcurrency(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
 	srv := New()
@@ -307,7 +307,7 @@ func TestReplanConcurrency(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				switch w % 3 {
 				case 0:
-					if _, err := cl.FetchReplan(id, 1000, 14400, "", 0); err != nil {
+					if _, err := cl.ManageJob(id, 1000, 14400, "", 0); err != nil {
 						t.Error(err)
 						return
 					}
@@ -396,7 +396,7 @@ func TestReplanDefaultDeadlineStableAcrossCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := math.Floor(0.8 * 14400 / tbl.Tmin())
-	first, err := cl.FetchReplan(id, target, 0, "", 0)
+	first, err := cl.ManageJob(id, target, 0, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestReplanDefaultDeadlineStableAcrossCycles(t *testing.T) {
 	// Two hours later the freshly issued forecast horizon is 28800; the
 	// schedule must roll forward, not restart.
 	clock.Advance(2 * time.Hour)
-	second, err := cl.FetchReplan(id, target, 0, "", 0)
+	second, err := cl.ManageJob(id, target, 0, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestSignalReinstallResetsForecastState(t *testing.T) {
 	if _, err := cl.InstallForecast("persistence", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.FetchReplan(id, 1000, 14400, "", 0); err != nil {
+	if _, err := cl.ManageJob(id, 1000, 14400, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(time.Hour)
@@ -450,13 +450,13 @@ func TestSignalReinstallResetsForecastState(t *testing.T) {
 	if _, err := cl.FetchForecast(); err == nil {
 		t.Fatal("stale forecast survived a signal reinstall")
 	}
-	if _, err := cl.FetchReplan(id, 1000, 14400, "", 0); err == nil {
+	if _, err := cl.ManageJob(id, 1000, 14400, "", 0); err == nil {
 		t.Fatal("replanning without a fresh forecast should fail after a signal reinstall")
 	}
 	if _, err := cl.InstallForecast("persistence", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := cl.FetchReplan(id, 1000, 14400, "", 0)
+	fresh, err := cl.ManageJob(id, 1000, 14400, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestReplanWarmStartOnTailRevision(t *testing.T) {
 
 	target := math.Floor(0.8 * 14400 / tbl.Tmin())
 	const deadline = 14400.0
-	first, err := cl.FetchReplan(id, target, deadline, "", 0)
+	first, err := cl.ManageJob(id, target, deadline, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestReplanWarmStartOnTailRevision(t *testing.T) {
 	if _, err := cl.InstallForecast("persistence", 0, 0, 28800); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := cl.FetchReplan(id, target, deadline, "", 0)
+	warm, err := cl.ManageJob(id, target, deadline, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestReplanWarmStartOnTailRevision(t *testing.T) {
 	// Time advancing past the plan offset is never warm: the executed
 	// hour must freeze and the remainder re-solve.
 	clock.Advance(time.Hour)
-	cold, err := cl.FetchReplan(id, target, deadline, "", 0)
+	cold, err := cl.ManageJob(id, target, deadline, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

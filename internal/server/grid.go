@@ -73,12 +73,12 @@ func (s *Server) setGridSignal(ctx context.Context, sig grid.Signal, objective s
 	s.cache.clear()
 	s.hub.bump(topicPlanEpoch)
 	// The write side waits for every roll-forward in flight, so none of
-	// the replaced trace bumps a version after this returns; un-managing
-	// inside it means a tick worker that finds a schedule gone also
-	// finds the job un-managed, not in error.
+	// the replaced trace bumps a version after this returns, and every
+	// job is un-managed: a tick worker that turns to one afterwards finds
+	// no schedule and nothing to report.
 	s.replanMu.Lock()
 	s.replans = map[string]*replanState{}
-	s.ctrl.reset()
+	s.order = nil
 	s.replanMu.Unlock()
 	s.obs.ring.Emit(gs.now, "signal.install", 0, traceKV(ctx,
 		"name", sig.Name, "intervals", strconv.Itoa(len(sig.Intervals)),

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -63,8 +64,8 @@ func (s *Server) register(ctx context.Context, req JobRequest) (string, error) {
 // RemoveJob unregisters a job (DELETE /jobs/{id}): its final span is
 // settled into the bloat ledger and its account closed, the ledger
 // drops its per-job state — and with it the job's metric series, which
-// are views of that state (fleet totals retain the contribution) — and
-// the controller, replan, and fleet state forget it.
+// are views of that state (fleet totals retain the contribution) — its
+// rolling schedule goes with it, and the fleet forgets it.
 func (s *Server) RemoveJob(id string) error {
 	return s.removeJob(context.Background(), id)
 }
@@ -88,20 +89,17 @@ func (s *Server) removeJob(ctx context.Context, id string) error {
 	}
 	j.mu.Unlock()
 
+	// The job and its schedule go under one write side of replanMu: a
+	// tick worker either rolls the schedule before, or finds neither
+	// after, and a ManageJob after finds no job to schedule.
+	s.replanMu.Lock()
 	st := s.st
 	st.mu.Lock()
 	delete(st.jobs, id)
-	for i, v := range st.ord {
-		if v == id {
-			st.ord = append(st.ord[:i], st.ord[i+1:]...)
-			break
-		}
-	}
+	st.ord = slices.DeleteFunc(st.ord, func(v string) bool { return v == id })
 	st.mu.Unlock()
-
-	s.ctrl.forget(id)
-	s.replanMu.Lock()
 	delete(s.replans, id)
+	s.order = slices.DeleteFunc(s.order, func(v string) bool { return v == id })
 	s.replanMu.Unlock()
 	// Wake any long-pollers parked on the job's schedule topic; their
 	// re-read serves against the snapshot they hold.
@@ -434,8 +432,13 @@ func (s *Server) setStraggler(ctx context.Context, id string, n StragglerNotice)
 	if !ok {
 		return fmt.Errorf("server: unknown job %s", id)
 	}
-	if n.Degree <= 0 {
-		return fmt.Errorf("server: straggler degree must be positive, got %v", n.Degree)
+	if !(n.Degree > 0) || math.IsInf(n.Degree, 1) {
+		return fmt.Errorf("server: straggler degree must be positive and finite, got %v", n.Degree)
+	}
+	// The delay becomes a time.Duration: one too large for it would
+	// overflow to a negative timer and apply the straggler at once.
+	if math.IsInf(n.Delay, -1) || !(n.Delay*float64(time.Second) < math.MaxInt64) {
+		return fmt.Errorf("server: straggler delay_s must be finite and below %.0f s, got %v", time.Duration(math.MaxInt64).Seconds(), n.Delay)
 	}
 	gs := s.st.gridState()
 	j.mu.Lock()

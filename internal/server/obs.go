@@ -181,13 +181,13 @@ func newServerObs() *serverObs {
 		tickDur: r.Histogram("perseus_controller_tick_duration_seconds",
 			"Wall-clock duration of one controller tick across every managed job.", nil),
 		replans: r.Counter("perseus_controller_replans_total",
-			"Successful rolling-horizon re-plans (client replans, ManageJob, and controller ticks)."),
+			"Successful rolling-horizon re-plans (ManageJob and controller ticks)."),
 		replanFails: r.Counter("perseus_controller_replan_failures_total",
 			"Rolling-horizon roll-forwards that failed (forecast issue or solve error)."),
 		warmStarts: r.Counter("perseus_planner_warm_starts_total",
 			"Roll-forwards that reused the running plan because the forecast revision left the remaining window unchanged."),
 		forecastsIssued: r.Counter("perseus_controller_forecasts_issued_total",
-			"Forecasts issued for rolling schedules: one per requested horizon per tick or client replan, shared by every job that plans from it."),
+			"Forecasts issued for rolling schedules: one per requested horizon per tick or ManageJob call, shared by every job that plans from it."),
 		planWorkers: r.Gauge("perseus_planner_workers",
 			"Worker-pool size the region planner fans candidate evaluations across (GOMAXPROCS)."),
 		regionSolves: r.Histogram("perseus_region_plan_inner_solves",

@@ -1,16 +1,19 @@
 package server
 
 import (
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"perseus/internal/client"
+	"perseus/internal/grid"
 	"perseus/internal/obs"
 )
 
@@ -225,6 +228,13 @@ func TestControllerLastTickErrorSurfaced(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
 	srv := New()
 	srv.SetClock(clock.Now)
+	var fail atomic.Bool
+	srv.solveHook = func(layer string, _ *grid.Signal) error {
+		if layer == "forecast-mpc" && fail.Load() {
+			return errors.New("solver down")
+		}
+		return nil
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := client.NewServerClient(ts.URL)
@@ -241,12 +251,8 @@ func TestControllerLastTickErrorSurfaced(t *testing.T) {
 	if _, err := cl.ManageJob(id, 1e9, 14400, "", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Force the managed state to need a re-plan it cannot have: drop the
-	// rolling schedule out from under the management record.
-	srv.replanMu.Lock()
-	delete(srv.replans, id)
-	srv.replanMu.Unlock()
-
+	// The tick's roll-forward cannot re-plan.
+	fail.Store(true)
 	clock.Advance(time.Hour)
 	st, err := cl.TickController()
 	if err != nil {

@@ -220,7 +220,7 @@ func TestRouteLabelsAreRegisteredPatterns(t *testing.T) {
 			do(t, http.MethodPut, url)
 		}
 	}
-	for _, path := range []string{"/", "/jobs/", "/jobs/x/y/z", "/jobs/" + id + "/nope", "/grid/plan/a/b", "/grid/plan/", "/grid/replan/", "/controller/nope", "/debug", "/metrics/x"} {
+	for _, path := range []string{"/", "/jobs/", "/jobs/x/y/z", "/jobs/" + id + "/nope", "/grid/plan/a/b", "/grid/plan/", "/controller/nope", "/debug", "/metrics/x"} {
 		do(t, http.MethodGet, ts.URL+path)
 		do(t, http.MethodPost, ts.URL+path)
 	}
@@ -249,7 +249,6 @@ func TestRouteLabelsAreRegisteredPatterns(t *testing.T) {
 		"/jobs/{id}/schedule GET 200",
 		"/jobs/{id}/schedule GET 404", // unknown job: a handler's 404 keeps its route
 		"/grid/plan/{id} GET 404",
-		"/grid/replan/{id} GET 404",
 		"/jobs/{id}/placement GET 200",
 		"/controller/tick POST 200",
 		"/fleet/status GET 200",

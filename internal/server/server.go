@@ -73,19 +73,22 @@ type Server struct {
 	// interleave their write-backs and deploy floors for a stale cap.
 	fleetMu sync.Mutex
 
-	// replans holds the rolling schedules by job; replanMu guards the
-	// map, not the schedules — each replanState has its own lock, so
-	// different jobs roll forward in parallel. A roll-forward holds the
-	// read side from its lookup to its version bump; creating or
-	// restarting a schedule, DELETE /jobs/{id} and a signal install's
-	// clear take the write side, which therefore is a barrier: once it
-	// returns, no roll-forward of a dropped schedule is in flight and
-	// none can find one. Lock order: replanMu → replanState.mu →
+	// replans holds the managed jobs' rolling schedules by job, and order
+	// their IDs in management order (a tick's error slots and GET
+	// /controller follow it): a job is managed exactly while it has a
+	// schedule. replanMu guards both, not the schedules — each
+	// replanState has its own lock, so different jobs roll forward in
+	// parallel. A tick's roll-forward holds the read side from its lookup
+	// to its version bump; ManageJob, DELETE /jobs/{id} and a signal
+	// install's clear take the write side, which therefore is a barrier:
+	// once it returns, no roll-forward of a dropped schedule is in flight
+	// and none can find one. Lock order: replanMu → replanState.mu →
 	// job.mu; st.mu is never held across a solve.
 	replanMu sync.RWMutex
 	replans  map[string]*replanState
+	order    []string
 
-	// ctrl is the background MPC controller runtime.
+	// ctrl is the background MPC controller loop.
 	ctrl controller
 
 	// obs is the observability surface every module records into.
@@ -125,7 +128,6 @@ func New() *Server {
 	s.hub = newHub(s.obs)
 	s.cache = newPlanCache(s.obs)
 	s.ctrl.s = s
-	s.ctrl.managed = map[string]managedJob{}
 	return s
 }
 
@@ -209,7 +211,6 @@ func (s *Server) routes() []route {
 		{"GET /grid/plan/{id}", s.handleGridPlan},                    // temporal plan over the signal (cached, single-flight; ETag + ?wait)
 		{"POST /grid/forecast", s.handleSetForecast},                 // install a forecast issuer and issue a forecast
 		{"GET /grid/forecast", s.handleForecast},                     // the latest issued forecast
-		{"GET /grid/replan/{id}", s.handleGridReplan},                // roll forward: freeze the executed prefix, re-plan the rest
 		{"POST /regions", s.handleRegisterRegion},                    // register a datacenter region (capacity + signal)
 		{"GET /regions", s.handleRegions},                            // list the registered regions
 		{"GET /regions/plan", s.handleRegionsPlan},                   // joint spatio-temporal plan across regions

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -304,6 +306,53 @@ func TestDelayedStraggler(t *testing.T) {
 			t.Fatal("delayed straggler never applied")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStragglerOutOfRange pins the straggler bounds: a delay too large
+// for a time.Duration would overflow to a negative timer and apply the
+// straggler at once, so it is a 400 that leaves the schedule as it was;
+// a non-finite degree or delay fails the Go entry point, naming the
+// field.
+func TestStragglerOutOfRange(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	before, err := srv.Schedule(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := postJSON(t, ts.URL+"/jobs/"+id+"/straggler", StragglerNotice{ID: "x", Delay: 1e10, Degree: 1.3})
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("delay_s 1e10: status %d, want 400", r.StatusCode)
+	}
+	time.Sleep(50 * time.Millisecond) // long enough for an overflowed timer to fire
+	after, err := srv.Schedule(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Version != before.Version || after.Time != before.Time {
+		t.Fatalf("refused straggler moved the schedule: v%d %v s -> v%d %v s", before.Version, before.Time, after.Version, after.Time)
+	}
+	for _, n := range []StragglerNotice{
+		{Degree: math.NaN()},
+		{Degree: math.Inf(1)},
+		{Degree: 1.3, Delay: math.NaN()},
+		{Degree: 1.3, Delay: math.Inf(1)},
+		{Degree: 1.3, Delay: math.Inf(-1)},
+		{Degree: 1.3, Delay: 9.3e9},
+	} {
+		field := "delay_s"
+		if n.Delay == 0 {
+			field = "degree"
+		}
+		if err := srv.SetStraggler(id, n); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%+v: error %v, want one naming %s", n, err, field)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -382,10 +383,67 @@ func TestTickSkipsJobUnmanagedMidTick(t *testing.T) {
 	}
 }
 
+// TestFailedRestartKeepsSchedule pins that a schedule enters the map
+// only once its first plan is in force: a re-manage with new parameters
+// whose solve fails leaves the running schedule in force — the next tick
+// is clean and the rollout still shows the first target — and a failed
+// first manage leaves the job unmanaged.
+func TestFailedRestartKeepsSchedule(t *testing.T) {
+	var fail atomic.Bool
+	srv, clock, ids := fleetServer(t, 2, func(layer string, _ *grid.Signal) error {
+		if layer == "forecast-mpc" && fail.Load() {
+			return errors.New("solver down")
+		}
+		return nil
+	})
+	if _, err := srv.SetGridSignal(forecastTestSignal(), ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: 5, Sigma: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := srv.Table(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := math.Floor(0.6 * 14400 / tbl.Tmin())
+	if _, err := srv.ManageJob(ids[0], target, 14400, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	fail.Store(true)
+	if _, err := srv.ManageJob(ids[0], target/2, 14400, "", 0); err == nil {
+		t.Fatal("restart planned through a failing solver")
+	}
+	if _, err := srv.ManageJob(ids[1], target, 14400, "", 0); err == nil {
+		t.Fatal("first manage planned through a failing solver")
+	}
+	fail.Store(false)
+
+	clock.Advance(time.Hour)
+	st := srv.TickController()
+	if st.LastTickError != "" {
+		t.Fatalf("tick after a failed restart: %s", st.LastTickError)
+	}
+	if len(st.Jobs) != 1 || st.Jobs[0].JobID != ids[0] {
+		t.Fatalf("managed jobs %+v, want only %s", st.Jobs, ids[0])
+	}
+	roll, err := srv.Rollout(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roll.Target != target || roll.Plans < 2 {
+		t.Fatalf("rollout after a failed restart: target %v after %d plans, want %v rolled by the tick", roll.Target, roll.Plans, target)
+	}
+	if _, err := srv.Rollout(ids[1]); err == nil {
+		t.Fatalf("%s has a rolling schedule after its first manage failed", ids[1])
+	}
+}
+
 // TestControllerConcurrentStress runs everything that touches rolling
-// schedules at once, under -race, against a moving clock: ticks, client
-// replans, ManageJob, signal and forecast re-installs, a job removal,
-// and the two observers. Invariants: no schedule (and no management)
+// schedules at once, under -race, against a moving clock: ticks, two
+// ManageJob callers (one with fixed parameters, one alternating the
+// quantile, so restarting), signal and forecast re-installs, a job
+// removal, and the two observers. Invariants: no schedule (and no management)
 // survives a signal install; no schedule belongs to a trace other than
 // the installed one once the install returned; no job's version goes
 // backwards; no stepper's clock rewinds.
@@ -435,7 +493,7 @@ func TestControllerConcurrentStress(t *testing.T) {
 	})
 	spawn(func(i int) {
 		id := ids[(i+3)%len(ids)]
-		_, _ = srv.Replan(id, target[id], 14400, "", []float64{0, 0.9}[i/len(ids)%2])
+		_, _ = srv.ManageJob(id, target[id], 14400, "", []float64{0, 0.9}[i/len(ids)%2])
 	})
 	spawn(func(i int) {
 		switch {
@@ -501,6 +559,14 @@ func TestControllerConcurrentStress(t *testing.T) {
 	for id, rs := range srv.replans {
 		if rs.Truth != installed {
 			t.Errorf("%s kept a schedule of a replaced trace", id)
+		}
+	}
+	if len(srv.order) != len(srv.replans) {
+		t.Errorf("%d jobs in management order, %d schedules", len(srv.order), len(srv.replans))
+	}
+	for _, id := range srv.order {
+		if srv.replans[id] == nil {
+			t.Errorf("%s managed without a schedule", id)
 		}
 	}
 	if _, ok := srv.replans[ids[len(ids)-1]]; ok {
