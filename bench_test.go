@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -331,12 +332,17 @@ func benchFleet(n int) []fleet.Job {
 
 // BenchmarkFleetAllocate measures the power-budget allocator — the
 // fleet layer's hot path, re-run on every arrival, departure,
-// straggler, and cap or grid-signal change.
+// straggler, and cap or grid-signal change — at 90 % of the uncapped
+// draw. jobs-N runs on benchFleet's convex tables, where every point is
+// a power-hull vertex. characterized-64 gives 64 jobs the table
+// benchUpload's job characterizes to, and stragglers-64 puts a third of
+// them at T' = 1.1 × Tmin, a floor off that table's power hull, so each
+// call derives their suffix hulls (PowerHullFrom) afresh.
 func BenchmarkFleetAllocate(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("jobs-%d", n), func(b *testing.B) {
-			jobs := benchFleet(n)
+	run := func(name string, jobs []fleet.Job) {
+		b.Run(name, func(b *testing.B) {
 			capW := fleet.Allocate(jobs, 0).PowerW * 0.9
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				alloc := fleet.Allocate(jobs, capW)
@@ -346,10 +352,32 @@ func BenchmarkFleetAllocate(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{4, 16, 64} {
+		run(fmt.Sprintf("jobs-%d", n), benchFleet(n))
+	}
+	srv := server.New()
+	lt, err := srv.Table(benchJob(b, srv, benchUpload(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := benchFleet(64)
+	for i := range jobs {
+		jobs[i].Table = lt
+	}
+	run("characterized-64", jobs)
+	straggling := append([]fleet.Job(nil), jobs...)
+	for i := 0; i < len(straggling); i += 3 {
+		straggling[i].TPrime = 1.1 * lt.Tmin()
+	}
+	if fi := lt.LookupIndex(1.1 * lt.Tmin()); slices.Contains(lt.PowerHull(), fi) {
+		b.Fatalf("straggler floor %d is a power-hull vertex", fi)
+	}
+	run("stragglers-64", straggling)
 }
 
-// BenchmarkFrontierMerge measures merging N characterized frontiers
-// into the fleet-level descent Allocate consumes.
+// BenchmarkFrontierMerge measures merging N frontiers into one
+// fleet-level descent over every table point: the figure
+// bench/layers.go reports as frontier.merge_ms.
 func BenchmarkFrontierMerge(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("tables-%d", n), func(b *testing.B) {

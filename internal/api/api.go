@@ -26,11 +26,13 @@ type JobRequest struct {
 	Unit         float64 `json:"unit,omitempty"` // optimizer τ seconds
 
 	// DataParallel is the number of pipeline replicas; the fleet
-	// allocator scales the job's power draw by it. 0 means 1.
+	// allocator scales the job's power draw by it. 0 means 1; a
+	// negative count is rejected at registration.
 	DataParallel int `json:"data_parallel,omitempty"`
 
 	// Weight scales the job's throughput loss in the fleet objective
-	// (fleet.Job.Weight). 0 means 1.
+	// (fleet.Job.Weight). 0 means 1; a negative or non-finite weight is
+	// rejected at registration.
 	Weight float64 `json:"weight,omitempty"`
 }
 

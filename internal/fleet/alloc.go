@@ -3,8 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
-
-	"perseus/internal/frontier"
+	"sort"
 )
 
 // JobAlloc is one job's allocated operating point.
@@ -49,9 +48,22 @@ type Allocation struct {
 	// Loss is the total weighted relative slowdown across jobs.
 	Loss float64 `json:"loss"`
 
-	// Feasible reports whether the allocation meets the cap. When even
-	// every job at its T* point exceeds the cap, the allocator returns
-	// that minimum-power allocation with Feasible false.
+	// Price is λ, the watts saved per unit of loss by the allocator's
+	// last hull step: the cap's marginal price. It is 0 when no job had
+	// to slow down and −1 when the cap is infeasible.
+	Price float64 `json:"price"`
+
+	// LossBound is a lower bound on the least loss any choice of table
+	// points meeting the cap can reach, so Loss − LossBound certifies
+	// how far the allocation can be from optimal: 0 at every hull
+	// breakpoint, at most one hull segment's loss in between. It equals
+	// Loss when no job had to slow down, and when the cap is infeasible.
+	LossBound float64 `json:"loss_bound"`
+
+	// Feasible reports whether the allocation meets the cap: whether
+	// every job at its T* point fits under it. When it does not, the
+	// allocator returns that minimum-power allocation with Feasible
+	// false.
 	Feasible bool `json:"feasible"`
 
 	// Jobs holds per-job allocations in input order.
@@ -72,112 +84,169 @@ func checkCap(watts float64) error {
 // fleet meets the power cap at minimum total weighted throughput loss
 // (capW <= 0 = uncapped: every job runs at its floor).
 //
-// The algorithm is marginal-cost waterfilling over the merged frontiers
-// (frontier.Merge): starting from every job at its floor, it repeatedly
-// takes the one-point slowdown with the steepest watts-saved-per-loss
-// slope until total power is under the cap, then prunes: any earlier
-// step the final (overshooting) step made unnecessary is undone,
-// most-loss first.
+// The algorithm is a greedy walk down each job's lower convex hull of
+// (iteration time, average power) from its floor (PowerHullFrom): every
+// job starts at its floor, a heap holds each job's next hull segment
+// ordered by watts saved per unit of loss, and the walk takes the
+// steepest segment until the fleet draw is under the cap. The job whose
+// step got it there then takes the fastest table point inside that
+// segment that still fits (a binary search: power falls along a table).
+// Work is O(N log N + steps · log N) plus, per straggler floor off the
+// hull, the hull of the points up to the next vertex.
 //
-// Optimality holds only on convex frontiers (per-job watts-saved-per-
-// loss slopes non-increasing). The merged descent walks every point of
-// each job's table, a Pareto set whose slopes need not be monotone —
-// the tables Perseus characterizes are not convex — and there the
-// bounds below are not guaranteed. On convex tables a greedy prefix's
-// loss is minimal among all point combinations drawing at most the
-// power it draws, by the standard marginal-analysis exchange argument:
-// any combination with less loss fits under the sorted-slope concave
-// envelope and therefore saves strictly less power. Consequently, when
-// the cap coincides with a breakpoint of the merged descent the
-// allocation matches exhaustive enumeration exactly; for caps between
-// breakpoints the final step overshoots and the loss exceeds the
-// constrained optimum by less than that single step's loss (one τ of
-// one job's slowdown). alloc_test.go verifies both bounds by brute
-// force on convex tables.
+// Exactness holds on any table, convex or not, by Lagrangian duality.
+// Along a hull, savings per unit of loss fall segment by segment, so
+// before the last step, of slope λ, every job sits at a point that
+// minimizes its loss + power/λ over all its points at or after its
+// floor. With L⁻ and P⁻ the loss and draw there, no combination of
+// points drawing at most capW can lose less than
+// LossBound = L⁻ + (P⁻ − capW)/λ. When capW falls on a hull breakpoint
+// (P⁻ − capW is the last step's whole saving) that bound is the
+// allocation's own loss, so the allocation matches exhaustive
+// enumeration; between breakpoints Loss − LossBound is at most the
+// last segment's loss. alloc_test.go checks both against brute force
+// on convex and non-convex tables.
 func Allocate(jobs []Job, capW float64) Allocation {
 	alloc := Allocation{CapW: capW, Feasible: true}
 	if len(jobs) == 0 {
 		return alloc
 	}
-
-	inputs := make([]frontier.MergeInput, len(jobs))
-	floors := make([]int, len(jobs))
+	cur := make([]int, len(jobs))
 	floorTimes := make([]float64, len(jobs))
+	var floorPower, minPower float64
 	for i := range jobs {
 		j := &jobs[i]
-		fi := j.floorIndex()
-		ft := j.Table.PointTime(fi)
-		floors[i], floorTimes[i] = fi, ft
-		inputs[i] = frontier.MergeInput{
-			Table:      j.Table,
-			PowerScale: float64(j.pipelines()),
-			LossWeight: j.weight() / ft,
-			Start:      fi,
-		}
+		cur[i] = j.floorIndex()
+		floorTimes[i] = j.Table.PointTime(cur[i])
+		scale := float64(j.pipelines())
+		floorPower += scale * j.Table.AvgPower(cur[i])
+		minPower += scale * j.Table.AvgPower(len(j.Table.Points)-1)
 	}
-	startPower, steps := frontier.Merge(inputs)
-
-	cur := append([]int(nil), floors...)
-	power := startPower
-	if capW > 0 && power > capW {
-		// Per-job stacks of taken steps, for the prune pass.
-		type taken struct{ dp, loss float64 }
-		stacks := make([][]taken, len(jobs))
-		k := 0
-		for ; k < len(steps) && power > capW; k++ {
-			st := steps[k]
-			dp := power - st.Power
-			power = st.Power
-			cur[st.Table] = st.Point
-			stacks[st.Table] = append(stacks[st.Table], taken{dp: dp, loss: st.Loss})
+	switch {
+	case capW <= 0 || floorPower <= capW:
+		// Every job at its floor: nothing to trade.
+	case minPower > capW:
+		alloc.Feasible, alloc.Price = false, -1
+		for i := range cur {
+			cur[i] = len(jobs[i].Table.Points) - 1
 		}
-		if power > capW {
-			alloc.Feasible = false
-		} else {
-			// Prune: the last step may save more power than the cap
-			// still needed, leaving earlier steps redundant. Undo the
-			// costliest undoable step until none fits under the cap.
-			// Only each job's most recent step is undoable, preserving
-			// the per-job prefix structure.
-			for {
-				best, bestLoss := -1, 0.0
-				for i := range stacks {
-					n := len(stacks[i])
-					if n == 0 {
-						continue
-					}
-					top := stacks[i][n-1]
-					if power+top.dp <= capW && top.loss > bestLoss {
-						best, bestLoss = i, top.loss
-					}
-				}
-				if best < 0 {
-					break
-				}
-				n := len(stacks[best])
-				power += stacks[best][n-1].dp
-				stacks[best] = stacks[best][:n-1]
-				cur[best]--
-			}
-		}
+	default:
+		alloc.Price, alloc.LossBound = descend(jobs, cur, floorTimes, floorPower, capW)
 	}
 
-	alloc.PowerW = power
 	for i := range jobs {
 		j := &jobs[i]
-		pt := j.Table.Points[cur[i]]
 		t := j.Table.PointTime(cur[i])
 		ja := JobAlloc{
 			ID:        j.ID,
 			Point:     cur[i],
 			Time:      t,
-			Energy:    pt.Energy,
+			Energy:    j.Table.Points[cur[i]].Energy,
 			PowerW:    float64(j.pipelines()) * j.Table.AvgPower(cur[i]),
 			FloorTime: floorTimes[i],
 			Loss:      j.weight() * (t - floorTimes[i]) / floorTimes[i],
 		}
+		alloc.PowerW += ja.PowerW
 		alloc.Loss += ja.Loss
 		alloc.Jobs = append(alloc.Jobs, ja)
 	}
+	if !alloc.Feasible {
+		alloc.LossBound = alloc.Loss // no allocation meets the cap
+	}
+	// The bound and the loss sum the same terms in different orders.
+	alloc.LossBound = min(alloc.LossBound, alloc.Loss)
 	return alloc
+}
+
+// descend walks the jobs' power hulls from the floors in cur, whose
+// fleet draw is power > capW >= the fleet's minimum draw, moving cur
+// to the allocation, and returns the last step's price and the loss
+// bound it certifies.
+func descend(jobs []Job, cur []int, floorTimes []float64, power, capW float64) (price, bound float64) {
+	type walker struct {
+		hull          []int
+		pos           int
+		scale, weight float64 // pipelines; loss per second of slowdown
+	}
+	// hullStep is job's next step, from hull[pos] to hull[pos+1]; the
+	// heap orders steps steepest first, ties to the lower job index.
+	type hullStep struct {
+		job             int
+		slope, dp, loss float64
+	}
+	ws := make([]walker, len(jobs))
+	next := func(i int) (hullStep, bool) {
+		w := &ws[i]
+		if w.pos+1 >= len(w.hull) {
+			return hullStep{}, false
+		}
+		lt := jobs[i].Table
+		a, b := w.hull[w.pos], w.hull[w.pos+1]
+		dp := w.scale * (lt.AvgPower(a) - lt.AvgPower(b))
+		loss := w.weight * (lt.PointTime(b) - lt.PointTime(a))
+		return hullStep{job: i, slope: dp / loss, dp: dp, loss: loss}, true
+	}
+	before := func(a, b hullStep) bool { return a.slope > b.slope || (a.slope == b.slope && a.job < b.job) }
+	heap := make([]hullStep, 0, len(jobs))
+	siftDown := func(k int) {
+		for {
+			top := k
+			if l := 2*k + 1; l < len(heap) && before(heap[l], heap[top]) {
+				top = l
+			}
+			if r := 2*k + 2; r < len(heap) && before(heap[r], heap[top]) {
+				top = r
+			}
+			if top == k {
+				return
+			}
+			heap[k], heap[top] = heap[top], heap[k]
+			k = top
+		}
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		ws[i] = walker{
+			hull:   j.Table.PowerHullFrom(cur[i]),
+			scale:  float64(j.pipelines()),
+			weight: j.weight() / floorTimes[i],
+		}
+		if s, ok := next(i); ok {
+			heap = append(heap, s)
+		}
+	}
+	for k := len(heap)/2 - 1; k >= 0; k-- {
+		siftDown(k)
+	}
+
+	var loss float64
+	for len(heap) > 0 {
+		s := heap[0]
+		w := &ws[s.job]
+		price, bound = s.slope, loss+(power-capW)/s.slope
+		a, b := w.hull[w.pos], w.hull[w.pos+1]
+		if power-s.dp <= capW {
+			// The step reaches the cap: its job takes the fastest point
+			// of (a, b] that fits, b at the latest.
+			lt := jobs[s.job].Table
+			cur[s.job] = a + 1 + sort.Search(b-a-1, func(k int) bool {
+				return power-w.scale*(lt.AvgPower(a)-lt.AvgPower(a+1+k)) <= capW
+			})
+			return price, bound
+		}
+		power -= s.dp
+		loss += s.loss
+		w.pos++
+		cur[s.job] = b
+		if ns, ok := next(s.job); ok {
+			heap[0] = ns
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(0)
+	}
+	// Every job reached T*: the cap is within rounding of the minimum
+	// draw, and T* everywhere is the one allocation under it.
+	return price, bound
 }

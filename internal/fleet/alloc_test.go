@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"perseus/internal/frontier"
@@ -66,31 +69,51 @@ func bruteForce(jobs []Job, capW float64) (bestLoss float64, ok bool) {
 	return bestLoss, ok
 }
 
-// mergeInputsOf mirrors Allocate's construction of the merged descent,
-// so tests can inspect its breakpoints and step sizes.
-func mergeInputsOf(jobs []Job) []frontier.MergeInput {
-	inputs := make([]frontier.MergeInput, len(jobs))
+// hullWalk lists the fleet draws at the breakpoints of the allocator's
+// hull walk — every job's power-hull segments from its floor, sorted
+// steepest watts-saved-per-loss first, each draw summed directly at the
+// state after one more whole segment — and the largest segment loss.
+// It sorts where Allocate keeps a heap, so ties may order differently;
+// every state it lists is still a breakpoint.
+func hullWalk(jobs []Job) (caps []float64, maxSegLoss float64) {
+	type seg struct {
+		job, to     int
+		slope, loss float64
+	}
+	var segs []seg
+	cur := make([]int, len(jobs))
 	for i := range jobs {
 		j := &jobs[i]
-		fi := j.floorIndex()
-		inputs[i] = frontier.MergeInput{
-			Table:      j.Table,
-			PowerScale: float64(j.pipelines()),
-			LossWeight: j.weight() / j.Table.PointTime(fi),
-			Start:      fi,
+		cur[i] = j.floorIndex()
+		h := j.Table.PowerHullFrom(cur[i])
+		for k := 1; k < len(h); k++ {
+			loss := lossOf(j, h[k]) - lossOf(j, h[k-1])
+			dp := powerOf(j, h[k-1]) - powerOf(j, h[k])
+			segs = append(segs, seg{job: i, to: h[k], slope: dp / loss, loss: loss})
+			maxSegLoss = max(maxSegLoss, loss)
 		}
 	}
-	return inputs
+	sort.SliceStable(segs, func(a, b int) bool { return segs[a].slope > segs[b].slope })
+	for _, sg := range segs {
+		cur[sg.job] = sg.to
+		var p float64
+		for i := range jobs {
+			p += powerOf(&jobs[i], cur[i])
+		}
+		// The allocator's running draw may round a few ULPs above the
+		// direct sum; the slack keeps it from taking one more step.
+		caps = append(caps, p*(1+1e-12))
+	}
+	return caps, maxSegLoss
 }
 
 // TestAllocateOptimalConvex is the proof-style optimality check of the
 // acceptance criteria: for a 3-job fleet with convex frontiers, the
-// greedy waterfilling allocation's total throughput loss matches
-// brute-force enumeration over all frontier-point combinations at every
-// breakpoint of the merged descent (every exactly-attainable cap), and
-// for caps between breakpoints it exceeds the brute-force optimum by
-// less than the single overshooting step's loss — the two guarantees
-// Allocate documents.
+// hull-walk allocation's total throughput loss matches brute-force
+// enumeration over all frontier-point combinations at every hull
+// breakpoint, with a certified gap of zero there, and for caps between
+// breakpoints LossBound ≤ optimum ≤ Loss with Loss − LossBound at most
+// one hull segment's loss — the guarantees Allocate documents.
 func TestAllocateOptimalConvex(t *testing.T) {
 	jobs := []Job{
 		{ID: "a", Table: convexTable(0.01, 80, 95, 3000, 120), Pipelines: 1, Weight: 1},
@@ -100,9 +123,10 @@ func TestAllocateOptimalConvex(t *testing.T) {
 	checkAgainstBruteForce(t, jobs)
 }
 
-// TestAllocateOptimalConvexRandom repeats the brute-force comparison on
-// seeded random convex fleets, so the optimality claim doesn't hinge on
-// one lucky instance.
+// TestAllocateOptimalConvexRandom repeats the brute-force comparison
+// (exact with zero gap at every hull breakpoint, a certified gap of at
+// most one hull segment's loss between them) on seeded random convex
+// fleets, so the claim doesn't hinge on one lucky instance.
 func TestAllocateOptimalConvexRandom(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,41 +147,40 @@ func TestAllocateOptimalConvexRandom(t *testing.T) {
 	}
 }
 
+// checkAgainstBruteForce holds Allocate to its documented guarantees
+// by exhaustive enumeration: at every breakpoint of the hull walk the
+// allocation's loss is the optimum and its certified gap is zero, and
+// at caps between breakpoints LossBound ≤ optimum ≤ Loss with
+// Loss − LossBound at most one hull segment's loss.
 func checkAgainstBruteForce(t *testing.T, jobs []Job) {
 	t.Helper()
-	startPower, steps := frontier.Merge(mergeInputsOf(jobs))
-	if len(steps) == 0 {
-		t.Fatal("degenerate fleet: no merge steps")
+	caps, maxSegLoss := hullWalk(jobs)
+	if len(caps) == 0 {
+		t.Fatal("degenerate fleet: no hull segments")
 	}
+	tol := func(v float64) float64 { return 1e-9 * (1 + math.Abs(v)) }
 
-	// Exactly-attainable caps: every breakpoint of the merged descent.
-	// The greedy allocation must match exhaustive enumeration exactly.
-	for _, st := range steps {
-		got := Allocate(jobs, st.Power)
-		want, feasible := bruteForce(jobs, st.Power)
+	for _, capW := range caps {
+		got := Allocate(jobs, capW)
+		want, feasible := bruteForce(jobs, capW)
 		if !feasible || !got.Feasible {
-			t.Fatalf("breakpoint cap %.3fW: unexpectedly infeasible", st.Power)
+			t.Fatalf("breakpoint cap %.3fW: unexpectedly infeasible", capW)
 		}
-		if got.PowerW > st.Power+1e-9 {
-			t.Fatalf("breakpoint cap %.3fW: allocation draws %v W over cap", st.Power, got.PowerW)
+		if got.PowerW > capW+tol(capW) {
+			t.Fatalf("breakpoint cap %.3fW: allocation draws %v W over cap", capW, got.PowerW)
 		}
-		if math.Abs(got.Loss-want) > 1e-9*(1+want) {
+		if math.Abs(got.Loss-want) > tol(want) {
 			t.Fatalf("breakpoint cap %.3fW: greedy loss %.9f != brute-force optimum %.9f",
-				st.Power, got.Loss, want)
+				capW, got.Loss, want)
+		}
+		if gap := got.Loss - got.LossBound; gap > tol(want) {
+			t.Fatalf("breakpoint cap %.3fW: certified gap %v, want 0", capW, gap)
 		}
 	}
 
-	// Arbitrary caps between breakpoints: bounded by the granularity of
-	// one merge step, and never below the constrained optimum.
-	var maxStepLoss float64
-	for _, st := range steps {
-		if st.Loss > maxStepLoss {
-			maxStepLoss = st.Loss
-		}
-	}
-	lo, hi := steps[len(steps)-1].Power, startPower
-	for i := 0; i <= 100; i++ {
-		capW := lo*0.95 + (hi*1.02-lo*0.95)*float64(i)/100
+	lo, hi := caps[len(caps)-1], Allocate(jobs, 0).PowerW
+	for i := 0; i <= 120; i++ {
+		capW := lo*0.95 + (hi*1.02-lo*0.95)*float64(i)/120
 		got := Allocate(jobs, capW)
 		want, feasible := bruteForce(jobs, capW)
 		if got.Feasible != feasible {
@@ -165,23 +188,71 @@ func checkAgainstBruteForce(t *testing.T, jobs []Job) {
 		}
 		if !feasible {
 			// Infeasible: the allocator settles at fleet minimum power.
-			if math.Abs(got.PowerW-lo) > 1e-9*lo {
-				t.Fatalf("cap %.3fW infeasible: power %v, want fleet minimum %v", capW, got.PowerW, lo)
+			if math.Abs(got.PowerW-lo) > 1e-9*lo || got.Price != -1 {
+				t.Fatalf("cap %.3fW infeasible: power %v price %v, want fleet minimum %v and -1", capW, got.PowerW, got.Price, lo)
 			}
 			continue
 		}
-		if got.PowerW > capW+1e-9 {
+		if got.PowerW > capW+tol(capW) {
 			t.Fatalf("cap %.3fW: allocation draws %v W over cap", capW, got.PowerW)
 		}
-		if got.Loss < want-1e-9*(1+want) {
+		if got.Loss < want-tol(want) {
 			t.Fatalf("cap %.3fW: greedy loss %.9f beats brute-force optimum %.9f — brute force is broken",
 				capW, got.Loss, want)
 		}
-		if got.Loss-want >= maxStepLoss+1e-12 {
-			t.Fatalf("cap %.3fW: greedy loss %.9f exceeds optimum %.9f by more than one step (%.9f)",
-				capW, got.Loss, want, maxStepLoss)
+		if got.LossBound > want+tol(want) {
+			t.Fatalf("cap %.3fW: loss bound %.9f above the optimum %.9f", capW, got.LossBound, want)
+		}
+		if got.Loss-got.LossBound > maxSegLoss+tol(maxSegLoss) {
+			t.Fatalf("cap %.3fW: certified gap %.9f exceeds one hull segment (%.9f)",
+				capW, got.Loss-got.LossBound, maxSegLoss)
 		}
 	}
+}
+
+// TestAllocateExactNonConvex runs the brute-force comparison on tables
+// that are not convex, where only the hull walk is exact at its
+// breakpoints: two characterized frontiers, healthy and with one job
+// straggling (its floor off the hull), and seeded bumpy tables.
+func TestAllocateExactNonConvex(t *testing.T) {
+	a := buildSimJob(t, "a", 2, 3).Job
+	b := buildSimJob(t, "b", 2, 4).Job
+	b.Pipelines, b.Weight = 2, 1.5
+	if h := a.Table.PowerHull(); len(h) == len(a.Table.Points) {
+		t.Fatal("characterized table is convex")
+	}
+	t.Run("characterized", func(t *testing.T) { checkAgainstBruteForce(t, []Job{a, b}) })
+	a.TPrime = 1.1 * a.Table.Tmin()
+	if fi := a.floorIndex(); slices.Contains(a.Table.PowerHull(), fi) {
+		t.Fatalf("straggler floor %d is a hull vertex", fi)
+	}
+	t.Run("straggler", func(t *testing.T) { checkAgainstBruteForce(t, []Job{a, b}) })
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var jobs []Job
+		for i := 0; i < 3; i++ {
+			jobs = append(jobs, Job{
+				ID:        string(rune('a' + i)),
+				Table:     bumpyTable(rng, int64(40+rng.Intn(80)), 6+rng.Intn(10)),
+				Pipelines: 1 + rng.Intn(3),
+				Weight:    0.5 + rng.Float64(),
+			})
+		}
+		t.Run(fmt.Sprint("bumpy-", seed), func(t *testing.T) { checkAgainstBruteForce(t, jobs) })
+	}
+}
+
+// bumpyTable builds a non-convex Pareto table: time strictly rising,
+// energy strictly falling by uneven decrements, so average power falls
+// at a rate that is not monotone.
+func bumpyTable(rng *rand.Rand, tminU int64, points int) *frontier.LookupTable {
+	lt := &frontier.LookupTable{Unit: 0.01, TminUnits: tminU, TStarUnits: tminU + int64(points) - 1}
+	e := 3000 + 4000*rng.Float64()
+	for u := tminU; u <= lt.TStarUnits; u++ {
+		lt.Points = append(lt.Points, frontier.TablePoint{TimeUnits: u, Energy: e})
+		e -= e * (0.001 + 0.03*rng.Float64()*rng.Float64())
+	}
+	return lt
 }
 
 // TestStragglerFloor checks the extrinsic-bloat generalization: a

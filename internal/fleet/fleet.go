@@ -12,10 +12,13 @@
 // generalizes extrinsic bloat from one pipeline held up by a straggler
 // to a whole datacenter held down by a power envelope.
 //
-// The package has two parts: a marginal-cost waterfilling allocator
-// over merged frontiers (alloc.go), and an event-driven multi-job
-// simulator that replays scenario traces of arrivals, departures,
-// stragglers, and cap changes (sim.go).
+// The package has two parts: a power-budget allocator (alloc.go), a
+// greedy walk down each job's lower convex hull of (iteration time,
+// average power) that is exact at every hull breakpoint on any table,
+// convex or not, and certifies its gap to the optimum elsewhere
+// (Allocation.LossBound); and an event-driven multi-job simulator that
+// replays scenario traces of arrivals, departures, stragglers, and cap
+// changes (sim.go).
 package fleet
 
 import "perseus/internal/frontier"

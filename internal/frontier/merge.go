@@ -47,15 +47,13 @@ type MergeStep struct {
 // power and the steps.
 //
 // Each job's average power strictly decreases along its own frontier
-// (a table is a Pareto set), so every step saves power; a fleet
-// allocator meets a power cap by taking the step prefix that first
-// brings Power under the cap. The descent walks every table point, not
-// a hull, and the tables Perseus characterizes are not convex, so a
-// job's slope sequence need not be non-increasing. Only when every
-// table is convex (power savings per second of slowdown non-increasing
-// along it) is the greedy prefix loss-optimal for the power it achieves
-// — the discrete marginal-analysis argument internal/fleet tests on
-// convex tables.
+// (a table is a Pareto set), so every step saves power. The descent
+// walks every table point, not a hull, and the tables Perseus
+// characterizes are not convex, so a job's slope sequence need not be
+// non-increasing and a step prefix need not be loss-optimal for the
+// power it reaches. The fleet allocator walks each job's PowerHull
+// instead; only the benchmark suite's layer figures (bench/layers.go)
+// and this package's tests still call Merge.
 //
 // The next step is always the steepest of the jobs' next steps, ties to
 // the lowest input index. A job's next step changes only when it is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -30,11 +31,12 @@ type LookupTable struct {
 	// an index into them).
 	Points []TablePoint `json:"points"`
 
-	hull atomic.Pointer[hullIndex] // Hull's cache; never serialized
+	hull      atomic.Pointer[hullIndex] // Hull's cache; never serialized
+	powerHull atomic.Pointer[hullIndex] // PowerHull's cache; never serialized
 }
 
-// hullIndex is Hull's cached result with the Points slice it indexes,
-// so a table whose Points are replaced or resized is re-indexed.
+// hullIndex is a cached hull with the Points slice it indexes, so a
+// table whose Points are replaced or resized is re-indexed.
 type hullIndex struct {
 	first *TablePoint
 	n     int
@@ -138,15 +140,58 @@ func lowerHull(dst []int, lo, hi int, time func(int) float64, energy func(int) f
 // hull neighbours at the same throughput. The index is computed once
 // per table, on first use, and cached; callers must not modify it.
 func (lt *LookupTable) Hull() []int {
+	return lt.cached(&lt.hull, func(n int) []int { return lt.HullOf(nil, 0, n-1) })
+}
+
+// PowerHull returns the indices of the points on the table's lower
+// convex hull of (time, average power), fastest first: the vertices a
+// fleet allocator trading a power cap against linear slowdown loss
+// walks (fleet.Allocate), since any other point draws more than the
+// chord of its hull neighbours at its time. The Tmin and T* points are
+// always on it. It is cached like Hull; callers must not modify it.
+func (lt *LookupTable) PowerHull() []int {
+	return lt.cached(&lt.powerHull, func(n int) []int { return lt.powerHullOf(nil, 0, n-1) })
+}
+
+// PowerHullFrom returns the lower convex hull of (time, average power)
+// over points lo..T* alone, fastest first: the hull a job whose
+// straggler floor is point lo descends; lo must index a point. With v
+// the first PowerHull vertex at or after lo, it is the hull of lo..v
+// followed by PowerHull's vertices after v. A vertex of the whole
+// table's hull keeps its supporting line in any subset holding it, so
+// every vertex from v on stays one (and the suffix hull splits at v),
+// while a point after v on or above the chord of its hull neighbours,
+// both at or after v, stays on or above it. The cost is O(v − lo), and
+// when lo is itself a vertex the result is a suffix of the cached
+// index, which callers must not modify.
+func (lt *LookupTable) PowerHullFrom(lo int) []int {
+	h := lt.PowerHull()
+	k, _ := slices.BinarySearch(h, lo)
+	if h[k] == lo {
+		return h[k:]
+	}
+	out := lt.powerHullOf(make([]int, 0, h[k]-lo+1+len(h)-k-1), lo, h[k])
+	return append(out, h[k+1:]...)
+}
+
+func (lt *LookupTable) powerHullOf(dst []int, lo, hi int) []int {
+	return lowerHull(dst, lo, hi,
+		func(i int) float64 { return float64(lt.Points[i].TimeUnits) },
+		lt.AvgPower)
+}
+
+// cached returns the hull index p caches, building it with build(n)
+// when Points was replaced or resized since it was stored.
+func (lt *LookupTable) cached(p *atomic.Pointer[hullIndex], build func(n int) []int) []int {
 	n := len(lt.Points)
-	if h := lt.hull.Load(); h != nil && h.n == n && (n == 0 || h.first == &lt.Points[0]) {
+	if h := p.Load(); h != nil && h.n == n && (n == 0 || h.first == &lt.Points[0]) {
 		return h.idx
 	}
-	h := &hullIndex{n: n, idx: lt.HullOf(nil, 0, n-1)}
+	h := &hullIndex{n: n, idx: build(n)}
 	if n > 0 {
 		h.first = &lt.Points[0]
 	}
-	lt.hull.Store(h)
+	p.Store(h)
 	return h.idx
 }
 

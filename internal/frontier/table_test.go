@@ -146,6 +146,43 @@ func TestHull(t *testing.T) {
 	}
 }
 
+// TestPowerHull checks the (time, average power) hull a fleet
+// allocator walks: on a characterized table, which is not convex in
+// power, PowerHullFrom(lo) equals the monotone chain run on points
+// lo..T* alone for every floor lo, shares the cached index without
+// allocating when lo is a vertex, and the index is cached and
+// re-built like Hull's.
+func TestPowerHull(t *testing.T) {
+	g, p, opts := buildCase(t, "gpt3-1.3b", gpu.A100PCIe, 4, 6, 4, "1f1b")
+	lt := characterize(t, g, p, opts).Table()
+	n := len(lt.Points)
+	h := lt.PowerHull()
+	if len(h) == n || h[0] != 0 || h[len(h)-1] != n-1 {
+		t.Fatalf("power hull %v of %d rows: want a proper subset spanning 0..%d", h, n, n-1)
+	}
+	for lo := 0; lo < n; lo++ {
+		want := lt.powerHullOf(nil, lo, n-1)
+		if got := lt.PowerHullFrom(lo); !slices.Equal(got, want) {
+			t.Fatalf("PowerHullFrom(%d) = %v, direct hull %v", lo, got, want)
+		}
+	}
+	for _, v := range h {
+		if a := testing.AllocsPerRun(10, func() { lt.PowerHullFrom(v) }); a != 0 {
+			t.Fatalf("PowerHullFrom(vertex %d) allocates %v times", v, a)
+		}
+	}
+	if again := lt.PowerHull(); &again[0] != &h[0] {
+		t.Fatal("second PowerHull call rebuilt the index")
+	}
+	if &lt.Hull()[0] == &h[0] {
+		t.Fatal("Hull and PowerHull share one cache")
+	}
+	lt.Points = lt.Points[:3]
+	if got := lt.PowerHull(); !slices.Equal(got, lt.powerHullOf(nil, 0, 2)) {
+		t.Fatalf("power hull of the truncated table %v", got)
+	}
+}
+
 func TestTableSaveLoadRoundTrip(t *testing.T) {
 	g, p, opts := buildCase(t, "bert-1.3b", gpu.A40, 2, 4, 8, "1f1b")
 	f := characterize(t, g, p, opts)

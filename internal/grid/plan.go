@@ -447,9 +447,9 @@ func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, s
 // deadline and to each interval's facility power cap.
 //
 // The solver is a greedy ascent over the merged per-interval marginal
-// segments, the temporal analogue of fleet.Allocate's marginal-cost
-// waterfilling: every interval starts at its cheapest state (idle, or
-// the minimum-energy point under NoIdle), and the planner repeatedly
+// segments, the temporal analogue of fleet.Allocate's walk down each
+// job's power hull: every interval starts at its cheapest state (idle,
+// or the minimum-energy point under NoIdle), and the planner repeatedly
 // buys iterations at the cheapest marginal objective cost — waking an
 // interval at its minimum-energy point or stepping it one point
 // faster — taking the final step fractionally (time-sharing the two

@@ -18,9 +18,10 @@
 // carrying a force-idle cap), and grid.Optimize on that composite is
 // the exact inner temporal subproblem. On top sits a cross-region
 // assignment layer — greedy steepest-descent over contiguous segment
-// moves, brute-force-verified on small instances like fleet.Allocate
-// and grid.Optimize (brute_test.go) — plus the Fixed-placement and
-// NoMigration baselines the planner must beat.
+// moves, checked against brute force on small instances
+// (brute_test.go) with a measured, not proved, bound in the contended
+// case — plus the Fixed-placement and NoMigration baselines the
+// planner must beat.
 package region
 
 import (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 
 	"perseus/internal/fleet"
 )
@@ -98,11 +99,15 @@ func (s *Server) recomputeFleet(ctx context.Context) FleetStatusResponse {
 		}
 		j.mu.Unlock()
 	}
-	// fleet.Allocate cannot fail: setFleetCap validated the cap.
+	// fleet.Allocate cannot fail: setFleetCap validated the cap. Its
+	// span carries the cap's price and the certified gap to the optimum.
 	var alloc fleet.Allocation
 	_ = s.solve(ctx, "fleet", "", nil, func() ([]string, error) {
 		alloc = fleet.Allocate(fjobs, capW)
-		return nil, nil
+		return []string{
+			"price", strconv.FormatFloat(alloc.Price, 'g', -1, 64),
+			"gap", strconv.FormatFloat(alloc.Loss-alloc.LossBound, 'g', -1, 64),
+		}, nil
 	})
 
 	st := FleetStatusResponse{

@@ -2,12 +2,17 @@ package server
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"perseus/internal/gpu"
+	"perseus/internal/grid"
 )
 
 // registerCharacterized registers and characterizes a job, returning
@@ -160,6 +165,70 @@ func TestFleetEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Error("allocation of unknown job should not be 200")
+	}
+}
+
+// TestRegisterRejectsMalformedFleetFields checks that registration
+// rejects a negative data_parallel and a negative or non-finite weight,
+// naming the field (a 400 over HTTP) — a NaN weight used to reach the
+// fleet loss and make GET /fleet/status unencodable — and stores 0 as
+// 1, so a job registered with zeros plans and allocates as one
+// registered with ones.
+func TestRegisterRejectsMalformedFleetFields(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	base := JobRequest{Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3}
+	bad := func(mut func(*JobRequest)) JobRequest { r := base; mut(&r); return r }
+	for field, reqs := range map[string][]JobRequest{
+		"weight": {
+			bad(func(r *JobRequest) { r.Weight = math.NaN() }),
+			bad(func(r *JobRequest) { r.Weight = math.Inf(1) }),
+			bad(func(r *JobRequest) { r.Weight = -1 }),
+		},
+		"data_parallel": {bad(func(r *JobRequest) { r.DataParallel = -2 })},
+	} {
+		for _, req := range reqs {
+			if _, err := srv.Register(req); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("Register(weight %v, data_parallel %d) error %v, want one naming %s",
+					req.Weight, req.DataParallel, err, field)
+			}
+			if math.IsNaN(req.Weight) || math.IsInf(req.Weight, 0) {
+				continue // JSON cannot carry it
+			}
+			resp := postJSON(t, ts.URL+"/jobs", req)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {
+				t.Errorf("POST /jobs with bad %s: status %d, body %q", field, resp.StatusCode, body)
+			}
+		}
+	}
+	if n := len(srv.FleetStatus().Jobs); n != 0 {
+		t.Fatalf("%d rejected jobs registered", n)
+	}
+
+	ones := base
+	ones.Weight, ones.DataParallel = 1, 1
+	zero := registerCharacterized(t, srv, base, 4)
+	one := registerCharacterized(t, srv, ones, 4)
+	if _, err := srv.SetGridSignal(flatSignal("flat", 14400, 300, 0.1), ""); err != nil {
+		t.Fatal(err)
+	}
+	var plans []*grid.Plan
+	for _, id := range []string{zero, one} {
+		p, err := srv.GridPlan(id, 100, 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	if plans[0].PowerScale != 1 || !reflect.DeepEqual(plans[0], plans[1]) {
+		t.Fatalf("zeros planned at power scale %v, ones at %v", plans[0].PowerScale, plans[1].PowerScale)
+	}
+	st := srv.FleetStatus()
+	if st.Jobs[0].PowerW != st.Jobs[1].PowerW || st.Jobs[0].Loss != 0 {
+		t.Fatalf("fleet status %+v", st)
 	}
 }
 

@@ -432,9 +432,6 @@ func (s *Server) inputsFor(v *tickView, id string, rs *replanState) (rollInputs,
 	if in.table == nil {
 		return rollInputs{}, fmt.Errorf("server: job %s not characterized yet", id)
 	}
-	if in.pipes <= 0 {
-		in.pipes = 1
-	}
 	if v.sig == nil {
 		return rollInputs{}, fmt.Errorf("server: no grid signal installed")
 	}

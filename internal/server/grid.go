@@ -246,9 +246,6 @@ func (s *Server) planProblem(ctx context.Context, id string, target, deadline fl
 	if table == nil {
 		return planProblem{}, fmt.Errorf("server: job %s not characterized yet", id)
 	}
-	if pipes <= 0 {
-		pipes = 1
-	}
 	return planProblem{
 		key: PlanKey{
 			Epoch:     epoch,

@@ -41,6 +41,18 @@ func (s *Server) register(ctx context.Context, req JobRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// Every reader of DataParallel and Weight takes them as they are
+	// stored here: malformed values are rejected, 0 reads as 1.
+	if req.DataParallel < 0 {
+		return "", fmt.Errorf("server: data_parallel must be non-negative, got %d", req.DataParallel)
+	}
+	if math.IsNaN(req.Weight) || math.IsInf(req.Weight, 0) || req.Weight < 0 {
+		return "", fmt.Errorf("server: weight must be a finite non-negative number, got %v", req.Weight)
+	}
+	req.DataParallel = max(req.DataParallel, 1)
+	if req.Weight == 0 {
+		req.Weight = 1
+	}
 	if req.Chunks == 0 {
 		req.Chunks = 1
 	}

@@ -95,7 +95,7 @@ func (j *job) accrueLocked(gs gridState) {
 		return
 	}
 	lt := j.table
-	pipes := float64(max(j.req.DataParallel, 1))
+	pipes := float64(j.req.DataParallel)
 	tdep := j.deployedTimeLocked(lt.Tmin())
 	power := pipes * lt.AvgPower(lt.LookupIndex(tdep))
 	sig, start, meanG := gs.sig, gs.start, gs.meanG

@@ -191,9 +191,6 @@ func (s *Server) regionsPlan(ctx context.Context, target, deadline float64, obje
 		j.mu.Lock()
 		if j.table != nil {
 			pipes := j.req.DataParallel
-			if pipes <= 0 {
-				pipes = 1
-			}
 			rjobs = append(rjobs, region.Job{
 				ID:         j.id,
 				Table:      j.table,

@@ -42,8 +42,9 @@ func metricValue(text, series string) (float64, bool) {
 // sites — a cold grid plan, a managed job's controller tick, a fleet
 // recompute and a joint region plan — and pins what each reports: its
 // latency series under its layer label and objective="carbon", its
-// planner.solve span with the layer's work counts, and, under an
-// injected failure, one error under its layer label.
+// planner.solve span with the layer's work counts (for the fleet, under
+// a cap, the cap's price and the certified gap), and, under an injected
+// failure, one error under its layer label.
 func TestEveryPlanningLayerReports(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
 	srv := New()
@@ -73,6 +74,10 @@ func TestEveryPlanningLayerReports(t *testing.T) {
 		}
 	}
 	target := math.Floor(0.5 * 14400 / tbl.Tmin())
+	// A cap below the job's Tmin draw, so every fleet recompute trades.
+	if _, err := cl.SetFleetCap(0.97 * tbl.AvgPower(0)); err != nil {
+		t.Fatal(err)
+	}
 
 	// solveAll runs every solve site once and returns the errors of the
 	// three that surface one (a fleet recompute never fails its caller).
@@ -125,20 +130,33 @@ func TestEveryPlanningLayerReports(t *testing.T) {
 		"region": {"orders", "descents", "candidates", "inner_solves", "memo_hits",
 			"memo_resets", "materialized", "swaps_tried", "swaps_accepted"},
 	}
+	// The fleet reports reals instead: its cap's price and certified gap.
+	reals := map[string][]string{"fleet": {"price", "gap"}}
 	for _, layer := range layers {
 		attrs, ok := spans[layer]
 		if !ok {
 			t.Errorf("%s: no %s span", layer, obs.SpanPlannerSolve)
 			continue
 		}
-		if attrs["objective"] != "carbon" || len(attrs) != 2+len(counts[layer]) {
-			t.Errorf("%s: span attrs %v, want planner, objective=carbon and %v", layer, attrs, counts[layer])
+		if attrs["objective"] != "carbon" || len(attrs) != 2+len(counts[layer])+len(reals[layer]) {
+			t.Errorf("%s: span attrs %v, want planner, objective=carbon, %v and %v",
+				layer, attrs, counts[layer], reals[layer])
 		}
 		for _, key := range counts[layer] {
 			if n, err := strconv.Atoi(attrs[key]); err != nil || n < 0 {
 				t.Errorf("%s: span attr %s = %q", layer, key, attrs[key])
 			}
 		}
+	}
+	// The cap is feasible but binding: a finite positive price and a
+	// finite non-negative gap.
+	price, perr := strconv.ParseFloat(spans["fleet"]["price"], 64)
+	gap, gerr := strconv.ParseFloat(spans["fleet"]["gap"], 64)
+	if perr != nil || !(price > 0) || math.IsInf(price, 0) {
+		t.Errorf("fleet: span attr price = %q, want finite and > 0", spans["fleet"]["price"])
+	}
+	if gerr != nil || !(gap >= 0) || math.IsInf(gap, 0) {
+		t.Errorf("fleet: span attr gap = %q, want finite and >= 0", spans["fleet"]["gap"])
 	}
 	// Every solve here had work to do.
 	for layer, key := range map[string]string{"grid": "steps", "forecast-mpc": "steps", "region": "inner_solves"} {
