@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"perseus/internal/frontier"
 )
 
 // JobAlloc is one job's allocated operating point.
@@ -86,13 +88,13 @@ func checkCap(watts float64) error {
 //
 // The algorithm is a greedy walk down each job's lower convex hull of
 // (iteration time, average power) from its floor (PowerHullFrom): every
-// job starts at its floor, a heap holds each job's next hull segment
-// ordered by watts saved per unit of loss, and the walk takes the
-// steepest segment until the fleet draw is under the cap. The job whose
-// step got it there then takes the fastest table point inside that
-// segment that still fits (a binary search: power falls along a table).
-// Work is O(N log N + steps · log N) plus, per straggler floor off the
-// hull, the hull of the points up to the next vertex.
+// job starts at its floor, and frontier.Descend takes the hull segment
+// saving the most watts per unit of loss (ties to the lower job index:
+// a scan's picks, in runs) until the fleet draw is under the cap. The
+// job whose step got it there then takes the fastest table point inside
+// that segment that still fits (a binary search: power falls along a
+// table). Work is O(N log N + steps · log N) plus, per straggler floor
+// off the hull, the hull of the points up to the next vertex.
 //
 // Exactness holds on any table, convex or not, by Lagrangian duality.
 // Along a hull, savings per unit of loss fall segment by segment, so
@@ -163,47 +165,8 @@ func Allocate(jobs []Job, capW float64) Allocation {
 // to the allocation, and returns the last step's price and the loss
 // bound it certifies.
 func descend(jobs []Job, cur []int, floorTimes []float64, power, capW float64) (price, bound float64) {
-	type walker struct {
-		hull          []int
-		pos           int
-		scale, weight float64 // pipelines; loss per second of slowdown
-	}
-	// hullStep is job's next step, from hull[pos] to hull[pos+1]; the
-	// heap orders steps steepest first, ties to the lower job index.
-	type hullStep struct {
-		job             int
-		slope, dp, loss float64
-	}
 	ws := make([]walker, len(jobs))
-	next := func(i int) (hullStep, bool) {
-		w := &ws[i]
-		if w.pos+1 >= len(w.hull) {
-			return hullStep{}, false
-		}
-		lt := jobs[i].Table
-		a, b := w.hull[w.pos], w.hull[w.pos+1]
-		dp := w.scale * (lt.AvgPower(a) - lt.AvgPower(b))
-		loss := w.weight * (lt.PointTime(b) - lt.PointTime(a))
-		return hullStep{job: i, slope: dp / loss, dp: dp, loss: loss}, true
-	}
-	before := func(a, b hullStep) bool { return a.slope > b.slope || (a.slope == b.slope && a.job < b.job) }
-	heap := make([]hullStep, 0, len(jobs))
-	siftDown := func(k int) {
-		for {
-			top := k
-			if l := 2*k + 1; l < len(heap) && before(heap[l], heap[top]) {
-				top = l
-			}
-			if r := 2*k + 2; r < len(heap) && before(heap[r], heap[top]) {
-				top = r
-			}
-			if top == k {
-				return
-			}
-			heap[k], heap[top] = heap[top], heap[k]
-			k = top
-		}
-	}
+	heap := make([]frontier.Key, 0, len(jobs))
 	for i := range jobs {
 		j := &jobs[i]
 		ws[i] = walker{
@@ -211,42 +174,56 @@ func descend(jobs []Job, cur []int, floorTimes []float64, power, capW float64) (
 			scale:  float64(j.pipelines()),
 			weight: j.weight() / floorTimes[i],
 		}
-		if s, ok := next(i); ok {
-			heap = append(heap, s)
+		if key, ok := ws[i].next(j.Table, int32(i)); ok {
+			heap = append(heap, key)
 		}
-	}
-	for k := len(heap)/2 - 1; k >= 0; k-- {
-		siftDown(k)
 	}
 
 	var loss float64
-	for len(heap) > 0 {
-		s := heap[0]
-		w := &ws[s.job]
-		price, bound = s.slope, loss+(power-capW)/s.slope
+	frontier.Descend(heap, func(key frontier.Key) (frontier.Key, bool, bool) {
+		w := &ws[key.Lane]
+		price = -key.Slope
+		bound = loss + (power-capW)/price
 		a, b := w.hull[w.pos], w.hull[w.pos+1]
-		if power-s.dp <= capW {
+		if power-w.dp <= capW {
 			// The step reaches the cap: its job takes the fastest point
 			// of (a, b] that fits, b at the latest.
-			lt := jobs[s.job].Table
-			cur[s.job] = a + 1 + sort.Search(b-a-1, func(k int) bool {
+			lt := jobs[key.Lane].Table
+			cur[key.Lane] = a + 1 + sort.Search(b-a-1, func(k int) bool {
 				return power-w.scale*(lt.AvgPower(a)-lt.AvgPower(a+1+k)) <= capW
 			})
-			return price, bound
+			return frontier.Key{}, false, true
 		}
-		power -= s.dp
-		loss += s.loss
+		power -= w.dp
+		loss += w.loss
 		w.pos++
-		cur[s.job] = b
-		if ns, ok := next(s.job); ok {
-			heap[0] = ns
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-	}
-	// Every job reached T*: the cap is within rounding of the minimum
-	// draw, and T* everywhere is the one allocation under it.
+		cur[key.Lane] = b
+		nk, ok := w.next(jobs[key.Lane].Table, key.Lane)
+		return nk, ok, false
+	})
+	// When the walk runs out, every job reached T*: the cap is within
+	// rounding of the minimum draw, and T* everywhere is the one
+	// allocation under it.
 	return price, bound
+}
+
+// walker is one job of descend on its power hull at hull[pos]; dp and
+// loss are its pending step's, to hull[pos+1].
+type walker struct {
+	hull          []int
+	pos           int
+	scale, weight float64 // pipelines; loss per second of slowdown
+	dp, loss      float64
+}
+
+// next keys job i's pending step on its table lt steepest first: by
+// the negated watts saved per unit of loss, ties to the lower index.
+func (w *walker) next(lt *frontier.LookupTable, i int32) (frontier.Key, bool) {
+	if w.pos+1 >= len(w.hull) {
+		return frontier.Key{}, false
+	}
+	a, b := w.hull[w.pos], w.hull[w.pos+1]
+	w.dp = w.scale * (lt.AvgPower(a) - lt.AvgPower(b))
+	w.loss = w.weight * (lt.PointTime(b) - lt.PointTime(a))
+	return frontier.Key{Slope: -(w.dp / w.loss), Lane: i}, true
 }

@@ -13,9 +13,9 @@
 // to a whole datacenter held down by a power envelope.
 //
 // The package has two parts: a power-budget allocator (alloc.go), a
-// greedy walk down each job's lower convex hull of (iteration time,
-// average power) that is exact at every hull breakpoint on any table,
-// convex or not, and certifies its gap to the optimum elsewhere
+// frontier.Descend down each job's lower convex hull of (iteration
+// time, average power) that is exact at every hull breakpoint on any
+// table, convex or not, and certifies its gap to the optimum elsewhere
 // (Allocation.LossBound); and an event-driven multi-job simulator that
 // replays scenario traces of arrivals, departures, stragglers, and cap
 // changes (sim.go).

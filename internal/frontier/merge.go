@@ -57,21 +57,15 @@ type MergeStep struct {
 //
 // The next step is always the steepest of the jobs' next steps, ties to
 // the lowest input index. A job's next step changes only when it is
-// taken, so the candidates sit in a heap ordered by exactly that rule —
-// O((N + steps) log N), where rescanning every job per step made a
-// 512-job fleet recompute take 0.8 s — and the step sequence, hence
-// every float accumulated along it, is the rescan's.
+// taken, so the walk is a Descend over the negated slopes — O((N +
+// steps) log N), where rescanning every job per step made a 512-job
+// fleet recompute take 0.8 s — and the step sequence, hence every float
+// accumulated along it, is the rescan's.
 func Merge(inputs []MergeInput) (startPower float64, steps []MergeStep) {
-	type jobState struct {
-		lt     *LookupTable
-		scale  float64
-		weight float64
-		cur    int
-	}
-	js := make([]jobState, len(inputs))
+	js := make([]mergeLane, len(inputs))
 	nSteps := 0
 	for i, in := range inputs {
-		s := jobState{lt: in.Table, scale: in.PowerScale, weight: in.LossWeight, cur: in.Start}
+		s := mergeLane{lt: in.Table, scale: in.PowerScale, weight: in.LossWeight, cur: in.Start}
 		if s.scale <= 0 {
 			s.scale = 1
 		}
@@ -93,69 +87,49 @@ func Merge(inputs []MergeInput) (startPower float64, steps []MergeStep) {
 		js[i] = s
 	}
 
-	// cand is job i's next step; ok is false once the job sits at T*.
-	type cand struct {
-		i               int
-		slope, dp, loss float64
-	}
-	next := func(i int) (cand, bool) {
-		s := &js[i]
-		if s.cur+1 >= len(s.lt.Points) {
-			return cand{}, false
-		}
-		dp := s.scale * (s.lt.AvgPower(s.cur) - s.lt.AvgPower(s.cur+1))
-		loss := s.weight * (s.lt.PointTime(s.cur+1) - s.lt.PointTime(s.cur))
-		return cand{i: i, slope: dp / loss, dp: dp, loss: loss}, true
-	}
-	before := func(a, b cand) bool { return a.slope > b.slope || (a.slope == b.slope && a.i < b.i) }
-	var heap []cand
-	siftDown := func(k int) {
-		for {
-			top := k
-			if l := 2*k + 1; l < len(heap) && before(heap[l], heap[top]) {
-				top = l
-			}
-			if r := 2*k + 2; r < len(heap) && before(heap[r], heap[top]) {
-				top = r
-			}
-			if top == k {
-				return
-			}
-			heap[k], heap[top] = heap[top], heap[k]
-			k = top
-		}
-	}
+	heap := make([]Key, 0, len(js))
 	for i := range js {
-		if c, ok := next(i); ok {
-			heap = append(heap, c)
+		if key, ok := js[i].next(int32(i)); ok {
+			heap = append(heap, key)
 		}
-	}
-	for k := len(heap)/2 - 1; k >= 0; k-- {
-		siftDown(k)
 	}
 
 	power := startPower
 	if nSteps > 0 {
 		steps = make([]MergeStep, 0, nSteps)
 	}
-	for len(heap) > 0 {
-		c := heap[0]
-		js[c.i].cur++
-		power -= c.dp
+	Descend(heap, func(key Key) (Key, bool, bool) {
+		s := &js[key.Lane]
+		s.cur++
+		power -= s.dp
 		steps = append(steps, MergeStep{
-			Table: c.i,
-			Point: js[c.i].cur,
+			Table: int(key.Lane),
+			Point: s.cur,
 			Power: power,
-			Loss:  c.loss,
-			Slope: c.slope,
+			Loss:  s.loss,
+			Slope: -key.Slope,
 		})
-		if nc, ok := next(c.i); ok {
-			heap[0] = nc
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-	}
+		nk, ok := s.next(key.Lane)
+		return nk, ok, false
+	})
 	return startPower, steps
+}
+
+// mergeLane is one job of a Merge at point cur; dp and loss are its
+// pending step's, to cur+1.
+type mergeLane struct {
+	lt            *LookupTable
+	scale, weight float64
+	cur           int
+	dp, loss      float64
+}
+
+// next keys lane i's pending step; false once the job sits at T*.
+func (s *mergeLane) next(i int32) (Key, bool) {
+	if s.cur+1 >= len(s.lt.Points) {
+		return Key{}, false
+	}
+	s.dp = s.scale * (s.lt.AvgPower(s.cur) - s.lt.AvgPower(s.cur+1))
+	s.loss = s.weight * (s.lt.PointTime(s.cur+1) - s.lt.PointTime(s.cur))
+	return Key{Slope: -(s.dp / s.loss), Lane: i}, true
 }

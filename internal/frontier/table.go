@@ -275,7 +275,10 @@ func (lt *LookupTable) Save(w io.Writer) error {
 
 // LoadTable reads and validates a table written by Save, and prunes it
 // to its Pareto set as Table does (a table saved before pruning loads
-// as the one Table writes now).
+// as the one Table writes now). A saved table is outside input, and
+// every walk over it (Descend's callers) orders steps by slopes of time
+// and average power, so each point's time must be positive, finite and
+// rising, and its average power positive and finite.
 func LoadTable(r io.Reader) (*LookupTable, error) {
 	var lt LookupTable
 	if err := json.NewDecoder(r).Decode(&lt); err != nil {
@@ -289,10 +292,17 @@ func LoadTable(r io.Reader) (*LookupTable, error) {
 	}
 	nComps := len(lt.Points[0].Freqs)
 	for i, pt := range lt.Points {
-		if i > 0 && pt.TimeUnits <= lt.Points[i-1].TimeUnits {
+		t, p := lt.PointTime(i), lt.AvgPower(i)
+		switch {
+		case pt.TimeUnits <= 0:
+			return nil, fmt.Errorf("frontier: point %d has non-positive time_units %d", i, pt.TimeUnits)
+		case math.IsInf(t, 0):
+			return nil, fmt.Errorf("frontier: point %d time overflows: unit_s %v × time_units %d", i, lt.Unit, pt.TimeUnits)
+		case i > 0 && t <= lt.PointTime(i-1):
 			return nil, fmt.Errorf("frontier: lookup table times not increasing at point %d", i)
-		}
-		if len(pt.Freqs) != nComps {
+		case !(p > 0) || math.IsInf(p, 0):
+			return nil, fmt.Errorf("frontier: point %d has energy_j %v: average power %v W is not positive and finite", i, pt.Energy, p)
+		case len(pt.Freqs) != nComps:
 			return nil, fmt.Errorf("frontier: point %d has %d frequencies, want %d", i, len(pt.Freqs), nComps)
 		}
 	}

@@ -212,25 +212,42 @@ func TestTableSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadTableValidation(t *testing.T) {
 	cases := []struct {
-		name string
-		json string
+		name, json string
+		field      string // the error names it; "" for any error
 	}{
-		{"garbage", "{"},
-		{"no points", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[]}`},
-		{"bad unit", `{"unit_s":0,"tmin_units":1,"tstar_units":2,"points":[{"time_units":1,"energy_j":1,"freqs_mhz":[100]}]}`},
+		{"garbage", "{", ""},
+		{"no points", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[]}`, ""},
+		{"bad unit", `{"unit_s":0,"tmin_units":1,"tstar_units":2,"points":[{"time_units":1,"energy_j":1,"freqs_mhz":[100]}]}`, ""},
 		{"non-increasing", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[
 			{"time_units":2,"energy_j":1,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`},
+			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, ""},
 		{"ragged freqs", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[
 			{"time_units":1,"energy_j":1,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100,200]}]}`},
+			{"time_units":2,"energy_j":1,"freqs_mhz":[100,200]}]}`, ""},
 		{"bad endpoints", `{"unit_s":0.001,"tmin_units":5,"tstar_units":9,"points":[
 			{"time_units":1,"energy_j":1,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`},
+			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, ""},
+		// Each of these gives an infinite, NaN or negative average power
+		// or time, whose slopes every walk over the table mis-orders.
+		{"zero time", `{"unit_s":0.001,"tmin_units":0,"tstar_units":2,"points":[
+			{"time_units":0,"energy_j":2,"freqs_mhz":[100]},
+			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, "time_units"},
+		{"negative time", `{"unit_s":0.001,"tmin_units":-3,"tstar_units":2,"points":[
+			{"time_units":-3,"energy_j":2,"freqs_mhz":[100]},
+			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, "time_units"},
+		{"negative energy", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[
+			{"time_units":1,"energy_j":-5,"freqs_mhz":[100]},
+			{"time_units":2,"energy_j":-6,"freqs_mhz":[100]}]}`, "energy_j"},
+		{"time overflow", `{"unit_s":1e300,"tmin_units":1000000000,"tstar_units":2000000000,"points":[
+			{"time_units":1000000000,"energy_j":2,"freqs_mhz":[100]},
+			{"time_units":2000000000,"energy_j":1,"freqs_mhz":[100]}]}`, "unit_s"},
 	}
 	for _, c := range cases {
-		if _, err := LoadTable(strings.NewReader(c.json)); err == nil {
+		_, err := LoadTable(strings.NewReader(c.json))
+		if err == nil {
 			t.Errorf("%s: LoadTable accepted invalid input", c.name)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
 		}
 	}
 }

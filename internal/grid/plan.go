@@ -248,7 +248,7 @@ type planInterval struct {
 	tail int     // slowest position of the interval's own prefix
 	only bool    // idle-only: even the slowest point violates the cap
 	cur  int     // current descent state; -1 = idle
-	next step    // the one pending step out of cur (valid while in the heap)
+	next step    // the one pending step out of cur (valid while its key is in the walk)
 }
 
 // capPrefix is the hull prefix of one cap floor, the fastest table
@@ -291,7 +291,7 @@ type solution struct {
 	slowest  int // the hull's last position: the table's slowest point
 	prefixes []capPrefix
 	hull     []int // scratch for frontier.LookupTable.HullOf
-	heap     []heapItem
+	heap     []frontier.Key
 	frac     fracStep
 	steps    int     // greedy steps taken, the fractional one included
 	price    float64 // slope of the last step taken: Plan.Price
@@ -304,57 +304,15 @@ type solution struct {
 	obj      Objective
 }
 
-// heapItem keys one interval's pending step (planInterval.next) in the
-// greedy's min-heap: its marginal slope with the interval index as the
-// tie-break — lexicographic (slope, k) ordering reproduces exactly the
-// strict-< first-index-wins selection of a sequential scan.
-type heapItem struct {
-	slope float64
-	k     int32
-}
-
-func stepLess(a, b heapItem) bool {
-	return a.slope < b.slope || (a.slope == b.slope && a.k < b.k)
-}
-
-// siftDown places it at the position the hole at i sinks to.
-func (sol *solution) siftDown(i int, it heapItem) {
-	h := sol.heap
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if r := c + 1; r < len(h) && stepLess(h[r], h[c]) {
-			c = r
-		}
-		if !stepLess(h[c], it) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = it
-}
-
-// heapify orders an appended-unordered heap in O(n). The comparator is
-// a strict total order ((slope, k) with unique k), so the pop sequence
-// is independent of how the heap was built.
-func (sol *solution) heapify() {
-	for i := len(sol.heap)/2 - 1; i >= 0; i-- {
-		sol.siftDown(i, sol.heap[i])
-	}
-}
-
 // nextStep sets pi.next to the interval's next marginal step — wake up
 // at the slowest point, then one hull vertex faster at a time — and
-// returns its heap key; false once the interval is saturated at its cap
+// returns its key; false once the interval is saturated at its cap
 // floor. A step costs the two divisions that are new in it: w and the
 // slope.
-func (sol *solution) nextStep(k int32) (heapItem, bool) {
+func (sol *solution) nextStep(k int32) (frontier.Key, bool) {
 	pi := &sol.ivs[k]
 	if pi.only || pi.cur == pi.lo {
-		return heapItem{}, false
+		return frontier.Key{}, false
 	}
 	st := &pi.next
 	if pi.cur < 0 {
@@ -372,7 +330,7 @@ func (sol *solution) nextStep(k int32) (heapItem, bool) {
 		st.dw = st.w - pi.work
 		st.dc = pi.c * (sol.pw[st.to] - sol.pw[pi.cur])
 	}
-	return heapItem{slope: st.dc / st.dw, k: k}, true
+	return frontier.Key{Slope: st.dc / st.dw, Lane: k}, true
 }
 
 // addPoint appends table point i as the next solver position.
@@ -447,7 +405,7 @@ func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, s
 // deadline and to each interval's facility power cap.
 //
 // The solver is a greedy ascent over the merged per-interval marginal
-// segments, the temporal analogue of fleet.Allocate's walk down each
+// segments, a frontier.Descend like fleet.Allocate's walk down each
 // job's power hull: every interval starts at its cheapest state (idle,
 // or the minimum-energy point under NoIdle), and the planner repeatedly
 // buys iterations at the cheapest marginal objective cost — waking an
@@ -715,69 +673,42 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 	// fill never overshoots the target.
 	//
 	// An interval's available step only changes when its current one is
-	// taken, so the cheapest-available selection runs over a min-heap of
-	// (slope, index) keys, whose strict total order keeps the pick
-	// sequence, and hence every float accumulation, bit-identical to a
-	// sequential scan. On a characterized table the interval that was
-	// cheapest usually still is after its step, so the loop descends in
-	// runs: it reads the runner-up — the root's smaller child — once,
-	// steps the root's interval while its next key still sorts first,
-	// and only the step that ends a run writes the heap and sifts.
+	// taken, so the fill is a frontier.Descend over (slope, index) keys,
+	// whose strict total order keeps the pick sequence, and hence every
+	// float accumulation, bit-identical to a sequential scan. On a
+	// characterized table the interval that was cheapest usually still
+	// is after its step, and Descend steps it again without a sift.
 	sol.heap = slices.Grow(sol.heap[:0], len(sol.ivs))
 	for k := range sol.ivs {
-		if it, ok := sol.nextStep(int32(k)); ok {
-			sol.heap = append(sol.heap, it)
+		if key, ok := sol.nextStep(int32(k)); ok {
+			sol.heap = append(sol.heap, key)
 		}
 	}
-	sol.heapify()
-	target := opts.Target
-	for len(sol.heap) > 0 && sol.coverage < target-1e-9 {
-		h := sol.heap
-		k := h[0].k
-		second := heapItem{slope: math.Inf(1), k: math.MaxInt32} // alone: nothing ends the run
-		if len(h) > 1 {
-			second = h[1]
-			if len(h) > 2 && stepLess(h[2], second) {
-				second = h[2]
-			}
+	sol.heap = frontier.Descend(sol.heap, func(key frontier.Key) (frontier.Key, bool, bool) {
+		if sol.coverage >= opts.Target-1e-9 {
+			return frontier.Key{}, false, true
 		}
-		pi := &sol.ivs[k]
-		slope := h[0].slope
-		for sol.coverage < target-1e-9 {
-			st := pi.next
-			sol.steps++
-			sol.price = slope
-			if need := target - sol.coverage; st.dw > need+1e-12 {
-				// Final fractional take: time-share the step's endpoints so
-				// the target is completed exactly. (Under NoIdle every
-				// interval is already awake, so the shared states both run —
-				// no idle time is introduced.)
-				f := need / st.dw
-				sol.frac = fracStep{k: int(k), from: pi.cur, to: st.to, f: f}
-				sol.coverage += need
-				sol.cost += f * st.dc
-				return nil
-			}
-			pi.cur, pi.work = st.to, st.w
-			sol.coverage += st.dw
-			sol.cost += st.dc
-			it, ok := sol.nextStep(k)
-			if !ok {
-				// Saturated: the heap's last key sinks from the root.
-				last := len(h) - 1
-				sol.heap = h[:last]
-				if last > 0 {
-					sol.siftDown(0, h[last])
-				}
-				break
-			}
-			if !stepLess(it, second) {
-				sol.siftDown(0, it) // the run ends: another interval is cheaper now
-				break
-			}
-			slope = it.slope
+		pi := &sol.ivs[key.Lane]
+		st := pi.next
+		sol.steps++
+		sol.price = key.Slope
+		if need := opts.Target - sol.coverage; st.dw > need+1e-12 {
+			// Final fractional take: time-share the step's endpoints so
+			// the target is completed exactly. (Under NoIdle every
+			// interval is already awake, so the shared states both run —
+			// no idle time is introduced.)
+			f := need / st.dw
+			sol.frac = fracStep{k: int(key.Lane), from: pi.cur, to: st.to, f: f}
+			sol.coverage += need
+			sol.cost += f * st.dc
+			return frontier.Key{}, false, true
 		}
-	}
+		pi.cur, pi.work = st.to, st.w
+		sol.coverage += st.dw
+		sol.cost += st.dc
+		next, ok := sol.nextStep(key.Lane)
+		return next, ok, false
+	})
 	return nil
 }
 

@@ -332,7 +332,9 @@ func (w *countingRW) Write(b []byte) (int, error) { w.n += len(b); return len(b)
 // TestGridPlanHitAllocs bounds the cached path: in-process it allocates
 // nothing, and through the HTTP handler a small fixed number of objects
 // (query parsing, the validator, the trace span) whatever the size of
-// the plan — serving a hit neither encodes nor copies the body.
+// the plan — serving a hit neither encodes nor copies the body. The
+// counts are exact only without -race: the race runtime's sync.Pool
+// drops Puts at random, so a -race build serves the hits unmeasured.
 func TestGridPlanHitAllocs(t *testing.T) {
 	perHit := map[int]float64{}
 	for _, intervals := range []int{24, 288} {
@@ -356,6 +358,9 @@ func TestGridPlanHitAllocs(t *testing.T) {
 		if w.code != http.StatusOK || w.n == 0 {
 			t.Fatalf("%d intervals: status %d, %d body bytes", intervals, w.code, w.n)
 		}
+		if raceEnabled {
+			continue
+		}
 		perHit[intervals] = testing.AllocsPerRun(200, serve)
 		if n := testing.AllocsPerRun(200, func() {
 			if _, err := srv.GridPlan(id, 2000, 0, ""); err != nil {
@@ -364,6 +369,9 @@ func TestGridPlanHitAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("%d intervals: an in-process hit allocates %v objects", intervals, n)
 		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts vary under -race; go test -run Allocs asserts them")
 	}
 	if perHit[24] != perHit[288] || perHit[288] > 100 {
 		t.Fatalf("a handler hit allocates %v objects at 24 intervals and %v at 288; want equal and at most 100", perHit[24], perHit[288])
