@@ -458,21 +458,24 @@ func BenchmarkGridOptimize(b *testing.B) {
 
 // BenchmarkRegionPlan measures the joint spatio-temporal planner on
 // the bundled phase-shifted pair — the synchronous cost behind GET
-// /regions/plan and each multi-region re-plan.
+// /regions/plan and each multi-region re-plan. solves/op is the inner
+// temporal solves one Optimize runs (Plan.Stats.InnerSolves).
 func BenchmarkRegionPlan(b *testing.B) {
 	for _, nJobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs-%d", nJobs), func(b *testing.B) {
 			regions, jobs, opts := benchRegionCase(nJobs)
+			var plan *region.Plan
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan, err := region.Optimize(regions, jobs, opts)
-				if err != nil {
+				var err error
+				if plan, err = region.Optimize(regions, jobs, opts); err != nil {
 					b.Fatal(err)
 				}
 				if !plan.Feasible {
 					b.Fatal("benchmark plan unexpectedly infeasible")
 				}
 			}
+			b.ReportMetric(float64(plan.Stats.InnerSolves), "solves/op")
 		})
 	}
 }

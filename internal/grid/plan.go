@@ -464,6 +464,13 @@ type Evaluation struct {
 
 	// Account totals the plan.
 	plan.Account
+
+	// Price is the plan's λ, bit for bit Optimize's Plan.Price: the
+	// marginal objective cost of one more iteration, -1 when infeasible.
+	// It certifies the totals: no plan of the instance costs less than
+	// its Lagrangian value at any λ ≥ 0, and at this λ that value is the
+	// plan's own cost.
+	Price float64
 }
 
 // Evaluate solves the instance and returns only its totals, reusing the
@@ -486,6 +493,7 @@ func (s *Solver) Evaluate(lt *frontier.LookupTable, sig *Signal, opts Options) (
 func (s *Solver) account(target float64) (out Evaluation, finishS float64) {
 	sol := &s.sol
 	out.Feasible = sol.feasible
+	out.Price = sol.price
 	finishS = -1
 	finished := false
 	remaining := target
@@ -541,7 +549,7 @@ func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (
 		Iterations: ev.Iterations,
 		Account:    ev.Account,
 		FinishS:    finishS,
-		Price:      sol.price,
+		Price:      ev.Price,
 		Runs:       sol.runs(),
 	}, nil
 }

@@ -963,9 +963,12 @@ func TestNonConvexTablePlansOnItsHull(t *testing.T) {
 // tables, NoIdle, caps that idle or floor intervals, a deadline cutting
 // the last interval, one-interval and one-point instances, exact ties,
 // and dense many-interval cases — each on a fresh solution and on one
-// reused across the whole corpus.
+// reused across the whole corpus. Evaluate's totals and Price are
+// Optimize's bit for bit, -1 on infeasible instances included.
 func TestSolveMatchesScanReference(t *testing.T) {
 	var reused solution
+	var evaluator Solver
+	infeasible := 0
 	referenceCorpus(func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
 		t.Helper()
 		for _, noIdle := range []bool{false, true} {
@@ -978,9 +981,23 @@ func TestSolveMatchesScanReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkPrice(t, lt, sig, opts, p)
+				ev, err := evaluator.Evaluate(lt, sig, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := Evaluation{Feasible: p.Feasible, Iterations: p.Iterations, Account: p.Account, Price: p.Price}
+				if ev != want || math.Float64bits(ev.Price) != math.Float64bits(p.Price) {
+					t.Fatalf("Evaluate %+v, Optimize %+v", ev, want)
+				}
+				if !p.Feasible {
+					infeasible++
+				}
 			})
 		}
 	})
+	if infeasible == 0 {
+		t.Fatal("no infeasible instance in the corpus: Evaluate's -1 price went untested")
+	}
 
 	// Exact ties: intervals with identical durations and rates offer
 	// identical slopes at every state; the lower index goes first. Which

@@ -25,9 +25,10 @@ import (
 //     than BestFixed — every single-region placement is one of its
 //     descent starts, so losing to one would break the construction;
 //  5. the plan is the reference planner's (memo dropped before every
-//     use, every order run), bit for bit — on the instance as drawn and
-//     again with power caps drawn onto it, where a memo entry can go
-//     stale (memo_test.go);
+//     use, every order run, nothing pruned), bit for bit — on the
+//     instance as drawn, again with power caps drawn onto it, where a
+//     memo entry can go stale, and again with origins, deadlines inside
+//     a cell and long downtime drawn on top (memo_test.go);
 //  6. each job's Temporal plan is grid.Optimize's over its Signal, and
 //     its runs expand over that signal to intervals whose accounting,
 //     summed in order, is the plan's totals bit for bit.
@@ -164,7 +165,8 @@ func FuzzPlan(f *testing.F) {
 			}
 		}
 
-		// (5) same plan as the reference planner, uncapped then capped.
+		// (5) same plan as the reference planner: uncapped, capped, then
+		// capped and moved.
 		requireSamePlan(t, "as drawn", plan, optimizeReference(t, inst))
 		withCaps(rng, &inst)
 		capped, err := Optimize(inst.regions, inst.jobs, inst.opts)
@@ -172,6 +174,12 @@ func FuzzPlan(f *testing.F) {
 			t.Fatalf("optimize failed on valid capped instance: %v", err)
 		}
 		requireSamePlan(t, "capped", capped, optimizeReference(t, inst))
+		withMoves(rng, &inst)
+		moved, err := Optimize(inst.regions, inst.jobs, inst.opts)
+		if err != nil {
+			t.Fatalf("optimize failed on valid moved instance: %v", err)
+		}
+		requireSamePlan(t, "capped and moved", moved, optimizeReference(t, inst))
 	})
 }
 

@@ -70,48 +70,83 @@ func withCaps(rng *rand.Rand, inst *bruteInstance) {
 	}
 }
 
+// withMoves draws onto a brute instance what a rolling re-plan's
+// placements meet when compiled: each job already runs in a random
+// region (Origin) with probability 1/2 and is due inside one of the
+// last two cells with probability 1/2, and a migration's downtime is
+// anything up to two and a half cells, so it can spill across cells
+// and past a deadline. (Kept apart from randomBruteInstance, like
+// withCaps, so the brute-force seeds keep drawing the same instances.)
+func withMoves(rng *rand.Rand, inst *bruteInstance) {
+	ivs := inst.regions[0].Signal.Intervals
+	cellS := ivs[0].Duration()
+	for i := range inst.jobs {
+		if rng.Intn(2) == 0 {
+			inst.jobs[i].Origin = inst.regions[rng.Intn(len(inst.regions))].Name
+		}
+		if rng.Intn(2) == 0 {
+			k := len(ivs) - 1 - rng.Intn(min(2, len(ivs)-1))
+			inst.jobs[i].DeadlineS = (float64(k) + 0.1 + 0.8*rng.Float64()) * cellS
+		}
+	}
+	inst.opts.Migration.DowntimeS = 2.5 * cellS * rng.Float64()
+}
+
 // TestMemoMatchesResetPerDescent is the differential test that licenses
-// keeping the memo for the whole solve (and skipping replayed orders):
-// over the brute-force test's shapes — uncontended, capacity-1
-// contended, one to three jobs — with and without power caps, Optimize
-// returns exactly the reference planner's plan. The capped half is the
-// part that exercises cap-view invalidation: there an outcome depends
-// on what the others draw, and a memo that missed a view change would
-// answer with another usage's cost.
+// keeping the memo for the whole solve, skipping replayed orders and
+// pruning by the Lagrangian bound: over the brute-force test's shapes —
+// uncontended, capacity-1 contended, one to three jobs — with and
+// without power caps, and with and without origins, deadlines inside a
+// cell and long downtime (withMoves), Optimize returns exactly the
+// reference planner's plan. The capped half is the part that exercises
+// cap-view invalidation: there an outcome depends on what the others
+// draw, and a memo that missed a view change would answer with another
+// usage's cost. The moved half walks every branch of the bound's
+// compile walk.
 func TestMemoMatchesResetPerDescent(t *testing.T) {
 	shapes := []struct{ regions, jobs, cells, capacity int }{
 		{2, 1, 4, 0}, {3, 1, 4, 0},
 		{2, 2, 3, 0}, {3, 3, 3, 0},
 		{2, 2, 3, 1}, {2, 3, 2, 1}, {3, 2, 3, 1}, {3, 3, 4, 2},
 	}
-	instances, capped, resets := 0, 0, 0
+	instances, capped, moved, resets, pruned := 0, 0, 0, 0, 0
 	for _, sh := range shapes {
 		for seed := int64(1); seed <= 36; seed++ {
 			for _, caps := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(seed*1000 + int64(sh.regions*100+sh.jobs*10+sh.cells)))
-				inst := randomBruteInstance(rng, sh.regions, sh.jobs, sh.cells, sh.capacity)
-				if caps {
-					withCaps(rng, &inst)
-					capped++
+				for _, moves := range []bool{false, true} {
+					rng := rand.New(rand.NewSource(seed*1000 + int64(sh.regions*100+sh.jobs*10+sh.cells)))
+					inst := randomBruteInstance(rng, sh.regions, sh.jobs, sh.cells, sh.capacity)
+					if caps {
+						withCaps(rng, &inst)
+						capped++
+					}
+					if moves {
+						withMoves(rng, &inst)
+						moved++
+					}
+					got, err := Optimize(inst.regions, inst.jobs, inst.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSamePlan(t, "memo vs reset-per-descent", got, optimizeReference(t, inst))
+					if !caps && got.Stats.MemoResets != 0 {
+						t.Fatalf("shape %+v seed %d: %d memo resets with no cap to invalidate a view", sh, seed, got.Stats.MemoResets)
+					}
+					resets += got.Stats.MemoResets
+					pruned += got.Stats.Pruned
+					instances++
 				}
-				got, err := Optimize(inst.regions, inst.jobs, inst.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSamePlan(t, "memo vs reset-per-descent", got, optimizeReference(t, inst))
-				if !caps && got.Stats.MemoResets != 0 {
-					t.Fatalf("shape %+v seed %d: %d memo resets with no cap to invalidate a view", sh, seed, got.Stats.MemoResets)
-				}
-				resets += got.Stats.MemoResets
-				instances++
 			}
 		}
 	}
-	if instances < 500 || capped < 250 {
-		t.Fatalf("compared %d instances (%d capped), want at least 500 (250)", instances, capped)
+	if instances < 1000 || capped < 500 || moved < 500 {
+		t.Fatalf("compared %d instances (%d capped, %d moved), want at least 1000 (500, 500)", instances, capped, moved)
 	}
 	if resets == 0 {
 		t.Fatal("no capped instance ever changed a cap view: invalidation went untested")
+	}
+	if pruned == 0 {
+		t.Fatal("the bound never pruned a candidate: pruning went untested")
 	}
 }
 
@@ -235,12 +270,13 @@ func seedsOf(p *Plan) map[string][]SeedSpan {
 }
 
 // TestStatsCounts pins, in counts rather than milliseconds, what the
-// solve-long memo and the warm start buy on a benchRegionCase(4)-shaped
-// instance: the counts do not depend on the worker pool, a seeded solve
-// runs strictly fewer inner solves than the cold solve that seeded it,
-// an n-job solve in which nothing binds runs no more inner solves than
-// its n jobs solved alone plus whatever the swaps missed, and temporal
-// plans are built for winners only.
+// solve-long memo, the warm start and the Lagrangian bound buy on a
+// benchRegionCase(4)-shaped instance: the counts do not depend on the
+// worker pool, a seeded solve runs strictly fewer inner solves than the
+// cold solve that seeded it, an n-job solve in which nothing binds runs
+// no more inner solves than its n jobs solved alone plus whatever the
+// swaps missed, temporal plans are built for winners only, and the
+// bound prunes most moves.
 func TestStatsCounts(t *testing.T) {
 	inst := benchShapedCase(4)
 	cold, err := Optimize(inst.regions, inst.jobs, inst.opts)
@@ -290,6 +326,11 @@ func TestStatsCounts(t *testing.T) {
 	}
 	if s.MemoResets != 0 || s.MemoHits() <= s.InnerSolves || s.SwapsTried == 0 {
 		t.Fatalf("uncapped 4-job solve should never reset, mostly hit, and try swaps: %+v", s)
+	}
+	// The Lagrangian bound rules out most moves before they are solved
+	// (2,980 inner solves without it).
+	if s.Pruned == 0 || s.InnerSolves > 400 {
+		t.Fatalf("the bound should prune and keep the cold solve to 400 inner solves: %+v", s)
 	}
 	t.Logf("cold %+v", cold.Stats)
 	t.Logf("seeded %+v", seeded.Stats)

@@ -144,7 +144,8 @@ type Plan struct {
 type Stats struct {
 	Orders        int // job orders run (one when no region can bind)
 	Descents      int // per-job descents
-	Candidates    int // placements proposed to a job memo: descent sweeps, incumbent re-evaluations, swap lookups
+	Candidates    int // placements proposed to a job memo: starts, unpruned descent moves, incumbent re-evaluations, swap lookups
+	Pruned        int // descent moves and swaps the Lagrangian bound ruled out: never proposed, never solved
 	InnerSolves   int // proposals that missed and ran the inner temporal solver, totals only
 	SwapSolves    int // the InnerSolves made for swap lookups
 	MemoResets    int // non-empty memos dropped because the job's cap view changed
@@ -163,7 +164,8 @@ func (p *Plan) SpanAttrs() []string {
 	s := p.Stats
 	return []string{
 		"orders", strconv.Itoa(s.Orders), "descents", strconv.Itoa(s.Descents),
-		"candidates", strconv.Itoa(s.Candidates), "inner_solves", strconv.Itoa(s.InnerSolves),
+		"candidates", strconv.Itoa(s.Candidates), "pruned", strconv.Itoa(s.Pruned),
+		"inner_solves", strconv.Itoa(s.InnerSolves),
 		"memo_hits", strconv.Itoa(s.MemoHits()), "memo_resets", strconv.Itoa(s.MemoResets),
 		"materialized", strconv.Itoa(s.Materialized),
 		"swaps_tried", strconv.Itoa(s.SwapsTried), "swaps_accepted", strconv.Itoa(s.SwapsAccepted),
@@ -268,12 +270,15 @@ type planner struct {
 	tmpPl   []int         // candidate construction buffer
 	swapA   []int         // swapRefine's exchanged placements
 	swapB   []int
-	view    []float64 // sync's reading of the live cap view
+	points  []pointCosts // per job, read on first use; see bound
+	moveBnd bound        // planJob's bound on the moves from its incumbent
+	swapBnd [2]bound     // swapRefine's bounds on both exchanged placements
 	stats   Stats
 
 	// resetPerDescent is the differential tests' reference planner: every
 	// sync drops the memo (each descent starts empty, each incumbent and
-	// swap lookup is solved afresh) and every job order is run.
+	// swap lookup is solved afresh), every job order is run, and no bound
+	// prunes a move or a swap.
 	resetPerDescent bool
 }
 
@@ -414,6 +419,7 @@ func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, 
 		outcome: outcome{
 			coverage: plan.Iterations,
 			feasible: plan.Feasible,
+			price:    plan.Price,
 			cost:     plan.Total() + mig.Total(plan.Objective),
 		},
 	}, nil
@@ -462,20 +468,46 @@ func (p *planner) touchesCap(placement []int) bool {
 // view that drifted by float rounding only costs a re-solve.
 func (p *planner) sync(ji int) *jobMemo {
 	m := &p.memos[ji]
-	p.view = p.view[:0]
-	for _, c := range p.capAt {
-		p.view = append(p.view, p.usage.peakW[c[0]][c[1]])
-	}
-	if m.keys != nil && !p.resetPerDescent && slices.Equal(m.view, p.view) {
+	if m.keys != nil && !p.resetPerDescent && p.sameView(m.view) {
 		return m
 	}
 	if len(m.entries) > 0 {
 		p.stats.MemoResets++
 	}
 	m.reset()
-	m.view = append(m.view[:0], p.view...)
+	m.view = p.readView(m.view[:0])
 	return m
 }
+
+// readView appends the cap view now in force to dst: the peak power the
+// committed usage draws at each capped (region, cell).
+func (p *planner) readView(dst []float64) []float64 {
+	for _, c := range p.capAt {
+		dst = append(dst, p.usage.peakW[c[0]][c[1]])
+	}
+	return dst
+}
+
+// sameView reports whether v, a readView result, is exactly the cap
+// view now in force.
+func (p *planner) sameView(v []float64) bool {
+	if len(v) != len(p.capAt) {
+		return false
+	}
+	for i, c := range p.capAt {
+		if v[i] != p.usage.peakW[c[0]][c[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// pruneCutoff is the cost a bound must stay below for its candidate to
+// be worth solving against an incumbent costing cost: half of
+// betterOutcome's (and jointBetter's) tolerance, the other half left to
+// absorb the bound's rounding. A candidate whose bound reaches it cannot
+// strictly beat the incumbent, so skipping it changes no decision.
+func pruneCutoff(cost float64) float64 { return cost - 0.5e-9*(1+math.Abs(cost)) }
 
 // lookup returns the outcome of one placement for job ji against the
 // usage now committed, solving it only if the job's memo has not seen
@@ -504,6 +536,7 @@ func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcom
 	return outcome{
 		cost:     ev.Total(p.opts.Objective) + mig.Total(p.opts.Objective),
 		coverage: ev.Iterations,
+		price:    ev.Price,
 		feasible: ev.Feasible,
 	}, nil
 }
@@ -593,13 +626,18 @@ func (p *planner) seedPlacement(j *Job, kEnd int) []int {
 	return pl
 }
 
+// deadline resolves the job's deadline: the planning horizon when unset.
+func (p *planner) deadline(j *Job) float64 {
+	if j.DeadlineS <= 0 {
+		return p.horizon
+	}
+	return j.DeadlineS
+}
+
 // kEnd returns the first cell index at or beyond the job's deadline;
 // cells from there on are forced to Paused (they cannot contribute).
 func (p *planner) kEnd(j *Job) int {
-	d := j.DeadlineS
-	if d <= 0 {
-		d = p.horizon
-	}
+	d := p.deadline(j)
 	for k, c := range p.cells {
 		if c.StartS >= d {
 			return k
@@ -659,14 +697,17 @@ func (p *planner) starts(j *Job) [][]int {
 // migration pause-costs included — strictly improves.
 //
 // Mechanically each descent sweep is batched: candidates are generated
-// in canonical (i, k, t) order, deduplicated through the job memo,
-// evaluated light across the worker pool, and reduced sequentially in
-// generation order with the same strict comparisons the sequential
-// planner makes — so the chosen move, and hence the whole descent, is
-// bit-identical for any Options.Workers. The memo outlives the descent
-// (see jobMemo): a re-plan of the same job under an unchanged cap view
-// re-proposes what an earlier descent solved and reads it back. The
-// winner is returned light.
+// in canonical (i, k, t) order, priced by the Lagrangian bound at the
+// feasible incumbent's λ (a move whose bound reaches pruneCutoff could
+// never be accepted, so it is dropped before it is proposed),
+// deduplicated through the job memo, evaluated light across the worker
+// pool, and reduced sequentially in generation order with the same
+// strict comparisons the sequential planner makes — so the chosen
+// move, and hence the whole descent, is bit-identical for any
+// Options.Workers and to a descent that solves every move. The memo
+// outlives the descent (see jobMemo): a re-plan of the same job under
+// an unchanged cap view re-proposes what an earlier descent solved and
+// reads it back. The winner is returned light.
 func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 	m := p.sync(ji)
 	p.stats.Descents++
@@ -697,6 +738,14 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 	// a tenth of it.
 	const maxMoves = 64
 	for move := 0; move < maxMoves; move++ {
+		// A feasible incumbent's λ prices every move before it is solved:
+		// a move whose Lagrangian bound reaches the cutoff cannot be
+		// accepted, so it is never proposed.
+		prune := cur.feasible && cur.price >= 0 && !p.resetPerDescent
+		if prune {
+			p.moveBnd.prepare(p, ji, j, cur.price)
+		}
+		cutoff := pruneCutoff(cur.cost)
 		p.beginBatch()
 		for i := 0; i < kEnd; i++ {
 			for k := i; k < kEnd; k++ {
@@ -719,6 +768,10 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 						cand[c] = t
 					}
 					p.tmpPl = cand
+					if prune && p.moveBnd.value(p, cand) >= cutoff {
+						p.stats.Pruned++
+						continue
+					}
 					p.addCand(m, cand)
 				}
 			}
@@ -762,12 +815,16 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 // shifting, pausing, and migration trade off in one objective, and is
 // costed once: outcomes are memoized per job for the whole solve
 // (jobMemo), and a temporal plan is built only for a placement that
-// is committed at a capped cell or wins. Candidate evaluations fan out
-// across an Options.Workers pool with a deterministic sequential
-// reduction, so the plan is identical for any worker count.
-// brute_test.go cross-checks the result against exhaustive placement
-// enumeration on small instances; memo_test.go checks it against the
-// same planner with the memo dropped before every use.
+// is committed at a capped cell or wins. A descent move or swap is
+// first priced by a Lagrangian lower bound at the incumbent's λ
+// (bound): one that provably cannot strictly beat the incumbent is
+// never solved, which leaves every accepted move as it was. Candidate
+// evaluations fan out across an Options.Workers pool with a
+// deterministic sequential reduction, so the plan is identical for any
+// worker count. brute_test.go cross-checks the result against
+// exhaustive placement enumeration on small instances; memo_test.go
+// checks it against the same planner with the memo dropped before every
+// use and nothing pruned.
 func Optimize(regions []Region, jobs []Job, opts Options) (*Plan, error) {
 	return plan(regions, jobs, opts, nil)
 }
@@ -1021,7 +1078,8 @@ func (p *planner) swapFits(ja, jb *Job, pa, pb []int, i, k int) bool {
 // same region's clean hours must trade them, which no single-job
 // re-plan can express — and it returns whether anything improved.
 //
-// A candidate is tested on the incumbents first (swapFits), then costs
+// A candidate is tested on the incumbents first (swapFits), then priced
+// by the two jobs' Lagrangian bounds (swapPruned), and only then costs
 // two memo lookups: b's exchanged placement with both jobs' power
 // withdrawn, a's with b's exchanged placement drawing in their place.
 // Only an accepted swap touches the committed GPUs or builds a plan
@@ -1048,6 +1106,12 @@ func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 
 					p.usage.power(ja, ea, -1)
 					p.usage.power(jb, eb, -1)
+					if p.swapPruned(a, b, ja, jb, ea, eb) {
+						p.usage.power(ja, ea, +1)
+						p.usage.power(jb, eb, +1)
+						p.stats.Pruned++
+						continue
+					}
 					var err error
 					accept := false
 					if nb.outcome, err = p.lookup(b, jb, nb.placement); err == nil && p.touchesCap(nb.placement) {
@@ -1088,6 +1152,22 @@ func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 	}
 	p.stats.SwapSolves += p.stats.InnerSolves - solves
 	return improved, nil
+}
+
+// swapPruned reports whether the Lagrangian bounds on the exchanged
+// placements in p.swapA and p.swapB prove the swap cannot beat the two
+// feasible incumbents ea and eb. Both jobs' power is withdrawn when it
+// is called; b's lookup is made in that view, a's with b's exchanged
+// plan drawing, and a tighter cap only raises a bound, so the bound in
+// this view holds for both.
+func (p *planner) swapPruned(a, b int, ja, jb *Job, ea, eb *eval) bool {
+	if p.resetPerDescent || !ea.feasible || !eb.feasible || ea.price < 0 || eb.price < 0 {
+		return false
+	}
+	p.swapBnd[0].prepare(p, a, ja, ea.price)
+	p.swapBnd[1].prepare(p, b, jb, eb.price)
+	lo := p.swapBnd[0].value(p, p.swapA) + p.swapBnd[1].value(p, p.swapB)
+	return lo >= pruneCutoff(ea.cost+eb.cost)
 }
 
 // orders lists the job orders to try: input order for baselines, all

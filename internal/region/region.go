@@ -21,7 +21,10 @@
 // moves, checked against brute force on small instances
 // (brute_test.go) with a measured, not proved, bound in the contended
 // case — plus the Fixed-placement and NoMigration baselines the
-// planner must beat.
+// planner must beat. The inner solve's price λ (grid.Evaluation.Price)
+// gives the assignment layer a Lagrangian lower bound on any
+// placement's cost (bound.go), so a move or swap that provably cannot
+// beat the incumbent is never solved.
 package region
 
 import (
@@ -110,6 +113,16 @@ func (j *Job) scale() float64 {
 type MigrationCost struct {
 	DowntimeS float64 `json:"downtime_s"`
 	EnergyJ   float64 `json:"energy_j"`
+}
+
+// charge is the transfer energy of one arrival priced at the arrival
+// cell's rates.
+func (m MigrationCost) charge(carbon, price float64) pln.Account {
+	return pln.Account{
+		EnergyJ: m.EnergyJ,
+		CarbonG: m.EnergyJ / grid.JoulesPerKWh * carbon,
+		CostUSD: m.EnergyJ / grid.JoulesPerKWh * price,
+	}
 }
 
 // Cell is one interval of the common planning grid: the union of every
@@ -259,9 +272,7 @@ func compileInto(cs *compileScratch, regions []Region, cells []Cell, placement [
 			idleUntil = c.StartS + mig.DowntimeS
 			sum.count++
 			sum.downtimeS += mig.DowntimeS
-			sum.EnergyJ += mig.EnergyJ
-			sum.CarbonG += mig.EnergyJ / grid.JoulesPerKWh * carbon
-			sum.CostUSD += mig.EnergyJ / grid.JoulesPerKWh * price
+			sum.Accumulate(mig.charge(carbon, price))
 		}
 		if idleUntil > c.StartS {
 			// The downtime covers a prefix of the cell (possibly all of

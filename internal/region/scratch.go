@@ -60,6 +60,7 @@ type evalScratch struct {
 type outcome struct {
 	cost     float64 // objective incl. migration; only valid when feasible
 	coverage float64
+	price    float64 // the inner plan's λ (grid.Evaluation.Price), -1 when infeasible
 	feasible bool
 }
 

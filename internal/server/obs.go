@@ -192,7 +192,7 @@ func newServerObs() *serverObs {
 			"Worker-pool size the region planner fans candidate evaluations across (GOMAXPROCS)."),
 		regionSolves: r.Histogram("perseus_region_plan_inner_solves",
 			"Inner temporal solves per region plan (memo misses; the rest of the solve's counts ride on its planner.solve span).",
-			[]float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}),
+			[]float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}),
 
 		jobsRegistered: r.Counter("perseus_jobs_registered_total",
 			"Training jobs registered."),

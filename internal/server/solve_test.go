@@ -127,7 +127,7 @@ func TestEveryPlanningLayerReports(t *testing.T) {
 		"grid":         {"steps"},
 		"forecast-mpc": {"steps"},
 		"fleet":        nil,
-		"region": {"orders", "descents", "candidates", "inner_solves", "memo_hits",
+		"region": {"orders", "descents", "candidates", "pruned", "inner_solves", "memo_hits",
 			"memo_resets", "materialized", "swaps_tried", "swaps_accepted"},
 	}
 	// The fleet reports reals instead: its cap's price and certified gap.
