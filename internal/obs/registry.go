@@ -218,9 +218,14 @@ type family struct {
 	view    View      // function-backed families only
 
 	mu     sync.Mutex
-	series map[string]any     // rendered label block ("" or `{k="v",...}`) → *Counter | *Gauge | *Histogram
-	last   map[string]float64 // counter views: each series' last value read
+	series map[labelVals]handle // handle-backed series by label values
+	last   map[string]float64   // counter views: each series' last value read
 }
+
+// labelVals is a handle-backed series' label values as a map key, so a
+// family finds an existing series without rendering its label block. A
+// handle-backed family has at most as many labels as it holds.
+type labelVals [3]string
 
 // newSeries materializes an empty series of the family's kind.
 func (f *family) newSeries() any {
@@ -234,25 +239,33 @@ func (f *family) newSeries() any {
 	}
 }
 
-// key renders the label block for the label values.
-func (f *family) key(values []string) string {
+// checkArity panics unless there is one value per label.
+func (f *family) checkArity(values []string) {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
+}
+
+// key renders the label block for the label values.
+func (f *family) key(values []string) string {
+	f.checkArity(values)
 	return renderLabels(f.labels, values)
 }
 
-// with returns (creating if needed) the series for the label values.
+// with returns (creating if needed) the series for the label values,
+// rendering its label block only when it creates it.
 func (f *family) with(values []string) any {
-	key := f.key(values)
+	f.checkArity(values)
+	var vals labelVals
+	copy(vals[:], values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	h, ok := f.series[vals]
 	if !ok {
-		s = f.newSeries()
-		f.series[key] = s
+		h = handle{renderLabels(f.labels, values), f.newSeries()}
+		f.series[vals] = h
 	}
-	return s
+	return h.s
 }
 
 // handle is one handle-backed series.
@@ -266,8 +279,8 @@ type handle struct {
 func (f *family) handles() []handle {
 	f.mu.Lock()
 	hs := make([]handle, 0, len(f.series))
-	for key, s := range f.series {
-		hs = append(hs, handle{key, s})
+	for _, h := range f.series {
+		hs = append(hs, h)
 	}
 	f.mu.Unlock()
 	slices.SortFunc(hs, func(a, b handle) int { return strings.Compare(a.key, b.key) })
@@ -361,6 +374,9 @@ func (r *Registry) family(name, help string, kind metricKind, labels []string, b
 		}
 		return f
 	}
+	if view == nil && len(labels) > len(labelVals{}) {
+		panic(fmt.Sprintf("obs: metric %s has %d labels; a handle-backed family takes at most %d", name, len(labels), len(labelVals{})))
+	}
 	if kind == kindHistogram {
 		if len(buckets) == 0 {
 			buckets = LatencyBuckets
@@ -371,7 +387,7 @@ func (r *Registry) family(name, help string, kind metricKind, labels []string, b
 	f := &family{
 		name: name, help: help, kind: kind,
 		labels: append([]string(nil), labels...), buckets: buckets, view: view,
-		series: map[string]any{}, last: map[string]float64{},
+		series: map[labelVals]handle{}, last: map[string]float64{},
 	}
 	r.fams[name] = f
 	return f

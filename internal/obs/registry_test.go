@@ -2,6 +2,7 @@ package obs
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -278,5 +279,121 @@ func TestRegistryRace(t *testing.T) {
 	}
 	if got := h.Count(); got != 8*500 {
 		t.Errorf("racing histogram count = %v, want %d", got, 8*500)
+	}
+}
+
+// TestWithFindsRenderedSeries: With finds a series by its label values
+// and renders its block once, at creation. The series it returns is
+// the one exposed under the block the label values render to — for
+// values that need escaping, empty values and values a naive join
+// would confuse — and distinct values never share a series.
+func TestWithFindsRenderedSeries(t *testing.T) {
+	r := NewRegistry()
+	tuples := [][]string{
+		{"", "", ""}, {`"`, `\`, "\n"}, {"a,b", "", "c"}, {"a", "b,", "c"},
+		{`a\`, `"b`, ""}, {"plain", "plain", "plain"}, {"", "x", ""}, {"\n\n", `\"`, "x"},
+	}
+	for arity := 0; arity <= 3; arity++ {
+		labels := []string{"l0", "l1", "l2"}[:arity]
+		cv := r.CounterVec(fmt.Sprintf("with_arity%d_total", arity), "h", labels...)
+		seen := map[*Counter]string{}
+		for _, tuple := range tuples {
+			vals := tuple[:arity]
+			c := cv.With(vals...)
+			key := renderLabels(cv.f.labels, vals)
+			var exposed *Counter
+			for _, h := range cv.f.handles() {
+				if h.key == key {
+					exposed = h.s.(*Counter)
+				}
+			}
+			if exposed != c || cv.With(append([]string(nil), vals...)...) != c {
+				t.Fatalf("arity %d, values %q: With and the series exposed as %s disagree", arity, vals, key)
+			}
+			if prev, ok := seen[c]; ok && prev != key {
+				t.Fatalf("arity %d: %s and %s share a series", arity, prev, key)
+			}
+			seen[c] = key
+			c.Inc()
+		}
+		var total float64
+		for _, s := range cv.f.scalars() {
+			total += s.v
+		}
+		if len(seen) != len(cv.f.series) || total != float64(len(tuples)) {
+			t.Fatalf("arity %d: %d series seen, %d stored, %v counted", arity, len(seen), len(cv.f.series), total)
+		}
+	}
+	if !strings.Contains(exposition(t, r), `with_arity3_total{l0="\"",l1="\\",l2="\n"} 1`) {
+		t.Fatalf("escaped series missing from\n%s", exposition(t, r))
+	}
+}
+
+// TestWithWrongArityPanics: a wrong number of label values panics
+// whether or not the family already holds a series, and a handle-backed
+// family of more labels than the lookup key holds panics at
+// registration (a function-backed one may have more).
+func TestWithWrongArityPanics(t *testing.T) {
+	r := NewRegistry()
+	two := r.GaugeVec("arity_two", "h", "a", "b")
+	two.With("x", "")
+	r.GaugeView("arity_four_view", "h", func(emit func(float64, ...string)) { emit(1, "w", "x", "y", "z") }, "a", "b", "c", "d")
+	for name, call := range map[string]func(){
+		"two with one":   func() { two.With("x") },
+		"two with three": func() { two.With("x", "", "") },
+		"two with none":  func() { two.With() },
+		"four-label counter family": func() {
+			r.CounterVec("arity_four_total", "h", "a", "b", "c", "d")
+		},
+		"four-label histogram family": func() {
+			r.HistogramVec("arity_four_seconds", "h", nil, "a", "b", "c", "d")
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	if !strings.Contains(exposition(t, r), `arity_four_view{a="w",b="x",c="y",d="z"} 1`) {
+		t.Fatalf("four-label view missing from\n%s", exposition(t, r))
+	}
+}
+
+// TestWithConcurrent creates and finds series from many goroutines at
+// once: every caller of one label tuple gets the one series, and no
+// increment is lost. Run it under -race.
+func TestWithConcurrent(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("with_race_total", "h", "route", "method", "code")
+	const workers, rounds = 8, 400
+	got := make([][]*Counter, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c := cv.With(fmt.Sprint(i%16), "GET", `"`+fmt.Sprint(i%3))
+				c.Inc()
+				if i < 48 {
+					got[w] = append(got[w], c)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for i := range got[w] {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("worker %d, call %d: a second series for one tuple", w, i)
+			}
+		}
+	}
+	if n, _ := r.CounterValue("with_race_total"); n != workers*rounds || len(cv.f.series) != 48 {
+		t.Fatalf("%v increments over %d series, want %d over 48", n, len(cv.f.series), workers*rounds)
 	}
 }

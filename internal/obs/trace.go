@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -41,7 +42,9 @@ type Tracer struct {
 	head  int // next write position
 	n     int // filled entries
 	drops uint64
-	clock func() time.Time
+
+	// clock is read on every span start and end without taking mu.
+	clock atomic.Pointer[func() time.Time]
 
 	// onPush, when set, observes every finished span as it commits —
 	// the server's hook for mirroring span counts into the metric
@@ -55,26 +58,21 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTracerCapacity
 	}
-	return &Tracer{buf: make([]Span, capacity), clock: time.Now}
+	t := &Tracer{buf: make([]Span, capacity)}
+	t.SetClock(time.Now)
+	return t
 }
 
 // SetClock replaces the tracer's wall clock (fake-clock tests). The
 // clock stamps span start times and measures durations, so a frozen
 // clock yields zero-duration spans with deterministic timestamps.
 func (t *Tracer) SetClock(fn func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if fn != nil {
-		t.clock = fn
+		t.clock.Store(&fn)
 	}
 }
 
-func (t *Tracer) now() time.Time {
-	t.mu.Lock()
-	fn := t.clock
-	t.mu.Unlock()
-	return fn()
-}
+func (t *Tracer) now() time.Time { return (*t.clock.Load())() }
 
 // Drops reports how many finished spans the ring has overwritten.
 func (t *Tracer) Drops() uint64 {
@@ -110,18 +108,19 @@ func (t *Tracer) push(s Span) {
 	}
 }
 
-// newID returns n random bytes as lowercase hex. math/rand/v2's global
-// generator is concurrency-safe and cheap; span IDs need uniqueness,
-// not unpredictability.
+// newID returns n ≤ 16 random bytes as lowercase hex, allocating only
+// the string. math/rand/v2's global generator is concurrency-safe and
+// cheap; span IDs need uniqueness, not unpredictability.
 func newID(n int) string {
-	b := make([]byte, n)
+	var b [16]byte
+	var dst [32]byte
 	for i := 0; i < n; i += 8 {
 		v := rand.Uint64()
 		for j := 0; j < 8 && i+j < n; j++ {
 			b[i+j] = byte(v >> (8 * j))
 		}
 	}
-	return hex.EncodeToString(b)
+	return string(dst[:hex.Encode(dst[:], b[:n])])
 }
 
 // ActiveSpan is an in-flight span. A nil *ActiveSpan is a valid no-op:

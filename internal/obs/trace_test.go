@@ -337,3 +337,54 @@ func TestTracerRace(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestSetClockRacesSpans swaps the tracer's clock while other
+// goroutines start and end spans, which read it without the ring lock.
+// Run it under -race.
+func TestSetClockRacesSpans(t *testing.T) {
+	tr, clk := newTestTracer(64)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ctx, root := tr.StartSpan(context.Background(), "op")
+				_, c := Child(ctx, "inner")
+				c.End()
+				root.End()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if i%2 == 0 {
+				tr.SetClock(time.Now)
+			} else {
+				tr.SetClock(clk.Now)
+			}
+			tr.SetClock(nil) // ignored
+		}
+	}()
+	wg.Wait()
+	if got := len(tr.Traces(0, 0, "")); got == 0 {
+		t.Fatal("no traces retained")
+	}
+}
+
+// TestNewIDShape: IDs are lowercase hex of twice the byte count, and
+// do not repeat.
+func TestNewIDShape(t *testing.T) {
+	seen := map[string]bool{}
+	for _, n := range []int{8, 16} {
+		for i := 0; i < 100; i++ {
+			id := newID(n)
+			if len(id) != 2*n || !isHex(id) || seen[id] {
+				t.Fatalf("newID(%d) = %q", n, id)
+			}
+			seen[id] = true
+		}
+	}
+}

@@ -27,6 +27,11 @@ type forecastSpec struct {
 	sigma    float64
 	level    float64
 	quantile float64
+
+	// draws is the revisions issuer's innovation memo: every provider of
+	// the install — each tick's, each ManageJob's, each horizon's —
+	// reads the one set of draws (nil for a model).
+	draws *forecast.Innovations
 }
 
 // provider returns the issuer as a forecast.Provider covering at least
@@ -35,7 +40,7 @@ func (fs *forecastSpec) provider(sig *grid.Signal, horizonS float64) forecast.Pr
 	if fs.model != nil {
 		return &forecast.FromHistory{Truth: sig, Model: fs.model, HorizonS: horizonS, Level: fs.level}
 	}
-	return &forecast.Revisions{Truth: sig, Seed: fs.seed, Sigma: fs.sigma, HorizonS: horizonS, Level: fs.level}
+	return &forecast.Revisions{Truth: sig, Seed: fs.seed, Sigma: fs.sigma, HorizonS: horizonS, Level: fs.level, Innovations: fs.draws}
 }
 
 // replanState is a managed job's rolling schedule: the request that
@@ -70,11 +75,12 @@ type replanState struct {
 // the view rolls forward freezes at the same instant and plans from the
 // same forecasts: the view issues one per requested horizon, lazily and
 // exactly once, and hands it read-only to every schedule that asks
-// (forecast.Stepper.Replan only reads its forecast) — issuing costs as
-// much as tens of solves, and 64 jobs of one tick used to pay it 64
-// times for bit-identical results. The signals planned on are shared
-// the same way, read-only: one quantile view per (forecast, quantile),
-// one re-based window per (view, bounds).
+// (forecast.Stepper.Replan only reads its forecast) — issuing is
+// quadratic in the covered future intervals even with the draws
+// memoized, it runs while the other workers wait, and 64 jobs of one
+// tick used to pay it 64 times for bit-identical results. The signals
+// planned on are shared the same way, read-only: one quantile view per
+// (forecast, quantile), one re-based window per (view, bounds).
 type tickView struct {
 	now  time.Time
 	sig  *grid.Signal
@@ -207,6 +213,8 @@ func (s *Server) setForecast(ctx context.Context, req ForecastRequest) (Forecast
 		}
 		spec.model = model
 		spec.name = model.Name()
+	} else {
+		spec.draws = forecast.NewInnovations(req.Seed)
 	}
 	level := req.Level
 	if level == 0 {
@@ -276,10 +284,16 @@ const maxForecastCycles = 1000
 // issueForecast runs the issuer over the signal's revealed history at
 // signal time t. The coverage always extends at least one full signal
 // cycle past t (rounded up to whole cycles), so a re-plan issued late
-// in the trace still sees a day ahead.
+// in the trace still sees a day ahead — except that the revisions
+// issuer's default stops forecast.MaxRevisionIntervals intervals past
+// t's, which only a cycle of more than half that many intervals
+// reaches; a requested horizon past that is refused.
 func issueForecast(sig *grid.Signal, spec *forecastSpec, t, horizonS float64) (*forecast.Forecast, error) {
 	h := sig.Horizon()
 	horizon := math.Ceil((t+h)/h) * h
+	if spec.model == nil {
+		horizon = forecast.RevisionsHorizon(sig, t, horizon)
+	}
 	if horizonS > horizon {
 		horizon = horizonS
 	}

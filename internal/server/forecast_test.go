@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -105,6 +106,61 @@ func TestForecastEndpoint(t *testing.T) {
 	}
 	if late.HorizonS-late.IssuedS < 14400 {
 		t.Fatalf("late issue sees only %v s ahead", late.HorizonS-late.IssuedS)
+	}
+}
+
+// TestRevisionsIntervalCap: a revisions forecast covers at most
+// forecast.MaxRevisionIntervals intervals past the one containing the
+// issue time, so both requests that set its horizon — POST
+// /grid/forecast's horizon_s and POST /controller/jobs' deadline_s —
+// are refused with 400 one interval past the cap, and accepted at it,
+// at the signal's start and cycles later.
+func TestRevisionsIntervalCap(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	srv := New()
+	srv.SetClock(clock.Now)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := client.NewServerClient(ts.URL)
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	sig := forecastTestSignal()
+	if _, err := cl.UploadGridSignal(sig, ""); err != nil {
+		t.Fatal(err)
+	}
+	step := sig.Intervals[0].EndS
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Half an interval in, then 10.5 intervals in (the third cycle).
+	for _, c := range []struct{ cur, advanceS float64 }{{0, step / 2}, {10, 10 * step}} {
+		clock.Advance(time.Duration(c.advanceS) * time.Second)
+		cur := c.cur
+		atCap := (cur + 1 + forecast.MaxRevisionIntervals) * step
+		pastCap := atCap + step
+		for _, c := range []struct {
+			horizonS float64
+			want     int
+		}{{pastCap, http.StatusBadRequest}, {atCap, http.StatusOK}, {0, http.StatusOK}} {
+			if got := post("/grid/forecast", fmt.Sprintf(`{"model":"revisions","seed":3,"horizon_s":%v}`, c.horizonS)); got != c.want {
+				t.Errorf("interval %v: POST /grid/forecast horizon_s %v: status %d, want %d", cur, c.horizonS, got, c.want)
+			}
+		}
+		for _, c := range []struct {
+			deadlineS float64
+			want      int
+		}{{pastCap, http.StatusBadRequest}, {atCap, http.StatusOK}} {
+			if got := post("/controller/jobs", fmt.Sprintf(`{"job_id":%q,"iterations":1000,"deadline_s":%v}`, id, c.deadlineS)); got != c.want {
+				t.Errorf("interval %v: POST /controller/jobs deadline_s %v: status %d, want %d", cur, c.deadlineS, got, c.want)
+			}
+		}
 	}
 }
 

@@ -580,3 +580,94 @@ func TestControllerConcurrentStress(t *testing.T) {
 		t.Errorf("only %v re-plans and %v version bumps in %d rounds", plans, bumps, rounds)
 	}
 }
+
+// TestControllerTickAllocs gates what a 64-job tick allocates — the
+// shape BenchmarkControllerTick/jobs-64 runs: a 96-interval day, a
+// revisions feed at sigma 0.2, so every tick re-plans every job, and a
+// deadline at the day's end. A tick reads its forecast's draws from the
+// installed issuer's memo and finds its metric series without
+// rendering label blocks; 4k objects a tick without either. The count
+// is exact only without -race: go test -run Allocs asserts it.
+func TestControllerTickAllocs(t *testing.T) {
+	const maxAllocs = 2600
+	srv, clock, ids := fleetServer(t, 64, nil)
+	srv.FleetStatus() // the last characterization's fleet recompute is done
+	sig := grid.Generate(grid.GenOptions{Intervals: 96, IntervalS: 900, Jitter: 0.1, Seed: 3})
+	if _, err := srv.SetGridSignal(*sig, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: 1, Sigma: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	for k, id := range ids {
+		lt, err := srv.Table(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := (0.5 + 0.25*float64(k%8)/8) * sig.Horizon() / lt.TStar()
+		if _, err := srv.ManageJob(id, target, sig.Horizon(), "", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replans := srv.obs.replans.Value()
+	ticks := 0
+	allocs := testing.AllocsPerRun(16, func() {
+		clock.Advance(15 * time.Minute)
+		if st := srv.TickController(); st.LastTickError != "" {
+			t.Fatal(st.LastTickError)
+		}
+		ticks++
+	})
+	if got := srv.obs.replans.Value() - replans; got != float64(64*ticks) {
+		t.Fatalf("%v re-plans over %d ticks, want every job re-planned on every tick", got, ticks)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts vary under -race; go test -run Allocs asserts them")
+	}
+	t.Logf("%v allocations per 64-job tick", allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("a 64-job tick allocates %v objects, want at most %d", allocs, maxAllocs)
+	}
+}
+
+// TestRevisionsFeedRunsForManyCycles: a controller with a revisions
+// feed keeps re-planning however long it runs and however many
+// intervals its day has. The issuer's cap counts intervals past now,
+// not since the signal's start, and a day of more than half the cap
+// has its default coverage stopped at the cap rather than refused.
+func TestRevisionsFeedRunsForManyCycles(t *testing.T) {
+	for _, c := range []struct{ intervals, cycles int }{{96, 30}, {600, 3}, {1100, 3}} {
+		t.Run(strconv.Itoa(c.intervals), func(t *testing.T) {
+			srv, clock, ids := fleetServer(t, 1, nil)
+			sig := grid.Generate(grid.GenOptions{Intervals: c.intervals, IntervalS: 86400 / float64(c.intervals), Jitter: 0.1, Seed: 3})
+			if _, err := srv.SetGridSignal(*sig, ""); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.SetForecast(ForecastRequest{Model: "revisions", Seed: 1, Sigma: 0.2}); err != nil {
+				t.Fatal(err)
+			}
+			lt, err := srv.Table(ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sig.Horizon()
+			for cyc := 0; cyc < c.cycles; cyc++ {
+				// A new target restarts the schedule: a fresh default deadline.
+				target := (0.4 + 0.001*float64(cyc)) * h / lt.TStar()
+				if _, err := srv.ManageJob(ids[0], target, 0, "", 0); err != nil {
+					t.Fatalf("cycle %d: %v", cyc, err)
+				}
+				issued := forecastsIssued(srv)
+				for k := 0; k < 8; k++ {
+					clock.Advance(time.Duration(h/8) * time.Second)
+					if st := srv.TickController(); st.LastTickError != "" {
+						t.Fatalf("cycle %d, tick %d: %s", cyc, k, st.LastTickError)
+					}
+				}
+				if forecastsIssued(srv) == issued {
+					t.Fatalf("cycle %d: no tick issued a forecast", cyc)
+				}
+			}
+		})
+	}
+}
