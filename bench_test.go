@@ -6,6 +6,7 @@
 package perseus
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,6 +30,7 @@ import (
 	"perseus/internal/plan"
 	"perseus/internal/profile"
 	"perseus/internal/region"
+	"perseus/internal/sched"
 	"perseus/internal/server"
 )
 
@@ -356,7 +358,7 @@ func BenchmarkFleetAllocate(b *testing.B) {
 		run(fmt.Sprintf("jobs-%d", n), benchFleet(n))
 	}
 	srv := server.New()
-	lt, err := srv.Table(benchJob(b, srv, benchUpload(b)))
+	lt, err := srv.Table(benchJob(b, srv, benchUpload(b, 2)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -412,7 +414,7 @@ func BenchmarkFrontierMerge(b *testing.B) {
 func BenchmarkGridOptimize(b *testing.B) {
 	synthetic := benchFleet(1)[0].Table
 	srv := server.New()
-	characterized, err := srv.Table(benchJob(b, srv, benchUpload(b)))
+	characterized, err := srv.Table(benchJob(b, srv, benchUpload(b, 2)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -536,20 +538,21 @@ func BenchmarkRegionPlanWarm(b *testing.B) {
 	}
 }
 
-// benchUpload synthesizes the profile a 2-stage GPT-3 1.3B job reports.
-func benchUpload(b *testing.B) server.ProfileUpload {
+// benchUpload synthesizes the profile a GPT-3 1.3B job of the given
+// number of stages reports.
+func benchUpload(b *testing.B, stages int) server.ProfileUpload {
 	b.Helper()
 	g := gpu.A100PCIe
 	m, err := model.GPT3("1.3b")
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := partition.MinImbalance(m.LayerCosts(), 2)
+	part, err := partition.MinImbalance(m.LayerCosts(), stages)
 	if err != nil {
 		b.Fatal(err)
 	}
 	w := profile.Workload{
-		Model: m, GPU: g, Stages: 2, Chunks: 1,
+		Model: m, GPU: g, Stages: stages, Chunks: 1,
 		Partition: part.Boundaries, MicrobatchSize: 4, TensorParallel: 1,
 	}
 	refs, err := w.StageRefTimes()
@@ -567,6 +570,40 @@ func benchUpload(b *testing.B) server.ProfileUpload {
 		}
 	}
 	return up
+}
+
+// BenchmarkProfileUpload is a profile's way from the trainer to the
+// optimizer for an 8-stage job, 16 computation types: the client's JSON
+// encoding of the upload, the handler's decoding of it, and
+// profile.Assemble. bytes/op is the request body's size.
+func BenchmarkProfileUpload(b *testing.B) {
+	up := benchUpload(b, 8)
+	g := gpu.A100PCIe
+	var size int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		body, err := up.MarshalJSON() // as the client sends it
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = len(body)
+		var got server.ProfileUpload
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&got); err != nil {
+			b.Fatal(err)
+		}
+		ms := make([]profile.Measurement, len(got.Measurements))
+		for j, m := range got.Measurements {
+			kind := sched.Forward
+			if m.Kind == "backward" {
+				kind = sched.Backward
+			}
+			ms[j] = profile.Measurement{Virtual: m.Virtual, Kind: kind, Freq: gpu.Frequency(m.Freq), Time: m.Time, Energy: m.Energy}
+		}
+		if _, err := profile.Assemble(g, got.PBlocking, ms); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(size), "bytes/op")
 }
 
 // benchJob registers one job on the server and waits for its frontier.
@@ -592,7 +629,7 @@ func benchJob(b *testing.B, srv *server.Server, up server.ProfileUpload) string 
 func benchServer(b *testing.B) (*server.Server, string, float64) {
 	b.Helper()
 	srv := server.New()
-	id := benchJob(b, srv, benchUpload(b))
+	id := benchJob(b, srv, benchUpload(b, 2))
 	sig := grid.Generate(grid.GenOptions{Intervals: 288, IntervalS: 300, Jitter: 0.1, Seed: 3})
 	if _, err := srv.SetGridSignal(*sig, ""); err != nil {
 		b.Fatal(err)
@@ -617,7 +654,7 @@ func benchServer(b *testing.B) (*server.Server, string, float64) {
 func BenchmarkControllerTick(b *testing.B) {
 	const interval, episode = 15 * time.Minute, 48
 	sig := grid.Generate(grid.GenOptions{Intervals: 96, IntervalS: interval.Seconds(), Jitter: 0.1, Seed: 3})
-	up := benchUpload(b)
+	up := benchUpload(b, 2)
 	for _, jobs := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("jobs-%d", jobs), func(b *testing.B) {
 			now := time.Unix(1_700_000_000, 0)

@@ -5,8 +5,9 @@
 // another package's type travel as that type: grid.Signal, grid.Plan,
 // region.Plan, frontier.LookupTable and the obs views embedded below.
 //
-// Declarations only — the routes these bodies travel on are the
-// registration list in server.routes.
+// Declarations only, with one codec: ProfileUpload travels as one row
+// per computation type (upload.go). The routes these bodies travel on
+// are the registration list in server.routes.
 package api
 
 import (
@@ -41,19 +42,28 @@ type JobResponse struct {
 	JobID string `json:"job_id"`
 }
 
-// MeasurementJSON is one profiler observation (client → server).
+// MeasurementJSON is one profiler observation (client → server). On the
+// wire it is a column entry of its computation type's row, not an object
+// of its own (ProfileUpload).
 type MeasurementJSON struct {
-	Virtual int     `json:"virtual"`
-	Kind    string  `json:"kind"` // "forward" | "backward"
-	Freq    int     `json:"freq_mhz"`
-	Time    float64 `json:"time_s"`
-	Energy  float64 `json:"energy_j"`
+	Virtual int
+	Kind    string // "forward" | "backward"
+	Freq    int    // MHz
+	Time    float64
+	Energy  float64
 }
 
-// ProfileUpload carries a job's complete online profile.
+// ProfileUpload carries a job's complete online profile. Its JSON body is
+//
+//	{"p_blocking_w": 75,
+//	 "types": [{"virtual": 0, "kind": "forward",
+//	            "freq_mhz": [1410, 1395], "time_s": [0.031, 0.0312], "energy_j": [7.9, 7.7]}, ...]}
+//
+// one row per (virtual stage, kind) — the table the profiler fills — with
+// that type's measurements in the order they were taken.
 type ProfileUpload struct {
-	PBlocking    float64           `json:"p_blocking_w"`
-	Measurements []MeasurementJSON `json:"measurements"`
+	PBlocking    float64
+	Measurements []MeasurementJSON
 }
 
 // StragglerNotice is the set_straggler payload (paper Table 2): the

@@ -231,7 +231,16 @@ type (
 func (c *ServerClient) do(method, path string, in any, ifNoneMatch string) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
-		buf, err := json.Marshal(in)
+		// A body that encodes itself (api.ProfileUpload) is sent as it
+		// encodes: json.Marshal would scan the result again to compact it,
+		// which for a profile costs about as much as encoding it.
+		var buf []byte
+		var err error
+		if m, ok := in.(json.Marshaler); ok {
+			buf, err = m.MarshalJSON()
+		} else {
+			buf, err = json.Marshal(in)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -5,11 +5,13 @@ import "math"
 // dinic pushes the maximum flow from s to t using Dinic's algorithm: BFS
 // level graphs with blocking flows found by DFS. It computes the same flow
 // value and the same minimum cut as Edmonds-Karp, and on the Capacity DAGs
-// the Perseus optimizer builds it is no faster (BenchmarkAblationMaxFlowSolver:
-// the two stay within each other's spread, because a warm-started step
-// pushes less than one path). The paper uses Edmonds-Karp (§4.3), so that
-// is the default solver; Dinic is the independent reference the
-// benchmark's table check compares it with.
+// the Perseus optimizer builds it is no faster, because a warm-started
+// step pushes less than one path: in BenchmarkAblationMaxFlowSolver, ten
+// interleaved runs on a 2-vCPU Xeon, Edmonds-Karp takes a median 2.76 ms
+// (quartiles 2.69–3.10) and Dinic 3.04 ms (2.92–3.16), about 10 % slower
+// at the median with the spreads overlapping. The paper uses Edmonds-Karp
+// (§4.3), so that is the default solver; Dinic is the independent
+// reference the benchmark's table check compares it with.
 func (g *graph) dinic(s, t int) float64 {
 	g.build()
 	var total float64
@@ -23,7 +25,9 @@ func (g *graph) dinic(s, t int) float64 {
 			total += pushed
 			g.paths++
 		}
+		reset(g.level, g.queue)
 	}
+	reset(g.level, g.queue)
 	return total
 }
 
@@ -33,14 +37,11 @@ func (g *graph) dinic(s, t int) float64 {
 func (g *graph) levels(s, t int) bool {
 	g.searches++
 	level := g.level
-	for i := range level {
-		level[i] = -1
-	}
 	level[s] = 0
 	queue := append(g.queue[:0], int32(s))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, id := range g.arcs(u) {
+		for _, id := range g.searched(u) {
 			v := g.to[id]
 			if level[v] < 0 && g.residual(id) > eps {
 				level[v] = level[u] + 1
@@ -58,7 +59,7 @@ func (g *graph) blocking(u, t int32, limit float64) float64 {
 	if u == t {
 		return limit
 	}
-	for ; g.iter[u] < g.start[u+1]; g.iter[u]++ {
+	for ; g.iter[u] < g.stop[u]; g.iter[u]++ {
 		id := g.adj[g.iter[u]]
 		v := g.to[id]
 		if g.level[v] != g.level[u]+1 {
@@ -84,15 +85,19 @@ type Solver int
 const (
 	// EdmondsKarp is the paper's solver (§4.3): BFS augmenting paths.
 	EdmondsKarp Solver = iota
-	// Dinic is the level-graph solver; identical cuts, no measured speed
-	// difference on these networks (BenchmarkAblationMaxFlowSolver).
+	// Dinic is the level-graph solver; identical cuts, and no faster on
+	// these networks (BenchmarkAblationMaxFlowSolver; see dinic).
 	Dinic
 )
 
-// maxFlow dispatches on the solver.
+// maxFlows holds each Solver's routine. The package's tests add the
+// full-scan Edmonds-Karp reference past the exported solvers.
+var maxFlows = []func(g *graph, s, t int) float64{EdmondsKarp: (*graph).edmondsKarp, Dinic: (*graph).dinic}
+
+// maxFlow runs the solver's routine; an unknown solver runs Edmonds-Karp.
 func (g *graph) maxFlow(solver Solver, s, t int) float64 {
-	if solver == Dinic {
-		return g.dinic(s, t)
+	if uint(solver) >= uint(len(maxFlows)) {
+		solver = EdmondsKarp
 	}
-	return g.edmondsKarp(s, t)
+	return maxFlows[solver](g, s, t)
 }

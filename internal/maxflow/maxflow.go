@@ -36,11 +36,18 @@ type graph struct {
 	// a start of the wrong length marks it stale.
 	start, adj []int32
 
+	// A search reads node u's arcs up to adj[stop[u]]: every arc
+	// (start[1:], what build sets) unless the caller knows the arcs past
+	// some point carry no flow and can take none, as a Network does with
+	// its super arcs outside the routing phase.
+	stop []int32
+
 	// Solver scratch, sized with the adjacency. After a solver returns,
 	// queue holds the nodes its last search reached from the source: that
 	// search found no path to the sink, so they are the S side of a
 	// minimum cut — the same set after every maximum flow, the smallest S
-	// side among minimum cuts.
+	// side among minimum cuts. Between searches every prev and level
+	// entry is -1: a search resets only the nodes it reached.
 	prev, level, iter, queue []int32
 
 	paths    int // augmenting paths pushed so far, by either solver
@@ -82,6 +89,7 @@ func (g *graph) build() {
 		g.start[u+1] += g.start[u]
 	}
 	g.adj = make([]int32, len(g.to))
+	g.stop = g.start[1:]
 	g.prev = make([]int32, g.n)
 	g.level = make([]int32, g.n)
 	g.iter = make([]int32, g.n)
@@ -93,10 +101,16 @@ func (g *graph) build() {
 		g.adj[next[u]] = int32(id)
 		next[u]++
 	}
+	for u := range g.prev {
+		g.prev[u], g.level[u] = -1, -1
+	}
 }
 
 // arcs returns the ids of the arcs leaving u.
 func (g *graph) arcs(u int32) []int32 { return g.adj[g.start[u]:g.start[u+1]] }
+
+// searched returns the ids of the arcs leaving u that a search reads.
+func (g *graph) searched(u int32) []int32 { return g.adj[g.start[u]:g.stop[u]] }
 
 // residual returns the residual capacity of edge id.
 func (g *graph) residual(id int32) float64 { return g.cap[id] - g.flow[id] }
@@ -112,16 +126,13 @@ func (g *graph) edmondsKarp(s, t int) float64 {
 	prev := g.prev
 	for {
 		g.searches++
-		for i := range prev {
-			prev[i] = -1
-		}
 		prev[s] = -2
 		queue := append(g.queue[:0], int32(s))
 		found := false
 	bfs:
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for _, id := range g.arcs(u) {
+			for _, id := range g.searched(u) {
 				v := g.to[id]
 				if prev[v] == -1 && g.residual(id) > eps {
 					prev[v] = id
@@ -133,8 +144,9 @@ func (g *graph) edmondsKarp(s, t int) float64 {
 				}
 			}
 		}
+		g.queue = queue
 		if !found {
-			g.queue = queue
+			reset(prev, queue)
 			return total
 		}
 		// Find the bottleneck along the path.
@@ -152,7 +164,16 @@ func (g *graph) edmondsKarp(s, t int) float64 {
 			g.flow[id^1] -= bottleneck
 			v = g.to[id^1]
 		}
+		reset(prev, queue)
+		prev[t] = -1
 		total += bottleneck
 		g.paths++
+	}
+}
+
+// reset sets the entries of the nodes a search reached back to -1.
+func reset(marks, reached []int32) {
+	for _, v := range reached {
+		marks[v] = -1
 	}
 }

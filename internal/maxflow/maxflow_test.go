@@ -2,6 +2,7 @@ package maxflow
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -358,6 +359,11 @@ func warmTestNetwork() (n int, edges []BoundedEdge) {
 // move may re-issue the bounds the edge already has, which must not count
 // as a moved edge, or first set upper below lower, which the next Solve
 // must reject without touching anything, and then repair it.
+//
+// A second Network takes the same rounds with its s→t searches reading
+// every arc, the super arcs and the t→s edge included, and its
+// Edmonds-Karp solves run by fullScanEdmondsKarp: the two must agree on
+// every verdict, value, S side, edge flow, path and search count.
 func FuzzWarmMinCut(f *testing.F) {
 	f.Add([]byte{0, 0, 9, 3, 2, 20, 7, 5, 1})
 	f.Add([]byte{1, 7, 0, 1, 7, 250, 4, 0, 240, 4, 1, 3, 2, 6, 2})
@@ -372,6 +378,17 @@ func FuzzWarmMinCut(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		full, err := NewNetwork(n, edges, 0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.real = full.g.start[1:]
+		fullSolve := func(solver Solver) (float64, error) {
+			if solver == EdmondsKarp {
+				solver = fullScan
+			}
+			return full.Solve(solver)
+		}
 		// pending marks the edges the next Solve has to re-clamp: all of
 		// them at first, then those a SetBounds gave different bounds.
 		pending := make([]bool, len(edges))
@@ -383,6 +400,7 @@ func FuzzWarmMinCut(f *testing.F) {
 				e.Lower, e.Upper, pending[i] = lower, upper, true
 			}
 			nw.SetBounds(i, lower, upper)
+			full.SetBounds(i, lower, upper)
 		}
 		for step := 0; step < 64 && len(ops) >= 3; step++ {
 			solver := Solver(ops[1] >> 7)
@@ -405,6 +423,9 @@ func FuzzWarmMinCut(f *testing.F) {
 					if nw.EdgesMoved() != before {
 						t.Fatalf("step %d: a rejected Solve moved %d edges", step, nw.EdgesMoved()-before)
 					}
+					if _, err := fullSolve(solver); err == nil || errors.Is(err, ErrInfeasible) {
+						t.Fatalf("step %d: full-scan Solve with upper < lower on edge %d: %v", step, i, err)
+					}
 				}
 				set(i, lower, upper)
 			}
@@ -418,6 +439,24 @@ func FuzzWarmMinCut(f *testing.F) {
 
 			want, wantErr := MinCutWithBoundsUsing(solver, n, edges, 0, n-1)
 			got, gotErr := nw.Solve(solver)
+			ref, refErr := fullSolve(solver)
+			if fmt.Sprint(gotErr) != fmt.Sprint(refErr) || got != ref {
+				t.Fatalf("step %d: trimmed search %v, %v; full scan %v, %v", step, got, gotErr, ref, refErr)
+			}
+			if nw.AugmentingPaths() != full.AugmentingPaths() || nw.Searches() != full.Searches() {
+				t.Fatalf("step %d: trimmed search %d paths in %d searches; full scan %d in %d",
+					step, nw.AugmentingPaths(), nw.Searches(), full.AugmentingPaths(), full.Searches())
+			}
+			for i := range edges {
+				if math.Float64bits(nw.Flow(i)) != math.Float64bits(full.Flow(i)) {
+					t.Fatalf("step %d: edge %d carries %v after the trimmed search, %v after the full scan", step, i, nw.Flow(i), full.Flow(i))
+				}
+			}
+			for v, inS := range full.SSide() {
+				if nw.SSide()[v] != inS {
+					t.Fatalf("step %d: node %d on S side: trimmed %v, full scan %v", step, v, nw.SSide()[v], inS)
+				}
+			}
 			if nw.EdgesMoved() != wantMoved {
 				t.Fatalf("step %d: %d edges moved so far, want %d", step, nw.EdgesMoved(), wantMoved)
 			}

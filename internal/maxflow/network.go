@@ -59,6 +59,11 @@ type Network struct {
 	// and every infinite edge with it, only when the sum outgrows it.
 	sumFinite, sumLower, big float64
 
+	// Node u's real arcs, those of the caller's edges, are
+	// g.adj[g.start[u]:real[u]]: they come first among its arcs, in edge
+	// order, before the t→s edge's and the super arcs.
+	real []int32
+
 	side  []bool // the last Solve's S side
 	moved int    // edges re-clamped by every Solve so far
 }
@@ -90,7 +95,16 @@ func NewNetwork(n int, edges []BoundedEdge, s, t int) (*Network, error) {
 		nw.g.addEdge(n, v, 0)
 		nw.g.addEdge(v, n+1, 0)
 	}
-	nw.g.build()
+	g := nw.g
+	g.build()
+	nw.real = make([]int32, n+2)
+	for u := range nw.real {
+		end := g.start[u]
+		for end < g.start[u+1] && int(g.adj[end]) < 2*len(edges) {
+			end++
+		}
+		nw.real[u] = end
+	}
 	return nw, nil
 }
 
@@ -225,6 +239,7 @@ func (nw *Network) Solve(solver Solver) (float64, error) {
 	// while more than a search can see is left of its imbalance.
 	var got float64
 	if demand > eps {
+		g.stop = g.start[1:]
 		got = g.maxFlow(solver, nw.n, nw.n+1)
 	}
 	open := nw.open[:0]
@@ -249,8 +264,11 @@ func (nw *Network) Solve(solver Solver) (float64, error) {
 
 	// Steps 3-4: continue augmenting s→t on the same residual graph. The
 	// backward residual of a real edge correctly allows reducing its flow
-	// down to the lower bound. The search that finds no further path has
-	// reached exactly the S side, and left it in g.queue.
+	// down to the lower bound. The super arcs and the t→s edge carry
+	// nothing and can take nothing now, so the searches read only the real
+	// arcs. The search that finds no further path has reached exactly the
+	// S side, and left it in g.queue.
+	g.stop = nw.real
 	g.maxFlow(solver, nw.s, nw.t)
 	clear(nw.side)
 	for _, v := range g.queue {

@@ -20,9 +20,14 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"perseus/internal/fit"
 	"perseus/internal/gpu"
@@ -286,65 +291,112 @@ type Measurement struct {
 // pruned to its Pareto-optimal front on adjusted energy, and the
 // exponential relaxation is fitted. pBlocking is the separately measured
 // blocking power.
+//
+// The types are fitted in parallel, on up to GOMAXPROCS goroutines; the
+// result does not depend on how many. When several types cannot be
+// fitted, the error is that of the first of them to appear in ms.
 func Assemble(g *gpu.Model, pBlocking float64, ms []Measurement) (*Profile, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("profile: no measurements")
 	}
-	type cell struct {
-		t, e float64
-		n    int
+	sweeps := byType(ms)
+	tps := make([]*TypeProfile, len(sweeps))
+	errs := make([]error, len(sweeps))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(sweeps); i = int(next.Add(1)) - 1 {
+			tps[i], errs[i] = fitSweep(sweeps[i], pBlocking)
+		}
 	}
-	agg := map[TypeKey]map[gpu.Frequency]*cell{}
-	for _, m := range ms {
-		key := TypeKey{m.Virtual, m.Kind}
-		if agg[key] == nil {
-			agg[key] = map[gpu.Frequency]*cell{}
-		}
-		c := agg[key][m.Freq]
-		if c == nil {
-			c = &cell{}
-			agg[key][m.Freq] = c
-		}
-		c.t += m.Time
-		c.e += m.Energy
-		c.n++
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(sweeps)) - 1; w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	p := &Profile{GPU: g, PBlocking: pBlocking, Types: map[TypeKey]*TypeProfile{}}
-	for key, freqs := range agg {
-		var pts []gpu.Point
-		raws := map[gpu.Frequency]float64{}
-		for f, c := range freqs {
-			t := c.t / float64(c.n)
-			e := c.e / float64(c.n)
-			pts = append(pts, gpu.Point{Freq: f, Time: t, Energy: e - pBlocking*t})
-			raws[f] = e
+	work()
+	wg.Wait()
+	p := &Profile{GPU: g, PBlocking: pBlocking, Types: make(map[TypeKey]*TypeProfile, len(tps))}
+	for i, tp := range tps {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		sort.Slice(pts, func(i, j int) bool { return pts[i].Time < pts[j].Time })
-		// Pareto-prune on adjusted energy.
-		pruned := pts[:0]
-		minE := math.Inf(1)
-		for _, pt := range pts {
-			if pt.Energy < minE {
-				pruned = append(pruned, pt)
-				minE = pt.Energy
-			}
-		}
-		if len(pruned) < 3 {
-			return nil, fmt.Errorf("profile: type %v has only %d Pareto points; profile more frequencies", key, len(pruned))
-		}
-		tp := &TypeProfile{Key: key, Points: append([]gpu.Point(nil), pruned...)}
-		var ts, es []float64
-		for _, pt := range tp.Points {
-			tp.Raw = append(tp.Raw, raws[pt.Freq])
-			ts = append(ts, pt.Time)
-			es = append(es, pt.Energy)
-		}
-		curve, err := fit.FitExp(ts, es)
-		if err != nil {
-			return nil, fmt.Errorf("profile: fitting %v: %w", key, err)
-		}
-		tp.Curve = curve
-		p.Types[key] = tp
+		p.Types[tp.Key] = tp
 	}
 	return p, nil
+}
+
+// byType splits ms by computation type, in the order the types first
+// appear, each type's measurements in the order they were taken.
+func byType(ms []Measurement) [][]Measurement {
+	index := map[TypeKey]int{}
+	var sweeps [][]Measurement
+	for _, m := range ms {
+		key := TypeKey{m.Virtual, m.Kind}
+		j, ok := index[key]
+		if !ok {
+			j = len(sweeps)
+			index[key] = j
+			sweeps = append(sweeps, nil)
+		}
+		sweeps[j] = append(sweeps[j], m)
+	}
+	return sweeps
+}
+
+// fitSweep builds one type's profile from its measurements, which it
+// reorders.
+func fitSweep(ms []Measurement, pBlocking float64) (*TypeProfile, error) {
+	key := TypeKey{ms[0].Virtual, ms[0].Kind}
+	// One cell per frequency: a stable sort keeps a frequency's repeats in
+	// the order they were taken, so each mean adds them in that order.
+	slices.SortStableFunc(ms, func(a, b Measurement) int { return cmp.Compare(a.Freq, b.Freq) })
+	type cell struct {
+		gpu.Point
+		raw float64
+	}
+	cells := make([]cell, 0, len(ms))
+	for i := 0; i < len(ms); {
+		var t, e float64
+		j := i
+		for ; j < len(ms) && ms[j].Freq == ms[i].Freq; j++ {
+			t += ms[j].Time
+			e += ms[j].Energy
+		}
+		t, e = t/float64(j-i), e/float64(j-i)
+		cells = append(cells, cell{gpu.Point{Freq: ms[i].Freq, Time: t, Energy: e - pBlocking*t}, e})
+		i = j
+	}
+	// Pareto-prune on adjusted energy. Of two frequencies with the same
+	// mean time the cheaper one is kept, and of two with the same time and
+	// energy the faster clock, so the front does not depend on the order
+	// the frequencies were measured in.
+	slices.SortFunc(cells, func(a, b cell) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Energy, b.Energy), cmp.Compare(b.Freq, a.Freq))
+	})
+	tp := &TypeProfile{Key: key}
+	minE := math.Inf(1)
+	for _, c := range cells {
+		if c.Energy < minE {
+			tp.Points = append(tp.Points, c.Point)
+			tp.Raw = append(tp.Raw, c.raw)
+			minE = c.Energy
+		}
+	}
+	if len(tp.Points) < 3 {
+		return nil, fmt.Errorf("profile: type %v has only %d Pareto points; profile more frequencies", key, len(tp.Points))
+	}
+	ts := make([]float64, len(tp.Points))
+	es := make([]float64, len(tp.Points))
+	for i, pt := range tp.Points {
+		ts[i], es[i] = pt.Time, pt.Energy
+	}
+	curve, err := fit.FitExp(ts, es)
+	if err != nil {
+		return nil, fmt.Errorf("profile: fitting %v: %w", key, err)
+	}
+	tp.Curve = curve
+	return tp, nil
 }

@@ -195,6 +195,52 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestProfileBodyErrors: a profile body whose rows have columns of
+// different lengths, or that lists its measurements one object each,
+// answers 400 (the latter naming "types") and stores nothing, so the
+// job's next, well-formed upload is its first.
+func TestProfileBodyErrors(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req := JobRequest{Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3}
+	id, err := srv.Register(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs/"+id+"/profile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := post(`{"p_blocking_w":75,"types":[{"virtual":0,"kind":"forward","freq_mhz":[1410,1395,1380],"time_s":[1,1.1],"energy_j":[3,2.9,2.8]}]}`); code != http.StatusBadRequest {
+		t.Fatalf("rows of unequal length = %d %q, want 400", code, msg)
+	}
+	code, msg := post(`{"p_blocking_w":75,"measurements":[{"virtual":0,"kind":"forward","freq_mhz":1410,"time_s":1,"energy_j":3}]}`)
+	if code != http.StatusBadRequest || !strings.Contains(msg, `"types"`) {
+		t.Fatalf("per-measurement body = %d %q, want 400 naming \"types\"", code, msg)
+	}
+	g, err := gpu.ByName(req.GPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := json.Marshal(buildUpload(t, g, req.Stages, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := post(string(buf)); code != http.StatusAccepted {
+		t.Fatalf("well-formed upload after the rejected ones = %d %q, want 202", code, msg)
+	}
+	if err := srv.WaitCharacterized(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 var routeLabelRE = regexp.MustCompile(`(?m)^perseus_http_requests_total\{route="([^"]*)",method="([^"]*)",code="([^"]*)"\}`)
 
 // TestRouteLabelsAreRegisteredPatterns: whatever is requested — valid,
