@@ -405,12 +405,13 @@ func BenchmarkFrontierMerge(b *testing.B) {
 // BenchmarkGridOptimize measures the temporal planner — the inner
 // solver every region placement evaluation and every forecast re-plan
 // runs, so its cost multiplies through both outer layers. intervals-N
-// plans the 41-point synthetic table with a fresh solver per solve;
-// characterized-96 plans the table benchUpload's job characterizes to
-// (222 Pareto points, 25 on the hull the solver steps over: the regime
-// a controller tick lives in), and reused-96 does so on one
-// Solver, as every hot caller does. steps/op is the greedy steps a solve
-// takes, so ns/step compares across machines.
+// plans the 41-point synthetic table through the package Optimize (its
+// pooled Solver); characterized-96 plans the table benchUpload's job
+// characterizes to (222 Pareto points, 25 on the hull the solver steps
+// over: the regime a controller tick lives in), and reused-96 does so
+// on one Solver, as every hot caller does. steps/op is Solver.Steps,
+// the steps a one-at-a-time fill would take: the solver prices them
+// instead, so it pins the plans, not the solver's work.
 func BenchmarkGridOptimize(b *testing.B) {
 	synthetic := benchFleet(1)[0].Table
 	srv := server.New()
@@ -713,9 +714,12 @@ func BenchmarkControllerTick(b *testing.B) {
 
 // BenchmarkServerPlanCold measures /grid/plan's solve path with every
 // request missing the cache (each iteration asks a new target), i.e.
-// the pre-cache behavior of the endpoint.
+// the pre-cache behavior of the endpoint. Its solver comes from the
+// server's pool, so allocs/op counts the plan and the cache entry, not
+// the solver's buffers.
 func BenchmarkServerPlanCold(b *testing.B) {
 	srv, id, target := benchServer(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan, err := srv.GridPlan(id, target+float64(i)*1e-6, 0, "")

@@ -13,9 +13,8 @@ type Key struct {
 
 func (a Key) less(b Key) bool { return a.Slope < b.Slope || (a.Slope == b.Slope && a.Lane < b.Lane) }
 
-// Descend is the one steepest-descent walk, whose lanes are the
-// temporal greedy's intervals, the fleet allocator's jobs and Merge's
-// tables. It heapifies h, one key per lane with a pending step, and
+// Descend is the one steepest-descent walk, whose lanes are the fleet
+// allocator's jobs and Merge's tables. It heapifies h, one key per lane with a pending step, and
 // calls step with the least key: step takes that step and returns the
 // lane's next key, ok false once the lane is exhausted, stop true to end
 // the walk. A steepest-first walk keys by the negated slope, exactly.

@@ -54,7 +54,11 @@ func fuzzInstance(seed int64, targetFrac, deadlineFrac float64) (*frontier.Looku
 // and asserts the temporal planner's invariants on every instance:
 //
 //  0. the solver agrees bit for bit with the scan reference (scanSolve),
-//     on the instance, under NoIdle, and over a non-convex table;
+//     on the instance, under NoIdle, and over a non-convex table; and
+//     with the greedy it replaced (solveGreedy) every total agrees
+//     within 1e-12 relative where the two make the same decisions, the
+//     objective at equal iterations where a tie lets them differ
+//     (greedyDecisions);
 //  1. feasibility is decided correctly — the plan is feasible exactly
 //     when the target fits under the deadline at the fastest allowed
 //     points, and a feasible plan completes the target by the deadline;
@@ -85,17 +89,21 @@ func FuzzOptimize(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		// (0) Exact agreement with the scan reference, and (4) the price
-		// certificate.
+		// (0) Exact agreement with the scan reference and the greedy's
+		// cost, and (4) the price certificate.
 		var sol solution
+		var solver Solver
 		bumpy := bumpyTable(rand.New(rand.NewSource(seed)), 40+seed&31, 2+int(seed&7))
 		for _, noIdle := range []bool{false, true} {
 			o := opts
 			o.NoIdle = noIdle
 			for _, table := range []*frontier.LookupTable{lt, bumpy} {
 				checkAgainstScan(t, &sol, table, sig, o)
-				p, err := Optimize(table, sig, o)
+				p, err := solver.Optimize(table, sig, o)
 				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := greedyDecisions(&solver, table, sig, o, p); err != nil {
 					t.Fatal(err)
 				}
 				checkPrice(t, table, sig, o, p)

@@ -1,10 +1,13 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"perseus/internal/frontier"
 	"perseus/internal/plan"
@@ -169,7 +172,7 @@ type Plan struct {
 	FinishS float64 `json:"finish_s"`
 
 	// Price is λ, the marginal objective cost of one more iteration: the
-	// slope of the greedy's last step. Every interval's choice minimizes
+	// slope of the plan's last step. Every interval's choice minimizes
 	// cost − λ·iterations over its allowed points (idle included unless
 	// NoIdle), and a time-shared interval's two states tie — the dual
 	// certificate that the plan is optimal. 0 when the target needed no
@@ -232,41 +235,44 @@ func (p *Plan) Intervals(lt *frontier.LookupTable, sig *Signal) iter.Seq[Interva
 // Total reads the plan total matching its objective.
 func (p *Plan) Total() float64 { return p.Account.Total(p.Objective) }
 
-// planInterval is the solver's working state for one interval. Its
-// states are solver positions (see solution.pts): the descent steps one
-// position faster at a time, except that a capped interval whose floor
-// is off the table's hull leaves the hull at join for its own prefix,
-// entering it at tail.
+// planInterval is the solver's working state for one interval. It
+// climbs a ladder (see solution.ladder) from idle one step at a time,
+// each step moving it to a faster solver position (see solution.pts).
 type planInterval struct {
-	iv   Interval
-	dur  float64
-	perJ float64 // objective weight per joule
-	c    float64 // perJ·scale·dur: what every descent step's dc multiplies
-	work float64 // dur/tm[cur], carried from the step that reached cur; 0 idle
-	lo   int     // fastest allowed position under the interval cap
-	join int     // hull position stepped from into tail; -1 when lo is on the hull
-	tail int     // slowest position of the interval's own prefix
-	only bool    // idle-only: even the slowest point violates the cap
-	cur  int     // current descent state; -1 = idle
-	next step    // the one pending step out of cur (valid while its key is in the walk)
+	iv    Interval
+	dur   float64
+	rate  float64 // objective weight per joule × scale: a step's slope is rate·sigma
+	base  int     // the interval's ladder starts at sol.ladder[base]
+	first int     // steps taken before the search: 1 under NoIdle (awake at the slowest point)
+	end   int     // steps the cap allows: the last reaches the fastest allowed position; 0 forces idle
+	cur   int     // solver position of the steps taken; -1 = idle
+}
+
+// rung is one step of a ladder: into solver position to, at a slope
+// of the interval's rate times sigma. The interval's duration cancels
+// out of the slope — waking at the slowest point costs P·t per
+// iteration, a step between hull vertices ΔP/Δ(1/t) — so one ladder
+// serves every interval that climbs it.
+type rung struct {
+	sigma float64
+	speed float64 // 1/t at position to: iterations per second there
+	to    int
 }
 
 // capPrefix is the hull prefix of one cap floor, the fastest table
 // point a cap allows: the vertices of the hull of table points floor..h
-// faster than h, the first table hull point after floor (hull position
-// join). They sit at solver positions pos..tail, fastest first.
+// faster than h, the first table hull point after floor. They sit at
+// solver positions from pos on, fastest first, and the floor's ladder
+// (sol.ladder[base:base+end]) climbs the table's hull to h, then them.
 type capPrefix struct {
-	floor, pos, join, tail int
+	floor, pos, base, end int
 }
 
-// step is one marginal segment of an interval's cost-vs-iterations
-// frontier: moving the interval from its current state (-1 = idle) to
-// state `to` buys dw iterations at cost dc and leaves it doing w
-// iterations. Segments are divisible — taking fraction f of a step
-// time-shares the two states within the interval.
-type step struct {
-	to        int
-	w, dw, dc float64
+// candidate is a step inside the price bracket: the next step of
+// interval k, at its slope.
+type candidate struct {
+	slope float64
+	k     int
 }
 
 // fracStep is the single partially taken step of a solution: fraction
@@ -278,7 +284,7 @@ type fracStep struct {
 }
 
 // solution is the solver outcome, carrying the normalized inputs it
-// was solved under: each interval's descent state and at most one
+// was solved under: each interval's position and at most one
 // fractional step. A solution's buffers are reusable: solving into the
 // same value again truncates and refills them instead of re-allocating.
 type solution struct {
@@ -288,12 +294,22 @@ type solution struct {
 	// lt.PointTime and lt.AvgPower of each position.
 	pts      []int
 	tm, pw   []float64
-	slowest  int // the hull's last position: the table's slowest point
 	prefixes []capPrefix
 	hull     []int // scratch for frontier.LookupTable.HullOf
-	heap     []frontier.Key
+	// ladder holds the slopes: the hull's first (len(hull) rungs, from
+	// waking at the slowest point to the fastest), then one per cap
+	// prefix. Each ladder's sigmas are non-decreasing.
+	ladder []rung
+	// The price search's buffers: steps per interval at the bracket's
+	// low and high ends and at a probe (three runs of one array), each
+	// interval's iterations during the candidate walk, the sorted lanes
+	// and the candidates.
+	counts   []int
+	w        []float64
+	lanes    []uint64 // intervals with steps to decide, by rate
+	cands    []candidate
 	frac     fracStep
-	steps    int     // greedy steps taken, the fractional one included
+	steps    int     // ladder steps in the plan, the fractional one included
 	price    float64 // slope of the last step taken: Plan.Price
 	coverage float64
 	cost     float64
@@ -304,35 +320,6 @@ type solution struct {
 	obj      Objective
 }
 
-// nextStep sets pi.next to the interval's next marginal step — wake up
-// at the slowest point, then one hull vertex faster at a time — and
-// returns its key; false once the interval is saturated at its cap
-// floor. A step costs the two divisions that are new in it: w and the
-// slope.
-func (sol *solution) nextStep(k int32) (frontier.Key, bool) {
-	pi := &sol.ivs[k]
-	if pi.only || pi.cur == pi.lo {
-		return frontier.Key{}, false
-	}
-	st := &pi.next
-	if pi.cur < 0 {
-		// First step: wake up at the slowest point, the hull's last.
-		st.to = sol.slowest
-		st.w = pi.dur / sol.tm[st.to]
-		st.dw = st.w
-		st.dc = pi.perJ * sol.scale * sol.pw[st.to] * pi.dur
-	} else {
-		st.to = pi.cur - 1
-		if pi.cur == pi.join {
-			st.to = pi.tail
-		}
-		st.w = pi.dur / sol.tm[st.to]
-		st.dw = st.w - pi.work
-		st.dc = pi.c * (sol.pw[st.to] - sol.pw[pi.cur])
-	}
-	return frontier.Key{Slope: st.dc / st.dw, Lane: k}, true
-}
-
 // addPoint appends table point i as the next solver position.
 func (sol *solution) addPoint(lt *frontier.LookupTable, i int) {
 	sol.pts = append(sol.pts, i)
@@ -340,28 +327,56 @@ func (sol *solution) addPoint(lt *frontier.LookupTable, i int) {
 	sol.pw = append(sol.pw, lt.AvgPower(i))
 }
 
+// climb appends the rung from solver position from (-1: idle) into
+// position to, its sigma raised to the previous rung's where rounding
+// would put it below: two nearly collinear hull vertices must not give
+// a ladder that descends.
+func (sol *solution) climb(from, to int) {
+	r := rung{sigma: sol.pw[to] * sol.tm[to], speed: 1 / sol.tm[to], to: to}
+	if from >= 0 {
+		r.sigma = max((sol.pw[to]-sol.pw[from])/(1/sol.tm[to]-1/sol.tm[from]), sol.ladder[len(sol.ladder)-1].sigma)
+	}
+	sol.ladder = append(sol.ladder, r)
+}
+
 // floor maps a cap's floor f (a table index) to the interval's fastest
-// allowed solver position. When f is off the hull it also returns the
-// interval's detour: stepping faster from hull position join enters the
-// floor's prefix at tail. Intervals with one floor share one prefix.
-func (sol *solution) floor(lt *frontier.LookupTable, hull []int, f int) (lo, join, tail int) {
+// allowed solver position lo and the ladder it climbs there: the
+// table's hull ladder cut at lo when f is on the hull, otherwise the
+// floor's own, which leaves the hull for the floor's prefix. Intervals
+// with one floor share one prefix and one ladder.
+func (sol *solution) floor(lt *frontier.LookupTable, hull []int, f int) (lo, base, end int) {
 	j, _ := slices.BinarySearch(hull, f)
 	if hull[j] == f {
-		return j, -1, 0
+		return j, 0, len(hull) - j
 	}
 	for _, c := range sol.prefixes {
 		if c.floor == f {
-			return c.pos, c.join, c.tail
+			return c.pos, c.base, c.end
 		}
 	}
-	c := capPrefix{floor: f, pos: len(sol.pts), join: j}
+	c := capPrefix{floor: f, pos: len(sol.pts), base: len(sol.ladder)}
 	sol.hull = lt.HullOf(sol.hull[:0], f, hull[j])
 	for _, i := range sol.hull[:len(sol.hull)-1] {
 		sol.addPoint(lt, i)
 	}
-	c.tail = len(sol.pts) - 1
+	// The hull's rungs up to hull position j, then into the prefix at
+	// its slowest vertex and on to its fastest.
+	sol.ladder = append(sol.ladder, sol.ladder[:len(hull)-j]...)
+	for from, to := j, len(sol.pts)-1; to >= c.pos; from, to = to, to-1 {
+		sol.climb(from, to)
+	}
+	c.end = len(sol.ladder) - c.base
 	sol.prefixes = append(sol.prefixes, c)
-	return c.pos, c.join, c.tail
+	return c.pos, c.base, c.end
+}
+
+// reach returns the solver position interval k is at after n steps, -1
+// (idle) for none.
+func (sol *solution) reach(k, n int) int {
+	if n == 0 {
+		return -1
+	}
+	return sol.ladder[sol.ivs[k].base+n-1].to
 }
 
 // request maps the options to the shared planning request.
@@ -404,15 +419,13 @@ func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, s
 // objective subject to completing opts.Target iterations by the
 // deadline and to each interval's facility power cap.
 //
-// The solver is a greedy ascent over the merged per-interval marginal
-// segments, a frontier.Descend like fleet.Allocate's walk down each
-// job's power hull: every interval starts at its cheapest state (idle,
-// or the minimum-energy point under NoIdle), and the planner repeatedly
-// buys iterations at the cheapest marginal objective cost — waking an
-// interval at its minimum-energy point or stepping it one point
-// faster — taking the final step fractionally (time-sharing the two
-// states within the interval) so the plan completes the target
-// exactly.
+// The plan fills the merged per-interval marginal segments in cost
+// order: every interval starts at its cheapest state (idle, or the
+// minimum-energy point under NoIdle), and iterations are bought at the
+// cheapest marginal objective cost first — waking an interval at its
+// minimum-energy point or stepping it one hull vertex faster — with
+// the final step taken fractionally (time-sharing the two states
+// within the interval) so the plan completes the target exactly.
 //
 // Optimality: per interval, cost is rate × scale × P(t) × d and
 // iterations are d/t, so an interval's attainable (iterations, cost)
@@ -427,28 +440,48 @@ func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, s
 // floor is off the hull), so each interval's cost is a convex
 // piecewise-linear function of its iterations, whatever the table's
 // shape. The global problem is then a separable convex allocation whose
-// exact optimum is the greedy fill in marginal-cost order with at most
-// one fractional segment, and the last slope taken is its price λ
-// (Plan.Price). plan_test.go verifies exactness against continuous
-// brute-force enumeration and checks the λ certificate on every plan.
+// exact optimum is the fill in marginal-cost order with at most one
+// fractional segment, and the last slope taken is its price λ
+// (Plan.Price).
+//
+// The d cancels out of every slope: waking costs rate × scale × P·t
+// per iteration, a step between hull vertices rate × scale × ΔP/Δ(1/t).
+// So each slope is an interval's rate × scale times one rung of a
+// ladder of σ values shared by every interval on the same hull, and a
+// price λ buys, in every interval, the rungs with slope ≤ λ. The solver
+// finds the last step's price by probing prices (see solution.search)
+// instead of taking the steps one by one, and takes the steps in
+// (slope, interval, step) order, each interval's ladder held
+// non-decreasing. plan_test.go verifies exactness against continuous
+// brute-force enumeration, checks the λ certificate on every plan, and
+// holds every solve == to a scan that takes the steps one at a time.
+//
+// Optimize solves on a Solver from a package pool; the plan does not
+// alias it.
 func Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (*Plan, error) {
-	var s Solver
+	s := solvers.Get().(*Solver)
+	defer solvers.Put(s)
 	return s.Optimize(lt, sig, opts)
 }
 
+// solvers recycles the package Optimize's Solvers.
+var solvers = sync.Pool{New: func() any { return new(Solver) }}
+
 // Solver is a reusable temporal-planner instance: repeated Optimize and
-// Evaluate calls on one Solver share the greedy's working buffers, so
-// hot callers — a controller tick's roll-forwards, the region planner's
-// candidate descent (thousands of composite signals per plan) — avoid
-// re-allocating the per-interval state on every solve. The zero value
-// is ready; a Solver is not safe for concurrent use.
+// Evaluate calls on one Solver share the price search's working
+// buffers, so hot callers — a controller tick's roll-forwards, the
+// region planner's candidate descent (thousands of composite signals
+// per plan) — avoid re-allocating the per-interval state on every
+// solve, and each solve's first probe is the price the last one found.
+// The zero value is ready; a Solver is not safe for concurrent use.
 type Solver struct {
 	sol solution
 	buf []Slice
 }
 
-// Steps returns the greedy steps the last solve took (0 when it was
-// infeasible: best effort takes none).
+// Steps returns the ladder steps in the last solve's plan, plus one
+// for its fractional step: the steps a one-at-a-time fill would take (0
+// when the solve was infeasible: best effort takes none).
 func (s *Solver) Steps() int { return s.sol.steps }
 
 // Evaluation is the totals-only outcome of a solve: what candidate
@@ -603,30 +636,33 @@ func (sol *solution) intervalSlices(k int, buf []Slice) []Slice {
 	return buf
 }
 
-// solve runs the marginal-cost greedy, filling the solution in place:
-// its buffers from any previous run are truncated and reused.
+// solve finds the plan, filling the solution in place: its buffers from
+// any previous run are truncated and reused.
 func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) error {
 	d, scale, obj, err := normalize(lt, sig, opts)
 	if err != nil {
 		return err
 	}
 
-	// The hull's times and powers, once per solve: each is a multiply and
-	// a division away from the table's fields, and read every step. The
-	// hull index itself is cached on the table.
+	// The hull's times, powers and ladder, once per solve. The hull index
+	// itself is cached on the table.
 	hull := lt.Hull()
 	n := len(hull)
 	sol.pts, sol.tm, sol.pw = slices.Grow(sol.pts[:0], n), slices.Grow(sol.tm[:0], n), slices.Grow(sol.pw[:0], n)
 	for _, i := range hull {
 		sol.addPoint(lt, i)
 	}
-	sol.slowest = len(hull) - 1
-	minPow := sol.pw[sol.slowest] // slowest point's draw: any cap below it forces idle
+	sol.ladder = slices.Grow(sol.ladder[:0], n)
+	sol.climb(-1, n-1)
+	for p := n - 1; p > 0; p-- {
+		sol.climb(p, p-1)
+	}
+	minPow := sol.pw[n-1] // slowest point's draw: any cap below it forces idle
 	sol.prefixes = sol.prefixes[:0]
 	sol.ivs = slices.Grow(sol.ivs[:0], len(sig.Intervals))
+	hint := sol.price // the last solve's: the first probe
 	sol.frac = fracStep{k: -1}
-	sol.steps, sol.price = 0, 0
-	sol.coverage, sol.cost, sol.maxCover = 0, 0, 0
+	sol.steps, sol.price, sol.maxCover = 0, 0, 0
 	sol.deadline, sol.scale, sol.obj = d, scale, obj
 	for _, iv := range sig.Intervals {
 		// Inline Signal.Truncate: cut at the deadline without copying.
@@ -636,88 +672,325 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 		if iv.EndS > d {
 			iv.EndS = d
 		}
-		pi := planInterval{iv: iv, dur: iv.Duration(), perJ: PerJoule(obj, iv), cur: -1, lo: 0, join: -1}
-		pi.c = pi.perJ * scale * pi.dur
+		sol.ivs = append(sol.ivs, planInterval{})
+		pi := &sol.ivs[len(sol.ivs)-1]
+		pi.iv, pi.dur, pi.rate, pi.end = iv, iv.Duration(), PerJoule(obj, iv)*scale, n
+		lo := 0
 		if iv.CapW > 0 {
 			if maxW := iv.CapW / scale; maxW < minPow {
-				pi.only = true // cap excludes every point: forced idle
+				pi.end = 0 // cap excludes every point: forced idle
 			} else {
-				pi.lo, pi.join, pi.tail = sol.floor(lt, hull, lt.FirstUnderPower(maxW))
+				lo, pi.base, pi.end = sol.floor(lt, hull, lt.FirstUnderPower(maxW))
 			}
 		}
-		if !pi.only {
-			sol.maxCover += pi.dur / sol.tm[pi.lo]
+		if pi.end > 0 {
+			sol.maxCover += pi.dur / sol.tm[lo]
 			if opts.NoIdle {
-				pi.cur = sol.slowest
-				pi.work = pi.dur / sol.tm[pi.cur]
-				sol.coverage += pi.work
-				sol.cost += pi.perJ * scale * sol.pw[pi.cur] * pi.dur
+				pi.first = 1
 			}
 		}
-		sol.ivs = append(sol.ivs, pi)
 	}
 	sol.feasible = sol.maxCover >= opts.Target-1e-9
+	k := len(sol.ivs)
+	sol.counts = slices.Grow(sol.counts[:0], 3*k)[:3*k]
+	lo, hi, at := sol.counts[:k], sol.counts[k:2*k], sol.counts[2*k:]
+	for k := range sol.ivs {
+		pi := &sol.ivs[k]
+		lo[k], hi[k], at[k] = pi.first, pi.end, pi.first
+	}
 
 	if !sol.feasible {
 		// Best effort: everything at the fastest allowed point.
-		for k := range sol.ivs {
-			pi := &sol.ivs[k]
-			if pi.only {
-				continue
-			}
-			pi.cur = pi.lo
-		}
-		sol.coverage = sol.maxCover
 		sol.price = -1
+		sol.finish(hi)
 		return nil
 	}
+	sol.finish(sol.search(lo, hi, at, opts.Target, hint))
+	return nil
+}
 
-	// Greedy fill: cheapest marginal objective cost per iteration
-	// first. Each interval's available step is its next one — wake up
-	// at the minimum-energy point, then one hull vertex faster at a
-	// time — and per-interval slopes along a hull are non-decreasing
-	// (see Optimize), so the global cheapest-available order is the
-	// global slope order. The final step is taken fractionally, so the
-	// fill never overshoots the target.
-	//
-	// An interval's available step only changes when its current one is
-	// taken, so the fill is a frontier.Descend over (slope, index) keys,
-	// whose strict total order keeps the pick sequence, and hence every
-	// float accumulation, bit-identical to a sequential scan. On a
-	// characterized table the interval that was cheapest usually still
-	// is after its step, and Descend steps it again without a sift.
-	sol.heap = slices.Grow(sol.heap[:0], len(sol.ivs))
+// finish fixes each interval at n[k] steps and totals the whole steps'
+// iterations and cost in interval order, adding the fractional step's
+// share last.
+func (sol *solution) finish(n []int) {
+	sol.coverage, sol.cost = 0, 0
 	for k := range sol.ivs {
-		if key, ok := sol.nextStep(int32(k)); ok {
-			sol.heap = append(sol.heap, key)
+		pi := &sol.ivs[k]
+		if pi.cur = sol.reach(k, n[k]); pi.cur >= 0 {
+			sol.coverage += pi.dur / sol.tm[pi.cur]
+			sol.cost += pi.rate * sol.pw[pi.cur] * pi.dur
+		}
+		if sol.feasible {
+			sol.steps += n[k] - pi.first
 		}
 	}
-	sol.heap = frontier.Descend(sol.heap, func(key frontier.Key) (frontier.Key, bool, bool) {
-		if sol.coverage >= opts.Target-1e-9 {
-			return frontier.Key{}, false, true
+	if fs := sol.frac; fs.k >= 0 {
+		pi := &sol.ivs[fs.k]
+		dw, dc := pi.dur/sol.tm[fs.to], pi.rate*sol.pw[fs.to]*pi.dur
+		if fs.from >= 0 {
+			dw -= pi.dur / sol.tm[fs.from]
+			dc -= pi.rate * sol.pw[fs.from] * pi.dur
 		}
-		pi := &sol.ivs[key.Lane]
-		st := pi.next
 		sol.steps++
-		sol.price = key.Slope
-		if need := opts.Target - sol.coverage; st.dw > need+1e-12 {
-			// Final fractional take: time-share the step's endpoints so
-			// the target is completed exactly. (Under NoIdle every
-			// interval is already awake, so the shared states both run —
-			// no idle time is introduced.)
-			f := need / st.dw
-			sol.frac = fracStep{k: int(key.Lane), from: pi.cur, to: st.to, f: f}
-			sol.coverage += need
-			sol.cost += f * st.dc
-			return frontier.Key{}, false, true
+		sol.coverage += fs.f * dw
+		sol.cost += fs.f * dc
+	}
+}
+
+// compensatedSum sums xs with Neumaier's compensation: within an ulp of
+// the exact sum, so in practice the same whatever the terms' order —
+// the fraction cut from a signal does not move when it is rotated.
+func compensatedSum(xs []float64) float64 {
+	var sum, c float64
+	for _, x := range xs {
+		t := sum + x
+		if math.Abs(sum) >= math.Abs(x) {
+			c += (sum - t) + x
+		} else {
+			c += (x - t) + sum
 		}
-		pi.cur, pi.work = st.to, st.w
-		sol.coverage += st.dw
-		sol.cost += st.dc
-		next, ok := sol.nextStep(key.Lane)
-		return next, ok, false
-	})
-	return nil
+		sum = t
+	}
+	return sum + c
+}
+
+// iterations is what interval k does at n steps.
+func (sol *solution) iterations(k, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	pi := &sol.ivs[k]
+	return pi.dur / sol.tm[sol.ladder[pi.base+n-1].to]
+}
+
+// cover sums the iterations of the intervals at n steps, in interval
+// order.
+func (sol *solution) cover(n []int) float64 {
+	var c float64
+	for k := range sol.ivs {
+		c += sol.iterations(k, n[k])
+	}
+	return c
+}
+
+// search finds the feasible plan's steps — those before the cut in
+// (slope, interval, step) order — and returns each interval's count.
+// lo, hi and at are its count buffers, lo and hi holding each
+// interval's first and last allowed counts.
+//
+// Every interval's slopes climb its ladder (see Optimize), so the steps
+// a price λ buys are, per interval, a prefix: those of slope ≤ λ. The
+// search brackets the cut between two prices, one short of the target
+// and one past it, probing prices in between — the last solve's price
+// first, then regula falsi on log λ — until few steps lie between the
+// ends. Every step below the bracket is then taken in bulk, and the
+// candidates inside it are walked in order: the walk stops at the
+// first prefix whose iterations reach the target (within 1e-9), or
+// cuts its next step fractionally when taking it whole would pass the
+// target by more than 1e-12, by the target less the whole steps'
+// iterations (compensatedSum) over the step's. Iterations are summed in
+// interval order over the prefix's intervals, so the cut, its fraction
+// and the price depend on the instance alone, not on the search's path.
+func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
+	coverLo := sol.cover(lo)
+	if coverLo >= target-1e-9 {
+		sol.price = 0 // NoIdle alone covers the target
+		return lo
+	}
+
+	// The bracket's ends: no step taken (short of the target) and every
+	// step (past it, since the instance is feasible), span steps apart.
+	// loNext is the least slope left at the low end, hiSlope the largest
+	// taken at the high end. The lanes are in rate order, near enough:
+	// sorted on their rates' bits, the low ones giving way to the
+	// interval index, which is all that is kept.
+	span := 0
+	loNext, hiSlope := math.Inf(1), math.Inf(-1)
+	shift := bits.Len(uint(len(sol.ivs)))
+	sol.lanes = slices.Grow(sol.lanes[:0], len(sol.ivs))
+	for k := range sol.ivs {
+		if lo[k] == hi[k] {
+			continue
+		}
+		pi := &sol.ivs[k]
+		span += hi[k] - lo[k]
+		if s := pi.rate * sol.ladder[pi.base+lo[k]].sigma; s < loNext {
+			loNext = s
+		}
+		if s := pi.rate * sol.ladder[pi.base+hi[k]-1].sigma; s > hiSlope {
+			hiSlope = s
+		}
+		sol.lanes = append(sol.lanes, math.Float64bits(pi.rate)>>shift<<shift|uint64(k))
+	}
+	slices.Sort(sol.lanes)
+	for i := range sol.lanes {
+		sol.lanes[i] &= 1<<shift - 1
+	}
+	// Regula falsi on log λ between the ends' coverages, less the
+	// target, the Illinois way: an end kept twice running has its value
+	// halved, so the next probe reaches past the target.
+	under, over := coverLo-target, sol.maxCover-target
+	kept := 0 // > 0: the low end moved last, that many times running; < 0: the high end
+	for span > bracketSteps && loNext < hiSlope {
+		// A probe in [loNext, hiSlope) buys loNext's step and not
+		// hiSlope's, so each one narrows the bracket by a step at least.
+		lambda := 0.0 // zero rates: take their free steps first
+		switch {
+		case kept == 0 && hint > loNext && hint < hiSlope:
+			lambda = hint
+		case loNext > 0:
+			lambda = loNext * math.Exp(under/(under-over)*math.Log(hiSlope/loNext))
+		}
+		if !(loNext <= lambda && lambda < hiSlope) {
+			lambda = loNext
+		}
+		m, gain, below, above := sol.probe(lambda, lo, hi, at)
+		cover := coverLo + gain // an estimate, off by far less than 1e-9·maxCover
+		if math.Abs(cover-(target-1e-9)) <= 1e-9*sol.maxCover {
+			cover = sol.cover(at) // too close to call on the estimate
+		}
+		if cover < target-1e-9 {
+			lo, at, span, loNext, coverLo, under = at, lo, span-m, above, cover, cover-target
+			if kept = max(kept, 0) + 1; kept > 1 {
+				over /= 2
+			}
+		} else {
+			hi, at, span, hiSlope, over = at, hi, m, below, cover-target
+			if kept = min(kept, 0) - 1; kept < -1 {
+				under /= 2
+			}
+		}
+	}
+
+	// The candidates in (slope, interval, step) order: gathered by
+	// interval and step, then stably sorted by slope.
+	sol.cands = slices.Grow(sol.cands[:0], span)
+	for k := range sol.ivs {
+		pi := &sol.ivs[k]
+		for j := lo[k]; j < hi[k]; j++ {
+			sol.cands = append(sol.cands, candidate{slope: pi.rate * sol.ladder[pi.base+j].sigma, k: k})
+		}
+	}
+	slices.SortStableFunc(sol.cands, func(a, b candidate) int { return cmp.Compare(a.slope, b.slope) })
+
+	// Walk the candidates on a running estimate of the coverage, then
+	// settle the cut on exact sums (each interval's iterations, w, summed
+	// in interval order) at the prefixes around it: the estimate is off
+	// by rounding alone, so a cut between two ties of a long run costs a
+	// few sums, not one per candidate.
+	w := slices.Grow(sol.w[:0], len(sol.ivs))[:len(sol.ivs)]
+	sol.w = w
+	cover := 0.0
+	for k := range sol.ivs {
+		w[k] = sol.iterations(k, lo[k])
+		cover += w[k]
+	}
+	i := 0 // candidates taken
+	for ; i < len(sol.cands) && cover < target-1e-9; i++ {
+		k := sol.cands[i].k
+		next := sol.iterations(k, lo[k]+1)
+		if cover+(next-w[k]) > target+1e-12 {
+			break
+		}
+		cover += next - w[k]
+		w[k], lo[k] = next, lo[k]+1
+	}
+	step := func(i, by int) { // take (+1) or give back (-1) candidate i
+		k := sol.cands[i].k
+		lo[k] += by
+		w[k] = sol.iterations(k, lo[k])
+	}
+	sum := func() (s float64) {
+		for _, x := range w {
+			s += x
+		}
+		return s
+	}
+	cut := func(i int) bool { // the cut lies at or before prefix i
+		if s := sum(); s >= target-1e-9 || i == len(sol.cands) {
+			return true
+		}
+		step(i, 1)
+		past := sum() > target+1e-12
+		step(i, -1)
+		return past
+	}
+	for ; !cut(i); i++ {
+		step(i, 1)
+	}
+	for ; i > 0; i-- {
+		if step(i-1, -1); !cut(i - 1) {
+			step(i-1, 1)
+			break
+		}
+	}
+	if sum() >= target-1e-9 {
+		sol.price = sol.cands[i-1].slope
+		return lo
+	}
+	// Time-share candidate i's endpoints so the target is completed
+	// exactly. (Under NoIdle every interval is already awake, so the
+	// shared states both run — no idle time is introduced.)
+	c := sol.cands[i]
+	was, next := w[c.k], sol.iterations(c.k, lo[c.k]+1)
+	sol.price = c.slope
+	sol.frac = fracStep{k: c.k, from: sol.reach(c.k, lo[c.k]), to: sol.reach(c.k, lo[c.k]+1), f: (target - compensatedSum(w)) / (next - was)}
+	return lo
+}
+
+// bracketSteps is the most candidate steps the price search walks one
+// by one: past it a probe costs less than the steps it rules out.
+const bracketSteps = 16
+
+// probe counts into n the steps each interval takes at price λ between
+// the bracket's ends lo and hi — those of slope ≤ λ — and returns how
+// many more than lo that is, the iterations they add (an estimate: the
+// rungs' speeds, summed in rate order), the largest slope among them
+// and the least slope left below hi. Lanes settled at an earlier probe
+// drop out. An interval of a higher rate takes no more steps of a
+// ladder, so one pointer, walked both ways over the lanes in rate
+// order, finds each count a few rungs from the one before's: exact in
+// any order, O(lanes + rungs) in this one.
+func (sol *solution) probe(lambda float64, lo, hi, n []int) (m int, gain, below, above float64) {
+	below, above = math.Inf(-1), math.Inf(1)
+	c := 0
+	live := sol.lanes[:0]
+	for _, lane := range sol.lanes {
+		k := int(lane)
+		a, b := lo[k], hi[k]
+		if a == b {
+			n[k] = a // settled by the last probe
+			continue
+		}
+		live = append(live, lane)
+		pi := &sol.ivs[k]
+		ladder := sol.ladder[pi.base : pi.base+b]
+		c = min(max(c, a), b)
+		for c < b && pi.rate*ladder[c].sigma <= lambda {
+			c++
+		}
+		for c > a && pi.rate*ladder[c-1].sigma > lambda {
+			c--
+		}
+		n[k] = c
+		if c > a {
+			m += c - a
+			gain += pi.dur * ladder[c-1].speed
+			if a > 0 {
+				gain -= pi.dur * ladder[a-1].speed
+			}
+			if s := pi.rate * ladder[c-1].sigma; s > below {
+				below = s
+			}
+		}
+		if c < b {
+			if s := pi.rate * ladder[c].sigma; s < above {
+				above = s
+			}
+		}
+	}
+	sol.lanes = live
+	return m, gain, below, above
 }
 
 // Fixed plans the signal-blind baseline: run one fixed frontier point

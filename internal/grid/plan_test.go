@@ -705,8 +705,8 @@ func solve(lt *frontier.LookupTable, sig *Signal, opts Options) (*solution, erro
 // scanStep is one whole step the scan reference took.
 type scanStep struct{ slope, dw float64 }
 
-// scanResult is everything a solve decides: each interval's descent
-// state, the fractional step, the accumulated coverage and cost.
+// scanResult is everything a solve decides: each interval's point, the
+// fractional step, the plan's coverage and cost.
 type scanResult struct {
 	cur            []int
 	frac           fracStep
@@ -734,104 +734,139 @@ func hullFrom(lt *frontier.LookupTable, lo int) []int {
 	return append(chain, hull[j+1:]...)
 }
 
-// scanSolve is the solver's oracle: the greedy over each interval's
-// hull (hullFrom), with every step computed from the table itself
-// (lt.PointTime, lt.AvgPower — five divisions a step, the expressions
-// the solver had before it carried operands between steps) and the
-// cheapest step picked by a sequential strict-< scan over the
-// intervals, first index winning ties. The solver's heap, run loop,
-// per-solve arrays, solver positions and carried operands are licensed
-// by agreeing with it exactly, bit for bit.
+// scanSolve is the solver's oracle, and the definition of its output.
+// Each interval climbs its hull (hullFrom) from idle, one vertex faster
+// at a time, and its j-th step has slope rate·σ_j: rate is the
+// objective's weight per joule times the power scale, σ_0 is P·t of the
+// slowest point and σ_j is ΔP/Δ(1/t) between the vertices, each raised
+// to the one before where rounding would put it below — everything
+// computed from the table itself. Steps are taken in (slope, interval,
+// step) order, picked by a sequential strict-< scan over the intervals'
+// next steps, first index winning ties. Before each one the plan's
+// coverage — its intervals' iterations, summed in interval order — is
+// compared with the target: the scan stops once it is within 1e-9, and
+// takes the step fractionally when taking it whole would pass the
+// target by more than 1e-12, the fraction being the target less the
+// whole steps' coverage (their compensated sum, compensatedSum), over
+// the step's iterations. The price is the last step's slope, and the
+// steps are the ladder steps in the plan plus one for the fractional
+// one. The plan's coverage and cost are its intervals', summed in
+// interval order, the fractional step's share added last. The
+// solver's price search, ladders, lanes and solver positions are
+// licensed by agreeing with it exactly, bit for bit.
 func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult, error) {
 	d, scale, obj, err := normalize(lt, sig, opts)
 	if err != nil {
 		return scanResult{}, err
 	}
 	type state struct {
-		dur, perJ float64
-		chain     []int // allowed hull, fastest first; nil when only
-		pos       int   // position of the descent state in chain; -1 = idle
+		dur, rate float64
+		chain     []int     // allowed hull, fastest first; nil when only
+		sigma     []float64 // sigma[j]: the j-th step's, waking first
+		n         int       // steps taken
 	}
-	cur := func(st state) int {
-		if st.pos < 0 {
+	cur := func(st state) int { // the table point after n steps, -1 idle
+		if st.n == 0 {
 			return -1
 		}
-		return st.chain[st.pos]
+		return st.chain[len(st.chain)-st.n]
 	}
-	res := scanResult{frac: fracStep{k: -1}}
+	iters := func(st state) float64 {
+		if c := cur(st); c >= 0 {
+			return st.dur / lt.PointTime(c)
+		}
+		return 0
+	}
+	res := scanResult{frac: fracStep{k: -1}, price: -1}
 	var ivs []state
 	var maxCover float64
 	for _, iv := range sig.Truncate(d).Intervals {
-		st := state{dur: iv.Duration(), perJ: PerJoule(obj, iv), pos: -1}
+		st := state{dur: iv.Duration(), rate: PerJoule(obj, iv) * scale}
 		lo := 0
 		if iv.CapW > 0 {
 			lo = lt.FirstUnderPower(iv.CapW / scale)
 		}
 		if lo >= 0 {
 			st.chain = hullFrom(lt, lo)
+			for j := len(st.chain) - 1; j >= 0; j-- {
+				to := st.chain[j]
+				if j == len(st.chain)-1 {
+					st.sigma = append(st.sigma, lt.AvgPower(to)*lt.PointTime(to))
+					continue
+				}
+				from := st.chain[j+1]
+				sigma := (lt.AvgPower(to) - lt.AvgPower(from)) / (1/lt.PointTime(to) - 1/lt.PointTime(from))
+				st.sigma = append(st.sigma, max(sigma, st.sigma[len(st.sigma)-1]))
+			}
 			maxCover += st.dur / lt.PointTime(lo)
 			if opts.NoIdle {
-				st.pos = len(st.chain) - 1
-				res.coverage += st.dur / lt.PointTime(cur(st))
-				res.cost += st.perJ * scale * lt.AvgPower(cur(st)) * st.dur
+				st.n = 1
 			}
 		}
 		ivs = append(ivs, st)
 	}
+	coverage := func() float64 {
+		var c float64
+		for _, st := range ivs {
+			c += iters(st)
+		}
+		return c
+	}
 	res.feasible = maxCover >= opts.Target-1e-9
 	if !res.feasible {
-		for _, st := range ivs {
-			if st.chain != nil {
-				st.pos = 0
-			}
-			res.cur = append(res.cur, cur(st))
+		for k := range ivs {
+			ivs[k].n = len(ivs[k].chain)
 		}
-		res.coverage = maxCover
-		return res, nil
-	}
-	next := func(st state) (pos, to int, dw, dc float64, ok bool) {
-		if st.chain == nil || st.pos == 0 {
-			return 0, 0, 0, 0, false
-		}
-		if st.pos < 0 {
-			pos = len(st.chain) - 1
-			to = st.chain[pos]
-			return pos, to, st.dur / lt.PointTime(to), st.perJ * scale * lt.AvgPower(to) * st.dur, true
-		}
-		pos = st.pos - 1
-		to, from := st.chain[pos], cur(st)
-		return pos, to, st.dur/lt.PointTime(to) - st.dur/lt.PointTime(from),
-			st.perJ * scale * st.dur * (lt.AvgPower(to) - lt.AvgPower(from)), true
-	}
-	for res.coverage < opts.Target-1e-9 {
-		best, bestSlope := -1, 0.0
-		for k, st := range ivs {
-			if _, _, dw, dc, ok := next(st); ok {
-				if slope := dc / dw; best < 0 || slope < bestSlope {
-					best, bestSlope = k, slope
+	} else {
+		res.price = 0
+		for cover := coverage(); cover < opts.Target-1e-9; {
+			best, bestSlope := -1, 0.0
+			for k, st := range ivs {
+				if st.n < len(st.chain) {
+					if slope := st.rate * st.sigma[st.n]; best < 0 || slope < bestSlope {
+						best, bestSlope = k, slope
+					}
 				}
 			}
+			if best < 0 {
+				break
+			}
+			res.steps++
+			res.price = bestSlope
+			was := ivs[best]
+			ivs[best].n++
+			after := coverage()
+			if after > opts.Target+1e-12 {
+				ivs[best] = was
+				now := ivs[best]
+				now.n++
+				var whole []float64
+				for _, st := range ivs {
+					whole = append(whole, iters(st))
+				}
+				res.frac = fracStep{k: best, from: cur(was), to: cur(now), f: (opts.Target - compensatedSum(whole)) / (iters(now) - iters(was))}
+				break
+			}
+			res.taken = append(res.taken, scanStep{bestSlope, iters(ivs[best]) - iters(was)})
+			cover = after
 		}
-		if best < 0 {
-			break
-		}
-		pos, to, dw, dc, _ := next(ivs[best])
-		res.steps++
-		res.price = bestSlope
-		if need := opts.Target - res.coverage; dw > need+1e-12 {
-			f := need / dw
-			res.frac = fracStep{k: best, from: cur(ivs[best]), to: to, f: f}
-			res.coverage += need
-			res.cost += f * dc
-			break
-		}
-		ivs[best].pos = pos
-		res.coverage += dw
-		res.cost += dc
-		res.taken = append(res.taken, scanStep{bestSlope, dw})
 	}
 	for _, st := range ivs {
+		if c := cur(st); c >= 0 {
+			res.coverage += st.dur / lt.PointTime(c)
+			res.cost += st.rate * lt.AvgPower(c) * st.dur
+		}
 		res.cur = append(res.cur, cur(st))
+	}
+	if fs := res.frac; fs.k >= 0 {
+		st := ivs[fs.k]
+		dw, dc := st.dur/lt.PointTime(fs.to), st.rate*lt.AvgPower(fs.to)*st.dur
+		if fs.from >= 0 {
+			dw -= st.dur / lt.PointTime(fs.from)
+			dc -= st.rate * lt.AvgPower(fs.from) * st.dur
+		}
+		res.coverage += fs.f * dw
+		res.cost += fs.f * dc
 	}
 	return res, nil
 }
@@ -857,9 +892,6 @@ func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig
 	frac := sol.frac
 	if frac.k >= 0 {
 		frac.from, frac.to = point(frac.from), point(frac.to)
-	}
-	if !want.feasible {
-		want.price = -1
 	}
 	if sol.feasible != want.feasible || sol.coverage != want.coverage || sol.cost != want.cost ||
 		frac != want.frac || sol.steps != want.steps || sol.price != want.price {

@@ -18,9 +18,9 @@ import (
 // λ·Target, with the run seconds what compileInto leaves a job: placed
 // cells, after any arrival's downtime, before the deadline. By weak
 // duality that is at most the placement's exact cost for any λ ≥ 0, and
-// at the λ the placement's own greedy ends on (outcome.price) it is
-// equal: every greedy interval choice minimizes cost − λ·iterations, and
-// the iterations sum to Target (see grid.Plan.Price).
+// at the λ the placement's own temporal solve ends on (outcome.price)
+// it is equal: every interval's choice minimizes cost − λ·iterations,
+// and the iterations sum to Target (see grid.Plan.Price).
 type bound struct {
 	ji       int
 	lambda   float64

@@ -499,9 +499,10 @@ func (s *Server) advanceManaged(ctx context.Context, v *tickView, id string) err
 	return err
 }
 
-// solvers recycles grid.Solver working buffers (the greedy's interval
-// states, table arrays and heap) across roll-forward solves, jobs and
-// ticks.
+// solvers recycles grid.Solver working buffers (the interval states,
+// ladders and price search's arrays) across solves, jobs and ticks: the
+// tick's roll-forwards and the cold plans of /grid/plan. A Plan a
+// Solver returns does not alias it.
 var solvers = sync.Pool{New: func() any { return new(grid.Solver) }}
 
 // rollForward steps in.rs to in.t: the stepper freezes the span

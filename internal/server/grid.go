@@ -265,8 +265,9 @@ func (s *Server) planProblem(ctx context.Context, id string, target, deadline fl
 func (s *Server) solvePlan(ctx context.Context, pb planProblem) (*planEntry, error) {
 	return s.cache.do(ctx, pb.key, func(ctx context.Context) (*grid.Plan, error) {
 		var plan *grid.Plan
+		solver := solvers.Get().(*grid.Solver)
+		defer solvers.Put(solver)
 		err := s.solve(ctx, "grid", pb.key.Objective, pb.sig, func() ([]string, error) {
-			var solver grid.Solver
 			var err error
 			plan, err = solver.Optimize(pb.table, pb.sig, grid.Options{
 				Target:     pb.key.Target,
