@@ -61,7 +61,10 @@ func (up ProfileUpload) MarshalJSON() ([]byte, error) {
 // parsing them. It follows encoding/json's rules for the fields it reads:
 // keys match case-insensitively, unknown keys are skipped, null leaves a
 // value as it was (a null array is nil), and a repeated key decodes again
-// into what the first left, an array into its slice's storage.
+// into what the first left, an array into its slice's storage. It also
+// rejects whatever encoding/json's validating scan would — malformed
+// numbers, strings or skipped values, and anything after the body — so
+// it can be handed a request body as read.
 func (up *ProfileUpload) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {
 		return nil
@@ -129,9 +132,9 @@ func keyIs(key []byte, name string) bool {
 	return bytes.EqualFold(key, []byte(name))
 }
 
-// decoder reads one JSON value from data. It expects what encoding/json
-// hands an UnmarshalJSON, a well-formed value: it checks the structure it
-// reads, but a malformed literal in a skipped value goes unnoticed.
+// decoder reads one JSON value from data, rejecting malformed JSON: it
+// checks the structure and the literals it reads, and a skipped value
+// with json.Valid.
 type decoder struct {
 	data []byte
 	at   int
@@ -160,9 +163,11 @@ func (d *decoder) null() bool {
 	return false
 }
 
-// end checks that nothing but whitespace follows the value.
+// end checks that nothing but whitespace follows the value (by position:
+// peek's 0 could be a NUL byte).
 func (d *decoder) end() error {
-	if d.peek() != 0 {
+	d.peek()
+	if d.at < len(d.data) {
 		return errSyntax
 	}
 	return nil
@@ -255,17 +260,20 @@ func array[T any](d *decoder, s *[]T, elem func(*T) error) error {
 	}
 }
 
-// token consumes a string and returns it with its quotes.
+// token consumes a string and returns it with its quotes. A control
+// byte inside is an error; escapes are checked by whoever unquotes it.
 func (d *decoder) token() ([]byte, error) {
 	if d.peek() != '"' {
 		return nil, errSyntax
 	}
 	start := d.at
 	for d.at++; d.at < len(d.data); d.at++ {
-		switch d.data[d.at] {
-		case '\\':
+		switch c := d.data[d.at]; {
+		case c < 0x20:
+			return nil, errSyntax
+		case c == '\\':
 			d.at++
-		case '"':
+		case c == '"':
 			d.at++
 			return d.data[start:d.at], nil
 		}
@@ -286,12 +294,54 @@ func (d *decoder) literal() []byte {
 	return d.data[start:]
 }
 
+// number consumes a literal and checks it is a JSON number,
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, which strconv alone
+// would not (it takes "+1", "01", ".5", "1.", "Inf" and "0x1p-2").
+func (d *decoder) number() ([]byte, error) {
+	lit := d.literal()
+	i := 0
+	digits := func() int {
+		n := 0
+		for ; i < len(lit) && '0' <= lit[i] && lit[i] <= '9'; i++ {
+			n++
+		}
+		return n
+	}
+	if i < len(lit) && lit[i] == '-' {
+		i++
+	}
+	ok := true
+	if i < len(lit) && lit[i] == '0' {
+		i++
+	} else {
+		ok = digits() > 0
+	}
+	if ok && i < len(lit) && lit[i] == '.' {
+		i++
+		ok = digits() > 0
+	}
+	if ok && i < len(lit) && (lit[i] == 'e' || lit[i] == 'E') {
+		if i++; i < len(lit) && (lit[i] == '+' || lit[i] == '-') {
+			i++
+		}
+		ok = digits() > 0
+	}
+	if !ok || i != len(lit) {
+		return nil, fmt.Errorf("profile upload: malformed number %q", lit)
+	}
+	return lit, nil
+}
+
 // float reads a number into *f; null leaves it.
 func (d *decoder) float(f *float64) error {
 	if d.null() {
 		return nil
 	}
-	v, err := strconv.ParseFloat(string(d.literal()), 64)
+	lit, err := d.number()
+	if err != nil {
+		return err
+	}
+	v, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
 		return fmt.Errorf("profile upload: %w", err)
 	}
@@ -304,7 +354,11 @@ func (d *decoder) int(n *int) error {
 	if d.null() {
 		return nil
 	}
-	v, err := strconv.ParseInt(string(d.literal()), 10, 0)
+	lit, err := d.number()
+	if err != nil {
+		return err
+	}
+	v, err := strconv.ParseInt(string(lit), 10, 0)
 	if err != nil {
 		return fmt.Errorf("profile upload: %w", err)
 	}
@@ -324,8 +378,22 @@ func (d *decoder) string(s *string) error {
 	return json.Unmarshal(tok, s)
 }
 
-// skip consumes one value of any kind.
+// skip consumes one value of any kind: it finds the value's end by its
+// brackets and strings, then checks the span with json.Valid.
 func (d *decoder) skip() error {
+	d.peek()
+	start := d.at
+	if err := d.span(); err != nil {
+		return err
+	}
+	if !json.Valid(d.data[start:d.at]) {
+		return errSyntax
+	}
+	return nil
+}
+
+// span consumes the bytes of one value, matching brackets and strings.
+func (d *decoder) span() error {
 	depth := 0
 	for {
 		switch d.peek() {

@@ -154,8 +154,9 @@ func referenceDecode(data []byte) (ProfileUpload, error) {
 // and measurements, bit for bit. The seeds exercise the rules the two
 // share — case-insensitive and escaped keys, unknown keys with nested
 // values, nulls at every level, repeated keys decoding into what the
-// first left, and whitespace. Malformed bytes, which encoding/json never
-// passes on, must not make it panic.
+// first left, and whitespace. Malformed bytes, which the server hands it
+// as read, must be refused: bad numbers, control bytes in strings and
+// keys, a malformed skipped value, and anything after the body.
 func FuzzProfileUploadDecode(f *testing.F) {
 	row := `{"virtual":1,"kind":"forward","freq_mhz":[1410,1395],"time_s":[0.5,0.55],"energy_j":[100,95]}`
 	for _, seed := range []string{
@@ -174,15 +175,26 @@ func FuzzProfileUploadDecode(f *testing.F) {
 		`[]`,
 		`null`,
 		`{"types":[{"freq_mhz":[1],"time_s":[1],"energy_j":[1]`,
+		"{}\x00",
+		`{"types":[]} {}`,
+		"{\"ty\x01pes\":[]}",
+		`{"types":[{"kind":"a` + "\t" + `b"}]}`,
+		`{"p_blocking_w":01}`,
+		`{"p_blocking_w":-}`,
+		`{"types":[{"virtual":+1}]}`,
+		`{"types":[{"time_s":[.5],"freq_mhz":[1],"energy_j":[1]}]}`,
+		`{"extra":{"a":},"types":[]}`,
+		`{"extra":[1 2],"types":[]}`,
+		`{"extra":tru,"types":[]}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !json.Valid(data) {
-			// encoding/json never hands UnmarshalJSON such bytes; called
-			// directly with them, it must not panic.
 			var up ProfileUpload
-			_ = up.UnmarshalJSON(data)
+			if err := up.UnmarshalJSON(data); err == nil {
+				t.Fatalf("malformed body %q decoded without an error", data)
+			}
 			return
 		}
 		var got ProfileUpload

@@ -590,7 +590,7 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 			c.nw.SetBounds(e+1+i, 0, up)
 		}
 	}
-	value, err := c.nw.Solve(st.solver)
+	finite, err := c.nw.Solve(st.solver)
 	if errors.Is(err, maxflow.ErrInfeasible) {
 		// No circulation satisfies every slow-down credit (Hoffman
 		// violation): some set of computations could be slowed for more
@@ -608,12 +608,12 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 				c.nw.SetBounds(int(c.nodeEdge[v]), 0, c.up[v])
 			}
 		}
-		value, err = c.nw.Solve(st.solver)
+		finite, err = c.nw.Solve(st.solver)
 	}
 	if err != nil {
 		return false, fmt.Errorf("frontier: min cut: %w", err)
 	}
-	if math.IsInf(value, 1) {
+	if !finite {
 		return false, nil
 	}
 

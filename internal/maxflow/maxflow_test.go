@@ -354,7 +354,8 @@ func warmTestNetwork() (n int, edges []BoundedEdge) {
 // FuzzWarmMinCut applies a fuzzed sequence of up to 64 rounds of bound
 // changes to one Network and requires, after each, what a fresh
 // MinCutWithBounds of the same bounds gives: the same feasibility verdict,
-// the same S side, the same value — whatever flow the earlier solves
+// the same S side, the same value (Solve's finiteness verdict and
+// CutValue) — whatever flow the earlier solves
 // (failed ones included) left behind. A round moves one to four edges; a
 // move may re-issue the bounds the edge already has, which must not count
 // as a moved edge, or first set upper below lower, which the next Solve
@@ -383,7 +384,7 @@ func FuzzWarmMinCut(f *testing.F) {
 			t.Fatal(err)
 		}
 		full.real = full.g.start[1:]
-		fullSolve := func(solver Solver) (float64, error) {
+		fullSolve := func(solver Solver) (bool, error) {
 			if solver == EdmondsKarp {
 				solver = fullScan
 			}
@@ -441,7 +442,10 @@ func FuzzWarmMinCut(f *testing.F) {
 			got, gotErr := nw.Solve(solver)
 			ref, refErr := fullSolve(solver)
 			if fmt.Sprint(gotErr) != fmt.Sprint(refErr) || got != ref {
-				t.Fatalf("step %d: trimmed search %v, %v; full scan %v, %v", step, got, gotErr, ref, refErr)
+				t.Fatalf("step %d: trimmed search finite %v, %v; full scan %v, %v", step, got, gotErr, ref, refErr)
+			}
+			if gotErr == nil && nw.CutValue() != full.CutValue() {
+				t.Fatalf("step %d: trimmed search cut %v; full scan %v", step, nw.CutValue(), full.CutValue())
 			}
 			if nw.AugmentingPaths() != full.AugmentingPaths() || nw.Searches() != full.Searches() {
 				t.Fatalf("step %d: trimmed search %d paths in %d searches; full scan %d in %d",
@@ -466,8 +470,8 @@ func FuzzWarmMinCut(f *testing.F) {
 			if wantErr != nil {
 				continue
 			}
-			if got != want.Value {
-				t.Fatalf("step %d: warm value %v, fresh value %v", step, got, want.Value)
+			if got != !math.IsInf(want.Value, 1) || nw.CutValue() != want.Value {
+				t.Fatalf("step %d: warm finite %v value %v, fresh value %v", step, got, nw.CutValue(), want.Value)
 			}
 			for v, inS := range want.SSide {
 				if nw.SSide()[v] != inS {

@@ -175,16 +175,20 @@ func (nw *Network) imbalance(v int32) float64 {
 // theorem holds with non-zero lower bounds (Ford & Fulkerson, ch. 1 §9).
 // A first solve is the same steps from zero flow with every edge moved.
 //
-// It returns the cut value, infinite when every cut crosses an uncuttable
-// edge; SSide and Flow describe the solution until the next Solve. A solve
-// that fails on a bad bound changes nothing; an infeasible one keeps what
-// it managed to route and the nodes it could not balance on the books, so
-// the next solve carries on from there.
-func (nw *Network) Solve(solver Solver) (float64, error) {
+// It reports whether the minimum cut is finite, false when every cut
+// crosses an uncuttable edge; SSide, Flow and CutValue describe the
+// solution until the next Solve. Finiteness is read off the flow s sends,
+// which equals the minimum cut's capacity with every infinite upper bound
+// clamped to big: a finite cut is at most sumFinite, an infinite one at
+// least big − sumLower, and big > 4·sumFinite ≥ 4·sumLower puts big/2
+// between them. A solve that fails on a bad bound changes nothing; an
+// infeasible one keeps what it managed to route and the nodes it could
+// not balance on the books, so the next solve carries on from there.
+func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 	g, s, m := nw.g, int32(nw.s), len(nw.edges)
 	for _, i := range nw.dirty {
 		if e := nw.edges[i]; e.Lower < -eps || e.Upper < e.Lower-eps {
-			return 0, fmt.Errorf("maxflow: bounds [%v, %v] on %d->%d are negative or empty", e.Lower, e.Upper, e.From, e.To)
+			return false, fmt.Errorf("maxflow: bounds [%v, %v] on %d->%d are negative or empty", e.Lower, e.Upper, e.From, e.To)
 		}
 	}
 	if need := 2*nw.sumFinite + 1e6; need > nw.big {
@@ -259,7 +263,7 @@ func (nw *Network) Solve(solver Solver) (float64, error) {
 	// what a solve from zero flow has to route, not to what is left of it
 	// here.
 	if demand-got > 1e-6*(1+nw.sumLower) {
-		return 0, fmt.Errorf("%w: %v of %v left unrouted", ErrInfeasible, demand-got, nw.sumLower)
+		return false, fmt.Errorf("%w: %v of %v left unrouted", ErrInfeasible, demand-got, nw.sumLower)
 	}
 
 	// Steps 3-4: continue augmenting s→t on the same residual graph. The
@@ -274,9 +278,15 @@ func (nw *Network) Solve(solver Solver) (float64, error) {
 	for _, v := range g.queue {
 		nw.side[v] = true
 	}
+	return -nw.imbalance(s) < big/2, nil
+}
 
-	// Cut value from the definition, over the S side's own arcs, detecting
-	// "infinite" cuts.
+// CutValue returns the capacity of the last Solve's cut, Σ_{S→T} upper −
+// Σ_{T→S} lower, summed from its definition over the S side's arcs in
+// the order the Solve's last search reached them (it left them in
+// g.queue): infinite when the cut crosses an uncuttable edge.
+func (nw *Network) CutValue() float64 {
+	g, m := nw.g, len(nw.edges)
 	var val float64
 	infinite := false
 	for _, u := range g.queue {
@@ -291,14 +301,14 @@ func (nw *Network) Solve(solver Solver) (float64, error) {
 				val -= e.Lower
 			} else {
 				infinite = infinite || math.IsInf(e.Upper, 1)
-				val += min(e.Upper, big)
+				val += min(e.Upper, nw.big)
 			}
 		}
 	}
-	if infinite || val >= big/2 {
-		return math.Inf(1), nil
+	if infinite || val >= nw.big/2 {
+		return math.Inf(1)
 	}
-	return val, nil
+	return val
 }
 
 // SSide reports, per caller node, whether the last Solve left it on the
@@ -335,13 +345,12 @@ func MinCutWithBoundsUsing(solver Solver, n int, edges []BoundedEdge, s, t int) 
 	if err != nil {
 		return nil, err
 	}
-	value, err := nw.Solve(solver)
-	if err != nil {
+	if _, err := nw.Solve(solver); err != nil {
 		return nil, err
 	}
 	flow := make([]float64, len(edges))
 	for i := range flow {
 		flow[i] = nw.Flow(i)
 	}
-	return &CutResult{SSide: nw.SSide(), Value: value, Flow: flow}, nil
+	return &CutResult{SSide: nw.SSide(), Value: nw.CutValue(), Flow: flow}, nil
 }

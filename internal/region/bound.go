@@ -21,6 +21,10 @@ import (
 // at the λ the placement's own temporal solve ends on (outcome.price)
 // it is equal: every interval's choice minimizes cost − λ·iterations,
 // and the iterations sum to Target (see grid.Plan.Price).
+//
+// The planner prices placements through walks (see walk and splice):
+// one O(cells) walk per placement it prices from, then O(1) amortized
+// per candidate.
 type bound struct {
 	ji       int
 	lambda   float64
@@ -31,14 +35,68 @@ type bound struct {
 	target   float64
 }
 
-// pointCosts is one job's table read once per solve: each point's
-// iterations per second and average power, and the same for the hull
-// vertices alone.
+// pointCosts is one job's table read once per solve: the lower hull of
+// its points' (iterations per second, average power), and the same for
+// the points from each cap floor on, built on first use.
 type pointCosts struct {
-	all, hull []pointCost
+	hull   ladder
+	floors map[int]*ladder
 }
 
 type pointCost struct{ perS, powerW float64 }
+
+// ladder is the lower convex hull of a set of table points in
+// (1/t, P), slowest first, with the slope σ_q = ΔP/Δ(1/t) of the edge
+// from vertex q to q+1. The vertices of LookupTable.Hull (or HullOf)
+// are its vertices: the perspective map (t, E) → (1/t, E/t) keeps lines
+// as lines and sides as sides. Rounding can make two nearly collinear
+// edges' slopes descend, so a σ below its predecessor is raised to it.
+type ladder struct {
+	pts   []pointCost
+	sigma []float64
+}
+
+// newLadder builds the ladder over the hull vertices idx, fastest first.
+func newLadder(j *Job, idx []int) ladder {
+	l := ladder{pts: make([]pointCost, 0, len(idx)), sigma: make([]float64, 0, len(idx))}
+	for q := len(idx) - 1; q >= 0; q-- {
+		i := idx[q]
+		l.pts = append(l.pts, pointCost{perS: 1 / j.Table.PointTime(i), powerW: j.Table.AvgPower(i)})
+	}
+	for q := 1; q < len(l.pts); q++ {
+		a, b := l.pts[q-1], l.pts[q]
+		s := (b.powerW - a.powerW) / (b.perS - a.perS)
+		if q > 1 {
+			s = max(s, l.sigma[q-2])
+		}
+		l.sigma = append(l.sigma, s)
+	}
+	return l
+}
+
+// least returns min(0, min over the ladder's points of perJ·P − λ/t).
+// Moving from vertex q to q+1 changes the cost by Δ(1/t)·(perJ·σ_q − λ),
+// so the minimum sits at the first vertex whose outgoing edge has
+// perJ·σ ≥ λ, found by binary search; its two neighbours are priced
+// too, since rounding can put that vertex one off between nearly
+// collinear edges. The result is a real point's cost (or idle's 0), so
+// it is never below the true minimum.
+func (l *ladder) least(perJ, lambda float64) float64 {
+	lo, hi := 0, len(l.sigma)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if perJ*l.sigma[mid] < lambda {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	best := 0.0
+	for _, q := range l.pts[max(lo-1, 0):min(lo+2, len(l.pts))] {
+		best = min(best, perJ*q.powerW-lambda*q.perS)
+	}
+	return best
+}
 
 // pointsOf returns job ji's point costs, reading its table on first use.
 func (p *planner) pointsOf(ji int, j *Job) *pointCosts {
@@ -46,24 +104,37 @@ func (p *planner) pointsOf(ji int, j *Job) *pointCosts {
 		p.points = append(p.points, pointCosts{})
 	}
 	pc := &p.points[ji]
-	if pc.all == nil {
-		lt := j.Table
-		for i := range lt.Points {
-			pc.all = append(pc.all, pointCost{perS: 1 / lt.PointTime(i), powerW: lt.AvgPower(i)})
-		}
-		for _, i := range lt.Hull() {
-			pc.hull = append(pc.hull, pc.all[i])
-		}
+	if pc.hull.pts == nil {
+		pc.hull = newLadder(j, j.Table.Hull())
 	}
 	return pc
 }
 
+// from returns the ladder of the points a cap with floor f allows: the
+// table's points from f on.
+func (pc *pointCosts) from(j *Job, f int) *ladder {
+	if f == 0 {
+		return &pc.hull
+	}
+	l, ok := pc.floors[f]
+	if !ok {
+		if pc.floors == nil {
+			pc.floors = make(map[int]*ladder)
+		}
+		built := newLadder(j, j.Table.HullOf(nil, f, len(j.Table.Points)-1))
+		l = &built
+		pc.floors[f] = l
+	}
+	return l
+}
+
 // prepare readies b for job ji at price lambda under the cap view now in
 // force, re-pricing the cells only when the job, λ or the view changed
-// (the rule planner.sync applies to the memo).
-func (b *bound) prepare(p *planner, ji int, j *Job, lambda float64) {
+// (the rule planner.sync applies to the memo). It reports whether it
+// re-priced them: walks made under the old prices are then stale.
+func (b *bound) prepare(p *planner, ji int, j *Job, lambda float64) bool {
 	if b.rc != nil && b.ji == ji && b.lambda == lambda && p.sameView(b.view) {
-		return
+		return false
 	}
 	b.ji, b.lambda = ji, lambda
 	b.view = p.readView(b.view[:0])
@@ -74,53 +145,171 @@ func (b *bound) prepare(p *planner, ji int, j *Job, lambda float64) {
 	for r := range p.regions {
 		row := b.rc[r][:0]
 		for k, rt := range p.rates[r] {
-			// Uncapped, the hull vertices suffice: a point off the lower
-			// hull of (t, E) lies above the segment between two vertices,
-			// so its reduced cost per second is no lower than the least
-			// of theirs and idle's 0. Capped, the allowed points are a
-			// suffix of the table (the solver's floor), scanned in full.
-			pts := pc.hull
+			// A cap allows a suffix of the table (the solver's floor);
+			// uncapped, all of it.
+			l := &pc.hull
 			if capW := p.capOverride(r, k); capW > 0 {
-				pts = nil
-				if f := j.Table.FirstUnderPower(capW / scale); f >= 0 {
-					pts = pc.all[f:]
+				f := j.Table.FirstUnderPower(capW / scale)
+				if f < 0 {
+					row = append(row, 0)
+					continue
 				}
+				l = pc.from(j, f)
 			}
 			perJ := scale * grid.PerJoule(p.opts.Objective, grid.Interval{CarbonGPerKWh: rt.carbon, PriceUSDPerKWh: rt.price})
-			best := 0.0
-			for _, q := range pts {
-				best = min(best, perJ*q.powerW-lambda*q.perS)
-			}
-			row = append(row, best)
+			row = append(row, l.least(perJ, lambda))
 		}
 		b.rc[r] = row
 	}
+	return true
 }
 
-// value is the bound on placement: compileInto's walk — the origin, a
-// pause keeping the last region, each arrival charged at its cell's
-// rates and idling the downtime from the arrival on, across as many
-// cells as it covers, and every cell cut at the deadline — with each
-// run second priced at its cell's reduced cost.
-func (b *bound) value(p *planner, placement []int) float64 {
-	mig := p.opts.Migration
-	var run, moved float64
-	idleUntil := math.Inf(-1)
-	prev := b.origin
-	for k, c := range p.cells {
-		r := placement[k]
-		if r == Paused {
+// cursor is the state the bound's walk over a placement carries from
+// cell to cell, as compileInto does: the last placed region and the end
+// of the downtime being served.
+type cursor struct {
+	prev int
+	idle float64
+}
+
+// cell steps cur over cell k placed in region r and returns what the
+// cell adds to the bound: an arrival from another region (see arrive),
+// or each second left to run before the deadline at the cell's reduced
+// cost.
+func (b *bound) cell(p *planner, cur *cursor, k, r int) float64 {
+	if r == Paused {
+		return 0
+	}
+	if cur.prev != Paused && r != cur.prev {
+		return b.arrive(p, cur, k, r)
+	}
+	cur.prev = r
+	return b.run(p, cur, k, r)
+}
+
+// arrive steps cur into cell k from another region: the migration
+// charge at the cell's rates, and the downtime it starts, whatever the
+// cursor held before.
+func (b *bound) arrive(p *planner, cur *cursor, k, r int) float64 {
+	cur.prev, cur.idle = r, p.cells[k].StartS+p.opts.Migration.DowntimeS
+	return p.rates[r][k].arrive + b.run(p, cur, k, r)
+}
+
+// run prices the seconds of cell k, in region r, that are past cur's
+// downtime and before the deadline.
+func (b *bound) run(p *planner, cur *cursor, k, r int) float64 {
+	c := &p.cells[k]
+	if s := min(c.EndS, b.deadline) - max(c.StartS, cur.idle); s > 0 {
+		return s * b.rc[r][k]
+	}
+	return 0
+}
+
+// walk is one placement priced under one bound. Each cell boundary k
+// (0..len(cells)) holds the cursor entering cell k, what the cells
+// before k add (pre) and what the cells from k on add (suf); each cell
+// also holds its start, the region placed there (at) and the first cell
+// from it on that the placement places (next; len(cells) when none),
+// and, when placed, what the cells from it on add when the cursor
+// arrives there from another region (arr), and the boundary where that
+// cursor joins the walk again (join; len(cells) when it never does).
+type walk struct {
+	steps []walkStep
+}
+
+type walkStep struct {
+	cursor
+	pre, suf float64
+	start    float64
+	at, next int
+	arr      float64
+	join     int
+}
+
+// walk fills w with placement pl priced under b.
+func (b *bound) walk(p *planner, w *walk, pl []int) {
+	n := len(p.cells)
+	w.steps = slices.Grow(w.steps[:0], n+1)[:n+1]
+	cur := cursor{prev: b.origin, idle: math.Inf(-1)}
+	pre := 0.0
+	for k := range n {
+		s := &w.steps[k]
+		s.cursor, s.pre, s.start, s.at = cur, pre, p.cells[k].StartS, pl[k]
+		s.suf = b.cell(p, &cur, k, pl[k]) // the cell's own share until the suffix pass
+		pre += s.suf
+	}
+	w.steps[n] = walkStep{cursor: cur, pre: pre, start: p.horizon, at: Paused, next: n, join: n}
+	suf, next := 0.0, n
+	for k := n - 1; k >= 0; k-- {
+		s := &w.steps[k]
+		if pl[k] != Paused {
+			next = k
+		}
+		suf += s.suf
+		s.suf, s.next = suf, next
+	}
+	for k := range n {
+		s := &w.steps[k]
+		s.arr, s.join = 0, n
+		if pl[k] == Paused {
 			continue
 		}
-		if prev != Paused && r != prev {
-			idleUntil = c.StartS + mig.DowntimeS
-			rt := p.rates[r][k]
-			moved += mig.charge(rt.carbon, rt.price).Total(p.opts.Objective)
+		var cur cursor
+		s.arr = b.arrive(p, &cur, k, pl[k])
+		j := k + 1
+		for ; j < n && !w.steps[j].joins(cur); j++ {
+			s.arr += b.cell(p, &cur, j, pl[j])
 		}
-		prev = r
-		if s := min(c.EndS, b.deadline) - max(c.StartS, idleUntil); s > 0 {
-			run += s * b.rc[r][k]
-		}
+		s.arr += w.steps[j].suf
+		s.join = j
 	}
-	return run + moved + b.lambda*b.target
+}
+
+// joins reports whether a cursor entering s's cell prices every cell
+// from there on as the walk does: same last region, and the same
+// downtime end or both over by the cell's start (a cell reads the
+// downtime only through max(start, idle), and an arrival restarts it).
+func (s *walkStep) joins(cur cursor) bool {
+	return cur.prev == s.prev && (cur.idle == s.idle || max(cur.idle, s.idle) <= s.start)
+}
+
+// splice returns the bound on the placement that follows base outside
+// cells [i, k] and seg inside them: base's prefix up to i, seg's cells
+// entered with base's cursor there, then base's cells entered with the
+// cursor seg's leave. Over each walk's cells it steps one cell at a time
+// only until the cursor joins that walk — at once when it already does,
+// after an arrival where the walk's arr says, past paused stretches
+// whole (they add nothing and move no cursor) — and then reads the rest
+// off the walk's suffix sums: O(1) amortized, where bound.value walks
+// every cell.
+func (b *bound) splice(p *planner, base, seg *walk, i, k int) float64 {
+	s := &base.steps[i]
+	sum, cur := s.pre+b.lambda*b.target, s.cursor
+	w, c, end := seg, i, k+1
+	for {
+		for c < end {
+			s := &w.steps[c]
+			var from float64 // what w's cells from c on add, entered with cur
+			switch {
+			case s.joins(cur):
+				from = s.suf
+			case s.at == Paused:
+				c = s.next
+				continue
+			case cur.prev != Paused && cur.prev != s.at && s.join <= end:
+				from = s.arr
+			default:
+				sum += b.cell(p, &cur, c, s.at)
+				c++
+				continue
+			}
+			e := &w.steps[end]
+			sum += from - e.suf
+			cur, c = e.cursor, end
+		}
+		if w == base {
+			return sum
+		}
+		w, c, end = base, end, len(p.cells)
+	}
 }

@@ -19,11 +19,8 @@ type Options struct {
 	// regions; the zero value makes moves free.
 	Migration MigrationCost
 
-	// Workers bounds the planner's evaluation parallelism: independent
-	// candidate placements are solved across a worker pool and reduced
-	// in a fixed deterministic order, so the plan is identical for any
-	// value. 0 means runtime.GOMAXPROCS(0); 1 forces sequential
-	// evaluation (determinism_test.go pins the equality).
+	// Workers has no effect: the planner evaluates its candidates one
+	// after another. It is kept for callers that still set it.
 	Workers int
 
 	// Seeds optionally warm-starts each job's descent from a prior
@@ -50,13 +47,6 @@ type SeedSpan struct {
 // sequential pass: each round re-plans every job against the others'
 // committed placements.
 const gaussSeidelRounds = 2
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return DefaultWorkers()
-	}
-	return o.Workers
-}
 
 // Assignment is one cell of a job's placement sequence.
 type Assignment struct {
@@ -138,9 +128,7 @@ type Plan struct {
 	Stats Stats `json:"-"`
 }
 
-// Stats counts one solve's work. Every field is accumulated in the
-// planner's sequential reduction, so the counts are identical for any
-// Options.Workers.
+// Stats counts one solve's work.
 type Stats struct {
 	Orders        int // job orders run (one when no region can bind)
 	Descents      int // per-job descents
@@ -250,8 +238,8 @@ func (u *usage) power(j *Job, ev *eval, sign int) {
 
 // planner bundles the planning context: the immutable instance
 // (regions, cells, options, precomputed rates) plus the mutable solve
-// state — committed usage, per-worker evaluation scratch, and one
-// candidate memo per job, kept for the whole solve.
+// state — committed usage, evaluation scratch, and one candidate memo
+// per job, kept for the whole solve.
 type planner struct {
 	regions []Region
 	cells   []Cell
@@ -259,21 +247,33 @@ type planner struct {
 	opts    Options
 	usage   *usage
 
-	workers int
-	rates   [][]cellRates // [region][cell]
-	capAt   [][2]int      // the (region, cell)s that carry a power cap
-	scratch []evalScratch // one per worker
-	memos   []jobMemo     // one per job; see planner.sync
-	cands   []int32       // current batch, entry indices in generation order
-	pending []int32       // entries awaiting evaluation this batch
-	curPl   []int         // descent incumbent placement
-	tmpPl   []int         // candidate construction buffer
-	swapA   []int         // swapRefine's exchanged placements
+	rates   [][]cellRates  // [region][cell]
+	capAt   [][2]int       // the (region, cell)s that carry a power cap
+	scratch [1]evalScratch // compile buffers and the inner solver
+	memos   []jobMemo      // one per job; see planner.sync
+	curPl   []int          // descent incumbent placement
+	tmpPl   []int          // candidate construction buffer
+	swapA   []int          // swapRefine's exchanged placements
 	swapB   []int
 	points  []pointCosts // per job, read on first use; see bound
-	moveBnd bound        // planJob's bound on the moves from its incumbent
-	swapBnd [2]bound     // swapRefine's bounds on both exchanged placements
 	stats   Stats
+
+	// The bounds and the walks they price candidates from (see splice).
+	// planJob walks its incumbent and, per target t, the placement that
+	// is t in every cell (constPl[t+1]). swapRefine keeps one bound per
+	// job, priced at its incumbent's λ, and walks both incumbents under
+	// both jobs' bounds: a's and b's under a's, then b's and a's under
+	// b's. swapWalked is false until the four are walked for the current
+	// pair and incumbents.
+	moveBnd    bound
+	curWalk    walk
+	constPl    [][]int
+	constWalks []walk
+	fits       []bool // planJob's per-target "every cell so far allowed" and "some cell changed"
+	changed    []bool
+	swapBnds   []bound
+	swapWalks  [4]walk
+	swapWalked bool
 
 	// resetPerDescent is the differential tests' reference planner: every
 	// sync drops the memo (each descent starts empty, each incumbent and
@@ -283,10 +283,10 @@ type planner struct {
 }
 
 // newPlanner validates the instance and builds a ready planner:
-// normalized objective, common cell grid, rate table, and worker
-// scratch. The shared front half of every planning entry point
-// (Optimize, Fixed, BestFixed, NoMigration), hoisted so BestFixed pays
-// it once rather than once per region.
+// normalized objective, common cell grid and rate table. The shared
+// front half of every planning entry point (Optimize, Fixed, BestFixed,
+// NoMigration), hoisted so BestFixed pays it once rather than once per
+// region.
 func newPlanner(regions []Region, jobs []Job, opts Options) (*planner, error) {
 	if err := validate(regions, jobs, opts); err != nil {
 		return nil, err
@@ -319,35 +319,24 @@ func newPlanner(regions []Region, jobs []Job, opts Options) (*planner, error) {
 		cells:   cells,
 		horizon: horizon,
 		opts:    opts,
-		workers: opts.workers(),
 		rates:   rateTable(regions, cells),
 	}
 	for r := range p.rates {
-		for k, rc := range p.rates[r] {
+		for k := range p.rates[r] {
+			rc := &p.rates[r][k]
+			rc.arrive = opts.Migration.charge(rc.carbon, rc.price).Total(obj)
 			if rc.capW > 0 {
 				p.capAt = append(p.capAt, [2]int{r, k})
 			}
 		}
 	}
-	p.scratch = make([]evalScratch, p.workers)
-	return p, nil
-}
-
-// fork clones the planner's immutable context for an independent solve
-// (BestFixed runs one per region concurrently): shared regions, cells,
-// and rates; private usage, scratch, and memos. Forks run their inner
-// evaluations sequentially — the fan-out is across forks.
-func (p *planner) fork() *planner {
-	return &planner{
-		regions: p.regions,
-		cells:   p.cells,
-		horizon: p.horizon,
-		opts:    p.opts,
-		workers: 1,
-		rates:   p.rates,
-		capAt:   p.capAt,
-		scratch: make([]evalScratch, 1),
+	for t := Paused; t < len(regions); t++ {
+		p.constPl = append(p.constPl, slices.Repeat([]int{t}, len(cells)))
 	}
+	p.constWalks = make([]walk, len(p.constPl))
+	p.fits = make([]bool, len(p.constPl))
+	p.changed = make([]bool, len(p.constPl))
+	return p, nil
 }
 
 // allowed reports whether the job fits region r's GPU capacity in cell
@@ -405,7 +394,7 @@ func (p *planner) gridOptions(j *Job) grid.Options {
 // plan, copies of the signal and the cell map), never the scratch.
 func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, error) {
 	p.stats.Materialized++
-	sig, mig, cellOf := compileInto(&s.compileScratch, p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride, p.rates)
+	sig, mig, cellOf := compileInto(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), p.opts.Migration, p.capOverride)
 	plan, err := s.solver.Optimize(j.Table, sig, p.gridOptions(j))
 	if err != nil {
 		return nil, err
@@ -513,13 +502,28 @@ func pruneCutoff(cost float64) float64 { return cost - 0.5e-9*(1+math.Abs(cost))
 // usage now committed, solving it only if the job's memo has not seen
 // it under this cap view.
 func (p *planner) lookup(ji int, j *Job, placement []int) (outcome, error) {
-	m := p.sync(ji)
-	p.beginBatch()
-	p.addCand(m, placement)
-	if err := p.runBatch(m, j); err != nil {
+	e, err := p.propose(p.sync(ji), j, placement)
+	if err != nil {
 		return outcome{}, err
 	}
-	return m.entries[p.cands[0]].out, nil
+	return p.memos[ji].entries[e].out, nil
+}
+
+// propose interns a candidate placement in the job's memo, which must be
+// valid for the usage now committed (see sync), and returns its entry,
+// solving the placement first when the memo has not seen it.
+func (p *planner) propose(m *jobMemo, j *Job, pl []int) (int32, error) {
+	e := m.intern(pl)
+	p.stats.Candidates++
+	if !m.entries[e].solved {
+		out, err := p.evaluateLight(&p.scratch[0], j, pl)
+		if err != nil {
+			return 0, err
+		}
+		m.entries[e].out, m.entries[e].solved = out, true
+		p.stats.InnerSolves++
+	}
+	return e, nil
 }
 
 // evaluateLight evaluates a placement to its comparison outcome only —
@@ -528,7 +532,7 @@ func (p *planner) lookup(ji int, j *Job, placement []int) (outcome, error) {
 // evaluations of the same placement always agree; every comparison the
 // planner makes is on light outcomes (see materialize).
 func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcome, error) {
-	sig, mig, _ := compileInto(&s.compileScratch, p.regions, p.cells, placement, p.origin(j), p.opts.Migration, p.capOverride, p.rates)
+	sig, mig, _ := compileInto(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), p.opts.Migration, p.capOverride)
 	ev, err := s.solver.Evaluate(j.Table, sig, p.gridOptions(j))
 	if err != nil {
 		return outcome{}, err
@@ -539,46 +543,6 @@ func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcom
 		price:    ev.Price,
 		feasible: ev.Feasible,
 	}, nil
-}
-
-// beginBatch starts collecting one batch of candidate placements.
-func (p *planner) beginBatch() { p.cands = p.cands[:0] }
-
-// addCand records a candidate in generation order, interning it in the
-// job memo (duplicates and already-solved placements share entries).
-func (p *planner) addCand(m *jobMemo, pl []int) { p.cands = append(p.cands, m.intern(pl)) }
-
-// runBatch solves every not-yet-solved candidate in the current batch,
-// fanned across the worker pool. Each pending entry is written by
-// exactly one worker and the memo's headers are untouched while
-// workers run, so the pass is race-free; results are then read back
-// sequentially in generation order, which keeps the reduction — and
-// therefore the whole planner — bit-identical for any worker count.
-func (p *planner) runBatch(m *jobMemo, j *Job) error {
-	p.pending = p.pending[:0]
-	for _, e := range p.cands {
-		ent := &m.entries[e]
-		if !ent.solved {
-			ent.solved = true // batches can repeat an entry; queue it once
-			p.pending = append(p.pending, e)
-		}
-	}
-	p.stats.Candidates += len(p.cands)
-	p.stats.InnerSolves += len(p.pending)
-	if len(p.pending) == 0 {
-		return nil // all hits: most swap lookups and every replayed sweep
-	}
-	parallelFor(p.workers, len(p.pending), func(w, i int) {
-		e := p.pending[i]
-		ent := &m.entries[e]
-		ent.out, ent.err = p.evaluateLight(&p.scratch[w], j, m.placement(e))
-	})
-	for _, e := range p.pending {
-		if err := m.entries[e].err; err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // regionIndex resolves a region name to its index, -1 when unknown.
@@ -691,45 +655,42 @@ func (p *planner) starts(j *Job) [][]int {
 
 // planJob finds one job's placement by steepest descent over
 // contiguous segment moves, starting from the best candidate start:
-// every move re-assigns one cell range [i, j] to one region (or to
+// every move re-assigns one cell range [i, k] to one region t (or to
 // Paused) and is evaluated exactly via the inner temporal planner, so
 // the descent only accepts moves whose full spatio-temporal cost —
 // migration pause-costs included — strictly improves.
 //
-// Mechanically each descent sweep is batched: candidates are generated
-// in canonical (i, k, t) order, priced by the Lagrangian bound at the
-// feasible incumbent's λ (a move whose bound reaches pruneCutoff could
-// never be accepted, so it is dropped before it is proposed),
-// deduplicated through the job memo, evaluated light across the worker
-// pool, and reduced sequentially in generation order with the same
-// strict comparisons the sequential planner makes — so the chosen
-// move, and hence the whole descent, is bit-identical for any
-// Options.Workers and to a descent that solves every move. The memo
-// outlives the descent (see jobMemo): a re-plan of the same job under
-// an unchanged cap view re-proposes what an earlier descent solved and
-// reads it back. The winner is returned light.
+// Each descent sweep generates the moves in canonical (i, k, t) order,
+// tracking per target as k grows whether every cell of the range is
+// allowed and whether any changes. A move is priced by the Lagrangian
+// bound at the feasible incumbent's λ before it is built — spliced from
+// the walks of the incumbent and of t in every cell — and one whose
+// bound reaches pruneCutoff could never be accepted, so it is dropped
+// unproposed. The rest are looked up in the job memo, solved on a miss,
+// and compared in generation order with strict comparisons, so ties go
+// to the first and the descent is the one that solves every move. The
+// memo outlives the descent (see jobMemo): a re-plan of the same job
+// under an unchanged cap view re-proposes what an earlier descent
+// solved and reads it back. The winner is returned light.
 func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 	m := p.sync(ji)
 	p.stats.Descents++
 	kEnd := p.kEnd(j)
 
-	p.beginBatch()
 	starts := p.starts(j)
 	if seed := p.seedPlacement(j, kEnd); seed != nil {
 		starts = append(starts, seed)
 	}
-	for _, pl := range starts {
-		p.addCand(m, pl)
-	}
-	if err := p.runBatch(m, j); err != nil {
-		return nil, err
-	}
 	var cur outcome
 	haveCur := false
-	for _, e := range p.cands {
+	for _, pl := range starts {
+		e, err := p.propose(m, j, pl)
+		if err != nil {
+			return nil, err
+		}
 		if out := m.entries[e].out; betterOutcome(out, cur, haveCur) {
 			cur, haveCur = out, true
-			p.curPl = append(p.curPl[:0], m.placement(e)...)
+			p.curPl = append(p.curPl[:0], pl...)
 		}
 	}
 
@@ -743,24 +704,35 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 		// accepted, so it is never proposed.
 		prune := cur.feasible && cur.price >= 0 && !p.resetPerDescent
 		if prune {
-			p.moveBnd.prepare(p, ji, j, cur.price)
+			if p.moveBnd.prepare(p, ji, j, cur.price) {
+				for x, pl := range p.constPl {
+					p.moveBnd.walk(p, &p.constWalks[x], pl)
+				}
+			}
+			p.moveBnd.walk(p, &p.curWalk, p.curPl)
 		}
 		cutoff := pruneCutoff(cur.cost)
-		p.beginBatch()
+		bestE := int32(-1)
+		var best outcome
 		for i := 0; i < kEnd; i++ {
+			for x := range p.fits {
+				p.fits[x], p.changed[x] = true, false
+			}
 			for k := i; k < kEnd; k++ {
-				for t := Paused; t < len(p.regions); t++ {
-					ok, changed := true, false
-					for c := i; c <= k; c++ {
-						if t >= 0 && !p.allowed(j, t, c) {
-							ok = false
-							break
-						}
-						if p.curPl[c] != t {
-							changed = true
-						}
+				for x := range p.fits {
+					t := x - 1 // x indexes constPl: Paused, then the regions
+					if t >= 0 && !p.allowed(j, t, k) {
+						p.fits[x] = false
 					}
-					if !ok || !changed {
+					if !p.fits[x] {
+						continue
+					}
+					p.changed[x] = p.changed[x] || p.curPl[k] != t
+					if !p.changed[x] {
+						continue
+					}
+					if prune && p.moveBnd.splice(p, &p.curWalk, &p.constWalks[x], i, k) >= cutoff {
+						p.stats.Pruned++
 						continue
 					}
 					cand := append(p.tmpPl[:0], p.curPl...)
@@ -768,23 +740,14 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 						cand[c] = t
 					}
 					p.tmpPl = cand
-					if prune && p.moveBnd.value(p, cand) >= cutoff {
-						p.stats.Pruned++
-						continue
+					e, err := p.propose(m, j, cand)
+					if err != nil {
+						return nil, err
 					}
-					p.addCand(m, cand)
+					if out := m.entries[e].out; betterOutcome(out, cur, true) && betterOutcome(out, best, bestE >= 0) {
+						best, bestE = out, e
+					}
 				}
-			}
-		}
-		if err := p.runBatch(m, j); err != nil {
-			return nil, err
-		}
-		bestE := int32(-1)
-		var best outcome
-		for _, e := range p.cands {
-			out := m.entries[e].out
-			if betterOutcome(out, cur, true) && betterOutcome(out, best, bestE >= 0) {
-				best, bestE = out, e
 			}
 		}
 		if bestE < 0 {
@@ -817,14 +780,13 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 // (jobMemo), and a temporal plan is built only for a placement that
 // is committed at a capped cell or wins. A descent move or swap is
 // first priced by a Lagrangian lower bound at the incumbent's λ
-// (bound): one that provably cannot strictly beat the incumbent is
-// never solved, which leaves every accepted move as it was. Candidate
-// evaluations fan out across an Options.Workers pool with a
-// deterministic sequential reduction, so the plan is identical for any
-// worker count. brute_test.go cross-checks the result against
-// exhaustive placement enumeration on small instances; memo_test.go
-// checks it against the same planner with the memo dropped before every
-// use and nothing pruned.
+// (bound), read in O(1) amortized off walks of the placements it is
+// spliced from: one that provably cannot strictly beat the incumbent is
+// never solved, which leaves every accepted move as it was. The solve
+// runs on the calling goroutine. brute_test.go cross-checks the result
+// against exhaustive placement enumeration on small instances;
+// memo_test.go checks it against the same planner with the memo dropped
+// before every use and nothing pruned.
 func Optimize(regions []Region, jobs []Job, opts Options) (*Plan, error) {
 	return plan(regions, jobs, opts, nil)
 }
@@ -855,25 +817,19 @@ func fixedCandidates(idx int) func(*planner, *Job) [][]int {
 // BestFixed plans Fixed for every region and returns the best plan
 // (feasible first, then lowest objective) — the strongest baseline
 // that never moves a job after choosing one datacenter for the fleet.
-// Validation and the common cell grid are built once and shared; the
-// per-region solves are independent, so they run concurrently on
-// planner forks and reduce in region order.
+// Validation and the common cell grid are built once and shared by the
+// per-region solves, which run in region order; ties keep the first.
 func BestFixed(regions []Region, jobs []Job, opts Options) (*Plan, error) {
 	p, err := newPlanner(regions, jobs, opts)
 	if err != nil {
 		return nil, err
 	}
-	plans := make([]*Plan, len(regions))
-	errs := make([]error, len(regions))
-	parallelFor(p.workers, len(regions), func(_, i int) {
-		plans[i], errs[i] = p.fork().solveAll(jobs, fixedCandidates(i))
-	})
 	var best *Plan
-	for i := range plans {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for i := range regions {
+		pl, err := p.solveAll(jobs, fixedCandidates(i))
+		if err != nil {
+			return nil, err
 		}
-		pl := plans[i]
 		if best == nil || (pl.Feasible && !best.Feasible) ||
 			(pl.Feasible == best.Feasible && pl.Total() < best.Total()) {
 			best = pl
@@ -904,9 +860,11 @@ func plan(regions []Region, jobs []Job, opts Options, candidates func(*planner, 
 // solveAll plans the jobs sequentially with committed usage: the full
 // planner (descent + improvement rounds over several job orders) when
 // candidates is nil, otherwise a baseline restricted to the candidates
-// it returns, in input order.
+// it returns, in input order. Each call starts from empty memos and
+// counts.
 func (p *planner) solveAll(jobs []Job, candidates func(*planner, *Job) [][]int) (*Plan, error) {
 	p.memos = make([]jobMemo, len(jobs))
+	p.stats = Stats{}
 	// Sequential planning is order-dependent under capacity contention:
 	// the full planner tries every job order on small fleets (rotations
 	// on larger ones) and keeps the best joint outcome; baselines keep
@@ -1048,27 +1006,20 @@ func (p *planner) gaussSeidel(jobs []Job, order []int, evals []*eval) (bool, err
 	return improved, nil
 }
 
-// swapFits reports whether exchanging two jobs' placements pa and pb
-// over cells [i, k] changes anything and fits every region's GPUs. At
-// a cell where they differ b takes a's seat and a takes b's; both
+// swapCell reports whether exchanging two jobs' placements pa and pb
+// at cell c changes it, and whether the exchange fits every region's
+// GPUs there. Where they differ b takes a's seat and a takes b's; both
 // incumbents are committed, so a region's load moves by the difference
-// of the two jobs' sizes and cells outside the range (or where the two
-// agree) fit as they did.
-func (p *planner) swapFits(ja, jb *Job, pa, pb []int, i, k int) bool {
-	over := func(r, c, delta int) bool {
+// of the two jobs' sizes, and where they agree the cell fits as it did.
+func (p *planner) swapCell(ja, jb *Job, pa, pb []int, c int) (differs, fits bool) {
+	if pa[c] == pb[c] {
+		return false, true
+	}
+	over := func(r, delta int) bool {
 		return r >= 0 && p.regions[r].GPUs > 0 && p.usage.gpus[r][c]+delta > p.regions[r].GPUs
 	}
-	changed := false
-	for c := i; c <= k; c++ {
-		if pa[c] == pb[c] {
-			continue
-		}
-		changed = true
-		if d := jb.gpus() - ja.gpus(); over(pa[c], c, d) || over(pb[c], c, -d) {
-			return false
-		}
-	}
-	return changed
+	d := jb.gpus() - ja.gpus()
+	return true, !over(pa[c], d) && !over(pb[c], -d)
 }
 
 // swapRefine runs pairwise segment-swap descent: for every job pair
@@ -1078,40 +1029,51 @@ func (p *planner) swapFits(ja, jb *Job, pa, pb []int, i, k int) bool {
 // same region's clean hours must trade them, which no single-job
 // re-plan can express — and it returns whether anything improved.
 //
-// A candidate is tested on the incumbents first (swapFits), then priced
-// by the two jobs' Lagrangian bounds (swapPruned), and only then costs
-// two memo lookups: b's exchanged placement with both jobs' power
-// withdrawn, a's with b's exchanged placement drawing in their place.
-// Only an accepted swap touches the committed GPUs or builds a plan
-// that no capped cell asked for.
+// A range [i, k] is tried when it changes something and every cell of
+// it fits (swapCell, tracked as k grows: an accepted swap leaves its
+// range fitting, since exchanging it back would restore the load it
+// replaced, which fit). A candidate is then priced by the two jobs'
+// Lagrangian bounds (swapPruned), and only then built and looked up
+// twice: b's exchanged placement with both jobs' power withdrawn, a's
+// with b's exchanged placement drawing in their place. Only an accepted
+// swap touches the committed GPUs or builds a plan that no capped cell
+// asked for.
 func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 	K := len(p.cells)
 	improved := false
 	solves := p.stats.InnerSolves
+	if len(p.swapBnds) < len(jobs) {
+		p.swapBnds = make([]bound, len(jobs))
+	}
 	for a := 0; a < len(jobs); a++ {
 		for b := a + 1; b < len(jobs); b++ {
 			ja, jb := &jobs[a], &jobs[b]
+			p.swapWalked = false
 			for i := 0; i < K; i++ {
+				changed := false
 				for k := i; k < K; k++ {
 					ea, eb := evals[a], evals[b]
-					if !p.swapFits(ja, jb, ea.placement, eb.placement, i, k) {
+					differs, fits := p.swapCell(ja, jb, ea.placement, eb.placement, k)
+					if !fits {
+						break
+					}
+					if changed = changed || differs; !changed {
 						continue
 					}
 					p.stats.SwapsTried++
-					p.swapA = append(p.swapA[:0], ea.placement...)
-					p.swapB = append(p.swapB[:0], eb.placement...)
-					copy(p.swapA[i:k+1], eb.placement[i:k+1])
-					copy(p.swapB[i:k+1], ea.placement[i:k+1])
-					na, nb := eval{placement: p.swapA}, eval{placement: p.swapB}
-
 					p.usage.power(ja, ea, -1)
 					p.usage.power(jb, eb, -1)
-					if p.swapPruned(a, b, ja, jb, ea, eb) {
+					if p.swapPruned(a, b, ja, jb, ea, eb, i, k) {
 						p.usage.power(ja, ea, +1)
 						p.usage.power(jb, eb, +1)
 						p.stats.Pruned++
 						continue
 					}
+					p.swapA = append(p.swapA[:0], ea.placement...)
+					p.swapB = append(p.swapB[:0], eb.placement...)
+					copy(p.swapA[i:k+1], eb.placement[i:k+1])
+					copy(p.swapB[i:k+1], ea.placement[i:k+1])
+					na, nb := eval{placement: p.swapA}, eval{placement: p.swapB}
 					var err error
 					accept := false
 					if nb.outcome, err = p.lookup(b, jb, nb.placement); err == nil && p.touchesCap(nb.placement) {
@@ -1144,6 +1106,7 @@ func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 					evals[a], evals[b] = &ka, &kb
 					p.usage.apply(ja, &ka, +1)
 					p.usage.apply(jb, &kb, +1)
+					p.swapWalked = false
 					p.stats.SwapsAccepted++
 					improved = true
 				}
@@ -1154,19 +1117,29 @@ func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 	return improved, nil
 }
 
-// swapPruned reports whether the Lagrangian bounds on the exchanged
-// placements in p.swapA and p.swapB prove the swap cannot beat the two
-// feasible incumbents ea and eb. Both jobs' power is withdrawn when it
-// is called; b's lookup is made in that view, a's with b's exchanged
-// plan drawing, and a tighter cap only raises a bound, so the bound in
-// this view holds for both.
-func (p *planner) swapPruned(a, b int, ja, jb *Job, ea, eb *eval) bool {
+// swapPruned reports whether the Lagrangian bounds on the placements
+// exchanging ea's and eb's cells [i, k] prove the swap cannot beat the
+// two feasible incumbents. Both jobs' power is withdrawn when it is
+// called; b's lookup is made in that view, a's with b's exchanged plan
+// drawing, and a tighter cap only raises a bound, so the bound in this
+// view holds for both. Each job's bound splices its incumbent's walk
+// with the other's, walked again only when the bound re-prices or the
+// pair or its incumbents changed.
+func (p *planner) swapPruned(a, b int, ja, jb *Job, ea, eb *eval, i, k int) bool {
 	if p.resetPerDescent || !ea.feasible || !eb.feasible || ea.price < 0 || eb.price < 0 {
 		return false
 	}
-	p.swapBnd[0].prepare(p, a, ja, ea.price)
-	p.swapBnd[1].prepare(p, b, jb, eb.price)
-	lo := p.swapBnd[0].value(p, p.swapA) + p.swapBnd[1].value(p, p.swapB)
+	ba, bb, w := &p.swapBnds[a], &p.swapBnds[b], &p.swapWalks
+	if ba.prepare(p, a, ja, ea.price) || !p.swapWalked {
+		ba.walk(p, &w[0], ea.placement)
+		ba.walk(p, &w[1], eb.placement)
+	}
+	if bb.prepare(p, b, jb, eb.price) || !p.swapWalked {
+		bb.walk(p, &w[2], eb.placement)
+		bb.walk(p, &w[3], ea.placement)
+	}
+	p.swapWalked = true
+	lo := ba.splice(p, &w[0], &w[1], i, k) + bb.splice(p, &w[2], &w[3], i, k)
 	return lo >= pruneCutoff(ea.cost+eb.cost)
 }
 

@@ -189,24 +189,13 @@ func migrations(origin int, placement []int) []int {
 	return out
 }
 
-// compile builds the composite grid.Signal a placement sequence
-// induces for one job: each cell carries its assigned region's rates
-// and effective cap (capOverride, when non-nil, substitutes the
-// capacity-shared cap), pauses carry a force-idle cap, and each
-// migration's downtime force-idles the start of the arrival span —
-// spilling across cells when the downtime exceeds one. It also returns
-// the migration summary (count, downtime, and the transfer energy
-// priced at each arrival cell's rates) and the composite-interval →
-// cell mapping capacity accounting needs.
-func compile(regions []Region, cells []Cell, placement []int, origin int, mig MigrationCost, capOverride func(region, cell int) float64) (*grid.Signal, migSummary, []int) {
-	return compileInto(nil, regions, cells, placement, origin, mig, capOverride, nil)
-}
-
 // cellRates caches one region's effective (carbon, price, cap) over one
 // cell, so hot candidate evaluation skips the cyclic signal scan that
-// Region.rates performs per call.
+// Region.rates performs per call; the planner adds what one arrival
+// there costs in its objective.
 type cellRates struct {
 	carbon, price, capW float64
+	arrive              float64
 }
 
 // rateTable precomputes Region.rates for every (region, cell) pair.
@@ -222,31 +211,28 @@ func rateTable(regions []Region, cells []Cell) [][]cellRates {
 	return tab
 }
 
-// compileScratch holds compile's reusable output buffers; the signal a
-// scratch-backed compileInto returns aliases them and is only valid
-// until the next call with the same scratch.
+// compileScratch holds compileInto's reusable output buffers.
 type compileScratch struct {
 	sig    grid.Signal
 	cellOf []int
 }
 
-// compileInto is compile with reusable buffers: a non-nil scratch
-// supplies (and retains) the interval and cell-map storage, and a
-// non-nil rate table replaces the per-cell Region.rates scans. Both
-// paths produce identical signals; compile is the allocate-fresh
-// special case.
-func compileInto(cs *compileScratch, regions []Region, cells []Cell, placement []int, origin int, mig MigrationCost, capOverride func(region, cell int) float64, rates [][]cellRates) (*grid.Signal, migSummary, []int) {
+// compileInto builds the composite grid.Signal a placement sequence
+// induces for one job: each cell carries its assigned region's rates
+// (from the rate table) and effective cap (capOverride, when non-nil,
+// substitutes the capacity-shared cap), pauses carry a force-idle cap,
+// and each migration's downtime force-idles the start of the arrival
+// span — spilling across cells when the downtime exceeds one. It also
+// returns the migration summary (count, downtime, and the transfer
+// energy priced at each arrival cell's rates) and the
+// composite-interval → cell mapping capacity accounting needs. The
+// signal and the mapping live in cs's buffers until its next use.
+func compileInto(cs *compileScratch, cells []Cell, rates [][]cellRates, placement []int, origin int, mig MigrationCost, capOverride func(region, cell int) float64) (*grid.Signal, migSummary, []int) {
 	var sum migSummary
-	var sig *grid.Signal
-	var cellOf []int
-	if cs != nil {
-		sig = &cs.sig
-		sig.Name = "composite"
-		sig.Intervals = sig.Intervals[:0]
-		cellOf = cs.cellOf[:0]
-	} else {
-		sig = &grid.Signal{Name: "composite"}
-	}
+	sig := &cs.sig
+	sig.Name = "composite"
+	sig.Intervals = sig.Intervals[:0]
+	cellOf := cs.cellOf[:0]
 	idleUntil := math.Inf(-1) // downtime window currently being served
 	prev := origin            // last placed region, for arrival detection
 	for k, c := range cells {
@@ -256,12 +242,8 @@ func compileInto(cs *compileScratch, regions []Region, cells []Cell, placement [
 		if r == Paused {
 			capW = forceIdleCapW
 		} else {
-			if rates != nil {
-				rc := rates[r][k]
-				carbon, price, capW = rc.carbon, rc.price, rc.capW
-			} else {
-				carbon, price, capW = regions[r].rates(c)
-			}
+			rc := rates[r][k]
+			carbon, price, capW = rc.carbon, rc.price, rc.capW
 			if capOverride != nil {
 				capW = capOverride(r, k)
 			}
@@ -296,9 +278,7 @@ func compileInto(cs *compileScratch, regions []Region, cells []Cell, placement [
 		})
 		cellOf = append(cellOf, k)
 	}
-	if cs != nil {
-		cs.cellOf = cellOf
-	}
+	cs.cellOf = cellOf
 	return sig, sum, cellOf
 }
 

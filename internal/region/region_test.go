@@ -22,6 +22,11 @@ func convexTable(unit float64, tminU, tstarU int64, a, b float64) *frontier.Look
 	return lt
 }
 
+// compile is compileInto on fresh buffers and the regions' own rates.
+func compile(regions []Region, cells []Cell, placement []int, origin int, mig MigrationCost, capOverride func(region, cell int) float64) (*grid.Signal, migSummary, []int) {
+	return compileInto(&compileScratch{}, cells, rateTable(regions, cells), placement, origin, mig, capOverride)
+}
+
 // flatSignal builds a constant-rate signal over [0, dur).
 func flatSignal(name string, dur, carbon, price float64) *grid.Signal {
 	return &grid.Signal{Name: name, Intervals: []grid.Interval{

@@ -2,53 +2,14 @@ package region
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"unsafe"
 
 	"perseus/internal/grid"
 )
 
-// DefaultWorkers returns the planner's default evaluation parallelism:
-// one worker per available CPU (Options.Workers = 0 resolves to this).
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// parallelFor runs fn(worker, index) for every index in [0, n) across
-// at most `workers` goroutines. Indices are handed out atomically and
-// each worker id runs on exactly one goroutine, so per-worker scratch
-// needs no locking. workers <= 1 (or n <= 1) runs inline.
-func parallelFor(workers, n int, fn func(worker, index int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// evalScratch is one worker's private evaluation state — compile
-// buffers plus a reusable grid solver — shared by every candidate that
-// worker evaluates.
+// evalScratch is the planner's evaluation state — compile buffers plus
+// a reusable grid solver — shared by every candidate it evaluates.
 type evalScratch struct {
 	compileScratch
 	solver grid.Solver
@@ -105,7 +66,6 @@ type jobMemo struct {
 type memoEntry struct {
 	off, n int32 // placement = arena[off : off+n]
 	out    outcome
-	err    error
 	solved bool
 }
 
@@ -120,8 +80,7 @@ func (m *jobMemo) reset() {
 	m.arena = m.arena[:0]
 }
 
-// bytes sizes the memo's live contents (lengths, not capacities, so the
-// figure is the same for any worker count).
+// bytes sizes the memo's live contents (lengths, not capacities).
 func (m *jobMemo) bytes() int {
 	const keyBytes = 12 // uint64 hash + int32 index
 	return len(m.arena)*int(unsafe.Sizeof(int(0))) + len(m.entries)*int(unsafe.Sizeof(memoEntry{})) + len(m.keys)*keyBytes
@@ -143,23 +102,11 @@ func hashPlacement(pl []int) uint64 {
 	return h
 }
 
-func equalPlacement(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // intern returns the entry index for the placement, copying it into
 // the arena and adding an unsolved entry on first sight.
 func (m *jobMemo) intern(pl []int) int32 {
 	h := hashPlacement(pl)
-	if e, ok := m.keys[h]; ok && equalPlacement(m.placement(e), pl) {
+	if e, ok := m.keys[h]; ok && slices.Equal(m.placement(e), pl) {
 		return e
 	}
 	off := int32(len(m.arena))

@@ -588,9 +588,6 @@ func TestReplanWarmStartOnTailRevision(t *testing.T) {
 	if !strings.Contains(text, "perseus_planner_warm_starts_total 1") {
 		t.Fatalf("metrics missing warm-start count of 1:\n%s", text)
 	}
-	if !strings.Contains(text, "perseus_planner_workers ") {
-		t.Fatal("metrics missing perseus_planner_workers gauge")
-	}
 
 	// Time advancing past the plan offset is never warm: the executed
 	// hour must freeze and the remainder re-solve.

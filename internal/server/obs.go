@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"perseus/internal/obs"
-	"perseus/internal/region"
 )
 
 // serverObs bundles the server's observability surface: one metric
@@ -50,7 +49,6 @@ type serverObs struct {
 	replans     *obs.Counter
 	replanFails *obs.Counter
 	warmStarts  *obs.Counter
-	planWorkers *obs.Gauge
 
 	// regionSolves is the inner-solve count of each GET /regions/plan
 	// solve (region.Stats.InnerSolves).
@@ -188,8 +186,6 @@ func newServerObs() *serverObs {
 			"Roll-forwards that reused the running plan because the forecast revision left the remaining window unchanged."),
 		forecastsIssued: r.Counter("perseus_controller_forecasts_issued_total",
 			"Forecasts issued for rolling schedules: one per requested horizon per tick or ManageJob call, shared by every job that plans from it."),
-		planWorkers: r.Gauge("perseus_planner_workers",
-			"Worker-pool size the region planner fans candidate evaluations across (GOMAXPROCS)."),
 		regionSolves: r.Histogram("perseus_region_plan_inner_solves",
 			"Inner temporal solves per region plan (memo misses; the rest of the solve's counts ride on its planner.solve span).",
 			[]float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}),
@@ -230,9 +226,6 @@ func newServerObs() *serverObs {
 		sloBreaches: r.CounterVec("perseus_slo_breaches_total",
 			"Transitions of an SLO into breach.", "slo"),
 	}
-	// The planner worker-pool gauge is static per process: the region
-	// planner sizes its candidate-evaluation pool to GOMAXPROCS.
-	o.planWorkers.Set(float64(region.DefaultWorkers()))
 	ledgerViews(r, o.ledger)
 	r.CounterView("perseus_trace_spans_dropped_total",
 		"Finished spans the bounded span ring has overwritten.",

@@ -196,9 +196,10 @@ func TestBodyLimit(t *testing.T) {
 }
 
 // TestProfileBodyErrors: a profile body whose rows have columns of
-// different lengths, or that lists its measurements one object each,
-// answers 400 (the latter naming "types") and stores nothing, so the
-// job's next, well-formed upload is its first.
+// different lengths, that lists its measurements one object each (400
+// naming "types"), or that is followed by anything but whitespace
+// answers 400 and stores nothing, so the job's next, well-formed upload
+// is its first.
 func TestProfileBodyErrors(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -232,6 +233,11 @@ func TestProfileBodyErrors(t *testing.T) {
 	buf, err := json.Marshal(buildUpload(t, g, req.Stages, 4))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tail := range []string{" {}", "\x00", "x"} {
+		if code, msg := post(string(buf) + tail); code != http.StatusBadRequest {
+			t.Fatalf("upload followed by %q = %d %q, want 400", tail, code, msg)
+		}
 	}
 	if code, msg := post(string(buf)); code != http.StatusAccepted {
 		t.Fatalf("well-formed upload after the rejected ones = %d %q, want 202", code, msg)

@@ -47,6 +47,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -263,9 +264,20 @@ const maxBodyBytes = 4 << 20
 
 // decodeJSON reads the request's JSON body into v. ok is false after it
 // has answered 400 for a malformed body or 413 for one over
-// maxBodyBytes.
+// maxBodyBytes. A v that decodes itself (a profile upload) is handed the
+// body as read: its UnmarshalJSON validates what it parses, so
+// encoding/json's scan would only read the bytes twice.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var err error
+	if u, self := v.(json.Unmarshaler); self {
+		var data []byte
+		if data, err = io.ReadAll(body); err == nil {
+			err = u.UnmarshalJSON(data)
+		}
+	} else {
+		err = json.NewDecoder(body).Decode(v)
+	}
 	if err == nil {
 		return true
 	}

@@ -234,12 +234,15 @@ func (j *job) deployedTimeLocked(tmin float64) float64 {
 	return t
 }
 
-// hashTable content-hashes a characterized lookup table so the plan
-// cache can key on the frontier a plan was solved against: any
-// re-characterization yields a different key. One multiply and shift per
-// 64-bit word; each round is a bijection of the running hash for a given
-// word and of the word for a given hash, so two tables of one shape that
-// differ in a single word never collide.
+// hashTable content-hashes what a plan reads of a characterized lookup
+// table — the unit, the Tmin and T* endpoints, and each point's time and
+// energy — so the plan cache can key on the frontier a plan was solved
+// against: a re-characterization that moves any of them yields a
+// different key. The points' frequencies are left out: no grid.Plan
+// reads them, so tables differing only there share plans. One multiply
+// and shift per 64-bit word; each round is a bijection of the running
+// hash for a given word and of the word for a given hash, so two tables
+// of one shape that differ in a single hashed word never collide.
 func hashTable(lt *frontier.LookupTable) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	h = mixWord(h, math.Float64bits(lt.Unit))
@@ -248,9 +251,6 @@ func hashTable(lt *frontier.LookupTable) uint64 {
 	for _, pt := range lt.Points {
 		h = mixWord(h, uint64(pt.TimeUnits))
 		h = mixWord(h, math.Float64bits(pt.Energy))
-		for _, f := range pt.Freqs {
-			h = mixWord(h, uint64(f))
-		}
 	}
 	return h
 }
