@@ -133,7 +133,8 @@ func (g *Graph) EarliestStarts() []int64 {
 
 // EarliestStartsInto is EarliestStarts writing into est, which is grown
 // only if it is shorter than the node count, and returned. The optimizer
-// calls it twice per frontier point.
+// calls it once per step that rebuilds the Critical DAG, and not on the
+// steps that keep it.
 func (g *Graph) EarliestStartsInto(est []int64) []int64 {
 	est = sized(est, len(g.Dur))
 	clear(est)

@@ -111,26 +111,39 @@ type state struct {
 
 	moved []int32 // computations the last Step touched, ascending
 	est   []int64 // earliest starts under the current durations; empty when they moved since
+	mk    int64   // the makespan under the current durations; 0 when they moved since
 
 	// cut is MinCutStepper's flow network and buffers, built by its first
 	// Step and reused by every later one.
 	cut       *cutNet
 	fallbacks int // steps that fell back to the speed-up-only cut
+	rebuilds  int // steps that rebuilt the Critical DAG
 }
 
-// makespan returns the iteration time under the current durations, leaving
-// the earliest starts it came from in st.est. The pass over the DAG runs
-// once per change of durations: Characterize's call after a step and the
-// next step's own read the same starts.
-func (st *state) makespan() int64 {
+// starts returns the earliest starts under the current durations. The pass
+// over the DAG runs once per change of durations: a step's revert check,
+// Characterize's makespan read after it and the next step's critical-path
+// analysis share it.
+func (st *state) starts() []int64 {
 	if len(st.est) == 0 {
 		st.est = st.g.EarliestStartsInto(st.est)
+		st.mk = st.est[st.g.Sink]
 	}
-	return st.est[st.g.Sink]
+	return st.est
 }
 
-// durationsMoved drops the earliest starts a change of st.durs outdated.
-func (st *state) durationsMoved() { st.est = st.est[:0] }
+// makespan returns the iteration time under the current durations: the one
+// a step that knew it left, else the earliest starts' sink.
+func (st *state) makespan() int64 {
+	if st.mk == 0 {
+		st.starts()
+	}
+	return st.mk
+}
+
+// durationsMoved drops the starts and makespan a change of st.durs
+// outdated.
+func (st *state) durationsMoved() { st.est, st.mk = st.est[:0], 0 }
 
 // phi returns the relaxed adjusted energy of computation i at duration d.
 func (st *state) phi(i int, d int64) float64 {
@@ -249,6 +262,7 @@ type Stats struct {
 	Searches        int // breadth-first passes (path searches or level graphs) run by them
 	AugmentingPaths int // paths pushed by them
 	Fallbacks       int // steps that fell back to the speed-up-only cut
+	Rebuilds        int // steps that rebuilt the Critical DAG; the others kept the previous step's
 	TablePoints     int // points Table keeps: the Pareto set
 	HullPoints      int // of those, the lower convex hull's vertices (LookupTable.Hull)
 }
@@ -442,7 +456,7 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 		mk = newMk
 		record(mk)
 	}
-	f.stats.Fallbacks = st.fallbacks
+	f.stats.Fallbacks, f.stats.Rebuilds = st.fallbacks, st.rebuilds
 	if st.cut != nil {
 		nw := st.cut.nw
 		f.stats.EdgesMoved, f.stats.Searches, f.stats.AugmentingPaths = nw.EdgesMoved(), nw.Searches(), nw.AugmentingPaths()
@@ -485,7 +499,37 @@ func unitsRound(sec, unit float64) int64 {
 // network only the bounds that differ from the previous step's — those on
 // and around the previous cut — so the network re-clamps, re-balances and
 // re-routes just that much of the flow it kept (maxflow.Network).
+//
+// Most steps keep the Critical DAG itself. Call a step clean when its cut
+// crosses the Critical DAG only forward: it did not fall back, and no
+// critical computation (fixed or at its slowest included) or tight
+// dependency is cut T→S. Every critical path then crosses the cut exactly
+// once, at a sped-up computation, so it gets exactly one unit shorter, no
+// path gets longer, and the makespan is mk−1. A critical computation's
+// earliest start drops by one exactly when its in-node is on the T side,
+// so the slack of a dependency between two critical computations moves by
+// +1 when the cut crosses it T→S and −1 when S→T (the same as old +
+// [in(v)∈T] − [in(w)∈T] + [v sped up]). Every other computation is far or
+// near: far when its slack at the last rebuild exceeds nearSlack, which
+// keeps it off the Critical DAG for that many clean steps at least (its
+// slack drops by at most one a step); near otherwise, and then tracked
+// exactly — its earliest and latest starts recomputed after each clean
+// step over its critical and near neighbours, since a path through a far
+// computation is too short to matter. After a clean step the next one
+// keeps the Critical DAG — same critical computations, same tight
+// dependencies — when every loose dependency between critical
+// computations keeps positive slack, no near computation turned critical
+// and the far ones' slack, lowered by one per clean step, is still ≥ 1.
+// Such a step skips both start-time passes and the bounds loop over every
+// node and prices only the computations the last cut moved; any other
+// step rebuilds the Critical DAG from the earliest and latest starts. Both
+// hand the network the same bounds, so the frontier is the same.
 type MinCutStepper struct{}
+
+// nearSlack is the most slack at a rebuild with which an off-DAG
+// computation is tracked exactly: four units halve the rebuilds that the
+// far ones' bound alone leaves on the bench's six frontiers.
+const nearSlack = 4
 
 // cutNet is MinCutStepper's working set. Computation v is flow node 2v
 // (in) and 2v+1 (out); edge nodeEdge[v] joins them and carries v's
@@ -495,9 +539,8 @@ type MinCutStepper struct{}
 type cutNet struct {
 	nw       *maxflow.Network
 	nodeEdge []int32
-	lst      []int64
 	critical []bool // per computation: on the Critical DAG as of the last step
-	was      []bool // the same one step earlier
+	was      []bool // the same as of the rebuild before
 	slowed   []int32
 
 	// lo[v], up[v] are computation v's bounds at duration boundDur[v]
@@ -505,6 +548,33 @@ type cutNet struct {
 	// one step to the next, and the bounds cost three curve evaluations.
 	lo, up   []float64
 	boundDur []int64
+
+	// keep is set after a clean step that leaves the Critical DAG as it
+	// was. slack bounds the far computations' slack from below; tight
+	// lists the Critical DAG's dependencies and loose the other
+	// dependencies between critical computations, with their slack; near
+	// lists the near computations in topological order (isNear marks
+	// them); est holds the earliest starts of the critical and near
+	// computations and lst the latest starts of the near ones, theirs
+	// over paths through critical and near computations only. All are as
+	// of the current durations.
+	keep     bool
+	slack    int64
+	tight    []dep
+	loose    []looseDep
+	near     []int32
+	isNear   []bool
+	est, lst []int64
+}
+
+// dep is a dependency v→w as the flow nodes it joins, out(v) and in(w).
+type dep struct{ out, in int32 }
+
+// looseDep is a dependency between two critical computations that lies on
+// no critical path.
+type looseDep struct {
+	dep
+	slack int64 // est[w] − est[v] − dur[v], positive
 }
 
 func newCutNet(g *dag.Graph) (*cutNet, error) {
@@ -512,6 +582,7 @@ func newCutNet(g *dag.Graph) (*cutNet, error) {
 	c := &cutNet{
 		nodeEdge: make([]int32, n), critical: make([]bool, n), was: make([]bool, n),
 		lo: make([]float64, n), up: make([]float64, n), boundDur: make([]int64, n),
+		isNear: make([]bool, n), est: make([]int64, n),
 	}
 	var edges []maxflow.BoundedEdge
 	for v := range g.Dur {
@@ -521,24 +592,41 @@ func newCutNet(g *dag.Graph) (*cutNet, error) {
 			edges = append(edges, maxflow.BoundedEdge{From: 2*v + 1, To: 2 * int(w)})
 		}
 	}
+	c.tight = make([]dep, 0, len(edges)-n)
 	var err error
 	c.nw, err = maxflow.NewNetwork(2*n, edges, 2*g.Source, 2*g.Sink+1)
 	return c, err
 }
 
-// Step implements Stepper.
-func (MinCutStepper) Step(st *state) (bool, error) {
-	g := st.g
-	if st.cut == nil {
-		c, err := newCutNet(g)
-		if err != nil {
-			return false, fmt.Errorf("frontier: min cut: %w", err)
+// price sets critical computation v's bounds at its current duration.
+func (c *cutNet) price(st *state, v int) {
+	lo, up := 0.0, math.Inf(1)
+	if v < st.nReal && !st.info[v].fixed {
+		if d := st.durs[v]; c.boundDur[v] != d {
+			ePlus, eMinus := st.marginals(v)
+			ci := &st.info[v]
+			switch {
+			case d == ci.maxU: // slowest: can only speed up
+				c.lo[v], c.up[v] = 0, ePlus
+			case d == ci.minU: // fastest: can only slow down
+				c.lo[v], c.up[v] = eMinus, math.Inf(1)
+			default:
+				c.lo[v], c.up[v] = eMinus, ePlus
+			}
+			c.boundDur[v] = d
 		}
-		st.cut = c
+		lo, up = c.lo[v], c.up[v]
 	}
-	c := st.cut
-	mk := st.makespan()
-	est := st.est
+	c.nw.SetBounds(int(c.nodeEdge[v]), lo, up)
+}
+
+// rebuild finds the Critical DAG under the current durations, whose
+// makespan is mk, and hands the network its bounds.
+func (c *cutNet) rebuild(st *state, mk int64) {
+	g := st.g
+	st.rebuilds++
+	est := st.starts()
+	copy(c.est, est)
 	c.lst = g.LatestStartsInto(c.lst, mk)
 	c.was, c.critical = c.critical, c.was
 	critical := c.critical
@@ -548,35 +636,28 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 	critical[g.Source] = true
 	critical[g.Sink] = true
 
-	inf := math.Inf(1)
+	c.slack, c.tight, c.loose, c.near = math.MaxInt64, c.tight[:0], c.loose[:0], c.near[:0]
+	for _, v := range g.Topo() {
+		slack := c.lst[v] - est[v]
+		c.isNear[v] = !critical[v] && slack <= nearSlack
+		switch {
+		case c.isNear[v]:
+			c.near = append(c.near, v)
+		case !critical[v]:
+			c.slack = min(c.slack, slack)
+		}
+	}
 	for v := range critical {
 		e := int(c.nodeEdge[v])
 		if !critical[v] {
 			// Off the Critical DAG; its bounds are zero already unless it
-			// was on it a step ago.
+			// was on it at the last rebuild.
 			for i := 0; c.was[v] && i <= len(g.Succ[v]); i++ {
 				c.nw.SetBounds(e+i, 0, 0)
 			}
 			continue
 		}
-		lo, up := 0.0, inf
-		if v < st.nReal && !st.info[v].fixed {
-			if d := st.durs[v]; c.boundDur[v] != d {
-				ePlus, eMinus := st.marginals(v)
-				ci := &st.info[v]
-				switch {
-				case d == ci.maxU: // slowest: can only speed up
-					c.lo[v], c.up[v] = 0, ePlus
-				case d == ci.minU: // fastest: can only slow down
-					c.lo[v], c.up[v] = eMinus, inf
-				default:
-					c.lo[v], c.up[v] = eMinus, ePlus
-				}
-				c.boundDur[v] = d
-			}
-			lo, up = c.lo[v], c.up[v]
-		}
-		c.nw.SetBounds(e, lo, up)
+		c.price(st, v)
 		for i, w := range g.Succ[v] {
 			// Only tight edges belong to the Critical DAG: both
 			// endpoints critical and the dependency binding
@@ -584,13 +665,97 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 			// two critical nodes lies on no critical path and must not
 			// constrain the cut.
 			up := 0.0
-			if critical[w] && est[w] == est[v]+g.Dur[v] {
-				up = inf
+			if critical[w] {
+				d := dep{out: int32(2*v + 1), in: 2 * w}
+				if slack := est[w] - est[v] - g.Dur[v]; slack > 0 {
+					c.loose = append(c.loose, looseDep{d, slack})
+				} else {
+					c.tight = append(c.tight, d)
+					up = math.Inf(1)
+				}
 			}
 			c.nw.SetBounds(e+1+i, 0, up)
 		}
 	}
+}
+
+// keeps reports whether the step after a clean one, whose S side is side
+// and which left makespan mk and the critical computations' earliest
+// starts in c.est, may keep the Critical DAG. It brings the loose
+// dependencies' slack and the near computations' starts up to date as it
+// checks them.
+func (c *cutNet) keeps(g *dag.Graph, side []bool, mk int64) bool {
+	for _, d := range c.tight {
+		if !side[d.out] && side[d.in] {
+			return false // cut T→S
+		}
+	}
+	for i := range c.loose {
+		d := &c.loose[i]
+		switch out, in := side[d.out], side[d.in]; {
+		case !out && in:
+			d.slack++
+		case out && !in:
+			if d.slack--; d.slack == 0 {
+				return false // turned tight
+			}
+		}
+	}
+	if c.slack--; c.slack < 1 {
+		return false // a far computation may have turned critical
+	}
+	c.est[g.Sink] = mk
+	for _, u := range c.near {
+		var est int64
+		for _, p := range g.Pred[u] {
+			if c.critical[p] || c.isNear[p] {
+				est = max(est, c.est[p]+g.Dur[p])
+			}
+		}
+		c.est[u] = est
+	}
+	for i := len(c.near) - 1; i >= 0; i-- {
+		u := c.near[i]
+		lst := int64(math.MaxInt64)
+		for _, w := range g.Succ[u] {
+			switch {
+			case c.critical[w]:
+				lst = min(lst, c.est[w])
+			case c.isNear[w]:
+				lst = min(lst, c.lst[w])
+			}
+		}
+		if c.lst[u] = lst - g.Dur[u]; c.lst[u] == c.est[u] {
+			return false // turned critical
+		}
+	}
+	return true
+}
+
+// Step implements Stepper.
+func (MinCutStepper) Step(st *state) (bool, error) {
+	if st.cut == nil {
+		c, err := newCutNet(st.g)
+		if err != nil {
+			return false, fmt.Errorf("frontier: min cut: %w", err)
+		}
+		st.cut = c
+	}
+	c := st.cut
+	mk := st.makespan()
+	if c.keep {
+		// The last step was clean and kept every path's criticality: only
+		// the computations it sped up have new bounds.
+		for _, v := range st.moved {
+			c.price(st, int(v))
+		}
+	} else {
+		c.rebuild(st, mk)
+	}
+	critical := c.critical
+
 	finite, err := c.nw.Solve(st.solver)
+	clean := true
 	if errors.Is(err, maxflow.ErrInfeasible) {
 		// No circulation satisfies every slow-down credit (Hoffman
 		// violation): some set of computations could be slowed for more
@@ -601,8 +766,10 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 		// bounds zero), which is always feasible and still reduces the
 		// makespan by exactly one unit, at a slightly higher energy for
 		// this step. The network kept what the failed attempt routed and
-		// what it could not, so the retry re-clamps only the credits.
+		// what it could not, so the retry re-clamps only the credits; the
+		// next step rebuilds, which restores them.
 		st.fallbacks++
+		clean = false
 		for v := 0; v < st.nReal; v++ {
 			if critical[v] && !st.info[v].fixed {
 				c.nw.SetBounds(int(c.nodeEdge[v]), 0, c.up[v])
@@ -610,6 +777,7 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 		}
 		finite, err = c.nw.Solve(st.solver)
 	}
+	c.keep = false
 	if err != nil {
 		return false, fmt.Errorf("frontier: min cut: %w", err)
 	}
@@ -621,10 +789,22 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 	st.moved, c.slowed = st.moved[:0], c.slowed[:0]
 	spedUp := 0
 	for v := 0; v < st.nReal; v++ {
-		if !critical[v] || st.info[v].fixed {
+		if !critical[v] {
 			continue
 		}
 		inS, outS := side[2*v], side[2*v+1]
+		if !inS {
+			c.est[v]-- // as a clean step leaves it
+		}
+		if !inS && outS {
+			// Only a computation with a slow-down credit is cut T→S in
+			// exact arithmetic, and it slows down; the check keeps a
+			// rounding-level flow from passing for a clean step.
+			clean = false
+		}
+		if st.info[v].fixed {
+			continue
+		}
 		switch {
 		case inS && !outS: // S→T cut edge: speed up
 			if st.durs[v] <= st.info[v].minU {
@@ -644,6 +824,9 @@ func (MinCutStepper) Step(st *state) (bool, error) {
 	st.durationsMoved()
 	if spedUp == 0 {
 		return false, fmt.Errorf("frontier: finite cut with no computations to speed up")
+	}
+	if clean && c.keeps(st.g, side, mk-1) {
+		c.keep, st.mk = true, mk-1
 	}
 
 	// Safety check (DESIGN.md §3): slowing T→S computations is exact on

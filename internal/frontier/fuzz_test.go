@@ -3,7 +3,14 @@ package frontier
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"perseus/internal/dag"
+	"perseus/internal/gpu"
+	"perseus/internal/maxflow"
+	"perseus/internal/profile"
+	"perseus/internal/sched"
 )
 
 // fuzzMergeInputs derives a random fleet of convex lookup tables
@@ -107,6 +114,80 @@ func FuzzMerge(f *testing.F) {
 		for i, in := range inputs {
 			if cur[i] != len(in.Table.Points)-1 {
 				t.Fatalf("table %d ends at point %d, want last point %d", i, cur[i], len(in.Table.Points)-1)
+			}
+		}
+	})
+}
+
+// lockstep is the Stepper FuzzStepMatchesCold characterizes with: it steps
+// MinCutStepper on Characterize's state and coldStepper on a copy of it,
+// and fails the test unless after every step both found a cut or neither
+// did and they left the same durations.
+type lockstep struct {
+	t    *testing.T
+	ref  *state
+	cold coldStepper
+}
+
+// Step implements Stepper.
+func (l *lockstep) Step(st *state) (bool, error) {
+	if l.ref == nil {
+		g := st.g.Clone()
+		l.ref = &state{g: g, unit: st.unit, info: st.info, nReal: st.nReal, durs: g.Dur[:st.nReal], solver: st.solver}
+	}
+	ok, err := MinCutStepper{}.Step(st)
+	okC, errC := l.cold.Step(l.ref)
+	if err != nil || errC != nil {
+		l.t.Fatalf("warm error %v, cold error %v", err, errC)
+	}
+	if ok != okC || !slices.Equal(st.durs, l.ref.durs) {
+		l.t.Fatalf("warm ok=%v durations %v, cold ok=%v durations %v", ok, st.durs, okC, l.ref.durs)
+	}
+	return ok, err
+}
+
+// FuzzStepMatchesCold characterizes a small random pipeline — any of the
+// four schedule kinds, 2–4 stages, 2–8 microbatches, stage times jittered
+// per stage, a random unit time, the piecewise fit on or off — with both
+// max-flow solvers, and requires MinCutStepper, which keeps the Critical
+// DAG across clean steps, to leave the durations the rebuild-per-step
+// coldStepper leaves after every step.
+func FuzzStepMatchesCold(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		kinds := []string{"1f1b", "gpipe", "interleaved-1f1b", "early-recompute-1f1b"}
+		kind := kinds[rng.Intn(len(kinds))]
+		stages, micro, chunks := 2+rng.Intn(3), 2+rng.Intn(7), 1
+		if kind == "interleaved-1f1b" {
+			chunks = 2
+			micro = (micro + stages - 1) / stages * stages
+		}
+		refs := make([]float64, stages*chunks)
+		base := 0.02 + 0.04*rng.Float64()
+		for i := range refs {
+			refs[i] = base * (0.7 + 0.6*rng.Float64())
+		}
+		p, err := profile.FromStageTimes(gpu.A100PCIe, refs, 1.5+rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.ByName(kind, stages, micro, chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit := 1e-3 * math.Pow(16, rng.Float64()) // 1 to 16 ms
+		piecewise := rng.Intn(2) == 0
+		for _, solver := range []maxflow.Solver{maxflow.EdmondsKarp, maxflow.Dinic} {
+			g, err := dag.Build(s, func(sched.Op) int64 { return 1 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Characterize(g, p, Options{Unit: unit, PiecewiseFit: piecewise, Solver: solver, Stepper: &lockstep{t: t}})
+			if err != nil {
+				t.Fatalf("%s %d×%d unit %g piecewise=%v solver %d: %v", kind, stages, micro, unit, piecewise, solver, err)
 			}
 		}
 	})

@@ -58,6 +58,14 @@ func newGraph(n int) *graph {
 	return &graph{n: n}
 }
 
+// reserve sizes the arc arrays of a graph with no edges yet for m edges,
+// so that adding them grows nothing.
+func (g *graph) reserve(m int) {
+	g.to = make([]int32, 0, 2*m)
+	g.cap = make([]float64, 0, 2*m)
+	g.flow = make([]float64, 0, 2*m)
+}
+
 // addEdge adds a directed edge u→v with the given capacity and returns its
 // edge id. A reverse edge with zero capacity is added implicitly.
 func (g *graph) addEdge(u, v int, capacity float64) int {

@@ -520,3 +520,27 @@ func TestMinCutSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestNewNetworkAllocs pins what building a Network costs: every array is
+// sized once from the edge and node counts, so the allocation count does
+// not grow with the network (the three arc arrays grown edge by edge took
+// one more per doubling of each: 46 at 100 nodes, 68 at 1,000).
+func TestNewNetworkAllocs(t *testing.T) {
+	for _, n := range []int{10, 100, 1000} {
+		var edges []BoundedEdge
+		for u := 0; u < n-1; u++ {
+			edges = append(edges, BoundedEdge{From: u, To: u + 1, Upper: 1})
+			if u+2 < n {
+				edges = append(edges, BoundedEdge{From: u, To: u + 2, Upper: 2})
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := NewNetwork(n, edges, 0, n-1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 19 {
+			t.Errorf("%d nodes, %d edges: NewNetwork allocates %v times, want 19", n, len(edges), allocs)
+		}
+	}
+}

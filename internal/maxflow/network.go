@@ -85,6 +85,9 @@ func NewNetwork(n int, edges []BoundedEdge, s, t int) (*Network, error) {
 		isOpen:  make([]bool, n),
 		side:    make([]bool, n),
 	}
+	// The caller's edges, the t→s edge, and a super source and super sink
+	// arc per node.
+	nw.g.reserve(len(edges) + 1 + 2*n)
 	for i, e := range edges {
 		nw.g.addEdge(e.From, e.To, 0)
 		nw.account(e, 1)
