@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -288,6 +287,7 @@ type fracStep struct {
 // fractional step. A solution's buffers are reusable: solving into the
 // same value again truncates and refills them instead of re-allocating.
 type solution struct {
+	win Window // the signal of the last solve, when solve prepared it
 	ivs []planInterval
 	// pts maps a solver position to its table index: first the table's
 	// hull, slowest last, then the cap prefixes. tm and pw hold
@@ -306,6 +306,7 @@ type solution struct {
 	// and the candidates.
 	counts   []int
 	w        []float64
+	order    []uint64 // the window's intervals in rate order, if it has one
 	lanes    []uint64 // intervals with steps to decide, by rate
 	cands    []candidate
 	frac     fracStep
@@ -389,31 +390,6 @@ func (o Options) request() plan.Request {
 	}
 }
 
-// normalize validates the planning inputs shared by Optimize and Fixed
-// and resolves the option defaults through the shared plan.Request
-// rules: deadline 0 means the signal horizon (and may not exceed it),
-// PowerScale <= 0 means 1, objective "" means carbon.
-func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, scale float64, obj Objective, err error) {
-	if lt == nil || len(lt.Points) == 0 {
-		return 0, 0, "", fmt.Errorf("grid: planning needs a characterized frontier table")
-	}
-	if sig == nil {
-		return 0, 0, "", fmt.Errorf("grid: planning needs a signal")
-	}
-	if err := sig.Validate(); err != nil {
-		return 0, 0, "", err
-	}
-	req := opts.request()
-	if err := req.Validate(); err != nil {
-		return 0, 0, "", err
-	}
-	if deadline, err = req.ResolveDeadline(sig.Horizon()); err != nil {
-		return 0, 0, "", err
-	}
-	obj, _ = ParseObjective(string(opts.Objective))
-	return deadline, req.Scale(), obj, nil
-}
-
 // Optimize plans a job's temporal schedule over the signal: one
 // frontier operating point (or pause) per interval, minimizing the
 // objective subject to completing opts.Target iterations by the
@@ -456,8 +432,10 @@ func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, s
 // brute-force enumeration, checks the λ certificate on every plan, and
 // holds every solve == to a scan that takes the steps one at a time.
 //
-// Optimize solves on a Solver from a package pool; the plan does not
-// alias it.
+// Optimize prepares the signal (see Prepare) and solves on it, on a
+// Solver from a package pool; the plan does not alias it. Callers that
+// plan many jobs on one signal prepare it once and call
+// Solver.OptimizeWindow.
 func Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (*Plan, error) {
 	s := solvers.Get().(*Solver)
 	defer solvers.Put(s)
@@ -563,12 +541,22 @@ func (s *Solver) account(target float64) (out Evaluation, finishS float64) {
 	return out, finishS
 }
 
-// Optimize plans via the solver's reusable buffers; see the package
-// Optimize for semantics. The returned Plan is freshly allocated (it
-// does not alias the solver): its runs in one array, the time-shared
-// interval's slices in another.
+// Optimize plans via the solver's reusable buffers, preparing the
+// signal into them; see the package Optimize for semantics. The
+// returned Plan is freshly allocated (it does not alias the solver):
+// its runs in one array, the time-shared interval's slices in another.
 func (s *Solver) Optimize(lt *frontier.LookupTable, sig *Signal, opts Options) (*Plan, error) {
-	if err := s.sol.solve(lt, sig, opts); err != nil {
+	if err := s.sol.win.prepare(sig, opts.Objective); err != nil {
+		return nil, err
+	}
+	return s.OptimizeWindow(lt, &s.sol.win, opts)
+}
+
+// OptimizeWindow plans on a prepared window, which it only reads: the
+// plan is bit for bit Optimize's on the window's signal. opts.Objective
+// ("" means carbon) must be the one the window was prepared for.
+func (s *Solver) OptimizeWindow(lt *frontier.LookupTable, w *Window, opts Options) (*Plan, error) {
+	if err := s.sol.solveOn(lt, w, opts); err != nil {
 		return nil, err
 	}
 	sol := &s.sol
@@ -636,10 +624,18 @@ func (sol *solution) intervalSlices(k int, buf []Slice) []Slice {
 	return buf
 }
 
-// solve finds the plan, filling the solution in place: its buffers from
-// any previous run are truncated and reused.
+// solve prepares sig into the solution's own window and solves on it.
 func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) error {
-	d, scale, obj, err := normalize(lt, sig, opts)
+	if err := sol.win.prepare(sig, opts.Objective); err != nil {
+		return err
+	}
+	return sol.solveOn(lt, &sol.win, opts)
+}
+
+// solveOn finds the plan on a prepared window, filling the solution in
+// place: its buffers from any previous run are truncated and reused.
+func (sol *solution) solveOn(lt *frontier.LookupTable, w *Window, opts Options) error {
+	d, scale, err := w.normalize(lt, opts)
 	if err != nil {
 		return err
 	}
@@ -659,12 +655,12 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 	}
 	minPow := sol.pw[n-1] // slowest point's draw: any cap below it forces idle
 	sol.prefixes = sol.prefixes[:0]
-	sol.ivs = slices.Grow(sol.ivs[:0], len(sig.Intervals))
+	sol.ivs = slices.Grow(sol.ivs[:0], len(w.sig.Intervals))
 	hint := sol.price // the last solve's: the first probe
 	sol.frac = fracStep{k: -1}
 	sol.steps, sol.price, sol.maxCover = 0, 0, 0
-	sol.deadline, sol.scale, sol.obj = d, scale, obj
-	for _, iv := range sig.Intervals {
+	sol.deadline, sol.scale, sol.obj, sol.order = d, scale, w.obj, w.order
+	for k, iv := range w.sig.Intervals {
 		// Inline Signal.Truncate: cut at the deadline without copying.
 		if iv.StartS >= d {
 			break
@@ -674,7 +670,7 @@ func (sol *solution) solve(lt *frontier.LookupTable, sig *Signal, opts Options) 
 		}
 		sol.ivs = append(sol.ivs, planInterval{})
 		pi := &sol.ivs[len(sol.ivs)-1]
-		pi.iv, pi.dur, pi.rate, pi.end = iv, iv.Duration(), PerJoule(obj, iv)*scale, n
+		pi.iv, pi.dur, pi.rate, pi.end = iv, iv.Duration(), w.rate[k]*scale, n
 		lo := 0
 		if iv.CapW > 0 {
 			if maxW := iv.CapW / scale; maxW < minPow {
@@ -801,13 +797,10 @@ func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
 	// The bracket's ends: no step taken (short of the target) and every
 	// step (past it, since the instance is feasible), span steps apart.
 	// loNext is the least slope left at the low end, hiSlope the largest
-	// taken at the high end. The lanes are in rate order, near enough:
-	// sorted on their rates' bits, the low ones giving way to the
-	// interval index, which is all that is kept.
+	// taken at the high end. The lanes are in rate order: the window's,
+	// or sorted here when it has none.
 	span := 0
 	loNext, hiSlope := math.Inf(1), math.Inf(-1)
-	shift := bits.Len(uint(len(sol.ivs)))
-	sol.lanes = slices.Grow(sol.lanes[:0], len(sol.ivs))
 	for k := range sol.ivs {
 		if lo[k] == hi[k] {
 			continue
@@ -820,11 +813,21 @@ func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
 		if s := pi.rate * sol.ladder[pi.base+hi[k]-1].sigma; s > hiSlope {
 			hiSlope = s
 		}
-		sol.lanes = append(sol.lanes, math.Float64bits(pi.rate)>>shift<<shift|uint64(k))
 	}
-	slices.Sort(sol.lanes)
-	for i := range sol.lanes {
-		sol.lanes[i] &= 1<<shift - 1
+	sol.lanes = sol.lanes[:0]
+	if len(sol.order) > 0 {
+		for _, k := range sol.order {
+			if k < uint64(len(sol.ivs)) && lo[k] != hi[k] {
+				sol.lanes = append(sol.lanes, k)
+			}
+		}
+	} else {
+		for k := range sol.ivs {
+			if lo[k] != hi[k] {
+				sol.lanes = append(sol.lanes, uint64(k))
+			}
+		}
+		byRate(sol.lanes, len(sol.ivs), func(k uint64) float64 { return sol.ivs[k].rate })
 	}
 	// Regula falsi on log λ between the ends' coverages, less the
 	// target, the Illinois way: an end kept twice running has its value
@@ -991,6 +994,18 @@ func (sol *solution) probe(lambda float64, lo, hi, n []int) (m int, gain, below,
 	}
 	sol.lanes = live
 	return m, gain, below, above
+}
+
+// normalize validates the planning inputs of an unprepared signal and
+// resolves the option defaults as Window.normalize does.
+func normalize(lt *frontier.LookupTable, sig *Signal, opts Options) (deadline, scale float64, obj Objective, err error) {
+	if err := checkSignal(sig); err != nil {
+		return 0, 0, "", err
+	}
+	w := Window{sig: sig}
+	w.obj, _ = ParseObjective(string(opts.Objective)) // an unknown one fails below
+	deadline, scale, err = w.normalize(lt, opts)
+	return deadline, scale, w.obj, err
 }
 
 // Fixed plans the signal-blind baseline: run one fixed frontier point

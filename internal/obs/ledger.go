@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"perseus/internal/plan"
@@ -54,6 +57,7 @@ type JobLedgerView struct {
 // The ring is a fixed-capacity circular buffer so steady-state Settle
 // allocates nothing.
 type jobLedger struct {
+	id     string
 	ring   []LedgerEntry
 	head   int // next write position
 	n      int // live entries, <= cap(ring)
@@ -70,11 +74,19 @@ const DefaultLedgerRing = 256
 // once a job's ring exists; everything is guarded by one mutex (settle
 // happens at controller ticks and emissions settlements, never on the
 // cached-plan hot path).
+//
+// The fleet rollup is the sum of every job's totals in job-ID order,
+// taken when read: the same bits whatever order concurrent settles of
+// different jobs land in, so a controller tick may settle its jobs from
+// several workers.
 type Ledger struct {
 	mu      sync.Mutex
 	ringCap int
 	jobs    map[string]*jobLedger
-	fleet   LedgerTotals
+	// byID holds every job ledger ever created, removed ones included
+	// (their rings released), sorted by job ID, the older first among
+	// equal IDs: the fleet rollup's summation order.
+	byID []*jobLedger
 }
 
 // NewLedger builds an empty ledger retaining up to ringCap entries per
@@ -93,8 +105,12 @@ func (l *Ledger) Settle(jobID string, e LedgerEntry) {
 	defer l.mu.Unlock()
 	jl, ok := l.jobs[jobID]
 	if !ok {
-		jl = &jobLedger{ring: make([]LedgerEntry, l.ringCap)}
+		jl = &jobLedger{id: jobID, ring: make([]LedgerEntry, l.ringCap)}
 		l.jobs[jobID] = jl
+		i, _ := slices.BinarySearchFunc(l.byID, jobID, func(o *jobLedger, id string) int {
+			return cmp.Or(strings.Compare(o.id, id), -1) // after every equal ID
+		})
+		l.byID = slices.Insert(l.byID, i, jl)
 	}
 	jl.ring[jl.head] = e
 	jl.head = (jl.head + 1) % len(jl.ring)
@@ -103,15 +119,9 @@ func (l *Ledger) Settle(jobID string, e LedgerEntry) {
 	} else {
 		jl.totals.Dropped++
 	}
-	accumulate(&jl.totals, e)
-	accumulate(&l.fleet, e)
-}
-
-// accumulate folds one entry into totals.
-func accumulate(t *LedgerTotals, e LedgerEntry) {
-	t.Entries++
-	t.LedgerSpan.Accumulate(e.BloatSpan)
-	t.AbsDriftC += math.Abs(e.DriftC)
+	jl.totals.Entries++
+	jl.totals.LedgerSpan.Accumulate(e.BloatSpan)
+	jl.totals.AbsDriftC += math.Abs(e.DriftC)
 }
 
 // Job returns the job's ledger view with up to n most recent entries
@@ -171,7 +181,13 @@ func (l *Ledger) EachJob(fn func(jobID string, t LedgerTotals)) {
 func (l *Ledger) Fleet() LedgerTotals {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.fleet
+	var f LedgerTotals
+	for _, jl := range l.byID {
+		f.Entries += jl.totals.Entries
+		f.LedgerSpan.Accumulate(jl.totals.LedgerSpan)
+		f.AbsDriftC += jl.totals.AbsDriftC
+	}
+	return f
 }
 
 // Remove drops a job's ledger (ring and per-job totals), reporting
@@ -179,8 +195,11 @@ func (l *Ledger) Fleet() LedgerTotals {
 func (l *Ledger) Remove(jobID string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, ok := l.jobs[jobID]
-	delete(l.jobs, jobID)
+	jl, ok := l.jobs[jobID]
+	if ok {
+		jl.ring = nil
+		delete(l.jobs, jobID)
+	}
 	return ok
 }
 

@@ -38,7 +38,7 @@ const DefaultTracerCapacity = 2048
 // constructor retains DefaultTracerCapacity spans.
 type Tracer struct {
 	mu    sync.Mutex
-	buf   []Span
+	buf   []record
 	head  int // next write position
 	n     int // filled entries
 	drops uint64
@@ -46,10 +46,10 @@ type Tracer struct {
 	// clock is read on every span start and end without taking mu.
 	clock atomic.Pointer[func() time.Time]
 
-	// onPush, when set, observes every finished span as it commits —
-	// the server's hook for mirroring span counts into the metric
-	// registry. Called outside the ring lock.
-	onPush func(Span)
+	// onPush, when set, observes every finished span's name as it
+	// commits — the server's hook for mirroring span counts into the
+	// metric registry. Called outside the ring lock.
+	onPush func(name string)
 }
 
 // NewTracer returns a tracer retaining up to capacity finished spans
@@ -58,7 +58,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTracerCapacity
 	}
-	t := &Tracer{buf: make([]Span, capacity)}
+	t := &Tracer{buf: make([]record, capacity)}
 	t.SetClock(time.Now)
 	return t
 }
@@ -81,22 +81,22 @@ func (t *Tracer) Drops() uint64 {
 	return t.drops
 }
 
-// OnPush registers a hook observing every finished span as it commits
-// (replacing any prior). The hook runs outside the ring lock, on the
-// goroutine that ended the span.
-func (t *Tracer) OnPush(fn func(Span)) {
+// OnPush registers a hook observing the name of every finished span as
+// it commits (replacing any prior). The hook runs outside the ring
+// lock, on the goroutine that ended the span.
+func (t *Tracer) OnPush(fn func(name string)) {
 	t.mu.Lock()
 	t.onPush = fn
 	t.mu.Unlock()
 }
 
 // push appends one finished span, overwriting the oldest at capacity.
-func (t *Tracer) push(s Span) {
+func (t *Tracer) push(r *record) {
 	t.mu.Lock()
 	if t.n == len(t.buf) {
 		t.drops++
 	}
-	t.buf[t.head] = s
+	t.buf[t.head] = *r
 	t.head = (t.head + 1) % len(t.buf)
 	if t.n < len(t.buf) {
 		t.n++
@@ -104,7 +104,19 @@ func (t *Tracer) push(s Span) {
 	fn := t.onPush
 	t.mu.Unlock()
 	if fn != nil {
-		fn(s)
+		fn(r.name)
+	}
+}
+
+// retained calls fn with every retained span record, oldest first.
+// Callers hold t.mu.
+func (t *Tracer) retained(fn func(r *record)) {
+	start := t.head - t.n
+	if start < 0 {
+		start += len(t.buf)
+	}
+	for i := 0; i < t.n; i++ {
+		fn(&t.buf[(start+i)%len(t.buf)])
 	}
 }
 
@@ -123,30 +135,147 @@ func newID(n int) string {
 	return string(dst[:hex.Encode(dst[:], b[:n])])
 }
 
+// newSpanID returns a random non-zero span ID, kept as a number until
+// it is read (formatSpanID renders it as newID(8) renders its bytes).
+func newSpanID() uint64 {
+	for {
+		if v := rand.Uint64(); v != 0 {
+			return v
+		}
+	}
+}
+
+// formatSpanID renders a span ID as 16 lowercase hex digits, "" for 0.
+func formatSpanID(v uint64) string {
+	if v == 0 {
+		return ""
+	}
+	var b [8]byte
+	var dst [16]byte
+	for j := range b {
+		b[j] = byte(v >> (8 * j))
+	}
+	hex.Encode(dst[:], b[:])
+	return string(dst[:])
+}
+
+// parseSpanID is formatSpanID's inverse: 0 for anything but 16 hex
+// digits.
+func parseSpanID(s string) uint64 {
+	var b [8]byte
+	if len(s) != 16 {
+		return 0
+	}
+	if _, err := hex.Decode(b[:], []byte(s)); err != nil {
+		return 0
+	}
+	var v uint64
+	for j, c := range b {
+		v |= uint64(c) << (8 * j)
+	}
+	return v
+}
+
+// inlineAttrs is how many attributes a span record holds without
+// allocating: every span the server records sets at most three.
+const inlineAttrs = 4
+
+// attr is one span attribute.
+type attr struct{ key, value string }
+
+// record is a span as it is built and as the ring retains it: Span with
+// its span IDs as numbers and its attributes inline. The exported Span,
+// with its Attrs map, is built from it only when read (Traces).
+type record struct {
+	traceID          string
+	spanID, parentID uint64 // parentID 0: the root of its trace here
+	name             string
+	startUnixS, durS float64
+	err              string
+	nattrs           int
+	attrs            [inlineAttrs]attr
+	more             []attr // past inlineAttrs, in the order first set
+}
+
+// set records one attribute, replacing an earlier value of the key.
+func (r *record) set(key, value string) {
+	for i := range r.attrs[:min(r.nattrs, inlineAttrs)] {
+		if r.attrs[i].key == key {
+			r.attrs[i].value = value
+			return
+		}
+	}
+	for i := range r.more {
+		if r.more[i].key == key {
+			r.more[i].value = value
+			return
+		}
+	}
+	if r.nattrs < inlineAttrs {
+		r.attrs[r.nattrs] = attr{key, value}
+	} else {
+		r.more = append(r.more, attr{key, value})
+	}
+	r.nattrs++
+}
+
+// span renders the record as the exported Span.
+func (r *record) span() Span {
+	sp := Span{
+		TraceID:    r.traceID,
+		SpanID:     formatSpanID(r.spanID),
+		ParentID:   formatSpanID(r.parentID),
+		Name:       r.name,
+		StartUnixS: r.startUnixS,
+		DurS:       r.durS,
+		Error:      r.err,
+	}
+	if r.nattrs > 0 {
+		sp.Attrs = make(map[string]string, r.nattrs)
+		for _, a := range r.attrs[:min(r.nattrs, inlineAttrs)] {
+			sp.Attrs[a.key] = a.value
+		}
+		for _, a := range r.more {
+			sp.Attrs[a.key] = a.value
+		}
+	}
+	return sp
+}
+
 // ActiveSpan is an in-flight span. A nil *ActiveSpan is a valid no-op:
 // every method tolerates it, so instrumentation sites pay only a nil
 // check when no trace is active (e.g. direct library calls that never
 // passed through the HTTP middleware or the controller loop).
+//
+// A started span is also the context it is active in: the context it
+// was started under, plus itself as the active span — so starting one
+// costs no separate context.WithValue. Like any context it may be used
+// from several goroutines.
 type ActiveSpan struct {
-	t     *Tracer
-	mu    sync.Mutex
-	span  Span
-	start time.Time
-	ended bool
+	context.Context // the context the span was started under
+	t               *Tracer
+	start           time.Time
+	mu              sync.Mutex
+	rec             record // traceID, spanID and parentID never change
+	ended           bool
 }
 
 type ctxKey struct{}
 
-// ContextWithSpan returns ctx carrying the span as the active one.
-func ContextWithSpan(ctx context.Context, s *ActiveSpan) context.Context {
-	if s == nil {
-		return ctx
+// Value implements context.Context: the span itself under the active-
+// span key, the parent context's values otherwise.
+func (s *ActiveSpan) Value(key any) any {
+	if key == (ctxKey{}) {
+		return s
 	}
-	return context.WithValue(ctx, ctxKey{}, s)
+	return s.Context.Value(key)
 }
 
 // SpanFromContext returns the active span (nil when none).
 func SpanFromContext(ctx context.Context) *ActiveSpan {
+	if s, ok := ctx.(*ActiveSpan); ok {
+		return s
+	}
 	s, _ := ctx.Value(ctxKey{}).(*ActiveSpan)
 	return s
 }
@@ -154,50 +283,45 @@ func SpanFromContext(ctx context.Context) *ActiveSpan {
 // TraceIDFromContext returns the active trace's ID ("" when none) —
 // the cross-link event emitters label events with.
 func TraceIDFromContext(ctx context.Context) string {
-	if s := SpanFromContext(ctx); s != nil {
-		return s.span.TraceID
-	}
-	return ""
+	return SpanFromContext(ctx).TraceID()
 }
 
 // StartSpan starts a span: a child of the context's active span when
 // one exists, the root of a fresh trace otherwise. The returned context
-// carries the new span as the active one.
+// — the span itself — carries the new span as the active one.
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	var traceID, parentID string
 	if p := SpanFromContext(ctx); p != nil {
-		traceID, parentID = p.span.TraceID, p.span.SpanID
-	} else {
-		traceID = newID(16)
+		return t.start(ctx, name, p.rec.traceID, p.rec.spanID)
 	}
-	return t.start(ctx, name, traceID, parentID)
+	return t.start(ctx, name, newID(16), 0)
 }
 
 // StartRemote starts a root-of-this-process span continuing a remote
-// trace: traceID and parentID come from an incoming traceparent header.
-// Empty traceID starts a fresh trace (the no-header case).
+// trace: traceID and parentID come from an incoming traceparent header
+// (ParseTraceparent). Empty traceID starts a fresh trace (the no-header
+// case).
 func (t *Tracer) StartRemote(ctx context.Context, name, traceID, parentID string) (context.Context, *ActiveSpan) {
 	if traceID == "" {
-		traceID = newID(16)
-		parentID = ""
+		return t.start(ctx, name, newID(16), 0)
 	}
-	return t.start(ctx, name, traceID, parentID)
+	return t.start(ctx, name, traceID, parseSpanID(parentID))
 }
 
-func (t *Tracer) start(ctx context.Context, name, traceID, parentID string) (context.Context, *ActiveSpan) {
+func (t *Tracer) start(ctx context.Context, name, traceID string, parentID uint64) (context.Context, *ActiveSpan) {
 	now := t.now()
 	s := &ActiveSpan{
-		t: t,
-		span: Span{
-			TraceID:    traceID,
-			SpanID:     newID(8),
-			ParentID:   parentID,
-			Name:       name,
-			StartUnixS: float64(now.UnixNano()) / 1e9,
+		Context: ctx,
+		t:       t,
+		start:   now,
+		rec: record{
+			traceID:    traceID,
+			spanID:     newSpanID(),
+			parentID:   parentID,
+			name:       name,
+			startUnixS: float64(now.UnixNano()) / 1e9,
 		},
-		start: now,
 	}
-	return ContextWithSpan(ctx, s), s
+	return s, s
 }
 
 // Child starts a child of the context's active span through that span's
@@ -209,7 +333,7 @@ func Child(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 	if p == nil {
 		return ctx, nil
 	}
-	return p.t.StartSpan(ctx, name)
+	return p.t.start(ctx, name, p.rec.traceID, p.rec.spanID)
 }
 
 // TraceID returns the span's trace ID ("" on nil).
@@ -217,7 +341,7 @@ func (s *ActiveSpan) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.span.TraceID
+	return s.rec.traceID
 }
 
 // SpanID returns the span's ID ("" on nil).
@@ -225,7 +349,7 @@ func (s *ActiveSpan) SpanID() string {
 	if s == nil {
 		return ""
 	}
-	return s.span.SpanID
+	return formatSpanID(s.rec.spanID)
 }
 
 // SetAttr records one attribute (no-op on nil or after End).
@@ -235,10 +359,7 @@ func (s *ActiveSpan) SetAttr(key, value string) {
 	}
 	s.mu.Lock()
 	if !s.ended {
-		if s.span.Attrs == nil {
-			s.span.Attrs = map[string]string{}
-		}
-		s.span.Attrs[key] = value
+		s.rec.set(key, value)
 	}
 	s.mu.Unlock()
 }
@@ -250,7 +371,7 @@ func (s *ActiveSpan) Fail(err error) {
 	}
 	s.mu.Lock()
 	if !s.ended {
-		s.span.Error = err.Error()
+		s.rec.err = err.Error()
 	}
 	s.mu.Unlock()
 }
@@ -269,11 +390,11 @@ func (s *ActiveSpan) End() {
 	}
 	s.ended = true
 	if d := now.Sub(s.start); d > 0 {
-		s.span.DurS = d.Seconds()
+		s.rec.durS = d.Seconds()
 	}
-	span := s.span
 	s.mu.Unlock()
-	s.t.push(span)
+	// Ended, the record no longer changes: no lock needed to copy it.
+	s.t.push(&s.rec)
 }
 
 // Trace is one assembled span tree: every retained span sharing a
@@ -303,15 +424,13 @@ type Trace struct {
 // that exact name ("" keeps all).
 func (t *Tracer) Traces(limit int, minDur time.Duration, op string) []Trace {
 	t.mu.Lock()
-	spans := make([]Span, 0, t.n)
-	start := t.head - t.n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < t.n; i++ {
-		spans = append(spans, t.buf[(start+i)%len(t.buf)])
-	}
+	recs := make([]record, 0, t.n)
+	t.retained(func(r *record) { recs = append(recs, *r) })
 	t.mu.Unlock()
+	spans := make([]Span, len(recs))
+	for i := range recs {
+		spans[i] = recs[i].span()
+	}
 
 	// Group by trace, keeping the finish order so traces can be ranked
 	// newest-first by their last finished span.
@@ -378,26 +497,21 @@ func (t *Tracer) WorstSpan(name string, since time.Time, errOnly bool) string {
 	defer t.mu.Unlock()
 	var traceID string
 	var bestDur float64 = -1
-	start := t.head - t.n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < t.n; i++ {
-		sp := t.buf[(start+i)%len(t.buf)]
-		if sp.Name != name || sp.StartUnixS < sinceS {
-			continue
+	t.retained(func(sp *record) {
+		if sp.name != name || sp.startUnixS < sinceS {
+			return
 		}
 		if errOnly {
-			if sp.Error != "" {
-				traceID = sp.TraceID // ring order: keeps the newest
+			if sp.err != "" {
+				traceID = sp.traceID // ring order: keeps the newest
 			}
-			continue
+			return
 		}
-		if sp.DurS > bestDur {
-			bestDur = sp.DurS
-			traceID = sp.TraceID
+		if sp.durS > bestDur {
+			bestDur = sp.durS
+			traceID = sp.traceID
 		}
-	}
+	})
 	return traceID
 }
 
@@ -415,7 +529,7 @@ func Traceparent(ctx context.Context) string {
 	if s == nil {
 		return ""
 	}
-	return FormatTraceparent(s.span.TraceID, s.span.SpanID)
+	return FormatTraceparent(s.rec.traceID, formatSpanID(s.rec.spanID))
 }
 
 // NewTraceparent mints a traceparent for a fresh trace — what a

@@ -213,7 +213,7 @@ func TestTracerRingEviction(t *testing.T) {
 func TestOnPushHook(t *testing.T) {
 	tr, _ := newTestTracer(8)
 	var names []string
-	tr.OnPush(func(sp Span) { names = append(names, sp.Name) })
+	tr.OnPush(func(name string) { names = append(names, name) })
 	ctx, root := tr.StartSpan(context.Background(), "r")
 	_, c := Child(ctx, "c")
 	c.End()
@@ -386,5 +386,112 @@ func TestNewIDShape(t *testing.T) {
 			}
 			seen[id] = true
 		}
+	}
+}
+
+// TestSpanIsItsContext pins the span as its own context: it carries the
+// parent context's values, deadline and cancellation, it is the active
+// span of whatever is derived from it, and goroutines that share it —
+// starting children, setting attributes, deriving and cancelling
+// contexts — build one tree. Run it under -race.
+func TestSpanIsItsContext(t *testing.T) {
+	tr, _ := newTestTracer(1024)
+	type key struct{}
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	ctx, root := tr.StartSpan(parent, "root")
+	if ctx != context.Context(root) || SpanFromContext(ctx) != root {
+		t.Fatal("the started span is not the returned context's active span")
+	}
+	if ctx.Value(key{}) != "v" {
+		t.Fatal("the span lost its parent context's value")
+	}
+	derived, stop := context.WithTimeout(ctx, time.Hour)
+	defer stop()
+	if SpanFromContext(derived) != root || TraceIDFromContext(derived) != root.TraceID() {
+		t.Fatal("a context derived from the span lost it")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				cctx, c := Child(ctx, "child")
+				_, gc := Child(cctx, "grandchild")
+				root.SetAttr(fmt.Sprint("g", g), fmt.Sprint(i))
+				c.SetAttr("i", fmt.Sprint(i))
+				gc.End()
+				c.End()
+				if Traceparent(cctx) != FormatTraceparent(c.TraceID(), c.SpanID()) {
+					t.Error("a child's traceparent names another span")
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	cancel()
+	<-derived.Done()
+	if ctx.Err() == nil || derived.Err() == nil {
+		t.Fatal("cancelling the parent did not reach the span or what derives from it")
+	}
+	root.End()
+
+	traces := tr.Traces(0, 0, "")
+	if len(traces) != 1 {
+		t.Fatalf("%d traces, want 1", len(traces))
+	}
+	byName := map[string]int{}
+	ids := map[string]string{}
+	for _, sp := range traces[0].Spans {
+		byName[sp.Name]++
+		ids[sp.SpanID] = sp.Name
+	}
+	if byName["root"] != 1 || byName["child"] != 160 || byName["grandchild"] != 160 {
+		t.Fatalf("span counts %v", byName)
+	}
+	for _, sp := range traces[0].Spans {
+		want := map[string]string{"root": "", "child": "root", "grandchild": "child"}[sp.Name]
+		if ids[sp.ParentID] != want {
+			t.Fatalf("%s's parent is %q, want %q", sp.Name, ids[sp.ParentID], want)
+		}
+		if sp.Name == "root" && len(sp.Attrs) != 8 {
+			t.Fatalf("root attrs %v, want one per goroutine", sp.Attrs)
+		}
+	}
+}
+
+// TestSpanAttrsPastInline: a span keeps every attribute however many it
+// sets, a repeated key keeps its last value, and none set after End.
+func TestSpanAttrsPastInline(t *testing.T) {
+	tr, _ := newTestTracer(8)
+	_, sp := tr.StartSpan(context.Background(), "op")
+	want := map[string]string{}
+	for i := 0; i < 2*inlineAttrs+1; i++ {
+		k := fmt.Sprint("k", i%(inlineAttrs+3))
+		sp.SetAttr(k, fmt.Sprint(i))
+		want[k] = fmt.Sprint(i)
+	}
+	sp.End()
+	sp.SetAttr("late", "x")
+	got := tr.Traces(0, 0, "")[0].Spans[0].Attrs
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("attrs %v, want %v", got, want)
+	}
+}
+
+// TestRemoteParentRoundTrip: a remote parent span ID comes back as
+// given, and a span's own ID renders as a traceparent's span field.
+func TestRemoteParentRoundTrip(t *testing.T) {
+	tr, _ := newTestTracer(8)
+	traceID, parentID := newID(16), newID(8)
+	ctx, sp := tr.StartRemote(context.Background(), "http", traceID, parentID)
+	tid, sid, ok := ParseTraceparent(Traceparent(ctx))
+	if !ok || tid != traceID || sid != sp.SpanID() || len(sid) != 16 {
+		t.Fatalf("traceparent %q of span %s", Traceparent(ctx), sp.SpanID())
+	}
+	sp.End()
+	got := tr.Traces(0, 0, "")[0].Spans[0]
+	if got.ParentID != parentID || got.TraceID != traceID || got.SpanID != sid {
+		t.Fatalf("span %+v, want parent %s", got, parentID)
 	}
 }

@@ -87,16 +87,25 @@ func (s *Server) tickController(ctx context.Context) ControllerStatus {
 	ctx, root := s.obs.tracer.StartSpan(ctx, spanControllerTick)
 	tickStart := time.Now()
 	v := s.newTickView()
-	// Settle every job's account (the bloat ledger) at the tick
-	// boundary, so the ledger — and the series and emissions that read
-	// it — advance at control-loop cadence even when nobody reads
-	// /jobs/{id}/emissions.
-	s.st.settleAll(s.st.gridStateAt(v.now))
+	gs := s.st.gridStateAt(v.now)
+	v.gs = &gs
 	v.sharers = map[float64]int{}
 	s.replanMu.RLock()
 	ids := slices.Clone(s.order)
 	for _, rs := range s.replans {
 		v.sharers[rs.reqDeadline]++
+	}
+	// Settle every job's account (the bloat ledger) at the tick
+	// boundary, so the ledger — and the series and emissions that read
+	// it — advance at control-loop cadence even when nobody reads
+	// /jobs/{id}/emissions: the managed jobs' in the workers, as each
+	// binds its job to the view (inputsFor), the others here.
+	for _, j := range s.st.jobsInOrder() {
+		if s.replans[j.id] == nil {
+			j.mu.Lock()
+			j.accrueLocked(gs)
+			j.mu.Unlock()
+		}
 	}
 	s.replanMu.RUnlock()
 
@@ -252,16 +261,18 @@ func (s *Server) ControllerStatus() ControllerStatus {
 		st.NextBoundaryS = b
 	}
 	s.replanMu.RLock()
+	if len(s.order) > 0 {
+		st.Jobs = make([]ControllerJobStatus, 0, len(s.order))
+	}
 	for _, id := range s.order {
 		rs := s.replans[id]
 		rs.mu.Lock()
-		view := replanView(id, rs)
 		js := ControllerJobStatus{
 			JobID:               id,
-			Plans:               view.Plans,
-			DoneIterations:      view.DoneIterations,
-			RemainingIterations: view.RemainingIterations,
-			Feasible:            view.Feasible,
+			Plans:               rs.Plans,
+			DoneIterations:      rs.Iterations,
+			RemainingIterations: rs.remaining(),
+			Feasible:            rs.Feasible(),
 			LastError:           rs.lastErr,
 		}
 		if !rs.lastPlanAt.IsZero() {

@@ -94,9 +94,14 @@ type tickView struct {
 	// before the fan-out, read-only after.
 	sharers map[float64]int
 
+	// gs is the grid state the tick's workers settle each managed job's
+	// account at (nil for ManageJob, which settles nothing).
+	gs *gridState
+
 	mu      sync.Mutex
 	issued  map[issueKey]*issuedForecast
 	signals map[signalKey]*grid.Signal
+	windows map[windowKey]*grid.Window
 }
 
 // issueKey names one forecast of a view: the requested horizon and the
@@ -141,7 +146,7 @@ func (s *Server) forecast(ctx context.Context, v *tickView, t, horizonS float64)
 	is.once.Do(func() {
 		_, sp := obs.Child(ctx, spanReplanFcast)
 		sp.SetAttr("shared_by", strconv.Itoa(max(1, v.sharers[horizonS])))
-		is.fc, is.err = issueForecast(v.sig, v.spec, t, horizonS)
+		is.fc, is.err = issueForecast(v.sig, v.spec, t, horizonS, true)
 		s.obs.forecastsIssued.Inc()
 		sp.Fail(is.err)
 		sp.End()
@@ -172,6 +177,34 @@ func (v *tickView) signal(key signalKey, build func() *grid.Signal) *grid.Signal
 		v.signals[key] = sig
 	}
 	return sig
+}
+
+// windowKey names one prepared window of a view: a signal the view
+// built, prepared for one objective.
+type windowKey struct {
+	sig *grid.Signal
+	obj grid.Objective
+}
+
+// window returns sig — one of the view's signals — prepared for obj,
+// preparing it on first use under v.mu: a check and a sort of tens of
+// intervals, which every solve on it then skips.
+func (v *tickView) window(sig *grid.Signal, obj grid.Objective) (*grid.Window, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	key := windowKey{sig, obj}
+	if w := v.windows[key]; w != nil {
+		return w, nil
+	}
+	w, err := grid.Prepare(sig, obj)
+	if err != nil {
+		return nil, err
+	}
+	if v.windows == nil {
+		v.windows = map[windowKey]*grid.Window{}
+	}
+	v.windows[key] = w
+	return w, nil
 }
 
 // forecasts reports how many forecasts the view has issued.
@@ -247,7 +280,7 @@ func (s *Server) setForecast(ctx context.Context, req ForecastRequest) (Forecast
 	if t < 0 {
 		t = 0
 	}
-	fc, err := issueForecast(gs.sig, spec, t, req.HorizonS)
+	fc, err := issueForecast(gs.sig, spec, t, req.HorizonS, false)
 	if err != nil {
 		return ForecastResponse{}, err
 	}
@@ -282,20 +315,27 @@ func (s *Server) setForecast(ctx context.Context, req ForecastRequest) (Forecast
 const maxForecastCycles = 1000
 
 // issueForecast runs the issuer over the signal's revealed history at
-// signal time t. The coverage always extends at least one full signal
-// cycle past t (rounded up to whole cycles), so a re-plan issued late
-// in the trace still sees a day ahead — except that the revisions
+// signal time t. By default the coverage extends at least one full
+// signal cycle past t (rounded up to whole cycles), so a re-plan issued
+// late in the trace still sees a day ahead — except that the revisions
 // issuer's default stops forecast.MaxRevisionIntervals intervals past
 // t's, which only a cycle of more than half that many intervals
-// reaches; a requested horizon past that is refused.
-func issueForecast(sig *grid.Signal, spec *forecastSpec, t, horizonS float64) (*forecast.Forecast, error) {
+// reaches; a requested horizon past that is refused. A longer requested
+// horizonS extends the coverage to it. With deadline set, horizonS is a
+// schedule's deadline and, when it lies past t, the coverage ends
+// there: nothing plans past its deadline, and every issuer's values
+// before it are those of the default coverage, bit for bit (a revisions
+// value sums only the draws of its own interval's steps), at a fraction
+// of the revisions issuer's work, which is quadratic in the coverage.
+func issueForecast(sig *grid.Signal, spec *forecastSpec, t, horizonS float64, deadline bool) (*forecast.Forecast, error) {
 	h := sig.Horizon()
-	horizon := math.Ceil((t+h)/h) * h
-	if spec.model == nil {
-		horizon = forecast.RevisionsHorizon(sig, t, horizon)
-	}
-	if horizonS > horizon {
-		horizon = horizonS
+	horizon := horizonS
+	if !deadline || horizonS <= t {
+		horizon = math.Ceil((t+h)/h) * h
+		if spec.model == nil {
+			horizon = forecast.RevisionsHorizon(sig, t, horizon)
+		}
+		horizon = max(horizon, horizonS)
 	}
 	if horizon > maxForecastCycles*h {
 		return nil, fmt.Errorf("server: forecast horizon %v exceeds %d cycles of the %v s signal", horizon, maxForecastCycles, h)
@@ -433,14 +473,18 @@ type rollInputs struct {
 }
 
 // inputsFor is the shared prelude of ManageJob and controller ticks: it
-// binds one job to the view. Callers hold rs.mu, or the write side of
-// replanMu, when rs is not nil.
+// binds one job to the view, settling its account at a tick's view
+// first. Callers hold rs.mu, or the write side of replanMu, when rs is
+// not nil.
 func (s *Server) inputsFor(v *tickView, id string, rs *replanState) (rollInputs, error) {
 	j, ok := s.st.job(id)
 	if !ok {
 		return rollInputs{}, fmt.Errorf("server: unknown job %s", id)
 	}
 	j.mu.Lock()
+	if v.gs != nil {
+		j.accrueLocked(*v.gs)
+	}
 	in := rollInputs{j: j, table: j.table, pipes: j.req.DataParallel, obj: v.obj, rs: rs, t: v.t}
 	j.mu.Unlock()
 	if in.table == nil {
@@ -555,8 +599,11 @@ func (s *Server) rollForward(ctx context.Context, v *tickView, in rollInputs, fc
 		defer solvers.Put(solver)
 		var plan *grid.Plan
 		err := s.solve(sctx, "forecast-mpc", rs.Objective, window, func() ([]string, error) {
-			var err error
-			plan, err = solver.Optimize(rs.Table, window, grid.Options{Target: target, Objective: rs.Objective, PowerScale: rs.Scale})
+			w, err := v.window(window, rs.Objective)
+			if err != nil {
+				return nil, err
+			}
+			plan, err = solver.OptimizeWindow(rs.Table, w, grid.Options{Target: target, Objective: rs.Objective, PowerScale: rs.Scale})
 			return []string{"steps", strconv.Itoa(solver.Steps())}, err
 		})
 		sv.SetAttr("steps", strconv.Itoa(solver.Steps()))
@@ -594,13 +641,18 @@ func (s *Server) rollForward(ctx context.Context, v *tickView, in rollInputs, fc
 	return nil
 }
 
+// remaining is the schedule's remaining iterations as reported: 0 once
+// within rounding of done. Callers hold rs.mu.
+func (rs *replanState) remaining() float64 {
+	if rs.Remaining < 1e-9*(1+rs.Target) {
+		return 0
+	}
+	return rs.Remaining
+}
+
 // replanView renders the current rolling-horizon state. Callers hold
 // rs.mu.
 func replanView(id string, rs *replanState) *ReplanResponse {
-	remaining := rs.Remaining
-	if remaining < 1e-9*(1+rs.Target) {
-		remaining = 0
-	}
 	return &ReplanResponse{
 		JobID:               id,
 		Target:              rs.Target,
@@ -609,7 +661,7 @@ func replanView(id string, rs *replanState) *ReplanResponse {
 		Quantile:            rs.Quantile,
 		Plans:               rs.Plans,
 		DoneIterations:      rs.Iterations,
-		RemainingIterations: remaining,
+		RemainingIterations: rs.remaining(),
 		Feasible:            rs.Feasible(),
 		Frozen:              rs.Intervals,
 		EnergyJ:             rs.EnergyJ,

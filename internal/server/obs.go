@@ -81,6 +81,7 @@ type serverObs struct {
 
 	// Tracing and SLO self-monitoring (this file).
 	traceSpans  *obs.CounterVec // span
+	spanCounts  sync.Map        // span name → its traceSpans series, resolved once
 	sloStatus   *obs.GaugeVec   // slo: 0 ok, 1 warn, 2 breach
 	sloBreaches *obs.CounterVec // slo
 }
@@ -230,7 +231,13 @@ func newServerObs() *serverObs {
 	r.CounterView("perseus_trace_spans_dropped_total",
 		"Finished spans the bounded span ring has overwritten.",
 		func(emit func(float64, ...string)) { emit(float64(o.tracer.Drops())) })
-	o.tracer.OnPush(func(sp obs.Span) { o.traceSpans.With(sp.Name).Inc() })
+	o.tracer.OnPush(func(name string) {
+		c, ok := o.spanCounts.Load(name)
+		if !ok {
+			c, _ = o.spanCounts.LoadOrStore(name, o.traceSpans.With(name))
+		}
+		c.(*obs.Counter).Inc()
+	})
 	o.slo = obs.NewSLOEngine(r, o.tracer, defaultSLOs(o.ledger))
 	o.slo.OnTransition(func(rule obs.SLO, from, to string, st obs.SLOStatus) {
 		if to == obs.StatusBreach {

@@ -123,11 +123,11 @@ func TestTickKeepsPlanOnUnchangedView(t *testing.T) {
 	if _, err := cl.InstallForecast("seasonal", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	before, err := issueForecast(&sig, srv.st.fspec, startS, deadline)
+	before, err := issueForecast(&sig, srv.st.fspec, startS, deadline, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := issueForecast(&sig, srv.st.fspec, nextS, deadline)
+	after, err := issueForecast(&sig, srv.st.fspec, nextS, deadline, true)
 	if err != nil {
 		t.Fatal(err)
 	}
