@@ -6,7 +6,6 @@
 package perseus
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -574,8 +573,8 @@ func benchUpload(b *testing.B, stages int) server.ProfileUpload {
 }
 
 // BenchmarkProfileUpload is a profile's way from the trainer to the
-// optimizer for an 8-stage job, 16 computation types: the client's JSON
-// encoding of the upload, the handler's decoding of it, and
+// optimizer for an 8-stage job, 16 computation types: the client's
+// binary encoding of the upload, the handler's decoding of it, and
 // profile.Assemble. bytes/op is the request body's size.
 func BenchmarkProfileUpload(b *testing.B) {
 	up := benchUpload(b, 8)
@@ -583,13 +582,13 @@ func BenchmarkProfileUpload(b *testing.B) {
 	var size int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		body, err := up.MarshalJSON() // as the client sends it
+		body, err := up.MarshalBinary() // as the client sends it
 		if err != nil {
 			b.Fatal(err)
 		}
 		size = len(body)
 		var got server.ProfileUpload
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&got); err != nil {
+		if err := got.UnmarshalBinary(body); err != nil {
 			b.Fatal(err)
 		}
 		ms := make([]profile.Measurement, len(got.Measurements))

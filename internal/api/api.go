@@ -1,13 +1,14 @@
 // Package api declares the wire types of the Perseus HTTP contract
-// (paper §5, Table 2): every JSON request and response body the server
+// (paper §5, Table 2): every request and response body the server
 // (internal/server) and its client (internal/client) exchange is
 // declared here once, and both sides name it by alias. Bodies that are
 // another package's type travel as that type: grid.Signal, grid.Plan,
 // region.Plan, frontier.LookupTable and the obs views embedded below.
 //
-// Declarations only, with one codec: ProfileUpload travels as one row
-// per computation type (upload.go). The routes these bodies travel on
-// are the registration list in server.routes.
+// Declarations only, with one codec: ProfileUpload is the one body that
+// is not JSON. It travels as a binary PPF1 body, one row per computation
+// type with the measured floats bit for bit (upload.go). The routes these
+// bodies travel on are the registration list in server.routes.
 package api
 
 import (
@@ -42,9 +43,9 @@ type JobResponse struct {
 	JobID string `json:"job_id"`
 }
 
-// MeasurementJSON is one profiler observation (client → server). On the
-// wire it is a column entry of its computation type's row, not an object
-// of its own (ProfileUpload).
+// MeasurementJSON is one profiler observation (client → server). The
+// name is kept from when the upload was JSON; on the wire it is one entry
+// of each column of its computation type's row (ProfileUpload).
 type MeasurementJSON struct {
 	Virtual int
 	Kind    string // "forward" | "backward"
@@ -53,12 +54,8 @@ type MeasurementJSON struct {
 	Energy  float64
 }
 
-// ProfileUpload carries a job's complete online profile. Its JSON body is
-//
-//	{"p_blocking_w": 75,
-//	 "types": [{"virtual": 0, "kind": "forward",
-//	            "freq_mhz": [1410, 1395], "time_s": [0.031, 0.0312], "energy_j": [7.9, 7.7]}, ...]}
-//
+// ProfileUpload carries a job's complete online profile. It travels as an
+// application/octet-stream PPF1 body (MarshalBinary, UnmarshalBinary):
 // one row per (virtual stage, kind) — the table the profiler fills — with
 // that type's measurements in the order they were taken.
 type ProfileUpload struct {

@@ -1,425 +1,174 @@
 package api
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math"
 )
 
-// profileBody is ProfileUpload's JSON form, and profileRow one computation
-// type's measurements in it: three parallel columns in the order the
-// measurements were taken.
-type profileBody struct {
-	PBlocking float64      `json:"p_blocking_w"`
-	Types     []profileRow `json:"types"`
+// A ProfileUpload travels as a PPF1 body, little-endian throughout:
+//
+//	header  "PPF1" | p_blocking_w f64 | type count u32
+//	row     virtual u32 | kind u8 (0 forward, 1 backward) | n u32 |
+//	        freq_mhz n×u32 | time_s n×f64 | energy_j n×f64
+//
+// The floats are the measured float64s bit for bit: nothing is written as
+// decimal text or parsed back.
+const (
+	profileMagic = "PPF1"
+	headerSize   = 4 + 8 + 4
+	rowSize      = 4 + 1 + 4 // a row's header
+	entrySize    = 4 + 8 + 8 // one measurement across the three columns
+)
+
+var le = binary.LittleEndian
+
+// kinds are the kind codes' names, by code.
+var kinds = [...]string{"forward", "backward"}
+
+func formatError(format string, args ...any) error {
+	return fmt.Errorf("profile upload (PPF1): "+format, args...)
 }
 
-type profileRow struct {
-	Virtual int       `json:"virtual"`
-	Kind    string    `json:"kind"`
-	Freq    []int     `json:"freq_mhz"`
-	Time    []float64 `json:"time_s"`
-	Energy  []float64 `json:"energy_j"`
-}
+// finite reports whether f is neither NaN nor ±Inf.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// MarshalJSON writes one row per computation type, in the order the types
-// first appear, each keeping its measurements' order.
-func (up ProfileUpload) MarshalJSON() ([]byte, error) {
+// MarshalBinary writes one row per computation type, in the order the
+// types first appear, each keeping its measurements' order. Like
+// json.Marshal with a NaN, it refuses what the body cannot carry: a kind
+// other than "forward" or "backward", a stage or frequency outside
+// uint32, and a NaN or ±Inf time, energy or p_blocking_w.
+func (up ProfileUpload) MarshalBinary() ([]byte, error) {
+	if !finite(up.PBlocking) {
+		return nil, formatError("p_blocking_w is %v", up.PBlocking)
+	}
 	type typeKey struct {
 		virtual int
-		kind    string
+		kind    byte
 	}
-	body := profileBody{PBlocking: up.PBlocking, Types: []profileRow{}}
-	rows := map[typeKey]int{}
+	type row struct {
+		typeKey
+		n, base, j int // measurements, the columns' offset, the next to write
+	}
+	var rows []row
+	index := map[typeKey]int{}
 	for _, m := range up.Measurements {
-		key := typeKey{m.Virtual, m.Kind}
-		i, ok := rows[key]
-		if !ok {
-			i = len(body.Types)
-			rows[key] = i
-			body.Types = append(body.Types, profileRow{Virtual: m.Virtual, Kind: m.Kind})
-		}
-		r := &body.Types[i]
-		r.Freq = append(r.Freq, m.Freq)
-		r.Time = append(r.Time, m.Time)
-		r.Energy = append(r.Energy, m.Energy)
-	}
-	return json.Marshal(body)
-}
-
-// UnmarshalJSON reads the rows back into Measurements, row after row.
-// Every type's measurements keep their order; the interleaving of types
-// does not survive, and nothing downstream reads it. A row whose columns
-// differ in length is an error, and so is a body that lists its
-// measurements one object each under "measurements".
-//
-// The body is read by hand, not by encoding/json: a profile is a thousand
-// or more numbers on the first schedule's critical path, and reflection
-// and a second validating scan cost encoding/json as much again as
-// parsing them. It follows encoding/json's rules for the fields it reads:
-// keys match case-insensitively, unknown keys are skipped, null leaves a
-// value as it was (a null array is nil), and a repeated key decodes again
-// into what the first left, an array into its slice's storage. It also
-// rejects whatever encoding/json's validating scan would — malformed
-// numbers, strings or skipped values, and anything after the body — so
-// it can be handed a request body as read.
-func (up *ProfileUpload) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		return nil
-	}
-	d := &decoder{data: data}
-	var body profileBody
-	err := d.object(func(key []byte) error {
-		switch {
-		case keyIs(key, "p_blocking_w"):
-			return d.float(&body.PBlocking)
-		case keyIs(key, "types"):
-			return array(d, &body.Types, d.row)
-		case keyIs(key, "measurements"):
-			return errors.New(`profile upload: "measurements" is not read; send one row per computation type in "types"`)
-		}
-		return d.skip()
-	})
-	if err == nil {
-		err = d.end()
-	}
-	if err != nil {
-		return err
-	}
-	n := 0
-	for _, r := range body.Types {
-		if len(r.Time) != len(r.Freq) || len(r.Energy) != len(r.Freq) {
-			return fmt.Errorf("profile upload: type %d %q has %d frequencies, %d times and %d energies",
-				r.Virtual, r.Kind, len(r.Freq), len(r.Time), len(r.Energy))
-		}
-		n += len(r.Freq)
-	}
-	*up = ProfileUpload{PBlocking: body.PBlocking, Measurements: make([]MeasurementJSON, 0, n)}
-	for _, r := range body.Types {
-		for i, f := range r.Freq {
-			up.Measurements = append(up.Measurements, MeasurementJSON{
-				Virtual: r.Virtual, Kind: r.Kind, Freq: f, Time: r.Time[i], Energy: r.Energy[i],
-			})
-		}
-	}
-	return nil
-}
-
-// row reads one element of "types".
-func (d *decoder) row(r *profileRow) error {
-	return d.object(func(key []byte) error {
-		switch {
-		case keyIs(key, "virtual"):
-			return d.int(&r.Virtual)
-		case keyIs(key, "kind"):
-			return d.string(&r.Kind)
-		case keyIs(key, "freq_mhz"):
-			return array(d, &r.Freq, d.int)
-		case keyIs(key, "time_s"):
-			return array(d, &r.Time, d.float)
-		case keyIs(key, "energy_j"):
-			return array(d, &r.Energy, d.float)
-		}
-		return d.skip()
-	})
-}
-
-// keyIs reports whether an object key names the field name, the way
-// encoding/json matches them.
-func keyIs(key []byte, name string) bool {
-	return bytes.EqualFold(key, []byte(name))
-}
-
-// decoder reads one JSON value from data, rejecting malformed JSON: it
-// checks the structure and the literals it reads, and a skipped value
-// with json.Valid.
-type decoder struct {
-	data []byte
-	at   int
-}
-
-var errSyntax = errors.New("profile upload: malformed JSON")
-
-// peek skips whitespace and returns the next byte, 0 at the end.
-func (d *decoder) peek() byte {
-	for ; d.at < len(d.data); d.at++ {
-		switch c := d.data[d.at]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return c
-		}
-	}
-	return 0
-}
-
-// null consumes a null if one is next.
-func (d *decoder) null() bool {
-	if d.peek() == 'n' && bytes.HasPrefix(d.data[d.at:], []byte("null")) {
-		d.at += 4
-		return true
-	}
-	return false
-}
-
-// end checks that nothing but whitespace follows the value (by position:
-// peek's 0 could be a NUL byte).
-func (d *decoder) end() error {
-	d.peek()
-	if d.at < len(d.data) {
-		return errSyntax
-	}
-	return nil
-}
-
-// object calls field with each key of an object, positioned at its
-// value; field must consume the value. A null is an object with no keys.
-func (d *decoder) object(field func(key []byte) error) error {
-	if d.null() {
-		return nil
-	}
-	if d.peek() != '{' {
-		return errors.New("profile upload: expected an object")
-	}
-	d.at++
-	if d.peek() == '}' {
-		d.at++
-		return nil
-	}
-	for {
-		tok, err := d.token()
+		k, err := kindCode(m.Kind)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		key := tok[1 : len(tok)-1]
-		if bytes.IndexByte(key, '\\') >= 0 {
-			var s string
-			if err := json.Unmarshal(tok, &s); err != nil {
-				return err
-			}
-			key = []byte(s)
+		if uint64(m.Virtual) > math.MaxUint32 || uint64(m.Freq) > math.MaxUint32 {
+			return nil, formatError("stage %d or frequency %d is not a uint32", m.Virtual, m.Freq)
 		}
-		if d.peek() != ':' {
-			return errSyntax
+		if !finite(m.Time) || !finite(m.Energy) {
+			return nil, formatError("type %d %s at %d MHz: time %v, energy %v", m.Virtual, m.Kind, m.Freq, m.Time, m.Energy)
 		}
-		d.at++
-		if err := field(key); err != nil {
-			return err
+		key := typeKey{m.Virtual, k}
+		i, ok := index[key]
+		if !ok {
+			i = len(rows)
+			index[key] = i
+			rows = append(rows, row{typeKey: key})
 		}
-		switch d.peek() {
-		case ',':
-			d.at++
-		case '}':
-			d.at++
-			return nil
-		default:
-			return errSyntax
-		}
+		rows[i].n++
 	}
+	if uint64(len(up.Measurements)) > math.MaxUint32 {
+		return nil, formatError("%d measurements do not fit a uint32 count", len(up.Measurements))
+	}
+	buf := make([]byte, headerSize+rowSize*len(rows)+entrySize*len(up.Measurements))
+	copy(buf, profileMagic)
+	le.PutUint64(buf[4:], math.Float64bits(up.PBlocking))
+	le.PutUint32(buf[12:], uint32(len(rows)))
+	off := headerSize
+	for i := range rows {
+		r := &rows[i]
+		le.PutUint32(buf[off:], uint32(r.virtual))
+		buf[off+4] = r.kind
+		le.PutUint32(buf[off+5:], uint32(r.n))
+		r.base = off + rowSize
+		off = r.base + entrySize*r.n
+	}
+	for _, m := range up.Measurements {
+		k, _ := kindCode(m.Kind)
+		r := &rows[index[typeKey{m.Virtual, k}]]
+		le.PutUint32(buf[r.base+4*r.j:], uint32(m.Freq))
+		le.PutUint64(buf[r.base+4*r.n+8*r.j:], math.Float64bits(m.Time))
+		le.PutUint64(buf[r.base+12*r.n+8*r.j:], math.Float64bits(m.Energy))
+		r.j++
+	}
+	return buf, nil
 }
 
-// array reads an array into *s, each element by elem. Like encoding/json
-// it reuses the slice's storage, so an element decodes into whatever the
-// storage held (a null element leaves it as it was); a null array is nil.
-func array[T any](d *decoder, s *[]T, elem func(*T) error) error {
-	if d.null() {
-		*s = nil
-		return nil
-	}
-	if d.peek() != '[' {
-		return errors.New("profile upload: expected an array")
-	}
-	d.at++
-	out := (*s)[:0]
-	if d.peek() == ']' {
-		d.at++
-		*s = out
-		return nil
-	}
-	for {
-		if len(out) < cap(out) {
-			out = out[:len(out)+1]
-		} else {
-			var zero T
-			out = append(out, zero)
-		}
-		if err := elem(&out[len(out)-1]); err != nil {
-			return err
-		}
-		switch d.peek() {
-		case ',':
-			d.at++
-		case ']':
-			d.at++
-			*s = out
-			return nil
-		default:
-			return errSyntax
+// kindCode is a kind's code in the body.
+func kindCode(kind string) (byte, error) {
+	for k, name := range kinds {
+		if kind == name {
+			return byte(k), nil
 		}
 	}
+	return 0, formatError("kind %q is neither forward nor backward", kind)
 }
 
-// token consumes a string and returns it with its quotes. A control
-// byte inside is an error; escapes are checked by whoever unquotes it.
-func (d *decoder) token() ([]byte, error) {
-	if d.peek() != '"' {
-		return nil, errSyntax
+// UnmarshalBinary reads a PPF1 body into Measurements, row after row.
+// Every type's measurements keep their order; the interleaving of types
+// does not survive, and nothing downstream reads it. A type may take
+// several rows, and a row may be empty.
+//
+// It refuses a wrong magic, a kind code other than 0 or 1, a NaN or ±Inf
+// float (p_blocking_w included), and a body cut short or followed by
+// anything. Every count is checked against the bytes left before
+// anything is sliced or allocated, and the measurements are allocated
+// once. On an error up is left as it was.
+func (up *ProfileUpload) UnmarshalBinary(data []byte) error {
+	if len(data) < headerSize {
+		return formatError("the %d-byte body is shorter than the header", len(data))
 	}
-	start := d.at
-	for d.at++; d.at < len(d.data); d.at++ {
-		switch c := d.data[d.at]; {
-		case c < 0x20:
-			return nil, errSyntax
-		case c == '\\':
-			d.at++
-		case c == '"':
-			d.at++
-			return d.data[start:d.at], nil
+	if string(data[:4]) != profileMagic {
+		return formatError("the body starts with %q, not %q", data[:4], profileMagic)
+	}
+	pBlocking := math.Float64frombits(le.Uint64(data[4:]))
+	if !finite(pBlocking) {
+		return formatError("p_blocking_w is %v", pBlocking)
+	}
+	// The row headers first: each is checked against the bytes left, and
+	// the measurements are counted.
+	types := le.Uint32(data[12:])
+	total := 0
+	rest := data[headerSize:]
+	for t := range types {
+		if len(rest) < rowSize {
+			return formatError("row %d of %d is cut short", t, types)
 		}
-	}
-	return nil, errSyntax
-}
-
-// literal consumes a number or true, false or null, and returns it.
-func (d *decoder) literal() []byte {
-	d.peek()
-	start := d.at
-	for ; d.at < len(d.data); d.at++ {
-		switch d.data[d.at] {
-		case ',', '}', ']', ':', ' ', '\t', '\n', '\r', '"', '{', '[':
-			return d.data[start:d.at]
+		if rest[4] >= byte(len(kinds)) {
+			return formatError("row %d has kind code %d, not 0 (forward) or 1 (backward)", t, rest[4])
 		}
-	}
-	return d.data[start:]
-}
-
-// number consumes a literal and checks it is a JSON number,
-// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, which strconv alone
-// would not (it takes "+1", "01", ".5", "1.", "Inf" and "0x1p-2").
-func (d *decoder) number() ([]byte, error) {
-	lit := d.literal()
-	i := 0
-	digits := func() int {
-		n := 0
-		for ; i < len(lit) && '0' <= lit[i] && lit[i] <= '9'; i++ {
-			n++
+		n := le.Uint32(rest[5:])
+		if uint64(n)*entrySize > uint64(len(rest)-rowSize) {
+			return formatError("row %d claims %d measurements; %d bytes are left", t, n, len(rest)-rowSize)
 		}
-		return n
+		total += int(n)
+		rest = rest[rowSize+entrySize*int(n):]
 	}
-	if i < len(lit) && lit[i] == '-' {
-		i++
+	if len(rest) != 0 {
+		return formatError("%d bytes follow the last row", len(rest))
 	}
-	ok := true
-	if i < len(lit) && lit[i] == '0' {
-		i++
-	} else {
-		ok = digits() > 0
-	}
-	if ok && i < len(lit) && lit[i] == '.' {
-		i++
-		ok = digits() > 0
-	}
-	if ok && i < len(lit) && (lit[i] == 'e' || lit[i] == 'E') {
-		if i++; i < len(lit) && (lit[i] == '+' || lit[i] == '-') {
-			i++
-		}
-		ok = digits() > 0
-	}
-	if !ok || i != len(lit) {
-		return nil, fmt.Errorf("profile upload: malformed number %q", lit)
-	}
-	return lit, nil
-}
-
-// float reads a number into *f; null leaves it.
-func (d *decoder) float(f *float64) error {
-	if d.null() {
-		return nil
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	v, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return fmt.Errorf("profile upload: %w", err)
-	}
-	*f = v
-	return nil
-}
-
-// int reads an integer into *n; null leaves it.
-func (d *decoder) int(n *int) error {
-	if d.null() {
-		return nil
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	v, err := strconv.ParseInt(string(lit), 10, 0)
-	if err != nil {
-		return fmt.Errorf("profile upload: %w", err)
-	}
-	*n = int(v)
-	return nil
-}
-
-// string reads a string into *s; null leaves it.
-func (d *decoder) string(s *string) error {
-	if d.null() {
-		return nil
-	}
-	tok, err := d.token()
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(tok, s)
-}
-
-// skip consumes one value of any kind: it finds the value's end by its
-// brackets and strings, then checks the span with json.Valid.
-func (d *decoder) skip() error {
-	d.peek()
-	start := d.at
-	if err := d.span(); err != nil {
-		return err
-	}
-	if !json.Valid(d.data[start:d.at]) {
-		return errSyntax
-	}
-	return nil
-}
-
-// span consumes the bytes of one value, matching brackets and strings.
-func (d *decoder) span() error {
-	depth := 0
-	for {
-		switch d.peek() {
-		case 0:
-			return errSyntax
-		case '{', '[':
-			d.at++
-			depth++
-			continue
-		case '}', ']':
-			d.at++
-			depth--
-		case ',', ':':
-			d.at++
-			continue
-		case '"':
-			if _, err := d.token(); err != nil {
-				return err
-			}
-		default:
-			if len(d.literal()) == 0 {
-				return errSyntax
+	ms := make([]MeasurementJSON, total)
+	rest = data[headerSize:]
+	for i := 0; len(rest) > 0; {
+		virtual, kind, n := int(le.Uint32(rest)), kinds[rest[4]], int(le.Uint32(rest[5:]))
+		freq, time, energy := rest[rowSize:], rest[rowSize+4*n:], rest[rowSize+12*n:]
+		for j := range n {
+			m := &ms[i+j]
+			m.Virtual, m.Kind, m.Freq = virtual, kind, int(le.Uint32(freq[4*j:]))
+			m.Time = math.Float64frombits(le.Uint64(time[8*j:]))
+			m.Energy = math.Float64frombits(le.Uint64(energy[8*j:]))
+			if !finite(m.Time) || !finite(m.Energy) {
+				return formatError("type %d %s at %d MHz: time %v, energy %v", virtual, kind, m.Freq, m.Time, m.Energy)
 			}
 		}
-		if depth <= 0 {
-			return nil
-		}
+		i += n
+		rest = rest[rowSize+entrySize*n:]
 	}
+	*up = ProfileUpload{PBlocking: pBlocking, Measurements: ms}
+	return nil
 }

@@ -12,6 +12,7 @@ package client
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -220,24 +221,25 @@ type (
 	Ledger              = api.LedgerResponse
 )
 
-// do sends one request — in as its JSON body when non-nil, ifNoneMatch
-// as its validator when non-empty, the client's traceparent when set —
-// and returns the response for the caller to read and close. A 304
-// answering a validator comes back as is; any other status of 300 or
-// above is an error carrying the server's message: do reads (the first
-// 4 kB of) the body before closing it, which is also what lets net/http
-// keep the connection — a response closed with its body unread takes
-// the connection down with it.
+// do sends one request — in as its body when non-nil, ifNoneMatch as
+// its validator when non-empty, the client's traceparent when set — and
+// returns the response for the caller to read and close. A body that
+// encodes itself in binary (api.ProfileUpload) is sent as its
+// MarshalBinary bytes, application/octet-stream; any other as JSON. A
+// 304 answering a validator comes back as is; any other status of 300
+// or above is an error carrying the server's message: do reads (the
+// first 4 kB of) the body before closing it, which is also what lets
+// net/http keep the connection — a response closed with its body unread
+// takes the connection down with it.
 func (c *ServerClient) do(method, path string, in any, ifNoneMatch string) (*http.Response, error) {
 	var body io.Reader
+	contentType := "application/json"
 	if in != nil {
-		// A body that encodes itself (api.ProfileUpload) is sent as it
-		// encodes: json.Marshal would scan the result again to compact it,
-		// which for a profile costs about as much as encoding it.
 		var buf []byte
 		var err error
-		if m, ok := in.(json.Marshaler); ok {
-			buf, err = m.MarshalJSON()
+		if m, ok := in.(encoding.BinaryMarshaler); ok {
+			buf, err = m.MarshalBinary()
+			contentType = "application/octet-stream"
 		} else {
 			buf, err = json.Marshal(in)
 		}
@@ -251,7 +253,7 @@ func (c *ServerClient) do(method, path string, in any, ifNoneMatch string) (*htt
 		return nil, err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
@@ -352,7 +354,7 @@ func (c *ServerClient) RegisterJob(req JobRequest) (string, error) {
 
 // UploadProfile sends profiling results.
 func (c *ServerClient) UploadProfile(jobID string, pBlocking float64, ms []profile.Measurement) error {
-	up := api.ProfileUpload{PBlocking: pBlocking}
+	up := api.ProfileUpload{PBlocking: pBlocking, Measurements: make([]api.MeasurementJSON, 0, len(ms))}
 	for _, m := range ms {
 		kind := "forward"
 		if m.Kind == sched.Backward {

@@ -116,10 +116,11 @@ func FitExp(ts, es []float64) (Exp, error) {
 		}
 	}
 	b := (lo + hi) / 2
-	if s, _, _ := sse(b); s > bestSSE {
+	s, a, c := sse(b)
+	if s > bestSSE {
 		b = bestB
+		_, a, c = sse(b)
 	}
-	_, a, c := sse(b)
 	return Exp{A: a, B: b, C: c, T0: t0}, nil
 }
 

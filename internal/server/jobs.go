@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -132,7 +133,13 @@ func (s *Server) handleRemoveJob(w http.ResponseWriter, r *http.Request, j *job)
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, j *job) {
 	var up ProfileUpload
-	if !decodeJSON(w, r, &up) {
+	if !decodeBody(w, r, func(body io.Reader) error {
+		data, err := io.ReadAll(body)
+		if err != nil {
+			return err
+		}
+		return up.UnmarshalBinary(data)
+	}) {
 		return
 	}
 	if err := s.uploadProfile(r.Context(), j.id, up); err != nil {
@@ -321,6 +328,15 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 	if !ok {
 		return fmt.Errorf("server: unknown job %s", id)
 	}
+	profiled := func() bool { return j.characterizing || j.front != nil } // under j.mu
+	// A retried upload is refused before it pays for the fits; the check
+	// after them is the one that counts.
+	j.mu.Lock()
+	again := profiled()
+	j.mu.Unlock()
+	if again {
+		return fmt.Errorf("server: job %s already profiled", id)
+	}
 	ms := make([]profile.Measurement, 0, len(up.Measurements))
 	for _, m := range up.Measurements {
 		kind, err := parseKind(m.Kind)
@@ -337,7 +353,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		return err
 	}
 	j.mu.Lock()
-	if j.characterizing || j.front != nil {
+	if profiled() {
 		j.mu.Unlock()
 		return fmt.Errorf("server: job %s already profiled", id)
 	}

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -139,9 +141,61 @@ func padded(t *testing.T, body any, n int) []byte {
 	return out
 }
 
-// TestBodyLimit: a JSON body over maxBodyBytes answers 413 and leaves
-// no trace; one of exactly maxBodyBytes is served. At the parent every
-// body was read to its end.
+// filled returns up's body grown to exactly n bytes by rows repeating
+// its types: copies of its rows, then rows repeating its first
+// measurement, the last of them taking what is left. The repeats add no
+// (type, frequency) cell up lacks, so the profile characterizes as up's
+// does.
+func filled(t *testing.T, up ProfileUpload, n int) []byte {
+	t.Helper()
+	marshal := func(ms ...MeasurementJSON) []byte {
+		buf, err := ProfileUpload{PBlocking: up.PBlocking, Measurements: ms}.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	// A body is a 16-byte header ("PPF1", p_blocking_w, type count), then
+	// its rows.
+	own := marshal(up.Measurements...)
+	types, rows := int(binary.LittleEndian.Uint32(own[12:])), own[16:]
+	copies := (n-16)/len(rows) - 1
+	// What is left takes j more rows, 9 bytes each plus 20 a measurement:
+	// 9j ≡ rest (mod 20), and 9·9 ≡ 1.
+	rest := n - 16 - copies*len(rows)
+	j := 9 * rest % 20
+	if j == 0 {
+		j = 20
+	}
+	body := append(make([]byte, 0, n), own[:16]...)
+	binary.LittleEndian.PutUint32(body[12:], uint32(copies*types+j))
+	body = append(body, bytes.Repeat(rows, copies)...)
+	for range j - 1 {
+		body = append(body, marshal(up.Measurements[0])[16:]...)
+	}
+	last := slices.Repeat(up.Measurements[:1], (rest-9*j)/20-(j-1))
+	body = append(body, marshal(last...)[16:]...)
+	if len(body) != n {
+		t.Fatalf("filled body is %d bytes, want %d", len(body), n)
+	}
+	return body
+}
+
+// postProfile posts a binary profile body to url.
+func postProfile(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(msg)
+}
+
+// TestBodyLimit: a body over maxBodyBytes answers 413 and leaves no
+// trace; one of exactly maxBodyBytes is served. At the parent every body
+// was read to its end.
 func TestBodyLimit(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -182,24 +236,24 @@ func TestBodyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := buildUpload(t, g, req.Stages, 4)
-	if code := post("/jobs/"+id+"/profile", padded(t, up, maxBodyBytes+1)); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over-limit POST profile = %d, want 413", code)
+	url := ts.URL + "/jobs/" + id + "/profile"
+	if code, msg := postProfile(t, url, filled(t, up, maxBodyBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit POST profile = %d %q, want 413", code, msg)
 	}
 	// Nothing was stored: the same profile at a legitimate size is a
 	// first upload, not "already profiled".
-	if code := post("/jobs/"+id+"/profile", padded(t, up, maxBodyBytes)); code != http.StatusAccepted {
-		t.Fatalf("POST profile of exactly maxBodyBytes = %d, want 202", code)
+	if code, msg := postProfile(t, url, filled(t, up, maxBodyBytes)); code != http.StatusAccepted {
+		t.Fatalf("POST profile of exactly maxBodyBytes = %d %q, want 202", code, msg)
 	}
 	if err := srv.WaitCharacterized(id); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestProfileBodyErrors: a profile body whose rows have columns of
-// different lengths, that lists its measurements one object each (400
-// naming "types"), or that is followed by anything but whitespace
-// answers 400 and stores nothing, so the job's next, well-formed upload
-// is its first.
+// TestProfileBodyErrors: a profile body that is not PPF1 (a JSON one
+// included), that is cut short or followed by anything, or that carries
+// an unknown kind code or a NaN answers 400 naming the format and stores
+// nothing, so the job's next, well-formed upload is its first.
 func TestProfileBodyErrors(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -209,37 +263,33 @@ func TestProfileBodyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(body string) (int, string) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/jobs/"+id+"/profile", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		msg, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(msg)
-	}
-	if code, msg := post(`{"p_blocking_w":75,"types":[{"virtual":0,"kind":"forward","freq_mhz":[1410,1395,1380],"time_s":[1,1.1],"energy_j":[3,2.9,2.8]}]}`); code != http.StatusBadRequest {
-		t.Fatalf("rows of unequal length = %d %q, want 400", code, msg)
-	}
-	code, msg := post(`{"p_blocking_w":75,"measurements":[{"virtual":0,"kind":"forward","freq_mhz":1410,"time_s":1,"energy_j":3}]}`)
-	if code != http.StatusBadRequest || !strings.Contains(msg, `"types"`) {
-		t.Fatalf("per-measurement body = %d %q, want 400 naming \"types\"", code, msg)
-	}
+	url := ts.URL + "/jobs/" + id + "/profile"
 	g, err := gpu.ByName(req.GPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := json.Marshal(buildUpload(t, g, req.Stages, 4))
+	buf, err := buildUpload(t, g, req.Stages, 4).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tail := range []string{" {}", "\x00", "x"} {
-		if code, msg := post(string(buf) + tail); code != http.StatusBadRequest {
-			t.Fatalf("upload followed by %q = %d %q, want 400", tail, code, msg)
+	edited := func(at int, b ...byte) []byte {
+		return append(append(slices.Clone(buf[:at]), b...), buf[at+len(b):]...)
+	}
+	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
+	for name, body := range map[string][]byte{
+		"a JSON body":            []byte(`{"p_blocking_w":75,"types":[{"virtual":0,"kind":"forward","freq_mhz":[1410],"time_s":[1],"energy_j":[3]}]}`),
+		"a body cut short":       buf[:len(buf)-1],
+		"a body followed by {}":  append(slices.Clone(buf), " {}"...),
+		"a body followed by NUL": append(slices.Clone(buf), 0),
+		"kind code 2":            edited(16+4, 2),
+		"a NaN p_blocking_w":     edited(4, nan...),
+		"a NaN energy":           edited(len(buf)-8, nan...),
+	} {
+		if code, msg := postProfile(t, url, body); code != http.StatusBadRequest || !strings.Contains(msg, "PPF1") {
+			t.Fatalf("%s = %d %q, want 400 naming PPF1", name, code, msg)
 		}
 	}
-	if code, msg := post(string(buf)); code != http.StatusAccepted {
+	if code, msg := postProfile(t, url, buf); code != http.StatusAccepted {
 		t.Fatalf("well-formed upload after the rejected ones = %d %q, want 202", code, msg)
 	}
 	if err := srv.WaitCharacterized(id); err != nil {

@@ -254,30 +254,18 @@ func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *job)) http.
 	}
 }
 
-// maxBodyBytes bounds every JSON request body. Measured over the test
-// suites and the four bench/ workloads, the largest body sent is a
-// profile upload of 136,552 bytes (the tests' largest is 68,204) and
-// next a 288-interval grid signal of 31,414; 4 MiB leaves 30× headroom
-// over that for paper-scale profiles and still refuses a body before
-// it costs real memory.
+// maxBodyBytes bounds every request body. A profile upload is about 20
+// bytes a measurement (26,080 for an 8-stage job's 1,296), and a
+// 288-interval grid signal 31,414 bytes of JSON; 4 MiB leaves room for
+// paper-scale profiles and still refuses a body before it costs real
+// memory.
 const maxBodyBytes = 4 << 20
 
-// decodeJSON reads the request's JSON body into v. ok is false after it
-// has answered 400 for a malformed body or 413 for one over
-// maxBodyBytes. A v that decodes itself (a profile upload) is handed the
-// body as read: its UnmarshalJSON validates what it parses, so
-// encoding/json's scan would only read the bytes twice.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var err error
-	if u, self := v.(json.Unmarshaler); self {
-		var data []byte
-		if data, err = io.ReadAll(body); err == nil {
-			err = u.UnmarshalJSON(data)
-		}
-	} else {
-		err = json.NewDecoder(body).Decode(v)
-	}
+// decodeBody hands the request's body, cut off after maxBodyBytes, to
+// decode. ok is false after it has answered 400 for a body decode
+// refuses or 413 for one over maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, decode func(io.Reader) error) (ok bool) {
+	err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
 		return true
 	}
@@ -288,6 +276,11 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
 	}
 	http.Error(w, err.Error(), status)
 	return false
+}
+
+// decodeJSON reads the request's JSON body into v (decodeBody).
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	return decodeBody(w, r, func(body io.Reader) error { return json.NewDecoder(body).Decode(v) })
 }
 
 // jsonBufs holds the buffers JSON responses are encoded into before

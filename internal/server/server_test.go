@@ -88,11 +88,12 @@ func TestEndToEndWorkflow(t *testing.T) {
 	}
 
 	// 3. Upload the profile; characterization starts asynchronously.
-	up := buildUpload(t, gpu.A100PCIe, 2, 4)
-	r := postJSON(t, ts.URL+"/jobs/"+jr.JobID+"/profile", up)
-	r.Body.Close()
-	if r.StatusCode != http.StatusAccepted {
-		t.Fatalf("profile upload status %d", r.StatusCode)
+	body, err := buildUpload(t, gpu.A100PCIe, 2, 4).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := postProfile(t, ts.URL+"/jobs/"+jr.JobID+"/profile", body); code != http.StatusAccepted {
+		t.Fatalf("profile upload status %d %q", code, msg)
 	}
 	if err := srv.WaitCharacterized(jr.JobID); err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	baseVersion := sr.Version
 
 	// 5. A straggler notification moves the schedule to T_opt.
-	r = postJSON(t, ts.URL+"/jobs/"+jr.JobID+"/straggler",
+	r := postJSON(t, ts.URL+"/jobs/"+jr.JobID+"/straggler",
 		StragglerNotice{ID: "p1s0", Delay: 0, Degree: 1.2})
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK {
@@ -208,6 +209,13 @@ func TestDoubleProfileRejected(t *testing.T) {
 	}
 	if err := srv.UploadProfile(id, up); err == nil {
 		t.Error("second profile upload should be rejected")
+	}
+	// A second upload is refused as one before its types are fitted: one
+	// with too few Pareto points gets "already profiled", not the fit's
+	// error.
+	few := ProfileUpload{PBlocking: up.PBlocking, Measurements: up.Measurements[:2]}
+	if err := srv.UploadProfile(id, few); err == nil || !strings.Contains(err.Error(), "already profiled") {
+		t.Errorf("second upload of an unfittable profile: error %v, want \"already profiled\"", err)
 	}
 	if err := srv.WaitCharacterized(id); err != nil {
 		t.Fatal(err)
