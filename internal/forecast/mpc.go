@@ -115,11 +115,11 @@ func Oracle(lt *frontier.LookupTable, truth *grid.Signal, opts Options) (*Outcom
 // Stepper is one job's rolling-horizon state: what it plans (table,
 // target, deadline, objective, scale, quantile), the truth it executes
 // against, the plan in force, and everything executed so far. The
-// offline controllers (PlanOnce, Replan, Oracle) loop over it and the
-// server holds one per rolling schedule, so both freeze, warm-check,
-// solve, and account through the same two methods. Fields other than
-// Table and Scale (which a re-characterization may refresh between
-// steps) are read-only outside the stepper.
+// offline controllers (PlanOnce, Replan, Oracle) loop over it, the
+// region controller holds one per job, and the server one per rolling
+// schedule, so all of them execute and account through ExecuteTo.
+// Fields other than Table and Scale (which a re-characterization may
+// refresh between steps) are read-only outside the stepper.
 type Stepper struct {
 	Table     *frontier.LookupTable
 	Truth     *grid.Signal
@@ -154,6 +154,7 @@ type Stepper struct {
 	view   *grid.Signal // quantile view Plan was solved on (absolute time)
 	window *grid.Signal // the window of view Plan was solved on (relative to PlanAt)
 	point  *grid.Signal // latest point forecast, what executed slices were predicted at
+	place  *placement   // a region controller job's placement; nil runs on Truth and point
 }
 
 // NewStepper starts a rolling schedule at signal time startS. The
@@ -186,7 +187,9 @@ func (s *Stepper) Feasible() bool { return s.done() || (s.Plan != nil && s.Plan.
 // the plan was solved on. Plan intervals are clipped at both ends: one
 // that straddles At (a kept plan whose earlier part already ran and was
 // recorded, idle tail included) resumes from At, one that straddles t
-// stops there.
+// stops there. A region controller's job runs each interval in the
+// region its placement names, skips the ones it pauses, and drops the
+// time a checkpoint transfer takes.
 func (s *Stepper) ExecuteTo(t float64) {
 	if s.Plan != nil {
 		for ip := range s.Plan.Intervals(s.Table, s.window) {
@@ -202,10 +205,17 @@ func (s *Stepper) ExecuteTo(t float64) {
 			if absStart >= t-1e-9 {
 				break
 			}
+			truth, point := s.Truth, s.point
+			if s.place != nil {
+				var ok bool
+				if truth, point, slices, absStart, ok = s.place.run(ip.StartS, absStart, slices); !ok {
+					continue
+				}
+			}
 			if absEnd > t {
 				absEnd = t
 			}
-			ei := executeSlices(s.Table, s.Truth, s.point, s.Scale, absStart, absEnd, slices)
+			ei := executeSlices(s.Table, truth, point, s.Scale, absStart, absEnd, slices)
 			ei.Replanned = len(s.Intervals) == 0 || s.Intervals[len(s.Intervals)-1].EndS <= s.PlanAt
 			s.Remaining -= ei.Iterations
 			s.Iterations += ei.Iterations
@@ -413,8 +423,8 @@ func signalEqualWithin(a, b *grid.Signal, from, to float64) bool {
 // executeSlices runs a planned interval's slices (back-to-back from
 // the interval start, clipped at the interval end) against the truth,
 // accounting realized emissions at the truth's rates and predicted
-// ones at the planning forecast's. It is the accounting primitive the
-// stepper and the region controller share.
+// ones at the planning forecast's. It is the accounting primitive of
+// ExecuteTo.
 func executeSlices(lt *frontier.LookupTable, truth, predicted *grid.Signal, scale, startS, endS float64, slices []grid.Slice) ExecutedInterval {
 	ei := ExecutedInterval{StartS: startS, EndS: endS}
 	at := startS

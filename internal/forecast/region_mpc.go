@@ -111,11 +111,6 @@ type RegionOutcome struct {
 	Plans    int                `json:"plans"`
 	Jobs     []RegionJobOutcome `json:"jobs"`
 
-	// WarmStarts counts re-plans whose forecasts were unchanged across
-	// the remaining window in every region, letting descent seed from
-	// the previous tick's placement instead of starting from scratch.
-	WarmStarts int `json:"warm_starts,omitempty"`
-
 	plan.Account
 	plan.Predicted
 
@@ -153,6 +148,10 @@ func OracleRegions(regions []region.Region, jobs []region.Job, opts RegionOption
 	return out, nil
 }
 
+// runRegions carries every job forward on a Stepper of its own: each
+// decision solves the joint plan on the latest forecasts, installs each
+// live job's temporal plan and placement in its stepper, charges the
+// migrations the span begins, and executes the span.
 func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, replanEvery bool) (*RegionOutcome, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -184,44 +183,31 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 		q = 0.5
 	}
 
-	type jobState struct {
-		remaining float64
-		deadline  float64
-		current   string  // region currently occupied ("" = unplaced)
-		pausedTo  float64 // checkpoint transfer in flight until this time
-		out       RegionJobOutcome
-	}
-	states := make([]*jobState, len(jobs))
+	steps := make([]*Stepper, len(jobs))
+	origins := make([]string, len(jobs)) // region each job occupies ("" = unplaced)
+	out := &RegionOutcome{Jobs: make([]RegionJobOutcome, len(jobs))}
 	for j := range jobs {
 		d := jobs[j].DeadlineS
 		if d <= 0 || d > deadline {
 			d = deadline
 		}
-		states[j] = &jobState{
-			remaining: jobs[j].Target,
-			deadline:  d,
-			current:   jobs[j].Origin,
-			out:       RegionJobOutcome{JobID: jobs[j].ID},
-		}
+		steps[j] = NewStepper(jobs[j].Table, nil, Options{Target: jobs[j].Target, DeadlineS: d, PowerScale: jobs[j].PowerScale}, 0)
+		steps[j].place = &placement{truths: truths, downtimeS: opts.Migration.DowntimeS}
+		origins[j] = jobs[j].Origin
+		out.Jobs[j].JobID = jobs[j].ID
 	}
 
 	decisions := []float64{0}
-	if replanEvery {
-		decisions = append(decisions, grid.MergedBoundaries(truths, deadline)...)
-	}
-
 	mode := "plan-once"
 	if replanEvery {
+		decisions = append(decisions, grid.MergedBoundaries(truths, deadline)...)
 		mode = "mpc"
 		if q > 0.5 {
 			mode = fmt.Sprintf("mpc@q%.2f", q)
 		}
 	}
-	out := &RegionOutcome{Strategy: regs[0].Provider.Name() + "/" + mode}
+	out.Strategy = regs[0].Provider.Name() + "/" + mode
 
-	var prevPlan *region.Plan    // previous tick's joint plan (for warm-start seeds)
-	var prevD float64            // decision time it was planned at
-	var prevViews []*grid.Signal // per-region q-views it was planned on (absolute time)
 	for di, d := range decisions {
 		end := deadline
 		if di+1 < len(decisions) {
@@ -232,8 +218,6 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 		// and the remaining planning problem for every unfinished job.
 		fregions := make([]region.Region, len(regs))
 		fsignals := make([]*grid.Signal, len(regs)) // point forecasts, absolute time
-		views := make([]*grid.Signal, len(regs))    // q-views, absolute time
-		warm := prevPlan != nil
 		for i := range regs {
 			fc, err := regs[i].Provider.At(d)
 			if err != nil {
@@ -247,24 +231,21 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 					regs[i].Region.Name, fc.Signal.Horizon(), deadline)
 			}
 			fsignals[i] = fc.Signal
-			views[i] = fc.At(q)
-			warm = warm && signalEqualWithin(prevViews[i], views[i], d, deadline)
 			fregions[i] = region.Region{
 				Name: regs[i].Region.Name, GPUs: regs[i].Region.GPUs,
-				CapW: regs[i].Region.CapW, Signal: Window(views[i], d, deadline),
+				CapW: regs[i].Region.CapW, Signal: Window(fc.At(q), d, deadline),
 			}
 		}
 		var rjobs []region.Job
 		var live []int
-		for j := range jobs {
-			st := states[j]
-			if st.remaining <= 1e-9*(1+jobs[j].Target) || st.deadline <= d+1e-9 {
+		for j, st := range steps {
+			if !st.Open() {
 				continue
 			}
 			rj := jobs[j]
-			rj.Target = st.remaining
-			rj.DeadlineS = st.deadline - d
-			rj.Origin = st.current
+			rj.Target = st.Remaining
+			rj.DeadlineS = st.DeadlineS - d
+			rj.Origin = origins[j]
 			rjobs = append(rjobs, rj)
 			live = append(live, j)
 		}
@@ -273,42 +254,19 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 		}
 		// The switching-cost margin: re-plans see a scaled migration
 		// cost (see RegionOptions.HysteresisMargin), while execution
-		// below always charges the real one.
-		ropts := region.Options{Objective: opts.Objective, Migration: opts.planMigration(d)}
-		if warm {
-			// Warm start: no forecast moved inside the remaining window,
-			// so the previous tick's placement is a near-optimal seed —
-			// descent starts there and accepts only strict improvements.
-			ropts.Seeds = seedsFromPlan(prevPlan, prevD, d, rjobs)
-			out.WarmStarts++
-		}
-		plan, err := region.Optimize(fregions, rjobs, ropts)
+		// always charges the real one.
+		plan, err := region.Optimize(fregions, rjobs, region.Options{Objective: opts.Objective, Migration: opts.planMigration(d)})
 		if err != nil {
 			return nil, err
 		}
 		out.Plans++
-		prevPlan, prevD, prevViews = plan, d, views
 
 		span := end - d
 		for pi, jp := range plan.Jobs {
-			st := states[live[pi]]
-			job := &jobs[live[pi]]
-			// Residue of a checkpoint transfer begun in an EARLIER span:
-			// the plan just built knows nothing about it (it only sees
-			// the new Origin), so execution must keep idling through it.
-			// In-span migration downtime is handled separately below: the
-			// plan encodes it (compile force-idles the arrival), so the
-			// cross-span residue alone must not clip work scheduled
-			// before the arrival.
-			pausePrev := st.pausedTo
-			scale := 1.0
-			if job.PowerScale > 0 {
-				scale = job.PowerScale
-			}
-			// arrivals lists this span's migration arrival times: under a
-			// sub-1 hysteresis margin the plan force-idles less than the
-			// real transfer, and the overrun must be clipped at execution.
-			var arrivals []float64
+			j := live[pi]
+			st, jo := steps[j], &out.Jobs[j]
+			st.Plan, st.PlanAt, st.window = jp.Temporal, d, jp.Signal
+			st.place.install(jp.Assignments, fsignals)
 			spanRegion := ""
 			for _, a := range jp.Assignments {
 				if a.StartS >= span-1e-9 {
@@ -317,131 +275,88 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 				rIdx := a.Region
 				if rIdx >= 0 {
 					spanRegion = plan.Regions[rIdx]
-					st.current = spanRegion
+					origins[j] = spanRegion
 				}
 				if a.Migrate {
-					st.out.Migrations++
-					st.out.DowntimeS += opts.Migration.DowntimeS
-					st.out.TransferJ += opts.Migration.EnergyJ
-					st.out.EnergyJ += opts.Migration.EnergyJ
+					jo.Migrations++
+					jo.DowntimeS += opts.Migration.DowntimeS
+					jo.TransferJ += opts.Migration.EnergyJ
+					st.EnergyJ += opts.Migration.EnergyJ
 					at := d + a.StartS
-					arrivals = append(arrivals, at)
-					// The checkpoint transfer may outlast this decision
-					// span; the residue must still pause the job after the
-					// next re-plan (which only knows the new Origin).
-					if until := at + opts.Migration.DowntimeS; until > st.pausedTo {
-						st.pausedTo = until
-					}
+					st.place.arrivals = append(st.place.arrivals, at)
 					if rIdx >= 0 {
 						_, c, usd := grid.Accrue(truths[rIdx], at, at+1, opts.Migration.EnergyJ)
-						st.out.CarbonG += c
-						st.out.CostUSD += usd
+						st.CarbonG += c
+						st.CostUSD += usd
 						_, pc, pusd := grid.Accrue(fsignals[rIdx], at, at+1, opts.Migration.EnergyJ)
-						st.out.PredCarbonG += pc
-						st.out.PredCostUSD += pusd
+						st.PredCarbonG += pc
+						st.PredCostUSD += pusd
 					}
 				}
 			}
-			st.out.Path = append(st.out.Path, spanRegion)
-
-			// Execute the temporal plan's slices within the span, each
-			// accrued against the placed region's truth trace, dropping
-			// the slice time falling inside an earlier span's transfer
-			// residue — the schedule is not re-packed, the work simply
-			// does not happen.
-			for ip := range jp.Temporal.Intervals(job.Table, jp.Signal) {
-				if ip.StartS >= span-1e-9 {
-					break
-				}
-				rIdx := regionAt(jp.Assignments, ip.StartS)
-				if rIdx < 0 {
-					continue
-				}
-				slices := ip.Slices
-				absStart := d + ip.StartS
-				if pausePrev > absStart {
-					slices, absStart = clipPaused(slices, absStart, pausePrev)
-				}
-				// Downtime from migrations inside this span is encoded in
-				// the plan itself (compile force-idles the arrival) — but
-				// only at the margin-scaled duration. Work the plan put
-				// between the scaled and the real transfer end does not
-				// physically happen: clip it. Intervals before the arrival
-				// are untouched (their absStart precedes it), so this is
-				// exact, and a margin >= 1 never clips (the plan already
-				// idles at least the real transfer).
-				for _, at := range arrivals {
-					until := at + opts.Migration.DowntimeS
-					if absStart >= at-1e-9 && absStart < until-1e-9 {
-						slices, absStart = clipPaused(slices, absStart, until)
-					}
-				}
-				ei := executeSlices(job.Table, truths[rIdx], fsignals[rIdx], scale,
-					absStart, d+math.Min(ip.EndS, span), slices)
-				st.remaining -= ei.Iterations
-				st.out.Iterations += ei.Iterations
-				st.out.EnergyJ += ei.EnergyJ
-				st.out.CarbonG += ei.CarbonG
-				st.out.CostUSD += ei.CostUSD
-				st.out.PredCarbonG += ei.PredCarbonG
-				st.out.PredCostUSD += ei.PredCostUSD
-			}
+			jo.Path = append(jo.Path, spanRegion)
+			st.ExecuteTo(end)
 		}
 	}
 
 	out.Feasible = true
-	for j, st := range states {
-		st.out.Feasible = st.remaining <= 1e-6*(1+jobs[j].Target)
-		if !st.out.Feasible {
-			out.Feasible = false
-		}
-		out.EnergyJ += st.out.EnergyJ
-		out.CarbonG += st.out.CarbonG
-		out.CostUSD += st.out.CostUSD
-		out.PredCarbonG += st.out.PredCarbonG
-		out.PredCostUSD += st.out.PredCostUSD
-		out.Jobs = append(out.Jobs, st.out)
+	for j, st := range steps {
+		jo := &out.Jobs[j]
+		jo.Iterations, jo.Account, jo.Predicted = st.Iterations, st.Account, st.Predicted
+		jo.Feasible = st.Remaining <= 1e-6*(1+st.Target)
+		out.Feasible = out.Feasible && jo.Feasible
+		out.Account.Accumulate(jo.Account)
+		out.Predicted.Accumulate(jo.Predicted)
 	}
 	return out, nil
 }
 
-// seedsFromPlan converts the previous tick's joint plan (planned at
-// prevD) into warm-start seed spans for the jobs still live at the new
-// decision time d: each assignment's span shifted into the new plan's
-// relative time, with the already-executed part clipped away. Spans
-// are time-based because the common cell grid shifts between ticks.
-func seedsFromPlan(prev *region.Plan, prevD, d float64, rjobs []region.Job) map[string][]region.SeedSpan {
-	live := make(map[string]bool, len(rjobs))
-	for i := range rjobs {
-		live[rjobs[i].ID] = true
+// placement is a region controller job's share of the joint plan in
+// force: the region each stretch of it runs in (relative to the
+// stepper's PlanAt), every region's truth and point forecast, and the
+// checkpoint transfers that pause the job.
+type placement struct {
+	cells          []region.Assignment
+	truths, points []*grid.Signal // by region index
+	downtimeS      float64        // a transfer's real duration
+	pausedTo       float64        // a transfer begun before the plan idles the job until then
+	arrivals       []float64      // arrival times of the transfers the plan begins
+}
+
+// install puts a fresh plan's placement in force: the transfers the
+// previous plan began become residue the new plan knows nothing about
+// (it only sees the new Origin).
+func (p *placement) install(cells []region.Assignment, points []*grid.Signal) {
+	for _, at := range p.arrivals {
+		p.pausedTo = max(p.pausedTo, at+p.downtimeS)
 	}
-	seeds := make(map[string][]region.SeedSpan, len(rjobs))
-	shift := prevD - d // previous-plan-relative -> new-plan-relative
-	for i := range prev.Jobs {
-		jp := &prev.Jobs[i]
-		if !live[jp.JobID] {
-			continue
-		}
-		var spans []region.SeedSpan
-		for _, a := range jp.Assignments {
-			start, end := a.StartS+shift, a.EndS+shift
-			if end <= 1e-9 {
-				continue // fully executed before the new decision time
-			}
-			if start < 0 {
-				start = 0
-			}
-			name := ""
-			if a.Region >= 0 {
-				name = prev.Regions[a.Region]
-			}
-			spans = append(spans, region.SeedSpan{StartS: start, EndS: end, Region: name})
-		}
-		if len(spans) > 0 {
-			seeds[jp.JobID] = spans
+	p.cells, p.points, p.arrivals = cells, points, p.arrivals[:0]
+}
+
+// run resolves the plan interval starting startS into the plan (at
+// absStart in signal time): the truth and point forecast of the region
+// it runs in (ok false when the job is paused there) and its slices
+// with the time inside a checkpoint transfer dropped — the schedule is
+// not re-packed, the work simply does not happen.
+func (p *placement) run(startS, absStart float64, slices []grid.Slice) (truth, point *grid.Signal, _ []grid.Slice, _ float64, ok bool) {
+	r := regionAt(p.cells, startS)
+	if r < 0 {
+		return nil, nil, nil, 0, false
+	}
+	if p.pausedTo > absStart {
+		slices, absStart = clipPaused(slices, absStart, p.pausedTo)
+	}
+	// The plan encodes the downtime of its own transfers (the planner
+	// force-idles the arrival), but only at the margin-scaled duration:
+	// work it put between the scaled and the real transfer end is
+	// clipped. Intervals before the arrival are untouched, and a margin
+	// >= 1 never clips (the plan already idles the real transfer).
+	for _, at := range p.arrivals {
+		if until := at + p.downtimeS; absStart >= at-1e-9 && absStart < until-1e-9 {
+			slices, absStart = clipPaused(slices, absStart, until)
 		}
 	}
-	return seeds
+	return p.truths[r], p.points[r], slices, absStart, true
 }
 
 // clipPaused drops the slice time scheduled before `until` (slices run

@@ -311,48 +311,3 @@ func TestRegionMPCDowntimeSurvivesReplan(t *testing.T) {
 		t.Fatal("target beyond the post-transfer capacity cannot be feasible")
 	}
 }
-
-// TestRegionMPCWarmStartSeeds pins the multi-region warm path: with
-// perfect foresight every re-plan sees unchanged forecasts, so each
-// tick after the first seeds descent from the previous tick's
-// placement — counted in WarmStarts — while noisy revisions never take
-// the warm path.
-func TestRegionMPCWarmStartSeeds(t *testing.T) {
-	pair, jobs, opts := regionTestSetup()
-	regs := make([]ForecastRegion, len(pair))
-	for i, r := range pair {
-		regs[i] = ForecastRegion{Region: r, Provider: &Perfect{Truth: r.Signal}}
-	}
-	out, err := ReplanRegions(regs, jobs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Feasible {
-		t.Fatal("perfect-foresight region MPC infeasible")
-	}
-	if out.WarmStarts != out.Plans-1 {
-		t.Fatalf("warm starts %d, want every re-plan after the first (%d)", out.WarmStarts, out.Plans-1)
-	}
-	// Replay determinism with seeds in play.
-	again, err := ReplanRegions(regs, jobs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.CarbonG != out.CarbonG || again.WarmStarts != out.WarmStarts {
-		t.Fatal("seeded replay differs")
-	}
-
-	// Noisy revisions change the window every tick: never warm.
-	for i, r := range pair {
-		regs[i] = ForecastRegion{Region: r, Provider: &Revisions{
-			Truth: r.Signal, Seed: 1 + int64(i)*100, Sigma: 0.15,
-		}}
-	}
-	noisy, err := ReplanRegions(regs, jobs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noisy.WarmStarts != 0 {
-		t.Fatalf("noisy revisions took %d warm starts", noisy.WarmStarts)
-	}
-}
