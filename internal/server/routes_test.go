@@ -297,6 +297,41 @@ func TestProfileBodyErrors(t *testing.T) {
 	}
 }
 
+// TestJSONBodyTrailingBytes: a JSON body must be one value followed by
+// nothing but white space. Bytes after the value, a second value, or a
+// stray closing brace answer 400 and register nothing; a body ending in
+// the newline json.Encoder writes is accepted.
+func TestJSONBodyTrailingBytes(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(JobRequest{Schedule: "1f1b", Stages: 2, Microbatches: 3, GPU: "A100-PCIe", Unit: 5e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(b []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	for _, trailer := range []string{" garbage", "{}", "}", "\n0"} {
+		if code, msg := post(append(slices.Clone(body), trailer...)); code != http.StatusBadRequest {
+			t.Fatalf("POST /jobs with %q after the body = %d %q, want 400", trailer, code, msg)
+		}
+	}
+	if n := srv.Health().Jobs; n != 0 {
+		t.Fatalf("rejected bodies registered %d jobs", n)
+	}
+	if code, msg := post(append(body, '\n')); code != http.StatusOK {
+		t.Fatalf("POST /jobs with a newline-terminated body = %d %q, want 200", code, msg)
+	}
+}
+
 var routeLabelRE = regexp.MustCompile(`(?m)^perseus_http_requests_total\{route="([^"]*)",method="([^"]*)",code="([^"]*)"\}`)
 
 // TestRouteLabelsAreRegisteredPatterns: whatever is requested — valid,

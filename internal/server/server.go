@@ -47,6 +47,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -278,9 +279,23 @@ func decodeBody(w http.ResponseWriter, r *http.Request, decode func(io.Reader) e
 	return false
 }
 
-// decodeJSON reads the request's JSON body into v (decodeBody).
+// decodeJSON reads the request's JSON body into v (decodeBody): one
+// JSON value, followed by nothing but white space.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	return decodeBody(w, r, func(body io.Reader) error { return json.NewDecoder(body).Decode(v) })
+	return decodeBody(w, r, func(body io.Reader) error {
+		dec := json.NewDecoder(body)
+		if err := dec.Decode(v); err != nil {
+			return err
+		}
+		switch err := dec.Decode(new(json.RawMessage)); err {
+		case io.EOF:
+			return nil
+		case nil:
+			return errors.New("body holds more than one JSON value")
+		default:
+			return fmt.Errorf("after the JSON value: %w", err)
+		}
+	})
 }
 
 // jsonBufs holds the buffers JSON responses are encoded into before
