@@ -32,10 +32,7 @@ import (
 	"perseus/internal/frontier"
 	"perseus/internal/gpu"
 	"perseus/internal/grid"
-	"perseus/internal/model"
-	"perseus/internal/partition"
 	"perseus/internal/profile"
-	"perseus/internal/sched"
 	"perseus/internal/server"
 )
 
@@ -54,39 +51,6 @@ func compressedDay(n int, secsPer float64) grid.Signal {
 		})
 	}
 	return sig
-}
-
-// buildUpload synthesizes the profile a client-side profiler would
-// measure for the workload (the same construction the trainer demo and
-// server tests use).
-func buildUpload(g *gpu.Model, stages, mbSize int) ([]profile.Measurement, float64, error) {
-	m, err := model.GPT3("1.3b")
-	if err != nil {
-		return nil, 0, err
-	}
-	part, err := partition.MinImbalance(m.LayerCosts(), stages)
-	if err != nil {
-		return nil, 0, err
-	}
-	w := profile.Workload{
-		Model: m, GPU: g, Stages: stages, Chunks: 1,
-		Partition: part.Boundaries, MicrobatchSize: mbSize, TensorParallel: 1,
-	}
-	refs, err := w.StageRefTimes()
-	if err != nil {
-		return nil, 0, err
-	}
-	var ms []profile.Measurement
-	for v, ref := range refs {
-		for _, f := range g.Frequencies() {
-			ms = append(ms,
-				profile.Measurement{Virtual: v, Kind: sched.Forward, Freq: f,
-					Time: g.Time(ref, f, g.MemBoundFwd), Energy: g.Energy(ref, f, g.MemBoundFwd)},
-				profile.Measurement{Virtual: v, Kind: sched.Backward, Freq: f,
-					Time: g.Time(2*ref, f, g.MemBoundBwd), Energy: g.Energy(2*ref, f, g.MemBoundBwd)})
-		}
-	}
-	return ms, profile.MeasurePBlocking(g), nil
 }
 
 func main() {
@@ -118,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ms, pBlocking, err := buildUpload(g, 2, 4)
+	ms, pBlocking, err := profile.SyntheticSweep(g, 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

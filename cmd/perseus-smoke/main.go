@@ -25,44 +25,9 @@ import (
 	"perseus/internal/client"
 	"perseus/internal/gpu"
 	"perseus/internal/grid"
-	"perseus/internal/model"
-	"perseus/internal/partition"
 	"perseus/internal/profile"
-	"perseus/internal/sched"
 	"perseus/internal/server"
 )
-
-// buildProfile synthesizes the measurements a client-side profiler
-// would report (the same construction the demos and server tests use).
-func buildProfile(g *gpu.Model, stages, mbSize int) ([]profile.Measurement, float64, error) {
-	m, err := model.GPT3("1.3b")
-	if err != nil {
-		return nil, 0, err
-	}
-	part, err := partition.MinImbalance(m.LayerCosts(), stages)
-	if err != nil {
-		return nil, 0, err
-	}
-	w := profile.Workload{
-		Model: m, GPU: g, Stages: stages, Chunks: 1,
-		Partition: part.Boundaries, MicrobatchSize: mbSize, TensorParallel: 1,
-	}
-	refs, err := w.StageRefTimes()
-	if err != nil {
-		return nil, 0, err
-	}
-	var ms []profile.Measurement
-	for v, ref := range refs {
-		for _, f := range g.Frequencies() {
-			ms = append(ms,
-				profile.Measurement{Virtual: v, Kind: sched.Forward, Freq: f,
-					Time: g.Time(ref, f, g.MemBoundFwd), Energy: g.Energy(ref, f, g.MemBoundFwd)},
-				profile.Measurement{Virtual: v, Kind: sched.Backward, Freq: f,
-					Time: g.Time(2*ref, f, g.MemBoundBwd), Energy: g.Energy(2*ref, f, g.MemBoundBwd)})
-		}
-	}
-	return ms, profile.MeasurePBlocking(g), nil
-}
 
 // sample returns the value of one series of a scraped exposition.
 func sample(text, series string) float64 {
@@ -116,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ms, pBlocking, err := buildProfile(g, 2, 4)
+	ms, pBlocking, err := profile.SyntheticSweep(g, 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,6 +32,7 @@ import (
 	"perseus/internal/fit"
 	"perseus/internal/gpu"
 	"perseus/internal/model"
+	"perseus/internal/partition"
 	"perseus/internal/sched"
 )
 
@@ -284,6 +285,40 @@ type Measurement struct {
 	Freq    gpu.Frequency
 	Time    float64
 	Energy  float64
+}
+
+// SyntheticSweep synthesizes the sweep a client-side profiler would
+// report for GPT-3 1.3B split over stages by partition.MinImbalance at
+// microbatch size mbSize on g: every virtual stage's forward and
+// backward at every frequency, and the measured P_blocking.
+func SyntheticSweep(g *gpu.Model, stages, mbSize int) ([]Measurement, float64, error) {
+	m, err := model.GPT3("1.3b")
+	if err != nil {
+		return nil, 0, err
+	}
+	part, err := partition.MinImbalance(m.LayerCosts(), stages)
+	if err != nil {
+		return nil, 0, err
+	}
+	w := Workload{
+		Model: m, GPU: g, Stages: stages, Chunks: 1,
+		Partition: part.Boundaries, MicrobatchSize: mbSize, TensorParallel: 1,
+	}
+	refs, err := w.StageRefTimes()
+	if err != nil {
+		return nil, 0, err
+	}
+	var ms []Measurement
+	for v, ref := range refs {
+		for _, f := range g.Frequencies() {
+			ms = append(ms,
+				Measurement{Virtual: v, Kind: sched.Forward, Freq: f,
+					Time: g.Time(ref, f, g.MemBoundFwd), Energy: g.Energy(ref, f, g.MemBoundFwd)},
+				Measurement{Virtual: v, Kind: sched.Backward, Freq: f,
+					Time: g.Time(2*ref, f, g.MemBoundBwd), Energy: g.Energy(2*ref, f, g.MemBoundBwd)})
+		}
+	}
+	return ms, MeasurePBlocking(g), nil
 }
 
 // Assemble builds a profile from raw online measurements (paper §5):
