@@ -35,6 +35,16 @@ func (e Exp) String() string {
 	return fmt.Sprintf("%.6g*exp(%.6g*(t-%.6g))+%.6g", e.A, e.B, e.T0, e.C)
 }
 
+// decayRates is FitExp's bracketing grid, 60 rates from 0.01 to 100
+// spaced evenly in log scale. It does not depend on the data, so it is
+// computed once.
+var decayRates = func() (r [60]float64) {
+	for k := range r {
+		r[k] = math.Pow(10, -2+4*float64(k)/59)
+	}
+	return r
+}()
+
 // FitExp fits e(t) = a·e^{b·(t−t0)} + c to the points by least squares:
 // for each candidate decay rate b, the optimal (a, c) solve a 2×2 linear
 // system; b itself is found by golden-section search over a log-spaced
@@ -91,8 +101,8 @@ func FitExp(ts, es []float64) (Exp, error) {
 
 	// Bracket b over decay rates spanning "barely curved" to "cliff".
 	bestB, bestSSE := -1.0/span, math.Inf(1)
-	for k := 0; k < 60; k++ {
-		b := -math.Pow(10, -2+4*float64(k)/59) / span // 0.01/span .. 100/span
+	for _, rate := range decayRates {
+		b := -rate / span // 0.01/span .. 100/span
 		if s, _, _ := sse(b); s < bestSSE {
 			bestSSE, bestB = s, b
 		}
