@@ -497,12 +497,11 @@ func benchRegionCase(nJobs int) ([]region.Region, []region.Job, region.Options) 
 	return regions, jobs, region.Options{Migration: region.MigrationCost{DowntimeS: 600, EnergyJ: 5e6}}
 }
 
-// BenchmarkRegionPlanWarm measures the MPC tick-to-tick re-plan: the
-// previous solve's placement is fed back through Options.Seeds, so
-// descent starts at (or next to) the optimum instead of from the
-// generic single-region and rate-envelope candidates — the warm path
-// forecast.ReplanRegions takes when a revision leaves the remaining
-// window unchanged.
+// BenchmarkRegionPlanWarm measures a seeded re-plan: the previous
+// solve's placement is fed back through Options.Seeds, so descent
+// starts at (or next to) the optimum instead of from the generic
+// single-region and rate-envelope candidates. forecast.ReplanRegions
+// does not take this path: it re-solves every decision cold.
 func BenchmarkRegionPlanWarm(b *testing.B) {
 	for _, nJobs := range []int{2, 8} {
 		b.Run(fmt.Sprintf("jobs-%d", nJobs), func(b *testing.B) {

@@ -119,7 +119,8 @@ func Oracle(lt *frontier.LookupTable, truth *grid.Signal, opts Options) (*Outcom
 // region controller holds one per job, and the server one per rolling
 // schedule, so all of them execute and account through ExecuteTo.
 // Fields other than Table and Scale (which a re-characterization may
-// refresh between steps) are read-only outside the stepper.
+// refresh between steps) are read-only outside the stepper, save that
+// the region controller installs each joint plan's share itself.
 type Stepper struct {
 	Table     *frontier.LookupTable
 	Truth     *grid.Signal
