@@ -5,10 +5,12 @@
 // another package's type travel as that type: grid.Signal, grid.Plan,
 // region.Plan, frontier.LookupTable and the obs views embedded below.
 //
-// Declarations only, with one codec: ProfileUpload is the one body that
-// is not JSON. It travels as a binary PPF1 body, one row per computation
-// type with the measured floats bit for bit (upload.go). The routes these
-// bodies travel on are the registration list in server.routes.
+// Declarations only, with one codec. Two bodies are not JSON: the
+// ProfileUpload travels as a binary PPF1 body, one row per computation
+// type with the measured floats bit for bit (upload.go), and the
+// frontier.LookupTable as a binary PLT1 body, one full plan and then
+// each point's changes (frontier/wire.go). The routes these bodies
+// travel on are the registration list in server.routes.
 package api
 
 import (

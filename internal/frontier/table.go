@@ -1,9 +1,6 @@
 package frontier
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -19,17 +16,17 @@ import (
 // persisted across server restarts and served without recomputation.
 type LookupTable struct {
 	// Unit is the optimizer's τ in seconds.
-	Unit float64 `json:"unit_s"`
+	Unit float64
 
 	// TminUnits and TStarUnits bound the frontier in τ units.
-	TminUnits  int64 `json:"tmin_units"`
-	TStarUnits int64 `json:"tstar_units"`
+	TminUnits  int64
+	TStarUnits int64
 
 	// Points are the cached energy schedules by increasing time, each
 	// strictly cheaper in energy than every faster one: the Pareto set.
 	// Points must not change once the table is planned on (Hull caches
 	// an index into them).
-	Points []TablePoint `json:"points"`
+	Points []TablePoint
 
 	hull      atomic.Pointer[hullIndex] // Hull's cache; never serialized
 	powerHull atomic.Pointer[hullIndex] // PowerHull's cache; never serialized
@@ -46,14 +43,14 @@ type hullIndex struct {
 // TablePoint is one cached energy schedule.
 type TablePoint struct {
 	// TimeUnits is the planned iteration time in τ units.
-	TimeUnits int64 `json:"time_units"`
+	TimeUnits int64
 
 	// Energy is the discrete adjusted computation energy in joules.
-	Energy float64 `json:"energy_j"`
+	Energy float64
 
 	// Freqs is the realized per-computation frequency plan (MHz),
 	// indexed by schedule op id; 0 marks constant-time operations.
-	Freqs []gpu.Frequency `json:"freqs_mhz"`
+	Freqs []gpu.Frequency
 }
 
 // Time returns the planned iteration time in seconds under the table's τ.
@@ -267,53 +264,3 @@ func (lt *LookupTable) Tmin() float64 { return lt.time(lt.TminUnits) }
 
 // TStar returns the minimum-energy iteration time in seconds.
 func (lt *LookupTable) TStar() float64 { return lt.time(lt.TStarUnits) }
-
-// Save writes the table as JSON.
-func (lt *LookupTable) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(lt)
-}
-
-// LoadTable reads and validates a table written by Save, and prunes it
-// to its Pareto set as Table does (a table saved before pruning loads
-// as the one Table writes now). A saved table is outside input, and
-// every walk over it (Descend's callers) orders steps by slopes of time
-// and average power, so each point's time must be positive, finite and
-// rising, and its average power positive and finite.
-func LoadTable(r io.Reader) (*LookupTable, error) {
-	var lt LookupTable
-	if err := json.NewDecoder(r).Decode(&lt); err != nil {
-		return nil, fmt.Errorf("frontier: decoding lookup table: %w", err)
-	}
-	if lt.Unit <= 0 {
-		return nil, fmt.Errorf("frontier: lookup table has non-positive unit %v", lt.Unit)
-	}
-	if len(lt.Points) == 0 {
-		return nil, fmt.Errorf("frontier: lookup table has no points")
-	}
-	nComps := len(lt.Points[0].Freqs)
-	for i, pt := range lt.Points {
-		t, p := lt.PointTime(i), lt.AvgPower(i)
-		switch {
-		case pt.TimeUnits <= 0:
-			return nil, fmt.Errorf("frontier: point %d has non-positive time_units %d", i, pt.TimeUnits)
-		case math.IsInf(t, 0):
-			return nil, fmt.Errorf("frontier: point %d time overflows: unit_s %v × time_units %d", i, lt.Unit, pt.TimeUnits)
-		case i > 0 && t <= lt.PointTime(i-1):
-			return nil, fmt.Errorf("frontier: lookup table times not increasing at point %d", i)
-		case !(p > 0) || math.IsInf(p, 0):
-			return nil, fmt.Errorf("frontier: point %d has energy_j %v: average power %v W is not positive and finite", i, pt.Energy, p)
-		case len(pt.Freqs) != nComps:
-			return nil, fmt.Errorf("frontier: point %d has %d frequencies, want %d", i, len(pt.Freqs), nComps)
-		}
-	}
-	if lt.Points[0].TimeUnits != lt.TminUnits || lt.Points[len(lt.Points)-1].TimeUnits != lt.TStarUnits {
-		return nil, fmt.Errorf("frontier: lookup table endpoints do not match Tmin/T*")
-	}
-	keep := paretoSet(len(lt.Points), func(i int) float64 { return lt.Points[i].Energy })
-	for row, i := range keep {
-		lt.Points[row] = lt.Points[i]
-	}
-	lt.Points = lt.Points[:len(keep)]
-	lt.TStarUnits = lt.Points[len(keep)-1].TimeUnits
-	return &lt, nil
-}

@@ -1,9 +1,7 @@
 package frontier
 
 import (
-	"bytes"
 	"slices"
-	"strings"
 	"testing"
 
 	"perseus/internal/gpu"
@@ -180,96 +178,5 @@ func TestPowerHull(t *testing.T) {
 	lt.Points = lt.Points[:3]
 	if got := lt.PowerHull(); !slices.Equal(got, lt.powerHullOf(nil, 0, 2)) {
 		t.Fatalf("power hull of the truncated table %v", got)
-	}
-}
-
-func TestTableSaveLoadRoundTrip(t *testing.T) {
-	g, p, opts := buildCase(t, "bert-1.3b", gpu.A40, 2, 4, 8, "1f1b")
-	f := characterize(t, g, p, opts)
-	lt := f.Table()
-	var buf bytes.Buffer
-	if err := lt.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Unit != lt.Unit || len(got.Points) != len(lt.Points) {
-		t.Fatalf("round trip mismatch: %v/%d vs %v/%d", got.Unit, len(got.Points), lt.Unit, len(lt.Points))
-	}
-	probe := f.Tmin() * 1.07
-	a, b := lt.Lookup(probe), got.Lookup(probe)
-	if a.TimeUnits != b.TimeUnits || a.Energy != b.Energy {
-		t.Fatalf("loaded table lookup differs: %+v vs %+v", b, a)
-	}
-	for i := range a.Freqs {
-		if a.Freqs[i] != b.Freqs[i] {
-			t.Fatalf("loaded plan differs at op %d", i)
-		}
-	}
-}
-
-func TestLoadTableValidation(t *testing.T) {
-	cases := []struct {
-		name, json string
-		field      string // the error names it; "" for any error
-	}{
-		{"garbage", "{", ""},
-		{"no points", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[]}`, ""},
-		{"bad unit", `{"unit_s":0,"tmin_units":1,"tstar_units":2,"points":[{"time_units":1,"energy_j":1,"freqs_mhz":[100]}]}`, ""},
-		{"non-increasing", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, ""},
-		{"ragged freqs", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[
-			{"time_units":1,"energy_j":1,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100,200]}]}`, ""},
-		{"bad endpoints", `{"unit_s":0.001,"tmin_units":5,"tstar_units":9,"points":[
-			{"time_units":1,"energy_j":1,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, ""},
-		// Each of these gives an infinite, NaN or negative average power
-		// or time, whose slopes every walk over the table mis-orders.
-		{"zero time", `{"unit_s":0.001,"tmin_units":0,"tstar_units":2,"points":[
-			{"time_units":0,"energy_j":2,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, "time_units"},
-		{"negative time", `{"unit_s":0.001,"tmin_units":-3,"tstar_units":2,"points":[
-			{"time_units":-3,"energy_j":2,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":1,"freqs_mhz":[100]}]}`, "time_units"},
-		{"negative energy", `{"unit_s":0.001,"tmin_units":1,"tstar_units":2,"points":[
-			{"time_units":1,"energy_j":-5,"freqs_mhz":[100]},
-			{"time_units":2,"energy_j":-6,"freqs_mhz":[100]}]}`, "energy_j"},
-		{"time overflow", `{"unit_s":1e300,"tmin_units":1000000000,"tstar_units":2000000000,"points":[
-			{"time_units":1000000000,"energy_j":2,"freqs_mhz":[100]},
-			{"time_units":2000000000,"energy_j":1,"freqs_mhz":[100]}]}`, "unit_s"},
-	}
-	for _, c := range cases {
-		_, err := LoadTable(strings.NewReader(c.json))
-		if err == nil {
-			t.Errorf("%s: LoadTable accepted invalid input", c.name)
-		} else if !strings.Contains(err.Error(), c.field) {
-			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
-		}
-	}
-}
-
-// TestLoadTablePrunesToPareto loads a table that still holds dominated
-// points, as tables saved before Table pruned did: it loads as its
-// Pareto set, with T* moved to the slowest point kept.
-func TestLoadTablePrunesToPareto(t *testing.T) {
-	lt, err := LoadTable(strings.NewReader(`{"unit_s":0.01,"tmin_units":1,"tstar_units":5,"points":[
-		{"time_units":1,"energy_j":9,"freqs_mhz":[100]},
-		{"time_units":2,"energy_j":9,"freqs_mhz":[100]},
-		{"time_units":3,"energy_j":7,"freqs_mhz":[100]},
-		{"time_units":4,"energy_j":8,"freqs_mhz":[100]},
-		{"time_units":5,"energy_j":7,"freqs_mhz":[100]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var units []int64
-	for _, pt := range lt.Points {
-		units = append(units, pt.TimeUnits)
-	}
-	if !slices.Equal(units, []int64{1, 3}) || lt.TStarUnits != 3 {
-		t.Fatalf("loaded rows at %v units with T* %d, want [1 3] and 3", units, lt.TStarUnits)
 	}
 }

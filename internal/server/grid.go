@@ -158,7 +158,7 @@ func (s *Server) handleGridPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", planETag(pb.key))
-	writeJSONBody(w, body)
+	writeBody(w, "application/json", body)
 }
 
 // planETag renders a plan cache key as an HTTP entity tag: a 64-bit

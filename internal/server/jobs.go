@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -165,9 +166,19 @@ func (s *Server) handleFrontier(w http.ResponseWriter, _ *http.Request, j *job) 
 	writeJSON(w, s.FrontierOf(j.id))
 }
 
+// handleTable serves the table as its PLT1 body (frontier.LookupTable.Save).
 func (s *Server) handleTable(w http.ResponseWriter, _ *http.Request, j *job) {
 	lt, err := s.Table(j.id)
-	writeResult(w, lt, err, http.StatusConflict)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	var body bytes.Buffer
+	if err := lt.Save(&body); err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, "application/octet-stream", body.Bytes())
 }
 
 func (s *Server) handleAllocation(w http.ResponseWriter, _ *http.Request, j *job) {

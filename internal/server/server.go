@@ -313,7 +313,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSONBody(w, buf.Bytes())
+	writeBody(w, "application/json", buf.Bytes())
 }
 
 // writeResult answers a call's outcome: failStatus with err's message
@@ -336,10 +336,10 @@ func (s *Server) jobError(w http.ResponseWriter, id string, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-// writeJSONBody answers 200 with an already encoded JSON body in one
-// Write, its length declared so the response is not chunked.
-func writeJSONBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBody answers 200 with an already encoded body in one Write, its
+// length declared so the response is not chunked.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	// A failed write means the client is gone; there is no one to tell.
 	_, _ = w.Write(body)

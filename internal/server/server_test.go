@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -392,9 +393,15 @@ func TestTableEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if ct, n := resp.Header.Get("Content-Type"), resp.ContentLength; ct != "application/octet-stream" || n <= 0 {
+		t.Fatalf("table served as %q, Content-Length %d; want a PLT1 body of declared length", ct, n)
+	}
 	lt, err := frontier.LoadTable(resp.Body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want, _ := srv.Table(id); !reflect.DeepEqual(lt.Points, want.Points) {
+		t.Fatal("the served table differs from the job's")
 	}
 	if len(lt.Points) < 5 {
 		t.Fatalf("served table has %d points", len(lt.Points))

@@ -214,7 +214,7 @@ func (s *System) RenderTimeline(w io.Writer, plan Plan, width int) error {
 }
 
 // SaveLookupTable writes the characterized energy-schedule lookup table
-// as JSON (paper §3.2's server-side cache), loadable with
+// (paper §3.2's server-side cache) as a binary PLT1 body, loadable with
 // frontier.LoadTable.
 func (s *System) SaveLookupTable(w io.Writer) error {
 	return s.sys.Frontier.Table().Save(w)
