@@ -364,19 +364,42 @@ func Assemble(g *gpu.Model, pBlocking float64, ms []Measurement) (*Profile, erro
 }
 
 // byType splits ms by computation type, in the order the types first
-// appear, each type's measurements in the order they were taken.
+// appear, each type's measurements in the order they were taken. The
+// sweeps are slices of one array. ms arrives as runs of one type (a PPF1
+// body is one run per type), so the type index is looked up once per
+// run, and each run is copied whole.
 func byType(ms []Measurement) [][]Measurement {
+	type run struct{ sweep, start, end int }
+	var runs []run
 	index := map[TypeKey]int{}
-	var sweeps [][]Measurement
-	for _, m := range ms {
+	var last TypeKey
+	for i, m := range ms {
 		key := TypeKey{m.Virtual, m.Kind}
+		if i > 0 && key == last {
+			runs[len(runs)-1].end++
+			continue
+		}
+		last = key
 		j, ok := index[key]
 		if !ok {
-			j = len(sweeps)
+			j = len(index)
 			index[key] = j
-			sweeps = append(sweeps, nil)
 		}
-		sweeps[j] = append(sweeps[j], m)
+		runs = append(runs, run{j, i, i + 1})
+	}
+	counts := make([]int, len(index))
+	for _, r := range runs {
+		counts[r.sweep] += r.end - r.start
+	}
+	all := make([]Measurement, len(ms))
+	sweeps := make([][]Measurement, len(counts))
+	off := 0
+	for j, n := range counts {
+		sweeps[j] = all[off : off : off+n]
+		off += n
+	}
+	for _, r := range runs {
+		sweeps[r.sweep] = append(sweeps[r.sweep], ms[r.start:r.end]...)
 	}
 	return sweeps
 }
