@@ -20,7 +20,7 @@ func (s *Server) handleFleetCap(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.recomputeFleet(r.Context()))
+	writeJSON(w, s.fleetStatus(r.Context()))
 }
 
 // SetFleetCap sets the facility power cap and re-divides it across the
@@ -38,13 +38,13 @@ func (s *Server) setFleetCap(ctx context.Context, capW float64) (FleetStatusResp
 	s.st.mu.Lock()
 	s.st.capW = capW
 	s.st.mu.Unlock()
-	return s.recomputeFleet(ctx), nil
+	return s.fleetStatus(ctx), nil
 }
 
 // FleetStatus recomputes and returns the fleet-wide allocation under
 // the current cap.
 func (s *Server) FleetStatus() FleetStatusResponse {
-	return s.recomputeFleet(context.Background())
+	return s.fleetStatus(context.Background())
 }
 
 // AllocationOf returns a job's latest fleet allocation.
@@ -69,22 +69,22 @@ func (s *Server) AllocationOf(id string) (JobAllocationResponse, error) {
 }
 
 // recomputeFleet runs the fleet allocator over every characterized job
-// under the current cap, deploys each job's allocated iteration-time
-// floor (bumping its schedule version when it changes), and returns the
-// fleet-wide view. Jobs still characterizing appear with Ready false.
-// The whole recomputation is serialized: the deployed floors always
-// reflect one allocation of the cap current when it ran.
-func (s *Server) recomputeFleet(ctx context.Context) FleetStatusResponse {
+// under the current cap and deploys each job's allocated iteration-time
+// floor (bumping its schedule version when it changes). It returns the
+// jobs in registration order, the indices of the characterized ones and
+// their allocation, aligned with those indices. The whole recomputation
+// is serialized: the deployed floors always reflect one allocation of
+// the cap current when it ran.
+func (s *Server) recomputeFleet(ctx context.Context) (jobs []*job, ready []int, alloc fleet.Allocation) {
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
 	gs := s.st.gridState()
 	s.st.mu.Lock()
 	capW := s.st.capW
 	s.st.mu.Unlock()
-	jobs := s.st.jobsInOrder()
+	jobs = s.st.jobsInOrder()
 
 	var fjobs []fleet.Job
-	var ready []int // indices into jobs, aligned with fjobs
 	for i, j := range jobs {
 		j.mu.Lock()
 		if j.table != nil {
@@ -101,7 +101,6 @@ func (s *Server) recomputeFleet(ctx context.Context) FleetStatusResponse {
 	}
 	// fleet.Allocate cannot fail: setFleetCap validated the cap. Its
 	// span carries the cap's price and the certified gap to the optimum.
-	var alloc fleet.Allocation
 	_ = s.solve(ctx, "fleet", "", nil, func() ([]string, error) {
 		alloc = fleet.Allocate(fjobs, capW)
 		return []string{
@@ -110,13 +109,6 @@ func (s *Server) recomputeFleet(ctx context.Context) FleetStatusResponse {
 		}, nil
 	})
 
-	st := FleetStatusResponse{
-		CapW:     alloc.CapW,
-		PowerW:   alloc.PowerW,
-		Loss:     alloc.Loss,
-		Feasible: alloc.Feasible,
-	}
-	byID := map[string]JobAllocationResponse{}
 	for k, ja := range alloc.Jobs {
 		j := jobs[ready[k]]
 		// Only an actual cap constrains deployment; uncapped allocations
@@ -136,21 +128,37 @@ func (s *Server) recomputeFleet(ctx context.Context) FleetStatusResponse {
 		a := ja
 		j.alloc = &a
 		j.mu.Unlock()
-		byID[j.id] = JobAllocationResponse{
-			JobID:     j.id,
-			Ready:     true,
-			Time:      ja.Time,
-			PowerW:    ja.PowerW,
-			FloorTime: ja.FloorTime,
-			Loss:      ja.Loss,
-		}
 	}
-	for _, j := range jobs {
-		if resp, ok := byID[j.id]; ok {
-			st.Jobs = append(st.Jobs, resp)
-		} else {
-			st.Jobs = append(st.Jobs, JobAllocationResponse{JobID: j.id})
+	return jobs, ready, alloc
+}
+
+// fleetStatus recomputes the fleet (recomputeFleet) and returns the
+// fleet-wide view, every job in registration order; jobs still
+// characterizing appear with Ready false.
+func (s *Server) fleetStatus(ctx context.Context) FleetStatusResponse {
+	jobs, ready, alloc := s.recomputeFleet(ctx)
+	st := FleetStatusResponse{
+		CapW:     alloc.CapW,
+		PowerW:   alloc.PowerW,
+		Loss:     alloc.Loss,
+		Feasible: alloc.Feasible,
+	}
+	k := 0 // the next allocated job: ready[k], alloc.Jobs[k]; none when the solve did not run
+	for i, j := range jobs {
+		resp := JobAllocationResponse{JobID: j.id}
+		if k < len(alloc.Jobs) && ready[k] == i {
+			ja := alloc.Jobs[k]
+			resp = JobAllocationResponse{
+				JobID:     j.id,
+				Ready:     true,
+				Time:      ja.Time,
+				PowerW:    ja.PowerW,
+				FloorTime: ja.FloorTime,
+				Loss:      ja.Loss,
+			}
+			k++
 		}
+		st.Jobs = append(st.Jobs, resp)
 	}
 	return st
 }
