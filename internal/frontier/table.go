@@ -30,14 +30,29 @@ type LookupTable struct {
 
 	hull      atomic.Pointer[hullIndex] // Hull's cache; never serialized
 	powerHull atomic.Pointer[hullIndex] // PowerHull's cache; never serialized
+	ladders   atomic.Pointer[ladders]   // Ladder's cache; never serialized
 }
 
-// hullIndex is a cached hull with the Points slice it indexes, so a
-// table whose Points are replaced or resized is re-indexed.
-type hullIndex struct {
+// stamp identifies the Points slice a cache indexes, so a table whose
+// Points are replaced or resized is re-indexed.
+type stamp struct {
 	first *TablePoint
 	n     int
-	idx   []int
+}
+
+// stamp returns the stamp of the table's current Points.
+func (lt *LookupTable) stamp() stamp {
+	s := stamp{n: len(lt.Points)}
+	if s.n > 0 {
+		s.first = &lt.Points[0]
+	}
+	return s
+}
+
+// hullIndex is a cached hull with the stamp of the Points it indexes.
+type hullIndex struct {
+	stamp
+	idx []int
 }
 
 // TablePoint is one cached energy schedule.
@@ -180,14 +195,11 @@ func (lt *LookupTable) powerHullOf(dst []int, lo, hi int) []int {
 // cached returns the hull index p caches, building it with build(n)
 // when Points was replaced or resized since it was stored.
 func (lt *LookupTable) cached(p *atomic.Pointer[hullIndex], build func(n int) []int) []int {
-	n := len(lt.Points)
-	if h := p.Load(); h != nil && h.n == n && (n == 0 || h.first == &lt.Points[0]) {
+	s := lt.stamp()
+	if h := p.Load(); h != nil && h.stamp == s {
 		return h.idx
 	}
-	h := &hullIndex{n: n, idx: build(n)}
-	if n > 0 {
-		h.first = &lt.Points[0]
-	}
+	h := &hullIndex{stamp: s, idx: build(s.n)}
 	p.Store(h)
 	return h.idx
 }

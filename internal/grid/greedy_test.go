@@ -22,7 +22,7 @@ type greedy struct {
 	prefixes []greedyPrefix
 	hull     []int
 	heap     []frontier.Key
-	frac     fracStep
+	frac     refFrac
 	steps    int
 	price    float64
 	coverage float64
@@ -120,7 +120,7 @@ func solveGreedy(lt *frontier.LookupTable, sig *Signal, opts Options) (*greedy, 
 	if err != nil {
 		return nil, err
 	}
-	g := &greedy{frac: fracStep{k: -1}, scale: scale}
+	g := &greedy{frac: refFrac{k: -1}, scale: scale}
 	hull := lt.Hull()
 	for _, i := range hull {
 		g.addPoint(lt, i)
@@ -179,7 +179,7 @@ func solveGreedy(lt *frontier.LookupTable, sig *Signal, opts Options) (*greedy, 
 		g.price = key.Slope
 		if need := opts.Target - g.coverage; st.dw > need+1e-12 {
 			f := need / st.dw
-			g.frac = fracStep{k: int(key.Lane), from: pi.cur, to: st.to, f: f}
+			g.frac = refFrac{k: int(key.Lane), from: pi.cur, to: st.to, f: f}
 			g.coverage += need
 			g.cost += f * st.dc
 			return frontier.Key{}, false, true
@@ -279,18 +279,12 @@ func (g *greedy) diff(sol *solution) string {
 	if len(sol.ivs) != len(g.ivs) {
 		return fmt.Sprintf("%d intervals, greedy %d", len(sol.ivs), len(g.ivs))
 	}
-	point := func(pos int) int {
-		if pos < 0 {
-			return pos
-		}
-		return sol.pts[pos]
-	}
 	for k := range sol.ivs {
-		if got, want := point(sol.ivs[k].cur), g.point(g.ivs[k].cur); got != want {
+		if got, want := pointOf(sol, k), g.point(g.ivs[k].cur); got != want {
 			return fmt.Sprintf("interval %d at point %d, greedy %d", k, got, want)
 		}
 	}
-	if got, want := sol.frac, g.frac; got.k != want.k || (got.k >= 0 && (point(got.from) != g.point(want.from) || point(got.to) != g.point(want.to))) {
+	if got, want := fracOf(sol), g.frac; got.k != want.k || (got.k >= 0 && (got.from != g.point(want.from) || got.to != g.point(want.to))) {
 		return fmt.Sprintf("fractional step %+v, greedy %+v", got, want)
 	}
 	return ""

@@ -235,36 +235,15 @@ func (p *Plan) Intervals(lt *frontier.LookupTable, sig *Signal) iter.Seq[Interva
 func (p *Plan) Total() float64 { return p.Account.Total(p.Objective) }
 
 // planInterval is the solver's working state for one interval. It
-// climbs a ladder (see solution.ladder) from idle one step at a time,
-// each step moving it to a faster solver position (see solution.pts).
+// climbs its cap floor's ladder (frontier.LookupTable.Ladder) from idle
+// one rung at a time, each rung moving it to a faster table point.
 type planInterval struct {
-	iv    Interval
-	dur   float64
-	rate  float64 // objective weight per joule × scale: a step's slope is rate·sigma
-	base  int     // the interval's ladder starts at sol.ladder[base]
-	first int     // steps taken before the search: 1 under NoIdle (awake at the slowest point)
-	end   int     // steps the cap allows: the last reaches the fastest allowed position; 0 forces idle
-	cur   int     // solver position of the steps taken; -1 = idle
-}
-
-// rung is one step of a ladder: into solver position to, at a slope
-// of the interval's rate times sigma. The interval's duration cancels
-// out of the slope — waking at the slowest point costs P·t per
-// iteration, a step between hull vertices ΔP/Δ(1/t) — so one ladder
-// serves every interval that climbs it.
-type rung struct {
-	sigma float64
-	speed float64 // 1/t at position to: iterations per second there
-	to    int
-}
-
-// capPrefix is the hull prefix of one cap floor, the fastest table
-// point a cap allows: the vertices of the hull of table points floor..h
-// faster than h, the first table hull point after floor. They sit at
-// solver positions from pos on, fastest first, and the floor's ladder
-// (sol.ladder[base:base+end]) climbs the table's hull to h, then them.
-type capPrefix struct {
-	floor, pos, base, end int
+	iv     Interval
+	dur    float64
+	rate   float64         // objective weight per joule × scale: a step's slope is rate·Sigma
+	ladder frontier.Ladder // the steps the cap allows: the last reaches the fastest allowed point; empty forces idle
+	first  int             // steps taken before the search: 1 under NoIdle (awake at the slowest point)
+	n      int             // steps taken
 }
 
 // candidate is a step inside the price bracket: the next step of
@@ -275,31 +254,21 @@ type candidate struct {
 }
 
 // fracStep is the single partially taken step of a solution: fraction
-// f of interval k's step from → to (f·dur seconds at to, the rest at
-// from or idle). k is -1 when every taken step was whole.
+// f of interval k's next step (f·dur seconds at the step's point, the
+// rest where the interval's whole steps leave it, or idle). k is -1
+// when every taken step was whole.
 type fracStep struct {
-	k, from, to int
-	f           float64
+	k int
+	f float64
 }
 
 // solution is the solver outcome, carrying the normalized inputs it
-// was solved under: each interval's position and at most one
-// fractional step. A solution's buffers are reusable: solving into the
-// same value again truncates and refills them instead of re-allocating.
+// was solved under: each interval's point and at most one fractional
+// step. A solution's buffers are reusable: solving into the same value
+// again truncates and refills them instead of re-allocating.
 type solution struct {
 	win Window // the signal of the last solve, when solve prepared it
 	ivs []planInterval
-	// pts maps a solver position to its table index: first the table's
-	// hull, slowest last, then the cap prefixes. tm and pw hold
-	// lt.PointTime and lt.AvgPower of each position.
-	pts      []int
-	tm, pw   []float64
-	prefixes []capPrefix
-	hull     []int // scratch for frontier.LookupTable.HullOf
-	// ladder holds the slopes: the hull's first (len(hull) rungs, from
-	// waking at the slowest point to the fastest), then one per cap
-	// prefix. Each ladder's sigmas are non-decreasing.
-	ladder []rung
 	// The price search's buffers: steps per interval at the bracket's
 	// low and high ends and at a probe (three runs of one array), each
 	// interval's iterations during the candidate walk, the sorted lanes
@@ -321,63 +290,13 @@ type solution struct {
 	obj      Objective
 }
 
-// addPoint appends table point i as the next solver position.
-func (sol *solution) addPoint(lt *frontier.LookupTable, i int) {
-	sol.pts = append(sol.pts, i)
-	sol.tm = append(sol.tm, lt.PointTime(i))
-	sol.pw = append(sol.pw, lt.AvgPower(i))
-}
-
-// climb appends the rung from solver position from (-1: idle) into
-// position to, its sigma raised to the previous rung's where rounding
-// would put it below: two nearly collinear hull vertices must not give
-// a ladder that descends.
-func (sol *solution) climb(from, to int) {
-	r := rung{sigma: sol.pw[to] * sol.tm[to], speed: 1 / sol.tm[to], to: to}
-	if from >= 0 {
-		r.sigma = max((sol.pw[to]-sol.pw[from])/(1/sol.tm[to]-1/sol.tm[from]), sol.ladder[len(sol.ladder)-1].sigma)
-	}
-	sol.ladder = append(sol.ladder, r)
-}
-
-// floor maps a cap's floor f (a table index) to the interval's fastest
-// allowed solver position lo and the ladder it climbs there: the
-// table's hull ladder cut at lo when f is on the hull, otherwise the
-// floor's own, which leaves the hull for the floor's prefix. Intervals
-// with one floor share one prefix and one ladder.
-func (sol *solution) floor(lt *frontier.LookupTable, hull []int, f int) (lo, base, end int) {
-	j, _ := slices.BinarySearch(hull, f)
-	if hull[j] == f {
-		return j, 0, len(hull) - j
-	}
-	for _, c := range sol.prefixes {
-		if c.floor == f {
-			return c.pos, c.base, c.end
-		}
-	}
-	c := capPrefix{floor: f, pos: len(sol.pts), base: len(sol.ladder)}
-	sol.hull = lt.HullOf(sol.hull[:0], f, hull[j])
-	for _, i := range sol.hull[:len(sol.hull)-1] {
-		sol.addPoint(lt, i)
-	}
-	// The hull's rungs up to hull position j, then into the prefix at
-	// its slowest vertex and on to its fastest.
-	sol.ladder = append(sol.ladder, sol.ladder[:len(hull)-j]...)
-	for from, to := j, len(sol.pts)-1; to >= c.pos; from, to = to, to-1 {
-		sol.climb(from, to)
-	}
-	c.end = len(sol.ladder) - c.base
-	sol.prefixes = append(sol.prefixes, c)
-	return c.pos, c.base, c.end
-}
-
-// reach returns the solver position interval k is at after n steps, -1
-// (idle) for none.
+// reach returns the table point interval k is at after n steps, Idle
+// for none.
 func (sol *solution) reach(k, n int) int {
 	if n == 0 {
-		return -1
+		return Idle
 	}
-	return sol.ladder[sol.ivs[k].base+n-1].to
+	return sol.ivs[k].ladder[n-1].Point
 }
 
 // request maps the options to the shared planning request.
@@ -412,8 +331,8 @@ func (o Options) request() plan.Request {
 // lower convex hull of (t, E) over the allowed points; and because a
 // table is a Pareto set (energy falls as time rises) its slopes, from
 // the wake-up step on, are non-decreasing. The solver steps over those
-// vertices only (LookupTable.Hull, plus a short prefix when a cap's
-// floor is off the hull), so each interval's cost is a convex
+// vertices only (the rungs of the cap floor's LookupTable.Ladder, cached
+// on the table), so each interval's cost is a convex
 // piecewise-linear function of its iterations, whatever the table's
 // shape. The global problem is then a separable convex allocation whose
 // exact optimum is the fill in marginal-cost order with at most one
@@ -454,7 +373,7 @@ var solvers = sync.Pool{New: func() any { return new(Solver) }}
 // The zero value is ready; a Solver is not safe for concurrent use.
 type Solver struct {
 	sol solution
-	buf []Slice
+	buf []stretch
 }
 
 // Steps returns the ladder steps in the last solve's plan, plus one
@@ -509,11 +428,11 @@ func (s *Solver) account(target float64) (out Evaluation, finishS float64) {
 	finished := false
 	remaining := target
 	for k := range sol.ivs {
-		s.buf = sol.intervalSlices(k, s.buf[:0])
+		s.buf = sol.stretches(k, s.buf[:0])
 		var iters, energy float64
-		for _, sl := range s.buf {
-			iters += sl.Seconds / sol.tm[sl.Point]
-			energy += sl.Seconds * sol.scale * sol.pw[sl.Point]
+		for _, st := range s.buf {
+			iters += st.seconds / st.Time
+			energy += st.seconds * sol.scale * st.Power
 		}
 		pi := &sol.ivs[k]
 		if !finished && out.Iterations+iters >= target-1e-9 {
@@ -521,11 +440,11 @@ func (s *Solver) account(target float64) (out Evaluation, finishS float64) {
 			finished = true
 			need := remaining
 			finishS = pi.iv.StartS
-			for _, sl := range s.buf {
-				rate := 1 / sol.tm[sl.Point]
-				if got := sl.Seconds * rate; got < need {
+			for _, st := range s.buf {
+				rate := 1 / st.Time
+				if got := st.seconds * rate; got < need {
 					need -= got
-					finishS += sl.Seconds
+					finishS += st.seconds
 				} else {
 					finishS += need / rate
 					break
@@ -578,12 +497,7 @@ func (s *Solver) OptimizeWindow(lt *frontier.LookupTable, w *Window, opts Option
 // runs renders the solution's decisions as a plan's runs, with table
 // indices for points.
 func (sol *solution) runs() []Run {
-	point := func(k int) int {
-		if cur := sol.ivs[k].cur; cur >= 0 {
-			return sol.pts[cur]
-		}
-		return Idle
-	}
+	point := func(k int) int { return sol.reach(k, sol.ivs[k].n) }
 	n := 0
 	for k := range sol.ivs {
 		if k == 0 || k == sol.frac.k || k-1 == sol.frac.k || point(k) != point(k-1) {
@@ -596,30 +510,35 @@ func (sol *solution) runs() []Run {
 			runs = appendRun(runs, point(k), nil)
 			continue
 		}
-		slices := sol.intervalSlices(k, make([]Slice, 0, 2))
-		for i := range slices {
-			slices[i].Point = sol.pts[slices[i].Point]
+		slices := make([]Slice, 0, 2)
+		for _, st := range sol.stretches(k, make([]stretch, 0, 2)) {
+			slices = append(slices, Slice{Point: st.Point, Seconds: st.seconds})
 		}
 		runs = appendRun(runs, 0, slices)
 	}
 	return runs
 }
 
-// intervalSlices appends interval k's planned slices to buf, with solver
-// positions for points: the fractional interval time-shares its step's
-// endpoints — f·dur seconds at the faster state, the rest at the slower
-// one (or idle) — and any other awake interval runs its descent state
-// for its whole duration.
-func (sol *solution) intervalSlices(k int, buf []Slice) []Slice {
+// stretch is a planned stretch of one rung's point within an interval.
+type stretch struct {
+	*frontier.Rung
+	seconds float64
+}
+
+// stretches appends interval k's planned stretches to buf: the
+// fractional interval time-shares its step's endpoints — f·dur seconds
+// at the faster state, the rest at the slower one (or idle) — and any
+// other awake interval runs its descent state for its whole duration.
+func (sol *solution) stretches(k int, buf []stretch) []stretch {
 	pi := &sol.ivs[k]
 	if fs := sol.frac; fs.k == k {
 		fast := fs.f * pi.dur
-		buf = append(buf, Slice{Point: fs.to, Seconds: fast})
-		if fs.from >= 0 {
-			buf = append(buf, Slice{Point: fs.from, Seconds: pi.dur - fast})
+		buf = append(buf, stretch{&pi.ladder[pi.n], fast})
+		if pi.n > 0 {
+			buf = append(buf, stretch{&pi.ladder[pi.n-1], pi.dur - fast})
 		}
-	} else if pi.cur >= 0 {
-		buf = append(buf, Slice{Point: pi.cur, Seconds: pi.dur})
+	} else if pi.n > 0 {
+		buf = append(buf, stretch{&pi.ladder[pi.n-1], pi.dur})
 	}
 	return buf
 }
@@ -640,26 +559,12 @@ func (sol *solution) solveOn(lt *frontier.LookupTable, w *Window, opts Options) 
 		return err
 	}
 
-	// The hull's times, powers and ladder, once per solve. The hull index
-	// itself is cached on the table.
-	hull := lt.Hull()
-	n := len(hull)
-	sol.pts, sol.tm, sol.pw = slices.Grow(sol.pts[:0], n), slices.Grow(sol.tm[:0], n), slices.Grow(sol.pw[:0], n)
-	for _, i := range hull {
-		sol.addPoint(lt, i)
-	}
-	sol.ladder = slices.Grow(sol.ladder[:0], n)
-	sol.climb(-1, n-1)
-	for p := n - 1; p > 0; p-- {
-		sol.climb(p, p-1)
-	}
-	minPow := sol.pw[n-1] // slowest point's draw: any cap below it forces idle
-	sol.prefixes = sol.prefixes[:0]
 	sol.ivs = slices.Grow(sol.ivs[:0], len(w.sig.Intervals))
 	hint := sol.price // the last solve's: the first probe
 	sol.frac = fracStep{k: -1}
 	sol.steps, sol.price, sol.maxCover = 0, 0, 0
 	sol.deadline, sol.scale, sol.obj, sol.order = d, scale, w.obj, w.order
+	all := lt.Ladder(0)
 	for k, iv := range w.sig.Intervals {
 		// Inline Signal.Truncate: cut at the deadline without copying.
 		if iv.StartS >= d {
@@ -670,17 +575,14 @@ func (sol *solution) solveOn(lt *frontier.LookupTable, w *Window, opts Options) 
 		}
 		sol.ivs = append(sol.ivs, planInterval{})
 		pi := &sol.ivs[len(sol.ivs)-1]
-		pi.iv, pi.dur, pi.rate, pi.end = iv, iv.Duration(), w.rate[k]*scale, n
-		lo := 0
+		pi.iv, pi.dur, pi.rate, pi.ladder = iv, iv.Duration(), w.rate[k]*scale, all
 		if iv.CapW > 0 {
-			if maxW := iv.CapW / scale; maxW < minPow {
-				pi.end = 0 // cap excludes every point: forced idle
-			} else {
-				lo, pi.base, pi.end = sol.floor(lt, hull, lt.FirstUnderPower(maxW))
-			}
+			// A cap allows the points from its floor on: none below the
+			// slowest point's draw (forced idle).
+			pi.ladder = lt.Ladder(lt.FirstUnderPower(iv.CapW / scale))
 		}
-		if pi.end > 0 {
-			sol.maxCover += pi.dur / sol.tm[lo]
+		if len(pi.ladder) > 0 {
+			sol.maxCover += pi.dur / pi.ladder[len(pi.ladder)-1].Time
 			if opts.NoIdle {
 				pi.first = 1
 			}
@@ -692,7 +594,7 @@ func (sol *solution) solveOn(lt *frontier.LookupTable, w *Window, opts Options) 
 	lo, hi, at := sol.counts[:k], sol.counts[k:2*k], sol.counts[2*k:]
 	for k := range sol.ivs {
 		pi := &sol.ivs[k]
-		lo[k], hi[k], at[k] = pi.first, pi.end, pi.first
+		lo[k], hi[k], at[k] = pi.first, len(pi.ladder), pi.first
 	}
 
 	if !sol.feasible {
@@ -712,9 +614,10 @@ func (sol *solution) finish(n []int) {
 	sol.coverage, sol.cost = 0, 0
 	for k := range sol.ivs {
 		pi := &sol.ivs[k]
-		if pi.cur = sol.reach(k, n[k]); pi.cur >= 0 {
-			sol.coverage += pi.dur / sol.tm[pi.cur]
-			sol.cost += pi.rate * sol.pw[pi.cur] * pi.dur
+		if pi.n = n[k]; pi.n > 0 {
+			r := &pi.ladder[pi.n-1]
+			sol.coverage += pi.dur / r.Time
+			sol.cost += pi.rate * r.Power * pi.dur
 		}
 		if sol.feasible {
 			sol.steps += n[k] - pi.first
@@ -722,10 +625,12 @@ func (sol *solution) finish(n []int) {
 	}
 	if fs := sol.frac; fs.k >= 0 {
 		pi := &sol.ivs[fs.k]
-		dw, dc := pi.dur/sol.tm[fs.to], pi.rate*sol.pw[fs.to]*pi.dur
-		if fs.from >= 0 {
-			dw -= pi.dur / sol.tm[fs.from]
-			dc -= pi.rate * sol.pw[fs.from] * pi.dur
+		to := &pi.ladder[pi.n]
+		dw, dc := pi.dur/to.Time, pi.rate*to.Power*pi.dur
+		if pi.n > 0 {
+			from := &pi.ladder[pi.n-1]
+			dw -= pi.dur / from.Time
+			dc -= pi.rate * from.Power * pi.dur
 		}
 		sol.steps++
 		sol.coverage += fs.f * dw
@@ -756,7 +661,7 @@ func (sol *solution) iterations(k, n int) float64 {
 		return 0
 	}
 	pi := &sol.ivs[k]
-	return pi.dur / sol.tm[sol.ladder[pi.base+n-1].to]
+	return pi.dur / pi.ladder[n-1].Time
 }
 
 // cover sums the iterations of the intervals at n steps, in interval
@@ -807,10 +712,10 @@ func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
 		}
 		pi := &sol.ivs[k]
 		span += hi[k] - lo[k]
-		if s := pi.rate * sol.ladder[pi.base+lo[k]].sigma; s < loNext {
+		if s := pi.rate * pi.ladder[lo[k]].Sigma; s < loNext {
 			loNext = s
 		}
-		if s := pi.rate * sol.ladder[pi.base+hi[k]-1].sigma; s > hiSlope {
+		if s := pi.rate * pi.ladder[hi[k]-1].Sigma; s > hiSlope {
 			hiSlope = s
 		}
 	}
@@ -871,7 +776,7 @@ func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
 	for k := range sol.ivs {
 		pi := &sol.ivs[k]
 		for j := lo[k]; j < hi[k]; j++ {
-			sol.cands = append(sol.cands, candidate{slope: pi.rate * sol.ladder[pi.base+j].sigma, k: k})
+			sol.cands = append(sol.cands, candidate{slope: pi.rate * pi.ladder[j].Sigma, k: k})
 		}
 	}
 	slices.SortStableFunc(sol.cands, func(a, b candidate) int { return cmp.Compare(a.slope, b.slope) })
@@ -937,7 +842,7 @@ func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
 	c := sol.cands[i]
 	was, next := w[c.k], sol.iterations(c.k, lo[c.k]+1)
 	sol.price = c.slope
-	sol.frac = fracStep{k: c.k, from: sol.reach(c.k, lo[c.k]), to: sol.reach(c.k, lo[c.k]+1), f: (target - compensatedSum(w)) / (next - was)}
+	sol.frac = fracStep{k: c.k, f: (target - compensatedSum(w)) / (next - was)}
 	return lo
 }
 
@@ -967,27 +872,27 @@ func (sol *solution) probe(lambda float64, lo, hi, n []int) (m int, gain, below,
 		}
 		live = append(live, lane)
 		pi := &sol.ivs[k]
-		ladder := sol.ladder[pi.base : pi.base+b]
+		ladder := pi.ladder[:b]
 		c = min(max(c, a), b)
-		for c < b && pi.rate*ladder[c].sigma <= lambda {
+		for c < b && pi.rate*ladder[c].Sigma <= lambda {
 			c++
 		}
-		for c > a && pi.rate*ladder[c-1].sigma > lambda {
+		for c > a && pi.rate*ladder[c-1].Sigma > lambda {
 			c--
 		}
 		n[k] = c
 		if c > a {
 			m += c - a
-			gain += pi.dur * ladder[c-1].speed
+			gain += pi.dur * ladder[c-1].Speed
 			if a > 0 {
-				gain -= pi.dur * ladder[a-1].speed
+				gain -= pi.dur * ladder[a-1].Speed
 			}
-			if s := pi.rate * ladder[c-1].sigma; s > below {
+			if s := pi.rate * ladder[c-1].Sigma; s > below {
 				below = s
 			}
 		}
 		if c < b {
-			if s := pi.rate * ladder[c].sigma; s < above {
+			if s := pi.rate * ladder[c].Sigma; s < above {
 				above = s
 			}
 		}

@@ -709,7 +709,7 @@ type scanStep struct{ slope, dw float64 }
 // fractional step, the plan's coverage and cost.
 type scanResult struct {
 	cur            []int
-	frac           fracStep
+	frac           refFrac
 	coverage, cost float64
 	feasible       bool
 	steps          int
@@ -777,7 +777,7 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 		}
 		return 0
 	}
-	res := scanResult{frac: fracStep{k: -1}, price: -1}
+	res := scanResult{frac: refFrac{k: -1}, price: -1}
 	var ivs []state
 	var maxCover float64
 	for _, iv := range sig.Truncate(d).Intervals {
@@ -844,7 +844,7 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 				for _, st := range ivs {
 					whole = append(whole, iters(st))
 				}
-				res.frac = fracStep{k: best, from: cur(was), to: cur(now), f: (opts.Target - compensatedSum(whole)) / (iters(now) - iters(was))}
+				res.frac = refFrac{k: best, from: cur(was), to: cur(now), f: (opts.Target - compensatedSum(whole)) / (iters(now) - iters(was))}
 				break
 			}
 			res.taken = append(res.taken, scanStep{bestSlope, iters(ivs[best]) - iters(was)})
@@ -871,9 +871,30 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 	return res, nil
 }
 
+// refFrac is a fractional step as the references state it: fraction f
+// of interval k's step from → to, table points (from Idle for a wake).
+// k is -1 when every taken step was whole.
+type refFrac struct {
+	k, from, to int
+	f           float64
+}
+
+// fracOf reads sol's fractional step as a refFrac.
+func fracOf(sol *solution) refFrac {
+	fs := sol.frac
+	if fs.k < 0 {
+		return refFrac{k: -1}
+	}
+	n := sol.ivs[fs.k].n
+	return refFrac{k: fs.k, from: sol.reach(fs.k, n), to: sol.reach(fs.k, n+1), f: fs.f}
+}
+
+// pointOf is the table point interval k of sol runs whole, Idle for none.
+func pointOf(sol *solution, k int) int { return sol.reach(k, sol.ivs[k].n) }
+
 // checkAgainstScan solves the instance on sol (fresh or reused) and
-// requires exact agreement with the scan reference — == on every float,
-// no tolerance — with the solver's positions read as table indices.
+// requires exact agreement with the scan reference — == on every float
+// and every table point, no tolerance.
 func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig *Signal, opts Options) {
 	t.Helper()
 	want, err := scanSolve(lt, sig, opts)
@@ -883,16 +904,7 @@ func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig
 	if err := sol.solve(lt, sig, opts); err != nil {
 		t.Fatal(err)
 	}
-	point := func(pos int) int {
-		if pos < 0 {
-			return pos
-		}
-		return sol.pts[pos]
-	}
-	frac := sol.frac
-	if frac.k >= 0 {
-		frac.from, frac.to = point(frac.from), point(frac.to)
-	}
+	frac := fracOf(sol)
 	if sol.feasible != want.feasible || sol.coverage != want.coverage || sol.cost != want.cost ||
 		frac != want.frac || sol.steps != want.steps || sol.price != want.price {
 		t.Fatalf("solver {feasible %v coverage %v cost %v frac %+v steps %d price %v}\n  scan {feasible %v coverage %v cost %v frac %+v steps %d price %v}",
@@ -903,7 +915,7 @@ func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig
 		t.Fatalf("solver planned %d intervals, scan %d", len(sol.ivs), len(want.cur))
 	}
 	for k := range sol.ivs {
-		if got := point(sol.ivs[k].cur); got != want.cur[k] {
+		if got := pointOf(sol, k); got != want.cur[k] {
 			t.Fatalf("interval %d: solver at point %d, scan at %d", k, got, want.cur[k])
 		}
 	}
@@ -1167,15 +1179,17 @@ func referenceOptimize(t testing.TB, lt *frontier.LookupTable, sig *Signal, opts
 			PriceUSDPerKWh: pi.iv.PriceUSDPerKWh,
 		}
 		base := len(slices)
-		slices = sol.intervalSlices(k, slices)
+		for _, st := range sol.stretches(k, nil) {
+			slices = append(slices, Slice{Point: st.Point, Seconds: st.seconds})
+		}
 		if len(slices) > base {
 			ip.Slices = slices[base:len(slices):len(slices)]
 		}
 		var run float64
 		for _, sl := range ip.Slices {
 			run += sl.Seconds
-			ip.Iterations += sl.Seconds / sol.tm[sl.Point]
-			ip.EnergyJ += sl.Seconds * scale * sol.pw[sl.Point]
+			ip.Iterations += sl.Seconds / lt.PointTime(sl.Point)
+			ip.EnergyJ += sl.Seconds * scale * lt.AvgPower(sl.Point)
 		}
 		ip.IdleS = pi.dur - run
 		ip.CarbonG = ip.EnergyJ / JoulesPerKWh * pi.iv.CarbonGPerKWh
@@ -1185,7 +1199,7 @@ func referenceOptimize(t testing.TB, lt *frontier.LookupTable, sig *Signal, opts
 			need := remaining
 			at := ip.StartS
 			for _, sl := range ip.Slices {
-				rate := 1 / sol.tm[sl.Point]
+				rate := 1 / lt.PointTime(sl.Point)
 				if got := sl.Seconds * rate; got < need {
 					need -= got
 					at += sl.Seconds
@@ -1195,9 +1209,6 @@ func referenceOptimize(t testing.TB, lt *frontier.LookupTable, sig *Signal, opts
 				}
 			}
 			out.finishS = at
-		}
-		for i := range ip.Slices {
-			ip.Slices[i].Point = sol.pts[ip.Slices[i].Point]
 		}
 		remaining -= ip.Iterations
 		out.iterations += ip.Iterations

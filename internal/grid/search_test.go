@@ -145,10 +145,10 @@ func TestSearchEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			var progress []float64
-			for k, pi := range sol.ivs {
+			for k := range sol.ivs {
 				steps := 0.0
-				if pi.cur >= 0 {
-					steps = float64(len(convex.Points) - pi.cur)
+				if cur := pointOf(sol, k); cur >= 0 {
+					steps = float64(len(convex.Points) - cur)
 				}
 				if sol.frac.k == k {
 					steps += 0.5
@@ -242,20 +242,9 @@ func TestSearchEdgeCases(t *testing.T) {
 		// Three hull vertices a hair off one line: the two upper rungs'
 		// σ are equal but for rounding, and computed as they are they
 		// descend (as on a characterized table, whose ladder can read
-		// 4374.658014610958 then 4374.658014610925). The ladder must not.
-		lt, raw := nearCollinearTable(t)
-		var sol solution
-		if err := sol.solve(lt, flatSignal(1, []float64{300}, []float64{0.1}), Options{Target: 1}); err != nil {
-			t.Fatal(err)
-		}
-		for j := 1; j < len(sol.ladder); j++ {
-			if sol.ladder[j].sigma < sol.ladder[j-1].sigma {
-				t.Fatalf("ladder %v descends at rung %d", sol.ladder, j)
-			}
-		}
-		if sol.ladder[2].sigma != raw[1] {
-			t.Fatalf("rung 2 σ %v, want raised to rung 1's %v (raw %v)", sol.ladder[2].sigma, raw[1], raw[2])
-		}
+		// 4374.658014610958 then 4374.658014610925). The table's ladder
+		// raises the second to the first (frontier's TestLadderRaisesRung).
+		lt := nearCollinearTable(t)
 		sig := flatSignal(4, []float64{300, 300, 200, 300}, []float64{0.1})
 		checkEdge(t, lt, sig, Options{})
 		checkEdge(t, lt, sig, Options{Objective: ObjectiveEnergy})
@@ -263,9 +252,9 @@ func TestSearchEdgeCases(t *testing.T) {
 }
 
 // nearCollinearTable finds a three-point table, every point on its
-// hull, whose ladder σ computed the solver's way descends by rounding
-// from the second rung to the third, and returns it with those raw σ.
-func nearCollinearTable(t *testing.T) (*frontier.LookupTable, []float64) {
+// hull, whose raw ladder σ descend by rounding from the second rung to
+// the third.
+func nearCollinearTable(t *testing.T) *frontier.LookupTable {
 	t.Helper()
 	const unit = 0.01
 	for t0 := int64(60); t0 < 90; t0++ {
@@ -285,16 +274,11 @@ func nearCollinearTable(t *testing.T) (*frontier.LookupTable, []float64) {
 			}
 			tm := func(i int) float64 { return lt.PointTime(i) }
 			pw := func(i int) float64 { return lt.AvgPower(i) }
-			raw := []float64{
-				pw(2) * tm(2),
-				(pw(1) - pw(2)) / (1/tm(1) - 1/tm(2)),
-				(pw(0) - pw(1)) / (1/tm(0) - 1/tm(1)),
-			}
-			if raw[2] < raw[1] {
-				return lt, raw
+			if (pw(0)-pw(1))/(1/tm(0)-1/tm(1)) < (pw(1)-pw(2))/(1/tm(1)-1/tm(2)) {
+				return lt
 			}
 		}
 	}
 	t.Fatal("no near-collinear table whose σ descends")
-	return nil, nil
+	return nil
 }

@@ -13,7 +13,8 @@ import (
 // Relax the job's target with λ and every second a placement runs in
 // (region r, cell k) is priced on its own: at table point p it earns
 // perJ·scale·P(p) − λ/t(p), idle earns 0, so its best is
-// rc[r][k] = min(0, min over the points the cell's cap allows). A
+// rc[r][k] = min(0, min over the points the cell's cap allows), read
+// off the slope ladder of the cap's floor (frontier.Ladder.Least). A
 // placement's relaxed optimum is then Σ run seconds × rc + migration +
 // λ·Target, with the run seconds what compileInto leaves a job: placed
 // cells, after any arrival's downtime, before the deadline. By weak
@@ -35,99 +36,6 @@ type bound struct {
 	target   float64
 }
 
-// pointCosts is one job's table read once per solve: the lower hull of
-// its points' (iterations per second, average power), and the same for
-// the points from each cap floor on, built on first use.
-type pointCosts struct {
-	hull   ladder
-	floors map[int]*ladder
-}
-
-type pointCost struct{ perS, powerW float64 }
-
-// ladder is the lower convex hull of a set of table points in
-// (1/t, P), slowest first, with the slope σ_q = ΔP/Δ(1/t) of the edge
-// from vertex q to q+1. The vertices of LookupTable.Hull (or HullOf)
-// are its vertices: the perspective map (t, E) → (1/t, E/t) keeps lines
-// as lines and sides as sides. Rounding can make two nearly collinear
-// edges' slopes descend, so a σ below its predecessor is raised to it.
-type ladder struct {
-	pts   []pointCost
-	sigma []float64
-}
-
-// newLadder builds the ladder over the hull vertices idx, fastest first.
-func newLadder(j *Job, idx []int) ladder {
-	l := ladder{pts: make([]pointCost, 0, len(idx)), sigma: make([]float64, 0, len(idx))}
-	for q := len(idx) - 1; q >= 0; q-- {
-		i := idx[q]
-		l.pts = append(l.pts, pointCost{perS: 1 / j.Table.PointTime(i), powerW: j.Table.AvgPower(i)})
-	}
-	for q := 1; q < len(l.pts); q++ {
-		a, b := l.pts[q-1], l.pts[q]
-		s := (b.powerW - a.powerW) / (b.perS - a.perS)
-		if q > 1 {
-			s = max(s, l.sigma[q-2])
-		}
-		l.sigma = append(l.sigma, s)
-	}
-	return l
-}
-
-// least returns min(0, min over the ladder's points of perJ·P − λ/t).
-// Moving from vertex q to q+1 changes the cost by Δ(1/t)·(perJ·σ_q − λ),
-// so the minimum sits at the first vertex whose outgoing edge has
-// perJ·σ ≥ λ, found by binary search; its two neighbours are priced
-// too, since rounding can put that vertex one off between nearly
-// collinear edges. The result is a real point's cost (or idle's 0), so
-// it is never below the true minimum.
-func (l *ladder) least(perJ, lambda float64) float64 {
-	lo, hi := 0, len(l.sigma)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if perJ*l.sigma[mid] < lambda {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	best := 0.0
-	for _, q := range l.pts[max(lo-1, 0):min(lo+2, len(l.pts))] {
-		best = min(best, perJ*q.powerW-lambda*q.perS)
-	}
-	return best
-}
-
-// pointsOf returns job ji's point costs, reading its table on first use.
-func (p *planner) pointsOf(ji int, j *Job) *pointCosts {
-	for len(p.points) <= ji {
-		p.points = append(p.points, pointCosts{})
-	}
-	pc := &p.points[ji]
-	if pc.hull.pts == nil {
-		pc.hull = newLadder(j, j.Table.Hull())
-	}
-	return pc
-}
-
-// from returns the ladder of the points a cap with floor f allows: the
-// table's points from f on.
-func (pc *pointCosts) from(j *Job, f int) *ladder {
-	if f == 0 {
-		return &pc.hull
-	}
-	l, ok := pc.floors[f]
-	if !ok {
-		if pc.floors == nil {
-			pc.floors = make(map[int]*ladder)
-		}
-		built := newLadder(j, j.Table.HullOf(nil, f, len(j.Table.Points)-1))
-		l = &built
-		pc.floors[f] = l
-	}
-	return l
-}
-
 // prepare readies b for job ji at price lambda under the cap view now in
 // force, re-pricing the cells only when the job, λ or the view changed
 // (the rule planner.sync applies to the memo). It reports whether it
@@ -139,25 +47,20 @@ func (b *bound) prepare(p *planner, ji int, j *Job, lambda float64) bool {
 	b.ji, b.lambda = ji, lambda
 	b.view = p.readView(b.view[:0])
 	b.origin, b.deadline, b.target = p.origin(j), p.deadline(j), j.Target
-	pc := p.pointsOf(ji, j)
+	all := j.Table.Ladder(0)
 	scale := j.scale()
 	b.rc = slices.Grow(b.rc[:0], len(p.regions))[:len(p.regions)]
 	for r := range p.regions {
 		row := b.rc[r][:0]
 		for k, rt := range p.rates[r] {
-			// A cap allows a suffix of the table (the solver's floor);
-			// uncapped, all of it.
-			l := &pc.hull
+			// A cap allows a suffix of the table (the solver's floor;
+			// none below the slowest point's draw); uncapped, all of it.
+			l := all
 			if capW := p.capOverride(r, k); capW > 0 {
-				f := j.Table.FirstUnderPower(capW / scale)
-				if f < 0 {
-					row = append(row, 0)
-					continue
-				}
-				l = pc.from(j, f)
+				l = j.Table.Ladder(j.Table.FirstUnderPower(capW / scale))
 			}
 			perJ := scale * grid.PerJoule(p.opts.Objective, grid.Interval{CarbonGPerKWh: rt.carbon, PriceUSDPerKWh: rt.price})
-			row = append(row, l.least(perJ, lambda))
+			row = append(row, l.Least(perJ, lambda))
 		}
 		b.rc[r] = row
 	}

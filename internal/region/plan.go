@@ -255,7 +255,6 @@ type planner struct {
 	tmpPl   []int          // candidate construction buffer
 	swapA   []int          // swapRefine's exchanged placements
 	swapB   []int
-	points  []pointCosts // per job, read on first use; see bound
 	stats   Stats
 
 	// The bounds and the walks they price candidates from (see splice).

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"perseus/internal/frontier"
 )
 
 // value is the bound on placement walked in full, the reference splice
@@ -180,120 +178,4 @@ func TestSpliceMatchesValue(t *testing.T) {
 			checked, origins, cut, spilled, pausedRuns)
 	}
 	t.Logf("checked %d splices; worst relative gap %.1e", checked, worst)
-}
-
-// nearCollinearTable returns a three-point table, every point on its
-// hull, whose ladder σ computed as newLadder does descends by rounding
-// from the first edge to the second, with those two raw σ.
-func nearCollinearTable(t *testing.T) (*frontier.LookupTable, [2]float64) {
-	t.Helper()
-	for t0 := int64(60); t0 < 90; t0++ {
-		t1, t2 := t0+7, t0+19
-		e0, e2 := 5000.0, 4100.0
-		chord := e0 + (e2-e0)*float64(t1-t0)/float64(t2-t0)
-		for ulps := 1; ulps <= 64; ulps++ {
-			e1 := chord
-			for range ulps {
-				e1 = math.Nextafter(e1, 0)
-			}
-			lt := &frontier.LookupTable{Unit: 0.01, TminUnits: t0, TStarUnits: t2, Points: []frontier.TablePoint{
-				{TimeUnits: t0, Energy: e0}, {TimeUnits: t1, Energy: e1}, {TimeUnits: t2, Energy: e2},
-			}}
-			if len(lt.Hull()) != 3 {
-				continue
-			}
-			ps := func(i int) float64 { return 1 / lt.PointTime(i) }
-			raw := [2]float64{
-				(lt.AvgPower(1) - lt.AvgPower(2)) / (ps(1) - ps(2)),
-				(lt.AvgPower(0) - lt.AvgPower(1)) / (ps(0) - ps(1)),
-			}
-			if raw[1] < raw[0] {
-				return lt, raw
-			}
-		}
-	}
-	t.Fatal("no near-collinear table whose σ descends")
-	return nil, [2]float64{}
-}
-
-// TestLadderMatchesScan holds the ladder to a scan: for every cap floor
-// of several tables — convex ones, non-convex ones whose floors fall off
-// the hull, and a near-collinear one whose raw σ descend — and prices
-// at, beside and between every σ of the floor's ladder and at random,
-// least equals min(0, perJ·P − λ/t over the points the floor allows) to
-// 1e-12 of the terms' size. It may never be below the scan (it prices a
-// real point) and never above it by more than that rounding: a bound
-// above the true minimum would prune a winning move.
-func TestLadderMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tables := []*frontier.LookupTable{
-		convexTable(0.01, 80, 110, 3000, 120),
-		convexTable(0.005, 40, 200, 900, 300),
-	}
-	for range 4 {
-		lt := &frontier.LookupTable{Unit: 0.01, TminUnits: 50}
-		e := 6000 + 2000*rng.Float64()
-		for u := int64(50); len(lt.Points) < 40; u += 1 + rng.Int63n(3) {
-			lt.Points = append(lt.Points, frontier.TablePoint{TimeUnits: u, Energy: e})
-			e -= 5 + 60*rng.Float64()
-			lt.TStarUnits = u
-		}
-		tables = append(tables, lt)
-	}
-	collinear, raw := nearCollinearTable(t)
-	tables = append(tables, collinear)
-
-	var checked, exact, offHull int
-	var worst float64
-	for ti, lt := range tables {
-		j := &Job{Table: lt}
-		var pc pointCosts
-		pc.hull = newLadder(j, lt.Hull())
-		for f := range lt.Points {
-			if !slices.Contains(lt.Hull(), f) {
-				offHull++
-			}
-			l := pc.from(j, f)
-			for q := 1; q < len(l.sigma); q++ {
-				if l.sigma[q] < l.sigma[q-1] {
-					t.Fatalf("table %d floor %d: ladder σ %v descends", ti, f, l.sigma)
-				}
-			}
-			perJs := []float64{0, 1e-4, 3e-4 * (1 + rng.Float64()), 1}
-			for _, perJ := range perJs {
-				lambdas := []float64{0, 1e9 * rng.Float64()}
-				for _, s := range append(slices.Clone(l.sigma), raw[0], raw[1], (raw[0]+raw[1])/2) {
-					at := perJ * s
-					lambdas = append(lambdas, at, math.Nextafter(at, 0), math.Nextafter(at, math.Inf(1)), at*(1+1e-9), at*(1-1e-9))
-				}
-				for q := 1; q < len(l.sigma); q++ {
-					lambdas = append(lambdas, perJ*(l.sigma[q-1]+l.sigma[q])/2)
-				}
-				for _, lambda := range lambdas {
-					got := l.least(perJ, lambda)
-					want, size := 0.0, 0.0
-					for i := f; i < len(lt.Points); i++ {
-						q := pointCost{perS: 1 / lt.PointTime(i), powerW: lt.AvgPower(i)}
-						want = min(want, perJ*q.powerW-lambda*q.perS)
-						size = max(size, perJ*q.powerW, lambda*q.perS)
-					}
-					if got < want {
-						t.Fatalf("table %d floor %d perJ %v λ %v: ladder %v below the scan's %v", ti, f, perJ, lambda, got, want)
-					}
-					if got-want > 1e-12*size {
-						t.Fatalf("table %d floor %d perJ %v λ %v: ladder %v above the scan's %v", ti, f, perJ, lambda, got, want)
-					}
-					worst = max(worst, (got-want)/max(size, math.SmallestNonzeroFloat64))
-					if got == want {
-						exact++
-					}
-					checked++
-				}
-			}
-		}
-	}
-	if offHull == 0 {
-		t.Fatal("every floor is a hull vertex: the off-hull ladders went untested")
-	}
-	t.Logf("checked %d prices (%d bit-equal to the scan); worst gap %.1e of the terms' size", checked, exact, worst)
 }
