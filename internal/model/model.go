@@ -16,7 +16,9 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Layer is one partitionable unit of a model: a transformer layer, a
@@ -342,11 +344,26 @@ func WideResNet(depth string) (*Model, error) {
 	return m, nil
 }
 
-// ByName returns the model with the given variant name (e.g. "gpt3-1.3b").
+// catalog is the paper's model variants by family, in the order of
+// Table 1: a variant's name is its family's prefix followed by its size.
+var catalog = []struct {
+	prefix string
+	build  func(size string) (*Model, error)
+	sizes  []string
+}{
+	{"gpt3-", GPT3, []string{"1.3b", "2.7b", "6.7b", "13b", "175b"}},
+	{"bloom-", Bloom, []string{"3b", "7b", "176b"}},
+	{"bert-", BERT, []string{"0.1b", "0.3b", "1.3b"}},
+	{"t5-", T5, []string{"0.2b", "0.7b", "3b"}},
+	{"wide-resnet", WideResNet, []string{"50", "101"}},
+}
+
+// ByName returns the catalog model with the given variant name (e.g.
+// "gpt3-1.3b"), building that model alone.
 func ByName(name string) (*Model, error) {
-	for _, m := range Catalog() {
-		if m.Name == name {
-			return m, nil
+	for _, f := range catalog {
+		if size, ok := strings.CutPrefix(name, f.prefix); ok && slices.Contains(f.sizes, size) {
+			return f.build(size)
 		}
 	}
 	return nil, fmt.Errorf("model: unknown model %q", name)
@@ -355,25 +372,23 @@ func ByName(name string) (*Model, error) {
 // Catalog returns every model variant evaluated in the paper, in the order
 // of Table 1.
 func Catalog() []*Model {
-	mustGPT := func(s string) *Model { m, _ := GPT3(s); return m }
-	mustBloom := func(s string) *Model { m, _ := Bloom(s); return m }
-	mustBERT := func(s string) *Model { m, _ := BERT(s); return m }
-	mustT5 := func(s string) *Model { m, _ := T5(s); return m }
-	mustWRN := func(s string) *Model { m, _ := WideResNet(s); return m }
-	return []*Model{
-		mustGPT("1.3b"), mustGPT("2.7b"), mustGPT("6.7b"), mustGPT("13b"), mustGPT("175b"),
-		mustBloom("3b"), mustBloom("7b"), mustBloom("176b"),
-		mustBERT("0.1b"), mustBERT("0.3b"), mustBERT("1.3b"),
-		mustT5("0.2b"), mustT5("0.7b"), mustT5("3b"),
-		mustWRN("50"), mustWRN("101"),
+	var ms []*Model
+	for _, f := range catalog {
+		for _, size := range f.sizes {
+			m, _ := f.build(size)
+			ms = append(ms, m)
+		}
 	}
+	return ms
 }
 
 // Names returns the catalog's variant names, sorted.
 func Names() []string {
 	var ns []string
-	for _, m := range Catalog() {
-		ns = append(ns, m.Name)
+	for _, f := range catalog {
+		for _, size := range f.sizes {
+			ns = append(ns, f.prefix+size)
+		}
 	}
 	sort.Strings(ns)
 	return ns

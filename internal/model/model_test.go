@@ -1,6 +1,8 @@
 package model
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -184,6 +186,35 @@ func TestStageCostsValidation(t *testing.T) {
 		}
 		if !valid && err == nil {
 			t.Errorf("partition %v accepted", bad)
+		}
+	}
+}
+
+// TestByNameMatchesCatalog holds ByName, which builds one model, to the
+// catalog, which builds them all: every catalog name gives a model
+// DeepEqual to its catalog entry, Names lists exactly the catalog's
+// names, and a name its family's constructor accepts but the catalog
+// does not list (gpt3-0.3b), a family prefix alone and a name that
+// only starts like a catalog one are refused.
+func TestByNameMatchesCatalog(t *testing.T) {
+	var names []string
+	for _, want := range Catalog() {
+		names = append(names, want.Name)
+		got, err := ByName(want.Name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ByName(%q) = %+v, %v; want the catalog's %+v", want.Name, got, err, want)
+		}
+	}
+	slices.Sort(names)
+	if !slices.Equal(names, Names()) {
+		t.Fatalf("Names() %v, catalog %v", Names(), names)
+	}
+	if _, err := GPT3("0.3b"); err != nil {
+		t.Fatalf("GPT3(0.3b): %v", err)
+	}
+	for _, name := range []string{"gpt3-0.3b", "gpt3-", "wide-resnet", "wide-resnet18", "t5-3b ", "GPT3-1.3b", ""} {
+		if m, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) = %s, want refused", name, m.Name)
 		}
 	}
 }
