@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -329,22 +330,26 @@ func TestProfileUploadDecodeAllocs(t *testing.T) {
 	}
 
 	// 20 bytes that claim 2³²−1 types, and a row that claims 2³²−1
-	// measurements, cost no more to refuse than the same bodies claiming
-	// 1,000: nothing is sized by the claim.
-	refuse := func(body []byte) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if err := got.UnmarshalBinary(body); err == nil {
-				t.Fatalf("the over-claiming body %x decoded", body)
-			}
-		})
-	}
+	// measurements, cost the error's few hundred bytes to refuse, as the
+	// same bodies claiming 1,000 do: nothing is sized by the claim, which
+	// would take gigabytes. (Bytes, not allocations: under -race, fmt's
+	// sync.Pool makes an error's allocation count vary.)
 	for _, claim := range []func(n uint32) []byte{
 		func(n uint32) []byte { return ppf1("PPF1", 75.0, n, uint32(0)) },
 		func(n uint32) []byte { return ppf1("PPF1", 75.0, uint32(1), uint32(0), byte(0), n, uint32(1410)) },
 	} {
-		huge, small := claim(math.MaxUint32), claim(1000)
-		if a, b := refuse(huge), refuse(small); a != b {
-			t.Errorf("refusing the %d-byte body %x: %v allocations, %v for %x", len(huge), huge, a, b, small)
+		for _, body := range [][]byte{claim(math.MaxUint32), claim(1000)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 100 {
+				if err := got.UnmarshalBinary(body); err == nil {
+					t.Fatalf("the over-claiming body %x decoded", body)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 512 {
+				t.Errorf("refusing the %d-byte body %x allocates %d bytes", len(body), body, per)
+			}
 		}
 	}
 }
