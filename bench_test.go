@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"perseus/internal/client"
+	"perseus/internal/dag"
 	"perseus/internal/experiments"
 	"perseus/internal/fleet"
 	"perseus/internal/frontier"
@@ -230,6 +232,102 @@ func BenchmarkOptimizerRuntime(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(len(sys.Frontier.Points())), "frontier-points")
+	}
+}
+
+// charShapes are the characterize workload's six jobs (bench/gen.go's
+// fullShapes): 300-450 frontier points each.
+var charShapes = []struct {
+	model, schedule        string
+	stages, chunks, mbSize int
+	microbatches           int
+	unit                   float64
+}{
+	{"gpt3-1.3b", "1f1b", 4, 1, 4, 16, 7.5e-3},
+	{"gpt3-1.3b", "gpipe", 4, 1, 4, 24, 11e-3},
+	{"bert-1.3b", "1f1b", 8, 1, 8, 32, 4e-3},
+	{"gpt3-2.7b", "interleaved-1f1b", 4, 2, 4, 16, 14e-3},
+	{"t5-3b", "early-recompute-1f1b", 4, 1, 4, 16, 5.5e-3},
+	{"bloom-3b", "1f1b", 8, 1, 4, 16, 9.5e-3},
+}
+
+// charShape builds the DAG and the profile the server would derive for
+// the named characterize-workload shape at seed 1, drawing each stage's
+// ±2 % speed offset from the seeded stream in the order bench/gen.go
+// does: the shapes in a seeded order, one draw per virtual stage.
+func charShape(b *testing.B, name string) (*dag.Graph, *profile.Profile, float64) {
+	b.Helper()
+	g := gpu.A100PCIe
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range rng.Perm(len(charShapes)) {
+		sp := charShapes[i]
+		m, err := model.ByName(sp.model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		part, err := partition.MinImbalance(m.LayerCosts(), sp.stages*sp.chunks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs, err := profile.Workload{
+			Model: m, GPU: g, Stages: sp.stages, Chunks: sp.chunks,
+			Partition: part.Boundaries, MicrobatchSize: sp.mbSize, TensorParallel: 1,
+		}.StageRefTimes()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var meas []profile.Measurement
+		for v, ref := range refs {
+			ref *= 1 + 0.02*(2*rng.Float64()-1)
+			for _, f := range g.Frequencies() {
+				meas = append(meas,
+					profile.Measurement{Virtual: v, Kind: sched.Forward, Freq: f,
+						Time: g.Time(ref, f, g.MemBoundFwd), Energy: g.Energy(ref, f, g.MemBoundFwd)},
+					profile.Measurement{Virtual: v, Kind: sched.Backward, Freq: f,
+						Time: g.Time(2*ref, f, g.MemBoundBwd), Energy: g.Energy(2*ref, f, g.MemBoundBwd)})
+			}
+		}
+		if sp.model+"-"+sp.schedule != name {
+			continue
+		}
+		sc, err := sched.ByName(sp.schedule, sp.stages, sp.microbatches, sp.chunks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graph, err := dag.Build(sc, func(sched.Op) int64 { return 1 })
+		if err != nil {
+			b.Fatal(err)
+		}
+		prof, err := profile.Assemble(g, profile.MeasurePBlocking(g), meas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return graph, prof, sp.unit
+	}
+	b.Fatalf("no characterize shape %s", name)
+	return nil, nil, 0
+}
+
+// BenchmarkCharacterize times frontier.Characterize alone on two of the
+// characterize workload's shapes, built as that workload builds them, and
+// reports the frontier's points and the min-cut solves that grew the last
+// S side instead of searching from s.
+func BenchmarkCharacterize(b *testing.B) {
+	for _, name := range []string{"gpt3-2.7b-interleaved-1f1b", "bloom-3b-1f1b"} {
+		b.Run(name, func(b *testing.B) {
+			graph, prof, unit := charShape(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var f *frontier.Frontier
+			for i := 0; i < b.N; i++ {
+				var err error
+				if f, err = frontier.Characterize(graph, prof, frontier.Options{Unit: unit}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(f.Points())), "points/op")
+			b.ReportMetric(float64(f.Stats().Grown), "grown/op")
+		})
 	}
 }
 

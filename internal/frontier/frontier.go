@@ -53,9 +53,10 @@ type Options struct {
 	// Solver selects the max-flow algorithm inside MinCutStepper's
 	// min-cut subroutine, whether that stepper is the default or set
 	// explicitly; GreedyStepper solves no flow and ignores it. Default
-	// maxflow.EdmondsKarp, the paper's choice; maxflow.Dinic computes
-	// identical cuts and is no faster: about 10 % slower at the median of
-	// BenchmarkAblationMaxFlowSolver, inside the spread of both.
+	// maxflow.EdmondsKarp, the paper's choice, which grows each step's
+	// cut from the last; maxflow.Dinic computes identical cuts searching
+	// from s every time, the reference, and is about 13 % slower at the
+	// median of BenchmarkAblationMaxFlowSolver (1.71 vs 1.52 ms).
 	Solver maxflow.Solver
 
 	// keyframeEvery controls duration-snapshot spacing for plan
@@ -259,7 +260,8 @@ type Frontier struct {
 type Stats struct {
 	Steps           int // stepper calls, the last of which may have found no cut
 	EdgesMoved      int // network edges re-clamped by every min-cut solve together; the first clamps all
-	Searches        int // breadth-first passes (path searches or level graphs) run by them
+	Searches        int // breadth-first passes from a source (path searches or level graphs) run by them
+	Grown           int // of those solves, the ones that grew the last S side instead of searching from s
 	AugmentingPaths int // paths pushed by them
 	Fallbacks       int // steps that fell back to the speed-up-only cut
 	Rebuilds        int // steps that rebuilt the Critical DAG; the others kept the previous step's
@@ -459,7 +461,7 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 	f.stats.Fallbacks, f.stats.Rebuilds = st.fallbacks, st.rebuilds
 	if st.cut != nil {
 		nw := st.cut.nw
-		f.stats.EdgesMoved, f.stats.Searches, f.stats.AugmentingPaths = nw.EdgesMoved(), nw.Searches(), nw.AugmentingPaths()
+		f.stats.EdgesMoved, f.stats.Searches, f.stats.Grown, f.stats.AugmentingPaths = nw.EdgesMoved(), nw.Searches(), nw.Grown(), nw.AugmentingPaths()
 	}
 
 	// Reverse to time-ascending order and fix indices.

@@ -6,12 +6,14 @@ import "math"
 // level graphs with blocking flows found by DFS. It computes the same flow
 // value and the same minimum cut as Edmonds-Karp, and on the Capacity DAGs
 // the Perseus optimizer builds it is no faster, because a warm-started
-// step pushes less than one path: in BenchmarkAblationMaxFlowSolver, ten
-// interleaved runs on a 2-vCPU Xeon, Edmonds-Karp takes a median 2.76 ms
-// (quartiles 2.69–3.10) and Dinic 3.04 ms (2.92–3.16), about 10 % slower
-// at the median with the spreads overlapping. The paper uses Edmonds-Karp
-// (§4.3), so that is the default solver; Dinic is the independent
-// reference the benchmark's table check compares it with.
+// step pushes less than one path, and unlike Edmonds-Karp it searches from
+// s on every solve instead of growing the last cut's S side: in
+// BenchmarkAblationMaxFlowSolver, ten interleaved runs on a 2-vCPU Xeon,
+// Edmonds-Karp takes a median 1.52 ms (quartiles 1.46–1.63) and Dinic
+// 1.71 ms (1.63–1.78), about 13 % slower at the median. The paper uses
+// Edmonds-Karp (§4.3), so that is the default solver; Dinic, sharing no
+// search with the grown path, is the from-s reference the benchmark's
+// table check compares it with.
 func (g *graph) dinic(s, t int) float64 {
 	g.build()
 	var total float64
@@ -85,8 +87,9 @@ type Solver int
 const (
 	// EdmondsKarp is the paper's solver (§4.3): BFS augmenting paths.
 	EdmondsKarp Solver = iota
-	// Dinic is the level-graph solver; identical cuts, and no faster on
-	// these networks (BenchmarkAblationMaxFlowSolver; see dinic).
+	// Dinic is the level-graph solver; identical cuts, searched from s
+	// on every solve, and slower on these networks
+	// (BenchmarkAblationMaxFlowSolver; see dinic).
 	Dinic
 )
 
@@ -95,9 +98,15 @@ const (
 var maxFlows = []func(g *graph, s, t int) float64{EdmondsKarp: (*graph).edmondsKarp, Dinic: (*graph).dinic}
 
 // maxFlow runs the solver's routine; an unknown solver runs Edmonds-Karp.
+// The others replace queue without reading prev, so the search tree an
+// Edmonds-Karp search left in prev over queue is cleared first;
+// Edmonds-Karp clears it itself.
 func (g *graph) maxFlow(solver Solver, s, t int) float64 {
 	if uint(solver) >= uint(len(maxFlows)) {
 		solver = EdmondsKarp
+	}
+	if solver != EdmondsKarp {
+		reset(g.prev, g.queue)
 	}
 	return maxFlows[solver](g, s, t)
 }

@@ -6,10 +6,11 @@
 //
 // Network (network.go) is the package's surface: fixed edges with movable
 // lower and upper bounds, solved for a minimum cut any number of times,
-// each solve paying only for the bounds that moved since the last. It runs
-// on a graph, the plain residual network and arena: one compressed
-// adjacency array plus the search buffers, so solving again on the same
-// topology allocates nothing.
+// each solve paying only for the bounds that moved since the last — and,
+// with Edmonds-Karp, searching only from where the last cut's S side let
+// new flow out, not from s. It runs on a graph, the plain residual
+// network and arena: one compressed adjacency array plus the search
+// buffers, so solving again on the same topology allocates nothing.
 package maxflow
 
 import (
@@ -46,8 +47,10 @@ type graph struct {
 	// queue holds the nodes its last search reached from the source: that
 	// search found no path to the sink, so they are the S side of a
 	// minimum cut — the same set after every maximum flow, the smallest S
-	// side among minimum cuts. Between searches every prev and level
-	// entry is -1: a search resets only the nodes it reached.
+	// side among minimum cuts. Between searches every level entry is -1,
+	// and so is every prev entry outside queue: Edmonds-Karp's last search
+	// leaves its tree there (prev[v] the arc that reached v, -2 at the
+	// source), and the next solve clears it before it searches.
 	prev, level, iter, queue []int32
 
 	paths    int // augmenting paths pushed so far, by either solver
@@ -127,56 +130,65 @@ func (g *graph) residual(id int32) float64 { return g.cap[id] - g.flow[id] }
 // augmenting paths, Edmonds & Karp 1972) and returns the flow value it
 // added. It augments whatever flow the graph already carries, so it may be
 // called again after capacities change or with another source and sink;
-// Network.Solve does both.
+// Network.Solve does both. It leaves its last search's tree in prev.
 func (g *graph) edmondsKarp(s, t int) float64 {
 	g.build()
+	reset(g.prev, g.queue)
 	var total float64
-	prev := g.prev
 	for {
 		g.searches++
-		prev[s] = -2
-		queue := append(g.queue[:0], int32(s))
-		found := false
-	bfs:
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, id := range g.searched(u) {
-				v := g.to[id]
-				if prev[v] == -1 && g.residual(id) > eps {
-					prev[v] = id
-					if int(v) == t {
-						found = true
-						break bfs
-					}
-					queue = append(queue, v)
-				}
-			}
-		}
+		g.prev[s] = -2
+		queue, found := g.search(append(g.queue[:0], int32(s)), 0, int32(t))
 		g.queue = queue
 		if !found {
-			reset(prev, queue)
 			return total
 		}
-		// Find the bottleneck along the path.
-		bottleneck := math.Inf(1)
-		for v := int32(t); v != int32(s); {
-			id := prev[v]
-			if r := g.residual(id); r < bottleneck {
-				bottleneck = r
-			}
-			v = g.to[id^1]
-		}
-		for v := int32(t); v != int32(s); {
-			id := prev[v]
-			g.flow[id] += bottleneck
-			g.flow[id^1] -= bottleneck
-			v = g.to[id^1]
-		}
-		reset(prev, queue)
-		prev[t] = -1
-		total += bottleneck
-		g.paths++
+		total += g.augment(int32(s), int32(t))
+		reset(g.prev, queue)
+		g.prev[t] = -1
 	}
+}
+
+// search carries on a breadth-first search whose reached nodes, each
+// marked in prev, are queue, scanning their arcs from queue[head] on. It
+// stops at t, which it marks but does not queue, and reports whether it
+// got there.
+func (g *graph) search(queue []int32, head int, t int32) ([]int32, bool) {
+	prev := g.prev
+	for ; head < len(queue); head++ {
+		for _, id := range g.searched(queue[head]) {
+			v := g.to[id]
+			if prev[v] == -1 && g.residual(id) > eps {
+				prev[v] = id
+				if v == t {
+					return queue, true
+				}
+				queue = append(queue, v)
+			}
+		}
+	}
+	return queue, false
+}
+
+// augment pushes the bottleneck of the path prev leads back from t to s
+// along it and returns the bottleneck.
+func (g *graph) augment(s, t int32) float64 {
+	bottleneck := math.Inf(1)
+	for v := t; v != s; {
+		id := g.prev[v]
+		if r := g.residual(id); r < bottleneck {
+			bottleneck = r
+		}
+		v = g.to[id^1]
+	}
+	for v := t; v != s; {
+		id := g.prev[v]
+		g.flow[id] += bottleneck
+		g.flow[id^1] -= bottleneck
+		v = g.to[id^1]
+	}
+	g.paths++
+	return bottleneck
 }
 
 // reset sets the entries of the nodes a search reached back to -1.

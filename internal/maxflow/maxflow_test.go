@@ -2,7 +2,6 @@ package maxflow
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -363,8 +362,11 @@ func warmTestNetwork() (n int, edges []BoundedEdge) {
 //
 // A second Network takes the same rounds with its s→t searches reading
 // every arc, the super arcs and the t→s edge included, and its
-// Edmonds-Karp solves run by fullScanEdmondsKarp: the two must agree on
-// every verdict, value, S side, edge flow, path and search count.
+// Edmonds-Karp solves run by fullScanEdmondsKarp, which searches from s
+// every time: the two must agree on every verdict, value, S side and flow
+// value. The first grows the last S side where it can, so it augments
+// other paths than the full scan does, and its edge flows are held to
+// their bounds and to conservation instead of to the full scan's.
 func FuzzWarmMinCut(f *testing.F) {
 	f.Add([]byte{0, 0, 9, 3, 2, 20, 7, 5, 1})
 	f.Add([]byte{1, 7, 0, 1, 7, 250, 4, 0, 240, 4, 1, 3, 2, 6, 2})
@@ -441,20 +443,14 @@ func FuzzWarmMinCut(f *testing.F) {
 			want, wantErr := MinCutWithBoundsUsing(solver, n, edges, 0, n-1)
 			got, gotErr := nw.Solve(solver)
 			ref, refErr := fullSolve(solver)
-			if fmt.Sprint(gotErr) != fmt.Sprint(refErr) || got != ref {
+			if errors.Is(gotErr, ErrInfeasible) != errors.Is(refErr, ErrInfeasible) || (gotErr == nil) != (refErr == nil) || got != ref {
 				t.Fatalf("step %d: trimmed search finite %v, %v; full scan %v, %v", step, got, gotErr, ref, refErr)
 			}
 			if gotErr == nil && nw.CutValue() != full.CutValue() {
 				t.Fatalf("step %d: trimmed search cut %v; full scan %v", step, nw.CutValue(), full.CutValue())
 			}
-			if nw.AugmentingPaths() != full.AugmentingPaths() || nw.Searches() != full.Searches() {
-				t.Fatalf("step %d: trimmed search %d paths in %d searches; full scan %d in %d",
-					step, nw.AugmentingPaths(), nw.Searches(), full.AugmentingPaths(), full.Searches())
-			}
-			for i := range edges {
-				if math.Float64bits(nw.Flow(i)) != math.Float64bits(full.Flow(i)) {
-					t.Fatalf("step %d: edge %d carries %v after the trimmed search, %v after the full scan", step, i, nw.Flow(i), full.Flow(i))
-				}
+			if v, w := flowValue(edges, 0, nw.Flow), flowValue(edges, 0, full.Flow); gotErr == nil && v != w {
+				t.Fatalf("step %d: trimmed search sends %v from s; full scan %v", step, v, w)
 			}
 			for v, inS := range full.SSide() {
 				if nw.SSide()[v] != inS {
@@ -494,6 +490,171 @@ func FuzzWarmMinCut(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGrowMatchesCold runs random layered networks through rounds of
+// bound changes aimed at each of Solve's paths — an arc opened out of the
+// last S side (which a growth takes), a tree arc of that side closed, big
+// raised, a lower bound no flow meets, a lower bound above the carried
+// flow (routed in phase 2), or any move — most solved by Edmonds-Karp and
+// some by Dinic, and requires after every Solve what a cold Dinic solve
+// of a freshly built network gives: the same verdict, finiteness, S side,
+// cut value and, for a finite cut, flow value. Bounds are multiples of
+// 1/4, so every sum is exact, and lower bounds stay small beside the
+// flows big lets through, so that the unrouted share Solve forgives,
+// relative to their sum, is nil. Each kind of round, a raise of big, an
+// infeasible verdict and a grown solve must all have happened.
+func TestGrowMatchesCold(t *testing.T) {
+	const (
+		opens = iota
+		closes
+		raises
+		infeasible
+		routes
+		kinds
+	)
+	const small = 64 // the largest flow a lower bound is raised to
+	rng := rand.New(rand.NewSource(51))
+	quarter := func(k int) float64 { return float64(rng.Intn(k)) / 4 }
+	var done [kinds + 1]int
+	raised, refused := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 6 + rng.Intn(9)
+		var edges []BoundedEdge
+		for u := 0; u < n-1; u++ {
+			for v := u + 1; v < n; v++ {
+				if v == u+1 || rng.Float64() < 0.3 {
+					e := BoundedEdge{From: u, To: v, Upper: 1 + quarter(40)}
+					if rng.Float64() < 0.1 {
+						e.Upper = math.Inf(1)
+					}
+					edges = append(edges, e)
+				}
+			}
+		}
+		nw, err := NewNetwork(n, edges, 0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := func(i int, lower, upper float64) {
+			edges[i].Lower, edges[i].Upper = lower, upper
+			nw.SetBounds(i, lower, upper)
+		}
+		undo := -1 // the edge an infeasible round gave a lower bound, reset the round after
+		for round := 0; round < 30; round++ {
+			if undo >= 0 {
+				set(undo, 0, edges[undo].Upper)
+				undo = -1
+			}
+			side, g := nw.SSide(), nw.g
+			kind := rng.Intn(kinds + 4) // half the rounds open an arc or move any edge
+			if kind > kinds {
+				kind = opens
+			}
+			i := rng.Intn(len(edges))
+			e, f := edges[i], nw.Flow(i)
+			switch kind {
+			case opens:
+				for k := rng.Intn(len(edges)); k < len(edges); k++ {
+					if e := edges[k]; side[e.From] && !side[e.To] && !math.IsInf(e.Upper, 1) {
+						set(k, e.Lower, e.Upper+1+quarter(8))
+					} else if !side[e.From] && side[e.To] && e.Lower > 0 {
+						set(k, quarter(int(4*e.Lower)), e.Upper)
+					} else {
+						continue
+					}
+					done[kind]++
+					break
+				}
+			case closes: // bounds that pin a tree arc's edge at its flow
+				for k := range edges {
+					fwd, bwd, f := int32(2*k), int32(2*k+1), nw.Flow(k)
+					if f <= small && g.prev[g.to[fwd]] == fwd {
+						set(k, edges[k].Lower, f)
+					} else if f <= small && g.prev[g.to[bwd]] == bwd {
+						set(k, f, edges[k].Upper)
+					} else {
+						continue
+					}
+					done[kind]++
+					break
+				}
+			case raises:
+				set(i, e.Lower, max(e.Lower, nw.big))
+				done[kind]++
+			case infeasible:
+				set(i, 1000, math.Inf(1))
+				undo = i
+				done[kind]++
+			case routes:
+				if f <= small {
+					lower := f + 0.25 + quarter(8)
+					set(i, lower, max(e.Upper, lower))
+					done[kind]++
+				}
+			default:
+				lower := quarter(8)
+				upper := lower + quarter(40)
+				if rng.Float64() < 0.1 {
+					upper = math.Inf(1)
+				}
+				set(i, lower, upper)
+			}
+			solver := EdmondsKarp
+			if round%7 == 6 {
+				solver = Dinic
+			}
+			big := nw.big
+			want, wantErr := MinCutWithBoundsUsing(Dinic, n, edges, 0, n-1)
+			got, gotErr := nw.Solve(solver)
+			if nw.big != big {
+				raised++
+			}
+			if errors.Is(gotErr, ErrInfeasible) != errors.Is(wantErr, ErrInfeasible) || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d round %d: verdict %v, cold %v", trial, round, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				refused++
+				continue
+			}
+			if got != !math.IsInf(want.Value, 1) || nw.CutValue() != want.Value {
+				t.Fatalf("trial %d round %d: finite %v value %v, cold value %v", trial, round, got, nw.CutValue(), want.Value)
+			}
+			for v, inS := range want.SSide {
+				if nw.SSide()[v] != inS {
+					t.Fatalf("trial %d round %d: node %d on S side %v, cold %v", trial, round, v, nw.SSide()[v], inS)
+				}
+			}
+			cold := func(i int) float64 { return want.Flow[i] }
+			if v, w := flowValue(edges, 0, nw.Flow), flowValue(edges, 0, cold); got && v != w {
+				t.Fatalf("trial %d round %d: sends %v from s, cold %v", trial, round, v, w)
+			}
+		}
+		done[kinds] += nw.Grown()
+	}
+	t.Logf("rounds of each kind %v (the last: grown solves), %d raises of big, %d infeasible", done, raised, refused)
+	for kind, k := range done {
+		if k == 0 {
+			t.Errorf("no round of kind %d", kind)
+		}
+	}
+	if raised == 0 || refused == 0 {
+		t.Errorf("%d raises of big and %d infeasible solves, want some of each", raised, refused)
+	}
+}
+
+// flowValue returns what a flow, edge i carrying flow(i), sends out of s.
+func flowValue(edges []BoundedEdge, s int, flow func(i int) float64) float64 {
+	var out float64
+	for i, e := range edges {
+		switch s {
+		case e.From:
+			out += flow(i)
+		case e.To:
+			out -= flow(i)
+		}
+	}
+	return out
 }
 
 // TestMinCutSteadyStateAllocs checks the arena claim: once a Network is

@@ -35,8 +35,18 @@ type CutResult struct {
 // a small change costs a few augmenting paths and a few touched edges where
 // a solve from zero flow costs hundreds of paths and every edge; the cut is
 // the same either way, because the residual graph of every maximum flow
-// leaves the same nodes reachable from s. A Network allocates when built
-// and never after.
+// leaves the same nodes reachable from s.
+//
+// The searches cost what moved too (after Kohli & Torr's dynamic graph
+// cuts, ICCV 2005). An Edmonds-Karp solve keeps its last search's tree
+// over the S side, and the next one, when it routes nothing, leaves
+// big as it was and closes no arc of that tree, grows the side from the
+// arcs its re-clamping opened out of it instead of searching from s,
+// augmenting along the tree where the growth reaches t. A solve that
+// routes, raises big, follows an infeasible or a Dinic one, or closes a
+// tree arc by augmenting, searches from s. Dinic always searches from s,
+// which keeps it the independent reference. A Network allocates when
+// built and never after.
 type Network struct {
 	g    *graph
 	n    int // the caller's nodes; the super source is n, the super sink n+1
@@ -66,6 +76,12 @@ type Network struct {
 
 	side  []bool // the last Solve's S side
 	moved int    // edges re-clamped by every Solve so far
+
+	// tree is set while g.prev holds the search tree of the last Solve's
+	// S side, which g.queue lists: only an Edmonds-Karp Solve that
+	// succeeded leaves one, and the next Solve may grow that side from it.
+	tree  bool
+	grown int // Solves answered by growing the last S side
 }
 
 // NewNetwork builds the network of the given edges over nodes 0..n-1 with
@@ -174,7 +190,8 @@ func (nw *Network) imbalance(v int32) float64 {
 // leaves are routed from a super source to a super sink, with a t→s edge
 // closing the circulation; if they cannot all be routed no feasible flow
 // exists (ErrInfeasible); otherwise flow is augmented from s to t and the
-// nodes still reachable from s are the cut's S side. The Max-Flow Min-Cut
+// nodes still reachable from s are the cut's S side, found by growing the
+// last S side where Network says it may be. The Max-Flow Min-Cut
 // theorem holds with non-zero lower bounds (Ford & Fulkerson, ch. 1 §9).
 // A first solve is the same steps from zero flow with every edge moved.
 //
@@ -194,7 +211,10 @@ func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 			return false, fmt.Errorf("maxflow: bounds [%v, %v] on %d->%d are negative or empty", e.Lower, e.Upper, e.From, e.To)
 		}
 	}
+	grow := nw.tree && solver == EdmondsKarp
+	nw.tree = false
 	if need := 2*nw.sumFinite + 1e6; need > nw.big {
+		grow = false
 		nw.big = 2 * need
 		for i, e := range nw.edges {
 			if math.IsInf(e.Upper, 1) {
@@ -206,7 +226,12 @@ func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 
 	// Step 1: the starting flow and what it leaves unbalanced. Arc 2i
 	// carries edge i's flow above its lower bound, so its residual is
-	// upper−f forward and f−lower backward.
+	// upper−f forward and f−lower backward. No arc left the last S side
+	// open, so one that does now has just opened: a growth's way out of
+	// it, listed in opened, which reuses the dirty list (an edge's two
+	// arcs cannot both leave the side). A tree arc that closed cuts part
+	// of the side off, and the solve searches from s.
+	opened := nw.dirty[:0]
 	for _, i := range nw.dirty {
 		e := nw.edges[i]
 		up := min(e.Upper, big)
@@ -218,6 +243,13 @@ func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 		if f != was {
 			nw.reopen(e.From)
 			nw.reopen(e.To)
+		}
+		for a := 2 * i; grow && a <= 2*i+1; a++ {
+			if open, v := g.residual(a) > eps, g.to[a]; open && nw.side[g.to[a^1]] && !nw.side[v] {
+				opened = append(opened, a)
+			} else if !open && g.prev[v] == a {
+				grow = false
+			}
 		}
 	}
 	nw.moved += len(nw.dirty)
@@ -246,6 +278,7 @@ func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 	// while more than a search can see is left of its imbalance.
 	var got float64
 	if demand > eps {
+		grow = false
 		g.stop = g.start[1:]
 		got = g.maxFlow(solver, nw.n, nw.n+1)
 	}
@@ -276,12 +309,60 @@ func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 	// arcs. The search that finds no further path has reached exactly the
 	// S side, and left it in g.queue.
 	g.stop = nw.real
-	g.maxFlow(solver, nw.s, nw.t)
+	if !grow || !nw.grow(opened) {
+		g.maxFlow(solver, nw.s, nw.t)
+	}
+	nw.tree = solver == EdmondsKarp
 	clear(nw.side)
 	for _, v := range g.queue {
 		nw.side[v] = true
 	}
 	return -nw.imbalance(s) < big/2, nil
+}
+
+// grow answers Solve's s→t phase from the last S side, g.queue with its
+// search tree in g.prev, when only the arcs in opened left it since and
+// no tree arc closed: every node of the side is still reached from s, so
+// a search from those arcs alone reaches what a search from s would. One
+// that stops short of t leaves the new S side, the old plus what it
+// reached, in g.queue. One that reaches t augments along the tree's path
+// to the arc it took and on, then grows again from the old side. grow
+// reports false, the old side's tree still in g.prev, when an
+// augmentation closed a tree arc; the caller then searches from s.
+func (nw *Network) grow(opened []int32) bool {
+	g, s, t := nw.g, int32(nw.s), int32(nw.t)
+	base := len(g.queue)
+	for {
+		queue, found := g.queue, false
+		for _, a := range opened {
+			if v := g.to[a]; g.prev[v] == -1 && g.residual(a) > eps {
+				g.prev[v] = a
+				if found = v == t; found {
+					break
+				}
+				queue = append(queue, v)
+			}
+		}
+		if !found {
+			queue, found = g.search(queue, base, t)
+		}
+		if !found {
+			g.queue = queue
+			nw.grown++
+			return true
+		}
+		g.augment(s, t)
+		closed := false
+		for v := t; v != s; v = g.to[g.prev[v]^1] {
+			closed = closed || nw.side[v] && g.residual(g.prev[v]) <= eps
+		}
+		reset(g.prev, queue[base:])
+		g.prev[t] = -1
+		g.queue = queue[:base]
+		if closed {
+			return false
+		}
+	}
 }
 
 // CutValue returns the capacity of the last Solve's cut, Σ_{S→T} upper −
@@ -325,9 +406,14 @@ func (nw *Network) Flow(i int) float64 { return nw.g.flow[2*i] + nw.lower[i] }
 // has pushed in total.
 func (nw *Network) AugmentingPaths() int { return nw.g.paths }
 
-// Searches returns how many breadth-first passes (Edmonds-Karp path
-// searches, Dinic level graphs) every Solve so far has run in total.
+// Searches returns how many breadth-first passes from a source
+// (Edmonds-Karp path searches, Dinic level graphs) every Solve so far has
+// run in total; a growth is not one.
 func (nw *Network) Searches() int { return nw.g.searches }
+
+// Grown returns how many Solves so far grew the last S side instead of
+// searching from s.
+func (nw *Network) Grown() int { return nw.grown }
 
 // EdgesMoved returns how many edges every Solve so far has re-clamped in
 // total: all of them for the first, afterwards only those whose bounds

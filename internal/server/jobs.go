@@ -428,7 +428,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 			"points", strconv.Itoa(points), "table_points", strconv.Itoa(work.TablePoints),
 			"hull_points", strconv.Itoa(work.HullPoints), "steps", strconv.Itoa(work.Steps),
 			"edges_moved", strconv.Itoa(work.EdgesMoved), "searches", strconv.Itoa(work.Searches),
-			"augmenting_paths", strconv.Itoa(work.AugmentingPaths), "fallbacks", strconv.Itoa(work.Fallbacks),
+			"grown", strconv.Itoa(work.Grown), "augmenting_paths", strconv.Itoa(work.AugmentingPaths), "fallbacks", strconv.Itoa(work.Fallbacks),
 			"rebuilds", strconv.Itoa(work.Rebuilds))...)
 		close(done)
 		// The fleet gained a characterized member: under a cap, power

@@ -1,16 +1,25 @@
 #!/usr/bin/env bash
 # Runs the planning-stack benchmark suite and writes a JSON trajectory
-# record (BENCH_PR7.json by default). Each PR that touches the planning
-# or serving hot paths appends a new BENCH_PR<N>.json so regressions
-# show up as a diff, not an anecdote; scripts/bench_compare.sh diffs
-# two records.
+# record to the file named by its one argument, which must not exist yet:
+# each PR that touches the planning or serving hot paths appends a new
+# BENCH_PR<N>.json so regressions show up as a diff, not an anecdote, and
+# no record is ever overwritten. scripts/bench_compare.sh diffs two
+# records.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR7.json}"
-pattern='^(BenchmarkProfileUpload|BenchmarkOptimizerRuntime|BenchmarkAblationMaxFlowSolver|BenchmarkFrontierTable|BenchmarkScheduleLookup|BenchmarkClusterSimulation|BenchmarkFrontierMerge|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 output.json" >&2
+  exit 2
+fi
+out="$1"
+if [[ -e "$out" ]]; then
+  echo "bench.sh: $out exists; name a new record" >&2
+  exit 2
+fi
+pattern='^(BenchmarkProfileUpload|BenchmarkOptimizerRuntime|BenchmarkCharacterize|BenchmarkAblationMaxFlowSolver|BenchmarkFrontierTable|BenchmarkScheduleLookup|BenchmarkClusterSimulation|BenchmarkFrontierMerge|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
 
 procs="${GOMAXPROCS:-$(nproc)}"
 raw=$(go test -run '^$' -bench "$pattern" -benchmem .)
