@@ -261,6 +261,12 @@ func charShape(b *testing.B, name string) (*dag.Graph, *profile.Profile, float64
 	rng := rand.New(rand.NewSource(1))
 	for _, i := range rng.Perm(len(charShapes)) {
 		sp := charShapes[i]
+		if sp.model+"-"+sp.schedule != name {
+			for range sp.stages * sp.chunks { // its virtual stages' draws
+				rng.Float64()
+			}
+			continue
+		}
 		m, err := model.ByName(sp.model)
 		if err != nil {
 			b.Fatal(err)
@@ -286,9 +292,6 @@ func charShape(b *testing.B, name string) (*dag.Graph, *profile.Profile, float64
 					profile.Measurement{Virtual: v, Kind: sched.Backward, Freq: f,
 						Time: g.Time(2*ref, f, g.MemBoundBwd), Energy: g.Energy(2*ref, f, g.MemBoundBwd)})
 			}
-		}
-		if sp.model+"-"+sp.schedule != name {
-			continue
 		}
 		sc, err := sched.ByName(sp.schedule, sp.stages, sp.microbatches, sp.chunks)
 		if err != nil {
