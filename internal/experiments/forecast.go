@@ -162,10 +162,9 @@ type RegionForecastStrategy struct {
 // RegionForecastComparison replays the multi-region analogue on a
 // fleet of regions: the perfect-foresight joint plan, plan-once on the
 // first forecasts, rolling-horizon re-planning with migrations charged
-// from each job's current region, and the damped controller — the
-// hysteresis margin (re-plans see migration cost × 0.5, counteracting
-// rolling-horizon hesitation) combined with the robust 0.7-quantile,
-// the per-seed-parity rule region_mpc_test.go pins.
+// from each job's current region, and the same re-planning on the
+// robust 0.7-quantile, which counteracts rolling-horizon hesitation
+// (the per-seed parity with plan-once region_mpc_test.go pins).
 func RegionForecastComparison(lt *frontier.LookupTable, regions []region.Region, target float64, mig region.MigrationCost, seed int64, sigma float64) ([]RegionForecastStrategy, error) {
 	jobs := []region.Job{{ID: "train", Table: lt, Target: target}}
 	opts := forecast.RegionOptions{Objective: grid.ObjectiveCarbon, Migration: mig}
@@ -187,18 +186,17 @@ func RegionForecastComparison(lt *frontier.LookupTable, regions []region.Region,
 	if err != nil {
 		return nil, fmt.Errorf("experiments: region mpc: %w", err)
 	}
-	dampedOpts := opts
-	dampedOpts.HysteresisMargin = 0.5
-	dampedOpts.PlanQuantile = 0.7
-	damped, err := forecast.ReplanRegions(regs, jobs, dampedOpts)
+	robustOpts := opts
+	robustOpts.PlanQuantile = 0.7
+	robust, err := forecast.ReplanRegions(regs, jobs, robustOpts)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: region damped mpc: %w", err)
+		return nil, fmt.Errorf("experiments: region robust mpc: %w", err)
 	}
 	return []RegionForecastStrategy{
 		{"oracle (perfect foresight)", oracle},
 		{"plan-once (first forecasts)", once},
 		{"MPC re-planning (migrating)", mpc},
-		{"MPC hysteresis (margin 0.5, q=0.70)", damped},
+		{"MPC on the robust quantile (q=0.70)", robust},
 	}, nil
 }
 

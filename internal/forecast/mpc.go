@@ -189,8 +189,7 @@ func (s *Stepper) Feasible() bool { return s.done() || (s.Plan != nil && s.Plan.
 // that straddles At (a kept plan whose earlier part already ran and was
 // recorded, idle tail included) resumes from At, one that straddles t
 // stops there. A region controller's job runs each interval in the
-// region its placement names, skips the ones it pauses, and drops the
-// time a checkpoint transfer takes.
+// region its placement names and skips the ones it pauses.
 func (s *Stepper) ExecuteTo(t float64) {
 	if s.Plan != nil {
 		for ip := range s.Plan.Intervals(s.Table, s.window) {
@@ -209,7 +208,7 @@ func (s *Stepper) ExecuteTo(t float64) {
 			truth, point := s.Truth, s.point
 			if s.place != nil {
 				var ok bool
-				if truth, point, slices, absStart, ok = s.place.run(ip.StartS, absStart, slices); !ok {
+				if truth, point, ok = s.place.run(ip.StartS); !ok {
 					continue
 				}
 			}

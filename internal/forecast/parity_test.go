@@ -22,23 +22,15 @@ type parityRun struct {
 }
 
 // parityRuns lists the controller runs whose outcomes the parity golden
-// pins: the region controller under revisions (plan-once, MPC, damped
-// MPC), on one job, on two, and on two that contend for 1-GPU regions
-// across 5 h transfers; under perfect foresight; and the single-region
-// controllers on Diurnal24h.
+// pins: the region controller under revisions (plan-once, MPC, MPC on
+// the 0.7-quantile), on one job, on two, and on two that contend for
+// 1-GPU regions across 5 h transfers (MPC on the 0.7-quantile only);
+// under perfect foresight; and the single-region controllers on
+// Diurnal24h.
 func parityRuns() []parityRun {
 	var runs []parityRun
 	add := func(name string, run func() (any, error)) {
 		runs = append(runs, parityRun{name, run})
-	}
-	revisions := func(pair []region.Region, seed int64) []ForecastRegion {
-		regs := make([]ForecastRegion, len(pair))
-		for i, r := range pair {
-			regs[i] = ForecastRegion{Region: r, Provider: &Revisions{
-				Truth: r.Signal, Seed: seed + int64(i)*100, Sigma: 0.15,
-			}}
-		}
-		return regs
 	}
 	perfect := func(pair []region.Region) []ForecastRegion {
 		regs := make([]ForecastRegion, len(pair))
@@ -47,56 +39,39 @@ func parityRuns() []parityRun {
 		}
 		return regs
 	}
-	damped := func(opts RegionOptions, margin float64) RegionOptions {
-		opts.HysteresisMargin, opts.PlanQuantile = margin, 0.7
+	q07 := func(opts RegionOptions) RegionOptions {
+		opts.PlanQuantile = 0.7
 		return opts
 	}
-	margins := []float64{0.25, 0.5, 2}
 
-	pair, one, opts := regionTestSetup()
-	two := append(one[:1:1], region.Job{
-		ID: "eval", Table: one[0].Table, Origin: pair[1].Name,
-		Target: 0.7 * one[0].Target, PowerScale: 2,
-	})
-	for _, c := range []struct {
-		name string
-		jobs []region.Job
-	}{{"region/1job", one}, {"region/2jobs", two}} {
-		add(c.name+"/oracle", func() (any, error) { return OracleRegions(pair, c.jobs, opts) })
+	setups := regionSetups()
+	for _, su := range setups[:2] {
+		add(su.name+"/oracle", func() (any, error) { return OracleRegions(su.pair, su.jobs, su.opts) })
 		for seed := int64(1); seed <= 6; seed++ {
-			regs := revisions(pair, seed)
-			pre := fmt.Sprintf("%s/revisions%d/", c.name, seed)
-			add(pre+"plan-once", func() (any, error) { return PlanOnceRegions(regs, c.jobs, opts) })
-			add(pre+"mpc", func() (any, error) { return ReplanRegions(regs, c.jobs, opts) })
-			for _, m := range margins {
-				add(fmt.Sprintf("%smpc/margin%v/q0.7", pre, m), func() (any, error) { return ReplanRegions(regs, c.jobs, damped(opts, m)) })
-			}
+			regs := revisionsOn(su.pair, seed)
+			pre := fmt.Sprintf("%s/revisions%d/", su.name, seed)
+			add(pre+"plan-once", func() (any, error) { return PlanOnceRegions(regs, su.jobs, su.opts) })
+			add(pre+"mpc", func() (any, error) { return ReplanRegions(regs, su.jobs, su.opts) })
+			add(pre+"mpc/q0.7", func() (any, error) { return ReplanRegions(regs, su.jobs, q07(su.opts)) })
 		}
 	}
-
-	// Two jobs on 1-GPU regions whose transfers outlast a cell: a
-	// transfer's residue crosses re-plans, and the 0.25 margin plans
-	// less idle than the real transfer takes.
-	narrow := coarsePair()
-	for i := range narrow {
-		narrow[i].GPUs = 1
-	}
-	slow := damped(opts, 0.25)
-	slow.Migration.DowntimeS = 5 * 3600
+	// A transfer outlasts a cell here, so it is still in flight at the
+	// next re-plans.
+	slow := setups[2]
 	for seed := int64(1); seed <= 6; seed++ {
-		regs := revisions(narrow, seed)
-		add(fmt.Sprintf("region/2jobs/1gpu/transfer5h/revisions%d/mpc/margin0.25/q0.7", seed),
-			func() (any, error) { return ReplanRegions(regs, two, slow) })
+		regs := revisionsOn(slow.pair, seed)
+		add(fmt.Sprintf("%s/revisions%d/mpc/q0.7", slow.name, seed),
+			func() (any, error) { return ReplanRegions(regs, slow.jobs, q07(slow.opts)) })
 	}
 
+	pair, one, opts := regionTestSetup()
+	two := setups[1].jobs
 	foreign := append([]region.Job(nil), one...)
 	foreign[0].Origin = pair[1].Name
 	add("region/1job/perfect/mpc", func() (any, error) { return ReplanRegions(perfect(pair), one, opts) })
 	add("region/1job/origin-east/perfect/mpc", func() (any, error) { return ReplanRegions(perfect(pair), foreign, opts) })
 	add("region/2jobs/perfect/mpc", func() (any, error) { return ReplanRegions(perfect(pair), two, opts) })
-	for _, m := range margins {
-		add(fmt.Sprintf("region/2jobs/perfect/mpc/margin%v/q0.7", m), func() (any, error) { return ReplanRegions(perfect(pair), two, damped(opts, m)) })
-	}
+	add("region/2jobs/perfect/mpc/q0.7", func() (any, error) { return ReplanRegions(perfect(pair), two, q07(opts)) })
 
 	lt := convexTable(0.01, 80, 120, 3000, 120)
 	truth := grid.Diurnal24h()

@@ -34,27 +34,11 @@ type RegionOptions struct {
 	// PlanQuantile is the forecast quantile each re-plan sees; 0 or
 	// 0.5 plans on the point forecast.
 	PlanQuantile float64
-
-	// HysteresisMargin controls the switching-cost rule under forecast
-	// revisions: every re-plan after the first sees the migration cost
-	// (downtime and transfer energy) scaled by this factor, so it only
-	// migrates when the predicted savings exceed the real migration
-	// cost times the margin. Execution always charges the real cost.
-	// 0 means 1 (the planner's raw behavior). Margins above 1 damp
-	// revision-noise flip-flopping; margins below 1 counteract
-	// rolling-horizon hesitation — the shrinking remaining window
-	// understates a move's value (savings accrue over the rest of the
-	// run, but each re-plan only sees to the deadline), so the raw
-	// controller systematically under-migrates and can lose per-seed to
-	// a lucky plan-once. region_mpc_test.go pins a margin restoring
-	// per-seed parity on the bundled pair.
-	HysteresisMargin float64
 }
 
 // validate applies the single-region controller's rules
 // (plan.Request.Validate) to the options, naming the offending field: a
-// finite non-negative deadline, a quantile in [0, 1), and a finite
-// non-negative margin.
+// finite non-negative deadline and a quantile in [0, 1).
 func (o RegionOptions) validate() error {
 	if math.IsNaN(o.DeadlineS) || math.IsInf(o.DeadlineS, 0) || o.DeadlineS < 0 {
 		return fmt.Errorf("forecast: DeadlineS must be finite and non-negative, got %v", o.DeadlineS)
@@ -62,22 +46,7 @@ func (o RegionOptions) validate() error {
 	if math.IsNaN(o.PlanQuantile) || o.PlanQuantile < 0 || o.PlanQuantile >= 1 {
 		return fmt.Errorf("forecast: PlanQuantile must be in [0, 1), got %v", o.PlanQuantile)
 	}
-	if math.IsNaN(o.HysteresisMargin) || math.IsInf(o.HysteresisMargin, 0) || o.HysteresisMargin < 0 {
-		return fmt.Errorf("forecast: HysteresisMargin must be finite and non-negative, got %v", o.HysteresisMargin)
-	}
 	return nil
-}
-
-// planMigration resolves the migration cost a re-plan at decision time
-// d sees: the initial plan (d = 0, committing nothing yet) and
-// margin 0 keep the real cost.
-func (o RegionOptions) planMigration(d float64) region.MigrationCost {
-	m := o.Migration
-	if d > 0 && o.HysteresisMargin > 0 {
-		m.DowntimeS *= o.HysteresisMargin
-		m.EnergyJ *= o.HysteresisMargin
-	}
-	return m
 }
 
 // RegionJobOutcome is one job's realized multi-region outcome.
@@ -121,7 +90,8 @@ type RegionOutcome struct {
 // every merged interval boundary it fetches each region's latest
 // forecast, re-runs region.Optimize over the remaining window — every
 // job's Origin set to the region it currently occupies, so moving away
-// is charged as a migration — and executes the first span of the fresh
+// is charged as a migration, and its PausedUntilS to the end of a
+// transfer still in flight — and executes the first span of the fresh
 // joint plan against the regions' truth traces.
 func ReplanRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions) (*RegionOutcome, error) {
 	return runRegions(regs, jobs, opts, true)
@@ -151,7 +121,9 @@ func OracleRegions(regions []region.Region, jobs []region.Job, opts RegionOption
 // runRegions carries every job forward on a Stepper of its own: each
 // decision solves the joint plan on the latest forecasts, installs each
 // live job's temporal plan and placement in its stepper, charges the
-// migrations the span begins, and executes the span.
+// migrations the span begins, and executes the span. The plan idles
+// every transfer itself, the ones it begins and the one in flight, so
+// execution runs it as made.
 func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, replanEvery bool) (*RegionOutcome, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -184,7 +156,8 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 	}
 
 	steps := make([]*Stepper, len(jobs))
-	origins := make([]string, len(jobs)) // region each job occupies ("" = unplaced)
+	origins := make([]string, len(jobs))  // region each job occupies ("" = unplaced)
+	arrives := make([]float64, len(jobs)) // when each job's last transfer ends
 	out := &RegionOutcome{Jobs: make([]RegionJobOutcome, len(jobs))}
 	for j := range jobs {
 		d := jobs[j].DeadlineS
@@ -192,8 +165,8 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 			d = deadline
 		}
 		steps[j] = NewStepper(jobs[j].Table, nil, Options{Target: jobs[j].Target, DeadlineS: d, PowerScale: jobs[j].PowerScale}, 0)
-		steps[j].place = &placement{truths: truths, downtimeS: opts.Migration.DowntimeS}
-		origins[j] = jobs[j].Origin
+		steps[j].place = &placement{truths: truths}
+		origins[j], arrives[j] = jobs[j].Origin, jobs[j].PausedUntilS
 		out.Jobs[j].JobID = jobs[j].ID
 	}
 
@@ -246,16 +219,14 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 			rj.Target = st.Remaining
 			rj.DeadlineS = st.DeadlineS - d
 			rj.Origin = origins[j]
+			rj.PausedUntilS = max(0, arrives[j]-d)
 			rjobs = append(rjobs, rj)
 			live = append(live, j)
 		}
 		if len(rjobs) == 0 {
 			break
 		}
-		// The switching-cost margin: re-plans see a scaled migration
-		// cost (see RegionOptions.HysteresisMargin), while execution
-		// always charges the real one.
-		plan, err := region.Optimize(fregions, rjobs, region.Options{Objective: opts.Objective, Migration: opts.planMigration(d)})
+		plan, err := region.Optimize(fregions, rjobs, region.Options{Objective: opts.Objective, Migration: opts.Migration})
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +237,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 			j := live[pi]
 			st, jo := steps[j], &out.Jobs[j]
 			st.Plan, st.PlanAt, st.window = jp.Temporal, d, jp.Signal
-			st.place.install(jp.Assignments, fsignals)
+			st.place.cells, st.place.points = jp.Assignments, fsignals
 			spanRegion := ""
 			for _, a := range jp.Assignments {
 				if a.StartS >= span-1e-9 {
@@ -283,7 +254,7 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 					jo.TransferJ += opts.Migration.EnergyJ
 					st.EnergyJ += opts.Migration.EnergyJ
 					at := d + a.StartS
-					st.place.arrivals = append(st.place.arrivals, at)
+					arrives[j] = at + opts.Migration.DowntimeS
 					if rIdx >= 0 {
 						_, c, usd := grid.Accrue(truths[rIdx], at, at+1, opts.Migration.EnergyJ)
 						st.CarbonG += c
@@ -313,50 +284,21 @@ func runRegions(regs []ForecastRegion, jobs []region.Job, opts RegionOptions, re
 
 // placement is a region controller job's share of the joint plan in
 // force: the region each stretch of it runs in (relative to the
-// stepper's PlanAt), every region's truth and point forecast, and the
-// checkpoint transfers that pause the job.
+// stepper's PlanAt), and every region's truth and point forecast.
 type placement struct {
 	cells          []region.Assignment
 	truths, points []*grid.Signal // by region index
-	downtimeS      float64        // a transfer's real duration
-	pausedTo       float64        // a transfer begun before the plan idles the job until then
-	arrivals       []float64      // arrival times of the transfers the plan begins
 }
 
-// install puts a fresh plan's placement in force: the transfers the
-// previous plan began become residue the new plan knows nothing about
-// (it only sees the new Origin).
-func (p *placement) install(cells []region.Assignment, points []*grid.Signal) {
-	for _, at := range p.arrivals {
-		p.pausedTo = max(p.pausedTo, at+p.downtimeS)
-	}
-	p.cells, p.points, p.arrivals = cells, points, p.arrivals[:0]
-}
-
-// run resolves the plan interval starting startS into the plan (at
-// absStart in signal time): the truth and point forecast of the region
-// it runs in (ok false when the job is paused there) and its slices
-// with the time inside a checkpoint transfer dropped — the schedule is
-// not re-packed, the work simply does not happen.
-func (p *placement) run(startS, absStart float64, slices []grid.Slice) (truth, point *grid.Signal, _ []grid.Slice, _ float64, ok bool) {
+// run resolves the plan interval starting startS into the plan to the
+// truth and point forecast of the region it runs in (ok false when the
+// job is paused there).
+func (p *placement) run(startS float64) (truth, point *grid.Signal, ok bool) {
 	r := regionAt(p.cells, startS)
 	if r < 0 {
-		return nil, nil, nil, 0, false
+		return nil, nil, false
 	}
-	if p.pausedTo > absStart {
-		slices, absStart = clipPaused(slices, absStart, p.pausedTo)
-	}
-	// The plan encodes the downtime of its own transfers (the planner
-	// force-idles the arrival), but only at the margin-scaled duration:
-	// work it put between the scaled and the real transfer end is
-	// clipped. Intervals before the arrival are untouched, and a margin
-	// >= 1 never clips (the plan already idles the real transfer).
-	for _, at := range p.arrivals {
-		if until := at + p.downtimeS; absStart >= at-1e-9 && absStart < until-1e-9 {
-			slices, absStart = clipPaused(slices, absStart, until)
-		}
-	}
-	return p.truths[r], p.points[r], slices, absStart, true
+	return p.truths[r], p.points[r], true
 }
 
 // clipPaused drops the slice time scheduled before `until` (slices run

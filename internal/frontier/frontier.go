@@ -55,8 +55,8 @@ type Options struct {
 	// explicitly; GreedyStepper solves no flow and ignores it. Default
 	// maxflow.EdmondsKarp, the paper's choice, which grows each step's
 	// cut from the last; maxflow.Dinic computes identical cuts searching
-	// from s every time, the reference, and is about 13 % slower at the
-	// median of BenchmarkAblationMaxFlowSolver (1.71 vs 1.52 ms).
+	// from s every time, the reference, and is about 27 % slower at the
+	// median of BenchmarkAblationMaxFlowSolver (0.95 vs 0.75 ms).
 	Solver maxflow.Solver
 
 	// keyframeEvery controls duration-snapshot spacing for plan

@@ -9,8 +9,8 @@ import "math"
 // step pushes less than one path, and unlike Edmonds-Karp it searches from
 // s on every solve instead of growing the last cut's S side: in
 // BenchmarkAblationMaxFlowSolver, ten interleaved runs on a 2-vCPU Xeon,
-// Edmonds-Karp takes a median 1.52 ms (quartiles 1.46–1.63) and Dinic
-// 1.71 ms (1.63–1.78), about 13 % slower at the median. The paper uses
+// Edmonds-Karp takes a median 0.75 ms (quartiles 0.72–0.78) and Dinic
+// 0.95 ms (0.89–1.02), about 27 % slower at the median. The paper uses
 // Edmonds-Karp (§4.3), so that is the default solver; Dinic, sharing no
 // search with the grown path, is the from-s reference the benchmark's
 // table check compares it with.

@@ -1,7 +1,6 @@
 package region
 
 import (
-	"math"
 	"slices"
 
 	"perseus/internal/grid"
@@ -17,11 +16,12 @@ import (
 // off the slope ladder of the cap's floor (frontier.Ladder.Least). A
 // placement's relaxed optimum is then Σ run seconds × rc + migration +
 // λ·Target, with the run seconds what compileInto leaves a job: placed
-// cells, after any arrival's downtime, before the deadline. By weak
-// duality that is at most the placement's exact cost for any λ ≥ 0, and
-// at the λ the placement's own temporal solve ends on (outcome.price)
-// it is equal: every interval's choice minimizes cost − λ·iterations,
-// and the iterations sum to Target (see grid.Plan.Price).
+// cells, after the transfer in flight and any arrival's downtime, before
+// the deadline. By weak duality that is at most the placement's exact
+// cost for any λ ≥ 0, and at the λ the placement's own temporal solve
+// ends on (outcome.price) it is equal: every interval's choice minimizes
+// cost − λ·iterations, and the iterations sum to Target (see
+// grid.Plan.Price).
 //
 // The planner prices placements through walks (see walk and splice):
 // one O(cells) walk per placement it prices from, then O(1) amortized
@@ -32,6 +32,7 @@ type bound struct {
 	view     []float64   // the cap view rc was priced under (planner.readView)
 	rc       [][]float64 // [region][cell] least reduced cost per run second, ≤ 0
 	origin   int
+	pause    float64 // Job.PausedUntilS: the downtime the walk starts in
 	deadline float64
 	target   float64
 }
@@ -46,7 +47,7 @@ func (b *bound) prepare(p *planner, ji int, j *Job, lambda float64) bool {
 	}
 	b.ji, b.lambda = ji, lambda
 	b.view = p.readView(b.view[:0])
-	b.origin, b.deadline, b.target = p.origin(j), p.deadline(j), j.Target
+	b.origin, b.pause, b.deadline, b.target = p.origin(j), j.PausedUntilS, p.deadline(j), j.Target
 	all := j.Table.Ladder(0)
 	scale := j.scale()
 	b.rc = slices.Grow(b.rc[:0], len(p.regions))[:len(p.regions)]
@@ -133,7 +134,7 @@ type walkStep struct {
 func (b *bound) walk(p *planner, w *walk, pl []int) {
 	n := len(p.cells)
 	w.steps = slices.Grow(w.steps[:0], n+1)[:n+1]
-	cur := cursor{prev: b.origin, idle: math.Inf(-1)}
+	cur := cursor{prev: b.origin, idle: b.pause}
 	pre := 0.0
 	for k := range n {
 		s := &w.steps[k]

@@ -95,7 +95,8 @@ func enumerate(nRegions, nCells int) [][]int {
 // sequence — each job independently assigned (region | pause) per cell,
 // all (R+1)^(J·K) combinations — prunes those violating GPU capacity,
 // evaluates each job's sequence exactly with the same inner temporal
-// planner the real planner uses, and returns the minimum total
+// planner the real planner uses (checking that none runs before its
+// job's transfer in flight ends), and returns the minimum total
 // objective over combinations where every job is feasible.
 func bruteForce(t *testing.T, inst bruteInstance) (best float64, ok bool) {
 	t.Helper()
@@ -113,9 +114,17 @@ func bruteForce(t *testing.T, inst bruteInstance) (best float64, ok bool) {
 	for j := range inst.jobs {
 		cache[j] = make([]cached, len(placements))
 		for i, pl := range placements {
-			ev, err := p.evaluateFull(&p.scratch[0], &inst.jobs[j], pl)
+			job := &inst.jobs[j]
+			ev, err := p.evaluateFull(&p.scratch[0], job, pl)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The job cannot run before the transfer in flight ends.
+			for ip := range ev.plan.Intervals(job.Table, ev.sig) {
+				if ip.StartS < job.PausedUntilS && ip.Iterations != 0 {
+					t.Fatalf("job %s placement %v runs %v iterations at %v, inside its pause until %v",
+						job.ID, pl, ip.Iterations, ip.StartS, job.PausedUntilS)
+				}
 			}
 			cache[j][i] = cached{cost: ev.cost, feasible: ev.feasible}
 		}
@@ -174,7 +183,8 @@ func bruteForce(t *testing.T, inst bruteInstance) (best float64, ok bool) {
 // (both sides share the exact inner temporal solver, so a "win" would
 // mean the brute force is broken), and on single-job instances it
 // matches the optimum exactly — the segment-move neighborhood from
-// multi-starts covers these tiny placement spaces. On multi-job
+// multi-starts covers these tiny placement spaces — with and without a
+// transfer in flight at the start (withPause). On multi-job
 // instances with capacity contention the sequential Gauss-Seidel
 // decomposition is a heuristic with no proved bound: measured here it
 // reaches 14.75% above optimal (shape {3, 2, 3, 1}, seed 40), so the
@@ -185,26 +195,33 @@ func bruteForce(t *testing.T, inst bruteInstance) (best float64, ok bool) {
 func TestPlannerMatchesBruteForce(t *testing.T) {
 	type shape struct {
 		regions, jobs, cells, capacity int
-		exact                          bool
+		exact, paused                  bool
 	}
 	shapes := []shape{
-		{2, 1, 3, 0, true},
-		{2, 1, 4, 0, true},
-		{3, 1, 4, 0, true},
-		{2, 2, 3, 1, false}, // contended: capacity 1 per region
-		{2, 3, 2, 1, false},
-		{3, 2, 3, 1, false},
+		{2, 1, 3, 0, true, false},
+		{2, 1, 4, 0, true, false},
+		{3, 1, 4, 0, true, false},
+		{2, 2, 3, 1, false, false}, // contended: capacity 1 per region
+		{2, 3, 2, 1, false, false},
+		{3, 2, 3, 1, false, false},
+		{2, 1, 3, 0, true, true}, // the first three, withMoves and withPause drawn on
+		{2, 1, 4, 0, true, true},
+		{3, 1, 4, 0, true, true},
 	}
 	type instance struct {
 		shape
 		seed int64
 	}
-	knownMiss := instance{shape{2, 3, 2, 1, false}, 28}
+	knownMiss := instance{shape{2, 3, 2, 1, false, false}, 28}
 	var worst float64
 	for _, sh := range shapes {
 		for seed := int64(1); seed <= 40; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(sh.regions*10+sh.cells)))
 			inst := randomBruteInstance(rng, sh.regions, sh.jobs, sh.cells, sh.capacity)
+			if sh.paused {
+				withMoves(rng, &inst)
+				withPause(rng, &inst)
+			}
 			want, feasible := bruteForce(t, inst)
 
 			got, err := Optimize(inst.regions, inst.jobs, inst.opts)

@@ -27,11 +27,13 @@ import (
 //  5. the plan is the reference planner's (memo dropped before every
 //     use, every order run, nothing pruned), bit for bit — on the
 //     instance as drawn, again with power caps drawn onto it, where a
-//     memo entry can go stale, and again with origins, deadlines inside
-//     a cell and long downtime drawn on top (memo_test.go);
+//     memo entry can go stale, again with origins, deadlines inside a
+//     cell and long downtime drawn on top, and again with a transfer in
+//     flight at the start (memo_test.go);
 //  6. each job's Temporal plan is grid.Optimize's over its Signal, and
 //     its runs expand over that signal to intervals whose accounting,
-//     summed in order, is the plan's totals bit for bit.
+//     summed in order, is the plan's totals bit for bit;
+//  7. with a transfer in flight, no job runs before it ends.
 func FuzzPlan(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed%3), uint8(seed%2), uint8(seed%3), seed%2 == 0)
@@ -180,6 +182,22 @@ func FuzzPlan(f *testing.F) {
 			t.Fatalf("optimize failed on valid moved instance: %v", err)
 		}
 		requireSamePlan(t, "capped and moved", moved, optimizeReference(t, inst))
+
+		// (7) the transfer in flight, and (5) on it.
+		withPause(rng, &inst)
+		paused, err := Optimize(inst.regions, inst.jobs, inst.opts)
+		if err != nil {
+			t.Fatalf("optimize failed on valid paused instance: %v", err)
+		}
+		requireSamePlan(t, "capped, moved and paused", paused, optimizeReference(t, inst))
+		for ji, jp := range paused.Jobs {
+			j := &inst.jobs[ji]
+			for ip := range jp.Temporal.Intervals(j.Table, jp.Signal) {
+				if ip.StartS < j.PausedUntilS && ip.Iterations != 0 {
+					t.Fatalf("job %s runs %v iterations at %v, inside its pause until %v", jp.JobID, ip.Iterations, ip.StartS, j.PausedUntilS)
+				}
+			}
+		}
 	})
 }
 

@@ -92,6 +92,17 @@ func withMoves(rng *rand.Rand, inst *bruteInstance) {
 	inst.opts.Migration.DowntimeS = 2.5 * cellS * rng.Float64()
 }
 
+// withPause draws onto a brute instance the transfer a rolling re-plan
+// inherits from the plan before it: every job is paused from the start
+// for a random part of the migration downtime, the most a transfer
+// begun before the window can have left. (Kept apart from
+// randomBruteInstance, like withCaps.)
+func withPause(rng *rand.Rand, inst *bruteInstance) {
+	for i := range inst.jobs {
+		inst.jobs[i].PausedUntilS = inst.opts.Migration.DowntimeS * rng.Float64()
+	}
+}
+
 // TestMemoMatchesResetPerDescent is the differential test that licenses
 // keeping the memo for the whole solve, skipping replayed orders and
 // pruning by the Lagrangian bound: over the brute-force test's shapes —

@@ -393,7 +393,7 @@ func (p *planner) gridOptions(j *Job) grid.Options {
 // plan, copies of the signal and the cell map), never the scratch.
 func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, error) {
 	p.stats.Materialized++
-	sig, mig, cellOf := compileInto(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), p.opts.Migration, p.capOverride)
+	sig, mig, cellOf := compileInto(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), j.PausedUntilS, p.opts.Migration, p.capOverride)
 	plan, err := s.solver.Optimize(j.Table, sig, p.gridOptions(j))
 	if err != nil {
 		return nil, err
@@ -531,7 +531,7 @@ func (p *planner) propose(m *jobMemo, j *Job, pl []int) (int32, error) {
 // evaluations of the same placement always agree; every comparison the
 // planner makes is on light outcomes (see materialize).
 func (p *planner) evaluateLight(s *evalScratch, j *Job, placement []int) (outcome, error) {
-	sig, mig, _ := compileInto(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), p.opts.Migration, p.capOverride)
+	sig, mig, _ := compileInto(&s.compileScratch, p.cells, p.rates, placement, p.origin(j), j.PausedUntilS, p.opts.Migration, p.capOverride)
 	ev, err := s.solver.Evaluate(j.Table, sig, p.gridOptions(j))
 	if err != nil {
 		return outcome{}, err

@@ -90,6 +90,14 @@ type Job struct {
 	// move a job that is already running somewhere, or the re-plan would
 	// treat every move as free.
 	Origin string `json:"origin,omitempty"`
+
+	// PausedUntilS is when a checkpoint transfer already in flight
+	// ends, in seconds from trace start: the job cannot run before it
+	// wherever it is placed, as after an arrival the plan makes itself.
+	// A rolling re-planner sets it when a transfer the previous plan
+	// began outlasts the decision interval, so it is at most
+	// Options.Migration.DowntimeS. 0 means none.
+	PausedUntilS float64 `json:"paused_until_s,omitempty"`
 }
 
 func (j *Job) gpus() int {
@@ -222,19 +230,20 @@ type compileScratch struct {
 // (from the rate table) and effective cap (capOverride, when non-nil,
 // substitutes the capacity-shared cap), pauses carry a force-idle cap,
 // and each migration's downtime force-idles the start of the arrival
-// span — spilling across cells when the downtime exceeds one. It also
+// span — spilling across cells when the downtime exceeds one, as does
+// a transfer in flight until pausedUntil (see Job.PausedUntilS). It also
 // returns the migration summary (count, downtime, and the transfer
 // energy priced at each arrival cell's rates) and the
 // composite-interval → cell mapping capacity accounting needs. The
 // signal and the mapping live in cs's buffers until its next use.
-func compileInto(cs *compileScratch, cells []Cell, rates [][]cellRates, placement []int, origin int, mig MigrationCost, capOverride func(region, cell int) float64) (*grid.Signal, migSummary, []int) {
+func compileInto(cs *compileScratch, cells []Cell, rates [][]cellRates, placement []int, origin int, pausedUntil float64, mig MigrationCost, capOverride func(region, cell int) float64) (*grid.Signal, migSummary, []int) {
 	var sum migSummary
 	sig := &cs.sig
 	sig.Name = "composite"
 	sig.Intervals = sig.Intervals[:0]
 	cellOf := cs.cellOf[:0]
-	idleUntil := math.Inf(-1) // downtime window currently being served
-	prev := origin            // last placed region, for arrival detection
+	idleUntil := pausedUntil // downtime window currently being served
+	prev := origin           // last placed region, for arrival detection
 	for k, c := range cells {
 		r := placement[k]
 		var carbon, price, capW float64
@@ -343,6 +352,13 @@ func validate(regions []Region, jobs []Job, opts Options) error {
 	m := opts.Migration
 	if math.IsNaN(m.DowntimeS) || m.DowntimeS < 0 || math.IsNaN(m.EnergyJ) || m.EnergyJ < 0 {
 		return fmt.Errorf("region: migration cost must be non-negative, got %+v", m)
+	}
+	for i := range jobs {
+		// What a transfer begun before the window can have left: so any
+		// arrival the plan makes ends after it.
+		if p := jobs[i].PausedUntilS; !(p >= 0 && p <= m.DowntimeS) {
+			return fmt.Errorf("region: job %q pause must be in [0, %v], the migration downtime, got %v", jobs[i].ID, m.DowntimeS, p)
+		}
 	}
 	return nil
 }

@@ -24,7 +24,7 @@ func convexTable(unit float64, tminU, tstarU int64, a, b float64) *frontier.Look
 
 // compile is compileInto on fresh buffers and the regions' own rates.
 func compile(regions []Region, cells []Cell, placement []int, origin int, mig MigrationCost, capOverride func(region, cell int) float64) (*grid.Signal, migSummary, []int) {
-	return compileInto(&compileScratch{}, cells, rateTable(regions, cells), placement, origin, mig, capOverride)
+	return compileInto(&compileScratch{}, cells, rateTable(regions, cells), placement, origin, 0, mig, capOverride)
 }
 
 // flatSignal builds a constant-rate signal over [0, dur).
@@ -57,6 +57,10 @@ func TestValidateErrors(t *testing.T) {
 		{"bad target", good, []Job{{ID: "j", Table: lt, Target: -1}}, Options{}},
 		{"bad deadline", good, []Job{{ID: "j", Table: lt, Target: 1, DeadlineS: -3}}, Options{}},
 		{"inf deadline", good, []Job{{ID: "j", Table: lt, Target: 1, DeadlineS: math.Inf(1)}}, Options{}},
+		{"nan pause", good, []Job{{ID: "j", Table: lt, Target: 1, PausedUntilS: math.NaN()}}, Options{}},
+		{"negative pause", good, []Job{{ID: "j", Table: lt, Target: 1, PausedUntilS: -1}}, Options{}},
+		{"inf pause", good, []Job{{ID: "j", Table: lt, Target: 1, PausedUntilS: math.Inf(1)}}, Options{}},
+		{"pause past downtime", good, []Job{{ID: "j", Table: lt, Target: 1, PausedUntilS: 61}}, Options{Migration: MigrationCost{DowntimeS: 60}}},
 		{"bad migration", good, []Job{goodJob}, Options{Migration: MigrationCost{DowntimeS: -1}}},
 		{"bad objective", good, []Job{goodJob}, Options{Objective: "vibes"}},
 	}

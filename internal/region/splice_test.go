@@ -8,15 +8,15 @@ import (
 )
 
 // value is the bound on placement walked in full, the reference splice
-// is held to: compileInto's walk — the origin, a pause keeping the last
-// region, each arrival charged at its cell's rates and idling the
+// is held to: compileInto's walk — the origin, the transfer in flight
+// idling the start, a pause keeping the last region, each arrival charged at its cell's rates and idling the
 // downtime from the arrival on, across as many cells as it covers, and
 // every cell cut at the deadline — with each run second priced at its
 // cell's reduced cost.
 func (b *bound) value(p *planner, placement []int) float64 {
 	mig := p.opts.Migration
 	var run, moved float64
-	idleUntil := math.Inf(-1)
+	idleUntil := b.pause
 	prev := b.origin
 	for k, c := range p.cells {
 		r := placement[k]
@@ -39,7 +39,8 @@ func (b *bound) value(p *planner, placement []int) float64 {
 // spliceInstances lists the instances TestSpliceMatchesValue prices on:
 // FuzzPlan's seed inputs at each of its three stages (as drawn, capped,
 // capped and moved), then longer random ones with power caps, origins,
-// deadlines inside a cell and downtime up to two and a half cells.
+// deadlines inside a cell and downtime up to two and a half cells, each
+// again with a transfer in flight at the start.
 func spliceInstances() []bruteInstance {
 	var out []bruteInstance
 	for seed := int64(1); seed <= 8; seed++ {
@@ -63,6 +64,9 @@ func spliceInstances() []bruteInstance {
 		inst := randomBruteInstance(rng, 2+rng.Intn(2), 2, 6+rng.Intn(7), 0)
 		withCaps(rng, &inst)
 		withMoves(rng, &inst)
+		out = append(out, inst)
+		inst = cloneInstance(inst)
+		withPause(rng, &inst)
 		out = append(out, inst)
 	}
 	return out
@@ -102,7 +106,7 @@ func randomPlacement(rng *rand.Rand, nRegions, nCells int) []int {
 // — priced against the walk of a second random placement — must equal
 // bound.value on the spliced placement to 1e-12 of the terms' size.
 func TestSpliceMatchesValue(t *testing.T) {
-	var checked, origins, cut, spilled, pausedRuns int
+	var checked, origins, cut, spilled, pausedRuns, inFlight int
 	var worst float64
 	for n, inst := range spliceInstances() {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -120,6 +124,9 @@ func TestSpliceMatchesValue(t *testing.T) {
 			}
 			if j.DeadlineS > 0 && j.DeadlineS < p.horizon {
 				cut++
+			}
+			if j.PausedUntilS > 0 {
+				inFlight++
 			}
 			out, err := p.evaluateLight(&p.scratch[0], j, p.starts(j)[0])
 			if err != nil {
@@ -173,9 +180,9 @@ func TestSpliceMatchesValue(t *testing.T) {
 			}
 		}
 	}
-	if checked < 50000 || origins == 0 || cut == 0 || spilled == 0 || pausedRuns == 0 {
-		t.Fatalf("checked %d splices (%d origins, %d deadlines inside a cell, %d spilling downtimes, %d placements with pauses): the draw misses a case",
-			checked, origins, cut, spilled, pausedRuns)
+	if checked < 50000 || origins == 0 || cut == 0 || spilled == 0 || pausedRuns == 0 || inFlight == 0 {
+		t.Fatalf("checked %d splices (%d origins, %d deadlines inside a cell, %d spilling downtimes, %d placements with pauses, %d jobs with a transfer in flight): the draw misses a case",
+			checked, origins, cut, spilled, pausedRuns, inFlight)
 	}
 	t.Logf("checked %d splices; worst relative gap %.1e", checked, worst)
 }
