@@ -6,6 +6,8 @@
 package perseus
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,6 +22,7 @@ import (
 	"perseus/internal/client"
 	"perseus/internal/dag"
 	"perseus/internal/experiments"
+	"perseus/internal/fit"
 	"perseus/internal/fleet"
 	"perseus/internal/frontier"
 	"perseus/internal/gpu"
@@ -255,8 +258,8 @@ var charShapes = []struct {
 // the named characterize-workload shape at seed 1, drawing each stage's
 // ±2 % speed offset from the seeded stream in the order bench/gen.go
 // does: the shapes in a seeded order, one draw per virtual stage.
-func charShape(b *testing.B, name string) (*dag.Graph, *profile.Profile, float64) {
-	b.Helper()
+func charShape(tb testing.TB, name string) (*dag.Graph, *profile.Profile, float64) {
+	tb.Helper()
 	g := gpu.A100PCIe
 	rng := rand.New(rand.NewSource(1))
 	for _, i := range rng.Perm(len(charShapes)) {
@@ -269,18 +272,18 @@ func charShape(b *testing.B, name string) (*dag.Graph, *profile.Profile, float64
 		}
 		m, err := model.ByName(sp.model)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		part, err := partition.MinImbalance(m.LayerCosts(), sp.stages*sp.chunks)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		refs, err := profile.Workload{
 			Model: m, GPU: g, Stages: sp.stages, Chunks: sp.chunks,
 			Partition: part.Boundaries, MicrobatchSize: sp.mbSize, TensorParallel: 1,
 		}.StageRefTimes()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var meas []profile.Measurement
 		for v, ref := range refs {
@@ -295,20 +298,80 @@ func charShape(b *testing.B, name string) (*dag.Graph, *profile.Profile, float64
 		}
 		sc, err := sched.ByName(sp.schedule, sp.stages, sp.microbatches, sp.chunks)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		graph, err := dag.Build(sc, func(sched.Op) int64 { return 1 })
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		prof, err := profile.Assemble(g, profile.MeasurePBlocking(g), meas)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return graph, prof, sp.unit
 	}
-	b.Fatalf("no characterize shape %s", name)
+	tb.Fatalf("no characterize shape %s", name)
 	return nil, nil, 0
+}
+
+// charTableSHA256 is the SHA-256 of each characterize-workload shape's
+// lookup table as PLT1 bytes, recorded before FitExp's search moved to
+// Brent's method. A change to the fit, the profile assembly or the
+// optimizer that moves any table by a byte fails TestCharTablesPinned.
+var charTableSHA256 = map[string]string{
+	"gpt3-1.3b-1f1b":             "5639dffddb285abaa0cda3d8bb6837bfa1969a2c708a85782f312b2ff0f8908b",
+	"gpt3-1.3b-gpipe":            "2668c7d8a984a72132038fed2a71bbb84fc3402af179f97c448ba3b544785a95",
+	"bert-1.3b-1f1b":             "eef769231b4f5e9f15af11731166b594b28ecf94bd37294f631f9d7abebbced5",
+	"gpt3-2.7b-interleaved-1f1b": "4f0984987e8fb116105e0744c79590faa55fb1e02f73480ac119a860251102fc",
+	"t5-3b-early-recompute-1f1b": "c38678da5e0bd477a2abe7bba69b6834eb46c5fe688874f4a2c4616a7ae974f8",
+	"bloom-3b-1f1b":              "0b4b5a6f2cadb2ce32f5b5a8988b98823f7850fa18d9deac4f6d0577d5e27dfa",
+}
+
+// TestCharTablesPinned characterizes the six characterize-workload shapes
+// as the server does and holds each table's PLT1 bytes to charTableSHA256.
+func TestCharTablesPinned(t *testing.T) {
+	for _, sp := range charShapes {
+		name := sp.model + "-" + sp.schedule
+		graph, prof, unit := charShape(t, name)
+		f, err := frontier.Characterize(graph, prof, frontier.Options{Unit: unit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := f.Table().Save(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != charTableSHA256[name] {
+			t.Errorf("%s: table SHA-256 %s, want %s", name, got, charTableSHA256[name])
+		}
+	}
+}
+
+// BenchmarkFitExp fits the exponential to a backward computation's A100
+// sweep, blocking power subtracted: its 25 Pareto points, as
+// profile.Assemble fits them, and all 81 frequencies.
+func BenchmarkFitExp(b *testing.B) {
+	g := gpu.A100PCIe
+	pb := profile.MeasurePBlocking(g)
+	var sweep []gpu.Point // counts down from FMax, so time increases
+	for _, f := range g.Frequencies() {
+		t := g.Time(0.05, f, g.MemBoundBwd)
+		sweep = append(sweep, gpu.Point{Freq: f, Time: t, Energy: g.Energy(0.05, f, g.MemBoundBwd) - pb*t})
+	}
+	for _, pts := range [][]gpu.Point{g.ParetoPoints(0.05, g.MemBoundBwd, pb), sweep} {
+		ts, es := make([]float64, len(pts)), make([]float64, len(pts))
+		for i, p := range pts {
+			ts[i], es[i] = p.Time, p.Energy
+		}
+		b.Run(fmt.Sprintf("points-%d", len(pts)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := fit.FitExp(ts, es); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCharacterize times frontier.Characterize alone on two of the

@@ -4,6 +4,12 @@
 // computation. The exponential captures the diminishing returns of
 // spending energy to reduce computation time and turns the NP-hard
 // discrete problem into an efficiently solvable continuous one.
+//
+// The fit runs inside every profile upload, once per computation type,
+// so the first schedule waits on it. For a fixed rate b the best (a, c)
+// are a linear least-squares solve, so FitExp searches b alone: a
+// 24-rate log grid, then Brent's method, about 34 evaluations of the
+// squared error per fit.
 package fit
 
 import (
@@ -35,20 +41,27 @@ func (e Exp) String() string {
 	return fmt.Sprintf("%.6g*exp(%.6g*(t-%.6g))+%.6g", e.A, e.B, e.T0, e.C)
 }
 
-// decayRates is FitExp's bracketing grid, 60 rates from 0.01 to 100
-// spaced evenly in log scale. It does not depend on the data, so it is
-// computed once.
-var decayRates = func() (r [60]float64) {
+// decayRates is FitExp's bracketing grid, 24 rates from 0.01 to 100
+// spaced evenly in log scale, a factor of about 1.49 apart, so the best
+// one's neighbours lie inside the [3b, b/3] interval Brent's method
+// refines. It does not depend on the data, so it is computed once.
+var decayRates = func() (r [24]float64) {
 	for k := range r {
-		r[k] = math.Pow(10, -2+4*float64(k)/59)
+		r[k] = math.Pow(10, -2+4*float64(k)/23)
 	}
 	return r
 }()
 
 // FitExp fits e(t) = a·e^{b·(t−t0)} + c to the points by least squares:
 // for each candidate decay rate b, the optimal (a, c) solve a 2×2 linear
-// system; b itself is found by golden-section search over a log-spaced
-// bracket. Points must be at least three, with strictly increasing times.
+// system. b itself is bracketed on a log-spaced grid and refined with
+// Brent's method (parabolic steps, golden-section steps where a parabola
+// is not trusted) from the best grid point, to a relative tolerance of
+// √ε. The SSE is flat to rounding that close to its minimum, so further
+// steps would only follow rounding noise. The refinement starts at the
+// best grid point and only moves to a lower SSE, so the fit is never
+// worse than that point. Points must be at least three, with strictly
+// increasing times.
 func FitExp(ts, es []float64) (Exp, error) {
 	if len(ts) != len(es) {
 		return Exp{}, fmt.Errorf("fit: %d times vs %d energies", len(ts), len(es))
@@ -100,38 +113,91 @@ func FitExp(ts, es []float64) (Exp, error) {
 	}
 
 	// Bracket b over decay rates spanning "barely curved" to "cliff".
-	bestB, bestSSE := -1.0/span, math.Inf(1)
+	x, fx := -1.0/span, math.Inf(1)
+	var a, c float64
 	for _, rate := range decayRates {
 		b := -rate / span // 0.01/span .. 100/span
-		if s, _, _ := sse(b); s < bestSSE {
-			bestSSE, bestB = s, b
+		if s, sa, sc := sse(b); s < fx {
+			x, fx, a, c = b, s, sa, sc
 		}
 	}
-	// Golden-section refinement around the best grid point.
-	lo, hi := bestB*3, bestB/3 // lo < hi (both negative)
-	const phi = 0.6180339887498949
-	x1 := hi - phi*(hi-lo)
-	x2 := lo + phi*(hi-lo)
-	f1, _, _ := sse(x1)
-	f2, _, _ := sse(x2)
-	for iter := 0; iter < 80; iter++ {
-		if f1 < f2 {
-			hi, x2, f2 = x2, x1, f1
-			x1 = hi - phi*(hi-lo)
-			f1, _, _ = sse(x1)
+
+	// Brent's minimization on [3x, x/3] (both negative), after Brent,
+	// "Algorithms for Minimization without Derivatives" (1973), ch. 5:
+	// x is the lowest point yet, w the second lowest, v the one before
+	// w; d is the last step and e the one before it. The tolerance is
+	// met within a few dozen steps; the cap is only a guard.
+	const (
+		cgold = 0.3819660112501051    // (3 − √5)/2
+		tol   = 1.4901161193847656e-8 // √ε
+	)
+	lo, hi := 3*x, x/3
+	w, v, fw, fv := x, x, fx, fx
+	var d, e float64
+	for range 100 {
+		mid := (lo + hi) / 2
+		tol1 := tol * math.Abs(x)
+		tol2 := 2 * tol1
+		if math.Abs(x-mid) <= tol2-(hi-lo)/2 {
+			break
+		}
+		golden := true
+		if math.Abs(e) > tol1 {
+			// Parabola through x, w, v; its vertex is x + p/q.
+			r := (x - w) * (fx - fv)
+			q := (x - v) * (fx - fw)
+			p := (x-v)*q - (x-w)*r
+			q = 2 * (q - r)
+			if q > 0 {
+				p = -p
+			} else {
+				q = -q
+			}
+			// Take it only if it is inside the interval and shorter than
+			// half the step before last (false for NaN, too).
+			if math.Abs(p) < math.Abs(q*e/2) && p > q*(lo-x) && p < q*(hi-x) {
+				e, d = d, p/q
+				if t := x + d; t-lo < tol2 || hi-t < tol2 {
+					d = math.Copysign(tol1, mid-x)
+				}
+				golden = false
+			}
+		}
+		if golden {
+			if x >= mid {
+				e = lo - x
+			} else {
+				e = hi - x
+			}
+			d = cgold * e
+		}
+		t := x + d
+		if math.Abs(d) < tol1 {
+			t = x + math.Copysign(tol1, d)
+		}
+		ft, ta, tc := sse(t)
+		if ft <= fx {
+			if t >= x {
+				lo = x
+			} else {
+				hi = x
+			}
+			v, fv, w, fw = w, fw, x, fx
+			x, fx, a, c = t, ft, ta, tc
+			continue
+		}
+		if t < x {
+			lo = t
 		} else {
-			lo, x1, f1 = x1, x2, f2
-			x2 = lo + phi*(hi-lo)
-			f2, _, _ = sse(x2)
+			hi = t
+		}
+		if ft <= fw || w == x {
+			v, fv, w, fw = w, fw, t, ft
+		} else if ft <= fv || v == x || v == w {
+			v, fv = t, ft
 		}
 	}
-	b := (lo + hi) / 2
-	s, a, c := sse(b)
-	if s > bestSSE {
-		b = bestB
-		_, a, c = sse(b)
-	}
-	return Exp{A: a, B: b, C: c, T0: t0}, nil
+	return Exp{A: a, B: x, C: c, T0: t0}, nil
 }
 
 // PiecewiseLinear interpolates linearly between measured points; outside

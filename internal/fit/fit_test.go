@@ -141,9 +141,10 @@ func TestExpString(t *testing.T) {
 	}
 }
 
-// referenceFitExp is FitExp as it was before it kept each candidate's
-// exponentials for the residual pass and hoisted the offsets and Σe:
-// the reference the faster one must equal bit for bit.
+// referenceFitExp is the exhaustive search FitExp replaced: 60 grid
+// rates and 80 golden-section steps, down to the last ULP of b, with
+// each candidate's sums and exponentials recomputed from scratch. It is
+// the oracle FitExp must fit no worse than.
 func referenceFitExp(ts, es []float64) Exp {
 	t0 := ts[0]
 	span := ts[len(ts)-1] - ts[0]
@@ -202,12 +203,24 @@ func referenceFitExp(ts, es []float64) Exp {
 	return Exp{A: a, B: b, C: c, T0: t0}
 }
 
-// TestFitExpMatchesReference requires FitExp to return exactly what
-// referenceFitExp does, == on every field, over random point sets:
-// noisy exponentials and plain noise, 3 to 40 points.
-func TestFitExpMatchesReference(t *testing.T) {
+// fitSSE is the fit's sum of squared residuals over the points.
+func fitSSE(c Exp, ts, es []float64) float64 {
+	var s float64
+	for i := range ts {
+		r := c.Eval(ts[i]) - es[i]
+		s += r * r
+	}
+	return s
+}
+
+// TestFitExpNoWorseThanReference requires FitExp's SSE to be no worse
+// than referenceFitExp's, over random point sets: noisy exponentials and
+// plain noise, 3 to 40 points. Both stop where the SSE is flat to
+// rounding, at different b, so the bound allows a relative 1e-6 plus
+// 1e-12·Σe² for fits that are exact up to rounding.
+func TestFitExpNoWorseThanReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 5000; trial++ {
 		n := 3 + rng.Intn(38)
 		truth := Exp{A: 1 + 100*rng.Float64(), B: -rng.ExpFloat64() / 10, C: 200 * rng.Float64(), T0: 50 * rng.Float64()}
 		ts, es := make([]float64, n), make([]float64, n)
@@ -224,8 +237,13 @@ func TestFitExpMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := referenceFitExp(ts, es); got != want {
-			t.Fatalf("trial %d: FitExp %+v, reference %+v", trial, got, want)
+		var sumE2 float64
+		for _, e := range es {
+			sumE2 += e * e
+		}
+		want := referenceFitExp(ts, es)
+		if g, w := fitSSE(got, ts, es), fitSSE(want, ts, es); g > w*(1+1e-6)+1e-12*sumE2 {
+			t.Fatalf("trial %d: FitExp %+v SSE %g, reference %+v SSE %g", trial, got, g, want, w)
 		}
 	}
 }

@@ -404,27 +404,36 @@ func byType(ms []Measurement) [][]Measurement {
 	return sweeps
 }
 
-// fitSweep builds one type's profile from its measurements, which it
-// reorders.
+// fitSweep builds one type's profile from its measurements.
 func fitSweep(ms []Measurement, pBlocking float64) (*TypeProfile, error) {
 	key := TypeKey{ms[0].Virtual, ms[0].Kind}
-	// One cell per frequency: a stable sort keeps a frequency's repeats in
-	// the order they were taken, so each mean adds them in that order.
-	slices.SortStableFunc(ms, func(a, b Measurement) int { return cmp.Compare(a.Freq, b.Freq) })
+	// One cell per frequency. The positions are sorted by (frequency,
+	// position), the stable order, so a frequency's repeats keep the
+	// order they were taken in and each mean adds them in that order.
+	// No two keys are equal, so a sweep that counts down from FMax, as
+	// trainers send it, is a run pdqsort reverses and checks in O(n).
+	order := make([]int, len(ms))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		return cmp.Or(cmp.Compare(ms[i].Freq, ms[j].Freq), cmp.Compare(i, j))
+	})
 	type cell struct {
 		gpu.Point
 		raw float64
 	}
 	cells := make([]cell, 0, len(ms))
-	for i := 0; i < len(ms); {
+	for i := 0; i < len(order); {
+		f := ms[order[i]].Freq
 		var t, e float64
 		j := i
-		for ; j < len(ms) && ms[j].Freq == ms[i].Freq; j++ {
-			t += ms[j].Time
-			e += ms[j].Energy
+		for ; j < len(order) && ms[order[j]].Freq == f; j++ {
+			t += ms[order[j]].Time
+			e += ms[order[j]].Energy
 		}
 		t, e = t/float64(j-i), e/float64(j-i)
-		cells = append(cells, cell{gpu.Point{Freq: ms[i].Freq, Time: t, Energy: e - pBlocking*t}, e})
+		cells = append(cells, cell{gpu.Point{Freq: f, Time: t, Energy: e - pBlocking*t}, e})
 		i = j
 	}
 	// Pareto-prune on adjusted energy. Of two frequencies with the same
