@@ -54,14 +54,13 @@ var decayRates = func() (r [24]float64) {
 
 // FitExp fits e(t) = a·e^{b·(t−t0)} + c to the points by least squares:
 // for each candidate decay rate b, the optimal (a, c) solve a 2×2 linear
-// system. b itself is bracketed on a log-spaced grid and refined with
-// Brent's method (parabolic steps, golden-section steps where a parabola
-// is not trusted) from the best grid point, to a relative tolerance of
-// √ε. The SSE is flat to rounding that close to its minimum, so further
-// steps would only follow rounding noise. The refinement starts at the
-// best grid point and only moves to a lower SSE, so the fit is never
-// worse than that point. Points must be at least three, with strictly
-// increasing times.
+// system. b itself is bracketed on a log-spaced grid and refined from the
+// best grid point with Brent's method (parabolic steps, golden-section
+// steps where a parabola is not trusted) to a relative tolerance of √ε:
+// that close to its minimum the SSE is flat to rounding, so further
+// steps would only follow rounding noise. The refinement only moves to a
+// lower SSE, so the fit is never worse than the best grid point. Points
+// must be at least three, with strictly increasing times.
 func FitExp(ts, es []float64) (Exp, error) {
 	if len(ts) != len(es) {
 		return Exp{}, fmt.Errorf("fit: %d times vs %d energies", len(ts), len(es))
