@@ -769,6 +769,67 @@ func BenchmarkProfileUpload(b *testing.B) {
 	b.ReportMetric(float64(size), "bytes/op")
 }
 
+// BenchmarkAssemble times profile.Assemble alone on two sweeps of the
+// same 8-stage job (16 computation types), both counting down from FMax
+// as trainers send them. "repeats-1" is BenchmarkProfileUpload's: one
+// measurement per frequency and type, all 81 frequencies. "repeats-40" is
+// what client.Trainer.ProfileSweep(5) collects with 8 microbatches: 40
+// repeats per frequency and type, until its stopping rule ends the sweep.
+func BenchmarkAssemble(b *testing.B) {
+	g := gpu.A100PCIe
+	up := benchUpload(b, 8)
+	one := make([]profile.Measurement, len(up.Measurements))
+	for i, m := range up.Measurements {
+		kind := sched.Forward
+		if m.Kind == "backward" {
+			kind = sched.Backward
+		}
+		one[i] = profile.Measurement{Virtual: m.Virtual, Kind: kind, Freq: gpu.Frequency(m.Freq), Time: m.Time, Energy: m.Energy}
+	}
+	m, err := model.GPT3("1.3b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := partition.MinImbalance(m.LayerCosts(), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := profile.Workload{
+		Model: m, GPU: g, Stages: 8, Chunks: 1,
+		Partition: part.Boundaries, MicrobatchSize: 4, TensorParallel: 1,
+	}
+	refs, err := w.StageRefTimes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sched.OneFOneB(8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := client.NewTrainer(s, g, refs, m.BwdFactor)
+	if err != nil {
+		b.Fatal(err)
+	}
+	swept, err := tr.ProfileSweep(5)
+	tr.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ms   []profile.Measurement
+	}{{"repeats-1", one}, {"repeats-40", swept}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := profile.Assemble(g, up.PBlocking, c.ms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchJob registers one job on the server and waits for its frontier.
 func benchJob(b *testing.B, srv *server.Server, up server.ProfileUpload) string {
 	b.Helper()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -158,6 +159,29 @@ func TestAssembleMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s at GOMAXPROCS %d: profile differs from the reference", in.name, procs)
 			}
+		}
+	}
+}
+
+// TestAssembleRepeatedBlocks holds Assemble to the reference on sweeps
+// sent as trainers send them, each frequency one block of jittered
+// repeats, counting down from FMax and, reversed, up.
+func TestAssembleRepeatedBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	down := sweepMeasurements(gpu.A100PCIe, []float64{0.031, 0.042, 0.038}, 5, 0.01, rng)
+	up := slices.Clone(down)
+	slices.Reverse(up)
+	for name, ms := range map[string][]Measurement{"down": down, "up": up} {
+		want, err := referenceAssemble(gpu.A100PCIe, 70, ms)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		got, err := Assemble(gpu.A100PCIe, 70, ms)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: profile differs from the reference", name)
 		}
 	}
 }

@@ -407,34 +407,44 @@ func byType(ms []Measurement) [][]Measurement {
 // fitSweep builds one type's profile from its measurements.
 func fitSweep(ms []Measurement, pBlocking float64) (*TypeProfile, error) {
 	key := TypeKey{ms[0].Virtual, ms[0].Kind}
-	// One cell per frequency. The positions are sorted by (frequency,
-	// position), the stable order, so a frequency's repeats keep the
-	// order they were taken in and each mean adds them in that order.
-	// No two keys are equal, so a sweep that counts down from FMax, as
-	// trainers send it, is a run pdqsort reverses and checks in O(n).
-	order := make([]int, len(ms))
-	for i := range order {
-		order[i] = i
+	// One cell per frequency, the mean of its repeats added in the order
+	// they were taken. The sweep is cut into runs of one frequency, and
+	// the runs are sorted by (frequency, start), so a frequency's runs
+	// meet in that order. The cut is O(n). A sweep that sends each
+	// frequency as one block, of one measurement or of a trainer's
+	// repeats, and counts down from FMax (or up) has strictly monotone
+	// run keys, which pdqsort reverses or checks in O(runs).
+	type run struct{ start, end int }
+	var runs []run
+	for i := 0; i < len(ms); {
+		j := i + 1
+		for j < len(ms) && ms[j].Freq == ms[i].Freq {
+			j++
+		}
+		runs = append(runs, run{i, j})
+		i = j
 	}
-	slices.SortFunc(order, func(i, j int) int {
-		return cmp.Or(cmp.Compare(ms[i].Freq, ms[j].Freq), cmp.Compare(i, j))
+	slices.SortFunc(runs, func(a, b run) int {
+		return cmp.Or(cmp.Compare(ms[a.start].Freq, ms[b.start].Freq), cmp.Compare(a.start, b.start))
 	})
 	type cell struct {
 		gpu.Point
 		raw float64
 	}
-	cells := make([]cell, 0, len(ms))
-	for i := 0; i < len(order); {
-		f := ms[order[i]].Freq
+	cells := make([]cell, 0, len(runs))
+	for i := 0; i < len(runs); {
+		f := ms[runs[i].start].Freq
 		var t, e float64
-		j := i
-		for ; j < len(order) && ms[order[j]].Freq == f; j++ {
-			t += ms[order[j]].Time
-			e += ms[order[j]].Energy
+		n := 0
+		for ; i < len(runs) && ms[runs[i].start].Freq == f; i++ {
+			for _, m := range ms[runs[i].start:runs[i].end] {
+				t += m.Time
+				e += m.Energy
+			}
+			n += runs[i].end - runs[i].start
 		}
-		t, e = t/float64(j-i), e/float64(j-i)
+		t, e = t/float64(n), e/float64(n)
 		cells = append(cells, cell{gpu.Point{Freq: f, Time: t, Energy: e - pBlocking*t}, e})
-		i = j
 	}
 	// Pareto-prune on adjusted energy. Of two frequencies with the same
 	// mean time the cheaper one is kept, and of two with the same time and

@@ -6,7 +6,12 @@
 # no record is ever overwritten. scripts/bench_compare.sh diffs two
 # records.
 #
-# Usage: scripts/bench.sh output.json
+# BENCH_COUNT (default 1) runs each benchmark that many times, and the
+# record keeps each series' median ns/op, B/op and allocs/op (the lower
+# middle run for an even count), so one noisy run does not become the
+# next comparison's baseline.
+#
+# Usage: [BENCH_COUNT=5] scripts/bench.sh output.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,10 +24,11 @@ if [[ -e "$out" ]]; then
   echo "bench.sh: $out exists; name a new record" >&2
   exit 2
 fi
-pattern='^(BenchmarkProfileUpload|BenchmarkFitExp|BenchmarkOptimizerRuntime|BenchmarkCharacterize|BenchmarkAblationMaxFlowSolver|BenchmarkFrontierTable|BenchmarkScheduleLookup|BenchmarkClusterSimulation|BenchmarkFrontierMerge|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
+pattern='^(BenchmarkProfileUpload|BenchmarkAssemble|BenchmarkFitExp|BenchmarkOptimizerRuntime|BenchmarkCharacterize|BenchmarkAblationMaxFlowSolver|BenchmarkFrontierTable|BenchmarkScheduleLookup|BenchmarkClusterSimulation|BenchmarkFrontierMerge|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
 
 procs="${GOMAXPROCS:-$(nproc)}"
-raw=$(go test -run '^$' -bench "$pattern" -benchmem .)
+count="${BENCH_COUNT:-1}"
+raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" .)
 echo "$raw" >&2
 
 {
@@ -33,8 +39,20 @@ echo "$raw" >&2
   printf '  "cpu": "%s",\n' "$(echo "$raw" | sed -n 's/^cpu: //p' | head -1)"
   printf '  "nproc": %s,\n' "$(nproc)"
   printf '  "gomaxprocs": %s,\n' "$procs"
+  printf '  "count": %s,\n' "$count"
   printf '  "benchmarks": [\n'
   echo "$raw" | awk -v procs="$procs" '
+    # The median of a space-separated list: an element, so it prints as
+    # the benchmark wrote it.
+    function median(list,   a, n, i, j, t) {
+      n = split(list, a, " ")
+      for (i = 2; i <= n; i++) {
+        t = a[i]
+        for (j = i - 1; j > 0 && a[j] + 0 > t + 0; j--) a[j + 1] = a[j]
+        a[j + 1] = t
+      }
+      return a[int((n + 1) / 2)]
+    }
     /^Benchmark/ && /ns\/op/ {
       name = $1
       # Strip the -GOMAXPROCS suffix (absent when it is 1) without
@@ -46,11 +64,18 @@ echo "$raw" >&2
         if ($i == "B/op")      bytes = $(i-1)
         if ($i == "allocs/op") allocs = $(i-1)
       }
-      if (n++) printf ",\n"
-      printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        name, ns, (bytes == "" ? 0 : bytes), (allocs == "" ? 0 : allocs)
+      if (!(name in nsl)) order[++n] = name
+      nsl[name] = nsl[name] " " ns
+      bl[name] = bl[name] " " (bytes == "" ? 0 : bytes)
+      al[name] = al[name] " " (allocs == "" ? 0 : allocs)
     }
-    END { printf "\n" }
+    END {
+      for (k = 1; k <= n; k++) {
+        name = order[k]
+        printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
+          name, median(nsl[name]), median(bl[name]), median(al[name]), (k < n ? "," : "")
+      }
+    }
   '
   printf '  ]\n'
   printf '}\n'
