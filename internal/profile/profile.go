@@ -415,14 +415,18 @@ func fitSweep(ms []Measurement, pBlocking float64) (*TypeProfile, error) {
 	// repeats, and counts down from FMax (or up) has strictly monotone
 	// run keys, which pdqsort reverses or checks in O(runs).
 	type run struct{ start, end int }
-	var runs []run
-	for i := 0; i < len(ms); {
-		j := i + 1
-		for j < len(ms) && ms[j].Freq == ms[i].Freq {
-			j++
+	n := 1
+	for i := 1; i < len(ms); i++ {
+		if ms[i].Freq != ms[i-1].Freq {
+			n++
 		}
-		runs = append(runs, run{i, j})
-		i = j
+	}
+	runs := make([]run, 0, n)
+	for i := range ms {
+		if i == 0 || ms[i].Freq != ms[i-1].Freq {
+			runs = append(runs, run{i, i})
+		}
+		runs[len(runs)-1].end++
 	}
 	slices.SortFunc(runs, func(a, b run) int {
 		return cmp.Or(cmp.Compare(ms[a.start].Freq, ms[b.start].Freq), cmp.Compare(a.start, b.start))
@@ -435,15 +439,15 @@ func fitSweep(ms []Measurement, pBlocking float64) (*TypeProfile, error) {
 	for i := 0; i < len(runs); {
 		f := ms[runs[i].start].Freq
 		var t, e float64
-		n := 0
+		k := 0
 		for ; i < len(runs) && ms[runs[i].start].Freq == f; i++ {
 			for _, m := range ms[runs[i].start:runs[i].end] {
 				t += m.Time
 				e += m.Energy
 			}
-			n += runs[i].end - runs[i].start
+			k += runs[i].end - runs[i].start
 		}
-		t, e = t/float64(n), e/float64(n)
+		t, e = t/float64(k), e/float64(k)
 		cells = append(cells, cell{gpu.Point{Freq: f, Time: t, Energy: e - pBlocking*t}, e})
 	}
 	// Pareto-prune on adjusted energy. Of two frequencies with the same

@@ -6,12 +6,15 @@
 # no record is ever overwritten. scripts/bench_compare.sh diffs two
 # records.
 #
-# BENCH_COUNT (default 1) runs each benchmark that many times, and the
-# record keeps each series' median ns/op, B/op and allocs/op (the lower
-# middle run for an even count), so one noisy run does not become the
-# next comparison's baseline.
+# BENCH_COUNT (default 1) runs each benchmark that many times. The record
+# keeps each series' median ns/op, B/op and allocs/op (the lower middle
+# run for an even count) and its number of runs, so one noisy run does
+# not become the next comparison's baseline. BENCH_RAW names a file of
+# `go test -bench -benchmem` output to record instead of running the
+# suite: several runs of this commit alternated with runs of another, so
+# that drift on a shared host falls on both records alike.
 #
-# Usage: [BENCH_COUNT=5] scripts/bench.sh output.json
+# Usage: [BENCH_COUNT=5] [BENCH_RAW=runs.txt] scripts/bench.sh output.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,9 +30,12 @@ fi
 pattern='^(BenchmarkProfileUpload|BenchmarkAssemble|BenchmarkFitExp|BenchmarkOptimizerRuntime|BenchmarkCharacterize|BenchmarkAblationMaxFlowSolver|BenchmarkFrontierTable|BenchmarkScheduleLookup|BenchmarkClusterSimulation|BenchmarkFrontierMerge|BenchmarkGridOptimize|BenchmarkRegionPlan|BenchmarkRegionPlanWarm|BenchmarkFleetAllocate|BenchmarkServerPlanCold|BenchmarkServerPlanCached|BenchmarkDecodePlan|BenchmarkSocketFetch|BenchmarkControllerTick|BenchmarkLedgerSettle)$'
 
 procs="${GOMAXPROCS:-$(nproc)}"
-count="${BENCH_COUNT:-1}"
-raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "$count" .)
-echo "$raw" >&2
+if [[ -n "${BENCH_RAW:-}" ]]; then
+  raw=$(cat "$BENCH_RAW")
+else
+  raw=$(go test -run '^$' -bench "$pattern" -benchmem -count "${BENCH_COUNT:-1}" .)
+  echo "$raw" >&2
+fi
 
 {
   printf '{\n'
@@ -39,7 +45,6 @@ echo "$raw" >&2
   printf '  "cpu": "%s",\n' "$(echo "$raw" | sed -n 's/^cpu: //p' | head -1)"
   printf '  "nproc": %s,\n' "$(nproc)"
   printf '  "gomaxprocs": %s,\n' "$procs"
-  printf '  "count": %s,\n' "$count"
   printf '  "benchmarks": [\n'
   echo "$raw" | awk -v procs="$procs" '
     # The median of a space-separated list: an element, so it prints as
@@ -65,6 +70,7 @@ echo "$raw" >&2
         if ($i == "allocs/op") allocs = $(i-1)
       }
       if (!(name in nsl)) order[++n] = name
+      runs[name]++
       nsl[name] = nsl[name] " " ns
       bl[name] = bl[name] " " (bytes == "" ? 0 : bytes)
       al[name] = al[name] " " (allocs == "" ? 0 : allocs)
@@ -72,8 +78,8 @@ echo "$raw" >&2
     END {
       for (k = 1; k <= n; k++) {
         name = order[k]
-        printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-          name, median(nsl[name]), median(bl[name]), median(al[name]), (k < n ? "," : "")
+        printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"runs\": %d}%s\n", \
+          name, median(nsl[name]), median(bl[name]), median(al[name]), runs[name], (k < n ? "," : "")
       }
     }
   '
