@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+
+	"perseus/internal/sched"
 )
 
 // A ProfileUpload travels as a PPF1 body, little-endian throughout:
@@ -23,8 +26,27 @@ const (
 
 var le = binary.LittleEndian
 
-// kinds are the kind codes' names, by code.
-var kinds = [...]string{"forward", "backward"}
+// kinds are the wire names of the computation kinds a profile carries,
+// indexed by sched.Kind; a kind's index is also its code in the body.
+var kinds = [...]string{sched.Forward: "forward", sched.Backward: "backward"}
+
+// KindName is a kind's wire name; every kind but sched.Backward travels
+// as "forward".
+func KindName(k sched.Kind) string {
+	if k != sched.Backward {
+		k = sched.Forward
+	}
+	return kinds[k]
+}
+
+// ParseKind maps a wire name back to its kind, accepting exactly the
+// names KindName writes.
+func ParseKind(name string) (sched.Kind, error) {
+	if k := slices.Index(kinds[:], name); k >= 0 {
+		return sched.Kind(k), nil
+	}
+	return 0, fmt.Errorf("kind %q is neither forward nor backward", name)
+}
 
 func formatError(format string, args ...any) error {
 	return fmt.Errorf("profile upload (PPF1): "+format, args...)
@@ -53,9 +75,9 @@ func (up ProfileUpload) MarshalBinary() ([]byte, error) {
 	var rows []row
 	index := map[typeKey]int{}
 	for _, m := range up.Measurements {
-		k, err := kindCode(m.Kind)
+		k, err := ParseKind(m.Kind)
 		if err != nil {
-			return nil, err
+			return nil, formatError("%v", err)
 		}
 		if uint64(m.Virtual) > math.MaxUint32 || uint64(m.Freq) > math.MaxUint32 {
 			return nil, formatError("stage %d or frequency %d is not a uint32", m.Virtual, m.Freq)
@@ -63,7 +85,7 @@ func (up ProfileUpload) MarshalBinary() ([]byte, error) {
 		if !finite(m.Time) || !finite(m.Energy) {
 			return nil, formatError("type %d %s at %d MHz: time %v, energy %v", m.Virtual, m.Kind, m.Freq, m.Time, m.Energy)
 		}
-		key := typeKey{m.Virtual, k}
+		key := typeKey{m.Virtual, byte(k)}
 		i, ok := index[key]
 		if !ok {
 			i = len(rows)
@@ -89,24 +111,14 @@ func (up ProfileUpload) MarshalBinary() ([]byte, error) {
 		off = r.base + entrySize*r.n
 	}
 	for _, m := range up.Measurements {
-		k, _ := kindCode(m.Kind)
-		r := &rows[index[typeKey{m.Virtual, k}]]
+		k, _ := ParseKind(m.Kind)
+		r := &rows[index[typeKey{m.Virtual, byte(k)}]]
 		le.PutUint32(buf[r.base+4*r.j:], uint32(m.Freq))
 		le.PutUint64(buf[r.base+4*r.n+8*r.j:], math.Float64bits(m.Time))
 		le.PutUint64(buf[r.base+12*r.n+8*r.j:], math.Float64bits(m.Energy))
 		r.j++
 	}
 	return buf, nil
-}
-
-// kindCode is a kind's code in the body.
-func kindCode(kind string) (byte, error) {
-	for k, name := range kinds {
-		if kind == name {
-			return byte(k), nil
-		}
-	}
-	return 0, formatError("kind %q is neither forward nor backward", kind)
 }
 
 // UnmarshalBinary reads a PPF1 body into Measurements, row after row.

@@ -356,12 +356,8 @@ func (c *ServerClient) RegisterJob(req JobRequest) (string, error) {
 func (c *ServerClient) UploadProfile(jobID string, pBlocking float64, ms []profile.Measurement) error {
 	up := api.ProfileUpload{PBlocking: pBlocking, Measurements: make([]api.MeasurementJSON, 0, len(ms))}
 	for _, m := range ms {
-		kind := "forward"
-		if m.Kind == sched.Backward {
-			kind = "backward"
-		}
 		up.Measurements = append(up.Measurements, api.MeasurementJSON{
-			Virtual: m.Virtual, Kind: kind, Freq: int(m.Freq), Time: m.Time, Energy: m.Energy,
+			Virtual: m.Virtual, Kind: api.KindName(m.Kind), Freq: int(m.Freq), Time: m.Time, Energy: m.Energy,
 		})
 	}
 	return c.send(http.MethodPost, "/jobs/"+jobID+"/profile", up)

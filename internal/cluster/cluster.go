@@ -39,11 +39,6 @@ type Spec struct {
 	// Profile already reflect the split; this multiplies energy
 	// accounting. Default 1.
 	TensorParallel int
-
-	// CommLatency is a fixed latency added to cross-stage dependencies
-	// (P2P activation/gradient transfers). The sending and receiving
-	// GPUs block at P_blocking for its duration.
-	CommLatency float64
 }
 
 func (s Spec) dp() int {
@@ -198,8 +193,7 @@ func (e *engine) realize(plan Plan, factor float64) (durs, energy []float64, err
 	return durs, energy, nil
 }
 
-// startsOf computes earliest start times under float durations, adding
-// CommLatency on cross-stage dependency edges.
+// startsOf computes earliest start times under float durations.
 func (e *engine) startsOf(durs []float64) ([]float64, float64) {
 	g := e.g
 	est := make([]float64, len(g.Dur))
@@ -209,12 +203,7 @@ func (e *engine) startsOf(durs []float64) ([]float64, float64) {
 			dv = durs[v]
 		}
 		for _, w := range g.Succ[v] {
-			lat := 0.0
-			if e.spec.CommLatency > 0 && int(v) < len(g.Ops) && int(w) < len(g.Ops) &&
-				g.Ops[v].Stage != g.Ops[w].Stage {
-				lat = e.spec.CommLatency
-			}
-			if t := est[v] + dv + lat; t > est[w] {
+			if t := est[v] + dv; t > est[w] {
 				est[w] = t
 			}
 		}

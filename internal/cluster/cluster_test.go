@@ -211,23 +211,6 @@ func TestExtrinsicBloatReducedBySlowingDown(t *testing.T) {
 	}
 }
 
-func TestCommLatency(t *testing.T) {
-	spec := testSpec(t, gpu.A100PCIe, 4, 6, 1)
-	plan := PlanAllMax(spec.Schedule, gpu.A100PCIe)
-	r0, err := Simulate(spec, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.CommLatency = 0.01
-	r1, err := Simulate(spec, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.IterTime <= r0.IterTime {
-		t.Errorf("comm latency should extend iteration: %v vs %v", r1.IterTime, r0.IterTime)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	spec := testSpec(t, gpu.A100PCIe, 2, 2, 1)
 	plan := PlanAllMax(spec.Schedule, gpu.A100PCIe)

@@ -143,23 +143,23 @@ func TestPersistenceBandsWidenWithLead(t *testing.T) {
 }
 
 func TestSmoothedTracksSeasonPlusDecayingAnomaly(t *testing.T) {
-	// A periodic series plus a positive anomaly on the last observation:
-	// the forecast starts above the seasonal mean and decays toward it.
+	// A periodic series whose last period and a half run high, the last
+	// observation most: the anomaly persists from step to step, so the
+	// fitted AR(1) decay is positive, and the forecast starts above the
+	// seasonal mean and decays toward it.
 	var hist []float64
 	for rep := 0; rep < 3; rep++ {
-		for _, v := range []float64{400, 300, 200, 350} {
-			hist = append(hist, v)
-		}
+		hist = append(hist, 400, 300, 200, 350)
 	}
-	hist = append(hist, 500) // phase-0 value, +100 anomaly
-	point, _ := (&Smoothed{Alpha: 1, Phi: 0.5}).Predict(hist, 4, 8, 0.9)
-	// Phase of the first forecast step is 1 (seasonal ≈ 300): the
-	// anomaly contributes +100·0.5 at lead 1, then halves each step.
-	if point[0] <= 300 || point[0] > 400 {
-		t.Fatalf("smoothed lead-1 point %v, want above seasonal 300 by a decayed anomaly", point[0])
+	hist = append(hist, 440, 330, 220, 365, 480)
+	point, _ := (&Smoothed{}).Predict(hist, 4, 8, 0.9)
+	// Phase of the first forecast step is 1; its seasonal mean is 307.5.
+	season := (3*300 + 330) / 4.0
+	d0 := point[0] - season
+	d4 := point[4] - season // same phase, one period later
+	if d0 <= 0 || d0 > 100 {
+		t.Fatalf("smoothed lead-1 point %v, want above seasonal %v by a decayed anomaly", point[0], season)
 	}
-	d0 := point[0] - 300
-	d4 := point[4] - 300 // same phase, one period later
 	if d4 <= 0 || d4 >= d0/2 {
 		t.Fatalf("anomaly not decaying: lead-1 excess %v, lead-5 excess %v", d0, d4)
 	}

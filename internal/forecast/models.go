@@ -101,33 +101,25 @@ func (*SeasonalNaive) Predict(history []float64, period, h int, level float64) (
 // Smoothed is the exponential-smoothing / AR(1) hybrid: it removes the
 // seasonal component (per-phase means of the revealed history), tracks
 // the current deseasonalized anomaly with an exponentially smoothed
-// level, and decays that anomaly into the future at a fitted (or
-// fixed) AR(1) coefficient. Bands grow with the accumulated AR
-// innovation variance, scaled by the quantile of one-step residuals.
-type Smoothed struct {
-	// Alpha is the smoothing factor in (0, 1]; 0 means 0.5.
-	Alpha float64
-
-	// Phi is the AR(1) decay in [0, 1); 0 means fit from the history's
-	// lag-1 autocorrelation (clamped to [0, 0.95]).
-	Phi float64
-}
+// level (smoothing factor ½), and decays that anomaly into the future
+// at an AR(1) coefficient fitted from the history's lag-1
+// autocorrelation (clamped to [0, 0.95]). Bands grow with the
+// accumulated AR innovation variance, scaled by the quantile of
+// one-step residuals.
+type Smoothed struct{}
 
 // Name implements Model.
 func (*Smoothed) Name() string { return "smoothed" }
 
 // Predict implements Model.
-func (m *Smoothed) Predict(history []float64, period, h int, level float64) (point, spread []float64) {
+func (*Smoothed) Predict(history []float64, period, h int, level float64) (point, spread []float64) {
 	n := len(history)
 	point = make([]float64, h)
 	spread = make([]float64, h)
 	if n == 0 {
 		return point, spread
 	}
-	alpha := m.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
+	const alpha = 0.5
 
 	// Seasonal component: per-phase means over whole periods (falling
 	// back to the overall mean with less than one period of history).
@@ -161,17 +153,14 @@ func (m *Smoothed) Predict(history []float64, period, h int, level float64) (poi
 	for t := 0; t < n; t++ {
 		anom[t] = history[t] - at(t)
 	}
-	phi := m.Phi
-	if phi <= 0 || phi >= 1 {
-		var num, den float64
-		for t := 1; t < n; t++ {
-			num += anom[t] * anom[t-1]
-			den += anom[t-1] * anom[t-1]
-		}
-		phi = 0.8
-		if den > 0 {
-			phi = math.Min(0.95, math.Max(0, num/den))
-		}
+	var num, den float64
+	for t := 1; t < n; t++ {
+		num += anom[t] * anom[t-1]
+		den += anom[t-1] * anom[t-1]
+	}
+	phi := 0.8
+	if den > 0 {
+		phi = math.Min(0.95, math.Max(0, num/den))
 	}
 	level_ := anom[0]
 	var res []float64

@@ -35,10 +35,6 @@ type Options struct {
 	// 1 ms, the paper's setting (Appendix B.4).
 	Unit float64
 
-	// MaxSteps caps optimizer iterations as a safety net. Default
-	// 500000.
-	MaxSteps int
-
 	// Stepper selects the per-iteration strategy. Default MinCutStepper
 	// (the paper's algorithm). GreedyStepper is the ablation baseline
 	// that speeds up the single cheapest critical computation and fails
@@ -64,12 +60,12 @@ type Options struct {
 	keyframeEvery int
 }
 
+// maxSteps caps optimizer iterations as a safety net.
+const maxSteps = 500000
+
 func (o Options) withDefaults() Options {
 	if o.Unit <= 0 {
 		o.Unit = 1e-3
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 500000
 	}
 	if o.Stepper == nil {
 		o.Stepper = MinCutStepper{}
@@ -292,22 +288,7 @@ func (f *Frontier) Points() []Point { return f.points }
 // T_opt. A tPrime at or below Tmin returns the fastest schedule — only
 // intrinsic bloat can be removed (Figure 3a).
 func (f *Frontier) Lookup(tPrime float64) Point {
-	topt := math.Min(tPrime, f.TStar())
-	units := int64(math.Floor(topt/f.Unit + 1e-9))
-	// Points are time-ascending; binary search the last one <= units.
-	lo, hi := 0, len(f.points)-1
-	if units <= f.points[0].TimeUnits {
-		return f.points[0]
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if f.points[mid].TimeUnits <= units {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return f.points[lo]
+	return f.points[lookupIndex(len(f.points), func(i int) int64 { return f.points[i].TimeUnits }, f.Unit, f.tstarUnits, tPrime)]
 }
 
 // durationsAt reconstructs the duration vector of point idx from the
@@ -442,7 +423,7 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 	mk := st.makespan()
 	f.tstarUnits = mk
 	record(mk)
-	for mk > tminUnits && f.stats.Steps < opts.MaxSteps {
+	for mk > tminUnits && f.stats.Steps < maxSteps {
 		f.stats.Steps++
 		ok, err := opts.Stepper.Step(st)
 		if err != nil {

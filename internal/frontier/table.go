@@ -260,15 +260,22 @@ func (lt *LookupTable) LookupIndex(tPrime float64) int {
 	if len(lt.Points) == 0 {
 		return -1
 	}
-	tstar := lt.time(lt.TStarUnits)
-	topt := math.Min(tPrime, tstar)
-	units := int64(math.Floor(topt/lt.Unit + 1e-9))
-	if units <= lt.Points[0].TimeUnits {
+	return lookupIndex(len(lt.Points), func(i int) int64 { return lt.Points[i].TimeUnits }, lt.Unit, lt.TStarUnits, tPrime)
+}
+
+// lookupIndex is paper Eq. 2 over n points ascending in time, point i
+// timeUnits(i) units of τ = unit seconds long: it clamps tPrime to
+// T* = tstarUnits·τ, floors T_opt = min(T*, tPrime) to whole units (the
+// 1e-9 guards a quotient rounded just below an integer), and returns 0,
+// the fastest point, when T_opt is at or below it, otherwise the last
+// point at or below T_opt.
+func lookupIndex(n int, timeUnits func(int) int64, unit float64, tstarUnits int64, tPrime float64) int {
+	topt := math.Min(tPrime, float64(tstarUnits)*unit)
+	units := int64(math.Floor(topt/unit + 1e-9))
+	if units <= timeUnits(0) {
 		return 0
 	}
-	return sort.Search(len(lt.Points), func(i int) bool {
-		return lt.Points[i].TimeUnits > units
-	}) - 1
+	return sort.Search(n, func(i int) bool { return timeUnits(i) > units }) - 1
 }
 
 // Tmin returns the fastest cached iteration time in seconds.

@@ -30,6 +30,58 @@ func TestTableMatchesFrontierLookup(t *testing.T) {
 	}
 }
 
+// TestLookupIndexMatchesFrontierLookup holds the table's Eq. 2 lookup,
+// through LookupIndex, to the frontier's on Table 3 workloads, at every
+// Pareto point's time and half a unit either side of it, below Tmin and
+// above T*. The table keeps only the frontier's Pareto set, so where
+// the frontier answers with a point the table dropped, the table answers
+// with the last point it kept before that one, which costs no more;
+// everywhere else both answer with the same time and energy.
+func TestLookupIndexMatchesFrontierLookup(t *testing.T) {
+	for _, c := range []struct {
+		model    string
+		gpu      *gpu.Model
+		schedule string
+	}{
+		{"gpt3-1.3b", gpu.A100PCIe, "1f1b"},
+		{"bloom-3b", gpu.A40, "1f1b"},
+		{"t5-3b", gpu.A100PCIe, "gpipe"},
+	} {
+		g, p, opts := buildCase(t, c.model, c.gpu, 4, 8, 4, c.schedule)
+		f := characterize(t, g, p, opts)
+		lt := f.Table()
+		times := []float64{f.Tmin() / 2, 0, f.TStar() * 2}
+		for i := range lt.Points {
+			pt := lt.PointTime(i)
+			times = append(times, pt-lt.Unit/2, pt, pt+lt.Unit/2)
+		}
+		same := 0
+		for _, tPrime := range times {
+			want, got := f.Lookup(tPrime), lt.Points[lt.LookupIndex(tPrime)]
+			kept := -1 // the last table point no slower than the frontier's
+			for i, pt := range lt.Points {
+				if pt.TimeUnits <= want.TimeUnits {
+					kept = i
+				}
+			}
+			switch {
+			case got.TimeUnits != lt.Points[kept].TimeUnits:
+				t.Fatalf("%s at %v s: table %d units, want %d (frontier %d)",
+					c.model, tPrime, got.TimeUnits, lt.Points[kept].TimeUnits, want.TimeUnits)
+			case got.TimeUnits == want.TimeUnits && got.Energy != want.Energy,
+				got.Energy > want.Energy:
+				t.Fatalf("%s at %v s: table (%d units, %v J), frontier (%d units, %v J)",
+					c.model, tPrime, got.TimeUnits, got.Energy, want.TimeUnits, want.Energy)
+			case got.TimeUnits == want.TimeUnits:
+				same++
+			}
+		}
+		if same < len(times)*2/3 {
+			t.Fatalf("%s: the same point at %d of %d times, want at least two thirds", c.model, same, len(times))
+		}
+	}
+}
+
 // TestTableMatchesEveryPlan checks the table's walk by deltas against the
 // per-point reconstruction: every row is the plan, energy and time of the
 // frontier point it came from, with keyframes every 7 points so that the

@@ -54,7 +54,7 @@ func fuzzInstance(seed int64, targetFrac, deadlineFrac float64) (*frontier.Looku
 // and asserts the temporal planner's invariants on every instance:
 //
 //  0. the solver agrees bit for bit with the scan reference (scanSolve),
-//     on the instance, under NoIdle, and over a non-convex table; and
+//     on the instance and over a non-convex table; and
 //     with the greedy it replaced (solveGreedy) every total agrees
 //     within 1e-12 relative where the two make the same decisions, the
 //     objective at equal iterations where a tie lets them differ
@@ -66,8 +66,8 @@ func fuzzInstance(seed int64, targetFrac, deadlineFrac float64) (*frontier.Looku
 //  3. slice time fits its interval and the accounting identities hold
 //     (energy = Σ seconds × scale × power; carbon/cost = energy ×
 //     interval rate);
-//  4. the plan's price certifies it (checkPrice), under NoIdle and over
-//     a non-convex table too;
+//  4. the plan's price certifies it (checkPrice), over a non-convex
+//     table too;
 //  5. the plan's accrued objective never exceeds either signal-blind
 //     Fixed baseline (always-Tmin and static min-energy): both
 //     baselines are feasible points of the continuous time-sharing
@@ -94,30 +94,26 @@ func FuzzOptimize(f *testing.F) {
 		var sol solution
 		var solver Solver
 		bumpy := bumpyTable(rand.New(rand.NewSource(seed)), 40+seed&31, 2+int(seed&7))
-		for _, noIdle := range []bool{false, true} {
-			o := opts
-			o.NoIdle = noIdle
-			for _, table := range []*frontier.LookupTable{lt, bumpy} {
-				checkAgainstScan(t, &sol, table, sig, o)
-				p, err := solver.Optimize(table, sig, o)
+		for _, table := range []*frontier.LookupTable{lt, bumpy} {
+			checkAgainstScan(t, &sol, table, sig, opts)
+			p, err := solver.Optimize(table, sig, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := greedyDecisions(&solver, table, sig, opts, p); err != nil {
+				t.Fatal(err)
+			}
+			checkPrice(t, table, sig, opts, p)
+			// (6) the runs and their expansion.
+			checkRuns(t, p, sig)
+			checkExpansion(t, table, sig, p, referenceOptimize(t, table, sig, opts))
+			for _, point := range []int{0, len(table.Points) - 1} {
+				base, err := Fixed(table, point, sig, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := greedyDecisions(&solver, table, sig, o, p); err != nil {
-					t.Fatal(err)
-				}
-				checkPrice(t, table, sig, o, p)
-				// (6) the runs and their expansion.
-				checkRuns(t, p, sig)
-				checkExpansion(t, table, sig, p, referenceOptimize(t, table, sig, o))
-				for _, point := range []int{0, len(table.Points) - 1} {
-					base, err := Fixed(table, point, sig, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkRuns(t, base, sig)
-					checkExpansion(t, table, sig, base, referenceFixed(t, table, point, sig, o))
-				}
+				checkRuns(t, base, sig)
+				checkExpansion(t, table, sig, base, referenceFixed(t, table, point, sig, opts))
 			}
 		}
 

@@ -145,12 +145,6 @@ func solveGreedy(lt *frontier.LookupTable, sig *Signal, opts Options) (*greedy, 
 		}
 		if !pi.only {
 			g.maxCover += pi.dur / g.tm[pi.lo]
-			if opts.NoIdle {
-				pi.cur = g.slowest
-				pi.work = pi.dur / g.tm[pi.cur]
-				g.coverage += pi.work
-				g.cost += pi.perJ * scale * g.pw[pi.cur] * pi.dur
-			}
 		}
 		g.ivs = append(g.ivs, pi)
 	}

@@ -61,13 +61,6 @@ type Options struct {
 	// PowerScale multiplies the table's per-point average power, e.g.
 	// the number of data-parallel pipeline replicas. <= 0 means 1.
 	PowerScale float64
-
-	// NoIdle forbids pausing: every interval must run some frontier
-	// point (except intervals whose cap excludes every point). Without
-	// it the planner may idle the job through dirty hours — temporal
-	// load shifting. With it the plan may overshoot Target, since the
-	// slowest point still makes progress.
-	NoIdle bool
 }
 
 // Slice is a stretch of one frontier point within an interval.
@@ -172,11 +165,11 @@ type Plan struct {
 
 	// Price is λ, the marginal objective cost of one more iteration: the
 	// slope of the plan's last step. Every interval's choice minimizes
-	// cost − λ·iterations over its allowed points (idle included unless
-	// NoIdle), and a time-shared interval's two states tie — the dual
-	// certificate that the plan is optimal. 0 when the target needed no
-	// step (NoIdle alone covers it); -1 when the plan has no price
-	// (infeasible, or a Fixed baseline), kept finite like FinishS.
+	// cost − λ·iterations over its allowed points, idle included, and a
+	// time-shared interval's two states tie — the dual certificate that
+	// the plan is optimal. 0 when the target is within rounding of zero
+	// and needed no step; -1 when the plan has no price (infeasible, or
+	// a Fixed baseline), kept finite like FinishS.
 	Price float64 `json:"price"`
 
 	// Runs cover the signal's intervals before the deadline in time
@@ -242,7 +235,6 @@ type planInterval struct {
 	dur    float64
 	rate   float64         // objective weight per joule × scale: a step's slope is rate·Sigma
 	ladder frontier.Ladder // the steps the cap allows: the last reaches the fastest allowed point; empty forces idle
-	first  int             // steps taken before the search: 1 under NoIdle (awake at the slowest point)
 	n      int             // steps taken
 }
 
@@ -315,8 +307,7 @@ func (o Options) request() plan.Request {
 // deadline and to each interval's facility power cap.
 //
 // The plan fills the merged per-interval marginal segments in cost
-// order: every interval starts at its cheapest state (idle, or the
-// minimum-energy point under NoIdle), and iterations are bought at the
+// order: every interval starts idle, and iterations are bought at the
 // cheapest marginal objective cost first — waking an interval at its
 // minimum-energy point or stepping it one hull vertex faster — with
 // the final step taken fractionally (time-sharing the two states
@@ -583,9 +574,6 @@ func (sol *solution) solveOn(lt *frontier.LookupTable, w *Window, opts Options) 
 		}
 		if len(pi.ladder) > 0 {
 			sol.maxCover += pi.dur / pi.ladder[len(pi.ladder)-1].Time
-			if opts.NoIdle {
-				pi.first = 1
-			}
 		}
 	}
 	sol.feasible = sol.maxCover >= opts.Target-1e-9
@@ -593,8 +581,7 @@ func (sol *solution) solveOn(lt *frontier.LookupTable, w *Window, opts Options) 
 	sol.counts = slices.Grow(sol.counts[:0], 3*k)[:3*k]
 	lo, hi, at := sol.counts[:k], sol.counts[k:2*k], sol.counts[2*k:]
 	for k := range sol.ivs {
-		pi := &sol.ivs[k]
-		lo[k], hi[k], at[k] = pi.first, len(pi.ladder), pi.first
+		lo[k], hi[k], at[k] = 0, len(sol.ivs[k].ladder), 0
 	}
 
 	if !sol.feasible {
@@ -620,7 +607,7 @@ func (sol *solution) finish(n []int) {
 			sol.cost += pi.rate * r.Power * pi.dur
 		}
 		if sol.feasible {
-			sol.steps += n[k] - pi.first
+			sol.steps += n[k]
 		}
 	}
 	if fs := sol.frac; fs.k >= 0 {
@@ -695,7 +682,7 @@ func (sol *solution) cover(n []int) float64 {
 func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
 	coverLo := sol.cover(lo)
 	if coverLo >= target-1e-9 {
-		sol.price = 0 // NoIdle alone covers the target
+		sol.price = 0 // a target within rounding of zero
 		return lo
 	}
 
@@ -837,8 +824,7 @@ func (sol *solution) search(lo, hi, at []int, target, hint float64) []int {
 		return lo
 	}
 	// Time-share candidate i's endpoints so the target is completed
-	// exactly. (Under NoIdle every interval is already awake, so the
-	// shared states both run — no idle time is introduced.)
+	// exactly.
 	c := sol.cands[i]
 	was, next := w[c.k], sol.iterations(c.k, lo[c.k]+1)
 	sol.price = c.slope

@@ -61,9 +61,7 @@ func bruteForce(lt *frontier.LookupTable, sig *Signal, opts Options) (best float
 		if iv.CapW > 0 {
 			lo = lt.FirstUnderPower(iv.CapW / scale)
 		}
-		if !opts.NoIdle || lo < 0 {
-			walk(k+1, cover, cost) // idle
-		}
+		walk(k+1, cover, cost) // idle
 		if lo >= 0 {
 			for p := lo; p < n; p++ {
 				walk(k+1, cover+d/lt.PointTime(p),
@@ -101,7 +99,7 @@ func bruteForceContinuous(lt *frontier.LookupTable, sig *Signal, opts Options) (
 	n := len(lt.Points)
 	K := len(win.Intervals)
 
-	// states per interval: -1 (idle, unless NoIdle) then n-1 down to lo.
+	// states per interval: -1 (idle) then n-1 down to lo.
 	lo := make([]int, K)
 	for k, iv := range win.Intervals {
 		lo[k] = 0
@@ -122,10 +120,7 @@ func bruteForceContinuous(lt *frontier.LookupTable, sig *Signal, opts Options) (
 		if lo[fk] < 0 {
 			continue
 		}
-		var pairs [][2]int
-		if !opts.NoIdle {
-			pairs = append(pairs, [2]int{-1, n - 1})
-		}
+		pairs := [][2]int{{-1, n - 1}}
 		for p := n - 1; p > lo[fk]; p-- {
 			pairs = append(pairs, [2]int{p, p - 1})
 		}
@@ -155,9 +150,7 @@ func bruteForceContinuous(lt *frontier.LookupTable, sig *Signal, opts Options) (
 					return
 				}
 				iv := win.Intervals[k]
-				if !opts.NoIdle || lo[k] < 0 {
-					walk(k+1, cover, cost)
-				}
+				walk(k+1, cover, cost)
 				if lo[k] >= 0 {
 					dur := iv.Duration()
 					for p := lo[k]; p < n; p++ {
@@ -343,7 +336,7 @@ func planCost(p *Plan) float64 {
 // checkPrice checks a plan's dual certificate. An infeasible plan has
 // Price -1. A feasible plan's λ = Price is non-negative, and every
 // interval's choice minimizes cost − λ·iterations over the table points
-// its cap allows, idle included unless NoIdle, within 1e-9 of the
+// its cap allows, idle included, within 1e-9 of the
 // terms' size. That also puts both states of the time-shared interval
 // at the tie. By Lagrangian duality this is an O(points × intervals)
 // proof that no plan covering the same iterations costs less.
@@ -380,10 +373,7 @@ func checkPrice(t *testing.T, lt *frontier.LookupTable, sig *Signal, opts Option
 		if iv.CapW > 0 {
 			lo = lt.FirstUnderPower(iv.CapW / scale)
 		}
-		best := math.Inf(1)
-		if !opts.NoIdle || lo < 0 {
-			best = value(-1)
-		}
+		best := value(-1)
 		for q := max(lo, 0); lo >= 0 && q < len(lt.Points); q++ {
 			best = min(best, value(q))
 		}
@@ -462,10 +452,10 @@ func TestBundledTraceBeatsBaselines(t *testing.T) {
 	}
 }
 
-// TestPlanCapsAndNoIdle exercises the remaining planner behaviors:
+// TestPlanCapsAndInfeasible exercises the remaining planner behaviors:
 // interval caps bound the chosen points' power, idle-only intervals,
-// NoIdle overshoot, infeasible targets, and cost-objective planning.
-func TestPlanCapsAndNoIdle(t *testing.T) {
+// infeasible targets, and cost-objective planning.
+func TestPlanCapsAndInfeasible(t *testing.T) {
 	lt := convexTable(0.01, 80, 100, 3000, 120)
 	minP, maxP := lt.AvgPower(len(lt.Points)-1), lt.AvgPower(0)
 	sig := &Signal{Intervals: []Interval{
@@ -516,24 +506,6 @@ func TestPlanCapsAndNoIdle(t *testing.T) {
 	// them over HTTP).
 	if _, err := json.Marshal(plan); err != nil {
 		t.Fatalf("infeasible plan does not marshal: %v", err)
-	}
-
-	// NoIdle: every cap-allowing interval runs, and the plan may
-	// overshoot a tiny target.
-	plan, err = Optimize(lt, sig, Options{Target: 1, NoIdle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Iterations <= 1 {
-		t.Fatalf("NoIdle with slack should overshoot, got %.3f iterations", plan.Iterations)
-	}
-	if plan.Price != 0 {
-		t.Fatalf("NoIdle overshoot took no step, so its price is 0; got %v", plan.Price)
-	}
-	for _, ip := range expand(plan, lt, sig)[:2] {
-		if len(ip.Slices) == 0 || ip.IdleS > 1e-9 {
-			t.Fatalf("NoIdle interval %d idles: %+v", ip.Index, ip)
-		}
 	}
 
 	// Cost objective prefers the cheap third interval... which is
@@ -799,9 +771,6 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 				st.sigma = append(st.sigma, max(sigma, st.sigma[len(st.sigma)-1]))
 			}
 			maxCover += st.dur / lt.PointTime(lo)
-			if opts.NoIdle {
-				st.n = 1
-			}
 		}
 		ivs = append(ivs, st)
 	}
@@ -950,8 +919,9 @@ func hullTable(lt *frontier.LookupTable) *frontier.LookupTable {
 // and time-sharing two adjacent points misses the cheaper mix of the
 // hull vertices around them. The plan must reach the continuous
 // optimum of the hull points (brute force over the hull-only table).
-// The instances are one interval, and three under NoIdle, so the
-// time-shared step falls between hull vertices rather than at wake-up;
+// The instances are one interval, and three, at targets high enough
+// that the time-shared step falls between hull vertices rather than at
+// wake-up;
 // on most of them that optimum is strictly below the best plan that
 // time-shares only adjacent table points, which is where a point-by-
 // point greedy lands.
@@ -971,27 +941,24 @@ func TestNonConvexTablePlansOnItsHull(t *testing.T) {
 			})
 		}
 		one := &Signal{Intervals: sig.Intervals[:1]}
-		for _, c := range []struct {
-			sig    *Signal
-			noIdle bool
-		}{{one, false}, {sig, true}} {
-			maxCover := c.sig.Horizon() / lt.Tmin()
+		for _, s := range []*Signal{one, sig} {
+			maxCover := s.Horizon() / lt.Tmin()
 			for _, tf := range []float64{0.72, 0.8, 0.88, 0.96} {
-				opts := Options{Target: tf * maxCover, NoIdle: c.noIdle}
-				p, err := Optimize(lt, c.sig, opts)
+				opts := Options{Target: tf * maxCover}
+				p, err := Optimize(lt, s, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkPrice(t, lt, c.sig, opts, p)
-				want, ok := bruteForceContinuous(hullTable(lt), c.sig, opts)
+				checkPrice(t, lt, s, opts, p)
+				want, ok := bruteForceContinuous(hullTable(lt), s, opts)
 				if !ok || !p.Feasible {
 					t.Fatalf("seed %d target %v: infeasible", seed, opts.Target)
 				}
 				if got := p.Total(); math.Abs(got-want) > 1e-9*want {
 					t.Fatalf("seed %d %d intervals target %v: plan %.12g, hull optimum %.12g",
-						seed, len(c.sig.Intervals), opts.Target, got, want)
+						seed, len(s.Intervals), opts.Target, got, want)
 				}
-				if adjacent, _ := bruteForceContinuous(lt, c.sig, opts); want < adjacent*(1-1e-9) {
+				if adjacent, _ := bruteForceContinuous(lt, s, opts); want < adjacent*(1-1e-9) {
 					below++
 				}
 			}
@@ -1004,7 +971,7 @@ func TestNonConvexTablePlansOnItsHull(t *testing.T) {
 
 // TestSolveMatchesScanReference pins the solver to the scan reference
 // over the fuzz corpus and the shapes it does not reach: non-convex
-// tables, NoIdle, caps that idle or floor intervals, a deadline cutting
+// tables, caps that idle or floor intervals, a deadline cutting
 // the last interval, one-interval and one-point instances, exact ties,
 // and dense many-interval cases — each on a fresh solution and on one
 // reused across the whole corpus. Evaluate's totals and Price are
@@ -1015,29 +982,28 @@ func TestSolveMatchesScanReference(t *testing.T) {
 	infeasible := 0
 	referenceCorpus(func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
 		t.Helper()
-		for _, noIdle := range []bool{false, true} {
-			opts.NoIdle = noIdle
-			t.Run(fmt.Sprintf("%s/noidle=%v", name, noIdle), func(t *testing.T) {
-				checkAgainstScan(t, &solution{}, lt, sig, opts)
-				checkAgainstScan(t, &reused, lt, sig, opts)
-				p, err := Optimize(lt, sig, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkPrice(t, lt, sig, opts, p)
-				ev, err := evaluator.Evaluate(lt, sig, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := Evaluation{Feasible: p.Feasible, Iterations: p.Iterations, Account: p.Account, Price: p.Price}
-				if ev != want || math.Float64bits(ev.Price) != math.Float64bits(p.Price) {
-					t.Fatalf("Evaluate %+v, Optimize %+v", ev, want)
-				}
-				if !p.Feasible {
-					infeasible++
-				}
-			})
-		}
+		// The subtests keep the name they had when the planner had a no-idle
+		// mode, so their ids stay stable.
+		t.Run(name+"/noidle=false", func(t *testing.T) {
+			checkAgainstScan(t, &solution{}, lt, sig, opts)
+			checkAgainstScan(t, &reused, lt, sig, opts)
+			p, err := Optimize(lt, sig, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPrice(t, lt, sig, opts, p)
+			ev, err := evaluator.Evaluate(lt, sig, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Evaluation{Feasible: p.Feasible, Iterations: p.Iterations, Account: p.Account, Price: p.Price}
+			if ev != want || math.Float64bits(ev.Price) != math.Float64bits(p.Price) {
+				t.Fatalf("Evaluate %+v, Optimize %+v", ev, want)
+			}
+			if !p.Feasible {
+				infeasible++
+			}
+		})
 	})
 	if infeasible == 0 {
 		t.Fatal("no infeasible instance in the corpus: Evaluate's -1 price went untested")
@@ -1321,21 +1287,18 @@ func checkRuns(t testing.TB, p *Plan, sig *Signal) {
 }
 
 // TestIntervalsMatchReference pins plans as runs to the plans the
-// planner built before: over the reference corpus, with and without
-// NoIdle, every Optimize plan and both Fixed baselines have the runs
+// planner built before: over the reference corpus, every Optimize plan
+// and both Fixed baselines have the runs
 // checkRuns asks for, and expand over the signal to the reference's
 // intervals with the reference's totals, == on every float.
 func TestIntervalsMatchReference(t *testing.T) {
 	referenceCorpus(func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
-		for _, noIdle := range []bool{false, true} {
-			opts.NoIdle = noIdle
-			p, err := Optimize(lt, sig, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			checkRuns(t, p, sig)
-			checkExpansion(t, lt, sig, p, referenceOptimize(t, lt, sig, opts))
+		p, err := Optimize(lt, sig, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		checkRuns(t, p, sig)
+		checkExpansion(t, lt, sig, p, referenceOptimize(t, lt, sig, opts))
 		for _, point := range []int{0, len(lt.Points) - 1} {
 			p, err := Fixed(lt, point, sig, opts)
 			if err != nil {

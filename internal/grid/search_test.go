@@ -11,7 +11,7 @@ import (
 )
 
 // bruteForceChains enumerates the optimum of the problem the solver
-// solves: each interval idles (unless NoIdle) or runs one vertex of the
+// solves: each interval idles or runs one vertex of the
 // hull its cap leaves it (hullFrom), and at most one interval
 // time-shares two states adjacent along that chain, idle and the
 // slowest vertex included. It enumerates every combination of whole
@@ -29,10 +29,7 @@ func bruteForceChains(lt *frontier.LookupTable, sig *Signal, opts Options) (best
 		if iv.CapW > 0 {
 			lo = lt.FirstUnderPower(iv.CapW / scale)
 		}
-		var states []state
-		if !opts.NoIdle || lo < 0 {
-			states = append(states, state{})
-		}
+		states := []state{{}}
 		if lo >= 0 {
 			chain := hullFrom(lt, lo)
 			for j := len(chain) - 1; j >= 0; j-- {
@@ -75,39 +72,35 @@ func bruteForceChains(lt *frontier.LookupTable, sig *Signal, opts Options) (best
 	return best, ok
 }
 
-// checkEdge sweeps targets over an instance, with and without NoIdle.
-// Every solve must equal the scan reference (==), its plan must pass
+// checkEdge sweeps targets over an instance. Every solve must equal the scan reference (==), its plan must pass
 // the λ certificate, its total must match the brute-force optimum
 // within 1e-9, and no plan of whole table points — any allowed point,
 // on the hull or not — may cost less.
 func checkEdge(t *testing.T, lt *frontier.LookupTable, sig *Signal, opts Options) {
 	t.Helper()
-	for _, noIdle := range []bool{false, true} {
-		o := opts
-		o.NoIdle = noIdle
-		o.Target = math.MaxFloat64
-		whole, err := solve(lt, sig, o)
+	o := opts
+	o.Target = math.MaxFloat64
+	whole, err := solve(lt, sig, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tf := range []float64{0.03, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 0.99, 1} {
+		o.Target = tf * whole.maxCover
+		checkAgainstScan(t, &solution{}, lt, sig, o)
+		p, err := Optimize(lt, sig, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tf := range []float64{0.03, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 0.99, 1} {
-			o.Target = tf * whole.maxCover
-			checkAgainstScan(t, &solution{}, lt, sig, o)
-			p, err := Optimize(lt, sig, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPrice(t, lt, sig, o, p)
-			want, ok := bruteForceChains(lt, sig, o)
-			if !ok || !p.Feasible {
-				t.Fatalf("noidle=%v target %v: feasible %v, brute force %v", noIdle, o.Target, p.Feasible, ok)
-			}
-			if got := p.Total(); math.Abs(got-want) > 1e-9*(1+want) {
-				t.Fatalf("noidle=%v target %v: plan %.12g, brute-force optimum %.12g", noIdle, o.Target, got, want)
-			}
-			if points, ok := bruteForce(lt, sig, o); ok && points < p.Total()-1e-9*(1+points) {
-				t.Fatalf("noidle=%v target %v: whole points cost %.12g, below the plan's %.12g", noIdle, o.Target, points, p.Total())
-			}
+		checkPrice(t, lt, sig, o, p)
+		want, ok := bruteForceChains(lt, sig, o)
+		if !ok || !p.Feasible {
+			t.Fatalf("target %v: feasible %v, brute force %v", o.Target, p.Feasible, ok)
+		}
+		if got := p.Total(); math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("target %v: plan %.12g, brute-force optimum %.12g", o.Target, got, want)
+		}
+		if points, ok := bruteForce(lt, sig, o); ok && points < p.Total()-1e-9*(1+points) {
+			t.Fatalf("target %v: whole points cost %.12g, below the plan's %.12g", o.Target, points, p.Total())
 		}
 	}
 }
@@ -167,16 +160,14 @@ func TestSearchEdgeCases(t *testing.T) {
 		// Sixty intervals share every slope: one tie run longer than any
 		// bracket, which the walk must cut on exact sums like the scan.
 		sig := flatSignal(60, []float64{300, 100, 200}, []float64{0.1})
-		for _, noIdle := range []bool{false, true} {
-			for tf := 0.005; tf < 1; tf += 0.0125 {
-				opts := Options{Objective: ObjectiveEnergy, NoIdle: noIdle, Target: tf * sig.Horizon() / convex.Tmin()}
-				checkAgainstScan(t, &solution{}, convex, sig, opts)
-				p, err := Optimize(convex, sig, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkPrice(t, convex, sig, opts, p)
+		for tf := 0.005; tf < 1; tf += 0.0125 {
+			opts := Options{Objective: ObjectiveEnergy, Target: tf * sig.Horizon() / convex.Tmin()}
+			checkAgainstScan(t, &solution{}, convex, sig, opts)
+			p, err := Optimize(convex, sig, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkPrice(t, convex, sig, opts, p)
 		}
 	})
 

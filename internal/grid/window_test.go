@@ -34,7 +34,7 @@ func sharedWindowSignal(rng *rand.Rand, tables []*frontier.LookupTable) *Signal 
 
 // TestSharedWindowMatchesOptimize solves many jobs — tables convex and
 // not, targets short of and past what fits, power scales, deadlines
-// cutting intervals, NoIdle — on one prepared window per objective,
+// cutting intervals — on one prepared window per objective,
 // from two goroutines whose Solvers carry each other's prices as hints,
 // and holds every plan DeepEqual to the per-call Optimize of the same
 // instance. The window must come out as it went in. Under -race the
@@ -68,7 +68,6 @@ func TestSharedWindowMatchesOptimize(t *testing.T) {
 				opts := Options{
 					Objective:  obj,
 					PowerScale: []float64{0, 1, 2, 3.5}[rng.Intn(4)],
-					NoIdle:     rng.Intn(3) == 0,
 				}
 				if rng.Intn(2) == 0 {
 					opts.DeadlineS = sig.Horizon() * (0.2 + 0.8*rng.Float64())

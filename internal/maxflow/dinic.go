@@ -81,7 +81,7 @@ func (g *graph) blocking(u, t int32, limit float64) float64 {
 	return 0
 }
 
-// Solver selects the maximum-flow algorithm used by MinCutWithBounds.
+// Solver selects the maximum-flow algorithm of a Network's Solve.
 type Solver int
 
 const (

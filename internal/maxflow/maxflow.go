@@ -57,10 +57,6 @@ type graph struct {
 	searches int // breadth-first passes run so far, by either solver
 }
 
-func newGraph(n int) *graph {
-	return &graph{n: n}
-}
-
 // reserve sizes the arc arrays of a graph with no edges yet for m edges,
 // so that adding them grows nothing.
 func (g *graph) reserve(m int) {
@@ -69,21 +65,19 @@ func (g *graph) reserve(m int) {
 	g.flow = make([]float64, 0, 2*m)
 }
 
-// addEdge adds a directed edge u→v with the given capacity and returns its
-// edge id. A reverse edge with zero capacity is added implicitly.
-func (g *graph) addEdge(u, v int, capacity float64) int {
+// addEdge adds a directed edge u→v with the given capacity, arc
+// len(to), and its reverse arc with zero capacity.
+func (g *graph) addEdge(u, v int, capacity float64) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("maxflow: edge %d->%d out of range [0,%d)", u, v, g.n))
 	}
 	if capacity < 0 {
 		panic(fmt.Sprintf("maxflow: negative capacity %v on %d->%d", capacity, u, v))
 	}
-	id := len(g.to)
 	g.to = append(g.to, int32(v), int32(u))
 	g.cap = append(g.cap, capacity, 0)
 	g.flow = append(g.flow, 0, 0)
 	g.start = g.start[:0]
-	return id
 }
 
 // build lays the adjacency out and sizes the scratch buffers. The tail of

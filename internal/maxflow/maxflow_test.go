@@ -19,7 +19,7 @@ func reached(g *graph) []bool {
 
 func TestMaxFlowClassic(t *testing.T) {
 	// CLRS figure: max flow 23.
-	g := newGraph(6)
+	g := &graph{n: 6}
 	g.addEdge(0, 1, 16)
 	g.addEdge(0, 2, 13)
 	g.addEdge(1, 2, 10)
@@ -40,7 +40,7 @@ func TestMaxFlowClassic(t *testing.T) {
 }
 
 func TestMaxFlowDisconnected(t *testing.T) {
-	g := newGraph(4)
+	g := &graph{n: 4}
 	g.addEdge(0, 1, 5)
 	g.addEdge(2, 3, 5)
 	if got := g.edmondsKarp(0, 3); got != 0 {
@@ -49,7 +49,7 @@ func TestMaxFlowDisconnected(t *testing.T) {
 }
 
 func TestMaxFlowParallelPaths(t *testing.T) {
-	g := newGraph(4)
+	g := &graph{n: 4}
 	g.addEdge(0, 1, 3)
 	g.addEdge(1, 3, 3)
 	g.addEdge(0, 2, 5)
@@ -63,7 +63,7 @@ func TestMinCutValueEqualsFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		n := 4 + rng.Intn(6)
-		g := newGraph(n)
+		g := &graph{n: n}
 		type e struct {
 			u, v int
 			c    float64
@@ -98,7 +98,7 @@ func TestBoundedSimpleChain(t *testing.T) {
 		{From: 0, To: 1, Lower: 0, Upper: 5},
 		{From: 1, To: 2, Lower: 0, Upper: 3},
 	}
-	res, err := MinCutWithBounds(3, edges, 0, 2)
+	res, err := MinCutWithBoundsUsing(EdmondsKarp, 3, edges, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBoundedLowerRewardsBackEdge(t *testing.T) {
 		{2, 3, 0, 6},
 		{2, 1, 1, 9},
 	}
-	res, err := MinCutWithBounds(4, edges, 0, 3)
+	res, err := MinCutWithBoundsUsing(EdmondsKarp, 4, edges, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBoundedInfiniteCut(t *testing.T) {
 		{0, 1, 0, inf},
 		{1, 2, 1, inf},
 	}
-	res, err := MinCutWithBounds(3, edges, 0, 2)
+	res, err := MinCutWithBoundsUsing(EdmondsKarp, 3, edges, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,20 +161,20 @@ func TestBoundedInfeasible(t *testing.T) {
 		{0, 1, 5, 10},
 		{1, 2, 0, 1},
 	}
-	_, err := MinCutWithBounds(3, edges, 0, 2)
+	_, err := MinCutWithBoundsUsing(EdmondsKarp, 3, edges, 0, 2)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestBoundedRejectsBadBounds(t *testing.T) {
-	if _, err := MinCutWithBounds(2, []BoundedEdge{{0, 1, 5, 2}}, 0, 1); err == nil {
+	if _, err := MinCutWithBoundsUsing(EdmondsKarp, 2, []BoundedEdge{{0, 1, 5, 2}}, 0, 1); err == nil {
 		t.Error("upper < lower should error")
 	}
-	if _, err := MinCutWithBounds(2, []BoundedEdge{{0, 1, -1, 2}}, 0, 1); err == nil {
+	if _, err := MinCutWithBoundsUsing(EdmondsKarp, 2, []BoundedEdge{{0, 1, -1, 2}}, 0, 1); err == nil {
 		t.Error("negative lower should error")
 	}
-	if _, err := MinCutWithBounds(2, nil, 1, 1); err == nil {
+	if _, err := MinCutWithBoundsUsing(EdmondsKarp, 2, nil, 1, 1); err == nil {
 		t.Error("s == t should error")
 	}
 }
@@ -205,7 +205,7 @@ func TestBoundedFlowRespectsBounds(t *testing.T) {
 		for u := 0; u < n-1; u++ {
 			edges = append(edges, BoundedEdge{u, u + 1, 0, 20})
 		}
-		res, err := MinCutWithBounds(n, edges, 0, n-1)
+		res, err := MinCutWithBoundsUsing(EdmondsKarp, n, edges, 0, n-1)
 		if errors.Is(err, ErrInfeasible) {
 			continue // random lower bounds may be unsatisfiable
 		}
@@ -285,7 +285,7 @@ func TestDinicMatchesEdmondsKarp(t *testing.T) {
 				}
 			}
 		}
-		g1, g2 := newGraph(n), newGraph(n)
+		g1, g2 := &graph{n: n}, &graph{n: n}
 		for _, ed := range es {
 			g1.addEdge(ed.u, ed.v, ed.c)
 			g2.addEdge(ed.u, ed.v, ed.c)
@@ -352,7 +352,7 @@ func warmTestNetwork() (n int, edges []BoundedEdge) {
 
 // FuzzWarmMinCut applies a fuzzed sequence of up to 64 rounds of bound
 // changes to one Network and requires, after each, what a fresh
-// MinCutWithBounds of the same bounds gives: the same feasibility verdict,
+// MinCutWithBoundsUsing of the same bounds gives: the same feasibility verdict,
 // the same S side, the same value (Solve's finiteness verdict and
 // CutValue) — whatever flow the earlier solves
 // (failed ones included) left behind. A round moves one to four edges; a
@@ -496,14 +496,16 @@ func FuzzWarmMinCut(f *testing.F) {
 // bound changes aimed at each of Solve's paths — an arc opened out of the
 // last S side (which a growth takes), a tree arc of that side closed, big
 // raised, a lower bound no flow meets, a lower bound above the carried
-// flow (routed in phase 2), or any move — most solved by Edmonds-Karp and
-// some by Dinic, and requires after every Solve what a cold Dinic solve
-// of a freshly built network gives: the same verdict, finiteness, S side,
-// cut value and, for a finite cut, flow value. Bounds are multiples of
-// 1/4, so every sum is exact, and lower bounds stay small beside the
-// flows big lets through, so that the unrouted share Solve forgives,
-// relative to their sum, is nil. Each kind of round, a raise of big, an
-// infeasible verdict and a grown solve must all have happened.
+// flow (routed in phase 2), the same past small on the edge carrying the
+// most, which big's raises let reach millions, or any move — most solved
+// by Edmonds-Karp and some by Dinic, and requires after every Solve what
+// a cold Dinic solve of a freshly built network gives: the same verdict,
+// finiteness, S side, cut value and, for a finite cut, flow value, with
+// the flow conserved at every node but s and t. Bounds are multiples of
+// 1/4, so every sum is exact, and a lower bound millions high may leave
+// a quarter unroutable, which no tolerance relative to the lower bounds'
+// sum may forgive. Each kind of round, a raise of big, an infeasible
+// verdict and a grown solve must all have happened.
 func TestGrowMatchesCold(t *testing.T) {
 	const (
 		opens = iota
@@ -511,6 +513,7 @@ func TestGrowMatchesCold(t *testing.T) {
 		raises
 		infeasible
 		routes
+		routesPast
 		kinds
 	)
 	const small = 64 // the largest flow a lower bound is raised to
@@ -592,6 +595,17 @@ func TestGrowMatchesCold(t *testing.T) {
 					set(i, lower, max(e.Upper, lower))
 					done[kind]++
 				}
+			case routesPast:
+				for k := range edges {
+					if nw.Flow(k) > nw.Flow(i) {
+						i = k
+					}
+				}
+				if e, f := edges[i], nw.Flow(i); f > small {
+					lower := f + 0.25 + quarter(8)
+					set(i, lower, max(e.Upper, lower))
+					done[kind]++
+				}
 			default:
 				lower := quarter(8)
 				upper := lower + quarter(40)
@@ -628,6 +642,11 @@ func TestGrowMatchesCold(t *testing.T) {
 			cold := func(i int) float64 { return want.Flow[i] }
 			if v, w := flowValue(edges, 0, nw.Flow), flowValue(edges, 0, cold); got && v != w {
 				t.Fatalf("trial %d round %d: sends %v from s, cold %v", trial, round, v, w)
+			}
+			for v := 1; v < n-1; v++ {
+				if out := flowValue(edges, v, nw.Flow); out != 0 {
+					t.Fatalf("trial %d round %d: node %d sends %v more than it receives", trial, round, v, out)
+				}
 			}
 		}
 		done[kinds] += nw.Grown()

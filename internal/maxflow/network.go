@@ -81,7 +81,8 @@ type Network struct {
 	// S side, which g.queue lists: only an Edmonds-Karp Solve that
 	// succeeded leaves one, and the next Solve may grow that side from it.
 	tree  bool
-	grown int // Solves answered by growing the last S side
+	grown int  // Solves answered by growing the last S side
+	warm  bool // the next Solve starts from a flow an earlier one left
 }
 
 // NewNetwork builds the network of the given edges over nodes 0..n-1 with
@@ -92,7 +93,7 @@ func NewNetwork(n int, edges []BoundedEdge, s, t int) (*Network, error) {
 		return nil, fmt.Errorf("maxflow: source equals sink (%d)", s)
 	}
 	nw := &Network{
-		g: newGraph(n + 2), n: n, s: s, t: t,
+		g: &graph{n: n + 2}, n: n, s: s, t: t,
 		edges:   append([]BoundedEdge(nil), edges...),
 		lower:   make([]float64, len(edges)+1),
 		dirty:   make([]int32, len(edges)),
@@ -189,9 +190,10 @@ func (nw *Network) imbalance(v int32) float64 {
 // at the carried flow clamped into its new bounds; the node imbalances that
 // leaves are routed from a super source to a super sink, with a t→s edge
 // closing the circulation; if they cannot all be routed no feasible flow
-// exists (ErrInfeasible); otherwise flow is augmented from s to t and the
-// nodes still reachable from s are the cut's S side, found by growing the
-// last S side where Network says it may be. The Max-Flow Min-Cut
+// exists (ErrInfeasible, a verdict only a solve from zero flow gives: a
+// warm one runs again from zero); otherwise flow is augmented from s to
+// t and the nodes still reachable from s are the cut's S side, found by
+// growing the last S side where Network says it may be. The Max-Flow Min-Cut
 // theorem holds with non-zero lower bounds (Ford & Fulkerson, ch. 1 §9).
 // A first solve is the same steps from zero flow with every edge moved.
 //
@@ -213,6 +215,8 @@ func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 	}
 	grow := nw.tree && solver == EdmondsKarp
 	nw.tree = false
+	warm := nw.warm
+	nw.warm = true
 	if need := 2*nw.sumFinite + 1e6; need > nw.big {
 		grow = false
 		nw.big = 2 * need
@@ -295,11 +299,21 @@ func (nw *Network) Solve(solver Solver) (finite bool, err error) {
 	}
 	nw.open = open
 	g.cap[2*m], g.flow[2*m], g.flow[2*m+1] = 0, 0, 0
-	// The tolerance is relative to the sum of all lower bounds, which is
-	// what a solve from zero flow has to route, not to what is left of it
-	// here.
-	if demand-got > 1e-6*(1+nw.sumLower) {
-		return false, fmt.Errorf("%w: %v of %v left unrouted", ErrInfeasible, demand-got, nw.sumLower)
+	// Only rounding of this solve's own demand may be left. Past that a
+	// warm solve drops its flow and solves again from zero, re-clamping
+	// every edge (not counted: no bound moved).
+	if left := demand - got; left > 1e-6+1e-9*demand {
+		if !warm {
+			return false, fmt.Errorf("%w: %v of %v left unrouted", ErrInfeasible, left, demand)
+		}
+		clear(g.flow)
+		clear(nw.lower)
+		for i := range nw.edges {
+			nw.dirty, nw.isDirty[i] = append(nw.dirty, int32(i)), true
+		}
+		nw.moved -= m
+		nw.warm = false
+		return nw.Solve(solver)
 	}
 
 	// Steps 3-4: continue augmenting s→t on the same residual graph. The
@@ -420,15 +434,9 @@ func (nw *Network) Grown() int { return nw.grown }
 // SetBounds changed.
 func (nw *Network) EdgesMoved() int { return nw.moved }
 
-// MinCutWithBounds computes a minimum s-t cut of a DAG whose edges carry
-// flow lower bounds (paper Algorithm 3; see Network.Solve). It uses the
-// paper's Edmonds-Karp solver.
-func MinCutWithBounds(n int, edges []BoundedEdge, s, t int) (*CutResult, error) {
-	return MinCutWithBoundsUsing(EdmondsKarp, n, edges, s, t)
-}
-
-// MinCutWithBoundsUsing is MinCutWithBounds with an explicit max-flow
-// solver: one Network, solved once.
+// MinCutWithBoundsUsing computes a minimum s-t cut of a DAG whose edges
+// carry flow lower bounds (paper Algorithm 3; see Network.Solve) with the
+// given max-flow solver: one Network, solved once.
 func MinCutWithBoundsUsing(solver Solver, n int, edges []BoundedEdge, s, t int) (*CutResult, error) {
 	nw, err := NewNetwork(n, edges, s, t)
 	if err != nil {

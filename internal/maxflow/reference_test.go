@@ -74,7 +74,7 @@ func TestEdmondsKarpMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(12)
-		g1, g2 := newGraph(n), newGraph(n)
+		g1, g2 := &graph{n: n}, &graph{n: n}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if u != v && rng.Float64() < 0.3 {

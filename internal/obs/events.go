@@ -39,11 +39,9 @@ const DefaultRingCapacity = 512
 // and Snapshot returns a copy in emission order. Safe for concurrent
 // use.
 type Ring struct {
-	mu   sync.Mutex
-	buf  []Event
-	head int // next write position
-	n    int // filled entries
-	seq  uint64
+	mu     sync.Mutex
+	events ring[Event]
+	seq    uint64
 }
 
 // NewRing returns a ring holding up to capacity events
@@ -52,7 +50,7 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	return &Ring{buf: make([]Event, capacity)}
+	return &Ring{events: newRing[Event](capacity)}
 }
 
 // Emit appends one event. kv lists labels as alternating key, value
@@ -67,17 +65,13 @@ func (r *Ring) Emit(at time.Time, name string, dur time.Duration, kv ...string) 
 	}
 	r.mu.Lock()
 	r.seq++
-	r.buf[r.head] = Event{
+	r.events.push(Event{
 		Seq:     r.seq,
 		AtUnixS: float64(at.UnixNano()) / 1e9,
 		Name:    name,
 		DurS:    dur.Seconds(),
 		Labels:  labels,
-	}
-	r.head = (r.head + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	})
 	r.mu.Unlock()
 }
 
@@ -86,20 +80,7 @@ func (r *Ring) Emit(at time.Time, name string, dur time.Duration, kv ...string) 
 func (r *Ring) Snapshot(limit int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.n
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]Event, n)
-	// The newest event sits at head-1; walk back n entries.
-	start := r.head - n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(start+i)%len(r.buf)]
-	}
-	return out
+	return r.events.last(limit)
 }
 
 // SnapshotSince copies the retained events with Seq > since, oldest
@@ -116,31 +97,24 @@ func (r *Ring) SnapshotSince(since uint64, limit int) []Event {
 	defer r.mu.Unlock()
 	// Seqs are assigned contiguously, so the count of retained events
 	// newer than since is computable without scanning: the retained
-	// Seqs are (r.seq-r.n, r.seq].
-	n := r.n
+	// Seqs are (r.seq-n, r.seq] for the n retained.
+	n := r.events.n
 	if since >= r.seq {
 		n = 0
 	} else if avail := r.seq - since; uint64(n) > avail {
 		n = int(avail)
 	}
-	// The n qualifying events end at head-1; keep the oldest limit.
-	start := r.head - n
-	if start < 0 {
-		start += len(r.buf)
-	}
+	// The n qualifying events are the newest; keep the oldest limit.
+	from := r.events.n - n
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(start+i)%len(r.buf)]
-	}
-	return out
+	return r.events.copyRange(from, from+n)
 }
 
 // Len reports how many events are currently retained.
 func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.events.n
 }

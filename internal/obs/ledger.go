@@ -58,9 +58,7 @@ type JobLedgerView struct {
 // allocates nothing.
 type jobLedger struct {
 	id     string
-	ring   []LedgerEntry
-	head   int // next write position
-	n      int // live entries, <= cap(ring)
+	ring   ring[LedgerEntry]
 	totals LedgerTotals
 }
 
@@ -105,18 +103,14 @@ func (l *Ledger) Settle(jobID string, e LedgerEntry) {
 	defer l.mu.Unlock()
 	jl, ok := l.jobs[jobID]
 	if !ok {
-		jl = &jobLedger{id: jobID, ring: make([]LedgerEntry, l.ringCap)}
+		jl = &jobLedger{id: jobID, ring: newRing[LedgerEntry](l.ringCap)}
 		l.jobs[jobID] = jl
 		i, _ := slices.BinarySearchFunc(l.byID, jobID, func(o *jobLedger, id string) int {
 			return cmp.Or(strings.Compare(o.id, id), -1) // after every equal ID
 		})
 		l.byID = slices.Insert(l.byID, i, jl)
 	}
-	jl.ring[jl.head] = e
-	jl.head = (jl.head + 1) % len(jl.ring)
-	if jl.n < len(jl.ring) {
-		jl.n++
-	} else {
+	if jl.ring.push(e) {
 		jl.totals.Dropped++
 	}
 	jl.totals.Entries++
@@ -134,15 +128,7 @@ func (l *Ledger) Job(jobID string, n int) (JobLedgerView, bool) {
 	if !ok {
 		return JobLedgerView{JobID: jobID}, false
 	}
-	count := jl.n
-	if n > 0 && n < count {
-		count = n
-	}
-	view := JobLedgerView{JobID: jobID, Totals: jl.totals, Entries: make([]LedgerEntry, 0, count)}
-	for i := count; i > 0; i-- {
-		view.Entries = append(view.Entries, jl.ring[(jl.head-i+len(jl.ring))%len(jl.ring)])
-	}
-	return view, true
+	return JobLedgerView{JobID: jobID, Totals: jl.totals, Entries: jl.ring.last(n)}, true
 }
 
 // Totals returns the job's cumulative totals without copying its ring.
@@ -197,7 +183,7 @@ func (l *Ledger) Remove(jobID string) bool {
 	defer l.mu.Unlock()
 	jl, ok := l.jobs[jobID]
 	if ok {
-		jl.ring = nil
+		jl.ring = ring[LedgerEntry]{}
 		delete(l.jobs, jobID)
 	}
 	return ok

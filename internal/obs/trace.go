@@ -38,9 +38,7 @@ const DefaultTracerCapacity = 2048
 // constructor retains DefaultTracerCapacity spans.
 type Tracer struct {
 	mu    sync.Mutex
-	buf   []record
-	head  int // next write position
-	n     int // filled entries
+	spans ring[record]
 	drops uint64
 
 	// clock is read on every span start and end without taking mu.
@@ -58,7 +56,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTracerCapacity
 	}
-	t := &Tracer{buf: make([]record, capacity)}
+	t := &Tracer{spans: newRing[record](capacity)}
 	t.SetClock(time.Now)
 	return t
 }
@@ -93,13 +91,8 @@ func (t *Tracer) OnPush(fn func(name string)) {
 // push appends one finished span, overwriting the oldest at capacity.
 func (t *Tracer) push(r *record) {
 	t.mu.Lock()
-	if t.n == len(t.buf) {
+	if t.spans.push(*r) {
 		t.drops++
-	}
-	t.buf[t.head] = *r
-	t.head = (t.head + 1) % len(t.buf)
-	if t.n < len(t.buf) {
-		t.n++
 	}
 	fn := t.onPush
 	t.mu.Unlock()
@@ -111,12 +104,8 @@ func (t *Tracer) push(r *record) {
 // retained calls fn with every retained span record, oldest first.
 // Callers hold t.mu.
 func (t *Tracer) retained(fn func(r *record)) {
-	start := t.head - t.n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < t.n; i++ {
-		fn(&t.buf[(start+i)%len(t.buf)])
+	for i := range t.spans.n {
+		fn(t.spans.at(i))
 	}
 }
 
@@ -424,7 +413,7 @@ type Trace struct {
 // that exact name ("" keeps all).
 func (t *Tracer) Traces(limit int, minDur time.Duration, op string) []Trace {
 	t.mu.Lock()
-	recs := make([]record, 0, t.n)
+	recs := make([]record, 0, t.spans.n)
 	t.retained(func(r *record) { recs = append(recs, *r) })
 	t.mu.Unlock()
 	spans := make([]Span, len(recs))

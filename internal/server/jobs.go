@@ -10,9 +10,9 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
+	"perseus/internal/api"
 	"perseus/internal/dag"
 	"perseus/internal/frontier"
 	"perseus/internal/gpu"
@@ -135,7 +135,7 @@ func (s *Server) handleRemoveJob(w http.ResponseWriter, r *http.Request, j *job)
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, j *job) {
 	var up ProfileUpload
 	if !decodeBody(w, r, func(body io.Reader) error {
-		data, err := io.ReadAll(body)
+		data, err := readBody(body, r.ContentLength)
 		if err != nil {
 			return err
 		}
@@ -350,9 +350,9 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 	}
 	ms := make([]profile.Measurement, 0, len(up.Measurements))
 	for _, m := range up.Measurements {
-		kind, err := parseKind(m.Kind)
+		kind, err := api.ParseKind(m.Kind)
 		if err != nil {
-			return err
+			return fmt.Errorf("server: %w", err)
 		}
 		ms = append(ms, profile.Measurement{
 			Virtual: m.Virtual, Kind: kind,
@@ -587,14 +587,4 @@ func (s *Server) FrontierOf(id string) FrontierResponse {
 		resp.Energy = append(resp.Energy, pt.Energy)
 	}
 	return resp
-}
-
-func parseKind(s string) (sched.Kind, error) {
-	switch strings.ToLower(s) {
-	case "forward", "f":
-		return sched.Forward, nil
-	case "backward", "b":
-		return sched.Backward, nil
-	}
-	return 0, fmt.Errorf("server: unknown computation kind %q (want forward or backward)", s)
 }

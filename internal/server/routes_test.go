@@ -297,6 +297,83 @@ func TestProfileBodyErrors(t *testing.T) {
 	}
 }
 
+// TestReadBodyAllocs: a body read at its declared length allocates its
+// buffer once, whatever the size, and a declared length that is off
+// still reads the whole body.
+func TestReadBodyAllocs(t *testing.T) {
+	var rd bytes.Reader
+	for _, n := range []int{1, 511, 512, 513, 26080, maxBodyBytes} {
+		body := bytes.Repeat([]byte{7}, n)
+		for _, declared := range []int64{int64(n), int64(n / 2), int64(2 * n), 0, -1} {
+			rd.Reset(body)
+			if got, err := readBody(&rd, declared); err != nil || !bytes.Equal(got, body) {
+				t.Fatalf("%d bytes declared %d: read %d bytes, %v", n, declared, len(got), err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			rd.Reset(body)
+			if _, err := readBody(&rd, int64(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("%d bytes at their declared length: %v allocations, want 1", n, allocs)
+		}
+	}
+}
+
+// TestProfileDeclaredLength: the profile upload's Content-Length only
+// sizes its read. A body cut short or run long answers 400 whatever
+// length it declares, one over maxBodyBytes 413, and a well-formed body
+// that declares the wrong length is still read whole.
+func TestProfileDeclaredLength(t *testing.T) {
+	srv := New()
+	req := JobRequest{Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3}
+	id, err := srv.Register(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gpu.ByName(req.GPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := buildUpload(t, g, req.Stages, 4)
+	buf, err := up.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte, declared int64) int {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/jobs/"+id+"/profile", bytes.NewReader(body))
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, r)
+		return w.Code
+	}
+	short, long := buf[:len(buf)-1], append(slices.Clone(buf), 0)
+	for _, c := range []struct {
+		name     string
+		body     []byte
+		declared int64
+		want     int
+	}{
+		{"short, declared whole", short, int64(len(buf)), http.StatusBadRequest},
+		{"short, declared as sent", short, int64(len(short)), http.StatusBadRequest},
+		{"long, declared whole", long, int64(len(buf)), http.StatusBadRequest},
+		{"long, declared as sent", long, int64(len(long)), http.StatusBadRequest},
+		{"oversized, declared small", filled(t, up, maxBodyBytes+1), 100, http.StatusRequestEntityTooLarge},
+		{"oversized, declared as sent", filled(t, up, maxBodyBytes+1), maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"whole, declared short", buf, int64(len(buf) / 2), http.StatusAccepted},
+	} {
+		if code := post(c.body, c.declared); code != c.want {
+			t.Fatalf("%s: %d, want %d", c.name, code, c.want)
+		}
+	}
+	if err := srv.WaitCharacterized(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJSONBodyTrailingBytes: a JSON body must be one value followed by
 // nothing but white space. Bytes after the value, a second value, or a
 // stray closing brace answer 400 and register nothing; a body ending in

@@ -279,6 +279,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, decode func(io.Reader) e
 	return false
 }
 
+// readBody reads body to EOF. A declared length (the request's
+// Content-Length) in (0, maxBodyBytes] only sizes the buffer, with the
+// bytes.MinRead ReadFrom wants free before each read, EOF's included: a
+// body shorter or longer than declared still reads as what it is.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 || declared > maxBodyBytes {
+		declared = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, declared+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
+}
+
 // decodeJSON reads the request's JSON body into v (decodeBody): one
 // JSON value, followed by nothing but white space.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
