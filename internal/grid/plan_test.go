@@ -727,6 +727,15 @@ func hullFrom(lt *frontier.LookupTable, lo int) []int {
 // solver's price search, ladders, lanes and solver positions are
 // licensed by agreeing with it exactly, bit for bit.
 func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult, error) {
+	return scanSolveFrom(lt, sig, opts, false)
+}
+
+// scanSolveFrom is scanSolve, started awake when awake is set: every
+// interval its cap lets run has taken its wake step (it runs its
+// slowest allowed point) before the scan begins, and a feasible plan's
+// steps count those wake steps too. The plan then overshoots any
+// target the awake intervals alone cover, at price 0.
+func scanSolveFrom(lt *frontier.LookupTable, sig *Signal, opts Options, awake bool) (scanResult, error) {
 	d, scale, obj, err := normalize(lt, sig, opts)
 	if err != nil {
 		return scanResult{}, err
@@ -771,6 +780,9 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 				st.sigma = append(st.sigma, max(sigma, st.sigma[len(st.sigma)-1]))
 			}
 			maxCover += st.dur / lt.PointTime(lo)
+			if awake {
+				st.n = 1
+			}
 		}
 		ivs = append(ivs, st)
 	}
@@ -788,6 +800,9 @@ func scanSolve(lt *frontier.LookupTable, sig *Signal, opts Options) (scanResult,
 		}
 	} else {
 		res.price = 0
+		for _, st := range ivs {
+			res.steps += st.n
+		}
 		for cover := coverage(); cover < opts.Target-1e-9; {
 			best, bestSlope := -1, 0.0
 			for k, st := range ivs {
@@ -866,11 +881,46 @@ func pointOf(sol *solution, k int) int { return sol.reach(k, sol.ivs[k].n) }
 // and every table point, no tolerance.
 func checkAgainstScan(t *testing.T, sol *solution, lt *frontier.LookupTable, sig *Signal, opts Options) {
 	t.Helper()
-	want, err := scanSolve(lt, sig, opts)
+	checkAgainstScanFrom(t, sol, lt, sig, opts, false)
+}
+
+// solveAwake solves the instance on sol, then searches it again from
+// the awake floor, every interval that can run already at its slowest
+// allowed point (scanSolveFrom's awake start): the low end the price
+// search holds once a probe has woken every interval, here entered
+// directly, with the first search's price as the hint. An infeasible
+// instance keeps its best-effort plan, which no floor changes.
+func solveAwake(sol *solution, lt *frontier.LookupTable, sig *Signal, opts Options) error {
+	if err := sol.solve(lt, sig, opts); err != nil || !sol.feasible {
+		return err
+	}
+	k := len(sol.ivs)
+	lo, hi, at := sol.counts[:k], sol.counts[k:2*k], sol.counts[2*k:]
+	for k := range sol.ivs {
+		hi[k] = len(sol.ivs[k].ladder)
+		lo[k] = min(1, hi[k])
+		at[k] = lo[k]
+	}
+	hint := sol.price
+	sol.frac = fracStep{k: -1}
+	sol.steps, sol.price = 0, 0
+	sol.finish(sol.search(lo, hi, at, opts.Target, hint))
+	return nil
+}
+
+// checkAgainstScanFrom is checkAgainstScan, with both the solver and
+// the scan started awake when awake is set (solveAwake, scanSolveFrom).
+func checkAgainstScanFrom(t *testing.T, sol *solution, lt *frontier.LookupTable, sig *Signal, opts Options, awake bool) {
+	t.Helper()
+	want, err := scanSolveFrom(lt, sig, opts, awake)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sol.solve(lt, sig, opts); err != nil {
+	solve := sol.solve
+	if awake {
+		solve = func(lt *frontier.LookupTable, sig *Signal, opts Options) error { return solveAwake(sol, lt, sig, opts) }
+	}
+	if err := solve(lt, sig, opts); err != nil {
 		t.Fatal(err)
 	}
 	frac := fracOf(sol)
@@ -975,15 +1025,18 @@ func TestNonConvexTablePlansOnItsHull(t *testing.T) {
 // the last interval, one-interval and one-point instances, exact ties,
 // and dense many-interval cases — each on a fresh solution and on one
 // reused across the whole corpus. Evaluate's totals and Price are
-// Optimize's bit for bit, -1 on infeasible instances included.
+// Optimize's bit for bit, -1 on infeasible instances included. Each
+// instance is also searched from the awake floor (solveAwake), a low
+// end with every interval woken, which must meet the scan started
+// there; those subtests keep the noidle=true ids of the planner's
+// former no-idle mode, whose start that floor was, and the others
+// keep noidle=false.
 func TestSolveMatchesScanReference(t *testing.T) {
 	var reused solution
 	var evaluator Solver
 	infeasible := 0
 	referenceCorpus(func(name string, lt *frontier.LookupTable, sig *Signal, opts Options) {
 		t.Helper()
-		// The subtests keep the name they had when the planner had a no-idle
-		// mode, so their ids stay stable.
 		t.Run(name+"/noidle=false", func(t *testing.T) {
 			checkAgainstScan(t, &solution{}, lt, sig, opts)
 			checkAgainstScan(t, &reused, lt, sig, opts)
@@ -1003,6 +1056,10 @@ func TestSolveMatchesScanReference(t *testing.T) {
 			if !p.Feasible {
 				infeasible++
 			}
+		})
+		t.Run(name+"/noidle=true", func(t *testing.T) {
+			checkAgainstScanFrom(t, &solution{}, lt, sig, opts, true)
+			checkAgainstScanFrom(t, &reused, lt, sig, opts, true)
 		})
 	})
 	if infeasible == 0 {
