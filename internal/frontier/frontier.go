@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"perseus/internal/dag"
 	"perseus/internal/fit"
@@ -193,7 +195,7 @@ type Point struct {
 	// RawEnergy is the discrete unadjusted computation energy Σ e_i.
 	RawEnergy float64
 
-	index int
+	index int // the walk step the point was taken at
 	f     *Frontier
 }
 
@@ -230,9 +232,9 @@ func realize(ci *compInfo, dur int64, unit float64) (gpu.Point, float64) {
 	return ci.tp.ForDuration(float64(dur) * unit)
 }
 
-// Frontier is the characterized time-energy tradeoff frontier: energy
+// Frontier is the characterized time-energy tradeoff frontier: the energy
 // schedules from Tmin (all-max-frequency iteration time) to T* (minimum
-// energy), one per unit time.
+// energy) that no faster schedule matches in energy (see Characterize).
 type Frontier struct {
 	// Unit is τ in seconds.
 	Unit float64
@@ -240,8 +242,8 @@ type Frontier struct {
 	// Graph is the computation DAG the frontier was characterized on.
 	Graph *dag.Graph
 
-	points []Point
-	deltas [][]durDelta // per point, changes vs previous point
+	points []Point      // the Pareto set, by increasing time
+	deltas [][]durDelta // per walk step, changes vs the step before
 	keys   map[int][]int64
 	keyStp int
 	info   []compInfo
@@ -261,8 +263,7 @@ type Stats struct {
 	AugmentingPaths int // paths pushed by them
 	Fallbacks       int // steps that fell back to the speed-up-only cut
 	Rebuilds        int // steps that rebuilt the Critical DAG; the others kept the previous step's
-	TablePoints     int // points Table keeps: the Pareto set
-	HullPoints      int // of those, the lower convex hull's vertices (LookupTable.Hull)
+	HullPoints      int // of the frontier's points, the lower convex hull's vertices (LookupTable.Hull)
 }
 
 // Stats returns the work counts of the characterization that built f.
@@ -279,19 +280,22 @@ func (f *Frontier) Tmin() float64 { return float64(f.tminUnits) * f.Unit }
 // TStar returns the minimum-energy iteration time in seconds (paper §3.1).
 func (f *Frontier) TStar() float64 { return float64(f.tstarUnits) * f.Unit }
 
-// Points returns every frontier point ordered by increasing time.
+// Points returns the frontier's Pareto set by increasing time: Table's rows.
 func (f *Frontier) Points() []Point { return f.points }
 
 // Lookup returns the energy schedule for a straggler iteration time
 // tPrime, applying the universal prescription T_opt = min(T*, T')
 // (paper Eq. 2): the schedule with the largest planned time not exceeding
 // T_opt. A tPrime at or below Tmin returns the fastest schedule — only
-// intrinsic bloat can be removed (Figure 3a).
+// intrinsic bloat can be removed (Figure 3a). It answers every tPrime
+// with the point LookupTable.LookupIndex picks in Table.
 func (f *Frontier) Lookup(tPrime float64) Point {
-	return f.points[lookupIndex(len(f.points), func(i int) int64 { return f.points[i].TimeUnits }, f.Unit, f.tstarUnits, tPrime)]
+	units := toptUnits(tPrime, f.Unit, f.tstarUnits)
+	i := sort.Search(len(f.points), func(i int) bool { return f.points[i].TimeUnits > units })
+	return f.points[max(i-1, 0)]
 }
 
-// durationsAt reconstructs the duration vector of point idx from the
+// durationsAt reconstructs the duration vector of walk step idx from the
 // nearest keyframe plus deltas.
 func (f *Frontier) durationsAt(idx int) []int64 {
 	base := idx - idx%f.keyStp
@@ -305,8 +309,24 @@ func (f *Frontier) durationsAt(idx int) []int64 {
 }
 
 // Characterize computes the frontier of a pipeline's computation DAG given
-// its profile (paper Algorithm 1).
+// its profile (paper Algorithm 1): the walk from T* down to Tmin, pruned
+// to its Pareto set, so T* is the slowest point kept.
 func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, error) {
+	f, err := walk(g, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	f.points = paretoSet(f.points, func(p Point) float64 { return p.Energy })
+	f.tstarUnits = f.points[len(f.points)-1].TimeUnits
+	f.stats.HullPoints = len(lowerHull(nil, 0, len(f.points)-1,
+		func(i int) float64 { return float64(f.points[i].TimeUnits) },
+		func(i int) float64 { return f.points[i].Energy }))
+	return f, nil
+}
+
+// walk is Algorithm 1 itself: it returns a Frontier holding every step of
+// the walk by increasing time, one unit apart, T* being the walk's start.
+func walk(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, error) {
 	opts = opts.withDefaults()
 	nReal := g.NumReal()
 	if nReal == 0 {
@@ -445,18 +465,8 @@ func Characterize(g *dag.Graph, p *profile.Profile, opts Options) (*Frontier, er
 		f.stats.EdgesMoved, f.stats.Searches, f.stats.Grown, f.stats.AugmentingPaths = nw.EdgesMoved(), nw.Searches(), nw.Grown(), nw.AugmentingPaths()
 	}
 
-	// Reverse to time-ascending order and fix indices.
-	for i, j := 0, len(f.points)-1; i < j; i, j = i+1, j-1 {
-		f.points[i], f.points[j] = f.points[j], f.points[i]
-	}
-	for i := range f.points {
-		f.points[i].f = f
-	}
-	keep := paretoSet(len(f.points), func(i int) float64 { return f.points[i].Energy })
-	f.stats.TablePoints = len(keep)
-	f.stats.HullPoints = len(lowerHull(nil, 0, len(keep)-1,
-		func(i int) float64 { return float64(f.points[keep[i]].TimeUnits) },
-		func(i int) float64 { return f.points[keep[i]].Energy }))
+	// Reverse to time-ascending order; each point keeps its step index.
+	slices.Reverse(f.points)
 	return f, nil
 }
 

@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -62,6 +63,17 @@ func characterize(t *testing.T, g *dag.Graph, p *profile.Profile, opts Options) 
 	return f
 }
 
+// walkOf is characterize without the Pareto prune: every step of the
+// walk, one unit apart.
+func walkOf(t *testing.T, g *dag.Graph, p *profile.Profile, opts Options) *Frontier {
+	t.Helper()
+	f, err := walk(g, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestFrontierReachesTmin(t *testing.T) {
 	g, p, opts := buildCase(t, "gpt3-1.3b", gpu.A100PCIe, 4, 6, 4, "1f1b")
 	f := characterize(t, g, p, opts)
@@ -80,10 +92,31 @@ func TestFrontierReachesTmin(t *testing.T) {
 	}
 }
 
+// paretoErr checks a characterized frontier's Pareto invariants: time
+// strictly rising, energy strictly falling, the first point at Tmin and
+// the last at T*.
+func paretoErr(f *Frontier) error {
+	pts := f.Points()
+	if pts[0].TimeUnits != f.tminUnits || pts[len(pts)-1].TimeUnits != f.tstarUnits {
+		return fmt.Errorf("points span %d..%d units, Tmin %d, T* %d", pts[0].TimeUnits, pts[len(pts)-1].TimeUnits, f.tminUnits, f.tstarUnits)
+	}
+	if f.TStar() != pts[len(pts)-1].Time {
+		return fmt.Errorf("TStar %v s, slowest point %v s", f.TStar(), pts[len(pts)-1].Time)
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].TimeUnits <= pts[i-1].TimeUnits || !(pts[i].Energy < pts[i-1].Energy) {
+			return fmt.Errorf("point %d (%d units, %v J) after (%d units, %v J)", i, pts[i].TimeUnits, pts[i].Energy, pts[i-1].TimeUnits, pts[i-1].Energy)
+		}
+	}
+	return nil
+}
+
+// TestFrontierMonotone checks the walk's steps one unit apart with
+// non-increasing relaxed energy, and the Pareto invariants of the
+// frontier Characterize keeps from them.
 func TestFrontierMonotone(t *testing.T) {
 	g, p, opts := buildCase(t, "bloom-3b", gpu.A40, 4, 8, 4, "1f1b")
-	f := characterize(t, g, p, opts)
-	pts := f.Points()
+	pts := walkOf(t, g, p, opts).Points()
 	for i := 1; i < len(pts); i++ {
 		if pts[i].TimeUnits != pts[i-1].TimeUnits+1 {
 			t.Fatalf("times not consecutive at %d: %d -> %d", i, pts[i-1].TimeUnits, pts[i].TimeUnits)
@@ -100,6 +133,9 @@ func TestFrontierMonotone(t *testing.T) {
 	if pts[0].Energy <= pts[len(pts)-1].Energy {
 		t.Errorf("fastest schedule energy %v should exceed slowest %v",
 			pts[0].Energy, pts[len(pts)-1].Energy)
+	}
+	if err := paretoErr(characterize(t, g, p, opts)); err != nil {
+		t.Error(err)
 	}
 }
 

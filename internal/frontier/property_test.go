@@ -38,9 +38,10 @@ func randomWorkload(seed int64) (*dag.Graph, *profile.Profile, Options, error) {
 }
 
 // TestPropertyFrontierInvariants checks, for random workloads, the three
-// structural invariants of a characterized frontier: consecutive time
-// units from Tmin to T*, non-increasing relaxed energy with time, and
-// plan feasibility at every sampled point.
+// structural invariants of the optimizer's walk: consecutive time units
+// from Tmin to T*, non-increasing relaxed energy with time, and plan
+// feasibility at every sampled point; and the Pareto invariants of the
+// frontier Characterize keeps from it (see paretoErr).
 func TestPropertyFrontierInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		graph, prof, opts, err := randomWorkload(seed)
@@ -48,7 +49,10 @@ func TestPropertyFrontierInvariants(t *testing.T) {
 			return false
 		}
 		fr, err := Characterize(graph, prof, opts)
-		if err != nil {
+		if err != nil || paretoErr(fr) != nil {
+			return false
+		}
+		if fr, err = walk(graph, prof, opts); err != nil {
 			return false
 		}
 		pts := fr.Points()

@@ -166,10 +166,11 @@ func warmColdCase(t *testing.T, kind string) (*sched.Schedule, *profile.Profile)
 }
 
 // TestWarmMatchesCold is the frontier-level differential: the warm-started
-// stepper on its one reused network must walk exactly the frontier the
-// rebuild-per-step reference walks — same table, same durations at every
-// point, same energy sums to the last bit — for every schedule kind, both
-// relaxations, three unit times and both max-flow solvers.
+// stepper on its one reused network must walk exactly the steps the
+// rebuild-per-step reference walks — the same table of every step, the
+// same durations at every step, the same energy sums to the last bit —
+// for every schedule kind, both relaxations, three unit times and both
+// max-flow solvers. Characterize prunes both walks alike.
 func TestWarmMatchesCold(t *testing.T) {
 	for _, kind := range []string{"1f1b", "gpipe", "interleaved-1f1b", "early-recompute-1f1b"} {
 		s, p := warmColdCase(t, kind)
@@ -182,15 +183,18 @@ func TestWarmMatchesCold(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						return characterize(t, g, p, Options{Unit: unit, PiecewiseFit: piecewise, Solver: solver, Stepper: stepper})
+						return walkOf(t, g, p, Options{Unit: unit, PiecewiseFit: piecewise, Solver: solver, Stepper: stepper})
 					}
 					cold := &coldStepper{}
 					want, got := run(cold), run(MinCutStepper{})
 					if len(want.Points()) < 10 {
-						t.Fatalf("%s: reference frontier has only %d points", name, len(want.Points()))
+						t.Fatalf("%s: reference walk has only %d steps", name, len(want.Points()))
 					}
 					if !reflect.DeepEqual(got.Table(), want.Table()) {
-						t.Fatalf("%s: tables differ (%d vs %d points)", name, len(got.Points()), len(want.Points()))
+						t.Fatalf("%s: tables differ (%d vs %d steps)", name, len(got.Points()), len(want.Points()))
+					}
+					if st := got.Stats(); st.Fallbacks != cold.fallbacks {
+						t.Fatalf("%s: stats %+v, reference took %d fallbacks", name, st, cold.fallbacks)
 					}
 					for i, w := range want.Points() {
 						g := got.Points()[i]
@@ -201,9 +205,6 @@ func TestWarmMatchesCold(t *testing.T) {
 						if !slices.Equal(g.Durations(), w.Durations()) {
 							t.Fatalf("%s: point %d durations differ", name, i)
 						}
-					}
-					if st := got.Stats(); st.Fallbacks != cold.fallbacks {
-						t.Fatalf("%s: stats %+v, reference took %d fallbacks", name, st, cold.fallbacks)
 					}
 				}
 			}
@@ -270,10 +271,10 @@ func walkBoth(t *testing.T, build func() (*state, *func()), arm func(step int, s
 	return w.cold, w.warm.fallbacks, w.trail
 }
 
-// walk is what walkSteps saw: the cold stepper, the warm state, and per
+// stepTrail is what walkSteps saw: the cold stepper, the warm state, and per
 // step taken the durations after it and whether the warm stepper rebuilt
 // the Critical DAG for it.
-type walk struct {
+type stepTrail struct {
 	cold    *coldStepper
 	warm    *state
 	trail   [][]int64
@@ -281,11 +282,11 @@ type walk struct {
 }
 
 // walkSteps is walkBoth recording which steps rebuilt.
-func walkSteps(t *testing.T, build func() (*state, *func()), arm func(step int, st *state, hook *func())) walk {
+func walkSteps(t *testing.T, build func() (*state, *func()), arm func(step int, st *state, hook *func())) stepTrail {
 	t.Helper()
 	warm, warmHook := build()
 	ref, refHook := build()
-	w := walk{cold: &coldStepper{}, warm: warm}
+	w := stepTrail{cold: &coldStepper{}, warm: warm}
 	for step := 0; step < 100; step++ {
 		arm(step, warm, warmHook)
 		arm(step, ref, refHook)
@@ -305,7 +306,7 @@ func walkSteps(t *testing.T, build func() (*state, *func()), arm func(step int, 
 		w.rebuilt = append(w.rebuilt, warm.rebuilds > rebuilds)
 	}
 	t.Fatal("walk did not end in 100 steps")
-	return walk{}
+	return stepTrail{}
 }
 
 // TestStepFallbackWarmMatchesCold forces the ErrInfeasible branch. Chain

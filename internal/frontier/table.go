@@ -71,55 +71,51 @@ type TablePoint struct {
 // Time returns the planned iteration time in seconds under the table's τ.
 func (lt *LookupTable) time(units int64) float64 { return float64(units) * lt.Unit }
 
-// Table materializes the frontier into a serializable lookup table. It
-// walks the points in the order the optimizer found them, from T* down,
-// keeping one duration and one frequency vector and re-realizing only the
-// computations each step moved; every kept point's plan is a slice of
-// one array. Only the Pareto set is kept (see paretoSet): a point that
-// is no cheaper than a faster one is never worth scheduling, so T* is
-// the slowest kept point. Memory is points × computations; for very
-// fine frontiers consider sampling with stride before persisting.
+// Table materializes the frontier into a serializable lookup table, one
+// row per point. It replays the walk from the T* point down, keeping one
+// duration and one frequency vector and re-realizing only the
+// computations each step moved; every row's plan is a slice of one
+// array. Memory is points × computations; for very fine frontiers
+// consider sampling with stride before persisting.
 func (f *Frontier) Table() *LookupTable {
-	keep := paretoSet(len(f.points), func(i int) float64 { return f.points[i].Energy })
+	last := len(f.points) - 1
 	lt := &LookupTable{
 		Unit:       f.Unit,
 		TminUnits:  f.tminUnits,
-		TStarUnits: f.points[keep[len(keep)-1]].TimeUnits,
-		Points:     make([]TablePoint, len(keep)),
+		TStarUnits: f.tstarUnits,
+		Points:     make([]TablePoint, len(f.points)),
 	}
-	last := len(f.points) - 1
 	n := f.nReal
-	freqs := make([]gpu.Frequency, len(keep)*n)
+	freqs := make([]gpu.Frequency, len(f.points)*n)
 	durs := f.points[last].Durations()
 	cur := f.points[last].Plan()
-	row := len(keep) - 1
-	for k := last; k >= 0 && row >= 0; k-- {
-		pt := f.points[k]
-		for _, d := range f.deltas[pt.index] {
-			durs[d.comp] += int64(d.delta)
-			chosen, _ := realize(&f.info[d.comp], durs[d.comp], f.Unit)
-			cur[d.comp] = chosen.Freq
-		}
-		if keep[row] != k {
-			continue
+	step := f.points[last].index
+	for row := last; row >= 0; row-- {
+		pt := f.points[row]
+		for step < pt.index {
+			step++
+			for _, d := range f.deltas[step] {
+				durs[d.comp] += int64(d.delta)
+				chosen, _ := realize(&f.info[d.comp], durs[d.comp], f.Unit)
+				cur[d.comp] = chosen.Freq
+			}
 		}
 		plan := freqs[row*n : (row+1)*n : (row+1)*n]
 		copy(plan, cur)
 		lt.Points[row] = TablePoint{TimeUnits: pt.TimeUnits, Energy: pt.Energy, Freqs: plan}
-		row--
 	}
 	return lt
 }
 
-// paretoSet returns, in order, the positions of the n time-ascending
-// points that no faster point matches: a point is kept only when its
-// energy is strictly below every faster kept point's. The fastest point
-// is always kept.
-func paretoSet(n int, energy func(int) float64) []int {
-	keep := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if len(keep) == 0 || energy(i) < energy(keep[len(keep)-1]) {
-			keep = append(keep, i)
+// paretoSet keeps, in place and in order, the time-ascending points that
+// no faster point matches: a point is kept only when its energy is
+// strictly below every faster kept point's. The fastest point is always
+// kept.
+func paretoSet[P any](pts []P, energy func(P) float64) []P {
+	keep := pts[:0]
+	for _, p := range pts {
+		if len(keep) == 0 || energy(p) < energy(keep[len(keep)-1]) {
+			keep = append(keep, p)
 		}
 	}
 	return keep
@@ -215,7 +211,8 @@ func (lt *LookupTable) HullOf(dst []int, lo, hi int) []int {
 
 // Lookup returns the energy schedule for an anticipated straggler
 // iteration time tPrime, with the same T_opt = min(T*, T') semantics as
-// Frontier.Lookup (paper Eq. 2). The lookup is a binary search:
+// Frontier.Lookup (paper Eq. 2): on a table from Frontier.Table, the
+// point the frontier's Lookup returns. The lookup is a binary search:
 // "instantaneous" per paper §6.5. An empty table (never produced by
 // Table or LoadTable, but possible for hand-built values) returns the
 // zero TablePoint.
@@ -260,22 +257,17 @@ func (lt *LookupTable) LookupIndex(tPrime float64) int {
 	if len(lt.Points) == 0 {
 		return -1
 	}
-	return lookupIndex(len(lt.Points), func(i int) int64 { return lt.Points[i].TimeUnits }, lt.Unit, lt.TStarUnits, tPrime)
+	units := toptUnits(tPrime, lt.Unit, lt.TStarUnits)
+	i := sort.Search(len(lt.Points), func(i int) bool { return lt.Points[i].TimeUnits > units })
+	return max(i-1, 0)
 }
 
-// lookupIndex is paper Eq. 2 over n points ascending in time, point i
-// timeUnits(i) units of τ = unit seconds long: it clamps tPrime to
-// T* = tstarUnits·τ, floors T_opt = min(T*, tPrime) to whole units (the
-// 1e-9 guards a quotient rounded just below an integer), and returns 0,
-// the fastest point, when T_opt is at or below it, otherwise the last
-// point at or below T_opt.
-func lookupIndex(n int, timeUnits func(int) int64, unit float64, tstarUnits int64, tPrime float64) int {
-	topt := math.Min(tPrime, float64(tstarUnits)*unit)
-	units := int64(math.Floor(topt/unit + 1e-9))
-	if units <= timeUnits(0) {
-		return 0
-	}
-	return sort.Search(n, func(i int) bool { return timeUnits(i) > units }) - 1
+// toptUnits is paper Eq. 2's T_opt = min(T*, tPrime) floored to whole
+// units τ = unit seconds, T* being tstarUnits units; the 1e-9 guards a
+// quotient rounded just below an integer. A lookup answers with the last
+// point at or below it, or the fastest point when none is.
+func toptUnits(tPrime, unit float64, tstarUnits int64) int64 {
+	return int64(math.Floor(math.Min(tPrime, float64(tstarUnits)*unit)/unit + 1e-9))
 }
 
 // Tmin returns the fastest cached iteration time in seconds.

@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -31,12 +32,10 @@ func TestTableMatchesFrontierLookup(t *testing.T) {
 }
 
 // TestLookupIndexMatchesFrontierLookup holds the table's Eq. 2 lookup,
-// through LookupIndex, to the frontier's on Table 3 workloads, at every
-// Pareto point's time and half a unit either side of it, below Tmin and
-// above T*. The table keeps only the frontier's Pareto set, so where
-// the frontier answers with a point the table dropped, the table answers
-// with the last point it kept before that one, which costs no more;
-// everywhere else both answer with the same time and energy.
+// through LookupIndex, to the frontier's at every probe: every unit from
+// two below Tmin to two past T* and half a unit either side of it, zero,
+// half of Tmin, twice T* and +Inf. Both answer with the same point, on
+// shapes whose walk drops steps a faster one matches in energy.
 func TestLookupIndexMatchesFrontierLookup(t *testing.T) {
 	for _, c := range []struct {
 		model    string
@@ -50,84 +49,75 @@ func TestLookupIndexMatchesFrontierLookup(t *testing.T) {
 		g, p, opts := buildCase(t, c.model, c.gpu, 4, 8, 4, c.schedule)
 		f := characterize(t, g, p, opts)
 		lt := f.Table()
-		times := []float64{f.Tmin() / 2, 0, f.TStar() * 2}
-		for i := range lt.Points {
-			pt := lt.PointTime(i)
-			times = append(times, pt-lt.Unit/2, pt, pt+lt.Unit/2)
+		if lt.Tmin() != f.Tmin() || lt.TStar() != f.TStar() {
+			t.Fatalf("%s: table bounds (%v, %v) != frontier (%v, %v)", c.model, lt.Tmin(), lt.TStar(), f.Tmin(), f.TStar())
 		}
-		same := 0
+		times := []float64{0, f.Tmin() / 2, f.TStar() * 2, math.Inf(1)}
+		for u := lt.TminUnits - 2; u <= lt.TStarUnits+2; u++ {
+			at := float64(u) * lt.Unit
+			times = append(times, at-lt.Unit/2, at, at+lt.Unit/2)
+		}
 		for _, tPrime := range times {
-			want, got := f.Lookup(tPrime), lt.Points[lt.LookupIndex(tPrime)]
-			kept := -1 // the last table point no slower than the frontier's
-			for i, pt := range lt.Points {
-				if pt.TimeUnits <= want.TimeUnits {
-					kept = i
-				}
+			i := lt.LookupIndex(tPrime)
+			if got, want := f.Lookup(tPrime), f.Points()[i]; got != want || got.TimeUnits != lt.Points[i].TimeUnits || got.Energy != lt.Points[i].Energy {
+				t.Fatalf("%s at %v s: frontier (%d units, %v J), table row %d (%d units, %v J)",
+					c.model, tPrime, got.TimeUnits, got.Energy, i, lt.Points[i].TimeUnits, lt.Points[i].Energy)
 			}
-			switch {
-			case got.TimeUnits != lt.Points[kept].TimeUnits:
-				t.Fatalf("%s at %v s: table %d units, want %d (frontier %d)",
-					c.model, tPrime, got.TimeUnits, lt.Points[kept].TimeUnits, want.TimeUnits)
-			case got.TimeUnits == want.TimeUnits && got.Energy != want.Energy,
-				got.Energy > want.Energy:
-				t.Fatalf("%s at %v s: table (%d units, %v J), frontier (%d units, %v J)",
-					c.model, tPrime, got.TimeUnits, got.Energy, want.TimeUnits, want.Energy)
-			case got.TimeUnits == want.TimeUnits:
-				same++
-			}
-		}
-		if same < len(times)*2/3 {
-			t.Fatalf("%s: the same point at %d of %d times, want at least two thirds", c.model, same, len(times))
 		}
 	}
 }
 
-// TestTableMatchesEveryPlan checks the table's walk by deltas against the
-// per-point reconstruction: every row is the plan, energy and time of the
-// frontier point it came from, with keyframes every 7 points so that the
-// points' own reconstruction starts from many different snapshots. The
-// rows are the frontier's Pareto set: a frontier point is missing only
-// when a faster row costs no more energy.
+// TestTableMatchesEveryPlan checks the table's replay of the walk by
+// deltas against the per-point reconstruction: every row is the plan,
+// energy and time of the frontier point at its position, with keyframes
+// every 7 steps so that the points' own reconstruction starts from many
+// different snapshots. The points are the walk's Pareto set: a walk step
+// is missing only when a faster point costs no more energy, and a kept
+// one has the step's durations.
 func TestTableMatchesEveryPlan(t *testing.T) {
 	for _, schedule := range []string{"1f1b", "gpipe"} {
 		g, p, opts := buildCase(t, "gpt3-1.3b", gpu.A100PCIe, 4, 6, 4, schedule)
 		opts.keyframeEvery = 7
+		steps := walkOf(t, g, p, opts).Points()
 		f := characterize(t, g, p, opts)
-		lt := f.Table()
-		if len(lt.Points) < 30 || len(lt.Points) != f.Stats().TablePoints {
-			t.Fatalf("%s: table has %d points, Stats %d", schedule, len(lt.Points), f.Stats().TablePoints)
+		lt, pts := f.Table(), f.Points()
+		if len(lt.Points) < 30 || len(lt.Points) != len(pts) || len(pts) == len(steps) {
+			t.Fatalf("%s: table has %d points, frontier %d, walk %d", schedule, len(lt.Points), len(pts), len(steps))
 		}
-		if lt.TStarUnits != lt.Points[len(lt.Points)-1].TimeUnits {
-			t.Fatalf("%s: T* %d units is not the slowest row's %d", schedule, lt.TStarUnits, lt.Points[len(lt.Points)-1].TimeUnits)
+		if lt.TStarUnits != f.tstarUnits || lt.TStarUnits != pts[len(pts)-1].TimeUnits {
+			t.Fatalf("%s: T* %d units (frontier %d) is not the slowest row's %d", schedule, lt.TStarUnits, f.tstarUnits, pts[len(pts)-1].TimeUnits)
+		}
+		for row, pt := range pts {
+			r := lt.Points[row]
+			if r.TimeUnits != pt.TimeUnits || r.Energy != pt.Energy {
+				t.Fatalf("%s: row %d is (%d units, %v J), point (%d units, %v J)", schedule, row, r.TimeUnits, r.Energy, pt.TimeUnits, pt.Energy)
+			}
+			if !slices.Equal(r.Freqs, pt.Plan()) {
+				t.Fatalf("%s: row %d's frequencies differ from its point's plan", schedule, row)
+			}
+			if row > 0 && !(r.Energy < lt.Points[row-1].Energy) {
+				t.Fatalf("%s: row %d (%v J) is dominated by row %d (%v J)", schedule, row, r.Energy, row-1, lt.Points[row-1].Energy)
+			}
 		}
 		row := 0
-		var source []Point // the frontier point of each row
-		for k, pt := range f.Points() {
-			if row < len(lt.Points) && lt.Points[row].TimeUnits == pt.TimeUnits {
-				r := lt.Points[row]
-				if r.Energy != pt.Energy {
-					t.Fatalf("%s: row %d is (%d units, %v J), point %d (%d units, %v J)", schedule, row, r.TimeUnits, r.Energy, k, pt.TimeUnits, pt.Energy)
+		for k, st := range steps {
+			if row < len(pts) && pts[row].TimeUnits == st.TimeUnits {
+				if pts[row].Energy != st.Energy || !slices.Equal(pts[row].Durations(), st.Durations()) {
+					t.Fatalf("%s: point %d differs from walk step %d", schedule, row, k)
 				}
-				if !slices.Equal(r.Freqs, pt.Plan()) {
-					t.Fatalf("%s: row %d's frequencies differ from point %d's plan", schedule, row, k)
-				}
-				if row > 0 && !(r.Energy < lt.Points[row-1].Energy) {
-					t.Fatalf("%s: row %d (%v J) is dominated by row %d (%v J)", schedule, row, r.Energy, row-1, lt.Points[row-1].Energy)
-				}
-				source = append(source, pt)
 				row++
 				continue
 			}
-			if row == 0 || pt.Energy < lt.Points[row-1].Energy {
-				t.Fatalf("%s: point %d (%d units, %v J) is missing but no faster row costs less", schedule, k, pt.TimeUnits, pt.Energy)
+			if row == 0 || st.Energy < pts[row-1].Energy {
+				t.Fatalf("%s: step %d (%d units, %v J) is missing but no faster point costs less", schedule, k, st.TimeUnits, st.Energy)
 			}
 		}
-		if row != len(lt.Points) {
-			t.Fatalf("%s: %d rows match no frontier point", schedule, len(lt.Points)-row)
+		if row != len(pts) {
+			t.Fatalf("%s: %d points match no walk step", schedule, len(pts)-row)
 		}
 		// Rows share one array; appending to one must not reach the next.
 		_ = append(lt.Points[0].Freqs, 1)
-		if !slices.Equal(lt.Points[1].Freqs, source[1].Plan()) {
+		if !slices.Equal(lt.Points[1].Freqs, pts[1].Plan()) {
 			t.Fatalf("%s: appending to row 0 overwrote row 1", schedule)
 		}
 	}

@@ -111,8 +111,8 @@ func (lt *LookupTable) marshal() ([]byte, error) {
 }
 
 // LoadTable reads and validates a table written by Save, and prunes it
-// to its Pareto set as Table does (a saved table may still hold points
-// a faster one dominates). A saved table is outside input, and
+// to its Pareto set as Characterize does (a saved table may still hold
+// points a faster one dominates). A saved table is outside input, and
 // every walk over it (Descend's callers) orders steps by slopes of time
 // and average power, so each point's time must be positive, finite and
 // rising, and its average power positive and finite.
@@ -144,12 +144,8 @@ func LoadTable(r io.Reader) (*LookupTable, error) {
 	if lt.Points[0].TimeUnits != lt.TminUnits || lt.Points[len(lt.Points)-1].TimeUnits != lt.TStarUnits {
 		return nil, fmt.Errorf("frontier: lookup table endpoints do not match Tmin/T*")
 	}
-	keep := paretoSet(len(lt.Points), func(i int) float64 { return lt.Points[i].Energy })
-	for row, i := range keep {
-		lt.Points[row] = lt.Points[i]
-	}
-	lt.Points = lt.Points[:len(keep)]
-	lt.TStarUnits = lt.Points[len(keep)-1].TimeUnits
+	lt.Points = paretoSet(lt.Points, func(p TablePoint) float64 { return p.Energy })
+	lt.TStarUnits = lt.Points[len(lt.Points)-1].TimeUnits
 	return lt, nil
 }
 

@@ -300,8 +300,8 @@ func TestLoadTablePrunesToPareto(t *testing.T) {
 }
 
 // TestLoadTableAllocs: loading a 390-point, 256-computation table costs
-// the read plus four allocations, the table's three (the struct, its
-// points, one array of plans) and the Pareto pass's index; a header
+// the read plus three allocations, the table's (the struct, its points,
+// one array of plans); the Pareto pass prunes in place. A header
 // claiming 2³²−1 points or computations is refused for the bytes of its
 // error alone.
 func TestLoadTableAllocs(t *testing.T) {
@@ -316,8 +316,8 @@ func TestLoadTableAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if load != read+4 {
-		t.Errorf("loading a %d-byte 390×256 table: %v allocations, the read alone %v; want the read + 4", len(body), load, read)
+	if load != read+3 {
+		t.Errorf("loading a %d-byte 390×256 table: %v allocations, the read alone %v; want the read + 3", len(body), load, read)
 	}
 
 	// Refusing costs the error's few hundred bytes; a table sized by the

@@ -224,10 +224,12 @@ func TestGridPlanRejectsNonFiniteParams(t *testing.T) {
 	}
 
 	// A still-current validator with wait=1e300 parks until the client
-	// goes: it writes nothing, not a 304.
+	// goes: it writes nothing, not a 304. start is read before the
+	// timeout is armed, so a goroutine delayed between the two cannot
+	// shorten the measured wait below the timeout.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	if w := get(ctx, "?iterations=100&wait=1e300", ok.Header().Get("ETag")); w.Code == http.StatusNotModified || time.Since(start) < 100*time.Millisecond {
 		t.Fatalf("wait=1e300 answered %d after %v instead of parking", w.Code, time.Since(start))
 	}

@@ -339,7 +339,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 	if !ok {
 		return fmt.Errorf("server: unknown job %s", id)
 	}
-	profiled := func() bool { return j.characterizing || j.front != nil } // under j.mu
+	profiled := func() bool { return j.characterizing || j.table != nil } // under j.mu
 	// A retried upload is refused before it pays for the fits; the check
 	// after them is the one that counts.
 	j.mu.Lock()
@@ -397,7 +397,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		}
 		now := s.st.now()
 		j.mu.Lock()
-		j.front, j.charErr = front, err
+		j.charErr = err
 		if front != nil {
 			j.table, j.tableHash = table, tableHash
 			// The job now has a deployed schedule drawing power:
@@ -425,8 +425,7 @@ func (s *Server) uploadProfile(ctx context.Context, id string, up ProfileUpload)
 		// characterize event still carries the registering trace's ID.
 		s.obs.ring.Emit(now, "job.characterize", took, traceKV(ctx,
 			"job", j.id, "outcome", outcome,
-			"points", strconv.Itoa(points), "table_points", strconv.Itoa(work.TablePoints),
-			"hull_points", strconv.Itoa(work.HullPoints), "steps", strconv.Itoa(work.Steps),
+			"points", strconv.Itoa(points), "hull_points", strconv.Itoa(work.HullPoints), "steps", strconv.Itoa(work.Steps),
 			"edges_moved", strconv.Itoa(work.EdgesMoved), "searches", strconv.Itoa(work.Searches),
 			"grown", strconv.Itoa(work.Grown), "augmenting_paths", strconv.Itoa(work.AugmentingPaths), "fallbacks", strconv.Itoa(work.Fallbacks),
 			"rebuilds", strconv.Itoa(work.Rebuilds))...)
@@ -482,7 +481,7 @@ func (s *Server) setStraggler(ctx context.Context, id string, n StragglerNotice)
 	}
 	gs := s.st.gridState()
 	j.mu.Lock()
-	if j.front == nil {
+	if j.table == nil {
 		j.mu.Unlock()
 		return fmt.Errorf("server: job %s not characterized yet", id)
 	}
@@ -493,7 +492,7 @@ func (s *Server) setStraggler(ctx context.Context, id string, n StragglerNotice)
 		if n.Degree <= 1 {
 			j.tPrime = 0
 		} else {
-			j.tPrime = j.front.Tmin() * n.Degree
+			j.tPrime = j.table.Tmin() * n.Degree
 		}
 		j.bumpLocked()
 		s.obs.ring.Emit(gs.now, "job.straggler", 0, traceKV(ctx,
@@ -533,13 +532,10 @@ func (s *Server) Schedule(id string) (ScheduleResponse, error) {
 	if j.charErr != nil {
 		return ScheduleResponse{}, j.charErr
 	}
-	if j.front == nil {
+	lt := j.table
+	if lt == nil {
 		return ScheduleResponse{Ready: false, Version: j.version}, nil
 	}
-	// The table, not the frontier: its Pareto set is what the ledger
-	// charges and the planners deploy, and it holds no point a faster
-	// one matches in energy.
-	lt := j.table
 	i := lt.LookupIndex(j.deployedTimeLocked(lt.Tmin()))
 	freqs := make([]int, len(lt.Points[i].Freqs))
 	for k, f := range lt.Points[i].Freqs {
@@ -570,7 +566,7 @@ func (s *Server) Table(id string) (*frontier.LookupTable, error) {
 	return j.table, nil
 }
 
-// FrontierOf returns the characterized frontier's (time, energy) points.
+// FrontierOf returns the (time, energy) points of the job's table.
 func (s *Server) FrontierOf(id string) FrontierResponse {
 	j, ok := s.st.job(id)
 	if !ok {
@@ -578,13 +574,13 @@ func (s *Server) FrontierOf(id string) FrontierResponse {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.front == nil {
+	lt := j.table
+	if lt == nil {
 		return FrontierResponse{}
 	}
-	resp := FrontierResponse{Ready: true}
-	for _, pt := range j.front.Points() {
-		resp.Time = append(resp.Time, pt.Time)
-		resp.Energy = append(resp.Energy, pt.Energy)
+	resp := FrontierResponse{Ready: true, Time: make([]float64, len(lt.Points)), Energy: make([]float64, len(lt.Points))}
+	for i, pt := range lt.Points {
+		resp.Time[i], resp.Energy[i] = lt.PointTime(i), pt.Energy
 	}
 	return resp
 }

@@ -11,17 +11,26 @@ import (
 	"testing"
 	"time"
 
+	"perseus/internal/api"
+	"perseus/internal/dag"
 	"perseus/internal/frontier"
 	"perseus/internal/gpu"
 	"perseus/internal/model"
 	"perseus/internal/partition"
 	"perseus/internal/profile"
+	"perseus/internal/sched"
 )
 
-// buildUpload produces a realistic profile upload for a workload.
+// buildUpload produces a realistic profile upload for gpt3-1.3b.
 func buildUpload(t *testing.T, g *gpu.Model, stages, mbSize int) ProfileUpload {
 	t.Helper()
-	m, err := model.GPT3("1.3b")
+	return modelUpload(t, "gpt3-1.3b", g, stages, mbSize)
+}
+
+// modelUpload produces a realistic profile upload for a workload.
+func modelUpload(t *testing.T, name string, g *gpu.Model, stages, mbSize int) ProfileUpload {
+	t.Helper()
+	m, err := model.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,5 +417,100 @@ func TestTableEndpoint(t *testing.T) {
 	}
 	if len(lt.Points[0].Freqs) != 2*3*2 {
 		t.Fatalf("served plan has %d frequencies", len(lt.Points[0].Freqs))
+	}
+}
+
+// TestServerServesTheLibraryFrontier characterizes bloom-3b on A40 (1F1B,
+// 4 stages × 8 microbatches), a shape whose walk drops steps a faster one
+// matches in energy, both through the server and through the library on
+// the same fitted profile. GET /jobs/{id}/frontier lists exactly the
+// points of GET /jobs/{id}/table and the library's frontier, and the
+// schedule served under each straggler degree d is the library's
+// Lookup(Tmin·d).
+func TestServerServesTheLibraryFrontier(t *testing.T) {
+	req := JobRequest{Schedule: "1f1b", Stages: 4, Microbatches: 8, GPU: "A40", Unit: 5e-3}
+	up := modelUpload(t, "bloom-3b", gpu.A40, 4, 4)
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id, err := srv.Register(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.UploadProfile(id, up); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitCharacterized(id); err != nil {
+		t.Fatal(err)
+	}
+
+	// The library's frontier on the profile the server fitted.
+	var ms []profile.Measurement
+	for _, m := range up.Measurements {
+		kind, err := api.ParseKind(m.Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, profile.Measurement{Virtual: m.Virtual, Kind: kind, Freq: gpu.Frequency(m.Freq), Time: m.Time, Energy: m.Energy})
+	}
+	prof, err := profile.Assemble(gpu.A40, up.PBlocking, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sched.ByName(req.Schedule, req.Stages, req.Microbatches, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := dag.Build(sc, func(sched.Op) int64 { return 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := frontier.Characterize(graph, prof, frontier.Options{Unit: req.Unit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := f.Points()
+	if len(pts) > f.Stats().Steps {
+		t.Fatalf("the walk's %d steps dropped no point of %d: the shape tests nothing", f.Stats().Steps, len(pts))
+	}
+
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/table")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := frontier.LoadTable(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr FrontierResponse
+	get(t, ts.URL+"/jobs/"+id+"/frontier", &fr)
+	if !fr.Ready || len(fr.Time) != len(lt.Points) || len(fr.Energy) != len(lt.Points) || len(pts) != len(lt.Points) {
+		t.Fatalf("frontier lists %d times and %d energies, table %d points, library %d", len(fr.Time), len(fr.Energy), len(lt.Points), len(pts))
+	}
+	for i, pt := range lt.Points {
+		if fr.Time[i] != lt.PointTime(i) || fr.Energy[i] != pt.Energy || pts[i].Time != fr.Time[i] || pts[i].Energy != fr.Energy[i] {
+			t.Fatalf("point %d: frontier (%v s, %v J), table (%v s, %v J), library (%v s, %v J)",
+				i, fr.Time[i], fr.Energy[i], lt.PointTime(i), pt.Energy, pts[i].Time, pts[i].Energy)
+		}
+	}
+
+	for _, d := range []float64{1, 1.01, 1.05, 1.1, 1.2, 1.35, 1.5, 2, 3} {
+		if err := srv.SetStraggler(id, StragglerNotice{Degree: d}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.Schedule(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := f.Lookup(f.Tmin() * d)
+		plan := want.Plan()
+		freqs := make([]int, len(plan))
+		for k, fq := range plan {
+			freqs[k] = int(fq)
+		}
+		if got.Time != want.Time || !reflect.DeepEqual(got.Freqs, freqs) {
+			t.Fatalf("degree %v: served %v s, library Lookup %v s (plans equal: %v)", d, got.Time, want.Time, reflect.DeepEqual(got.Freqs, freqs))
+		}
 	}
 }

@@ -122,8 +122,7 @@ type job struct {
 	mu             sync.Mutex
 	characterizing bool
 	charErr        error
-	front          *frontier.Frontier
-	table          *frontier.LookupTable // cached front.Table() for the fleet
+	table          *frontier.LookupTable // the characterized frontier's Pareto set; nil until then
 	tableHash      uint64                // content hash of table, for the plan cache
 	tPrime         float64               // anticipated straggler iteration time; 0 = none
 	capTime        float64               // fleet-allocated iteration-time floor; 0 = none

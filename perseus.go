@@ -129,7 +129,9 @@ func (s *System) Tmin() float64 { return s.sys.Frontier.Tmin() }
 // beyond it increases energy (paper §3.1).
 func (s *System) TStar() float64 { return s.sys.Frontier.TStar() }
 
-// Frontier returns the characterized frontier points by increasing time.
+// Frontier returns the characterized frontier points by increasing time:
+// the Pareto set, each point strictly cheaper than every faster one, which
+// PlanFor and the saved lookup table choose from.
 func (s *System) Frontier() []FrontierPoint {
 	pts := s.sys.Frontier.Points()
 	out := make([]FrontierPoint, len(pts))
