@@ -625,11 +625,27 @@ func BenchmarkGridOptimize(b *testing.B) {
 // BenchmarkRegionPlan measures the joint spatio-temporal planner on
 // the bundled phase-shifted pair — the synchronous cost behind GET
 // /regions/plan and each multi-region re-plan. solves/op is the inner
-// temporal solves one Optimize runs (Plan.Stats.InnerSolves).
+// temporal solves one Optimize runs (Plan.Stats.InnerSolves). In the
+// jobs-N cases every region seats the whole fleet, so nothing binds and
+// the first descents run side by side; in jobs-8-contended each region
+// seats one job fewer, so capacity binds and the planner runs every job
+// order with its descents in sequence.
 func BenchmarkRegionPlan(b *testing.B) {
-	for _, nJobs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("jobs-%d", nJobs), func(b *testing.B) {
-			regions, jobs, opts := benchRegionCase(nJobs)
+	for _, c := range []struct {
+		nJobs     int
+		contended bool
+	}{{1, false}, {2, false}, {4, false}, {8, false}, {8, true}} {
+		name := fmt.Sprintf("jobs-%d", c.nJobs)
+		if c.contended {
+			name += "-contended"
+		}
+		b.Run(name, func(b *testing.B) {
+			regions, jobs, opts := benchRegionCase(c.nJobs)
+			if c.contended {
+				for r := range regions {
+					regions[r].GPUs = 8 * (c.nJobs - 1)
+				}
+			}
 			var plan *region.Plan
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -47,7 +47,7 @@ func TestBoundMatchesExact(t *testing.T) {
 				paused++
 			}
 			for _, pl := range enumerate(len(p.regions), len(p.cells)) {
-				out, err := p.evaluateLight(&p.scratch[0], j, pl)
+				out, err := p.evaluateLight(&p.desc.scratch, j, pl)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func TestBoundMatchesExact(t *testing.T) {
 				}
 				checked++
 			}
-			ev, err := p.evaluateFull(&p.scratch[0], j, p.starts(j)[0])
+			ev, err := p.evaluateFull(&p.desc.scratch, j, p.starts(j)[0])
 			if err != nil {
 				t.Fatal(err)
 			}

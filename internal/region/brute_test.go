@@ -115,7 +115,7 @@ func bruteForce(t *testing.T, inst bruteInstance) (best float64, ok bool) {
 		cache[j] = make([]cached, len(placements))
 		for i, pl := range placements {
 			job := &inst.jobs[j]
-			ev, err := p.evaluateFull(&p.scratch[0], job, pl)
+			ev, err := p.evaluateFull(&p.desc.scratch, job, pl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func TestEvaluatePlanInvariants(t *testing.T) {
 	p := emptyPlanner(t, inst)
 	j := &inst.jobs[0]
 	for _, pl := range enumerate(3, 4) {
-		ev, err := p.evaluateFull(&p.scratch[0], j, pl)
+		ev, err := p.evaluateFull(&p.desc.scratch, j, pl)
 		if err != nil {
 			t.Fatal(err)
 		}

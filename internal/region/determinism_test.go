@@ -1,63 +1,54 @@
 package region
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
-// TestOptimizeDeterministicAcrossWorkers pins the planner's core
-// parallelism contract: fanning candidate evaluations across a worker
-// pool must be bit-identical to sequential evaluation — same objective
-// totals, same placements, same migration bookkeeping — for any pool
-// size. The reduction happens in a fixed candidate order regardless of
-// completion order, so this holds exactly, not within a tolerance.
-// Run under -race this also exercises the pool for data races.
+// TestOptimizeDeterministicAcrossWorkers pins the fan-out's contract:
+// where nothing binds, the jobs' first descents run on up to GOMAXPROCS
+// goroutines, and the plan and its work counts are the same, bit for
+// bit, however many there are. Run under -race it also exercises the
+// fan-out for data races.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
-	regions := PhaseShiftedPair(16)
 	ltA := convexTable(0.01, 80, 110, 3000, 120)
 	ltB := convexTable(0.012, 70, 100, 3200, 140)
-	jobs := []Job{
-		{ID: "a", Table: ltA, GPUs: 8, Target: math.Floor(0.5 * 86400 / ltA.TStar())},
-		{ID: "b", Table: ltB, GPUs: 8, Target: math.Floor(0.4 * 86400 / ltB.TStar())},
+	pair := bruteInstance{
+		regions: PhaseShiftedPair(16),
+		jobs: []Job{
+			{ID: "a", Table: ltA, GPUs: 8, Target: math.Floor(0.5 * 86400 / ltA.TStar())},
+			{ID: "b", Table: ltB, GPUs: 8, Target: math.Floor(0.4 * 86400 / ltB.TStar())},
+		},
+		opts: Options{Migration: MigrationCost{DowntimeS: 600, EnergyJ: 5e6}},
 	}
-	base := Options{Migration: MigrationCost{DowntimeS: 600, EnergyJ: 5e6}}
-
-	opts := base
-	opts.Workers = 1
-	seq, err := Optimize(regions, jobs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{0, 2, 7} {
-		opts := base
-		opts.Workers = workers
-		par, err := Optimize(regions, jobs, opts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name string
+		inst bruteInstance
+	}{{"jobs-8", benchShapedCase(8)}, {"pair", pair}} {
+		p, err := newPlanner(c.inst.regions, c.inst.jobs, c.inst.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.CarbonG != seq.CarbonG || par.CostUSD != seq.CostUSD ||
-			par.EnergyJ != seq.EnergyJ || par.Feasible != seq.Feasible {
-			t.Fatalf("workers=%d totals diverge: %+v vs sequential %+v",
-				workers, par.Account, seq.Account)
+		if !p.independent(c.inst.jobs) {
+			t.Fatalf("%s binds: its descents would not fan out", c.name)
 		}
-		for i := range seq.Jobs {
-			sj, pj := seq.Jobs[i], par.Jobs[i]
-			if len(sj.Assignments) != len(pj.Assignments) {
-				t.Fatalf("workers=%d job %s assignment count %d != %d",
-					workers, sj.JobID, len(pj.Assignments), len(sj.Assignments))
+		var first *Plan
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			plan, err := Optimize(c.inst.regions, c.inst.jobs, c.inst.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k := range sj.Assignments {
-				if sj.Assignments[k] != pj.Assignments[k] {
-					t.Fatalf("workers=%d job %s assignment %d diverges: %+v vs %+v",
-						workers, sj.JobID, k, pj.Assignments[k], sj.Assignments[k])
-				}
+			if first == nil {
+				first = plan
+				continue
 			}
-			if sj.Temporal.Iterations != pj.Temporal.Iterations ||
-				sj.Migrations != pj.Migrations ||
-				sj.MigrationCarbonG != pj.MigrationCarbonG {
-				t.Fatalf("workers=%d job %s plan diverges: %+v vs %+v",
-					workers, sj.JobID, pj, sj)
+			requireSamePlan(t, fmt.Sprintf("%s at GOMAXPROCS %d", c.name, procs), plan, first)
+			if plan.Stats != first.Stats {
+				t.Fatalf("%s at GOMAXPROCS %d counts %+v, at 1 %+v", c.name, procs, plan.Stats, first.Stats)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package region
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -194,14 +196,14 @@ func TestStaleMemoEntryWouldMisplace(t *testing.T) {
 	p.memos = make([]jobMemo, 2)
 	a, b := &inst.jobs[0], &inst.jobs[1]
 
-	alone, err := p.planJob(0, a)
+	alone, err := p.desc.planJob(p, 0, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !alone.feasible || !slices.Equal(alone.placement, []int{0, 0}) {
 		t.Fatalf("alone, a should take the clean region: %+v", alone)
 	}
-	evB, err := p.planJob(1, b)
+	evB, err := p.desc.planJob(p, 1, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +214,7 @@ func TestStaleMemoEntryWouldMisplace(t *testing.T) {
 		t.Fatal("a commit at a capped cell must build the plan whose power it records")
 	}
 
-	beside, err := p.planJob(0, a)
+	beside, err := p.desc.planJob(p, 0, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +284,8 @@ func seedsOf(p *Plan) map[string][]SeedSpan {
 
 // TestStatsCounts pins, in counts rather than milliseconds, what the
 // solve-long memo, the warm start and the Lagrangian bound buy on a
-// benchRegionCase(4)-shaped instance: the counts do not depend on the
-// worker pool, a seeded solve runs strictly fewer inner solves than the
+// benchRegionCase(4)-shaped instance: the counts do not depend on
+// GOMAXPROCS, a seeded solve runs strictly fewer inner solves than the
 // cold solve that seeded it, an n-job solve in which nothing binds runs
 // no more inner solves than its n jobs solved alone plus whatever the
 // swaps missed, temporal plans are built for winners only, and the
@@ -294,15 +296,15 @@ func TestStatsCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		opts := inst.opts
-		opts.Workers = workers
-		p, err := Optimize(inst.regions, inst.jobs, opts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		p, err := Optimize(inst.regions, inst.jobs, inst.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.Stats != cold.Stats {
-			t.Fatalf("workers=%d counts %+v, default %+v", workers, p.Stats, cold.Stats)
+			t.Fatalf("GOMAXPROCS %d counts %+v, default %+v", procs, p.Stats, cold.Stats)
 		}
 	}
 
@@ -349,8 +351,9 @@ func TestStatsCounts(t *testing.T) {
 
 // TestOrderSkipIsExact pins the argument on planner.binds: where
 // nothing binds every job order replays the first evaluation for
-// evaluation, so running one is exact; where capacity does bind every
-// order still runs.
+// evaluation, so running one is exact, and a Gauss-Seidel round right
+// after the first pass moves nothing, so skipping it is exact; where
+// capacity does bind every order still runs.
 func TestOrderSkipIsExact(t *testing.T) {
 	inst := benchShapedCase(4)
 	var first []*eval
@@ -386,6 +389,20 @@ func TestOrderSkipIsExact(t *testing.T) {
 		t.Fatalf("non-binding solve ran %d orders", plan.Stats.Orders)
 	}
 
+	requireStillRound(t, "bench-shaped", inst)
+	infeasible := 0
+	for _, sh := range [][3]int{{2, 2, 3}, {3, 3, 3}, {2, 4, 4}} {
+		for seed := int64(1); seed <= 30; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(sh[0]*100+sh[1]*10+sh[2])))
+			free := randomBruteInstance(rng, sh[0], sh[1], sh[2], 0)
+			withMoves(rng, &free)
+			infeasible += requireStillRound(t, fmt.Sprintf("shape %v seed %d", sh, seed), free)
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no job ended infeasible: the coverage comparison went untested")
+	}
+
 	// One GPU short of seating everyone in one region: orders matter.
 	tight := benchShapedCase(4)
 	for r := range tight.regions {
@@ -407,4 +424,45 @@ func TestOrderSkipIsExact(t *testing.T) {
 	if want := len(orders(3, true)); plan.Stats.Orders != want {
 		t.Fatalf("capacity-1 solve ran %d of %d orders", plan.Stats.Orders, want)
 	}
+}
+
+// requireStillRound plans inst's first pass in input order, as runOrder
+// does where nothing binds, runs one Gauss-Seidel round over it, and
+// requires the round to report no improvement and to leave every job's
+// placement and outcome as they were. It returns how many of the jobs
+// are infeasible.
+func requireStillRound(t *testing.T, what string, inst bruteInstance) int {
+	t.Helper()
+	p, err := newPlanner(inst.regions, inst.jobs, inst.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.independent(inst.jobs) {
+		t.Fatalf("%s: the instance binds", what)
+	}
+	p.memos = make([]jobMemo, len(inst.jobs))
+	order := orders(len(inst.jobs), true)[0]
+	evals, err := p.firstPass(inst.jobs, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := slices.Clone(evals)
+	improved, err := p.gaussSeidel(inst.jobs, order, evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if improved {
+		t.Fatalf("%s: a Gauss-Seidel round after the first pass improved a job", what)
+	}
+	infeasible := 0
+	for i, ev := range evals {
+		if !slices.Equal(ev.placement, first[i].placement) || ev.outcome != first[i].outcome {
+			t.Fatalf("%s: job %d moved from %v %+v to %v %+v", what, i,
+				first[i].placement, first[i].outcome, ev.placement, ev.outcome)
+		}
+		if !ev.feasible {
+			infeasible++
+		}
+	}
+	return infeasible
 }

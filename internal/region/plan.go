@@ -3,8 +3,11 @@ package region
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"perseus/internal/grid"
 	pln "perseus/internal/plan"
@@ -19,8 +22,10 @@ type Options struct {
 	// regions; the zero value makes moves free.
 	Migration MigrationCost
 
-	// Workers has no effect: the planner evaluates its candidates one
-	// after another. It is kept for callers that still set it.
+	// Workers has no effect: where nothing binds, the jobs' first
+	// descents run on up to GOMAXPROCS goroutines, and everything else
+	// runs on the calling goroutine. It is kept for callers that still
+	// set it.
 	Workers int
 
 	// Seeds optionally warm-starts each job's descent from a prior
@@ -143,6 +148,21 @@ type Stats struct {
 	SwapsAccepted int
 }
 
+// add sums o's counts into s.
+func (s *Stats) add(o Stats) {
+	s.Orders += o.Orders
+	s.Descents += o.Descents
+	s.Candidates += o.Candidates
+	s.Pruned += o.Pruned
+	s.InnerSolves += o.InnerSolves
+	s.SwapSolves += o.SwapSolves
+	s.MemoResets += o.MemoResets
+	s.MemoBytes += o.MemoBytes
+	s.Materialized += o.Materialized
+	s.SwapsTried += o.SwapsTried
+	s.SwapsAccepted += o.SwapsAccepted
+}
+
 // MemoHits is the number of proposals a memo answered without a solve.
 func (s Stats) MemoHits() int { return s.Candidates - s.InnerSolves }
 
@@ -238,7 +258,7 @@ func (u *usage) power(j *Job, ev *eval, sign int) {
 
 // planner bundles the planning context: the immutable instance
 // (regions, cells, options, precomputed rates) plus the mutable solve
-// state — committed usage, evaluation scratch, and one candidate memo
+// state — committed usage, the solve's descender, and one candidate memo
 // per job, kept for the whole solve.
 type planner struct {
 	regions []Region
@@ -247,37 +267,28 @@ type planner struct {
 	opts    Options
 	usage   *usage
 
-	rates   [][]cellRates  // [region][cell]
-	capAt   [][2]int       // the (region, cell)s that carry a power cap
-	scratch [1]evalScratch // compile buffers and the inner solver
-	memos   []jobMemo      // one per job; see planner.sync
-	curPl   []int          // descent incumbent placement
-	tmpPl   []int          // candidate construction buffer
-	swapA   []int          // swapRefine's exchanged placements
+	rates   [][]cellRates // [region][cell]
+	capAt   [][2]int      // the (region, cell)s that carry a power cap
+	constPl [][]int       // per target t, t in every cell (constPl[t+1])
+	memos   []jobMemo     // one per job; see descender.sync
+	desc    descender     // descents, lookups and plans on the calling goroutine
+	swapA   []int         // swapRefine's exchanged placements
 	swapB   []int
 	stats   Stats
 
-	// The bounds and the walks they price candidates from (see splice).
-	// planJob walks its incumbent and, per target t, the placement that
-	// is t in every cell (constPl[t+1]). swapRefine keeps one bound per
-	// job, priced at its incumbent's λ, and walks both incumbents under
-	// both jobs' bounds: a's and b's under a's, then b's and a's under
-	// b's. swapWalked is false until the four are walked for the current
-	// pair and incumbents.
-	moveBnd    bound
-	curWalk    walk
-	constPl    [][]int
-	constWalks []walk
-	fits       []bool // planJob's per-target "every cell so far allowed" and "some cell changed"
-	changed    []bool
+	// swapRefine keeps one bound per job, priced at its incumbent's λ,
+	// and walks both incumbents under both jobs' bounds (see splice):
+	// a's and b's under a's, then b's and a's under b's. swapWalked is
+	// false until the four are walked for the current pair and
+	// incumbents.
 	swapBnds   []bound
 	swapWalks  [4]walk
 	swapWalked bool
 
 	// resetPerDescent is the differential tests' reference planner: every
 	// sync drops the memo (each descent starts empty, each incumbent and
-	// swap lookup is solved afresh), every job order is run, and no bound
-	// prunes a move or a swap.
+	// swap lookup is solved afresh), every job order is run in sequence
+	// with every Gauss-Seidel round, and no bound prunes a move or a swap.
 	resetPerDescent bool
 }
 
@@ -332,10 +343,34 @@ func newPlanner(regions []Region, jobs []Job, opts Options) (*planner, error) {
 	for t := Paused; t < len(regions); t++ {
 		p.constPl = append(p.constPl, slices.Repeat([]int{t}, len(cells)))
 	}
-	p.constWalks = make([]walk, len(p.constPl))
-	p.fits = make([]bool, len(p.constPl))
-	p.changed = make([]bool, len(p.constPl))
+	p.desc.init(len(p.constPl), &p.stats)
 	return p, nil
+}
+
+// descender is what one goroutine's descents and lookups write: the
+// compile buffers and inner solver, the incumbent and candidate
+// buffers, and the bound and walks planJob prunes with — its incumbent's
+// and, per target, planner.constPl's. The planner's own counts into
+// planner.stats; each further one descendApart starts counts apart,
+// added when it finishes.
+type descender struct {
+	scratch    evalScratch
+	curPl      []int // descent incumbent placement
+	tmpPl      []int // candidate construction buffer
+	moveBnd    bound
+	curWalk    walk
+	constWalks []walk
+	fits       []bool // planJob's per-target "every cell so far allowed" and "some cell changed"
+	changed    []bool
+	stats      *Stats
+}
+
+// init sizes d for n targets (len(planner.constPl)), counting into stats.
+func (d *descender) init(n int, stats *Stats) {
+	d.constWalks = make([]walk, n)
+	d.fits = make([]bool, n)
+	d.changed = make([]bool, n)
+	d.stats = stats
 }
 
 // allowed reports whether the job fits region r's GPU capacity in cell
@@ -419,7 +454,7 @@ func (p *planner) evaluateFull(s *evalScratch, j *Job, placement []int) (*eval, 
 // before anything else moves) and for assembly (an eval still light
 // then touches no capped cell, so no usage can change its plan).
 func (p *planner) materialize(j *Job, ev *eval) error {
-	full, err := p.evaluateFull(&p.scratch[0], j, ev.placement)
+	full, err := p.evaluateFull(&p.desc.scratch, j, ev.placement)
 	if err != nil {
 		return err
 	}
@@ -454,13 +489,13 @@ func (p *planner) touchesCap(placement []int) bool {
 // reset unless the others' peak power at every capped cell is exactly
 // what the memo's entries were solved under. Exact comparison means a
 // view that drifted by float rounding only costs a re-solve.
-func (p *planner) sync(ji int) *jobMemo {
+func (d *descender) sync(p *planner, ji int) *jobMemo {
 	m := &p.memos[ji]
 	if m.keys != nil && !p.resetPerDescent && p.sameView(m.view) {
 		return m
 	}
 	if len(m.entries) > 0 {
-		p.stats.MemoResets++
+		d.stats.MemoResets++
 	}
 	m.reset()
 	m.view = p.readView(m.view[:0])
@@ -501,7 +536,7 @@ func pruneCutoff(cost float64) float64 { return cost - 0.5e-9*(1+math.Abs(cost))
 // usage now committed, solving it only if the job's memo has not seen
 // it under this cap view.
 func (p *planner) lookup(ji int, j *Job, placement []int) (outcome, error) {
-	e, err := p.propose(p.sync(ji), j, placement)
+	e, err := p.desc.propose(p, p.desc.sync(p, ji), j, placement)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -511,16 +546,16 @@ func (p *planner) lookup(ji int, j *Job, placement []int) (outcome, error) {
 // propose interns a candidate placement in the job's memo, which must be
 // valid for the usage now committed (see sync), and returns its entry,
 // solving the placement first when the memo has not seen it.
-func (p *planner) propose(m *jobMemo, j *Job, pl []int) (int32, error) {
+func (d *descender) propose(p *planner, m *jobMemo, j *Job, pl []int) (int32, error) {
 	e := m.intern(pl)
-	p.stats.Candidates++
+	d.stats.Candidates++
 	if !m.entries[e].solved {
-		out, err := p.evaluateLight(&p.scratch[0], j, pl)
+		out, err := p.evaluateLight(&d.scratch, j, pl)
 		if err != nil {
 			return 0, err
 		}
 		m.entries[e].out, m.entries[e].solved = out, true
-		p.stats.InnerSolves++
+		d.stats.InnerSolves++
 	}
 	return e, nil
 }
@@ -671,9 +706,9 @@ func (p *planner) starts(j *Job) [][]int {
 // memo outlives the descent (see jobMemo): a re-plan of the same job
 // under an unchanged cap view re-proposes what an earlier descent
 // solved and reads it back. The winner is returned light.
-func (p *planner) planJob(ji int, j *Job) (*eval, error) {
-	m := p.sync(ji)
-	p.stats.Descents++
+func (d *descender) planJob(p *planner, ji int, j *Job) (*eval, error) {
+	m := d.sync(p, ji)
+	d.stats.Descents++
 	kEnd := p.kEnd(j)
 
 	starts := p.starts(j)
@@ -683,13 +718,13 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 	var cur outcome
 	haveCur := false
 	for _, pl := range starts {
-		e, err := p.propose(m, j, pl)
+		e, err := d.propose(p, m, j, pl)
 		if err != nil {
 			return nil, err
 		}
 		if out := m.entries[e].out; betterOutcome(out, cur, haveCur) {
 			cur, haveCur = out, true
-			p.curPl = append(p.curPl[:0], pl...)
+			d.curPl = append(d.curPl[:0], pl...)
 		}
 	}
 
@@ -703,43 +738,43 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 		// accepted, so it is never proposed.
 		prune := cur.feasible && cur.price >= 0 && !p.resetPerDescent
 		if prune {
-			if p.moveBnd.prepare(p, ji, j, cur.price) {
+			if d.moveBnd.prepare(p, ji, j, cur.price) {
 				for x, pl := range p.constPl {
-					p.moveBnd.walk(p, &p.constWalks[x], pl)
+					d.moveBnd.walk(p, &d.constWalks[x], pl)
 				}
 			}
-			p.moveBnd.walk(p, &p.curWalk, p.curPl)
+			d.moveBnd.walk(p, &d.curWalk, d.curPl)
 		}
 		cutoff := pruneCutoff(cur.cost)
 		bestE := int32(-1)
 		var best outcome
 		for i := 0; i < kEnd; i++ {
-			for x := range p.fits {
-				p.fits[x], p.changed[x] = true, false
+			for x := range d.fits {
+				d.fits[x], d.changed[x] = true, false
 			}
 			for k := i; k < kEnd; k++ {
-				for x := range p.fits {
+				for x := range d.fits {
 					t := x - 1 // x indexes constPl: Paused, then the regions
 					if t >= 0 && !p.allowed(j, t, k) {
-						p.fits[x] = false
+						d.fits[x] = false
 					}
-					if !p.fits[x] {
+					if !d.fits[x] {
 						continue
 					}
-					p.changed[x] = p.changed[x] || p.curPl[k] != t
-					if !p.changed[x] {
+					d.changed[x] = d.changed[x] || d.curPl[k] != t
+					if !d.changed[x] {
 						continue
 					}
-					if prune && p.moveBnd.splice(p, &p.curWalk, &p.constWalks[x], i, k) >= cutoff {
-						p.stats.Pruned++
+					if prune && d.moveBnd.splice(p, &d.curWalk, &d.constWalks[x], i, k) >= cutoff {
+						d.stats.Pruned++
 						continue
 					}
-					cand := append(p.tmpPl[:0], p.curPl...)
+					cand := append(d.tmpPl[:0], d.curPl...)
 					for c := i; c <= k; c++ {
 						cand[c] = t
 					}
-					p.tmpPl = cand
-					e, err := p.propose(m, j, cand)
+					d.tmpPl = cand
+					e, err := d.propose(p, m, j, cand)
 					if err != nil {
 						return nil, err
 					}
@@ -753,9 +788,9 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 			break
 		}
 		cur = best
-		p.curPl = append(p.curPl[:0], m.placement(bestE)...)
+		d.curPl = append(d.curPl[:0], m.placement(bestE)...)
 	}
-	return &eval{placement: append([]int(nil), p.curPl...), outcome: cur}, nil
+	return &eval{placement: append([]int(nil), d.curPl...), outcome: cur}, nil
 }
 
 // Optimize plans the joint spatio-temporal schedule: for every job a
@@ -781,11 +816,15 @@ func (p *planner) planJob(ji int, j *Job) (*eval, error) {
 // first priced by a Lagrangian lower bound at the incumbent's λ
 // (bound), read in O(1) amortized off walks of the placements it is
 // spliced from: one that provably cannot strictly beat the incumbent is
-// never solved, which leaves every accepted move as it was. The solve
-// runs on the calling goroutine. brute_test.go cross-checks the result
-// against exhaustive placement enumeration on small instances;
-// memo_test.go checks it against the same planner with the memo dropped
-// before every use and nothing pruned.
+// never solved, which leaves every accepted move as it was. Where
+// nothing binds (see binds) no job's descent reads what another commits:
+// the first descents run side by side on up to GOMAXPROCS goroutines,
+// and the Gauss-Seidel round right after them, which cannot move a job,
+// is skipped; the plan does not depend on GOMAXPROCS. Otherwise the
+// solve runs on the calling goroutine. brute_test.go cross-checks the
+// result against exhaustive placement enumeration on small instances;
+// memo_test.go checks it against the same planner run in sequence, with
+// the memo dropped before every use and nothing pruned or skipped.
 func Optimize(regions []Region, jobs []Job, opts Options) (*Plan, error) {
 	return plan(regions, jobs, opts, nil)
 }
@@ -869,7 +908,7 @@ func (p *planner) solveAll(jobs []Job, candidates func(*planner, *Job) [][]int) 
 	// on larger ones) and keeps the best joint outcome; baselines keep
 	// input order, matching their "first come, first placed" story.
 	ords := orders(len(jobs), candidates == nil)
-	if !p.binds(jobs) && !p.resetPerDescent {
+	if p.independent(jobs) {
 		ords = ords[:1]
 	}
 	var best []*eval
@@ -918,30 +957,33 @@ func (p *planner) binds(jobs []Job) bool {
 	return len(p.capAt) > 0
 }
 
-// runOrder plans the jobs sequentially in the given order against
-// fresh usage, then (full planner only) refines with Gauss-Seidel
-// rounds and pairwise swaps.
+// independent reports whether the solve may use that nothing binds (see
+// binds): run one job order, plan the first descents side by side and
+// skip the first Gauss-Seidel round. The reference planner never does.
+func (p *planner) independent(jobs []Job) bool {
+	return !p.resetPerDescent && !p.binds(jobs)
+}
+
+// runOrder plans the jobs in the given order against fresh usage, then
+// (full planner only) refines with Gauss-Seidel rounds and pairwise
+// swaps. Where the jobs are independent the first Gauss-Seidel round is
+// skipped: it would re-run every descent from the same starts on the
+// same inputs and memo, so it cannot move a job. A round after an
+// accepted swap still runs: a swap judged on the pair's joint total can
+// leave one job worse, and re-planning it repairs that.
 func (p *planner) runOrder(jobs []Job, order []int, candidates func(*planner, *Job) [][]int) ([]*eval, error) {
 	p.stats.Orders++
-	p.usage = newUsage(len(p.regions), len(p.cells))
-	evals := make([]*eval, len(jobs))
-	for _, i := range order {
-		ev, err := p.solveJob(jobs, i, candidates)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = ev
-		if err := p.commit(&jobs[i], ev); err != nil {
-			return nil, err
-		}
+	evals, err := p.firstPass(jobs, order, candidates)
+	if err != nil || candidates != nil {
+		return evals, err
 	}
-	if candidates != nil {
-		return evals, nil
-	}
+	skip := p.independent(jobs)
 	for round := 0; round < gaussSeidelRounds; round++ {
-		gs, err := p.gaussSeidel(jobs, order, evals)
-		if err != nil {
-			return nil, err
+		gs := false
+		if round > 0 || !skip {
+			if gs, err = p.gaussSeidel(jobs, order, evals); err != nil {
+				return nil, err
+			}
 		}
 		sw, err := p.swapRefine(jobs, evals)
 		if err != nil {
@@ -954,16 +996,83 @@ func (p *planner) runOrder(jobs []Job, order []int, candidates func(*planner, *J
 	return evals, nil
 }
 
+// firstPass plans the jobs in the given order against fresh usage, each
+// committed before the next is planned. Where the jobs are independent
+// the full planner's descents are made first, side by side
+// (descendApart), and committed in order after.
+func (p *planner) firstPass(jobs []Job, order []int, candidates func(*planner, *Job) [][]int) ([]*eval, error) {
+	p.usage = newUsage(len(p.regions), len(p.cells))
+	evals := make([]*eval, len(jobs))
+	if candidates == nil && p.independent(jobs) {
+		if err := p.descendApart(jobs, order, evals); err != nil {
+			return nil, err
+		}
+	}
+	for _, i := range order {
+		if evals[i] == nil {
+			ev, err := p.solveJob(jobs, i, candidates)
+			if err != nil {
+				return nil, err
+			}
+			evals[i] = ev
+		}
+		if err := p.commit(&jobs[i], evals[i]); err != nil {
+			return nil, err
+		}
+	}
+	return evals, nil
+}
+
+// descendApart fills evals with every job's descent, run on up to
+// GOMAXPROCS goroutines: the calling one with the planner's descender,
+// each further one with its own, whose counts are added to the
+// planner's when all are done. Only independent jobs may plan apart:
+// then allowed is true and capOverride 0 whatever is committed, and each
+// job has its own memo, so no descent reads what another writes and each
+// is the descent it would be in sequence. When several fail, the error
+// is the first failed job's in order.
+func (p *planner) descendApart(jobs []Job, order []int, evals []*eval) error {
+	errs := make([]error, len(jobs))
+	more := make([]descender, min(runtime.GOMAXPROCS(0), len(jobs))-1)
+	counts := make([]Stats, len(more))
+	var next atomic.Int64
+	work := func(d *descender) {
+		for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+			evals[i], errs[i] = d.planJob(p, i, &jobs[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range more {
+		more[w].init(len(p.constPl), &counts[w])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(&more[w])
+		}()
+	}
+	work(&p.desc)
+	wg.Wait()
+	for _, c := range counts {
+		p.stats.add(c)
+	}
+	for _, i := range order {
+		if errs[i] != nil {
+			return errs[i]
+		}
+	}
+	return nil
+}
+
 // solveJob plans job i against the committed usage: the descent, or
 // the best of a baseline's candidates.
 func (p *planner) solveJob(jobs []Job, i int, candidates func(*planner, *Job) [][]int) (*eval, error) {
 	j := &jobs[i]
 	if candidates == nil {
-		return p.planJob(i, j)
+		return p.desc.planJob(p, i, j)
 	}
 	var best *eval
 	for _, pl := range candidates(p, j) {
-		ev, err := p.evaluateFull(&p.scratch[0], j, pl)
+		ev, err := p.evaluateFull(&p.desc.scratch, j, pl)
 		if err != nil {
 			return nil, err
 		}
@@ -989,7 +1098,7 @@ func (p *planner) gaussSeidel(jobs []Job, order []int, evals []*eval) (bool, err
 			return false, err
 		}
 		cur := &eval{placement: evals[i].placement, outcome: out}
-		ev, err := p.planJob(i, j)
+		ev, err := p.desc.planJob(p, i, j)
 		if err != nil {
 			return false, err
 		}
@@ -1060,11 +1169,9 @@ func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 						continue
 					}
 					p.stats.SwapsTried++
-					p.usage.power(ja, ea, -1)
-					p.usage.power(jb, eb, -1)
+					p.drawPair(ja, jb, ea, eb, -1)
 					if p.swapPruned(a, b, ja, jb, ea, eb, i, k) {
-						p.usage.power(ja, ea, +1)
-						p.usage.power(jb, eb, +1)
+						p.drawPair(ja, jb, ea, eb, +1)
 						p.stats.Pruned++
 						continue
 					}
@@ -1088,8 +1195,7 @@ func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 						}
 						p.usage.power(jb, &nb, -1)
 					}
-					p.usage.power(ja, ea, +1)
-					p.usage.power(jb, eb, +1)
+					p.drawPair(ja, jb, ea, eb, +1)
 					if err != nil {
 						return false, err
 					}
@@ -1114,6 +1220,17 @@ func (p *planner) swapRefine(jobs []Job, evals []*eval) (bool, error) {
 	}
 	p.stats.SwapSolves += p.stats.InnerSolves - solves
 	return improved, nil
+}
+
+// drawPair adds (sign +1) or withdraws (-1) the power two incumbents
+// draw while swapRefine prices an exchange of their cells. Only a capped
+// cell reads power, so with none it leaves the usage alone.
+func (p *planner) drawPair(ja, jb *Job, ea, eb *eval, sign int) {
+	if len(p.capAt) == 0 {
+		return
+	}
+	p.usage.power(ja, ea, sign)
+	p.usage.power(jb, eb, sign)
 }
 
 // swapPruned reports whether the Lagrangian bounds on the placements

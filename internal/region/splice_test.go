@@ -128,7 +128,7 @@ func TestSpliceMatchesValue(t *testing.T) {
 			if j.PausedUntilS > 0 {
 				inFlight++
 			}
-			out, err := p.evaluateLight(&p.scratch[0], j, p.starts(j)[0])
+			out, err := p.evaluateLight(&p.desc.scratch, j, p.starts(j)[0])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,8 +8,9 @@
 #
 # BENCH_COUNT (default 1) runs each benchmark that many times. The record
 # keeps each series' median ns/op, B/op and allocs/op (the lower middle
-# run for an even count) and its number of runs, so one noisy run does
-# not become the next comparison's baseline. BENCH_RAW names a file of
+# run for an even count), its fastest and slowest ns/op and its number
+# of runs, so one noisy run does not become the next comparison's
+# baseline and the spread shows beside it. BENCH_RAW names a file of
 # `go test -bench -benchmem` output to record instead of running the
 # suite: several runs of this commit alternated with runs of another, so
 # that drift on a shared host falls on both records alike.
@@ -47,15 +48,19 @@ fi
   printf '  "gomaxprocs": %s,\n' "$procs"
   printf '  "benchmarks": [\n'
   echo "$raw" | awk -v procs="$procs" '
-    # The median of a space-separated list: an element, so it prints as
-    # the benchmark wrote it.
-    function median(list,   a, n, i, j, t) {
+    # Sorts a space-separated list into a[1..n] and returns n. The
+    # elements keep their text, so they print as the benchmark wrote them.
+    function sorted(list, a,   n, i, j, t) {
       n = split(list, a, " ")
       for (i = 2; i <= n; i++) {
         t = a[i]
         for (j = i - 1; j > 0 && a[j] + 0 > t + 0; j--) a[j + 1] = a[j]
         a[j + 1] = t
       }
+      return n
+    }
+    function median(list,   a, n) {
+      n = sorted(list, a)
       return a[int((n + 1) / 2)]
     }
     /^Benchmark/ && /ns\/op/ {
@@ -78,8 +83,9 @@ fi
     END {
       for (k = 1; k <= n; k++) {
         name = order[k]
-        printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"runs\": %d}%s\n", \
-          name, median(nsl[name]), median(bl[name]), median(al[name]), runs[name], (k < n ? "," : "")
+        m = sorted(nsl[name], spread)
+        printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"ns_per_op_min\": %s, \"ns_per_op_max\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"runs\": %d}%s\n", \
+          name, median(nsl[name]), spread[1], spread[m], median(bl[name]), median(al[name]), runs[name], (k < n ? "," : "")
       }
     }
   '
