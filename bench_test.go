@@ -8,12 +8,12 @@ package perseus
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strconv"
 	"testing"
@@ -991,22 +991,22 @@ func BenchmarkServerPlanCached(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodePlan decodes one 288-interval /grid/plan body — what a
-// trainer pays per plan it fetches.
+// BenchmarkDecodePlan decodes the server's PGP1 body of one
+// 288-interval plan — what a trainer pays per plan it fetches.
 func BenchmarkDecodePlan(b *testing.B) {
 	srv, id, target := benchServer(b)
-	p, err := srv.GridPlan(id, target, 0, "")
-	if err != nil {
-		b.Fatal(err)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		"/grid/plan/"+id+"?iterations="+strconv.FormatFloat(target, 'g', -1, 64), nil))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("GET /grid/plan: %d %s", rec.Code, rec.Body)
 	}
-	body, err := json.Marshal(p)
-	if err != nil {
-		b.Fatal(err)
-	}
+	body := rec.Body.Bytes()
 	b.ReportAllocs()
 	b.ReportMetric(float64(len(body)), "bytes")
 	for i := 0; i < b.N; i++ {
-		if _, err := grid.DecodePlan(body); err != nil {
+		var p grid.Plan
+		if err := p.UnmarshalBinary(body); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -451,8 +451,10 @@ func (c *ServerClient) FetchGridPlanIfChanged(jobID string, iterations, deadline
 	if err != nil {
 		return grid.Plan{}, "", false, err
 	}
-	p, err = grid.DecodePlan(body)
-	return p, etag, err == nil, err
+	if err = p.UnmarshalBinary(body); err != nil {
+		return grid.Plan{}, "", false, err
+	}
+	return p, etag, true, nil
 }
 
 // RegisterRegion registers a datacenter region — GPU capacity, facility

@@ -138,6 +138,9 @@ type IntervalPlan struct {
 // signal interval minimizing the objective subject to the deadline,
 // stored as runs of intervals sharing a choice. It does not repeat the
 // signal: Intervals expands it over the signal it was planned on.
+// GET /grid/plan serves it as a PGP1 body (MarshalBinary, wire.go);
+// inside JSON bodies — a rollout's remaining plan, a region plan's
+// temporal one — it travels in the JSON form its tags spell.
 type Plan struct {
 	// Objective is what the plan minimizes.
 	Objective Objective `json:"objective"`

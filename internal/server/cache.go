@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync"
@@ -76,9 +74,9 @@ const maxPlanCacheEntries = 1024
 //
 // Memory: an entry is its plan plus, if it was ever served over HTTP,
 // the encoded body — a plan is runs of intervals sharing a decision, so
-// a day of 288 intervals is a few dozen runs, about 1 kB each way, and a
-// full map of served day-long plans is a few MB before the cap flushes
-// it. perseus_plan_cache_bytes reports the body share.
+// a day of 288 intervals is a few dozen runs, about 0.5 kB each way as
+// PGP1, and a full map of served day-long plans is a few MB before the
+// cap flushes it. perseus_plan_cache_bytes reports the body share.
 type planCache struct {
 	mu        sync.Mutex
 	entries   map[PlanKey]*planEntry
@@ -185,24 +183,20 @@ func (c *planCache) do(ctx context.Context, key PlanKey, solve func(context.Cont
 	return e, e.err
 }
 
-// wireBody returns the plan's HTTP body — json.Encoder's encoding,
-// trailing newline included — building it on the first call and
-// handing every later one the same slice; callers must not write to
-// it. The encode is deliberately not part of the solve: in-process
-// callers and plans nobody fetches over HTTP never pay for it. The
-// first call records a "plan.encode" child span under a traced ctx.
+// wireBody returns the plan's HTTP body — its PGP1 encoding
+// (grid.Plan.MarshalBinary) — building it on the first call and handing
+// every later one the same slice; callers must not write to it. The
+// encode is deliberately not part of the solve: in-process callers and
+// plans nobody fetches over HTTP never pay for it. The first call
+// records a "plan.encode" child span under a traced ctx.
 func (c *planCache) wireBody(ctx context.Context, key PlanKey, e *planEntry) ([]byte, error) {
 	e.encode.Do(func() {
 		_, sp := obs.Child(ctx, spanPlanEncode)
 		defer sp.End()
-		buf := jsonBufs.Get().(*bytes.Buffer)
-		defer jsonBufs.Put(buf)
-		buf.Reset()
-		if e.bodyErr = json.NewEncoder(buf).Encode(e.plan); e.bodyErr != nil {
+		if e.body, e.bodyErr = e.plan.MarshalBinary(); e.bodyErr != nil {
 			sp.Fail(e.bodyErr)
 			return
 		}
-		e.body = bytes.Clone(buf.Bytes())
 		sp.SetAttr("bytes", strconv.Itoa(len(e.body)))
 		c.mu.Lock()
 		if c.entries[key] == e {

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -193,9 +192,9 @@ func rawGet(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // TestGridPlanServesEncodedBody pins what /grid/plan puts on the wire:
-// encoding/json's bytes for the cached plan, their length declared, the
-// same bytes and validator on every hit — and that the body is built by
-// the first HTTP serve, not by the solve.
+// the cached plan's PGP1 body as application/octet-stream, its length
+// declared, the same bytes and validator on every hit — and that the
+// body is built by the first HTTP serve, not by the solve.
 func TestGridPlanServesEncodedBody(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -216,18 +215,20 @@ func TestGridPlanServesEncodedBody(t *testing.T) {
 	if v, _ := srv.Metrics().GaugeValue("perseus_plan_cache_bytes"); v != 0 {
 		t.Fatalf("an in-process solve encoded %v body bytes", v)
 	}
-	want, err := json.Marshal(plan)
+	want, err := plan.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n')
 
 	url := ts.URL + "/grid/plan/" + id + "?iterations=50"
 	var tag string
 	for i := 0; i < 3; i++ {
 		resp, body := rawGet(t, url)
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-			t.Fatalf("fetch %d: status %d, body differs from json.Marshal(plan)+\"\\n\":\n%s", i, resp.StatusCode, body)
+			t.Fatalf("fetch %d: status %d, body differs from plan.MarshalBinary():\n%x", i, resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Fatalf("fetch %d: Content-Type %q", i, ct)
 		}
 		if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) != 0 {
 			t.Fatalf("fetch %d: Content-Length %d (want %d), Transfer-Encoding %v", i, resp.ContentLength, len(want), resp.TransferEncoding)
@@ -304,8 +305,8 @@ func TestGridPlanColdRaceEncodesOnce(t *testing.T) {
 			t.Fatalf("worker %d read a different body", w)
 		}
 	}
-	p, err := grid.DecodePlan(bodies[0])
-	if err != nil {
+	var p grid.Plan
+	if err := p.UnmarshalBinary(bodies[0]); err != nil {
 		t.Fatal(err)
 	}
 	covered := 0

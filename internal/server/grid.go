@@ -52,8 +52,13 @@ func (s *Server) setGridSignal(ctx context.Context, sig grid.Signal, objective s
 	if err != nil {
 		return GridSignalResponse{}, err
 	}
-	if err := sig.Validate(); err != nil {
-		return GridSignalResponse{}, err
+	// Every cold plan solves on one of these windows: the signal checked,
+	// its rates derived and its intervals sorted once per install.
+	windows := make(map[grid.Objective]*grid.Window, 3)
+	for _, o := range []grid.Objective{grid.ObjectiveCarbon, grid.ObjectiveCost, grid.ObjectiveEnergy} {
+		if windows[o], err = grid.Prepare(&sig, o); err != nil {
+			return GridSignalResponse{}, err
+		}
 	}
 	// Settle every job's accounting under the old signal before the
 	// rates change.
@@ -62,6 +67,7 @@ func (s *Server) setGridSignal(ctx context.Context, sig grid.Signal, objective s
 	st := s.st
 	st.mu.Lock()
 	st.signal = &sig
+	st.windows = windows
 	st.sigStart = gs.now
 	st.meanG = sig.MeanCarbonGPerKWh() / grid.JoulesPerKWh
 	st.objective = obj
@@ -158,7 +164,7 @@ func (s *Server) handleGridPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", planETag(pb.key))
-	writeBody(w, "application/json", body)
+	writeBody(w, "application/octet-stream", body)
 }
 
 // planETag renders a plan cache key as an HTTP entity tag: a 64-bit
@@ -204,11 +210,14 @@ func (s *Server) gridPlan(ctx context.Context, id string, target, deadline float
 }
 
 // planProblem is one snapshotted planning problem: the cache key it
-// resolves to plus the inputs a cache miss solves it from.
+// resolves to plus the inputs a cache miss solves it from, the signal
+// with the windows prepared from it at install. A miss looks up the
+// key's objective's window, so a hit does not.
 type planProblem struct {
-	key   PlanKey
-	table *frontier.LookupTable
-	sig   *grid.Signal
+	key     PlanKey
+	table   *frontier.LookupTable
+	sig     *grid.Signal
+	windows map[grid.Objective]*grid.Window
 }
 
 // planProblem snapshots the state a grid-plan request resolves against
@@ -226,6 +235,7 @@ func (s *Server) planProblem(ctx context.Context, id string, target, deadline fl
 	}
 	s.st.mu.Lock()
 	sig := s.st.signal
+	windows := s.st.windows
 	obj := s.st.objective
 	epoch := s.st.epoch
 	s.st.mu.Unlock()
@@ -255,8 +265,9 @@ func (s *Server) planProblem(ctx context.Context, id string, target, deadline fl
 			Objective: obj,
 			Scale:     pipes,
 		},
-		table: table,
-		sig:   sig,
+		table:   table,
+		sig:     sig,
+		windows: windows,
 	}, nil
 }
 
@@ -269,7 +280,7 @@ func (s *Server) solvePlan(ctx context.Context, pb planProblem) (*planEntry, err
 		defer solvers.Put(solver)
 		err := s.solve(ctx, "grid", pb.key.Objective, pb.sig, func() ([]string, error) {
 			var err error
-			plan, err = solver.Optimize(pb.table, pb.sig, grid.Options{
+			plan, err = solver.OptimizeWindow(pb.table, pb.windows[pb.key.Objective], grid.Options{
 				Target:     pb.key.Target,
 				DeadlineS:  pb.key.Deadline,
 				Objective:  pb.key.Objective,

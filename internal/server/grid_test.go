@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -183,6 +184,52 @@ func TestGridPlanEndpoint(t *testing.T) {
 	}
 	if _, err := srv.GridPlan(raw, 10, 0, ""); err == nil {
 		t.Fatal("planning an uncharacterized job should fail")
+	}
+}
+
+// TestClientPlanMatchesServer holds the plan a trainer decodes from
+// /grid/plan to the server's own, and the server's cold plan — solved on
+// the window prepared at install — to grid.Optimize on the installed
+// signal, for every objective at 24 and 288 intervals, with targets that
+// fit and that do not, and a deadline inside an interval.
+func TestClientPlanMatchesServer(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := client.NewServerClient(ts.URL)
+	id := registerCharacterized(t, srv, JobRequest{
+		Schedule: "1f1b", Stages: 2, Microbatches: 4, GPU: "A100-PCIe", Unit: 5e-3,
+	}, 4)
+	j, _ := srv.st.job(id)
+	table := j.table
+	for _, n := range []int{24, 288} {
+		sig := grid.Generate(grid.GenOptions{Intervals: n, IntervalS: 86400 / float64(n), Jitter: 0.2, Seed: int64(n)})
+		if _, err := srv.SetGridSignal(*sig, ""); err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []grid.Objective{grid.ObjectiveCarbon, grid.ObjectiveCost, grid.ObjectiveEnergy} {
+			for _, q := range []struct{ share, deadline float64 }{{0.4, 0}, {0.3, 0.63 * sig.Horizon()}, {3, 0}} {
+				target := q.share * sig.Horizon() / table.TStar()
+				want, err := grid.Optimize(table, sig, grid.Options{Target: target, DeadlineS: q.deadline, Objective: obj})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := srv.GridPlan(id, target, q.deadline, string(obj))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(p, want) {
+					t.Fatalf("%d intervals, %s, %+v: the server's cold plan differs from grid.Optimize's:\n got %+v\nwant %+v", n, obj, q, p, want)
+				}
+				got, err := cl.FetchGridPlan(id, target, q.deadline, string(obj))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(&got, p) {
+					t.Fatalf("%d intervals, %s, %+v: the client decoded\n %+v\nof the server's\n %+v", n, obj, q, got, p)
+				}
+			}
+		}
 	}
 }
 

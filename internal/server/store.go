@@ -35,6 +35,10 @@ type store struct {
 	objective grid.Objective
 	meanG     float64
 
+	// windows holds the signal prepared (grid.Prepare) for each
+	// objective, replaced whole with it and never written after.
+	windows map[grid.Objective]*grid.Window
+
 	// epoch counts plan-input generations: it bumps whenever the signal
 	// is re-installed or a forecast is (re-)issued, and the plan cache
 	// keys on it, so stale plans can never be served after the inputs
